@@ -15,17 +15,20 @@
 
 pub mod api;
 pub mod image;
+mod node_ops;
 pub mod runner;
 pub mod seq;
+pub mod task;
 pub mod thread;
 
 pub use api::Dsm;
 pub use image::MemImage;
 pub use runner::{
-    run_checked, run_experiment, run_parallel, run_parallel_mc, run_sequential, ExperimentResult,
-    RegionPolicy, RegionReport, RunConfig,
+    run_checked, run_experiment, run_parallel, run_sequential, run_tasks_mc, ExperimentResult,
+    RegionPolicy, RegionReport, RunConfig, RunOutcome,
 };
 pub use seq::SeqDsm;
+pub use task::DsmTask;
 pub use thread::DsmThread;
 
 pub use dsm_check::RunChecker;

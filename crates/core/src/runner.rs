@@ -9,6 +9,7 @@ use dsm_net::{CostModel, LatencyModel, Notify};
 use dsm_obs::{ObsConfig, ObsReport, SharingProfile};
 use dsm_proto::{final_image, ProtoConfig, ProtoWorld, Protocol};
 use dsm_sim::engine::{run_cluster_with, NodeBody, NodeCtx, SimPar};
+use dsm_sim::{McHook, McInstall, NodeTask, RunError, Time};
 use dsm_stats::{RegionCounters, RunStats};
 
 use crate::api::Dsm;
@@ -308,35 +309,19 @@ fn build_layout(cfg: &RunConfig, program: &dyn DsmProgram) -> (Layout, Vec<Proto
     (Layout::with_regions(size, &parts), protos)
 }
 
-/// Run `program` once under the model checker's controlled scheduler.
-///
-/// Identical to [`run_parallel`] except that the engine runs strictly
-/// serial with `hook` deciding every commit-point tie, and `fault_oracle`
-/// (when given) replaces the fabric's seeded fault dice with explicit
-/// per-transmission decisions. The hook may abort the run mid-schedule by
-/// returning `None`, which panics with [`dsm_sim::MC_PRUNE`]; callers are
-/// expected to wrap this in `catch_unwind`.
-pub fn run_parallel_mc(
-    cfg: &RunConfig,
-    program: Program,
-    hook: Box<dyn dsm_sim::McHook<ProtoWorld>>,
-    fault_oracle: Option<dsm_fabric::FaultOracle>,
-) -> RunOutcome {
-    run_parallel_inner(cfg, program, Some((hook, fault_oracle)))
+/// Polling-instrumentation overhead charged on `program`'s local work under
+/// `cfg`, in percent (none when messages interrupt).
+pub(crate) fn poll_inflation(cfg: &RunConfig, program: &dyn DsmProgram) -> u32 {
+    match cfg.notify {
+        Notify::Polling => program.poll_inflation_pct(),
+        Notify::Interrupt => 0,
+    }
 }
 
-/// Run `program` on the simulated cluster under `cfg`.
-pub fn run_parallel(cfg: &RunConfig, program: Program) -> RunOutcome {
-    run_parallel_inner(cfg, program, None)
-}
-
-type McDrive = (
-    Box<dyn dsm_sim::McHook<ProtoWorld>>,
-    Option<dsm_fabric::FaultOracle>,
-);
-
-fn run_parallel_inner(cfg: &RunConfig, program: Program, mc: Option<McDrive>) -> RunOutcome {
-    let (layout, region_protocols) = build_layout(cfg, program.as_ref());
+/// The protocol world a run of `program` under `cfg` starts from: layout,
+/// protocol state, checker, and the program's initial image on every node.
+fn build_world(cfg: &RunConfig, program: &dyn DsmProgram) -> ProtoWorld {
+    let (layout, region_protocols) = build_layout(cfg, program);
     let size = layout.size();
     let pcfg = ProtoConfig {
         nodes: cfg.nodes,
@@ -366,11 +351,15 @@ fn run_parallel_inner(cfg: &RunConfig, program: Program, mc: Option<McDrive>) ->
     let mut golden = MemImage::new(size);
     program.init(&mut golden);
     world.load_golden(golden.bytes());
+    world
+}
 
-    let inflation = match cfg.notify {
-        Notify::Polling => program.poll_inflation_pct(),
-        Notify::Interrupt => 0,
-    };
+/// Run `program` on the simulated cluster under `cfg`: one thread per node
+/// on the threaded engine, each running the program's ordinary blocking
+/// body against a [`DsmThread`].
+pub fn run_parallel(cfg: &RunConfig, program: Program) -> RunOutcome {
+    let world = build_world(cfg, program.as_ref());
+    let inflation = poll_inflation(cfg, program.as_ref());
     let bodies: Vec<NodeBody<ProtoWorld>> = (0..cfg.nodes)
         .map(|_| {
             let prog = Arc::clone(&program);
@@ -380,36 +369,63 @@ fn run_parallel_inner(cfg: &RunConfig, program: Program, mc: Option<McDrive>) ->
                 t.barrier(WARMUP_BARRIER);
                 t.begin_measurement();
                 prog.run(&mut t);
-                t.flush();
-                let me = ctx.node();
-                ctx.world(move |w, s| w.obs.note_end(me, s.now()));
+                t.finish();
             }) as NodeBody<ProtoWorld>
         })
         .collect();
-
-    let (mut world, end, sim_events) = match mc {
-        Some((hook, oracle)) => {
-            if let Some(o) = oracle {
-                world.fabric.set_fault_oracle(o);
-            }
-            let install = dsm_sim::McInstall {
-                hook,
-                msg_hash: Box::new(|to, pkt: &dsm_proto::Packet| {
-                    dsm_sim::rng::StableHasher::fingerprint(&(to, pkt))
-                }),
-            };
-            dsm_sim::run_cluster_mc(world, bodies, install)
-        }
-        None => {
-            let par = if cfg.sim_threads > 1 {
-                let lookahead = cfg.fabric.lookahead_ns(cfg.latency.min_one_way());
-                SimPar::windowed(cfg.sim_threads, lookahead)
-            } else {
-                SimPar::serial()
-            };
-            run_cluster_with(world, bodies, par)
-        }
+    let par = if cfg.sim_threads > 1 {
+        let lookahead = cfg.fabric.lookahead_ns(cfg.latency.min_one_way());
+        SimPar::windowed(cfg.sim_threads, lookahead)
+    } else {
+        SimPar::serial()
     };
+    let (world, end, sim_events) = run_cluster_with(world, bodies, par);
+    finish_outcome(cfg, world, end, sim_events)
+}
+
+/// Run resumable node programs on the task loop, optionally under the model
+/// checker's controlled scheduler.
+///
+/// The world, the statistics and the outcome are [`run_parallel`]'s; the
+/// node programs are `tasks` (one per node, each driving a
+/// [`crate::DsmTask`] through [`crate::DsmTask::prologue`], its operations
+/// and [`crate::DsmTask::epilogue`]), and `meta` supplies what the harness
+/// needs to know about the program besides its body: name, shared size,
+/// initial image, region hints. With `hook` every commit-point tie is its
+/// decision and it may abandon the run (`Err(RunError::Pruned)`); without,
+/// ties commit in queue order as on the threaded engine. `fault_oracle`
+/// replaces the fabric's seeded fault dice with explicit per-transmission
+/// decisions. A schedule on which the program deadlocks is
+/// `Err(RunError::Deadlock { .. })`.
+pub fn run_tasks_mc(
+    cfg: &RunConfig,
+    meta: &dyn DsmProgram,
+    tasks: Vec<Box<dyn NodeTask<ProtoWorld> + '_>>,
+    hook: Option<Box<dyn McHook<ProtoWorld>>>,
+    fault_oracle: Option<dsm_fabric::FaultOracle>,
+) -> Result<RunOutcome, RunError> {
+    assert_eq!(tasks.len(), cfg.nodes, "one task per node");
+    let mut world = build_world(cfg, meta);
+    if let Some(o) = fault_oracle {
+        world.fabric.set_fault_oracle(o);
+    }
+    let install = hook.map(|hook| McInstall {
+        hook,
+        msg_hash: Box::new(|to, pkt: &dsm_proto::Packet| {
+            dsm_sim::rng::StableHasher::fingerprint(&(to, pkt))
+        }),
+    });
+    let (world, end, sim_events) = dsm_sim::run_tasks(world, tasks, install)?;
+    Ok(finish_outcome(cfg, world, end, sim_events))
+}
+
+/// Fold a finished world into the run's outcome.
+fn finish_outcome(
+    cfg: &RunConfig,
+    mut world: ProtoWorld,
+    end: Time,
+    sim_events: u64,
+) -> RunOutcome {
     // Under a reliable fabric the engine keeps advancing through drained
     // retransmission timers after the last node finishes; the application
     // quiesced at the last App delivery, not at the engine's end time.

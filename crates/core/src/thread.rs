@@ -1,7 +1,6 @@
 //! The parallel run-time: a [`Dsm`] implementation backed by the simulated
 //! cluster and the coherence protocols.
 
-use dsm_obs::EventKind;
 use dsm_proto::msg::FaultKind;
 use dsm_proto::ops::{self, Attempt};
 use dsm_proto::ProtoWorld;
@@ -9,29 +8,23 @@ use dsm_sim::engine::NodeCtx;
 use dsm_sim::Time;
 
 use crate::api::Dsm;
-
-/// Unflushed local time is batched up to this much before being pushed into
-/// the event loop, trading a little timing precision (bounded by the
-/// quantum) for a large reduction in event-queue traffic.
-const FLUSH_QUANTUM_NS: Time = 2_000;
+use crate::node_ops::{self, LocalTime};
 
 /// A node's handle onto the DSM: checks access on every read/write, runs
 /// the protocol on faults, and charges virtual time for computation,
 /// accesses, polling overhead and stalls.
+///
+/// This is the blocking form, for node bodies that are ordinary code on the
+/// threaded engine; [`crate::DsmTask`] is its resumable counterpart on the
+/// task loop. What either does to the world at each step is shared
+/// (the `node_ops` module); only the control flow differs.
 pub struct DsmThread<'a> {
     ctx: &'a mut NodeCtx<ProtoWorld>,
     me: usize,
     n: usize,
     lrc: bool,
     layout: dsm_mem::Layout,
-    /// Batched local time not yet pushed into the simulator.
-    pending_ns: Time,
-    /// Accumulated raw compute time (pre-inflation), flushed to stats.
-    compute_acc: Time,
-    /// Accumulated polling overhead, flushed to stats.
-    poll_acc: Time,
-    /// Polling inflation in percent (0 under interrupts).
-    inflation_pct: u32,
+    local: LocalTime,
 }
 
 impl<'a> DsmThread<'a> {
@@ -47,75 +40,46 @@ impl<'a> DsmThread<'a> {
             n,
             lrc,
             layout,
-            pending_ns: 0,
-            compute_acc: 0,
-            poll_acc: 0,
-            inflation_pct,
+            local: LocalTime::new(inflation_pct),
         }
     }
 
     /// Push batched time into the simulator and flush stat accumulators.
     pub fn flush(&mut self) {
-        if self.compute_acc > 0 || self.poll_acc > 0 {
-            let (c, p, me) = (self.compute_acc, self.poll_acc, self.me);
-            self.ctx.world(move |w, _| {
-                w.stats[me].compute_ns += c;
-                w.stats[me].poll_overhead_ns += p;
-            });
-            self.compute_acc = 0;
-            self.poll_acc = 0;
+        if self.local.has_stats() {
+            let (local, me) = (&mut self.local, self.me);
+            self.ctx.world(|w, _| local.fold_stats(w, me));
         }
-        if self.pending_ns > 0 {
-            let t = self.pending_ns;
-            self.pending_ns = 0;
+        let t = self.local.take_pending();
+        if t > 0 {
             self.ctx.advance(t);
         }
     }
 
-    fn maybe_flush(&mut self) {
-        if self.pending_ns >= FLUSH_QUANTUM_NS {
-            self.flush();
-        }
+    /// The tail every node body ends with: push the last batched time and
+    /// close the node's measured interval.
+    pub(crate) fn finish(&mut self) {
+        self.flush();
+        let me = self.me;
+        self.ctx.world(|w, s| node_ops::note_end(w, s, me));
     }
 
     fn fault(&mut self, b: usize, kind: FaultKind) {
         self.flush();
         let t0 = self.ctx.now();
         let me = self.me;
-        let write = matches!(kind, FaultKind::Write);
-        self.ctx.world(move |w, s| {
-            w.obs
-                .record(me, s.now(), EventKind::FaultBegin { block: b, write });
-            ops::start_fault(w, s, me, b, kind)
-        });
+        self.ctx
+            .world(|w, s| node_ops::fault_begin(w, s, me, b, kind));
         self.ctx.block();
         let dt = self.ctx.now() - t0;
-        self.ctx.world(move |w, s| {
-            let st = &mut w.stats[me];
-            match kind {
-                FaultKind::Read => st.read_stall_ns += dt,
-                FaultKind::Write => st.write_stall_ns += dt,
-            }
-            w.obs.record(
-                me,
-                s.now(),
-                EventKind::FaultEnd {
-                    block: b,
-                    write,
-                    dur: dt,
-                },
-            );
-            w.obs.span_wait(me, s.now(), dt, dsm_obs::WaitKind::Fetch);
-        });
+        self.ctx
+            .world(|w, s| node_ops::fault_end(w, s, me, b, kind, dt));
     }
 
     fn charge_local(&mut self, t: Time) {
-        // Polling instrumentation inflates all locally executed work.
-        let overhead = t * self.inflation_pct as Time / 100;
-        self.pending_ns += t + overhead;
-        self.compute_acc += t;
-        self.poll_acc += overhead;
-        self.maybe_flush();
+        if self.local.charge(t) {
+            self.flush();
+        }
     }
 
     /// A fault resolved locally (HLRC twin, SW-LRC re-enable): advance past
@@ -124,11 +88,8 @@ impl<'a> DsmThread<'a> {
         self.flush();
         self.ctx.advance(t);
         let me = self.me;
-        self.ctx.world(move |w, s| {
-            w.stats[me].proto_local_ns += t;
-            w.obs
-                .record(me, s.now(), EventKind::LocalFault { block: b, dur: t });
-        });
+        self.ctx
+            .world(|w, s| node_ops::local_fault_end(w, s, me, b, t));
     }
 
     /// Split `[addr, addr+len)` at coherence-block boundaries and run `f`
@@ -171,17 +132,7 @@ impl Dsm for DsmThread<'_> {
     fn begin_measurement(&mut self) {
         self.flush();
         let me = self.me;
-        self.ctx.world(move |w, s| {
-            w.stats[me] = Default::default();
-            let now = s.now();
-            w.obs.note_begin(me, now);
-            if let Some(c) = w.check.as_deref_mut() {
-                c.arm(me, now);
-            }
-            if w.measure_start < now {
-                w.measure_start = now;
-            }
-        });
+        self.ctx.world(|w, s| node_ops::begin_measurement(w, s, me));
     }
 
     fn compute(&mut self, ns: u64) {
@@ -242,15 +193,10 @@ impl Dsm for DsmThread<'_> {
         let t0 = self.ctx.now();
         let me = self.me;
         self.ctx
-            .world(move |w, s| dsm_proto::sync::lock_acquire_start(w, s, me, l));
+            .world(|w, s| dsm_proto::sync::lock_acquire_start(w, s, me, l));
         self.ctx.block();
         let dt = self.ctx.now() - t0;
-        self.ctx.world(move |w, s| {
-            w.stats[me].lock_wait_ns += dt;
-            w.obs
-                .record(me, s.now(), EventKind::LockWait { lock: l, dur: dt });
-            w.obs.span_wait(me, s.now(), dt, dsm_obs::WaitKind::Lock);
-        });
+        self.ctx.world(|w, s| node_ops::lock_end(w, s, me, l, dt));
     }
 
     fn unlock(&mut self, l: usize) {
@@ -258,12 +204,12 @@ impl Dsm for DsmThread<'_> {
         let me = self.me;
         let t = self
             .ctx
-            .world(move |w, s| dsm_proto::sync::lock_release_start(w, s, me, l));
+            .world(|w, s| dsm_proto::sync::lock_release_start(w, s, me, l));
         if t > 0 {
             // Release-time protocol work (diffing under HLRC) runs on the
             // application thread; charge it as local protocol time.
             self.ctx.advance(t);
-            self.ctx.world(move |w, _| w.stats[me].proto_local_ns += t);
+            self.ctx.world(|w, _| w.stats[me].proto_local_ns += t);
         }
     }
 
@@ -272,27 +218,17 @@ impl Dsm for DsmThread<'_> {
         let me = self.me;
         let t = self
             .ctx
-            .world(move |w, s| dsm_proto::sync::barrier_arrive_start(w, s, me, b));
+            .world(|w, s| dsm_proto::sync::barrier_arrive_start(w, s, me, b));
         if t > 0 {
             // As in `unlock`: release actions are protocol work, not part of
             // the wait for the other participants.
             self.ctx.advance(t);
-            self.ctx.world(move |w, _| w.stats[me].proto_local_ns += t);
+            self.ctx.world(|w, _| w.stats[me].proto_local_ns += t);
         }
         let t0 = self.ctx.now();
         self.ctx.block();
         let dt = self.ctx.now() - t0;
-        self.ctx.world(move |w, s| {
-            w.stats[me].barrier_wait_ns += dt;
-            w.obs.record(
-                me,
-                s.now(),
-                EventKind::BarrierWait {
-                    barrier: b,
-                    dur: dt,
-                },
-            );
-            w.obs.span_wait(me, s.now(), dt, dsm_obs::WaitKind::Barrier);
-        });
+        self.ctx
+            .world(|w, s| node_ops::barrier_end(w, s, me, b, dt));
     }
 }

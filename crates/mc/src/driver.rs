@@ -5,7 +5,12 @@
 //! uniquely determines the global state. Exploration therefore never
 //! snapshots anything — it re-runs the whole simulation from scratch for
 //! every execution, replaying the decision prefix positionally and
-//! branching at the frontier. Reduction is classic sleep-set DPOR
+//! branching at the frontier. An execution is one call of
+//! [`dsm_core::run_tasks_mc`]: the micro-program's nodes are resumable
+//! tasks on the engine's task loop, on this thread, so abandoning a
+//! schedule is `Err(RunError::Pruned)` and the tasks are dropped, and a
+//! schedule that deadlocks is `Err(RunError::Deadlock { .. })` — values,
+//! not unwinds. Reduction is classic sleep-set DPOR
 //! (Godefroid): a sibling already explored from a state is put to sleep in
 //! the subtrees of later siblings and woken only by a dependent transition,
 //! so two independent transitions are never expanded in both orders.
@@ -14,18 +19,18 @@
 //! visit; the fingerprint folds in the checker's accumulated state so a
 //! pruned prefix can never hide a pending violation).
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Mutex};
 
-use dsm_core::{run_parallel_mc, FabricConfig, Program, RunConfig};
+use dsm_core::{run_tasks_mc, FabricConfig, RunConfig, RunOutcome};
 use dsm_fabric::{FaultDecision, FaultOracle};
 use dsm_proto::{Mutation, Packet, ProtoWorld, Protocol, Violation};
 use dsm_sim::rng::fold64;
-use dsm_sim::{McChoice, McEvent, McHook, Time, MC_PRUNE};
+use dsm_sim::{McChoice, McEvent, McHook, RunError, Time};
 
 use crate::oracle;
-use crate::program::{MicroProgram, MicroRunner};
+use crate::program::{MicroProgram, MicroRunner, MicroTask, TraceEv};
 
 /// Rule id reported when an execution exceeds [`McConfig::max_steps`]
 /// commit points (livelock / unbounded execution).
@@ -467,38 +472,9 @@ impl McHook<ProtoWorld> for HookHandle {
     ) -> Option<usize> {
         self.core
             .lock()
-            .unwrap()
+            .expect("mc core")
             .on_choose(world, engine_hash, choices)
     }
-}
-
-static PANIC_HOOK: Once = Once::new();
-
-fn payload_str(p: &(dyn std::any::Any + Send)) -> Option<&str> {
-    p.downcast_ref::<&'static str>()
-        .copied()
-        .or_else(|| p.downcast_ref::<String>().map(|s| s.as_str()))
-}
-
-/// Silence the expected panic families (prunes, deadlocks, and the engine's
-/// cascade panics) so exploration doesn't spray backtraces; everything else
-/// still reaches the previous hook.
-fn install_quiet_panic_hook() {
-    PANIC_HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if let Some(m) = payload_str(info.payload()) {
-                if m.starts_with(MC_PRUNE)
-                    || m.starts_with("simulation deadlock")
-                    || m.starts_with("simulation aborted")
-                    || m.starts_with("simulation poisoned")
-                {
-                    return;
-                }
-            }
-            prev(info);
-        }));
-    });
 }
 
 fn run_config(cfg: &McConfig, prog: &MicroProgram) -> RunConfig {
@@ -536,6 +512,23 @@ fn record(report: &mut McReport, viols: Vec<Violation>) {
     }
 }
 
+/// Run `prog` once on the task loop: one [`MicroTask`] per node under
+/// `rc`, with `hook` deciding every commit-point tie and `fault_oracle`
+/// every transmission's fate. Returns the outcome together with the
+/// execution's trace.
+fn execute(
+    rc: &RunConfig,
+    runner: &MicroRunner,
+    prog: &MicroProgram,
+    hook: Box<dyn McHook<ProtoWorld>>,
+    fault_oracle: Option<FaultOracle>,
+) -> Result<(RunOutcome, Vec<TraceEv>), RunError> {
+    let trace = RefCell::new(Vec::new());
+    let tasks = MicroTask::for_program(prog, rc, runner, &trace);
+    let outcome = run_tasks_mc(rc, runner, tasks, Some(hook), fault_oracle)?;
+    Ok((outcome, trace.into_inner()))
+}
+
 /// Exhaustively explore the schedule space of `prog` under `cfg`.
 ///
 /// Every execution is re-run from scratch under the controlled scheduler;
@@ -544,31 +537,25 @@ fn record(report: &mut McReport, viols: Vec<Violation>) {
 /// the configured protocol. The search terminates when the branch stack is
 /// exhausted (`complete = true`) or an early-exit bound fires.
 pub fn explore(cfg: &McConfig, prog: &MicroProgram) -> McReport {
-    install_quiet_panic_hook();
     let core = Arc::new(Mutex::new(McCore::new(cfg)));
     let mut report = McReport::default();
     let mut runs: u64 = 0;
+    let rc = run_config(cfg, prog);
+    let runner = MicroRunner::new(prog.clone());
     loop {
         runs += 1;
-        core.lock().unwrap().reset_run();
-        let runner = Arc::new(MicroRunner::new(prog.clone()));
-        let rc = run_config(cfg, prog);
+        core.lock().expect("mc core").reset_run();
         let hook: Box<dyn McHook<ProtoWorld>> = Box::new(HookHandle { core: core.clone() });
         let fault_oracle: Option<FaultOracle> = (cfg.fault_budget > 0).then(|| {
             let c = core.clone();
             let ns = cfg.reorder_ns;
-            Box::new(move |_from, _to, _seq, _attempt| c.lock().unwrap().on_fault(ns))
+            Box::new(move |_from, _to, _seq, _attempt| c.lock().expect("mc core").on_fault(ns))
                 as FaultOracle
         });
-        let prog_arc: Program = runner.clone();
-        let out = catch_unwind(AssertUnwindSafe(|| {
-            run_parallel_mc(&rc, prog_arc, hook, fault_oracle)
-        }));
-        match out {
-            Ok(outcome) => {
+        match execute(&rc, &runner, prog, hook, fault_oracle) {
+            Ok((outcome, trace)) => {
                 report.schedules += 1;
                 let mut viols = outcome.violations;
-                let trace = runner.take_trace();
                 match cfg.protocol {
                     Protocol::Sc | Protocol::Tardis => {
                         viols.extend(oracle::witness_check(prog, &trace));
@@ -579,53 +566,44 @@ pub fn explore(cfg: &McConfig, prog: &MicroProgram) -> McReport {
                 }
                 record(&mut report, viols);
             }
-            Err(payload) => {
-                let msg = payload_str(payload.as_ref()).unwrap_or("");
-                if msg.starts_with(MC_PRUNE) {
-                    match core.lock().unwrap().prune.take() {
-                        Some(Prune::Sleep) => report.pruned_sleep += 1,
-                        Some(Prune::Dedup) => report.pruned_dedup += 1,
-                        Some(Prune::Steps) => {
-                            report.pruned_steps += 1;
-                            record(
-                                &mut report,
-                                vec![Violation {
-                                    rule: RULE_LIVELOCK,
-                                    node: 0,
-                                    block: None,
-                                    time: 0,
-                                    detail: format!(
-                                        "execution exceeded {} commit points",
-                                        cfg.max_steps
-                                    ),
-                                }],
-                            );
-                        }
-                        None => std::panic::resume_unwind(payload),
-                    }
-                } else if msg.starts_with("simulation deadlock") {
-                    report.deadlocks += 1;
+            Err(RunError::Pruned) => match core.lock().expect("mc core").prune.take() {
+                Some(Prune::Sleep) => report.pruned_sleep += 1,
+                Some(Prune::Dedup) => report.pruned_dedup += 1,
+                Some(Prune::Steps) => {
+                    report.pruned_steps += 1;
                     record(
                         &mut report,
                         vec![Violation {
-                            rule: RULE_DEADLOCK,
+                            rule: RULE_LIVELOCK,
                             node: 0,
                             block: None,
                             time: 0,
-                            detail: msg.to_string(),
+                            detail: format!("execution exceeded {} commit points", cfg.max_steps),
                         }],
                     );
-                } else {
-                    std::panic::resume_unwind(payload);
                 }
+                None => unreachable!("the hook records why it prunes"),
+            },
+            Err(deadlock @ RunError::Deadlock { .. }) => {
+                report.deadlocks += 1;
+                record(
+                    &mut report,
+                    vec![Violation {
+                        rule: RULE_DEADLOCK,
+                        node: 0,
+                        block: None,
+                        time: 0,
+                        detail: deadlock.to_string(),
+                    }],
+                );
             }
         }
         let stop = (cfg.stop_on_violation && !report.violation_counts.is_empty())
             || (cfg.max_schedules > 0 && runs >= cfg.max_schedules);
-        let exhausted = !stop && !core.lock().unwrap().backtrack();
+        let exhausted = !stop && !core.lock().expect("mc core").backtrack();
         if stop || exhausted {
             report.complete = exhausted;
-            let c = core.lock().unwrap();
+            let c = core.lock().expect("mc core");
             report.states = c.states;
             report.choice_points = c.choice_points;
             report.max_depth = c.max_depth;

@@ -13,6 +13,18 @@
 //! bounded configuration (2–4 nodes, 1–2 coherence blocks, short
 //! data-race-free programs) — for SC, SW-LRC, HLRC and Tardis alike.
 //!
+//! An exploration is thousands of executions, so an execution is built to
+//! be cheap: the micro-program's nodes are resumable tasks
+//! ([`program::MicroTask`], a program counter over [`dsm_core::DsmTask`])
+//! on the engine's thread-free task loop ([`dsm_sim::run_tasks`]), where
+//! the hook sits. Nothing is spawned, locked or unwound beneath
+//! [`explore`]: a pruned schedule is `Err(RunError::Pruned)` and a
+//! deadlocked one is `Err(RunError::Deadlock { .. })`, both plain values
+//! the driver matches on, and no panic hook is installed. The same
+//! programs also run as ordinary blocking bodies on the threaded engine
+//! ([`program::MicroRunner`]); `tests/mc_task_engine_equiv.rs` holds the
+//! two equal.
+//!
 //! Each completed schedule is validated three ways:
 //!
 //! 1. the `dsm-check` mirror invariants + happens-before race detector,
@@ -20,7 +32,7 @@
 //! 2. literal consistency-model oracles re-deriving legal read values from
 //!    the trace alone ([`oracle::witness_check`] for SC/Tardis,
 //!    [`oracle::hb_check`] for the LRC protocols);
-//! 3. deadlock (engine queue empty with blocked nodes) and livelock
+//! 3. deadlock (engine queue empty with unfinished nodes) and livelock
 //!    (commit-point bound) detection.
 //!
 //! Entry point: [`explore`] over a [`program::MicroProgram`]. See

@@ -1,21 +1,40 @@
-//! The discrete-event engine: event queue, node scheduling, thread hand-off.
+//! The discrete-event engine: event queue, node scheduling, and the two
+//! substrates that run node programs on it.
 //!
-//! Two execution modes share one event queue and one set of node threads:
+//! One [`SchedInner`] — virtual clock, event queue, per-node scheduling
+//! slots — is shared by both substrates, so a yield means the same thing on
+//! either:
 //!
-//! * **Serial** ([`SimPar::serial`], the default): exactly one logical entity
-//!   runs at any instant; whichever node thread is active drives the event
-//!   loop and hands control over via condvars.
-//! * **Windowed / conservative PDES** ([`SimPar::windowed`], `threads > 1`):
-//!   the caller's thread becomes a *committer* that pops and executes every
-//!   event in exact global `(time, seq)` order — so all world mutations
-//!   happen in the same order as serial execution and results are
-//!   bit-identical by construction — while up to `threads - 1` node threads
-//!   run their *leading compute* (thread-local application work between DSM
-//!   operations) speculatively ahead of their committed resume. The
-//!   conservative lookahead window (derived from the fabric's minimum
-//!   inter-node latency) bounds which parked nodes are woken early, and
-//!   cross-node events produced inside a window are staged on a separate
-//!   wheel and merged back at window edges in `(time, seq)` order.
+//! * **Tasks** ([`run_tasks`]): node programs are poll-shaped
+//!   [`NodeTask`]s resumed in place by one loop on the caller's thread. No
+//!   threads, no locks, no unwinding; the world is a plain `&mut` borrow,
+//!   tasks need be neither `Send` nor `'static`, an abandoned execution is
+//!   a dropped `Vec`, and a deadlock is a value ([`RunError::Deadlock`]).
+//!   This is the only substrate a model-checker hook ([`McHook`]) can
+//!   control. Its first tenant is `dsm-mc`'s straight-line micro-programs.
+//! * **Threads** ([`run_cluster`] and friends): one OS thread per node
+//!   running an ordinary closure against a [`NodeCtx`], for programs
+//!   written as plain blocking code (the paper's applications). Two modes
+//!   share the queue and the node threads:
+//!   * *Serial* ([`SimPar::serial`], the default): exactly one logical
+//!     entity runs at any instant; whichever node thread is active drives
+//!     the event loop and hands control over via condvars.
+//!   * *Windowed / conservative PDES* ([`SimPar::windowed`], `threads > 1`):
+//!     the caller's thread becomes a *committer* that pops and executes every
+//!     event in exact global `(time, seq)` order — so all world mutations
+//!     happen in the same order as serial execution and results are
+//!     bit-identical by construction — while up to `threads - 1` node threads
+//!     run their *leading compute* (thread-local application work between DSM
+//!     operations) speculatively ahead of their committed resume. The
+//!     conservative lookahead window (derived from the fabric's minimum
+//!     inter-node latency) bounds which parked nodes are woken early, and
+//!     cross-node events produced inside a window are staged on a separate
+//!     wheel and merged back at window edges in `(time, seq)` order.
+//!
+//! Tasks are poll-shaped rather than `async` because the engine needs
+//! nothing a future adds: a node yields for exactly three reasons
+//! ([`Step`]), the engine — not a waker — decides who runs next, and a
+//! straight-line program's whole continuation is a program counter.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -23,12 +42,6 @@ use crate::queue::SplitQueue;
 use crate::rng::fold64;
 use crate::time::Time;
 use crate::NodeId;
-
-/// Panic payload used when a model-checker hook abandons an execution
-/// mid-run ([`McHook::choose`] returned `None`). The exploration driver
-/// catches this with `catch_unwind` and treats the run as pruned, not
-/// failed.
-pub const MC_PRUNE: &str = "dsm-mc: schedule pruned";
 
 /// One co-enabled event offered to a model-checker hook at a commit point.
 pub struct McChoice<'a, M> {
@@ -57,14 +70,14 @@ pub enum McEvent<'a, M> {
     },
 }
 
-/// A controlled scheduler plugged into the serial engine by
-/// [`run_cluster_mc`]: every commit point where more than zero events are
-/// co-enabled at the head virtual time becomes an explicit choice.
+/// A controlled scheduler plugged into the task loop by [`run_tasks`]: every
+/// commit point where more than zero events are co-enabled at the head
+/// virtual time becomes an explicit choice.
 ///
 /// The hook is called at *every* commit point, singletons included, so it
 /// can maintain replay position, sleep sets, and step bounds uniformly.
-/// Returning `None` abandons the execution: the engine poisons itself and
-/// panics with [`MC_PRUNE`], which the exploration driver catches.
+/// Returning `None` abandons the execution: [`run_tasks`] drops the tasks
+/// and returns [`RunError::Pruned`].
 pub trait McHook<W: World>: Send {
     /// Pick which of `choices` (all tied at virtual time `at`) commits.
     ///
@@ -86,7 +99,7 @@ pub trait McHook<W: World>: Send {
 /// of the message so replays fingerprint identically.
 pub type McMsgHash<M> = Box<dyn Fn(NodeId, &M) -> u64 + Send>;
 
-/// Everything [`run_cluster_mc`] installs on the engine: the controlling
+/// Everything [`run_tasks`] installs on the engine: the controlling
 /// hook plus a content hash for queued messages (feeding the queue-multiset
 /// part of `engine_hash`).
 pub struct McInstall<W: World> {
@@ -172,18 +185,71 @@ pub trait World: Send + 'static {
     fn on_advance(&mut self, _node: NodeId, _from: Time, _to: Time) {}
 }
 
-/// Scheduling status of a node thread.
+/// Scheduling status of a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
+pub enum NodeStatus {
     /// Currently executing (at most one node at a time).
     Running,
     /// Will resume at the given virtual time (it is computing until then).
-    Ready { at: Time },
+    Ready {
+        /// The scheduled resume time.
+        at: Time,
+    },
     /// Parked until a handler calls [`Sched::wake`].
     Blocked,
     /// Node body returned.
     Done,
 }
+
+/// What a [`NodeTask`] asks of the engine when it yields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// Compute for this many virtual nanoseconds, then resume (what
+    /// [`NodeCtx::advance`] is to a threaded body). `Advance(0)` still
+    /// yields: events tied at the current time may commit first.
+    Advance(Time),
+    /// Park until a message handler calls [`Sched::wake`] for this node
+    /// ([`NodeCtx::block`]).
+    Block,
+    /// The node program has finished; the task is not resumed again.
+    Done,
+}
+
+/// A node program in resumable form: the engine calls [`NodeTask::resume`]
+/// each time the node's resume event commits, with the world and scheduler
+/// borrowed for the duration of the call, and the task runs until its next
+/// yield. Everything a task must remember across a yield lives in `self`.
+pub trait NodeTask<W: World> {
+    /// Run from the current virtual time ([`Sched::now`]) to the next yield.
+    fn resume(&mut self, world: &mut W, sched: &mut Sched<W::Msg>) -> Step;
+}
+
+/// Why [`run_tasks`] did not run to completion.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunError {
+    /// The model-checker hook abandoned the execution
+    /// ([`McHook::choose`] returned `None`).
+    Pruned,
+    /// The event queue ran dry with unfinished nodes.
+    Deadlock {
+        /// Every node's status at that point, by node id.
+        nodes: Vec<NodeStatus>,
+    },
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Pruned => write!(f, "schedule pruned by the model-checker hook"),
+            RunError::Deadlock { nodes } => write!(
+                f,
+                "simulation deadlock: event queue empty, node states {nodes:?}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
 
 enum EventKind<M> {
     /// Hand control back to a node. `gen` guards against stale entries left
@@ -193,8 +259,11 @@ enum EventKind<M> {
     Msg { to: NodeId, msg: M },
 }
 
+/// A popped event and its time; `None` when the queue is empty.
+type Popped<M> = Option<(Time, EventKind<M>)>;
+
 struct NodeSlot {
-    status: Status,
+    status: NodeStatus,
     /// Generation of the valid Resume event for this node.
     gen: u64,
     /// A wake that arrived before the node blocked (its completion message
@@ -242,7 +311,7 @@ impl<M> SchedInner<M> {
     pub fn for_testing(n: usize) -> Self {
         let mut s = Self::new(n);
         for node in 0..n {
-            s.nodes[node].status = Status::Blocked;
+            s.nodes[node].status = NodeStatus::Blocked;
         }
         s
     }
@@ -272,7 +341,7 @@ impl<M> SchedInner<M> {
             queue: SplitQueue::new(n),
             nodes: (0..n)
                 .map(|_| NodeSlot {
-                    status: Status::Blocked, // set properly at start
+                    status: NodeStatus::Blocked, // set properly at start
                     gen: 0,
                     pending_wake: None,
                 })
@@ -334,12 +403,91 @@ impl<M> SchedInner<M> {
     }
 
     /// Pop the next event, counting it as processed simulator work.
-    fn next_event(&mut self) -> Option<(Time, EventKind<M>)> {
+    fn next_event(&mut self) -> Popped<M> {
         let ev = self.queue.pop().map(|(at, _, kind)| (at, kind));
         if ev.is_some() {
             self.events += 1;
         }
         ev
+    }
+
+    /// Start-up: every node is Ready at t=0, and node 0's Resume is pushed
+    /// first so it runs first (deterministic start-up order by node id). In
+    /// model-checked runs the message hasher must already be installed, so
+    /// the initial n-way resume tie is fingerprinted too.
+    fn start(&mut self) {
+        for node in 0..self.nodes.len() {
+            self.nodes[node].status = NodeStatus::Ready { at: 0 };
+            self.nodes[node].gen = 1;
+            self.push(0, EventKind::Resume { node, gen: 1 });
+        }
+    }
+
+    /// Commit a popped `Resume` event: false if a later delay/wake
+    /// superseded it, otherwise the clock moves to `at` and the node runs.
+    fn begin_resume(&mut self, node: NodeId, gen: u64, at: Time) -> bool {
+        let slot = &mut self.nodes[node];
+        if slot.gen != gen {
+            return false;
+        }
+        match slot.status {
+            NodeStatus::Ready { at: r } => debug_assert_eq!(r, at),
+            other => panic!("resume for node {node} in state {other:?}"),
+        }
+        slot.status = NodeStatus::Running;
+        self.now = at;
+        true
+    }
+
+    /// The running node yields to compute for `dt` ns
+    /// ([`NodeCtx::advance`], [`Step::Advance`]).
+    fn yield_advance<W: World<Msg = M>>(&mut self, world: &mut W, node: NodeId, dt: Time) {
+        let at = self.now + dt;
+        if dt > 0 {
+            world.on_advance(node, self.now, at);
+        }
+        debug_assert_eq!(self.nodes[node].status, NodeStatus::Running);
+        self.schedule_resume(node, at);
+    }
+
+    /// The running node yields until woken ([`NodeCtx::block`],
+    /// [`Step::Block`]); a wake that already arrived releases it at once.
+    fn yield_block(&mut self, node: NodeId) {
+        debug_assert_eq!(self.nodes[node].status, NodeStatus::Running);
+        match self.nodes[node].pending_wake.take() {
+            // The completion we were about to wait for already arrived.
+            Some(at) => self.schedule_resume(node, at.max(self.now)),
+            None => self.nodes[node].status = NodeStatus::Blocked,
+        }
+    }
+
+    /// The running node's program returned.
+    fn yield_done(&mut self, node: NodeId) {
+        debug_assert_eq!(self.nodes[node].status, NodeStatus::Running);
+        self.nodes[node].status = NodeStatus::Done;
+        self.done_count += 1;
+    }
+
+    /// Make `node` Ready at `at` under a fresh generation (invalidating any
+    /// Resume still queued for it) and queue the new Resume.
+    fn schedule_resume(&mut self, node: NodeId, at: Time) {
+        let slot = &mut self.nodes[node];
+        slot.status = NodeStatus::Ready { at };
+        slot.gen += 1;
+        let gen = slot.gen;
+        self.push(at, EventKind::Resume { node, gen });
+    }
+
+    /// Deliver a popped message to the world at its arrival time.
+    fn deliver<W: World<Msg = M>>(&mut self, world: &mut W, at: Time, to: NodeId, msg: M) {
+        self.now = at;
+        world.deliver(self, to, msg);
+    }
+
+    fn deadlock(&self) -> RunError {
+        RunError::Deadlock {
+            nodes: self.nodes.iter().map(|s| s.status).collect(),
+        }
     }
 
     /// Post a message for delivery to node `to` at virtual time `at`.
@@ -364,22 +512,16 @@ impl<M> SchedInner<M> {
             self.exec
         );
         let at = at.max(self.now);
-        let slot = &mut self.nodes[node];
-        match slot.status {
-            Status::Blocked => {
-                slot.status = Status::Ready { at };
-                slot.gen += 1;
-                let gen = slot.gen;
-                self.push(at, EventKind::Resume { node, gen });
-            }
-            Status::Ready { .. } | Status::Running => {
+        match self.nodes[node].status {
+            NodeStatus::Blocked => self.schedule_resume(node, at),
+            NodeStatus::Ready { .. } | NodeStatus::Running => {
                 // The node has not blocked yet (e.g. it is still charging
                 // local time before parking): remember the wake, consumed by
                 // its next block().
-                let w = slot.pending_wake.get_or_insert(at);
+                let w = self.nodes[node].pending_wake.get_or_insert(at);
                 *w = (*w).max(at);
             }
-            Status::Done => panic!("wake({node}) called on a finished node"),
+            NodeStatus::Done => panic!("wake({node}) called on a finished node"),
         }
     }
 
@@ -394,13 +536,9 @@ impl<M> SchedInner<M> {
             self.exec
         );
         let until = until.max(self.now);
-        let slot = &mut self.nodes[node];
-        if let Status::Ready { at } = slot.status {
+        if let NodeStatus::Ready { at } = self.nodes[node].status {
             if at < until {
-                slot.status = Status::Ready { at: until };
-                slot.gen += 1;
-                let gen = slot.gen;
-                self.push(until, EventKind::Resume { node, gen });
+                self.schedule_resume(node, until);
             }
         }
     }
@@ -408,7 +546,7 @@ impl<M> SchedInner<M> {
     /// True if the node is parked waiting for a wake (so it can service an
     /// incoming request immediately: it is spinning on message arrival).
     pub fn is_blocked(&self, node: NodeId) -> bool {
-        self.nodes[node].status == Status::Blocked
+        self.nodes[node].status == NodeStatus::Blocked
     }
 
     /// The time at which the node becomes available to service an
@@ -419,7 +557,7 @@ impl<M> SchedInner<M> {
     /// that want it.
     pub fn resume_at(&self, node: NodeId) -> Option<Time> {
         match self.nodes[node].status {
-            Status::Ready { at } => Some(at),
+            NodeStatus::Ready { at } => Some(at),
             _ => None,
         }
     }
@@ -462,8 +600,6 @@ struct SimState<W: World> {
     poisoned: bool,
     /// Windowed-mode driver state (unused in serial mode).
     par: ParDriver,
-    /// Model-checker hook controlling every commit point (serial mode only).
-    mc: Option<Box<dyn McHook<W>>>,
 }
 
 struct Shared<W: World> {
@@ -593,24 +729,9 @@ impl<W: World> NodeCtx<W> {
     /// the effective resume time further out.
     pub fn advance(&mut self, dt: Time) {
         let mut g = self.lock_synced();
-        let at = g.sched.now + dt;
-        if dt > 0 {
-            let from = g.sched.now;
-            let world = g.world.as_mut().expect("world re-entrancy");
-            world.on_advance(self.node, from, at);
-        }
-        let slot = &mut g.sched.nodes[self.node];
-        debug_assert_eq!(slot.status, Status::Running);
-        slot.status = Status::Ready { at };
-        slot.gen += 1;
-        let gen = slot.gen;
-        g.sched.push(
-            at,
-            EventKind::Resume {
-                node: self.node,
-                gen,
-            },
-        );
+        let st = &mut *g;
+        let world = st.world.as_mut().expect("world re-entrancy");
+        st.sched.yield_advance(world, self.node, dt);
         if self.par {
             // The compute up to the next world interaction is speculation-
             // safe: continue if a slot is free, else park for a grant.
@@ -623,25 +744,7 @@ impl<W: World> NodeCtx<W> {
     /// Park this node until a message handler calls [`Sched::wake`] for it.
     pub fn block(&mut self) {
         let mut g = self.lock_synced();
-        let now = g.sched.now;
-        let slot = &mut g.sched.nodes[self.node];
-        debug_assert_eq!(slot.status, Status::Running);
-        if let Some(at) = slot.pending_wake.take() {
-            // The completion we were about to wait for already arrived.
-            let at = at.max(now);
-            slot.status = Status::Ready { at };
-            slot.gen += 1;
-            let gen = slot.gen;
-            g.sched.push(
-                at,
-                EventKind::Resume {
-                    node: self.node,
-                    gen,
-                },
-            );
-        } else {
-            slot.status = Status::Blocked;
-        }
+        g.sched.yield_block(self.node);
         if self.par {
             // No speculation past a block: until the wake commits there is
             // nothing useful to run ahead (the continuation immediately
@@ -669,38 +772,15 @@ impl<W: World> NodeCtx<W> {
     /// (serial mode).
     fn finish(&self) {
         let mut g = self.lock();
-        let slot = &mut g.sched.nodes[self.node];
-        debug_assert_eq!(slot.status, Status::Running);
-        slot.status = Status::Done;
-        g.sched.done_count += 1;
+        g.sched.yield_done(self.node);
         if g.sched.done_count == g.sched.nodes.len() {
             // Drain in-flight messages so their effects (stats, traffic) are
             // accounted for even when every node body has returned.
-            loop {
-                let (at, kind) = match mc_next_event(&mut g) {
-                    McPop::Ev(at, kind) => (at, kind),
-                    McPop::Empty => break,
-                    McPop::Prune => {
-                        g.poisoned = true;
-                        for cv in &self.shared.node_cvs {
-                            cv.notify_all();
-                        }
-                        self.shared.done_cv.notify_all();
-                        panic!("{MC_PRUNE}");
-                    }
-                };
+            let st = &mut *g;
+            let world = st.world.as_mut().expect("world re-entrancy");
+            while let Some((at, kind)) = st.sched.next_event() {
                 if let EventKind::Msg { to, msg } = kind {
-                    g.sched.now = at;
-                    let mc_on = g.sched.mc_msg_hash.is_some();
-                    if mc_on {
-                        g.sched.exec = Some(to);
-                    }
-                    let mut world = g.world.take().expect("world re-entrancy");
-                    world.deliver(&mut g.sched, to, msg);
-                    g.world = Some(world);
-                    if mc_on {
-                        g.sched.exec = None;
-                    }
+                    st.sched.deliver(world, at, to, msg);
                 }
             }
             self.shared.done_cv.notify_all();
@@ -715,10 +795,7 @@ impl<W: World> NodeCtx<W> {
     /// the committer keeps the event loop alive.
     fn finish_par(&self) {
         let mut g = self.lock_synced();
-        let slot = &mut g.sched.nodes[self.node];
-        debug_assert_eq!(slot.status, Status::Running);
-        slot.status = Status::Done;
-        g.sched.done_count += 1;
+        g.sched.yield_done(self.node);
         debug_assert_eq!(g.par.tmode[self.node], TMode::Turn);
         g.par.tmode[self.node] = TMode::Parked;
         g.par.seg_done = true;
@@ -727,41 +804,31 @@ impl<W: World> NodeCtx<W> {
     }
 }
 
-/// Result of a model-checked pop: an event to execute, queue exhausted, or
-/// "abandon this execution" (the hook pruned the schedule).
-enum McPop<M> {
-    Ev(Time, EventKind<M>),
-    Empty,
-    Prune,
-}
-
-/// Pop the next event, routing the choice through the model-checker hook
-/// when one is installed: gather every event tied at the head virtual time,
-/// drop stale resumes (they are not real choices — the plain pop skips them
+/// Pop the next event of a model-checked run, routing the choice through
+/// the hook: gather every event tied at the head virtual time, drop stale
+/// resumes (they are not real choices — the plain pop skips them
 /// identically), and let the hook pick which one commits. Unchosen events
 /// are restored with their original `(time, seq)` keys, so the order among
-/// them is untouched.
-fn mc_next_event<W: World>(st: &mut SimState<W>) -> McPop<W::Msg> {
-    if st.mc.is_none() {
-        return match st.sched.next_event() {
-            Some((at, kind)) => McPop::Ev(at, kind),
-            None => McPop::Empty,
-        };
-    }
+/// them is untouched. `Ok(None)` means the queue is empty.
+fn mc_next_event<W: World>(
+    sched: &mut SchedInner<W::Msg>,
+    world: &W,
+    hook: &mut dyn McHook<W>,
+) -> Result<Popped<W::Msg>, RunError> {
     loop {
-        let Some((head, _)) = st.sched.queue.next_key() else {
-            return McPop::Empty;
+        let Some((head, _)) = sched.queue.next_key() else {
+            return Ok(None);
         };
         let mut tied: Vec<(Time, u64, NodeId, EventKind<W::Msg>)> = Vec::new();
-        while st.sched.queue.next_key().is_some_and(|(t, _)| t == head) {
-            let (at, key, node, kind) = st.sched.queue.pop_keyed().expect("head implies an event");
+        while sched.queue.next_key().is_some_and(|(t, _)| t == head) {
+            let (at, key, node, kind) = sched.queue.pop_keyed().expect("head implies an event");
             if let EventKind::Resume { node: rn, gen } = &kind {
-                if st.sched.nodes[*rn].gen != *gen {
+                if sched.nodes[*rn].gen != *gen {
                     // Superseded by a later delay/wake: skip it, counting it
                     // exactly as the plain loop would.
-                    st.sched.events += 1;
-                    let h = st.sched.mc_event_hash(at, &kind);
-                    st.sched.queue_hash ^= h;
+                    sched.events += 1;
+                    let h = sched.mc_event_hash(at, &kind);
+                    sched.queue_hash ^= h;
                     continue;
                 }
             }
@@ -774,19 +841,19 @@ fn mc_next_event<W: World>(st: &mut SimState<W>) -> McPop<W::Msg> {
         // pending-event multiset (the tied events above are still counted
         // in `queue_hash` — they are logically queued until one commits).
         let mut eh = fold64(0, head);
-        for s in &st.sched.nodes {
+        for s in &sched.nodes {
             let (tag, t) = match s.status {
-                Status::Running => (0u64, 0),
-                Status::Ready { at } => (1, at),
-                Status::Blocked => (2, 0),
-                Status::Done => (3, 0),
+                NodeStatus::Running => (0u64, 0),
+                NodeStatus::Ready { at } => (1, at),
+                NodeStatus::Blocked => (2, 0),
+                NodeStatus::Done => (3, 0),
             };
             eh = fold64(eh, tag);
             eh = fold64(eh, t);
             eh = fold64(eh, s.gen);
             eh = fold64(eh, s.pending_wake.map_or(u64::MAX, |w| w));
         }
-        eh = fold64(eh, st.sched.queue_hash);
+        eh = fold64(eh, sched.queue_hash);
         let choices: Vec<McChoice<'_, W::Msg>> = tied
             .iter()
             .map(|&(_, key, _, ref kind)| McChoice {
@@ -797,15 +864,10 @@ fn mc_next_event<W: World>(st: &mut SimState<W>) -> McPop<W::Msg> {
                 },
             })
             .collect();
-        let world = st.world.as_ref().expect("world re-entrancy");
-        let pick = st
-            .mc
-            .as_mut()
-            .expect("mc hook")
-            .choose(world, eh, head, &choices);
+        let pick = hook.choose(world, eh, head, &choices);
         drop(choices);
         let Some(pick) = pick else {
-            return McPop::Prune;
+            return Err(RunError::Pruned);
         };
         assert!(pick < tied.len(), "mc hook chose {pick} of {}", tied.len());
         let mut chosen = None;
@@ -813,15 +875,77 @@ fn mc_next_event<W: World>(st: &mut SimState<W>) -> McPop<W::Msg> {
             if i == pick {
                 chosen = Some((at, kind));
             } else {
-                st.sched.queue.unpop(node, at, key, kind);
+                sched.queue.unpop(node, at, key, kind);
             }
         }
         let (at, kind) = chosen.expect("pick is in range");
-        let h = st.sched.mc_event_hash(at, &kind);
-        st.sched.queue_hash ^= h;
-        st.sched.events += 1;
-        return McPop::Ev(at, kind);
+        let h = sched.mc_event_hash(at, &kind);
+        sched.queue_hash ^= h;
+        sched.events += 1;
+        return Ok(Some((at, kind)));
     }
+}
+
+/// Run node programs as resumable tasks on one event loop, on the caller's
+/// thread, and return the final world, the final virtual time and the
+/// number of events processed — or why the run stopped short.
+///
+/// The loop is the serial engine's, minus the threads: events commit in
+/// `(time, seq)` order; a message is delivered to the world; a valid resume
+/// runs `tasks[node]` to its next yield and the [`Step`] it returns is
+/// applied exactly as [`NodeCtx::advance`], [`NodeCtx::block`] and a
+/// returning node body are; after the last `Done` the queue is drained so
+/// in-flight messages still take effect. The same program therefore
+/// produces the same world, time and event count on either substrate.
+///
+/// With `mc` installed every commit point — the post-`Done` drain
+/// included — is the hook's choice ([`McHook::choose`]).
+pub fn run_tasks<'t, W: World>(
+    mut world: W,
+    mut tasks: Vec<Box<dyn NodeTask<W> + 't>>,
+    mc: Option<McInstall<W>>,
+) -> Result<(W, Time, u64), RunError> {
+    let n = tasks.len();
+    assert!(n > 0, "cluster needs at least one node");
+    let mut sched = SchedInner::new(n);
+    let mut hook = mc.map(|m| {
+        sched.mc_msg_hash = Some(m.msg_hash);
+        m.hook
+    });
+    sched.start();
+    loop {
+        let next = match hook.as_deref_mut() {
+            Some(h) => mc_next_event(&mut sched, &world, h)?,
+            None => sched.next_event(),
+        };
+        let Some((at, kind)) = next else {
+            break;
+        };
+        debug_assert!(at >= sched.now);
+        match kind {
+            EventKind::Msg { to, msg } => {
+                // Model-checked runs assert handler footprints in
+                // wake/delay: a handler touches only its delivery target.
+                sched.exec = hook.is_some().then_some(to);
+                sched.deliver(&mut world, at, to, msg);
+                sched.exec = None;
+            }
+            EventKind::Resume { node, gen } => {
+                if !sched.begin_resume(node, gen, at) {
+                    continue; // superseded by a later delay/wake
+                }
+                match tasks[node].resume(&mut world, &mut sched) {
+                    Step::Advance(dt) => sched.yield_advance(&mut world, node, dt),
+                    Step::Block => sched.yield_block(node),
+                    Step::Done => sched.yield_done(node),
+                }
+            }
+        }
+    }
+    if sched.done_count < n {
+        return Err(sched.deadlock());
+    }
+    Ok((world, sched.now, sched.events))
 }
 
 /// Serial event loop: pop and execute events in global `(time, seq)` order
@@ -834,59 +958,38 @@ fn drive_serial<W: World>(
     me: Option<NodeId>,
 ) {
     loop {
-        let (at, kind) = match mc_next_event(&mut g) {
-            McPop::Ev(at, kind) => (at, kind),
-            McPop::Prune => {
-                g.poisoned = true;
-                for cv in &shared.node_cvs {
-                    cv.notify_all();
-                }
-                shared.done_cv.notify_all();
-                panic!("{MC_PRUNE}");
+        let Some((at, kind)) = g.sched.next_event() else {
+            // Nothing left to do. A driving node is itself blocked or
+            // ready, so an empty queue is a deadlock; a finishing node
+            // (`me == None`) returns cleanly when every other node is
+            // done too.
+            let any_blocked = g
+                .sched
+                .nodes
+                .iter()
+                .any(|s| s.status == NodeStatus::Blocked);
+            if me.is_none() && !any_blocked {
+                return;
             }
-            McPop::Empty => {
-                // Nothing left to do. A driving node is itself blocked or
-                // ready, so an empty queue is a deadlock; a finishing node
-                // (`me == None`) returns cleanly when every other node is
-                // done too.
-                let any_blocked = g.sched.nodes.iter().any(|s| s.status == Status::Blocked);
-                if me.is_none() && !any_blocked {
-                    return;
-                }
-                let statuses: Vec<_> = g.sched.nodes.iter().map(|s| s.status).collect();
-                g.poisoned = true;
-                for cv in &shared.node_cvs {
-                    cv.notify_all();
-                }
-                shared.done_cv.notify_all();
-                panic!("simulation deadlock: event queue empty, node states {statuses:?}");
+            let deadlock = g.sched.deadlock();
+            g.poisoned = true;
+            for cv in &shared.node_cvs {
+                cv.notify_all();
             }
+            shared.done_cv.notify_all();
+            panic!("{deadlock}");
         };
         debug_assert!(at >= g.sched.now);
         match kind {
             EventKind::Msg { to, msg } => {
-                g.sched.now = at;
-                let mc_on = g.sched.mc_msg_hash.is_some();
-                if mc_on {
-                    g.sched.exec = Some(to); // footprint assert in wake/delay
-                }
-                let mut world = g.world.take().expect("world re-entrancy");
-                world.deliver(&mut g.sched, to, msg);
-                g.world = Some(world);
-                if mc_on {
-                    g.sched.exec = None;
-                }
+                let st = &mut *g;
+                let world = st.world.as_mut().expect("world re-entrancy");
+                st.sched.deliver(world, at, to, msg);
             }
             EventKind::Resume { node, gen } => {
-                if g.sched.nodes[node].gen != gen {
+                if !g.sched.begin_resume(node, gen, at) {
                     continue; // superseded by a later delay/wake
                 }
-                match g.sched.nodes[node].status {
-                    Status::Ready { at: r } => debug_assert_eq!(r, at),
-                    other => panic!("resume for node {node} in state {other:?}"),
-                }
-                g.sched.now = at;
-                g.sched.nodes[node].status = Status::Running;
                 if me == Some(node) {
                     return;
                 }
@@ -903,7 +1006,7 @@ fn drive_serial<W: World>(
                     if g.poisoned {
                         panic!("simulation aborted: another node panicked");
                     }
-                    if g.sched.nodes[me].status == Status::Running {
+                    if g.sched.nodes[me].status == NodeStatus::Running {
                         return;
                     }
                 }
@@ -936,13 +1039,13 @@ fn drive_windowed<W: World>(shared: &Arc<Shared<W>>, n: usize, lookahead: Time) 
             if g.sched.done_count == n {
                 return;
             }
-            let statuses: Vec<_> = g.sched.nodes.iter().map(|s| s.status).collect();
+            let deadlock = g.sched.deadlock();
             g.poisoned = true;
             for cv in &shared.node_cvs {
                 cv.notify_all();
             }
             shared.done_cv.notify_all();
-            panic!("simulation deadlock: event queue empty, node states {statuses:?}");
+            panic!("{deadlock}");
         };
         if t >= g.sched.queue.window_end() {
             g.sched.queue.advance_window(t + lookahead);
@@ -952,23 +1055,16 @@ fn drive_windowed<W: World>(shared: &Arc<Shared<W>>, n: usize, lookahead: Time) 
         debug_assert!(at >= g.sched.now);
         match kind {
             EventKind::Msg { to, msg } => {
-                g.sched.now = at;
-                g.sched.exec = Some(to);
-                let mut world = g.world.take().expect("world re-entrancy");
-                world.deliver(&mut g.sched, to, msg);
-                g.world = Some(world);
-                g.sched.exec = None;
+                let st = &mut *g;
+                let world = st.world.as_mut().expect("world re-entrancy");
+                st.sched.exec = Some(to);
+                st.sched.deliver(world, at, to, msg);
+                st.sched.exec = None;
             }
             EventKind::Resume { node, gen } => {
-                if g.sched.nodes[node].gen != gen {
+                if !g.sched.begin_resume(node, gen, at) {
                     continue; // superseded by a later delay/wake
                 }
-                match g.sched.nodes[node].status {
-                    Status::Ready { at: r } => debug_assert_eq!(r, at),
-                    other => panic!("resume for node {node} in state {other:?}"),
-                }
-                g.sched.now = at;
-                g.sched.nodes[node].status = Status::Running;
                 g.sched.exec = Some(node);
                 // Grant the turn. If the thread is parked it wakes here; if
                 // it is running speculatively it picks the turn up at its
@@ -1005,7 +1101,7 @@ fn predispatch<W: World>(shared: &Arc<Shared<W>>, g: &mut SimState<W>) {
         if g.par.tmode[node] != TMode::Parked {
             continue;
         }
-        if !matches!(g.sched.nodes[node].status, Status::Ready { .. }) {
+        if !matches!(g.sched.nodes[node].status, NodeStatus::Ready { .. }) {
             continue;
         }
         let slot_gen = g.sched.nodes[node].gen;
@@ -1052,50 +1148,13 @@ pub fn run_cluster_with<W: World>(
     bodies: Vec<NodeBody<W>>,
     par: SimPar,
 ) -> (W, Time, u64) {
-    run_cluster_inner(world, bodies, par, None)
-}
-
-/// Run a cluster under a model-checker hook: fully serialized, with every
-/// commit point routed through [`McHook::choose`]. A pruned execution (the
-/// hook returned `None`) panics with [`MC_PRUNE`]; the exploration driver
-/// wraps this call in `catch_unwind`.
-pub fn run_cluster_mc<W: World>(
-    world: W,
-    bodies: Vec<NodeBody<W>>,
-    mc: McInstall<W>,
-) -> (W, Time, u64) {
-    run_cluster_inner(world, bodies, SimPar::serial(), Some(mc))
-}
-
-fn run_cluster_inner<W: World>(
-    world: W,
-    bodies: Vec<NodeBody<W>>,
-    par: SimPar,
-    mc: Option<McInstall<W>>,
-) -> (W, Time, u64) {
     let n = bodies.len();
     assert!(n > 0, "cluster needs at least one node");
-    // Model checking controls the serial engine only: windowed execution is
-    // an internal-parallelism optimization with identical semantics, so
-    // nothing is lost by forcing threads = 1.
-    let threads = if mc.is_some() { 1 } else { par.threads.max(1) };
+    let threads = par.threads.max(1);
     let windowed = threads > 1;
     let mut sched = SchedInner::new(n);
     sched.windowed = windowed;
-    let (hook, msg_hash) = match mc {
-        Some(m) => (Some(m.hook), Some(m.msg_hash)),
-        None => (None, None),
-    };
-    // Install the hasher before the startup pushes so the initial n-way
-    // resume tie is fingerprinted too.
-    sched.mc_msg_hash = msg_hash;
-    // Every node starts Ready at t=0; node 0's Resume is pushed first so it
-    // runs first (deterministic startup order by node id).
-    for node in 0..n {
-        sched.nodes[node].status = Status::Ready { at: 0 };
-        sched.nodes[node].gen = 1;
-        sched.push(0, EventKind::Resume { node, gen: 1 });
-    }
+    sched.start();
     let shared = Arc::new(Shared::<W> {
         state: Mutex::new(SimState {
             sched,
@@ -1107,7 +1166,6 @@ fn run_cluster_inner<W: World>(
                 spec_slots: threads - 1,
                 seg_done: true,
             },
-            mc: hook,
         }),
         node_cvs: (0..n).map(|_| Condvar::new()).collect(),
         done_cv: Condvar::new(),
@@ -1131,7 +1189,7 @@ fn run_cluster_inner<W: World>(
                     // Wait for our first Resume.
                     {
                         let mut g = ctx.lock();
-                        while g.sched.nodes[node].status != Status::Running {
+                        while g.sched.nodes[node].status != NodeStatus::Running {
                             if g.poisoned {
                                 panic!("simulation aborted before start");
                             }
@@ -1219,8 +1277,7 @@ fn run_cluster_inner<W: World>(
     }
 
     // Re-raise the root-cause panic, not one of the cascade panics other
-    // threads raise when they notice the poisoned state (the model-checking
-    // driver distinguishes MC_PRUNE / deadlock payloads from real failures).
+    // threads raise when they notice the poisoned state.
     fn is_cascade(e: &(dyn std::any::Any + Send)) -> bool {
         let msg = e
             .downcast_ref::<&'static str>()
@@ -1712,20 +1769,130 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn mc_hook_reverses_tie_order() {
-        let world = TestWorld {
+    /// A task that replays a fixed list of steps, running `first` against
+    /// the scheduler on its first resume: [`tie_bodies`] in resumable form.
+    struct Script {
+        first: Option<fn(&mut Sched<u32>)>,
+        steps: std::vec::IntoIter<Step>,
+    }
+    impl NodeTask<TestWorld> for Script {
+        fn resume(&mut self, _world: &mut TestWorld, sched: &mut Sched<u32>) -> Step {
+            if let Some(f) = self.first.take() {
+                f(sched);
+            }
+            self.steps.next().unwrap_or(Step::Done)
+        }
+    }
+
+    fn script(
+        first: Option<fn(&mut Sched<u32>)>,
+        steps: Vec<Step>,
+    ) -> Box<dyn NodeTask<TestWorld>> {
+        Box::new(Script {
+            first,
+            steps: steps.into_iter(),
+        })
+    }
+
+    fn tie_tasks() -> Vec<Box<dyn NodeTask<TestWorld>>> {
+        vec![
+            script(
+                Some(|s| {
+                    s.post(1, 100, 1);
+                    s.post(1, 100, 2);
+                    s.post(1, 100, 3);
+                }),
+                vec![Step::Advance(1)],
+            ),
+            script(None, vec![Step::Advance(200)]),
+        ]
+    }
+
+    fn tie_world() -> TestWorld {
+        TestWorld {
             log: vec![],
             wake_on: vec![None, None],
+        }
+    }
+
+    #[test]
+    fn tasks_match_threads_without_a_hook() {
+        let (tw, tt, te) = run_cluster_counted(tie_world(), tie_bodies());
+        let (kw, kt, ke) = run_tasks(tie_world(), tie_tasks(), None).expect("runs to completion");
+        assert_eq!(kw.log, tw.log);
+        assert_eq!((kt, ke), (tt, te), "same final time and event count");
+    }
+
+    #[test]
+    fn tasks_block_wake_and_consume_pending_wakes() {
+        // Node 1 blocks until message 7 arrives at t=250, computes past a
+        // second wake (message 7 again at t=300, stored as pending), and
+        // its next block returns at once.
+        let world = TestWorld {
+            log: vec![],
+            wake_on: vec![None, Some(7)],
         };
-        let (w, _, _) = run_cluster_mc(
-            world,
-            tie_bodies(),
-            McInstall {
+        struct Waiter(u32, Vec<Time>);
+        impl NodeTask<TestWorld> for Waiter {
+            fn resume(&mut self, _w: &mut TestWorld, s: &mut Sched<u32>) -> Step {
+                self.1.push(s.now());
+                self.0 += 1;
+                match self.0 {
+                    1 => Step::Block,
+                    2 => {
+                        assert!(!s.is_blocked(1));
+                        s.wake(1, 300); // arrives while computing: pending
+                        Step::Advance(100)
+                    }
+                    3 => Step::Block,
+                    _ => {
+                        assert_eq!(self.1, [0, 250, 350, 350]);
+                        Step::Done
+                    }
+                }
+            }
+        }
+        let tasks: Vec<Box<dyn NodeTask<TestWorld>>> = vec![
+            script(Some(|s| s.post(1, 250, 7)), vec![Step::Advance(10)]),
+            Box::new(Waiter(0, Vec::new())),
+        ];
+        let (w, t, _) = run_tasks(world, tasks, None).expect("runs to completion");
+        assert_eq!(w.log, vec![(250, 1, 7)]);
+        assert_eq!(t, 350);
+    }
+
+    #[test]
+    fn tasks_deadlock_is_a_value() {
+        let tasks = vec![
+            script(None, vec![Step::Block]),
+            script(None, vec![Step::Advance(10)]),
+        ];
+        let err = run_tasks(tie_world(), tasks, None)
+            .err()
+            .expect("deadlocks");
+        assert_eq!(
+            err,
+            RunError::Deadlock {
+                nodes: vec![NodeStatus::Blocked, NodeStatus::Done]
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "simulation deadlock: event queue empty, node states [Blocked, Done]"
+        );
+    }
+
+    #[test]
+    fn mc_hook_reverses_tie_order() {
+        let (w, _, _) = run_tasks(
+            tie_world(),
+            tie_tasks(),
+            Some(McInstall {
                 hook: Box::new(PickHook(|n: usize, _| Some(n - 1))),
                 msg_hash: Box::new(|_, m: &u32| u64::from(*m)),
-            },
-        );
+            }),
+        )
+        .expect("runs to completion");
         let tags: Vec<u32> = w.log.iter().map(|&(_, _, m)| m).collect();
         assert_eq!(tags, vec![3, 2, 1], "picking last reverses the tie");
     }
@@ -1735,36 +1902,29 @@ mod tests {
         fn mc_run() -> (Vec<(Time, NodeId, u32)>, Vec<u64>, u64) {
             let hashes = Arc::new(Mutex::new(Vec::new()));
             let sink = Arc::clone(&hashes);
-            let world = TestWorld {
-                log: vec![],
-                wake_on: vec![None, None],
-            };
-            let (w, _, ev) = run_cluster_mc(
-                world,
-                tie_bodies(),
-                McInstall {
+            let (w, _, ev) = run_tasks(
+                tie_world(),
+                tie_tasks(),
+                Some(McInstall {
                     hook: Box::new(PickHook(move |_, eh| {
                         sink.lock().unwrap().push(eh);
                         Some(0)
                     })),
                     msg_hash: Box::new(|to, m: &u32| fold64(u64::from(*m), to as u64)),
-                },
-            );
+                }),
+            )
+            .expect("runs to completion");
             let hs = hashes.lock().unwrap().clone();
             (w.log, hs, ev)
         }
-        let serial = run_cluster(
-            TestWorld {
-                log: vec![],
-                wake_on: vec![None, None],
-            },
-            tie_bodies(),
-        )
-        .0
-        .log;
+        let (serial, _, serial_ev) = run_cluster_counted(tie_world(), tie_bodies());
         let (log_a, hashes_a, ev_a) = mc_run();
         let (log_b, hashes_b, ev_b) = mc_run();
-        assert_eq!(log_a, serial, "always-first replays the serial schedule");
+        assert_eq!(
+            log_a, serial.log,
+            "always-first replays the serial schedule"
+        );
+        assert_eq!(ev_a, serial_ev, "and counts the same events");
         assert_eq!(log_a, log_b);
         assert_eq!(ev_a, ev_b);
         assert!(!hashes_a.is_empty());
@@ -1772,38 +1932,19 @@ mod tests {
     }
 
     #[test]
-    fn mc_prune_panics_with_sentinel() {
-        let world = TestWorld {
-            log: vec![],
-            wake_on: vec![None, None],
-        };
+    fn mc_prune_is_an_error_value() {
         let mut steps = 0u32;
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_cluster_mc(
-                world,
-                tie_bodies(),
-                McInstall {
-                    hook: Box::new(PickHook(move |_, _| {
-                        steps += 1;
-                        if steps > 2 {
-                            None
-                        } else {
-                            Some(0)
-                        }
-                    })),
-                    msg_hash: Box::new(|_, m: &u32| u64::from(*m)),
-                },
-            )
-        }));
-        let e = match r {
-            Ok(_) => panic!("pruned run must panic"),
-            Err(e) => e,
-        };
-        let msg = e
-            .downcast_ref::<&'static str>()
-            .copied()
-            .or_else(|| e.downcast_ref::<String>().map(|s| s.as_str()))
-            .unwrap_or("");
-        assert_eq!(msg, MC_PRUNE);
+        let r = run_tasks(
+            tie_world(),
+            tie_tasks(),
+            Some(McInstall {
+                hook: Box::new(PickHook(move |_, _| {
+                    steps += 1;
+                    (steps <= 2).then_some(0)
+                })),
+                msg_hash: Box::new(|_, m: &u32| u64::from(*m)),
+            }),
+        );
+        assert_eq!(r.err(), Some(RunError::Pruned));
     }
 }

@@ -35,16 +35,53 @@ pub fn fold64(acc: u64, x: u64) -> u64 {
     mix64(acc ^ mix64(x))
 }
 
-/// A stable `std::hash::Hasher` over [`mix64`], for state fingerprints that
-/// must not depend on the standard library's hasher (whose output may change
-/// between Rust releases). Usable with `#[derive(Hash)]` types.
-#[derive(Debug, Clone, Default)]
+/// A stable `std::hash::Hasher`, for state fingerprints that must not depend
+/// on the standard library's hasher (whose output may change between Rust
+/// releases). Usable with `#[derive(Hash)]` types.
+///
+/// Fingerprints identify states — nothing prints or persists them — so the
+/// function is built for the model checker's hot loop rather than for
+/// adversaries: a scalar costs one xor-multiply-shift step,
+/// a byte slice is consumed in 32-byte stripes by four independent lanes of
+/// that same step so the multiplies overlap, and only [`finish`] pays for a
+/// full-avalanche [`mix64`]. Every step is a bijection of the running state
+/// for a fixed word and of the word for a fixed state, and so is the lane
+/// fold: two inputs that differ in exactly one word (of one `write`, or one
+/// scalar) can never collide.
+///
+/// [`finish`]: std::hash::Hasher::finish
+#[derive(Debug, Clone)]
 pub struct StableHasher(u64);
 
+/// Initial state. Non-zero, because zero is the step's one fixed point on
+/// zero input (all-zero prefixes of different shapes would otherwise meet).
+const SEED: u64 = 0x243F_6A88_85A3_08D3;
+
+/// Multiplier of the scalar step and of the lane/tail/length fold.
+const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One distinct odd multiplier per stripe lane, so equal words at the same
+/// stripe offset in different lanes evolve differently.
+const LANE_K: [u64; 4] = [
+    0xBF58_476D_1CE4_E5B9,
+    0x94D0_49BB_1331_11EB,
+    0xD6E8_FEB8_6659_FD93,
+    0xFF51_AFD7_ED55_8CCD,
+];
+
+/// Bytes consumed per round of the four lanes.
+const STRIPE: usize = 32;
+
+impl Default for StableHasher {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl StableHasher {
-    /// Fresh hasher with a zero seed.
+    /// Fresh hasher.
     pub fn new() -> Self {
-        StableHasher(0)
+        StableHasher(SEED)
     }
 
     /// Hash one `Hash` value to a stable fingerprint.
@@ -54,6 +91,19 @@ impl StableHasher {
         v.hash(&mut h);
         h.finish()
     }
+
+    /// Absorb one word: xor, multiply by an odd constant, fold the high half
+    /// down (the multiply only carries upwards). Three dependent operations.
+    #[inline(always)]
+    fn step(acc: u64, word: u64, k: u64) -> u64 {
+        let x = (acc ^ word).wrapping_mul(k);
+        x ^ (x >> 32)
+    }
+}
+
+#[inline(always)]
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte word"))
 }
 
 impl std::hash::Hasher for StableHasher {
@@ -62,29 +112,49 @@ impl std::hash::Hasher for StableHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.0 = fold64(self.0, u64::from_le_bytes(word));
+        let mut h = self.0;
+        let mut stripes = bytes.chunks_exact(STRIPE);
+        if stripes.len() > 0 {
+            let mut lanes = LANE_K.map(|k| h ^ k.rotate_left(32));
+            for s in stripes.by_ref() {
+                for (i, lane) in lanes.iter_mut().enumerate() {
+                    *lane = Self::step(*lane, le_word(&s[i * 8..i * 8 + 8]), LANE_K[i]);
+                }
+            }
+            for lane in lanes {
+                h = Self::step(h, lane, K);
+            }
         }
-        // Fold the length so "ab"+"c" and "a"+"bc" differ.
-        self.0 = fold64(self.0, bytes.len() as u64);
+        // The < 32-byte tail, whole words first, then a zero-padded one.
+        let mut words = stripes.remainder().chunks_exact(8);
+        for w in words.by_ref() {
+            h = Self::step(h, le_word(w), K);
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            h = Self::step(h, u64::from_le_bytes(word), K);
+        }
+        // Fold the length so "ab"+"c" and "a"+"bc" differ, and so does
+        // zero padding from zero data.
+        self.0 = Self::step(h, bytes.len() as u64, K);
     }
 
     fn write_u64(&mut self, i: u64) {
-        self.0 = fold64(self.0, i);
+        self.0 = Self::step(self.0, i, K);
     }
 
     fn write_usize(&mut self, i: usize) {
-        self.0 = fold64(self.0, i as u64);
+        self.write_u64(i as u64);
     }
 
     fn write_u8(&mut self, i: u8) {
-        self.0 = fold64(self.0, u64::from(i));
+        self.write_u64(u64::from(i));
     }
 
     fn write_u32(&mut self, i: u32) {
-        self.0 = fold64(self.0, u64::from(i));
+        self.write_u64(u64::from(i));
     }
 }
 
@@ -133,6 +203,123 @@ mod tests {
             StableHasher::fingerprint(&vec![1u64, 2, 3]),
             StableHasher::fingerprint(&vec![1u64, 3, 2])
         );
+    }
+
+    /// Fixed-seed filler: a SplitMix64 stream.
+    fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+        (0..len.div_ceil(8) as u64)
+            .flat_map(|i| mix64(seed.wrapping_add(i)).to_le_bytes())
+            .take(len)
+            .collect()
+    }
+
+    fn fp(bytes: &[u8]) -> u64 {
+        use std::hash::Hasher;
+        let mut h = StableHasher::new();
+        h.write(bytes);
+        h.finish()
+    }
+
+    /// Sort and compare neighbours: the first fingerprint that occurs twice.
+    fn first_duplicate(mut fps: Vec<u64>) -> Option<u64> {
+        fps.sort_unstable();
+        fps.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_block_is_a_distinct_fingerprint() {
+        let mut buf = random_bytes(0x5EED, 4096);
+        let original = fp(&buf);
+        let mut flips = Vec::with_capacity(32_768);
+        for bit in 0..4096 * 8 {
+            buf[bit / 8] ^= 1 << (bit % 8);
+            flips.push(fp(&buf));
+            buf[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_eq!(fp(&buf), original);
+        assert_eq!(flips.len(), 32_768);
+        assert!(!flips.contains(&original), "a flip went unnoticed");
+        assert_eq!(first_duplicate(flips), None, "two flips collide");
+    }
+
+    #[test]
+    fn swapping_unequal_words_changes_the_fingerprint() {
+        // Word i sits in lane i % 4 of stripe i / 4: the pairs below cover
+        // same-lane, cross-lane, same-stripe, stripe-to-tail and
+        // tail-to-tail swaps. The buffer is 16 stripes plus a 3-word tail.
+        let buf = random_bytes(0xFACE, (16 * 4 + 3) * 8);
+        let words = buf.len() / 8;
+        let original = fp(&buf);
+        for i in 0..words {
+            for j in i + 1..words {
+                let mut swapped = buf.clone();
+                for k in 0..8 {
+                    swapped.swap(i * 8 + k, j * 8 + k);
+                }
+                assert_ne!(swapped, buf, "random words are unequal");
+                assert_ne!(fp(&swapped), original, "swap of words {i} and {j}");
+            }
+        }
+        // Mostly-zero data, the DSM's usual contents: moving the one
+        // non-zero word anywhere else is seen too.
+        let mut sparse = vec![0u8; 4096];
+        let mut moved = Vec::with_capacity(512);
+        for i in 0..512 {
+            sparse[i * 8] = 1;
+            moved.push(fp(&sparse));
+            sparse[i * 8] = 0;
+        }
+        assert_eq!(first_duplicate(moved), None);
+    }
+
+    #[test]
+    fn zero_buffers_of_different_lengths_are_distinct() {
+        let lens = (0..=40).chain([4095, 4096, 4097]);
+        let fps: Vec<(usize, u64)> = lens.map(|n| (n, fp(&vec![0u8; n]))).collect();
+        for (i, a) in fps.iter().enumerate() {
+            for b in &fps[i + 1..] {
+                assert_ne!(a.1, b.1, "zero buffers of {} and {} bytes", a.0, b.0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_million_structured_states_do_not_collide() {
+        // The shape of a model-checker state: a small tag and a short
+        // vector of small counters, enumerated densely.
+        let mut fps = Vec::with_capacity(1_000_000);
+        for tag in 0..10u64 {
+            for a in 0..10u64 {
+                for b in 0..100u64 {
+                    for c in 0..100u64 {
+                        fps.push(StableHasher::fingerprint(&(tag, vec![a, b, c, a ^ c])));
+                    }
+                }
+            }
+        }
+        assert_eq!(fps.len(), 1_000_000);
+        assert_eq!(first_duplicate(fps), None);
+    }
+
+    /// The function is part of no interface, but nothing should change it
+    /// by accident: fingerprints of one exploration are compared across the
+    /// engine, the fabric, the checker and the driver. Pinned through
+    /// direct `Hasher` calls only — how `derive(Hash)` feeds a hasher
+    /// (length prefixes, `str` terminators) is the standard library's
+    /// business.
+    #[test]
+    fn pinned_fingerprints() {
+        use std::hash::Hasher;
+        assert_eq!(fp(b""), 0x7D2C_6638_F312_2BC3);
+        assert_eq!(fp(b"dsm"), 0x46CE_169C_60B5_4C0C);
+        assert_eq!(fp(&random_bytes(1, 4096)), 0xE325_9B08_5AD6_1454);
+        let mut h = StableHasher::new();
+        h.write_u64(7);
+        h.write_u32(3);
+        h.write_u8(5);
+        h.write_usize(9);
+        h.write(b"ab");
+        assert_eq!(h.finish(), 0xDC6E_AC09_2508_6C92);
     }
 
     #[test]

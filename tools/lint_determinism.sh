@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Determinism lint for the hot-path crates (sim, proto, fabric, mc).
+# Determinism lint for the hot-path crates (sim, proto, fabric, mc, core).
 #
 # The whole stack depends on bit-identical replay: the engine's state
 # hashes, the model checker's replay-based exploration, and the golden
@@ -20,7 +20,7 @@
 set -u
 cd "$(dirname "$0")/.."
 
-DIRS="crates/sim/src crates/proto/src crates/fabric/src crates/mc/src"
+DIRS="crates/sim/src crates/proto/src crates/fabric/src crates/mc/src crates/core/src"
 ALLOW="tools/lint_determinism_allow.txt"
 status=0
 
