@@ -21,7 +21,7 @@
 //! and center-of-mass and force sums run in canonical octant order, making
 //! particle state bit-identical to the sequential run.
 
-use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, RegionHint};
+use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, NodeFuture, RegionHint};
 
 use crate::util::{XorShift, FLOP_NS};
 
@@ -131,15 +131,15 @@ impl Barnes {
     }
 
     /// Allocate a cell from `me`'s arena (single-writer counter).
-    fn alloc_cell(&self, d: &mut dyn Dsm, me: usize, depth: u64) -> usize {
-        let next = d.read_u64(self.counter_addr(me)) as usize;
+    async fn alloc_cell(&self, d: &mut Dsm, me: usize, depth: u64) -> usize {
+        let next = d.read_u64(self.counter_addr(me)).await as usize;
         assert!(next < self.chunk, "cell arena exhausted");
-        d.write_u64(self.counter_addr(me), next as u64 + 1);
+        d.write_u64(self.counter_addr(me), next as u64 + 1).await;
         let c = STATIC_CELLS + me * self.chunk + next;
         for oct in 0..8 {
-            d.write_u64(self.child_addr(c, oct), EMPTY);
+            d.write_u64(self.child_addr(c, oct), EMPTY).await;
         }
-        d.write_u64(self.depth_addr(c), depth);
+        d.write_u64(self.depth_addr(c), depth).await;
         c
     }
 
@@ -179,9 +179,9 @@ impl Barnes {
     /// Insert a body with per-cell locking (Original). `lrc` adds the
     /// acquire-per-descent-step the relaxed protocols require.
     #[allow(clippy::too_many_arguments)]
-    fn insert_locked(
+    async fn insert_locked(
         &self,
-        d: &mut dyn Dsm,
+        d: &mut Dsm,
         me: usize,
         i: usize,
         pos: &[f64; 3],
@@ -190,47 +190,47 @@ impl Barnes {
         mut half: f64,
         lrc: bool,
     ) {
-        let mut depth = d.read_u64(self.depth_addr(c));
+        let mut depth = d.read_u64(self.depth_addr(c)).await;
         let mut spins = 0;
         loop {
             spins += 1;
             assert!(spins < 10_000, "tree insertion livelocked");
             let oct = Self::octant(pos, &center);
             let child = if lrc {
-                d.lock(self.cell_lock(c));
-                let v = d.read_u64(self.child_addr(c, oct));
-                d.unlock(self.cell_lock(c));
+                d.lock(self.cell_lock(c)).await;
+                let v = d.read_u64(self.child_addr(c, oct)).await;
+                d.unlock(self.cell_lock(c)).await;
                 v
             } else {
-                d.read_u64(self.child_addr(c, oct))
+                d.read_u64(self.child_addr(c, oct)).await
             };
-            d.compute(10 * FLOP_NS);
+            d.compute(10 * FLOP_NS).await;
             if child == EMPTY {
-                d.lock(self.cell_lock(c));
-                let v = d.read_u64(self.child_addr(c, oct));
+                d.lock(self.cell_lock(c)).await;
+                let v = d.read_u64(self.child_addr(c, oct)).await;
                 if v == EMPTY {
-                    d.write_u64(self.child_addr(c, oct), body_ref(i));
-                    d.unlock(self.cell_lock(c));
+                    d.write_u64(self.child_addr(c, oct), body_ref(i)).await;
+                    d.unlock(self.cell_lock(c)).await;
                     return;
                 }
-                d.unlock(self.cell_lock(c));
+                d.unlock(self.cell_lock(c)).await;
             } else if child & BODY_TAG != 0 {
                 let q = (child & !BODY_TAG) as usize;
-                d.lock(self.cell_lock(c));
-                let v = d.read_u64(self.child_addr(c, oct));
+                d.lock(self.cell_lock(c)).await;
+                let v = d.read_u64(self.child_addr(c, oct)).await;
                 if v == child {
                     // Split: push q one level down, link the new cell.
                     assert!((depth as usize) < MAX_DEPTH, "octree too deep");
-                    let nc = self.alloc_cell(d, me, depth + 1);
+                    let nc = self.alloc_cell(d, me, depth + 1).await;
                     let ncenter = Self::child_center(&center, half, oct);
                     let mut qpos = [0.0f64; 3];
-                    d.read_f64s(self.pos_addr(q), &mut qpos);
+                    d.read_f64s(self.pos_addr(q), &mut qpos).await;
                     let qoct = Self::octant(&qpos, &ncenter);
-                    d.write_u64(self.child_addr(nc, qoct), body_ref(q));
-                    d.write_u64(self.child_addr(c, oct), cell_ref(nc));
-                    d.unlock(self.cell_lock(c));
+                    d.write_u64(self.child_addr(nc, qoct), body_ref(q)).await;
+                    d.write_u64(self.child_addr(c, oct), cell_ref(nc)).await;
+                    d.unlock(self.cell_lock(c)).await;
                 } else {
-                    d.unlock(self.cell_lock(c));
+                    d.unlock(self.cell_lock(c)).await;
                 }
             } else {
                 // Descend.
@@ -244,9 +244,9 @@ impl Barnes {
 
     /// Insert a body with no locking (the caller owns the subtree).
     #[allow(clippy::too_many_arguments)] // mirrors insert_locked's geometry arguments
-    fn insert_private(
+    async fn insert_private(
         &self,
-        d: &mut dyn Dsm,
+        d: &mut Dsm,
         me: usize,
         i: usize,
         pos: &[f64; 3],
@@ -254,25 +254,25 @@ impl Barnes {
         mut center: [f64; 3],
         mut half: f64,
     ) {
-        let mut depth = d.read_u64(self.depth_addr(c));
+        let mut depth = d.read_u64(self.depth_addr(c)).await;
         loop {
             let oct = Self::octant(pos, &center);
-            let child = d.read_u64(self.child_addr(c, oct));
-            d.compute(10 * FLOP_NS);
+            let child = d.read_u64(self.child_addr(c, oct)).await;
+            d.compute(10 * FLOP_NS).await;
             if child == EMPTY {
-                d.write_u64(self.child_addr(c, oct), body_ref(i));
+                d.write_u64(self.child_addr(c, oct), body_ref(i)).await;
                 return;
             }
             if child & BODY_TAG != 0 {
                 let q = (child & !BODY_TAG) as usize;
                 assert!((depth as usize) < MAX_DEPTH, "octree too deep");
-                let nc = self.alloc_cell(d, me, depth + 1);
+                let nc = self.alloc_cell(d, me, depth + 1).await;
                 let ncenter = Self::child_center(&center, half, oct);
                 let mut qpos = [0.0f64; 3];
-                d.read_f64s(self.pos_addr(q), &mut qpos);
+                d.read_f64s(self.pos_addr(q), &mut qpos).await;
                 let qoct = Self::octant(&qpos, &ncenter);
-                d.write_u64(self.child_addr(nc, qoct), body_ref(q));
-                d.write_u64(self.child_addr(c, oct), cell_ref(nc));
+                d.write_u64(self.child_addr(nc, qoct), body_ref(q)).await;
+                d.write_u64(self.child_addr(c, oct), cell_ref(nc)).await;
                 // retry this level: next iteration descends into nc
             } else {
                 c = (child & !CELL_TAG) as usize;
@@ -284,30 +284,31 @@ impl Barnes {
     }
 
     /// Reset the tree for a new step (proc 0 only).
-    fn reset_tree(&self, d: &mut dyn Dsm) {
+    async fn reset_tree(&self, d: &mut Dsm) {
         for p in 0..16 {
-            d.write_u64(self.counter_addr(p), 0);
+            d.write_u64(self.counter_addr(p), 0).await;
         }
         for c in 0..STATIC_CELLS {
             for oct in 0..8 {
-                d.write_u64(self.child_addr(c, oct), EMPTY);
+                d.write_u64(self.child_addr(c, oct), EMPTY).await;
             }
         }
-        d.write_u64(self.depth_addr(0), 0);
+        d.write_u64(self.depth_addr(0), 0).await;
         if self.uses_static_top() {
             for o1 in 0..8 {
-                d.write_u64(self.child_addr(0, o1), cell_ref(1 + o1));
-                d.write_u64(self.depth_addr(1 + o1), 1);
+                d.write_u64(self.child_addr(0, o1), cell_ref(1 + o1)).await;
+                d.write_u64(self.depth_addr(1 + o1), 1).await;
                 for o2 in 0..8 {
-                    d.write_u64(self.child_addr(1 + o1, o2), cell_ref(9 + o1 * 8 + o2));
-                    d.write_u64(self.depth_addr(9 + o1 * 8 + o2), 2);
+                    d.write_u64(self.child_addr(1 + o1, o2), cell_ref(9 + o1 * 8 + o2))
+                        .await;
+                    d.write_u64(self.depth_addr(9 + o1 * 8 + o2), 2).await;
                 }
             }
         }
     }
 
     /// Tree build phase (after the reset barrier).
-    fn build(&self, d: &mut dyn Dsm) {
+    async fn build(&self, d: &mut Dsm) {
         let (me, p) = (d.node(), d.num_nodes());
         let per = self.n / p;
         let lo = me * per;
@@ -317,8 +318,9 @@ impl Barnes {
             BarnesVariant::Original => {
                 let mut pos = [0.0f64; 3];
                 for i in lo..hi {
-                    d.read_f64s(self.pos_addr(i), &mut pos);
-                    self.insert_locked(d, me, i, &pos, 0, [0.5, 0.5, 0.5], 0.5, lrc);
+                    d.read_f64s(self.pos_addr(i), &mut pos).await;
+                    self.insert_locked(d, me, i, &pos, 0, [0.5, 0.5, 0.5], 0.5, lrc)
+                        .await;
                 }
             }
             BarnesVariant::Partree => {
@@ -327,57 +329,59 @@ impl Barnes {
                 let mut buckets: Vec<Vec<(usize, [f64; 3])>> = vec![Vec::new(); 64];
                 let mut pos = [0.0f64; 3];
                 for i in lo..hi {
-                    d.read_f64s(self.pos_addr(i), &mut pos);
+                    d.read_f64s(self.pos_addr(i), &mut pos).await;
                     buckets[Self::bucket_of(&pos)].push((i, pos));
                 }
-                d.compute((hi - lo) as u64 * 10 * FLOP_NS);
+                d.compute((hi - lo) as u64 * 10 * FLOP_NS).await;
                 for (b, list) in buckets.iter().enumerate() {
                     if list.is_empty() {
                         continue;
                     }
                     let cell = 9 + b;
                     let (center, half) = Self::bucket_geometry(b);
-                    d.lock(self.cell_lock(cell));
+                    d.lock(self.cell_lock(cell)).await;
                     for (i, pos) in list {
-                        self.insert_private(d, me, *i, pos, cell, center, half);
+                        self.insert_private(d, me, *i, pos, cell, center, half)
+                            .await;
                     }
-                    d.unlock(self.cell_lock(cell));
+                    d.unlock(self.cell_lock(cell)).await;
                 }
             }
             BarnesVariant::Spatial => {
                 // Scan every particle; build only the owned buckets.
                 let mut pos = [0.0f64; 3];
                 for i in 0..self.n {
-                    d.read_f64s(self.pos_addr(i), &mut pos);
+                    d.read_f64s(self.pos_addr(i), &mut pos).await;
                     let b = Self::bucket_of(&pos);
                     if b % p != me {
                         continue;
                     }
                     let (center, half) = Self::bucket_geometry(b);
-                    self.insert_private(d, me, i, &pos, 9 + b, center, half);
+                    self.insert_private(d, me, i, &pos, 9 + b, center, half)
+                        .await;
                 }
             }
         }
     }
 
     /// Cooperative centre-of-mass pass: level-synchronized, deepest first.
-    fn compute_com(&self, d: &mut dyn Dsm) {
+    async fn compute_com(&self, d: &mut Dsm) {
         let (me, p) = (d.node(), d.num_nodes());
         // Enumerate the cells this node is responsible for, noting depths.
         let mut mine: Vec<Vec<usize>> = vec![Vec::new(); MAX_DEPTH + 1];
-        let consider = |d_: &mut dyn Dsm, c: usize, mine: &mut Vec<Vec<usize>>| {
+        let consider = async |d_: &mut Dsm, c: usize, mine: &mut Vec<Vec<usize>>| {
             if c % p == me {
-                let depth = d_.read_u64(self.depth_addr(c)) as usize;
+                let depth = d_.read_u64(self.depth_addr(c)).await as usize;
                 mine[depth.min(MAX_DEPTH)].push(c);
             }
         };
         for c in 0..STATIC_CELLS {
-            consider(d, c, &mut mine);
+            consider(d, c, &mut mine).await;
         }
         for q in 0..16usize {
-            let count = d.read_u64(self.counter_addr(q)) as usize;
+            let count = d.read_u64(self.counter_addr(q)).await as usize;
             for k in 0..count {
-                consider(d, STATIC_CELLS + q * self.chunk + k, &mut mine);
+                consider(d, STATIC_CELLS + q * self.chunk + k, &mut mine).await;
             }
         }
         // All nodes must loop over the same depth range: use the fixed
@@ -387,43 +391,43 @@ impl Barnes {
                 let mut mass = 0.0f64;
                 let mut com = [0.0f64; 3];
                 for oct in 0..8 {
-                    let child = d.read_u64(self.child_addr(c, oct));
+                    let child = d.read_u64(self.child_addr(c, oct)).await;
                     if child == EMPTY {
                         continue;
                     }
                     let (m, cpos) = if child & BODY_TAG != 0 {
                         let i = (child & !BODY_TAG) as usize;
-                        let m = d.read_f64(self.pmass_addr(i));
+                        let m = d.read_f64(self.pmass_addr(i)).await;
                         let mut pp = [0.0f64; 3];
-                        d.read_f64s(self.pos_addr(i), &mut pp);
+                        d.read_f64s(self.pos_addr(i), &mut pp).await;
                         (m, pp)
                     } else {
                         let cc = (child & !CELL_TAG) as usize;
-                        let m = d.read_f64(self.mass_addr(cc));
+                        let m = d.read_f64(self.mass_addr(cc)).await;
                         let mut pp = [0.0f64; 3];
-                        d.read_f64s(self.com_addr(cc), &mut pp);
+                        d.read_f64s(self.com_addr(cc), &mut pp).await;
                         (m, pp)
                     };
                     mass += m;
                     for k in 0..3 {
                         com[k] += m * cpos[k];
                     }
-                    d.compute(8 * FLOP_NS);
+                    d.compute(8 * FLOP_NS).await;
                 }
                 if mass > 0.0 {
                     for k in &mut com {
                         *k /= mass;
                     }
                 }
-                d.write_f64s(self.com_addr(c), &com);
-                d.write_f64(self.mass_addr(c), mass);
+                d.write_f64s(self.com_addr(c), &com).await;
+                d.write_f64(self.mass_addr(c), mass).await;
             }
-            d.barrier(1);
+            d.barrier(1).await;
         }
     }
 
     /// Force phase: Barnes-Hut traversal for each owned particle.
-    fn compute_forces(&self, d: &mut dyn Dsm) {
+    async fn compute_forces(&self, d: &mut Dsm) {
         let (me, p) = (d.node(), d.num_nodes());
         let per = self.n / p;
         let lo = me * per;
@@ -431,22 +435,22 @@ impl Barnes {
         let mut pos = [0.0f64; 3];
         let mut stack: Vec<(usize, f64)> = Vec::with_capacity(64);
         for i in lo..hi {
-            d.read_f64s(self.pos_addr(i), &mut pos);
+            d.read_f64s(self.pos_addr(i), &mut pos).await;
             let mut acc = [0.0f64; 3];
             stack.clear();
             stack.push((0, 1.0)); // root, size 1
             while let Some((c, size)) = stack.pop() {
-                let mass = d.read_f64(self.mass_addr(c));
+                let mass = d.read_f64(self.mass_addr(c)).await;
                 if mass <= 0.0 {
                     continue;
                 }
                 let mut com = [0.0f64; 3];
-                d.read_f64s(self.com_addr(c), &mut com);
+                d.read_f64s(self.com_addr(c), &mut com).await;
                 let dx = com[0] - pos[0];
                 let dy = com[1] - pos[1];
                 let dz = com[2] - pos[2];
                 let r2 = dx * dx + dy * dy + dz * dz;
-                d.compute(12 * FLOP_NS);
+                d.compute(12 * FLOP_NS).await;
                 if size * size < THETA * THETA * r2 {
                     // Far enough: use the aggregate.
                     let r2s = r2 + SOFT2;
@@ -454,10 +458,10 @@ impl Barnes {
                     acc[0] += inv * dx;
                     acc[1] += inv * dy;
                     acc[2] += inv * dz;
-                    d.compute(10 * FLOP_NS);
+                    d.compute(10 * FLOP_NS).await;
                 } else {
                     for oct in (0..8).rev() {
-                        let child = d.read_u64(self.child_addr(c, oct));
+                        let child = d.read_u64(self.child_addr(c, oct)).await;
                         if child == EMPTY {
                             continue;
                         }
@@ -467,8 +471,8 @@ impl Barnes {
                                 continue;
                             }
                             let mut pj = [0.0f64; 3];
-                            d.read_f64s(self.pos_addr(j), &mut pj);
-                            let mj = d.read_f64(self.pmass_addr(j));
+                            d.read_f64s(self.pos_addr(j), &mut pj).await;
+                            let mj = d.read_f64(self.pmass_addr(j)).await;
                             let dx = pj[0] - pos[0];
                             let dy = pj[1] - pos[1];
                             let dz = pj[2] - pos[2];
@@ -477,29 +481,29 @@ impl Barnes {
                             acc[0] += inv * dx;
                             acc[1] += inv * dy;
                             acc[2] += inv * dz;
-                            d.compute(18 * FLOP_NS);
+                            d.compute(18 * FLOP_NS).await;
                         } else {
                             stack.push(((child & !CELL_TAG) as usize, size / 2.0));
                         }
                     }
                 }
             }
-            d.write_f64s(self.acc_addr(i), &acc);
+            d.write_f64s(self.acc_addr(i), &acc).await;
         }
     }
 
     /// Integration: leapfrog-ish update of owned particles, reflecting at
     /// the walls so positions stay in the unit box.
-    fn integrate(&self, d: &mut dyn Dsm) {
+    async fn integrate(&self, d: &mut Dsm) {
         let (me, p) = (d.node(), d.num_nodes());
         let per = self.n / p;
         let lo = me * per;
         let hi = if me == p - 1 { self.n } else { lo + per };
         let (mut pos, mut vel, mut acc) = ([0.0f64; 3], [0.0f64; 3], [0.0f64; 3]);
         for i in lo..hi {
-            d.read_f64s(self.pos_addr(i), &mut pos);
-            d.read_f64s(self.vel_addr(i), &mut vel);
-            d.read_f64s(self.acc_addr(i), &mut acc);
+            d.read_f64s(self.pos_addr(i), &mut pos).await;
+            d.read_f64s(self.vel_addr(i), &mut vel).await;
+            d.read_f64s(self.acc_addr(i), &mut acc).await;
             for k in 0..3 {
                 vel[k] += DT * acc[k];
                 pos[k] += DT * vel[k];
@@ -511,9 +515,9 @@ impl Barnes {
                     vel[k] = -vel[k];
                 }
             }
-            d.write_f64s(self.vel_addr(i), &vel);
-            d.write_f64s(self.pos_addr(i), &pos);
-            d.compute(14 * FLOP_NS);
+            d.write_f64s(self.vel_addr(i), &vel).await;
+            d.write_f64s(self.pos_addr(i), &pos).await;
+            d.compute(14 * FLOP_NS).await;
         }
     }
 }
@@ -553,22 +557,24 @@ impl DsmProgram for Barnes {
         matches!(self.variant, BarnesVariant::Original)
     }
 
-    fn warmup(&self, d: &mut dyn Dsm) {
-        let (me, p) = (d.node(), d.num_nodes());
-        let per = self.n / p;
-        let lo = me * per;
-        let hi = if me == p - 1 { self.n } else { lo + per };
-        touch_region(d, self.pos_addr(lo), (hi - lo) * 24);
-        touch_region(d, self.vel_addr(lo), (hi - lo) * 24);
-        touch_region(d, self.acc_addr(lo), (hi - lo) * 24);
-        touch_region(d, self.pmass_addr(lo), (hi - lo) * 8);
-        // Own cell arena and allocation counter.
-        touch_region(d, self.counter_addr(me), 8);
-        let arena_start = self.cell_addr(STATIC_CELLS + me * self.chunk);
-        touch_region(d, arena_start, self.chunk * CELL_BYTES);
-        if me == 0 {
-            touch_region(d, self.cell_addr(0), STATIC_CELLS * CELL_BYTES);
-        }
+    fn warmup<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let (me, p) = (d.node(), d.num_nodes());
+            let per = self.n / p;
+            let lo = me * per;
+            let hi = if me == p - 1 { self.n } else { lo + per };
+            touch_region(d, self.pos_addr(lo), (hi - lo) * 24).await;
+            touch_region(d, self.vel_addr(lo), (hi - lo) * 24).await;
+            touch_region(d, self.acc_addr(lo), (hi - lo) * 24).await;
+            touch_region(d, self.pmass_addr(lo), (hi - lo) * 8).await;
+            // Own cell arena and allocation counter.
+            touch_region(d, self.counter_addr(me), 8).await;
+            let arena_start = self.cell_addr(STATIC_CELLS + me * self.chunk);
+            touch_region(d, arena_start, self.chunk * CELL_BYTES).await;
+            if me == 0 {
+                touch_region(d, self.cell_addr(0), STATIC_CELLS * CELL_BYTES).await;
+            }
+        })
     }
 
     fn init(&self, mem: &mut MemImage) {
@@ -587,22 +593,24 @@ impl DsmProgram for Barnes {
         }
     }
 
-    fn run(&self, d: &mut dyn Dsm) {
-        let me = d.node();
-        for _ in 0..self.steps {
-            if me == 0 {
-                self.reset_tree(d);
+    fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let me = d.node();
+            for _ in 0..self.steps {
+                if me == 0 {
+                    self.reset_tree(d).await;
+                }
+                d.barrier(0).await;
+                self.build(d).await;
+                d.barrier(0).await;
+                self.compute_com(d).await;
+                // (compute_com ends with a barrier per level)
+                self.compute_forces(d).await;
+                d.barrier(0).await;
+                self.integrate(d).await;
+                d.barrier(0).await;
             }
-            d.barrier(0);
-            self.build(d);
-            d.barrier(0);
-            self.compute_com(d);
-            // (compute_com ends with a barrier per level)
-            self.compute_forces(d);
-            d.barrier(0);
-            self.integrate(d);
-            d.barrier(0);
-        }
+        })
     }
 
     fn check(&self, seq: &MemImage, par: &MemImage) -> Result<(), String> {

@@ -17,7 +17,7 @@
 //! sequential run; double buffering keeps the program properly
 //! data-race-free while data still flows across nodes every phase.
 
-use dsm_core::{Dsm, DsmProgram, MemImage, RegionHint};
+use dsm_core::{Dsm, DsmProgram, MemImage, NodeFuture, RegionHint};
 
 use crate::util::XorShift;
 
@@ -121,42 +121,49 @@ impl DsmProgram for RandomDrf {
         }
     }
 
-    fn run(&self, d: &mut dyn Dsm) {
-        let (me, p) = (d.node(), d.num_nodes());
-        for phase in 0..self.phases {
-            for w in 0..self.words {
-                if self.writer_of(w, phase) % p != me {
-                    continue;
+    fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let (me, p) = (d.node(), d.num_nodes());
+            for phase in 0..self.phases {
+                for w in 0..self.words {
+                    if self.writer_of(w, phase) % p != me {
+                        continue;
+                    }
+                    let a = d
+                        .read_u64(self.src_addr(phase, (w * 7 + phase) % self.words))
+                        .await;
+                    let b = d
+                        .read_u64(self.src_addr(phase, (w * 13 + 5) % self.words))
+                        .await;
+                    let cur = d.read_u64(self.src_addr(phase, w)).await;
+                    d.write_u64(
+                        self.dst_addr(phase, w),
+                        cur.wrapping_mul(6364136223846793005)
+                            .wrapping_add(a ^ b.rotate_left(17))
+                            .wrapping_add(phase as u64),
+                    )
+                    .await;
+                    d.compute(300).await;
                 }
-                let a = d.read_u64(self.src_addr(phase, (w * 7 + phase) % self.words));
-                let b = d.read_u64(self.src_addr(phase, (w * 13 + 5) % self.words));
-                let cur = d.read_u64(self.src_addr(phase, w));
-                d.write_u64(
-                    self.dst_addr(phase, w),
-                    cur.wrapping_mul(6364136223846793005)
-                        .wrapping_add(a ^ b.rotate_left(17))
-                        .wrapping_add(phase as u64),
-                );
-                d.compute(300);
-            }
-            // Lock-protected counters: the bump assignment is node-count
-            // invariant (the same canonical slots are folded onto however
-            // many nodes run).
-            for slot in 0..WRITER_SLOTS {
-                if slot % p != me {
-                    continue;
-                }
-                for l in 0..self.locks {
-                    if self.writer_of(1000 + l, phase) == slot {
-                        d.lock(l);
-                        let c = d.read_u64(self.counter_addr(l));
-                        d.write_u64(self.counter_addr(l), c + 1);
-                        d.unlock(l);
+                // Lock-protected counters: the bump assignment is node-count
+                // invariant (the same canonical slots are folded onto however
+                // many nodes run).
+                for slot in 0..WRITER_SLOTS {
+                    if slot % p != me {
+                        continue;
+                    }
+                    for l in 0..self.locks {
+                        if self.writer_of(1000 + l, phase) == slot {
+                            d.lock(l).await;
+                            let c = d.read_u64(self.counter_addr(l)).await;
+                            d.write_u64(self.counter_addr(l), c + 1).await;
+                            d.unlock(l).await;
+                        }
                     }
                 }
+                d.barrier(0).await;
             }
-            d.barrier(0);
-        }
+        })
     }
 
     fn check(&self, seq: &MemImage, par: &MemImage) -> Result<(), String> {

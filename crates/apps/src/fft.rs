@@ -8,7 +8,7 @@
 
 use std::f64::consts::PI;
 
-use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, RegionHint};
+use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, NodeFuture, RegionHint};
 
 use crate::util::{XorShift, FLOP_NS};
 
@@ -41,38 +41,38 @@ impl Fft {
 
     /// Blocked transpose src -> dst: each processor writes its own rows of
     /// dst, reading columns of src element-wise.
-    fn transpose(&self, d: &mut dyn Dsm, src: usize, dst: usize) {
+    async fn transpose(&self, d: &mut Dsm, src: usize, dst: usize) {
         let (me, p) = (d.node(), d.num_nodes());
         let mut buf = [0.0f64; 2];
         for r in self.my_rows(me, p) {
             for c in 0..self.m {
-                d.read_f64s(self.at(src, c, r), &mut buf);
-                d.write_f64s(self.at(dst, r, c), &buf);
-                d.compute(2 * FLOP_NS);
+                d.read_f64s(self.at(src, c, r), &mut buf).await;
+                d.write_f64s(self.at(dst, r, c), &buf).await;
+                d.compute(2 * FLOP_NS).await;
             }
         }
     }
 
     /// FFT every owned row of matrix `which` in place.
-    fn fft_rows(&self, d: &mut dyn Dsm, which: usize, inverse: bool) {
+    async fn fft_rows(&self, d: &mut Dsm, which: usize, inverse: bool) {
         let (me, p) = (d.node(), d.num_nodes());
         let mut row = vec![0.0f64; 2 * self.m];
         for r in self.my_rows(me, p) {
-            d.read_f64s(self.at(which, r, 0), &mut row);
+            d.read_f64s(self.at(which, r, 0), &mut row).await;
             fft_in_place(&mut row, inverse);
-            d.write_f64s(self.at(which, r, 0), &row);
+            d.write_f64s(self.at(which, r, 0), &row).await;
             let logm = self.m.trailing_zeros() as u64;
-            d.compute(5 * self.m as u64 * logm * FLOP_NS);
+            d.compute(5 * self.m as u64 * logm * FLOP_NS).await;
         }
     }
 
     /// Multiply owned rows of `which` by the twiddle factors W^(r*c).
-    fn twiddle(&self, d: &mut dyn Dsm, which: usize) {
+    async fn twiddle(&self, d: &mut Dsm, which: usize) {
         let (me, p) = (d.node(), d.num_nodes());
         let n = self.n() as f64;
         let mut row = vec![0.0f64; 2 * self.m];
         for r in self.my_rows(me, p) {
-            d.read_f64s(self.at(which, r, 0), &mut row);
+            d.read_f64s(self.at(which, r, 0), &mut row).await;
             for c in 0..self.m {
                 let ang = -2.0 * PI * (r * c) as f64 / n;
                 let (s, co) = ang.sin_cos();
@@ -80,8 +80,8 @@ impl Fft {
                 row[2 * c] = re * co - im * s;
                 row[2 * c + 1] = re * s + im * co;
             }
-            d.write_f64s(self.at(which, r, 0), &row);
-            d.compute(20 * self.m as u64 * FLOP_NS);
+            d.write_f64s(self.at(which, r, 0), &row).await;
+            d.compute(20 * self.m as u64 * FLOP_NS).await;
         }
     }
 }
@@ -108,13 +108,15 @@ impl DsmProgram for Fft {
         20
     }
 
-    fn warmup(&self, d: &mut dyn Dsm) {
-        let (me, p) = (d.node(), d.num_nodes());
-        for which in 0..2 {
-            for r in self.my_rows(me, p) {
-                touch_region(d, self.at(which, r, 0), self.m * 16);
+    fn warmup<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let (me, p) = (d.node(), d.num_nodes());
+            for which in 0..2 {
+                for r in self.my_rows(me, p) {
+                    touch_region(d, self.at(which, r, 0), self.m * 16).await;
+                }
             }
-        }
+        })
     }
 
     fn init(&self, mem: &mut MemImage) {
@@ -125,21 +127,23 @@ impl DsmProgram for Fft {
         }
     }
 
-    fn run(&self, d: &mut dyn Dsm) {
-        // Six-step: transpose, row FFTs, twiddle, transpose, row FFTs,
-        // transpose. The result lands in matrix 1.
-        d.barrier(0);
-        self.transpose(d, 0, 1);
-        d.barrier(0);
-        self.fft_rows(d, 1, false);
-        self.twiddle(d, 1);
-        d.barrier(0);
-        self.transpose(d, 1, 0);
-        d.barrier(0);
-        self.fft_rows(d, 0, false);
-        d.barrier(0);
-        self.transpose(d, 0, 1);
-        d.barrier(0);
+    fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            // Six-step: transpose, row FFTs, twiddle, transpose, row FFTs,
+            // transpose. The result lands in matrix 1.
+            d.barrier(0).await;
+            self.transpose(d, 0, 1).await;
+            d.barrier(0).await;
+            self.fft_rows(d, 1, false).await;
+            self.twiddle(d, 1).await;
+            d.barrier(0).await;
+            self.transpose(d, 1, 0).await;
+            d.barrier(0).await;
+            self.fft_rows(d, 0, false).await;
+            d.barrier(0).await;
+            self.transpose(d, 0, 1).await;
+            d.barrier(0).await;
+        })
     }
 }
 

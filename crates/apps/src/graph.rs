@@ -14,7 +14,7 @@
 //! data-race-free by construction (reads of the previous buffer, writes to
 //! the next, separated by barriers).
 
-use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, RegionHint};
+use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, NodeFuture, RegionHint};
 
 use crate::util::{XorShift, FLOP_NS};
 use crate::zipf::Zipf;
@@ -146,45 +146,50 @@ impl DsmProgram for PageRank {
         mem.write_u64(self.offsets_addr(self.vertices), off as u64);
     }
 
-    fn warmup(&self, d: &mut dyn Dsm) {
-        let (me, p) = (d.node(), d.num_nodes());
-        let (lo, hi) = self.my_range(me, p);
-        if lo >= hi {
-            return;
-        }
-        // Own rank slots (both buffers) and the owned slice of the CSR.
-        touch_region(d, self.ranks_addr(0, lo), (hi - lo) * 8);
-        touch_region(d, self.ranks_addr(1, lo), (hi - lo) * 8);
-        touch_region(d, self.outdeg_addr(lo), (hi - lo) * 8);
-        let s = d.read_u64(self.offsets_addr(lo)) as usize;
-        let e = d.read_u64(self.offsets_addr(hi)) as usize;
-        touch_region(d, self.offsets_addr(lo), (hi - lo + 1) * 8);
-        if e > s {
-            touch_region(d, self.in_edges_addr(s), (e - s) * 8);
-        }
+    fn warmup<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let (me, p) = (d.node(), d.num_nodes());
+            let (lo, hi) = self.my_range(me, p);
+            if lo >= hi {
+                return;
+            }
+            // Own rank slots (both buffers) and the owned slice of the CSR.
+            touch_region(d, self.ranks_addr(0, lo), (hi - lo) * 8).await;
+            touch_region(d, self.ranks_addr(1, lo), (hi - lo) * 8).await;
+            touch_region(d, self.outdeg_addr(lo), (hi - lo) * 8).await;
+            let s = d.read_u64(self.offsets_addr(lo)).await as usize;
+            let e = d.read_u64(self.offsets_addr(hi)).await as usize;
+            touch_region(d, self.offsets_addr(lo), (hi - lo + 1) * 8).await;
+            if e > s {
+                touch_region(d, self.in_edges_addr(s), (e - s) * 8).await;
+            }
+        })
     }
 
-    fn run(&self, d: &mut dyn Dsm) {
-        let (me, p) = (d.node(), d.num_nodes());
-        let (lo, hi) = self.my_range(me, p);
-        let base = (1.0 - DAMPING) / self.vertices as f64;
-        for t in 0..self.iters {
-            let (cur, next) = (t % 2, 1 - t % 2);
-            for v in lo..hi {
-                let s = d.read_u64(self.offsets_addr(v)) as usize;
-                let e = d.read_u64(self.offsets_addr(v + 1)) as usize;
-                let mut sum = 0.0;
-                for i in s..e {
-                    let u = d.read_u64(self.in_edges_addr(i)) as usize;
-                    let r = d.read_f64(self.ranks_addr(cur, u));
-                    let deg = d.read_u64(self.outdeg_addr(u)) as f64;
-                    sum += r / deg;
+    fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let (me, p) = (d.node(), d.num_nodes());
+            let (lo, hi) = self.my_range(me, p);
+            let base = (1.0 - DAMPING) / self.vertices as f64;
+            for t in 0..self.iters {
+                let (cur, next) = (t % 2, 1 - t % 2);
+                for v in lo..hi {
+                    let s = d.read_u64(self.offsets_addr(v)).await as usize;
+                    let e = d.read_u64(self.offsets_addr(v + 1)).await as usize;
+                    let mut sum = 0.0;
+                    for i in s..e {
+                        let u = d.read_u64(self.in_edges_addr(i)).await as usize;
+                        let r = d.read_f64(self.ranks_addr(cur, u)).await;
+                        let deg = d.read_u64(self.outdeg_addr(u)).await as f64;
+                        sum += r / deg;
+                    }
+                    d.write_f64(self.ranks_addr(next, v), base + DAMPING * sum)
+                        .await;
+                    d.compute((3 * (e - s) as u64 + 4) * FLOP_NS).await;
                 }
-                d.write_f64(self.ranks_addr(next, v), base + DAMPING * sum);
-                d.compute((3 * (e - s) as u64 + 4) * FLOP_NS);
+                d.barrier(0).await;
             }
-            d.barrier(0);
-        }
+        })
     }
 }
 

@@ -20,7 +20,7 @@
 //! its hottest shards. Migration changes who touches what (the sharing
 //! pattern the protocols see), never what is computed.
 
-use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, RegionHint};
+use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, NodeFuture, RegionHint};
 
 use crate::util::XorShift;
 use crate::zipf::Zipf;
@@ -146,64 +146,68 @@ impl DsmProgram for KvZipf {
         }
     }
 
-    fn warmup(&self, d: &mut dyn Dsm) {
-        // Touch the keys this node initially owns (value + count words), so
-        // first-touch homing matches the epoch-0 partition.
-        let (me, p) = (d.node(), d.num_nodes());
-        for k in 0..self.keys {
-            if self.base_owner(k, p) == me {
-                touch_region(d, self.value_addr(k), 8);
-                touch_region(d, self.count_addr(k), 8);
+    fn warmup<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            // Touch the keys this node initially owns (value + count words), so
+            // first-touch homing matches the epoch-0 partition.
+            let (me, p) = (d.node(), d.num_nodes());
+            for k in 0..self.keys {
+                if self.base_owner(k, p) == me {
+                    touch_region(d, self.value_addr(k), 8).await;
+                    touch_region(d, self.count_addr(k), 8).await;
+                }
             }
-        }
+        })
     }
 
-    fn run(&self, d: &mut dyn Dsm) {
-        let (me, p) = (d.node(), d.num_nodes());
-        let zipf = Zipf::new(self.keys, self.theta_x100 as f64 / 100.0);
-        let per_epoch = self.ops / self.epochs;
-        let mut counts_snapshot = vec![0u64; self.keys];
-        let mut owner = self.assign(&counts_snapshot, p, 0);
-        for epoch in 0..self.epochs {
-            let lo = epoch * per_epoch;
-            let hi = if epoch + 1 == self.epochs {
-                self.ops
-            } else {
-                lo + per_epoch
-            };
-            for i in lo..hi {
-                let (k, is_read, delta) = self.op(&zipf, i);
-                if owner[k] != me {
-                    continue;
-                }
-                // A read still takes the stripe latch: concurrent naked
-                // reads of a value under mutation would be data races the
-                // checker rightly reports.
-                d.lock(k % STRIPES);
-                if is_read {
-                    let _ = d.read_u64(self.value_addr(k));
+    fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let (me, p) = (d.node(), d.num_nodes());
+            let zipf = Zipf::new(self.keys, self.theta_x100 as f64 / 100.0);
+            let per_epoch = self.ops / self.epochs;
+            let mut counts_snapshot = vec![0u64; self.keys];
+            let mut owner = self.assign(&counts_snapshot, p, 0);
+            for epoch in 0..self.epochs {
+                let lo = epoch * per_epoch;
+                let hi = if epoch + 1 == self.epochs {
+                    self.ops
                 } else {
-                    let v = d.read_u64(self.value_addr(k));
-                    d.write_u64(self.value_addr(k), v.wrapping_add(delta));
-                    let c = d.read_u64(self.count_addr(k));
-                    d.write_u64(self.count_addr(k), c + 1);
+                    lo + per_epoch
+                };
+                for i in lo..hi {
+                    let (k, is_read, delta) = self.op(&zipf, i);
+                    if owner[k] != me {
+                        continue;
+                    }
+                    // A read still takes the stripe latch: concurrent naked
+                    // reads of a value under mutation would be data races the
+                    // checker rightly reports.
+                    d.lock(k % STRIPES).await;
+                    if is_read {
+                        let _ = d.read_u64(self.value_addr(k)).await;
+                    } else {
+                        let v = d.read_u64(self.value_addr(k)).await;
+                        d.write_u64(self.value_addr(k), v.wrapping_add(delta)).await;
+                        let c = d.read_u64(self.count_addr(k)).await;
+                        d.write_u64(self.count_addr(k), c + 1).await;
+                    }
+                    d.unlock(k % STRIPES).await;
+                    d.compute(250).await;
                 }
-                d.unlock(k % STRIPES);
-                d.compute(250);
-            }
-            // Epoch boundary: settle all updates, snapshot the heat map,
-            // and migrate the hot set. The second barrier keeps next-epoch
-            // updates from racing the snapshot reads.
-            d.barrier(0);
-            if epoch + 1 < self.epochs {
-                for (k, slot) in counts_snapshot.iter_mut().enumerate() {
-                    *slot = d.read_u64(self.count_addr(k));
+                // Epoch boundary: settle all updates, snapshot the heat map,
+                // and migrate the hot set. The second barrier keeps next-epoch
+                // updates from racing the snapshot reads.
+                d.barrier(0).await;
+                if epoch + 1 < self.epochs {
+                    for (k, slot) in counts_snapshot.iter_mut().enumerate() {
+                        *slot = d.read_u64(self.count_addr(k)).await;
+                    }
+                    owner = self.assign(&counts_snapshot, p, epoch + 1);
+                    d.compute((self.keys as u64) * 20).await;
+                    d.barrier(0).await;
                 }
-                owner = self.assign(&counts_snapshot, p, epoch + 1);
-                d.compute((self.keys as u64) * 20);
-                d.barrier(0);
             }
-        }
+        })
     }
 }
 

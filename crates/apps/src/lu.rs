@@ -7,7 +7,7 @@
 //! is made diagonally dominant), so the parallel result is bit-identical to
 //! the sequential one.
 
-use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, RegionHint};
+use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, NodeFuture, RegionHint};
 
 use crate::util::{XorShift, FLOP_NS};
 
@@ -44,12 +44,12 @@ impl Lu {
         (bi % pr) * pc + (bj % pc)
     }
 
-    fn read_block(&self, d: &mut dyn Dsm, bi: usize, bj: usize, out: &mut [f64]) {
-        d.read_f64s(self.block_addr(bi, bj), out);
+    async fn read_block(&self, d: &mut Dsm, bi: usize, bj: usize, out: &mut [f64]) {
+        d.read_f64s(self.block_addr(bi, bj), out).await;
     }
 
-    fn write_block(&self, d: &mut dyn Dsm, bi: usize, bj: usize, vals: &[f64]) {
-        d.write_f64s(self.block_addr(bi, bj), vals);
+    async fn write_block(&self, d: &mut Dsm, bi: usize, bj: usize, vals: &[f64]) {
+        d.write_f64s(self.block_addr(bi, bj), vals).await;
     }
 }
 
@@ -84,18 +84,20 @@ impl DsmProgram for Lu {
         55
     }
 
-    fn warmup(&self, d: &mut dyn Dsm) {
-        // Touch-array phase: each processor touches the blocks it owns so
-        // they are homed locally before measurement (paper §2).
-        let p = d.num_nodes();
-        let me = d.node();
-        for bi in 0..self.nb {
-            for bj in 0..self.nb {
-                if self.owner(bi, bj, p) == me {
-                    touch_region(d, self.block_addr(bi, bj), self.b * self.b * 8);
+    fn warmup<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            // Touch-array phase: each processor touches the blocks it owns so
+            // they are homed locally before measurement (paper §2).
+            let p = d.num_nodes();
+            let me = d.node();
+            for bi in 0..self.nb {
+                for bj in 0..self.nb {
+                    if self.owner(bi, bj, p) == me {
+                        touch_region(d, self.block_addr(bi, bj), self.b * self.b * 8).await;
+                    }
                 }
             }
-        }
+        })
     }
 
     fn init(&self, mem: &mut MemImage) {
@@ -118,67 +120,69 @@ impl DsmProgram for Lu {
         }
     }
 
-    fn run(&self, d: &mut dyn Dsm) {
-        let me = d.node();
-        let p = d.num_nodes();
-        let (b, nb) = (self.b, self.nb);
-        let bb = b * b;
-        let mut kk = vec![0.0f64; bb];
-        let mut blk = vec![0.0f64; bb];
-        let mut other = vec![0.0f64; bb];
+    fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let me = d.node();
+            let p = d.num_nodes();
+            let (b, nb) = (self.b, self.nb);
+            let bb = b * b;
+            let mut kk = vec![0.0f64; bb];
+            let mut blk = vec![0.0f64; bb];
+            let mut other = vec![0.0f64; bb];
 
-        for k in 0..nb {
-            // Factor the diagonal block.
-            if self.owner(k, k, p) == me {
-                self.read_block(d, k, k, &mut kk);
-                lu0(&mut kk, b);
-                self.write_block(d, k, k, &kk);
-                d.compute((2 * bb * b / 3) as u64 * FLOP_NS);
-            }
-            d.barrier(0);
-            // Perimeter blocks.
-            let mut have_kk = false;
-            for j in k + 1..nb {
-                if self.owner(k, j, p) == me {
-                    if !have_kk {
-                        self.read_block(d, k, k, &mut kk);
-                        have_kk = true;
-                    }
-                    self.read_block(d, k, j, &mut blk);
-                    bdiv(&kk, &mut blk, b);
-                    self.write_block(d, k, j, &blk);
-                    d.compute((bb * b) as u64 * FLOP_NS);
+            for k in 0..nb {
+                // Factor the diagonal block.
+                if self.owner(k, k, p) == me {
+                    self.read_block(d, k, k, &mut kk).await;
+                    lu0(&mut kk, b);
+                    self.write_block(d, k, k, &kk).await;
+                    d.compute((2 * bb * b / 3) as u64 * FLOP_NS).await;
                 }
-            }
-            for i in k + 1..nb {
-                if self.owner(i, k, p) == me {
-                    if !have_kk {
-                        self.read_block(d, k, k, &mut kk);
-                        have_kk = true;
-                    }
-                    self.read_block(d, i, k, &mut blk);
-                    bmodd(&kk, &mut blk, b);
-                    self.write_block(d, i, k, &blk);
-                    d.compute((bb * b) as u64 * FLOP_NS);
-                }
-            }
-            d.barrier(0);
-            // Interior updates.
-            for i in k + 1..nb {
+                d.barrier(0).await;
+                // Perimeter blocks.
+                let mut have_kk = false;
                 for j in k + 1..nb {
-                    if self.owner(i, j, p) == me {
-                        self.read_block(d, i, k, &mut kk);
-                        self.read_block(d, k, j, &mut other);
-                        self.read_block(d, i, j, &mut blk);
-                        bmod(&kk, &other, &mut blk, b);
-                        self.write_block(d, i, j, &blk);
-                        d.compute((2 * bb * b) as u64 * FLOP_NS);
+                    if self.owner(k, j, p) == me {
+                        if !have_kk {
+                            self.read_block(d, k, k, &mut kk).await;
+                            have_kk = true;
+                        }
+                        self.read_block(d, k, j, &mut blk).await;
+                        bdiv(&kk, &mut blk, b);
+                        self.write_block(d, k, j, &blk).await;
+                        d.compute((bb * b) as u64 * FLOP_NS).await;
                     }
                 }
+                for i in k + 1..nb {
+                    if self.owner(i, k, p) == me {
+                        if !have_kk {
+                            self.read_block(d, k, k, &mut kk).await;
+                            have_kk = true;
+                        }
+                        self.read_block(d, i, k, &mut blk).await;
+                        bmodd(&kk, &mut blk, b);
+                        self.write_block(d, i, k, &blk).await;
+                        d.compute((bb * b) as u64 * FLOP_NS).await;
+                    }
+                }
+                d.barrier(0).await;
+                // Interior updates.
+                for i in k + 1..nb {
+                    for j in k + 1..nb {
+                        if self.owner(i, j, p) == me {
+                            self.read_block(d, i, k, &mut kk).await;
+                            self.read_block(d, k, j, &mut other).await;
+                            self.read_block(d, i, j, &mut blk).await;
+                            bmod(&kk, &other, &mut blk, b);
+                            self.write_block(d, i, j, &blk).await;
+                            d.compute((2 * bb * b) as u64 * FLOP_NS).await;
+                        }
+                    }
+                }
+                d.barrier(0).await;
             }
-            d.barrier(0);
-        }
-        d.barrier(0);
+            d.barrier(0).await;
+        })
     }
 }
 

@@ -17,7 +17,7 @@
 //! Red/black ordering makes the result independent of update order, so the
 //! parallel image is bit-identical to the sequential one.
 
-use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, RegionHint};
+use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, NodeFuture, RegionHint};
 
 use crate::util::{XorShift, FLOP_NS};
 
@@ -42,8 +42,8 @@ fn init_interior(mem: &mut MemImage, at: impl Fn(usize, usize) -> usize, n: usiz
 /// One red/black half-sweep over the rows/cols this processor owns,
 /// against an arbitrary (i, j) -> address mapping.
 #[allow(clippy::too_many_arguments)]
-fn sor_halfsweep(
-    d: &mut dyn Dsm,
+async fn sor_halfsweep(
+    d: &mut Dsm,
     at: &dyn Fn(usize, usize) -> usize,
     i_range: std::ops::Range<usize>,
     j_range: std::ops::Range<usize>,
@@ -54,14 +54,14 @@ fn sor_halfsweep(
             if (i + j) % 2 != color {
                 continue;
             }
-            let up = d.read_f64(at(i - 1, j));
-            let down = d.read_f64(at(i + 1, j));
-            let left = d.read_f64(at(i, j - 1));
-            let right = d.read_f64(at(i, j + 1));
-            let cur = d.read_f64(at(i, j));
+            let up = d.read_f64(at(i - 1, j)).await;
+            let down = d.read_f64(at(i + 1, j)).await;
+            let left = d.read_f64(at(i, j - 1)).await;
+            let right = d.read_f64(at(i, j + 1)).await;
+            let cur = d.read_f64(at(i, j)).await;
             let next = cur + OMEGA * ((up + down + left + right) / 4.0 - cur);
-            d.write_f64(at(i, j), next);
-            d.compute(FLOPS_PER_POINT * FLOP_NS);
+            d.write_f64(at(i, j), next).await;
+            d.compute(FLOPS_PER_POINT * FLOP_NS).await;
         }
     }
 }
@@ -106,34 +106,38 @@ impl DsmProgram for OceanRowwise {
         init_interior(mem, |i, j| self.at(i, j), self.n);
     }
 
-    fn warmup(&self, d: &mut dyn Dsm) {
-        let (me, p) = (d.node(), d.num_nodes());
-        let rows = self.n / p;
-        let lo = 1 + me * rows;
-        let hi = if me == p - 1 { self.n + 1 } else { lo + rows };
-        for i in lo..hi {
-            touch_region(d, self.at(i, 1), self.n * 8);
-        }
-        if me == 0 {
-            // Boundary rows/columns.
-            touch_region(d, self.at(0, 0), (self.n + 2) * 8);
-            touch_region(d, self.at(self.n + 1, 0), (self.n + 2) * 8);
-        }
+    fn warmup<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let (me, p) = (d.node(), d.num_nodes());
+            let rows = self.n / p;
+            let lo = 1 + me * rows;
+            let hi = if me == p - 1 { self.n + 1 } else { lo + rows };
+            for i in lo..hi {
+                touch_region(d, self.at(i, 1), self.n * 8).await;
+            }
+            if me == 0 {
+                // Boundary rows/columns.
+                touch_region(d, self.at(0, 0), (self.n + 2) * 8).await;
+                touch_region(d, self.at(self.n + 1, 0), (self.n + 2) * 8).await;
+            }
+        })
     }
 
-    fn run(&self, d: &mut dyn Dsm) {
-        let (me, p) = (d.node(), d.num_nodes());
-        let rows = self.n / p;
-        let lo = 1 + me * rows;
-        let hi = if me == p - 1 { self.n + 1 } else { lo + rows };
-        d.barrier(0);
-        for _ in 0..self.iters {
-            for color in 0..2 {
-                let at = |i: usize, j: usize| self.at(i, j);
-                sor_halfsweep(d, &at, lo..hi, 1..self.n + 1, color);
-                d.barrier(0);
+    fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let (me, p) = (d.node(), d.num_nodes());
+            let rows = self.n / p;
+            let lo = 1 + me * rows;
+            let hi = if me == p - 1 { self.n + 1 } else { lo + rows };
+            d.barrier(0).await;
+            for _ in 0..self.iters {
+                for color in 0..2 {
+                    let at = |i: usize, j: usize| self.at(i, j);
+                    sor_halfsweep(d, &at, lo..hi, 1..self.n + 1, color).await;
+                    d.barrier(0).await;
+                }
             }
-        }
+        })
     }
 }
 
@@ -217,38 +221,42 @@ impl DsmProgram for OceanOriginal {
         init_interior(mem, |i, j| self.at(i, j), self.n);
     }
 
-    fn warmup(&self, d: &mut dyn Dsm) {
-        let (me, p) = (d.node(), d.num_nodes());
-        // Touch the contiguous subgrids this node will write. The layout is
-        // fixed 4×4; with fewer nodes each node touches several subgrids.
-        let per_side = 4;
-        let (bi, bj) = (self.n / per_side, self.n / per_side);
-        for sub in 0..16 {
-            if sub % p == me {
-                touch_region(d, sub * bi * bj * 8, bi * bj * 8);
+    fn warmup<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let (me, p) = (d.node(), d.num_nodes());
+            // Touch the contiguous subgrids this node will write. The layout is
+            // fixed 4×4; with fewer nodes each node touches several subgrids.
+            let per_side = 4;
+            let (bi, bj) = (self.n / per_side, self.n / per_side);
+            for sub in 0..16 {
+                if sub % p == me {
+                    touch_region(d, sub * bi * bj * 8, bi * bj * 8).await;
+                }
             }
-        }
-        if me == 0 {
-            // Boundary ring strip.
-            touch_region(d, self.n * self.n * 8, 4 * (self.n + 2) * 8);
-        }
+            if me == 0 {
+                // Boundary ring strip.
+                touch_region(d, self.n * self.n * 8, 4 * (self.n + 2) * 8).await;
+            }
+        })
     }
 
-    fn run(&self, d: &mut dyn Dsm) {
-        let (me, p) = (d.node(), d.num_nodes());
-        let (pr, pc) = Self::grid(p);
-        let (bi, bj) = (self.n / pr, self.n / pc);
-        let (my_r, my_c) = (me / pc, me % pc);
-        let (ilo, ihi) = (1 + my_r * bi, 1 + (my_r + 1) * bi);
-        let (jlo, jhi) = (1 + my_c * bj, 1 + (my_c + 1) * bj);
-        d.barrier(0);
-        for _ in 0..self.iters {
-            for color in 0..2 {
-                let at = |i: usize, j: usize| self.at(i, j);
-                sor_halfsweep(d, &at, ilo..ihi, jlo..jhi, color);
-                d.barrier(0);
+    fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let (me, p) = (d.node(), d.num_nodes());
+            let (pr, pc) = Self::grid(p);
+            let (bi, bj) = (self.n / pr, self.n / pc);
+            let (my_r, my_c) = (me / pc, me % pc);
+            let (ilo, ihi) = (1 + my_r * bi, 1 + (my_r + 1) * bi);
+            let (jlo, jhi) = (1 + my_c * bj, 1 + (my_c + 1) * bj);
+            d.barrier(0).await;
+            for _ in 0..self.iters {
+                for color in 0..2 {
+                    let at = |i: usize, j: usize| self.at(i, j);
+                    sor_halfsweep(d, &at, ilo..ihi, jlo..jhi, color).await;
+                    d.barrier(0).await;
+                }
             }
-        }
+        })
     }
 }
 

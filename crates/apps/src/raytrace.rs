@@ -8,7 +8,7 @@
 //! image — multiple-writer, fine-grain access, coarse-grain
 //! synchronization.
 
-use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, RegionHint};
+use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, NodeFuture, RegionHint};
 
 use crate::util::{TaskQueues, XorShift, FLOP_NS};
 
@@ -63,9 +63,9 @@ impl Raytrace {
     }
 
     /// Load the whole (cache-resident) scene through the DSM once per task.
-    fn load_scene(&self, d: &mut dyn Dsm) -> Vec<Sphere> {
+    async fn load_scene(&self, d: &mut Dsm) -> Vec<Sphere> {
         let mut raw = vec![0.0f64; SPHERES * 5];
-        d.read_f64s(self.scene_addr(), &mut raw);
+        d.read_f64s(self.scene_addr(), &mut raw).await;
         (0..SPHERES)
             .map(|i| Sphere {
                 c: [raw[5 * i], raw[5 * i + 1], raw[5 * i + 2]],
@@ -114,14 +114,14 @@ fn intersect(scene: &[Sphere], origin: &[f64; 3], dir: &[f64; 3]) -> Option<(f64
     best
 }
 
-fn trace(
+async fn trace(
     scene: &[Sphere],
     origin: &[f64; 3],
     dir: &[f64; 3],
     depth: usize,
-    d: &mut dyn Dsm,
+    d: &mut Dsm,
 ) -> f64 {
-    d.compute(SPHERES as u64 * 12 * FLOP_NS);
+    d.compute(SPHERES as u64 * 12 * FLOP_NS).await;
     match intersect(scene, origin, dir) {
         None => {
             // Ground plane at y = -1 with a checker pattern; sky above.
@@ -139,7 +139,7 @@ fn trace(
             let n = normalize(&sub(&hit, &scene[i].c));
             let to_light = normalize(&sub(&LIGHT, &hit));
             // Shadow ray.
-            d.compute(SPHERES as u64 * 12 * FLOP_NS);
+            d.compute(SPHERES as u64 * 12 * FLOP_NS).await;
             let lit = intersect(scene, &scale_add(&hit, &n, 1e-4), &to_light).is_none();
             let diffuse = if lit {
                 dot(&n, &to_light).max(0.0)
@@ -149,7 +149,10 @@ fn trace(
             let mut shade = 0.1 + 0.7 * diffuse;
             if depth < MAX_DEPTH && scene[i].refl > 0.0 {
                 let refl_dir = scale_add(dir, &n, -2.0 * dot(dir, &n));
-                let refl = trace(scene, &scale_add(&hit, &n, 1e-4), &refl_dir, depth + 1, d);
+                // The one recursive `async fn` in the suite: the reflected
+                // ray's future is boxed (at most MAX_DEPTH deep).
+                let origin = scale_add(&hit, &n, 1e-4);
+                let refl = Box::pin(trace(scene, &origin, &refl_dir, depth + 1, d)).await;
                 shade = shade * (1.0 - scene[i].refl) + refl * scene[i].refl;
             }
             shade
@@ -201,37 +204,41 @@ impl DsmProgram for Raytrace {
         }
     }
 
-    fn warmup(&self, d: &mut dyn Dsm) {
-        let q = self.queues();
-        let me = d.node();
-        if me < q.num_queues() {
-            touch_region(d, q.queue_addr(me), (2 + self.tasks()) * 8);
-        }
+    fn warmup<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let q = self.queues();
+            let me = d.node();
+            if me < q.num_queues() {
+                touch_region(d, q.queue_addr(me), (2 + self.tasks()) * 8).await;
+            }
+        })
     }
 
-    fn run(&self, d: &mut dyn Dsm) {
-        let me = d.node();
-        let q = self.queues();
-        d.barrier(0);
-        while let Some(task) = q.pop_or_steal(d, me) {
-            let scene = self.load_scene(d);
-            let tiles_per_row = self.img / TILE;
-            let (ty, tx) = (task as usize / tiles_per_row, task as usize % tiles_per_row);
-            for dy in 0..TILE {
-                for dx in 0..TILE {
-                    let (x, y) = (tx * TILE + dx, ty * TILE + dy);
-                    // Pinhole camera at the origin looking down +z.
-                    let dir = normalize(&[
-                        (x as f64 + 0.5) / self.img as f64 - 0.5,
-                        0.5 - (y as f64 + 0.5) / self.img as f64,
-                        1.0,
-                    ]);
-                    let v = trace(&scene, &[0.0, 0.0, 0.0], &dir, 0, d);
-                    d.write_f64(self.pixel_addr(x, y), v);
+    fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let me = d.node();
+            let q = self.queues();
+            d.barrier(0).await;
+            while let Some(task) = q.pop_or_steal(d, me).await {
+                let scene = self.load_scene(d).await;
+                let tiles_per_row = self.img / TILE;
+                let (ty, tx) = (task as usize / tiles_per_row, task as usize % tiles_per_row);
+                for dy in 0..TILE {
+                    for dx in 0..TILE {
+                        let (x, y) = (tx * TILE + dx, ty * TILE + dy);
+                        // Pinhole camera at the origin looking down +z.
+                        let dir = normalize(&[
+                            (x as f64 + 0.5) / self.img as f64 - 0.5,
+                            0.5 - (y as f64 + 0.5) / self.img as f64,
+                            1.0,
+                        ]);
+                        let v = trace(&scene, &[0.0, 0.0, 0.0], &dir, 0, d).await;
+                        d.write_f64(self.pixel_addr(x, y), v).await;
+                    }
                 }
             }
-        }
-        d.barrier(0);
+            d.barrier(0).await;
+        })
     }
 
     fn check(&self, seq: &MemImage, par: &MemImage) -> Result<(), String> {

@@ -103,29 +103,29 @@ impl TaskQueues {
 
     /// Pop from own queue, or steal from the queue after it, etc. Returns
     /// `None` when every queue is empty.
-    pub fn pop_or_steal(&self, d: &mut dyn Dsm, me: usize) -> Option<u64> {
+    pub async fn pop_or_steal(&self, d: &mut Dsm, me: usize) -> Option<u64> {
         for i in 0..self.queues {
             let q = (me + i) % self.queues;
             let qa = self.queue_addr(q);
-            d.lock(self.lock_base + q);
-            let head = d.read_u64(qa);
-            let tail = d.read_u64(qa + 8);
+            d.lock(self.lock_base + q).await;
+            let head = d.read_u64(qa).await;
+            let tail = d.read_u64(qa + 8).await;
             if head < tail {
                 // Own queue: take from the front; steal: take from the back
                 // (classic work-stealing order).
                 let task = if i == 0 {
-                    let t = d.read_u64(qa + 16 + head as usize * 8);
-                    d.write_u64(qa, head + 1);
+                    let t = d.read_u64(qa + 16 + head as usize * 8).await;
+                    d.write_u64(qa, head + 1).await;
                     t
                 } else {
-                    let t = d.read_u64(qa + 16 + (tail - 1) as usize * 8);
-                    d.write_u64(qa + 8, tail - 1);
+                    let t = d.read_u64(qa + 16 + (tail - 1) as usize * 8).await;
+                    d.write_u64(qa + 8, tail - 1).await;
                     t
                 };
-                d.unlock(self.lock_base + q);
+                d.unlock(self.lock_base + q).await;
                 return Some(task);
             }
-            d.unlock(self.lock_base + q);
+            d.unlock(self.lock_base + q).await;
         }
         None
     }

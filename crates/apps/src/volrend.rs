@@ -13,7 +13,7 @@
 //! Every pixel's value is a pure function of the volume, so images verify
 //! bit-exactly; only the task assignment varies with stealing.
 
-use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, RegionHint};
+use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, NodeFuture, RegionHint};
 
 use crate::util::{TaskQueues, XorShift, FLOP_NS};
 
@@ -98,7 +98,7 @@ impl Volrend {
         }
     }
 
-    fn render_pixel(&self, d: &mut dyn Dsm, x: usize, y: usize) {
+    async fn render_pixel(&self, d: &mut Dsm, x: usize, y: usize) {
         // Orthographic ray along z with front-to-back compositing.
         let mut brightness = 0.0f64;
         let mut transparency = 1.0f64;
@@ -108,39 +108,41 @@ impl Volrend {
         );
         for s in 0..SAMPLES {
             let z = s * (VOL - 1) / (SAMPLES - 1);
-            let v = d.read_u8(self.vol_addr(fx, fy, z)) as f64 / 255.0;
+            let v = d.read_u8(self.vol_addr(fx, fy, z)).await as f64 / 255.0;
             let opacity = v * 0.12;
             brightness += transparency * opacity * v;
             transparency *= 1.0 - opacity;
-            d.compute(8 * FLOP_NS);
+            d.compute(8 * FLOP_NS).await;
             if transparency < 0.02 {
                 break;
             }
         }
-        d.write_f64(self.pixel_addr(x, y), brightness);
+        d.write_f64(self.pixel_addr(x, y), brightness).await;
     }
 
-    fn run(&self, d: &mut dyn Dsm) {
-        let me = d.node();
-        let q = self.queues();
-        d.barrier(0);
-        while let Some(task) = q.pop_or_steal(d, me) {
-            if self.tile {
-                let tiles_per_row = self.img / 4;
-                let (ty, tx) = (task as usize / tiles_per_row, task as usize % tiles_per_row);
-                for dy in 0..4 {
-                    for dx in 0..4 {
-                        self.render_pixel(d, tx * 4 + dx, ty * 4 + dy);
+    fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let me = d.node();
+            let q = self.queues();
+            d.barrier(0).await;
+            while let Some(task) = q.pop_or_steal(d, me).await {
+                if self.tile {
+                    let tiles_per_row = self.img / 4;
+                    let (ty, tx) = (task as usize / tiles_per_row, task as usize % tiles_per_row);
+                    for dy in 0..4 {
+                        for dx in 0..4 {
+                            self.render_pixel(d, tx * 4 + dx, ty * 4 + dy).await;
+                        }
+                    }
+                } else {
+                    let y = task as usize;
+                    for x in 0..self.img {
+                        self.render_pixel(d, x, y).await;
                     }
                 }
-            } else {
-                let y = task as usize;
-                for x in 0..self.img {
-                    self.render_pixel(d, x, y);
-                }
             }
-        }
-        d.barrier(0);
+            d.barrier(0).await;
+        })
     }
 
     fn check(&self, seq: &MemImage, par: &MemImage) -> Result<(), String> {
@@ -203,18 +205,20 @@ macro_rules! volrend_impl {
             fn init(&self, mem: &mut MemImage) {
                 self.inner.init(mem);
             }
-            fn warmup(&self, d: &mut dyn Dsm) {
-                // Touch the node's own task queue; the image and volume are
-                // first-touched during execution, as in the paper's
-                // irregular applications.
-                let q = self.inner.queues();
-                let me = d.node();
-                if me < q.num_queues() {
-                    touch_region(d, q.queue_addr(me), (2 + self.inner.tasks()) * 8);
-                }
+            fn warmup<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+                Box::pin(async move {
+                    // Touch the node's own task queue; the image and volume are
+                    // first-touched during execution, as in the paper's
+                    // irregular applications.
+                    let q = self.inner.queues();
+                    let me = d.node();
+                    if me < q.num_queues() {
+                        touch_region(d, q.queue_addr(me), (2 + self.inner.tasks()) * 8).await;
+                    }
+                })
             }
-            fn run(&self, d: &mut dyn Dsm) {
-                self.inner.run(d);
+            fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+                self.inner.run(d)
             }
             fn check(&self, seq: &MemImage, par: &MemImage) -> Result<(), String> {
                 self.inner.check(seq, par)

@@ -10,7 +10,7 @@
 //! Force merge order depends on lock acquisition order, so verification is
 //! an epsilon check on positions.
 
-use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, RegionHint};
+use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, NodeFuture, RegionHint};
 
 use crate::util::{XorShift, FLOP_NS};
 
@@ -73,12 +73,14 @@ impl DsmProgram for WaterNsq {
         15
     }
 
-    fn warmup(&self, d: &mut dyn Dsm) {
-        let (me, p) = (d.node(), d.num_nodes());
-        let per = self.n / p;
-        let lo = me * per;
-        let hi = if me == p - 1 { self.n } else { lo + per };
-        touch_region(d, self.pos(lo), (hi - lo) * Self::REC);
+    fn warmup<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let (me, p) = (d.node(), d.num_nodes());
+            let per = self.n / p;
+            let lo = me * per;
+            let hi = if me == p - 1 { self.n } else { lo + per };
+            touch_region(d, self.pos(lo), (hi - lo) * Self::REC).await;
+        })
     }
 
     fn init(&self, mem: &mut MemImage) {
@@ -92,94 +94,97 @@ impl DsmProgram for WaterNsq {
         }
     }
 
-    fn run(&self, d: &mut dyn Dsm) {
-        let (me, p) = (d.node(), d.num_nodes());
-        let per = self.n / p;
-        let lo = me * per;
-        let hi = if me == p - 1 { self.n } else { lo + per };
-        let half = self.n / 2;
+    fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let (me, p) = (d.node(), d.num_nodes());
+            let per = self.n / p;
+            let lo = me * per;
+            let hi = if me == p - 1 { self.n } else { lo + per };
+            let half = self.n / 2;
 
-        for _ in 0..self.steps {
-            d.barrier(0);
-            // Force phase: interactions between own molecules and the next
-            // n/2 (wrapping), accumulated privately.
-            let mut acc = vec![0.0f64; 3 * self.n];
-            let mut pi = [0.0f64; 3];
-            let mut pj = [0.0f64; 3];
-            for i in lo..hi {
-                d.read_f64s(self.pos(i), &mut pi);
-                for off in 1..=half {
-                    let j = (i + off) % self.n;
-                    d.read_f64s(self.pos(j), &mut pj);
-                    let dx = pi[0] - pj[0];
-                    let dy = pi[1] - pj[1];
-                    let dz = pi[2] - pj[2];
-                    let r2 = dx * dx + dy * dy + dz * dz;
-                    d.compute(PAIR_FLOPS * FLOP_NS);
-                    if r2 < CUTOFF2 && r2 > 1e-12 {
-                        // Soft short-range repulsion.
-                        let f = (CUTOFF2 - r2) / (r2 + 1e-3);
-                        acc[3 * i] += f * dx;
-                        acc[3 * i + 1] += f * dy;
-                        acc[3 * i + 2] += f * dz;
-                        acc[3 * j] -= f * dx;
-                        acc[3 * j + 1] -= f * dy;
-                        acc[3 * j + 2] -= f * dz;
+            for _ in 0..self.steps {
+                d.barrier(0).await;
+                // Force phase: interactions between own molecules and the next
+                // n/2 (wrapping), accumulated privately.
+                let mut acc = vec![0.0f64; 3 * self.n];
+                let mut pi = [0.0f64; 3];
+                let mut pj = [0.0f64; 3];
+                for i in lo..hi {
+                    d.read_f64s(self.pos(i), &mut pi).await;
+                    for off in 1..=half {
+                        let j = (i + off) % self.n;
+                        d.read_f64s(self.pos(j), &mut pj).await;
+                        let dx = pi[0] - pj[0];
+                        let dy = pi[1] - pj[1];
+                        let dz = pi[2] - pj[2];
+                        let r2 = dx * dx + dy * dy + dz * dz;
+                        d.compute(PAIR_FLOPS * FLOP_NS).await;
+                        if r2 < CUTOFF2 && r2 > 1e-12 {
+                            // Soft short-range repulsion.
+                            let f = (CUTOFF2 - r2) / (r2 + 1e-3);
+                            acc[3 * i] += f * dx;
+                            acc[3 * i + 1] += f * dy;
+                            acc[3 * i + 2] += f * dz;
+                            acc[3 * j] -= f * dx;
+                            acc[3 * j + 1] -= f * dy;
+                            acc[3 * j + 2] -= f * dz;
+                        }
                     }
                 }
-            }
-            // Merge private accumulations under per-partition locks.
-            let mut f = [0.0f64; 3];
-            for q in 0..p {
-                let target = (me + q) % p;
-                let qlo = target * per;
-                let qhi = if target == p - 1 { self.n } else { qlo + per };
-                let any = (qlo..qhi)
-                    .any(|i| acc[3 * i] != 0.0 || acc[3 * i + 1] != 0.0 || acc[3 * i + 2] != 0.0);
-                if !any {
-                    continue;
-                }
-                d.lock(target);
-                for i in qlo..qhi {
-                    if acc[3 * i] == 0.0 && acc[3 * i + 1] == 0.0 && acc[3 * i + 2] == 0.0 {
+                // Merge private accumulations under per-partition locks.
+                let mut f = [0.0f64; 3];
+                for q in 0..p {
+                    let target = (me + q) % p;
+                    let qlo = target * per;
+                    let qhi = if target == p - 1 { self.n } else { qlo + per };
+                    let any = (qlo..qhi).any(|i| {
+                        acc[3 * i] != 0.0 || acc[3 * i + 1] != 0.0 || acc[3 * i + 2] != 0.0
+                    });
+                    if !any {
                         continue;
                     }
-                    d.read_f64s(self.force(i), &mut f);
-                    f[0] += acc[3 * i];
-                    f[1] += acc[3 * i + 1];
-                    f[2] += acc[3 * i + 2];
-                    d.write_f64s(self.force(i), &f);
-                    d.compute(3 * FLOP_NS);
-                }
-                d.unlock(target);
-            }
-            d.barrier(0);
-            // Integration: own molecules only (single writer).
-            let mut v = [0.0f64; 3];
-            for i in lo..hi {
-                d.read_f64s(self.force(i), &mut f);
-                d.read_f64s(self.vel(i), &mut v);
-                d.read_f64s(self.pos(i), &mut pi);
-                for k in 0..3 {
-                    v[k] += DT * f[k];
-                    pi[k] += DT * v[k];
-                    // Reflecting walls keep the box bounded.
-                    if pi[k] < 0.0 {
-                        pi[k] = -pi[k];
-                        v[k] = -v[k];
-                    } else if pi[k] > 1.0 {
-                        pi[k] = 2.0 - pi[k];
-                        v[k] = -v[k];
+                    d.lock(target).await;
+                    for i in qlo..qhi {
+                        if acc[3 * i] == 0.0 && acc[3 * i + 1] == 0.0 && acc[3 * i + 2] == 0.0 {
+                            continue;
+                        }
+                        d.read_f64s(self.force(i), &mut f).await;
+                        f[0] += acc[3 * i];
+                        f[1] += acc[3 * i + 1];
+                        f[2] += acc[3 * i + 2];
+                        d.write_f64s(self.force(i), &f).await;
+                        d.compute(3 * FLOP_NS).await;
                     }
-                    f[k] = 0.0;
+                    d.unlock(target).await;
                 }
-                d.write_f64s(self.vel(i), &v);
-                d.write_f64s(self.pos(i), &pi);
-                d.write_f64s(self.force(i), &f);
-                d.compute(12 * FLOP_NS);
+                d.barrier(0).await;
+                // Integration: own molecules only (single writer).
+                let mut v = [0.0f64; 3];
+                for i in lo..hi {
+                    d.read_f64s(self.force(i), &mut f).await;
+                    d.read_f64s(self.vel(i), &mut v).await;
+                    d.read_f64s(self.pos(i), &mut pi).await;
+                    for k in 0..3 {
+                        v[k] += DT * f[k];
+                        pi[k] += DT * v[k];
+                        // Reflecting walls keep the box bounded.
+                        if pi[k] < 0.0 {
+                            pi[k] = -pi[k];
+                            v[k] = -v[k];
+                        } else if pi[k] > 1.0 {
+                            pi[k] = 2.0 - pi[k];
+                            v[k] = -v[k];
+                        }
+                        f[k] = 0.0;
+                    }
+                    d.write_f64s(self.vel(i), &v).await;
+                    d.write_f64s(self.pos(i), &pi).await;
+                    d.write_f64s(self.force(i), &f).await;
+                    d.compute(12 * FLOP_NS).await;
+                }
+                d.barrier(0).await;
             }
-            d.barrier(0);
-        }
+        })
     }
 
     fn check(&self, seq: &MemImage, par: &MemImage) -> Result<(), String> {

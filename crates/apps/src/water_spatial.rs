@@ -9,7 +9,7 @@
 //! crossed into another processor's cell are moved under per-cell locks
 //! (the multiple-writer part).
 
-use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, RegionHint};
+use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, NodeFuture, RegionHint};
 
 use crate::util::{XorShift, FLOP_NS};
 
@@ -67,19 +67,19 @@ impl WaterSpatial {
         (cell * p / self.num_cells()).min(p - 1)
     }
 
-    fn read_mol(&self, d: &mut dyn Dsm, cell: usize, slot: usize) -> (u64, [f64; 3], [f64; 3]) {
+    async fn read_mol(&self, d: &mut Dsm, cell: usize, slot: usize) -> (u64, [f64; 3], [f64; 3]) {
         let a = self.mol_addr(cell, slot);
-        let id = d.read_u64(a);
+        let id = d.read_u64(a).await;
         let mut pos = [0.0; 3];
         let mut vel = [0.0; 3];
-        d.read_f64s(a + 8, &mut pos);
-        d.read_f64s(a + 32, &mut vel);
+        d.read_f64s(a + 8, &mut pos).await;
+        d.read_f64s(a + 32, &mut vel).await;
         (id, pos, vel)
     }
 
-    fn write_mol(
+    async fn write_mol(
         &self,
-        d: &mut dyn Dsm,
+        d: &mut Dsm,
         cell: usize,
         slot: usize,
         id: u64,
@@ -87,9 +87,9 @@ impl WaterSpatial {
         vel: &[f64; 3],
     ) {
         let a = self.mol_addr(cell, slot);
-        d.write_u64(a, id);
-        d.write_f64s(a + 8, pos);
-        d.write_f64s(a + 32, vel);
+        d.write_u64(a, id).await;
+        d.write_f64s(a + 8, pos).await;
+        d.write_f64s(a + 32, vel).await;
     }
 
     /// Neighbour cell coordinates (including self), clamped to the box.
@@ -131,13 +131,15 @@ impl DsmProgram for WaterSpatial {
         15
     }
 
-    fn warmup(&self, d: &mut dyn Dsm) {
-        let (me, p) = (d.node(), d.num_nodes());
-        for cell in 0..self.num_cells() {
-            if self.owner(cell, p) == me {
-                touch_region(d, self.cell_addr(cell), 8 + CELL_CAP * MOL_BYTES);
+    fn warmup<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let (me, p) = (d.node(), d.num_nodes());
+            for cell in 0..self.num_cells() {
+                if self.owner(cell, p) == me {
+                    touch_region(d, self.cell_addr(cell), 8 + CELL_CAP * MOL_BYTES).await;
+                }
             }
-        }
+        })
     }
 
     fn init(&self, mem: &mut MemImage) {
@@ -163,105 +165,107 @@ impl DsmProgram for WaterSpatial {
         }
     }
 
-    fn run(&self, d: &mut dyn Dsm) {
-        let (me, p) = (d.node(), d.num_nodes());
-        let cells = self.num_cells();
-        let my_cells: Vec<usize> = (0..cells).filter(|&c| self.owner(c, p) == me).collect();
+    fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let (me, p) = (d.node(), d.num_nodes());
+            let cells = self.num_cells();
+            let my_cells: Vec<usize> = (0..cells).filter(|&c| self.owner(c, p) == me).collect();
 
-        for _ in 0..self.steps {
-            d.barrier(0);
-            // Force phase: private accumulation keyed by (cell, slot) for
-            // own molecules. Each own molecule interacts with every
-            // molecule of id greater than its own in the neighbourhood
-            // (each pair computed once, by the owner of the lower id —
-            // deterministic per molecule).
-            let mut forces: Vec<(usize, usize, [f64; 3])> = Vec::new();
-            for &cell in &my_cells {
-                let count = d.read_u64(self.cell_addr(cell)) as usize;
-                for slot in 0..count {
-                    let (id_i, pi, _) = self.read_mol(d, cell, slot);
-                    let mut f = [0.0f64; 3];
-                    for ncell in self.neighbours(cell) {
-                        let ncount = d.read_u64(self.cell_addr(ncell)) as usize;
-                        for ns in 0..ncount {
-                            if ncell == cell && ns == slot {
-                                continue;
-                            }
-                            let (id_j, pj, _) = self.read_mol(d, ncell, ns);
-                            if id_j == id_i {
-                                continue;
-                            }
-                            let dx = pi[0] - pj[0];
-                            let dy = pi[1] - pj[1];
-                            let dz = pi[2] - pj[2];
-                            let r2 = dx * dx + dy * dy + dz * dz;
-                            let cut = 1.0 / (self.c as f64);
-                            d.compute(PAIR_FLOPS * FLOP_NS);
-                            if r2 < cut * cut && r2 > 1e-12 {
-                                let fm = (cut * cut - r2) / (r2 + 1e-3);
-                                f[0] += fm * dx;
-                                f[1] += fm * dy;
-                                f[2] += fm * dz;
+            for _ in 0..self.steps {
+                d.barrier(0).await;
+                // Force phase: private accumulation keyed by (cell, slot) for
+                // own molecules. Each own molecule interacts with every
+                // molecule of id greater than its own in the neighbourhood
+                // (each pair computed once, by the owner of the lower id —
+                // deterministic per molecule).
+                let mut forces: Vec<(usize, usize, [f64; 3])> = Vec::new();
+                for &cell in &my_cells {
+                    let count = d.read_u64(self.cell_addr(cell)).await as usize;
+                    for slot in 0..count {
+                        let (id_i, pi, _) = self.read_mol(d, cell, slot).await;
+                        let mut f = [0.0f64; 3];
+                        for ncell in self.neighbours(cell) {
+                            let ncount = d.read_u64(self.cell_addr(ncell)).await as usize;
+                            for ns in 0..ncount {
+                                if ncell == cell && ns == slot {
+                                    continue;
+                                }
+                                let (id_j, pj, _) = self.read_mol(d, ncell, ns).await;
+                                if id_j == id_i {
+                                    continue;
+                                }
+                                let dx = pi[0] - pj[0];
+                                let dy = pi[1] - pj[1];
+                                let dz = pi[2] - pj[2];
+                                let r2 = dx * dx + dy * dy + dz * dz;
+                                let cut = 1.0 / (self.c as f64);
+                                d.compute(PAIR_FLOPS * FLOP_NS).await;
+                                if r2 < cut * cut && r2 > 1e-12 {
+                                    let fm = (cut * cut - r2) / (r2 + 1e-3);
+                                    f[0] += fm * dx;
+                                    f[1] += fm * dy;
+                                    f[2] += fm * dz;
+                                }
                             }
                         }
-                    }
-                    forces.push((cell, slot, f));
-                }
-            }
-            d.barrier(0);
-            // Integration + movement: molecules leaving an owned cell are
-            // appended to the destination cell under its lock.
-            for (cell, slot, f) in forces {
-                let (id, mut pos, mut vel) = self.read_mol(d, cell, slot);
-                for k in 0..3 {
-                    vel[k] += DT * f[k];
-                    pos[k] += DT * vel[k];
-                    if pos[k] < 0.0 {
-                        pos[k] = -pos[k];
-                        vel[k] = -vel[k];
-                    } else if pos[k] > 1.0 {
-                        pos[k] = 2.0 - pos[k];
-                        vel[k] = -vel[k];
+                        forces.push((cell, slot, f));
                     }
                 }
-                d.compute(12 * FLOP_NS);
-                let dest = self.cell_of_pos(&pos);
-                if dest == cell {
-                    self.write_mol(d, cell, slot, id, &pos, &vel);
-                } else {
-                    // Mark the old slot dead now; compact after the move
-                    // barrier. Dead slots keep their position so later
-                    // movers in this cell keep consistent slot indices.
-                    self.write_mol(d, cell, slot, u64::MAX, &pos, &vel);
-                    d.lock(dest);
-                    let dc = d.read_u64(self.cell_addr(dest)) as usize;
-                    assert!(dc < CELL_CAP, "cell overflow during move");
-                    self.write_mol(d, dest, dc, id, &pos, &vel);
-                    d.write_u64(self.cell_addr(dest), dc as u64 + 1);
-                    d.unlock(dest);
-                }
-            }
-            d.barrier(0);
-            // Compaction of own cells: drop dead slots.
-            for &cell in &my_cells {
-                let ca = self.cell_addr(cell);
-                let count = d.read_u64(ca) as usize;
-                let mut keep = 0usize;
-                for slot in 0..count {
-                    let (id, pos, vel) = self.read_mol(d, cell, slot);
-                    if id != u64::MAX {
-                        if keep != slot {
-                            self.write_mol(d, cell, keep, id, &pos, &vel);
+                d.barrier(0).await;
+                // Integration + movement: molecules leaving an owned cell are
+                // appended to the destination cell under its lock.
+                for (cell, slot, f) in forces {
+                    let (id, mut pos, mut vel) = self.read_mol(d, cell, slot).await;
+                    for k in 0..3 {
+                        vel[k] += DT * f[k];
+                        pos[k] += DT * vel[k];
+                        if pos[k] < 0.0 {
+                            pos[k] = -pos[k];
+                            vel[k] = -vel[k];
+                        } else if pos[k] > 1.0 {
+                            pos[k] = 2.0 - pos[k];
+                            vel[k] = -vel[k];
                         }
-                        keep += 1;
+                    }
+                    d.compute(12 * FLOP_NS).await;
+                    let dest = self.cell_of_pos(&pos);
+                    if dest == cell {
+                        self.write_mol(d, cell, slot, id, &pos, &vel).await;
+                    } else {
+                        // Mark the old slot dead now; compact after the move
+                        // barrier. Dead slots keep their position so later
+                        // movers in this cell keep consistent slot indices.
+                        self.write_mol(d, cell, slot, u64::MAX, &pos, &vel).await;
+                        d.lock(dest).await;
+                        let dc = d.read_u64(self.cell_addr(dest)).await as usize;
+                        assert!(dc < CELL_CAP, "cell overflow during move");
+                        self.write_mol(d, dest, dc, id, &pos, &vel).await;
+                        d.write_u64(self.cell_addr(dest), dc as u64 + 1).await;
+                        d.unlock(dest).await;
                     }
                 }
-                if keep != count {
-                    d.write_u64(ca, keep as u64);
+                d.barrier(0).await;
+                // Compaction of own cells: drop dead slots.
+                for &cell in &my_cells {
+                    let ca = self.cell_addr(cell);
+                    let count = d.read_u64(ca).await as usize;
+                    let mut keep = 0usize;
+                    for slot in 0..count {
+                        let (id, pos, vel) = self.read_mol(d, cell, slot).await;
+                        if id != u64::MAX {
+                            if keep != slot {
+                                self.write_mol(d, cell, keep, id, &pos, &vel).await;
+                            }
+                            keep += 1;
+                        }
+                    }
+                    if keep != count {
+                        d.write_u64(ca, keep as u64).await;
+                    }
                 }
+                d.barrier(0).await;
             }
-            d.barrier(0);
-        }
+        })
     }
 
     fn check(&self, seq: &MemImage, par: &MemImage) -> Result<(), String> {

@@ -131,10 +131,10 @@ fn polling_inflation_sweep() {
         fn init(&self, mem: &mut dsm_core::MemImage) {
             self.0.init(mem)
         }
-        fn warmup(&self, d: &mut dyn dsm_core::Dsm) {
+        fn warmup<'a>(&'a self, d: &'a mut dsm_core::Dsm) -> dsm_core::NodeFuture<'a> {
             self.0.warmup(d)
         }
-        fn run(&self, d: &mut dyn dsm_core::Dsm) {
+        fn run<'a>(&'a self, d: &'a mut dsm_core::Dsm) -> dsm_core::NodeFuture<'a> {
             self.0.run(d)
         }
         fn poll_inflation_pct(&self) -> u32 {

@@ -206,22 +206,9 @@ where
 
 /// Run one cell, bypassing the cache entirely, at the given application size.
 pub fn run_cell_fresh(spec: &CellSpec, size: AppSize) -> CellResult {
-    run_cell_fresh_sim(
-        spec,
-        size,
-        RunConfig::new(spec.protocol, spec.block).sim_threads,
-    )
-}
-
-/// [`run_cell_fresh`] with an explicit intra-run simulator thread count,
-/// overriding `DSM_SIM_PAR`. Differential harnesses pin one arm to 1
-/// (serial) and the other to n > 1 (windowed) and compare bit-for-bit.
-pub fn run_cell_fresh_sim(spec: &CellSpec, size: AppSize, sim_threads: usize) -> CellResult {
     let program = dsm_apps::app_sized(&spec.app, size)
         .unwrap_or_else(|| panic!("unknown application {}", spec.app));
-    let cfg = RunConfig::new(spec.protocol, spec.block)
-        .with_notify(spec.notify)
-        .with_sim_threads(sim_threads);
+    let cfg = RunConfig::new(spec.protocol, spec.block).with_notify(spec.notify);
     let r = run_experiment(&cfg, program);
     CellResult {
         app: spec.app.clone(),
@@ -273,19 +260,6 @@ pub fn run_cells(specs: &[CellSpec], jobs: usize) -> Vec<CellResult> {
 /// touching the cache (test harnesses compare fresh runs).
 pub fn run_cells_fresh(specs: &[CellSpec], jobs: usize, size: AppSize) -> Vec<CellResult> {
     pool_map(specs.len(), jobs, |i| run_cell_fresh(&specs[i], size))
-}
-
-/// [`run_cells_fresh`] with an explicit intra-run simulator thread count
-/// for every cell (see [`run_cell_fresh_sim`]).
-pub fn run_cells_fresh_sim(
-    specs: &[CellSpec],
-    jobs: usize,
-    size: AppSize,
-    sim_threads: usize,
-) -> Vec<CellResult> {
-    pool_map(specs.len(), jobs, |i| {
-        run_cell_fresh_sim(&specs[i], size, sim_threads)
-    })
 }
 
 /// The protocol × granularity grid of specs for one application.

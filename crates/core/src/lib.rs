@@ -4,38 +4,43 @@
 //! memory program under a chosen protocol / granularity / notification
 //! mechanism, and collect statistics.
 //!
-//! Programs implement [`DsmProgram`] and perform all shared accesses through
-//! the [`Dsm`] trait, which has two interchangeable implementations:
+//! Programs implement [`DsmProgram`] — an `async` body per node; see
+//! `examples/quickstart.rs` for the shape — and perform all shared accesses
+//! through the [`Dsm`] handle, which has two interchangeable arms:
 //!
 //! * the parallel run-time ([`run_parallel`]): every node is a simulated
-//!   cluster node; accesses go through the coherence protocol;
+//!   cluster node; accesses go through the coherence protocol, and the body
+//!   suspends wherever the node waits (all sixteen bodies of a run are
+//!   resumed by one event loop on the caller's thread);
 //! * the sequential runner ([`run_sequential`]): the same program on one
 //!   node against plain memory, which defines the speedup baseline exactly
-//!   as the paper does (Table 1's sequential execution times).
+//!   as the paper does (Table 1's sequential execution times). Nothing
+//!   waits there, so the body runs to completion in one poll.
 
 pub mod api;
 pub mod image;
 mod node_ops;
+pub mod par;
 pub mod runner;
 pub mod seq;
 pub mod task;
-pub mod thread;
 
 pub use api::Dsm;
 pub use image::MemImage;
+pub use par::ParDsm;
 pub use runner::{
-    run_checked, run_experiment, run_parallel, run_sequential, run_tasks_mc, ExperimentResult,
-    RegionPolicy, RegionReport, RunConfig, RunOutcome,
+    node_body, run_bodies, run_checked, run_experiment, run_parallel, run_sequential, run_tasks_mc,
+    ExperimentResult, NodeBody, RegionPolicy, RegionReport, RunConfig, RunOutcome,
 };
 pub use seq::SeqDsm;
 pub use task::DsmTask;
-pub use thread::DsmThread;
 
 pub use dsm_check::RunChecker;
 pub use dsm_fabric::{FabricConfig, FaultPlan, NiModel, RetryPolicy};
 pub use dsm_net::{CostModel, LatencyModel, Notify};
 pub use dsm_proto::{Checker, Mutation, ProtoConfig, Protocol, Violation};
 pub use dsm_sim::rng;
+pub use dsm_sim::NodeFuture;
 pub use dsm_stats::{Counters, RunStats};
 
 use std::sync::Arc;
@@ -47,6 +52,11 @@ use std::sync::Arc;
 /// The body learns its node id and the cluster size from the [`Dsm`] handle;
 /// with a single node it must degenerate to the sequential algorithm, which
 /// is how the speedup baseline is produced.
+///
+/// A body is `async` code returned as one boxed future per node per run —
+/// `Box::pin(async move { .. })` — with `.await` on every [`Dsm`] operation.
+/// It must not await anything else: the engine resumes a node when its
+/// simulated wait is over, and nothing else ever wakes it.
 pub trait DsmProgram: Send + Sync + 'static {
     /// Short name used in reports (e.g. `"lu"`).
     fn name(&self) -> String;
@@ -62,12 +72,13 @@ pub trait DsmProgram: Send + Sync + 'static {
     /// the data they own so that first-touch homing and cold faults happen
     /// before measurement begins. Runs on every node, followed by a
     /// barrier and a statistics reset.
-    fn warmup(&self, d: &mut dyn Dsm) {
+    fn warmup<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
         let _ = d;
+        Box::pin(std::future::ready(()))
     }
 
     /// The per-node program body.
-    fn run(&self, d: &mut dyn Dsm);
+    fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a>;
 
     /// Named data regions of the shared space (advisory). Programs that
     /// declare regions can run mixed-mode — a different protocol ×
@@ -142,17 +153,17 @@ impl RegionHint {
 
 /// Store-touch every 64-byte unit of `[addr, addr+len)`: the classic
 /// touch-array idiom that claims first-touch homes and warms access state.
-pub fn touch_region(d: &mut dyn Dsm, addr: usize, len: usize) {
+pub async fn touch_region(d: &mut Dsm, addr: usize, len: usize) {
     let mut off = 0;
     while off < len {
         let a = addr + off;
         let chunk = (len - off).min(8);
         if chunk == 8 {
-            let v = d.read_u64(a);
-            d.write_u64(a, v);
+            let v = d.read_u64(a).await;
+            d.write_u64(a, v).await;
         } else {
-            let v = d.read_u8(a);
-            d.write_u8(a, v);
+            let v = d.read_u8(a).await;
+            d.write_u8(a, v).await;
         }
         off += 64;
     }

@@ -1,8 +1,8 @@
 //! Node-side accounting shared by the two run-times.
 //!
-//! [`crate::DsmThread`] (blocking, on the threaded engine) and
-//! [`crate::DsmTask`] (resumable, on the task loop) differ only in control
-//! flow: where one calls `advance` / `block`, the other returns a
+//! [`crate::ParDsm`] (`async`, for ordinary code) and [`crate::DsmTask`]
+//! (poll-shaped, for hand-written state machines) differ only in control
+//! flow: where one awaits `advance` / `block`, the other returns a
 //! [`dsm_sim::Step`]. Everything either does *to the world* at those points
 //! — stall statistics, recorder events, span waits, the measurement window
 //! — is a function here, so it exists once.
@@ -43,6 +43,7 @@ impl LocalTime {
 
     /// Charge `t` ns of locally executed work. True when the batch has
     /// reached the flush quantum.
+    #[inline]
     pub(crate) fn charge(&mut self, t: Time) -> bool {
         // Polling instrumentation inflates all locally executed work.
         let overhead = t * self.inflation_pct as Time / 100;
@@ -50,12 +51,6 @@ impl LocalTime {
         self.compute_acc += t;
         self.poll_acc += overhead;
         self.pending_ns >= FLUSH_QUANTUM_NS
-    }
-
-    /// Whether [`LocalTime::fold_stats`] has anything to fold (the threaded
-    /// run-time takes the engine lock to fold, and skips it when not).
-    pub(crate) fn has_stats(&self) -> bool {
-        self.compute_acc > 0 || self.poll_acc > 0
     }
 
     /// Fold the stat accumulators into `me`'s counters.

@@ -1,0 +1,226 @@
+//! The parallel run-time: a node's handle onto the simulated cluster and
+//! the coherence protocols.
+
+use dsm_proto::msg::FaultKind;
+use dsm_proto::ops::{self, Attempt};
+use dsm_proto::ProtoWorld;
+use dsm_sim::{NodeHandle, Time};
+
+use crate::node_ops::{self, LocalTime};
+
+/// A node's handle onto the DSM in a parallel run (the [`crate::Dsm::Par`]
+/// arm): checks access on every read/write, runs the protocol on faults,
+/// and charges virtual time for computation, accesses, polling overhead and
+/// stalls.
+///
+/// This is the `async` form, for node bodies that are ordinary code; an
+/// operation suspends only where it advances the node's clock or blocks it
+/// (a flush of batched local time, a fault, a lock or barrier wait), and a
+/// hit completes without suspending. [`crate::DsmTask`] is its poll-shaped
+/// counterpart for hand-written state machines. What either does to the
+/// world at each step is shared (the `node_ops` module); only the control
+/// flow differs.
+pub struct ParDsm {
+    ctx: NodeHandle<ProtoWorld>,
+    me: usize,
+    n: usize,
+    lrc: bool,
+    layout: dsm_mem::Layout,
+    local: LocalTime,
+}
+
+// `#[inline]` on an `async fn` covers the function that *builds* its future
+// (the body is compiled with whoever awaits it). The operations on the hit
+// path carry it because their callers are compiled in the applications'
+// crate: without it every access pays an out-of-line call that returns the
+// future by copy.
+impl ParDsm {
+    /// Wrap a node handle. `inflation_pct` is the polling instrumentation
+    /// overhead for this application (0 when using interrupts).
+    pub fn new(mut ctx: NodeHandle<ProtoWorld>, inflation_pct: u32) -> Self {
+        let me = ctx.node();
+        let n = ctx.num_nodes();
+        let (lrc, layout) = ctx.world(|w, _| (w.has_lrc || w.has_tardis, w.cfg.layout.clone()));
+        ParDsm {
+            ctx,
+            me,
+            n,
+            lrc,
+            layout,
+            local: LocalTime::new(inflation_pct),
+        }
+    }
+
+    pub(crate) fn node(&self) -> usize {
+        self.me
+    }
+
+    pub(crate) fn num_nodes(&self) -> usize {
+        self.n
+    }
+
+    pub(crate) fn is_release_consistent(&self) -> bool {
+        self.lrc
+    }
+
+    /// Push batched time into the simulator and flush stat accumulators.
+    async fn flush(&mut self) {
+        let (local, me) = (&mut self.local, self.me);
+        self.ctx.world(|w, _| local.fold_stats(w, me));
+        let t = self.local.take_pending();
+        if t > 0 {
+            self.ctx.advance(t).await;
+        }
+    }
+
+    /// The tail every node body ends with: push the last batched time and
+    /// close the node's measured interval.
+    pub(crate) async fn finish(&mut self) {
+        self.flush().await;
+        let me = self.me;
+        self.ctx.world(|w, s| node_ops::note_end(w, s, me));
+    }
+
+    async fn fault(&mut self, b: usize, kind: FaultKind) {
+        self.flush().await;
+        let t0 = self.ctx.now();
+        let me = self.me;
+        self.ctx
+            .world(|w, s| node_ops::fault_begin(w, s, me, b, kind));
+        self.ctx.block().await;
+        let dt = self.ctx.now() - t0;
+        self.ctx
+            .world(|w, s| node_ops::fault_end(w, s, me, b, kind, dt));
+    }
+
+    #[inline]
+    async fn charge_local(&mut self, t: Time) {
+        if self.local.charge(t) {
+            self.flush().await;
+        }
+    }
+
+    /// A fault resolved locally (HLRC twin, SW-LRC re-enable): advance past
+    /// the local protocol action and charge it to `proto_local_ns`.
+    async fn local_fault(&mut self, b: usize, t: Time) {
+        self.flush().await;
+        self.ctx.advance(t).await;
+        let me = self.me;
+        self.ctx
+            .world(|w, s| node_ops::local_fault_end(w, s, me, b, t));
+    }
+
+    /// One access to `[addr, addr+len)`: split at coherence-block boundaries,
+    /// each piece attempted — `attempt(world, piece address, piece's range
+    /// of the buffer, now)` — and retried through local and remote faults
+    /// until it hits. Bulk accesses are sequences of loads/stores on real
+    /// hardware: each block's piece completes individually, so a spanning
+    /// access never needs two contended blocks to be held simultaneously
+    /// (which can livelock under false-sharing ping-pong).
+    async fn access(
+        &mut self,
+        addr: usize,
+        len: usize,
+        kind: FaultKind,
+        mut attempt: impl FnMut(&mut ProtoWorld, usize, std::ops::Range<usize>, Time) -> Attempt,
+    ) {
+        let mut off = 0;
+        while off < len {
+            let a = addr + off;
+            // Blocks are region-relative: the piece ends at the enclosing
+            // block's boundary in the region's own granularity.
+            let in_block = self.layout.block_end(a) - a;
+            let take = in_block.min(len - off);
+            let mut spins = 0u32;
+            loop {
+                let tried = self
+                    .ctx
+                    .world(|w, s| attempt(w, a, off..off + take, s.now()));
+                match tried {
+                    Attempt::Done(t) => {
+                        self.charge_local(t).await;
+                        break;
+                    }
+                    Attempt::LocalFault(t, b) => self.local_fault(b, t).await,
+                    Attempt::Fault(b) => self.fault(b, kind).await,
+                }
+                spins += 1;
+                assert!(spins < 100_000, "{kind:?} at {a:#x} livelocked");
+            }
+            off += take;
+        }
+    }
+
+    pub(crate) async fn begin_measurement(&mut self) {
+        self.flush().await;
+        let me = self.me;
+        self.ctx.world(|w, s| node_ops::begin_measurement(w, s, me));
+    }
+
+    #[inline]
+    pub(crate) async fn compute(&mut self, ns: u64) {
+        self.charge_local(ns).await;
+    }
+
+    #[inline]
+    pub(crate) async fn read(&mut self, addr: usize, buf: &mut [u8]) {
+        let me = self.me;
+        self.access(addr, buf.len(), FaultKind::Read, |w, a, piece, now| {
+            ops::try_read(w, me, a, &mut buf[piece], now)
+        })
+        .await;
+    }
+
+    #[inline]
+    pub(crate) async fn write(&mut self, addr: usize, data: &[u8]) {
+        let me = self.me;
+        self.access(addr, data.len(), FaultKind::Write, |w, a, piece, now| {
+            ops::try_write(w, me, a, &data[piece], now)
+        })
+        .await;
+    }
+
+    pub(crate) async fn lock(&mut self, l: usize) {
+        self.flush().await;
+        let t0 = self.ctx.now();
+        let me = self.me;
+        self.ctx
+            .world(|w, s| dsm_proto::sync::lock_acquire_start(w, s, me, l));
+        self.ctx.block().await;
+        let dt = self.ctx.now() - t0;
+        self.ctx.world(|w, s| node_ops::lock_end(w, s, me, l, dt));
+    }
+
+    pub(crate) async fn unlock(&mut self, l: usize) {
+        self.flush().await;
+        let me = self.me;
+        let t = self
+            .ctx
+            .world(|w, s| dsm_proto::sync::lock_release_start(w, s, me, l));
+        if t > 0 {
+            // Release-time protocol work (diffing under HLRC) runs on the
+            // application thread; charge it as local protocol time.
+            self.ctx.advance(t).await;
+            self.ctx.world(|w, _| w.stats[me].proto_local_ns += t);
+        }
+    }
+
+    pub(crate) async fn barrier(&mut self, b: usize) {
+        self.flush().await;
+        let me = self.me;
+        let t = self
+            .ctx
+            .world(|w, s| dsm_proto::sync::barrier_arrive_start(w, s, me, b));
+        if t > 0 {
+            // As in `unlock`: release actions are protocol work, not part of
+            // the wait for the other participants.
+            self.ctx.advance(t).await;
+            self.ctx.world(|w, _| w.stats[me].proto_local_ns += t);
+        }
+        let t0 = self.ctx.now();
+        self.ctx.block().await;
+        let dt = self.ctx.now() - t0;
+        self.ctx
+            .world(|w, s| node_ops::barrier_end(w, s, me, b, dt));
+    }
+}

@@ -8,14 +8,13 @@ use dsm_mem::Layout;
 use dsm_net::{CostModel, LatencyModel, Notify};
 use dsm_obs::{ObsConfig, ObsReport, SharingProfile};
 use dsm_proto::{final_image, ProtoConfig, ProtoWorld, Protocol};
-use dsm_sim::engine::{run_cluster_with, NodeBody, NodeCtx, SimPar};
-use dsm_sim::{McHook, McInstall, NodeTask, RunError, Time};
+use dsm_sim::{McHook, McInstall, Node, NodeFuture, NodeTask, RunError, Time};
 use dsm_stats::{RegionCounters, RunStats};
 
-use crate::api::Dsm;
+use crate::api::{complete, Dsm};
 use crate::image::MemImage;
+use crate::par::ParDsm;
 use crate::seq::SeqDsm;
-use crate::thread::DsmThread;
 use crate::{DsmProgram, Program};
 
 /// The coherence policy assigned to one named region in a mixed-mode run.
@@ -80,11 +79,6 @@ pub struct RunConfig {
     /// and the seed selecting the occurrence. The mutation *sites* are only
     /// compiled under the `mutate` feature; without it this field is inert.
     pub mutation: Option<(dsm_proto::Mutation, u64)>,
-    /// Simulator worker-thread cap. 1 (the default) runs the classic fully
-    /// serialized engine; n > 1 runs conservative windowed parallel
-    /// execution, bit-identical to serial (see `DESIGN.md`). Defaults to the
-    /// `DSM_SIM_PAR` environment variable (`auto` = one per core).
-    pub sim_threads: usize,
 }
 
 impl RunConfig {
@@ -107,19 +101,7 @@ impl RunConfig {
             fabric: FabricConfig::ideal(),
             check: std::env::var("DSM_CHECK").is_ok_and(|v| !v.is_empty() && v != "0"),
             mutation: None,
-            sim_threads: SimPar::threads_from_env(),
         }
-    }
-
-    /// Same configuration with an explicit simulator thread count (0 =
-    /// one per available core). Overrides `DSM_SIM_PAR`.
-    pub fn with_sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            threads
-        };
-        self
     }
 
     /// Same configuration with per-region policy overrides (mixed mode).
@@ -354,37 +336,79 @@ fn build_world(cfg: &RunConfig, program: &dyn DsmProgram) -> ProtoWorld {
     world
 }
 
-/// Run `program` on the simulated cluster under `cfg`: one thread per node
-/// on the threaded engine, each running the program's ordinary blocking
-/// body against a [`DsmThread`].
+/// Run `program` on the simulated cluster under `cfg`: one `async` body per
+/// node — warm-up, the warm-up barrier, the start of measurement, the
+/// program, the tail flush — against a [`Dsm::Par`], all resumed by the one
+/// event loop on the caller's thread.
+///
+/// A run that deadlocks panics with the [`RunError::Deadlock`] text
+/// (`simulation deadlock: event queue empty, node states [..]`); a panic in
+/// a program body reaches the caller as it was raised.
 pub fn run_parallel(cfg: &RunConfig, program: Program) -> RunOutcome {
-    let world = build_world(cfg, program.as_ref());
-    let inflation = poll_inflation(cfg, program.as_ref());
-    let bodies: Vec<NodeBody<ProtoWorld>> = (0..cfg.nodes)
-        .map(|_| {
-            let prog = Arc::clone(&program);
-            Box::new(move |ctx: &mut NodeCtx<ProtoWorld>| {
-                let mut t = DsmThread::new(ctx, inflation);
-                prog.warmup(&mut t);
-                t.barrier(WARMUP_BARRIER);
-                t.begin_measurement();
-                prog.run(&mut t);
-                t.finish();
-            }) as NodeBody<ProtoWorld>
+    let program = program.as_ref();
+    let world = build_world(cfg, program);
+    let inflation = poll_inflation(cfg, program);
+    let (world, end, sim_events) = run_futures(world, cfg.nodes, inflation, |mut d| {
+        Box::pin(async move {
+            program.warmup(&mut d).await;
+            d.barrier(WARMUP_BARRIER).await;
+            d.begin_measurement().await;
+            program.run(&mut d).await;
+            d.finish().await;
         })
-        .collect();
-    let par = if cfg.sim_threads > 1 {
-        let lookahead = cfg.fabric.lookahead_ns(cfg.latency.min_one_way());
-        SimPar::windowed(cfg.sim_threads, lookahead)
-    } else {
-        SimPar::serial()
-    };
-    let (world, end, sim_events) = run_cluster_with(world, bodies, par);
+    });
     finish_outcome(cfg, world, end, sim_events)
 }
 
-/// Run resumable node programs on the task loop, optionally under the model
-/// checker's controlled scheduler.
+/// Run one `async` body per node of `world` to completion, each built by
+/// `body` from the node's [`Dsm::Par`].
+fn run_futures<'a>(
+    world: ProtoWorld,
+    nodes: usize,
+    inflation_pct: u32,
+    mut body: impl FnMut(Dsm) -> NodeFuture<'a>,
+) -> (ProtoWorld, Time, u64) {
+    let run = dsm_sim::run_tasks(
+        world,
+        nodes,
+        |ctx| Node::Future(body(Dsm::Par(ParDsm::new(ctx, inflation_pct)))),
+        None,
+    );
+    // Without a hook the only way to stop short is a deadlock. It is the
+    // program's bug, reported where an uncaught panic in it would be.
+    run.unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// One node's part of a scripted run ([`run_bodies`]): `async` code against
+/// the node's [`Dsm`], boxed. Build one with [`node_body`].
+pub type NodeBody<'a> = Box<dyn for<'d> FnOnce(&'d mut Dsm) -> NodeFuture<'d> + 'a>;
+
+/// Box a scripted node body: `node_body(|d| Box::pin(async move { .. }))`.
+/// Passing the closure through here fixes its signature, so it needs no
+/// annotations of its own.
+pub fn node_body<'a>(f: impl for<'d> FnOnce(&'d mut Dsm) -> NodeFuture<'d> + 'a) -> NodeBody<'a> {
+    Box::new(f)
+}
+
+/// Run hand-written node bodies — one per node of `world` — against a world
+/// the caller prepared, and return it when they are done. No warm-up phase,
+/// no polling inflation and no sequential baseline: this is for tests that
+/// script a few operations per node and then inspect protocol state.
+pub fn run_bodies(world: ProtoWorld, bodies: Vec<NodeBody<'_>>) -> ProtoWorld {
+    let nodes = bodies.len();
+    let mut bodies = bodies.into_iter();
+    let (world, _, _) = run_futures(world, nodes, 0, |mut d| {
+        let body = bodies.next().expect("one body per node");
+        Box::pin(async move {
+            body(&mut d).await;
+            d.finish().await;
+        })
+    });
+    world
+}
+
+/// Run poll-shaped node programs on the event loop, optionally under the
+/// model checker's controlled scheduler.
 ///
 /// The world, the statistics and the outcome are [`run_parallel`]'s; the
 /// node programs are `tasks` (one per node, each driving a
@@ -393,7 +417,7 @@ pub fn run_parallel(cfg: &RunConfig, program: Program) -> RunOutcome {
 /// needs to know about the program besides its body: name, shared size,
 /// initial image, region hints. With `hook` every commit-point tie is its
 /// decision and it may abandon the run (`Err(RunError::Pruned)`); without,
-/// ties commit in queue order as on the threaded engine. `fault_oracle`
+/// ties commit in queue order as under [`run_parallel`]. `fault_oracle`
 /// replaces the fabric's seeded fault dice with explicit per-transmission
 /// decisions. A schedule on which the program deadlocks is
 /// `Err(RunError::Deadlock { .. })`.
@@ -415,7 +439,13 @@ pub fn run_tasks_mc(
             dsm_sim::rng::StableHasher::fingerprint(&(to, pkt))
         }),
     });
-    let (world, end, sim_events) = dsm_sim::run_tasks(world, tasks, install)?;
+    let mut tasks = tasks.into_iter();
+    let (world, end, sim_events) = dsm_sim::run_tasks(
+        world,
+        cfg.nodes,
+        |_| Node::Task(tasks.next().expect("one task per node")),
+        install,
+    )?;
     Ok(finish_outcome(cfg, world, end, sim_events))
 }
 
@@ -476,10 +506,15 @@ pub fn run_sequential(program: &dyn DsmProgram) -> (MemImage, u64) {
     let layout = Layout::new(program.shared_bytes(), 4096);
     let mut golden = MemImage::new(layout.size());
     program.init(&mut golden);
-    let mut d = SeqDsm::new(golden);
-    program.warmup(&mut d);
-    d.begin_measurement();
-    program.run(&mut d);
+    let mut d = Dsm::Seq(SeqDsm::new(golden));
+    complete(async {
+        program.warmup(&mut d).await;
+        d.begin_measurement().await;
+        program.run(&mut d).await;
+    });
+    let Dsm::Seq(d) = d else {
+        unreachable!("built as the sequential arm above")
+    };
     let t = d.time_ns();
     (d.into_image(), t)
 }

@@ -3,11 +3,12 @@
 
 use dsm_net::CostModel;
 
-use crate::api::Dsm;
 use crate::image::MemImage;
 
-/// Sequential [`Dsm`] implementation: direct memory, modeled time, no
-/// protocol, no polling overhead (the paper's baselines run uninstrumented).
+/// The sequential run-time (the [`crate::Dsm::Seq`] arm): direct memory,
+/// modeled time, no protocol, no polling overhead (the paper's baselines
+/// run uninstrumented). Nothing here ever waits, so the operations are
+/// plain functions.
 pub struct SeqDsm {
     mem: MemImage,
     time_ns: u64,
@@ -43,48 +44,42 @@ impl SeqDsm {
         self.mem
     }
 
+    #[inline]
     fn access_cost(&self, len: usize) -> u64 {
         len.div_ceil(8) as u64 * self.cost.local_access_ns
     }
-}
 
-impl Dsm for SeqDsm {
-    fn node(&self) -> usize {
-        0
-    }
-
-    fn begin_measurement(&mut self) {
+    pub(crate) fn begin_measurement(&mut self) {
         self.time_ns = 0;
     }
 
-    fn num_nodes(&self) -> usize {
-        1
-    }
-
-    fn compute(&mut self, ns: u64) {
+    #[inline]
+    pub(crate) fn compute(&mut self, ns: u64) {
         self.time_ns += ns;
     }
 
-    fn read(&mut self, addr: usize, buf: &mut [u8]) {
+    #[inline]
+    pub(crate) fn read(&mut self, addr: usize, buf: &mut [u8]) {
         self.time_ns += self.access_cost(buf.len());
         buf.copy_from_slice(&self.mem.bytes()[addr..addr + buf.len()]);
     }
 
-    fn write(&mut self, addr: usize, data: &[u8]) {
+    #[inline]
+    pub(crate) fn write(&mut self, addr: usize, data: &[u8]) {
         self.time_ns += self.access_cost(data.len());
         self.mem.bytes_mut()[addr..addr + data.len()].copy_from_slice(data);
     }
 
-    fn lock(&mut self, _l: usize) {
+    pub(crate) fn lock(&mut self, _l: usize) {
         // Uncontended user-level lock: a couple of atomic ops.
         self.time_ns += 100;
     }
 
-    fn unlock(&mut self, _l: usize) {
+    pub(crate) fn unlock(&mut self, _l: usize) {
         self.time_ns += 100;
     }
 
-    fn barrier(&mut self, _b: usize) {
+    pub(crate) fn barrier(&mut self, _b: usize) {
         // Single participant: falls straight through.
         self.time_ns += 100;
     }
@@ -98,16 +93,11 @@ mod tests {
     fn models_time_for_compute_and_accesses() {
         let mut d = SeqDsm::new(MemImage::new(64));
         d.compute(1_000);
-        d.write_u64(0, 5);
-        assert_eq!(d.read_u64(0), 5);
+        d.write(0, &5u64.to_le_bytes());
+        let mut word = [0u8; 8];
+        d.read(0, &mut word);
+        assert_eq!(u64::from_le_bytes(word), 5);
         let per_word = CostModel::default().local_access_ns;
         assert_eq!(d.time_ns(), 1_000 + 2 * per_word);
-    }
-
-    #[test]
-    fn single_node_identity() {
-        let d = SeqDsm::new(MemImage::new(8));
-        assert_eq!(d.node(), 0);
-        assert_eq!(d.num_nodes(), 1);
     }
 }

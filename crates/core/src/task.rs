@@ -1,5 +1,5 @@
-//! The resumable run-time: [`DsmThread`](crate::DsmThread)'s counterpart on
-//! the task loop.
+//! The poll-shaped run-time: [`ParDsm`](crate::ParDsm)'s counterpart for
+//! hand-written state machines.
 //!
 //! A [`DsmTask`] is one node's handle onto the DSM for programs written as
 //! [`dsm_sim::NodeTask`]s. Each operation is *poll-shaped*: it is called
@@ -10,11 +10,11 @@
 //! program's own state is just "which operation am I on": a straight-line
 //! program is a program counter and `?`.
 //!
-//! Every operation yields at exactly the points where `DsmThread` calls
-//! `advance` or `block`, and does to the world exactly what `DsmThread`
+//! Every operation yields at exactly the points where `ParDsm` awaits
+//! `advance` or `block`, and does to the world exactly what `ParDsm`
 //! does in between (the shared `node_ops` module), so one program
 //! produces the same statistics, event count and memory image on either
-//! run-time; `dsm-mc` holds the differential test.
+//! run-time; `tests/mc_task_engine_equiv.rs` holds the differential test.
 
 use std::ops::ControlFlow::{self, Break, Continue};
 

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use dsm_core::{
-    run_checked, run_experiment, Dsm, DsmProgram, MemImage, Notify, Protocol, RunConfig,
+    run_checked, run_experiment, Dsm, DsmProgram, MemImage, NodeFuture, Notify, Protocol, RunConfig,
 };
 
 /// Each node fills its own contiguous partition of an array, then all nodes
@@ -34,25 +34,27 @@ impl DsmProgram for Partitioned {
         }
     }
 
-    fn run(&self, d: &mut dyn Dsm) {
-        let (me, n) = (d.node(), d.num_nodes());
-        let per = self.elems / n;
-        let lo = me * per;
-        let hi = if me == n - 1 { self.elems } else { lo + per };
-        for i in lo..hi {
-            d.write_u64(Self::DATA + i * 8, (i * i + 7) as u64);
-            d.compute(50);
-        }
-        d.barrier(0);
-        let mut sum = 0u64;
-        for i in 0..self.elems {
-            sum = sum.wrapping_add(d.read_u64(Self::DATA + i * 8));
-        }
-        d.write_u64(Self::SUM_BASE + me * 8, sum);
-        d.barrier(1);
-        // In the sequential run, mirror what the other 15 slots would hold:
-        // nothing — slots beyond num_nodes stay zero, and the check only
-        // compares what both runs wrote.
+    fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let (me, n) = (d.node(), d.num_nodes());
+            let per = self.elems / n;
+            let lo = me * per;
+            let hi = if me == n - 1 { self.elems } else { lo + per };
+            for i in lo..hi {
+                d.write_u64(Self::DATA + i * 8, (i * i + 7) as u64).await;
+                d.compute(50).await;
+            }
+            d.barrier(0).await;
+            let mut sum = 0u64;
+            for i in 0..self.elems {
+                sum = sum.wrapping_add(d.read_u64(Self::DATA + i * 8).await);
+            }
+            d.write_u64(Self::SUM_BASE + me * 8, sum).await;
+            d.barrier(1).await;
+            // In the sequential run, mirror what the other 15 slots would hold:
+            // nothing — slots beyond num_nodes stay zero, and the check only
+            // compares what both runs wrote.
+        })
     }
 
     fn check(&self, seq: &MemImage, par: &MemImage) -> Result<(), String> {
@@ -100,17 +102,20 @@ impl DsmProgram for LockedCounter {
         mem.write_u64(Self::COUNTER, 0);
     }
 
-    fn run(&self, d: &mut dyn Dsm) {
-        let me = d.node();
-        for r in 0..self.rounds {
-            d.lock(0);
-            let v = d.read_u64(Self::COUNTER);
-            d.compute(200);
-            d.write_u64(Self::COUNTER, v + 1);
-            d.unlock(0);
-            d.write_u64(Self::LOG + (me * self.rounds + r) * 8, v + 1);
-        }
-        d.barrier(0);
+    fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let me = d.node();
+            for r in 0..self.rounds {
+                d.lock(0).await;
+                let v = d.read_u64(Self::COUNTER).await;
+                d.compute(200).await;
+                d.write_u64(Self::COUNTER, v + 1).await;
+                d.unlock(0).await;
+                d.write_u64(Self::LOG + (me * self.rounds + r) * 8, v + 1)
+                    .await;
+            }
+            d.barrier(0).await;
+        })
     }
 
     fn check(&self, _seq: &MemImage, par: &MemImage) -> Result<(), String> {
@@ -161,22 +166,25 @@ impl DsmProgram for FalseSharing {
         }
     }
 
-    fn run(&self, d: &mut dyn Dsm) {
-        let (me, n) = (d.node(), d.num_nodes());
-        for phase in 0..self.phases {
-            // Interleaved word ownership: node j writes words j, j+n, ...
-            let mut i = me;
-            while i < self.words {
-                let v = d.read_u64(i * 8);
-                d.write_u64(i * 8, v.wrapping_mul(3).wrapping_add(phase as u64));
-                i += n;
+    fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let (me, n) = (d.node(), d.num_nodes());
+            for phase in 0..self.phases {
+                // Interleaved word ownership: node j writes words j, j+n, ...
+                let mut i = me;
+                while i < self.words {
+                    let v = d.read_u64(i * 8).await;
+                    d.write_u64(i * 8, v.wrapping_mul(3).wrapping_add(phase as u64))
+                        .await;
+                    i += n;
+                }
+                d.barrier(phase).await;
+                // Everyone reads a few neighbours' words.
+                let probe = (me * 7 + phase) % self.words;
+                let _ = d.read_u64(probe * 8).await;
+                d.barrier(self.phases + phase).await;
             }
-            d.barrier(phase);
-            // Everyone reads a few neighbours' words.
-            let probe = (me * 7 + phase) % self.words;
-            let _ = d.read_u64(probe * 8);
-            d.barrier(self.phases + phase);
-        }
+        })
     }
 }
 

@@ -168,22 +168,6 @@ impl FabricConfig {
         self.faults.is_some()
     }
 
-    /// Conservative lookahead for windowed parallel simulation, given the
-    /// latency model's minimum one-way wire time.
-    ///
-    /// Every mechanism in this fabric only ever *adds* delay on top of the
-    /// unloaded wire time: NI occupancy pushes `tx_done` past the depart
-    /// time, frame arrival is `tx_done + wire_ns` plus non-negative
-    /// reorder-jitter/spike terms, duplicates arrive after the original,
-    /// and retransmission timers fire at `tx_done + timeout` (the timeout
-    /// itself exceeds an RTT). An ideal fabric delivers at exactly
-    /// `depart + wire_ns`. So the unloaded latency floor survives any
-    /// configuration, and the fabric's lookahead equals the model's
-    /// minimum one-way time (Table 1: 40 µs RTT / 2).
-    pub fn lookahead_ns(&self, min_wire_ns: u64) -> u64 {
-        min_wire_ns
-    }
-
     /// Parse a fabric spec: `ideal`, `contended`, or `faulty`, optionally
     /// followed by comma-separated `key=value` overrides (`seed`, `drop`,
     /// `dup`, `reorder`, `spike` in ppm, `jitter`/`spike_ns` in ns,

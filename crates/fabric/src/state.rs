@@ -701,11 +701,14 @@ mod tests {
         assert_eq!(f.on_frame(1_000, 2, 1, 0, 64, 2).deliver.len(), 1);
     }
 
-    /// The windowed simulation's lookahead rests on this: no fabric
-    /// configuration ever makes a frame arrive earlier than
-    /// `depart + wire_ns` — queuing, jitter, spikes, duplicates, and
-    /// retransmission all only add delay. Exercised here with heavy fault
-    /// rates across seeds and message sizes.
+    /// No fabric configuration ever makes a frame arrive earlier than
+    /// `depart + wire_ns`: NI occupancy pushes `tx_done` past the depart
+    /// time, frame arrival is `tx_done + wire_ns` plus non-negative
+    /// reorder-jitter/spike terms, duplicates arrive after the original,
+    /// and retransmission timers fire at `tx_done + timeout` — everything
+    /// only adds delay, so the latency model's floor
+    /// (`LatencyModel::min_one_way`) survives any configuration. Exercised
+    /// here with heavy fault rates across seeds and message sizes.
     #[test]
     fn fabric_only_adds_delay_over_the_wire_time() {
         for seed in [1u64, 7, 42, 0xBEEF] {
@@ -721,7 +724,6 @@ mod tests {
                 }),
                 retry: RetryPolicy::default(),
             };
-            let lookahead = cfg.lookahead_ns(20_000);
             let mut f: Fabric<u32> = Fabric::new(cfg, 4);
             let mut now = 0;
             for i in 0..500u64 {
@@ -738,7 +740,6 @@ mod tests {
                                 *at >= now + wire,
                                 "seed {seed}: frame at {at} < depart {now} + wire {wire}"
                             );
-                            assert!(*at >= now + lookahead);
                         }
                         // Timers are sender-local (self-posts): they need
                         // only be non-decreasing in time.

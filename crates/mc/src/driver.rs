@@ -6,8 +6,8 @@
 //! snapshots anything — it re-runs the whole simulation from scratch for
 //! every execution, replaying the decision prefix positionally and
 //! branching at the frontier. An execution is one call of
-//! [`dsm_core::run_tasks_mc`]: the micro-program's nodes are resumable
-//! tasks on the engine's task loop, on this thread, so abandoning a
+//! [`dsm_core::run_tasks_mc`]: the micro-program's nodes are poll-shaped
+//! tasks on the engine's event loop, on this thread, so abandoning a
 //! schedule is `Err(RunError::Pruned)` and the tasks are dropped, and a
 //! schedule that deadlocks is `Err(RunError::Deadlock { .. })` — values,
 //! not unwinds. Reduction is classic sleep-set DPOR
@@ -490,8 +490,7 @@ fn run_config(cfg: &McConfig, prog: &MicroProgram) -> RunConfig {
     let mut rc = RunConfig::new(cfg.protocol, cfg.block_size)
         .with_nodes(prog.nodes())
         .with_static_homes()
-        .with_fabric(fabric)
-        .with_sim_threads(1);
+        .with_fabric(fabric);
     rc.check = cfg.check;
     rc.obs.spans = false;
     if let Some(m) = cfg.mutation {
@@ -512,7 +511,7 @@ fn record(report: &mut McReport, viols: Vec<Violation>) {
     }
 }
 
-/// Run `prog` once on the task loop: one [`MicroTask`] per node under
+/// Run `prog` once on the event loop: one [`MicroTask`] per node under
 /// `rc`, with `hook` deciding every commit-point tie and `fault_oracle`
 /// every transmission's fate. Returns the outcome together with the
 /// execution's trace.

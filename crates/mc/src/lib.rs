@@ -14,16 +14,16 @@
 //! data-race-free programs) — for SC, SW-LRC, HLRC and Tardis alike.
 //!
 //! An exploration is thousands of executions, so an execution is built to
-//! be cheap: the micro-program's nodes are resumable tasks
+//! be cheap: the micro-program's nodes are poll-shaped tasks
 //! ([`program::MicroTask`], a program counter over [`dsm_core::DsmTask`])
-//! on the engine's thread-free task loop ([`dsm_sim::run_tasks`]), where
-//! the hook sits. Nothing is spawned, locked or unwound beneath
+//! on the engine's event loop ([`dsm_sim::run_tasks`]), where the hook
+//! sits. Nothing is spawned, locked or unwound beneath
 //! [`explore`]: a pruned schedule is `Err(RunError::Pruned)` and a
 //! deadlocked one is `Err(RunError::Deadlock { .. })`, both plain values
 //! the driver matches on, and no panic hook is installed. The same
-//! programs also run as ordinary blocking bodies on the threaded engine
-//! ([`program::MicroRunner`]); `tests/mc_task_engine_equiv.rs` holds the
-//! two equal.
+//! programs also run as ordinary `async` bodies on the same loop, as the
+//! applications do ([`program::MicroRunner`]);
+//! `tests/mc_task_engine_equiv.rs` holds the two equal.
 //!
 //! Each completed schedule is validated three ways:
 //!

@@ -6,17 +6,18 @@
 //! A [`MicroProgram`] describes such a configuration declaratively. Two
 //! runners execute it and record the value-carrying trace the legality
 //! oracles in [`crate::oracle`] consume: [`MicroTask`], a program counter
-//! over a [`DsmTask`] on the thread-free task loop — what [`crate::explore`]
-//! runs — and [`MicroRunner`], the same program as an ordinary blocking
-//! [`DsmProgram`] body on the threaded engine, kept as the reference the
-//! task runner is differentially tested against.
+//! over a [`DsmTask`] — the poll-shaped form [`crate::explore`] runs, tens
+//! of thousands of times per exploration — and [`MicroRunner`], the same
+//! program as an ordinary `async` [`DsmProgram`] body under
+//! `dsm_core::run_parallel`, kept as the reference the task runner is
+//! differentially tested against.
 
 use std::cell::RefCell;
 use std::ops::ControlFlow::{Break, Continue};
 use std::sync::Mutex;
 
 use dsm_core::task::Poll;
-use dsm_core::{Dsm, DsmProgram, DsmTask, MemImage, RunConfig};
+use dsm_core::{Dsm, DsmProgram, DsmTask, MemImage, NodeFuture, RunConfig};
 use dsm_proto::{Packet, ProtoWorld};
 use dsm_sim::{NodeTask, Sched, Step};
 
@@ -137,7 +138,7 @@ impl TraceEv {
 ///
 /// A [`TraceEv`] is recorded when its operation completes — for a data
 /// access, after its cost has been charged, which can yield once the batch
-/// reaches the flush quantum — exactly where the threaded [`MicroRunner`]
+/// reaches the flush quantum — exactly where the `async` [`MicroRunner`]
 /// records it, so the two produce the same trace. Recording at the
 /// access's commit point instead would differ only in where a data event
 /// sits relative to *other* nodes' events, which neither oracle reads:
@@ -243,8 +244,8 @@ impl NodeTask<ProtoWorld> for MicroTask<'_> {
     }
 }
 
-/// [`DsmProgram`] adapter executing a [`MicroProgram`] on the threaded
-/// engine and recording its trace; [`MicroRunner::take_trace`] yields the
+/// [`DsmProgram`] adapter executing a [`MicroProgram`] as an `async` node
+/// body and recording its trace; [`MicroRunner::take_trace`] yields the
 /// trace after the run. It also serves as the program description (name,
 /// size, initial image) behind [`MicroTask`] runs.
 pub struct MicroRunner {
@@ -282,65 +283,43 @@ impl DsmProgram for MicroRunner {
         }
     }
 
-    fn run(&self, d: &mut dyn Dsm) {
-        let me = d.node();
-        for op in &self.prog.threads[me] {
-            match *op {
-                Op::Read(addr) => {
-                    let val = d.read_u64(addr);
-                    self.trace.lock().unwrap().push(TraceEv::Read {
-                        node: me,
-                        addr,
-                        val,
-                    });
+    fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let node = d.node();
+            let record = |ev| self.trace.lock().unwrap().push(ev);
+            for op in &self.prog.threads[node] {
+                match *op {
+                    Op::Read(addr) => {
+                        let val = d.read_u64(addr).await;
+                        record(TraceEv::Read { node, addr, val });
+                    }
+                    Op::Write(addr, val) => {
+                        d.write_u64(addr, val).await;
+                        record(TraceEv::Write { node, addr, val });
+                    }
+                    Op::Add(addr, delta) => {
+                        let val = d.read_u64(addr).await;
+                        record(TraceEv::Read { node, addr, val });
+                        let val = val.wrapping_add(delta);
+                        d.write_u64(addr, val).await;
+                        record(TraceEv::Write { node, addr, val });
+                    }
+                    Op::Lock(lock) => {
+                        d.lock(lock).await;
+                        record(TraceEv::Lock { node, lock });
+                    }
+                    Op::Unlock(lock) => {
+                        d.unlock(lock).await;
+                        record(TraceEv::Unlock { node, lock });
+                    }
+                    Op::Barrier(bar) => {
+                        d.barrier(bar).await;
+                        record(TraceEv::BarPass { node, bar });
+                    }
+                    Op::Compute(ns) => d.compute(ns).await,
                 }
-                Op::Write(addr, val) => {
-                    d.write_u64(addr, val);
-                    self.trace.lock().unwrap().push(TraceEv::Write {
-                        node: me,
-                        addr,
-                        val,
-                    });
-                }
-                Op::Add(addr, delta) => {
-                    let seen = d.read_u64(addr);
-                    self.trace.lock().unwrap().push(TraceEv::Read {
-                        node: me,
-                        addr,
-                        val: seen,
-                    });
-                    let val = seen.wrapping_add(delta);
-                    d.write_u64(addr, val);
-                    self.trace.lock().unwrap().push(TraceEv::Write {
-                        node: me,
-                        addr,
-                        val,
-                    });
-                }
-                Op::Lock(lock) => {
-                    d.lock(lock);
-                    self.trace
-                        .lock()
-                        .unwrap()
-                        .push(TraceEv::Lock { node: me, lock });
-                }
-                Op::Unlock(lock) => {
-                    d.unlock(lock);
-                    self.trace
-                        .lock()
-                        .unwrap()
-                        .push(TraceEv::Unlock { node: me, lock });
-                }
-                Op::Barrier(bar) => {
-                    d.barrier(bar);
-                    self.trace
-                        .lock()
-                        .unwrap()
-                        .push(TraceEv::BarPass { node: me, bar });
-                }
-                Op::Compute(ns) => d.compute(ns),
             }
-        }
+        })
     }
 }
 

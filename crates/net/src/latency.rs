@@ -65,8 +65,7 @@ impl LatencyModel {
         2 * self.one_way(bytes)
     }
 
-    /// The smallest one-way latency any message can have under this model —
-    /// the conservative lookahead bound for windowed parallel simulation:
+    /// The smallest one-way latency any message can have under this model:
     /// no cross-node message departs and arrives within a shorter interval.
     /// `one_way` clamps below the first calibration point and interpolates
     /// linearly between points, so the minimum over the points themselves is

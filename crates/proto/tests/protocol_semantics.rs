@@ -4,32 +4,24 @@
 //! application suite (being data-race-free) can never observe, such as
 //! reads of stale data before an acquire under the LRC protocols.
 
-use dsm_core::{Dsm, DsmThread};
+use dsm_core::{node_body, run_bodies, NodeBody};
 use dsm_mem::Layout;
 use dsm_net::Notify;
 use dsm_proto::{ProtoConfig, ProtoWorld, Protocol};
-use dsm_sim::engine::{run_cluster, NodeCtx};
-
-type Body = Box<dyn FnOnce(&mut NodeCtx<ProtoWorld>) + Send>;
-type DsmBody = Box<dyn FnOnce(&mut dyn Dsm) + Send>;
 
 /// Run scripted bodies on a small cluster; returns the final world.
-fn run_script(protocol: Protocol, block: usize, nodes: usize, bodies: Vec<DsmBody>) -> ProtoWorld {
+fn run_script(
+    protocol: Protocol,
+    block: usize,
+    nodes: usize,
+    bodies: Vec<NodeBody<'_>>,
+) -> ProtoWorld {
+    assert_eq!(bodies.len(), nodes);
     let mut cfg = ProtoConfig::new(Layout::new(64 * 1024, block), protocol, Notify::Polling);
     cfg.nodes = nodes;
     let mut world = ProtoWorld::new(cfg);
     world.load_golden(&vec![0u8; 64 * 1024]);
-    let wrapped: Vec<Body> = bodies
-        .into_iter()
-        .map(|body| {
-            Box::new(move |ctx: &mut NodeCtx<ProtoWorld>| {
-                let mut t = DsmThread::new(ctx, 0);
-                body(&mut t);
-                t.flush();
-            }) as Body
-        })
-        .collect();
-    run_cluster(world, wrapped).0
+    run_bodies(world, bodies)
 }
 
 #[test]
@@ -41,15 +33,19 @@ fn sc_reads_are_always_fresh() {
         256,
         2,
         vec![
-            Box::new(|d: &mut dyn Dsm| {
-                d.write_u64(0, 42);
-                d.barrier(0); // only to separate write from read in time
-                d.compute(1_000_000);
+            node_body(|d| {
+                Box::pin(async move {
+                    d.write_u64(0, 42).await;
+                    d.barrier(0).await; // only to separate write from read in time
+                    d.compute(1_000_000).await;
+                })
             }),
-            Box::new(|d: &mut dyn Dsm| {
-                d.barrier(0);
-                // No lock, no barrier after this point: a plain racy read.
-                assert_eq!(d.read_u64(0), 42, "SC read must be coherent");
+            node_body(|d| {
+                Box::pin(async move {
+                    d.barrier(0).await;
+                    // No lock, no barrier after this point: a plain racy read.
+                    assert_eq!(d.read_u64(0).await, 42, "SC read must be coherent");
+                })
             }),
         ],
     );
@@ -77,31 +73,35 @@ fn sw_lrc_reads_stay_stale_until_an_acquire() {
         256,
         2,
         vec![
-            Box::new(|d: &mut dyn Dsm| {
-                d.lock(0);
-                d.write_u64(0, 1); // claim ownership, version it
-                d.unlock(0);
-                // Node 1 rewrites around t=5ms; wait far past that without
-                // performing any acquire.
-                d.compute(20_000_000);
-                assert_eq!(
-                    d.read_u64(0),
-                    1,
-                    "SW-LRC must NOT invalidate this copy before an acquire"
-                );
-                d.lock(0);
-                d.unlock(0);
-                // The acquire carried node 1's write notice: copy invalid,
-                // fresh fetch sees the new value.
-                assert_eq!(d.read_u64(0), 2, "post-acquire read must be fresh");
-                d.barrier(2);
+            node_body(|d| {
+                Box::pin(async move {
+                    d.lock(0).await;
+                    d.write_u64(0, 1).await; // claim ownership, version it
+                    d.unlock(0).await;
+                    // Node 1 rewrites around t=5ms; wait far past that without
+                    // performing any acquire.
+                    d.compute(20_000_000).await;
+                    assert_eq!(
+                        d.read_u64(0).await,
+                        1,
+                        "SW-LRC must NOT invalidate this copy before an acquire"
+                    );
+                    d.lock(0).await;
+                    d.unlock(0).await;
+                    // The acquire carried node 1's write notice: copy invalid,
+                    // fresh fetch sees the new value.
+                    assert_eq!(d.read_u64(0).await, 2, "post-acquire read must be fresh");
+                    d.barrier(2).await;
+                })
             }),
-            Box::new(|d: &mut dyn Dsm| {
-                d.compute(5_000_000);
-                d.lock(0);
-                d.write_u64(0, 2);
-                d.unlock(0);
-                d.barrier(2);
+            node_body(|d| {
+                Box::pin(async move {
+                    d.compute(5_000_000).await;
+                    d.lock(0).await;
+                    d.write_u64(0, 2).await;
+                    d.unlock(0).await;
+                    d.barrier(2).await;
+                })
             }),
         ],
     );
@@ -118,22 +118,26 @@ fn sw_lrc_skips_invalidation_when_version_is_current() {
         256,
         2,
         vec![
-            Box::new(|d: &mut dyn Dsm| {
-                d.lock(0);
-                d.write_u64(0, 7);
-                d.unlock(0);
-                d.barrier(0);
-                d.barrier(1);
+            node_body(|d| {
+                Box::pin(async move {
+                    d.lock(0).await;
+                    d.write_u64(0, 7).await;
+                    d.unlock(0).await;
+                    d.barrier(0).await;
+                    d.barrier(1).await;
+                })
             }),
-            Box::new(|d: &mut dyn Dsm| {
-                d.barrier(0);
-                // Fresh fetch of the current version.
-                assert_eq!(d.read_u64(0), 7);
-                // Acquire that carries the (old) notice for version 1.
-                d.lock(0);
-                d.unlock(0);
-                assert_eq!(d.read_u64(0), 7);
-                d.barrier(1);
+            node_body(|d| {
+                Box::pin(async move {
+                    d.barrier(0).await;
+                    // Fresh fetch of the current version.
+                    assert_eq!(d.read_u64(0).await, 7);
+                    // Acquire that carries the (old) notice for version 1.
+                    d.lock(0).await;
+                    d.unlock(0).await;
+                    assert_eq!(d.read_u64(0).await, 7);
+                    d.barrier(1).await;
+                })
             }),
         ],
     );
@@ -153,27 +157,33 @@ fn hlrc_merges_concurrent_writers_through_diffs() {
         256,
         3,
         vec![
-            Box::new(|d: &mut dyn Dsm| {
-                // Node 0 claims the home by first store touch elsewhere in
-                // the block's page? No: keep the home at a third party by
-                // having node 2 touch first.
-                d.barrier(0);
-                d.write_u64(0, 0xAAAA);
-                d.barrier(1);
-                assert_eq!(d.read_u64(0), 0xAAAA);
-                assert_eq!(d.read_u64(128), 0xBBBB, "peer's write must be merged");
+            node_body(|d| {
+                Box::pin(async move {
+                    // Node 0 claims the home by first store touch elsewhere in
+                    // the block's page? No: keep the home at a third party by
+                    // having node 2 touch first.
+                    d.barrier(0).await;
+                    d.write_u64(0, 0xAAAA).await;
+                    d.barrier(1).await;
+                    assert_eq!(d.read_u64(0).await, 0xAAAA);
+                    assert_eq!(d.read_u64(128).await, 0xBBBB, "peer's write must be merged");
+                })
             }),
-            Box::new(|d: &mut dyn Dsm| {
-                d.barrier(0);
-                d.write_u64(128, 0xBBBB);
-                d.barrier(1);
-                assert_eq!(d.read_u64(0), 0xAAAA, "peer's write must be merged");
-                assert_eq!(d.read_u64(128), 0xBBBB);
+            node_body(|d| {
+                Box::pin(async move {
+                    d.barrier(0).await;
+                    d.write_u64(128, 0xBBBB).await;
+                    d.barrier(1).await;
+                    assert_eq!(d.read_u64(0).await, 0xAAAA, "peer's write must be merged");
+                    assert_eq!(d.read_u64(128).await, 0xBBBB);
+                })
             }),
-            Box::new(|d: &mut dyn Dsm| {
-                d.write_u64(64, 1); // first store touch: node 2 becomes home
-                d.barrier(0);
-                d.barrier(1);
+            node_body(|d| {
+                Box::pin(async move {
+                    d.write_u64(64, 1).await; // first store touch: node 2 becomes home
+                    d.barrier(0).await;
+                    d.barrier(1).await;
+                })
             }),
         ],
     );
@@ -192,20 +202,24 @@ fn hlrc_reads_stay_stale_until_acquire_too() {
         256,
         2,
         vec![
-            Box::new(|d: &mut dyn Dsm| {
-                d.write_u64(0, 5); // claims home
-                d.barrier(0);
-                d.barrier(1);
-                d.barrier(2);
+            node_body(|d| {
+                Box::pin(async move {
+                    d.write_u64(0, 5).await; // claims home
+                    d.barrier(0).await;
+                    d.barrier(1).await;
+                    d.barrier(2).await;
+                })
             }),
-            Box::new(|d: &mut dyn Dsm| {
-                d.barrier(0);
-                assert_eq!(d.read_u64(0), 5);
-                d.barrier(1);
-                // Node 0 does nothing more; our copy stays valid across the
-                // barrier (no notices for this block in this interval).
-                assert_eq!(d.read_u64(0), 5);
-                d.barrier(2);
+            node_body(|d| {
+                Box::pin(async move {
+                    d.barrier(0).await;
+                    assert_eq!(d.read_u64(0).await, 5);
+                    d.barrier(1).await;
+                    // Node 0 does nothing more; our copy stays valid across the
+                    // barrier (no notices for this block in this interval).
+                    assert_eq!(d.read_u64(0).await, 5);
+                    d.barrier(2).await;
+                })
             }),
         ],
     );
@@ -218,12 +232,16 @@ fn first_store_touch_claims_the_home() {
         256,
         2,
         vec![
-            Box::new(|d: &mut dyn Dsm| {
-                d.barrier(0);
+            node_body(|d| {
+                Box::pin(async move {
+                    d.barrier(0).await;
+                })
             }),
-            Box::new(|d: &mut dyn Dsm| {
-                d.write_u64(1024, 9); // block 4 at 256 B granularity
-                d.barrier(0);
+            node_body(|d| {
+                Box::pin(async move {
+                    d.write_u64(1024, 9).await; // block 4 at 256 B granularity
+                    d.barrier(0).await;
+                })
             }),
         ],
     );
@@ -239,18 +257,20 @@ fn locks_grant_in_fifo_order() {
     // manager means request-arrival order wins.
     let w = run_script(Protocol::Sc, 256, 4, {
         let mk = |me: usize| {
-            Box::new(move |d: &mut dyn Dsm| {
-                // Stagger request times by node id, far apart enough
-                // that network locality to the manager cannot reorder
-                // arrivals.
-                d.compute(1_000_000 * me as u64 + 1);
-                d.lock(3);
-                let n = d.read_u64(0);
-                d.write_u64(8 + n as usize * 8, me as u64);
-                d.write_u64(0, n + 1);
-                d.unlock(3);
-                d.barrier(0);
-            }) as Box<dyn FnOnce(&mut dyn Dsm) + Send>
+            node_body(move |d| {
+                Box::pin(async move {
+                    // Stagger request times by node id, far apart enough
+                    // that network locality to the manager cannot reorder
+                    // arrivals.
+                    d.compute(1_000_000 * me as u64 + 1).await;
+                    d.lock(3).await;
+                    let n = d.read_u64(0).await;
+                    d.write_u64(8 + n as usize * 8, me as u64).await;
+                    d.write_u64(0, n + 1).await;
+                    d.unlock(3).await;
+                    d.barrier(0).await;
+                })
+            })
         };
         (0..4).map(mk).collect()
     });
@@ -276,19 +296,23 @@ fn sc_write_sharing_ping_pongs_ownership() {
         64,
         2,
         vec![
-            Box::new(move |d: &mut dyn Dsm| {
-                for r in 0..rounds {
-                    d.write_u64(0, r);
-                    d.barrier(0);
-                    d.barrier(1);
-                }
+            node_body(move |d| {
+                Box::pin(async move {
+                    for r in 0..rounds {
+                        d.write_u64(0, r).await;
+                        d.barrier(0).await;
+                        d.barrier(1).await;
+                    }
+                })
             }),
-            Box::new(move |d: &mut dyn Dsm| {
-                for r in 0..rounds {
-                    d.barrier(0);
-                    d.write_u64(0, 100 + r);
-                    d.barrier(1);
-                }
+            node_body(move |d| {
+                Box::pin(async move {
+                    for r in 0..rounds {
+                        d.barrier(0).await;
+                        d.write_u64(0, 100 + r).await;
+                        d.barrier(1).await;
+                    }
+                })
             }),
         ],
     );
@@ -316,23 +340,27 @@ fn hlrc_avoids_the_ping_pong_entirely() {
             64,
             2,
             vec![
-                Box::new(move |d: &mut dyn Dsm| {
-                    for r in 0..rounds {
-                        for k in 0..writes_per_round {
-                            d.write_u64(k * 8, r);
-                            d.compute(50_000); // give the peer time to interleave
+                node_body(move |d| {
+                    Box::pin(async move {
+                        for r in 0..rounds {
+                            for k in 0..writes_per_round {
+                                d.write_u64(k * 8, r).await;
+                                d.compute(50_000).await; // give the peer time to interleave
+                            }
+                            d.barrier(0).await;
                         }
-                        d.barrier(0);
-                    }
+                    })
                 }),
-                Box::new(move |d: &mut dyn Dsm| {
-                    for r in 0..rounds {
-                        for k in 0..writes_per_round {
-                            d.write_u64(32 + k * 8, 100 + r);
-                            d.compute(50_000);
+                node_body(move |d| {
+                    Box::pin(async move {
+                        for r in 0..rounds {
+                            for k in 0..writes_per_round {
+                                d.write_u64(32 + k * 8, 100 + r).await;
+                                d.compute(50_000).await;
+                            }
+                            d.barrier(0).await;
                         }
-                        d.barrier(0);
-                    }
+                    })
                 }),
             ],
         );
@@ -363,18 +391,18 @@ fn interrupt_grace_window_defers_invalidations() {
         let mut world = ProtoWorld::new(cfg);
         world.load_golden(&vec![0u8; 4096]);
         let mk = |me: usize| {
-            Box::new(move |ctx: &mut NodeCtx<ProtoWorld>| {
-                let mut t = DsmThread::new(ctx, 0);
-                for r in 0..200u64 {
-                    let v = t.read_u64(0);
-                    t.write_u64(8 + me * 8, v.wrapping_add(r));
-                    t.write_u64(0, v + 1);
-                    t.compute(5_000);
-                }
-                t.flush();
-            }) as Body
+            node_body(move |d| {
+                Box::pin(async move {
+                    for r in 0..200u64 {
+                        let v = d.read_u64(0).await;
+                        d.write_u64(8 + me * 8, v.wrapping_add(r)).await;
+                        d.write_u64(0, v + 1).await;
+                        d.compute(5_000).await;
+                    }
+                })
+            })
         };
-        let (w, _) = run_cluster(world, vec![mk(0), mk(1)]);
+        let w = run_bodies(world, vec![mk(0), mk(1)]);
         w.stats
             .iter()
             .map(|c| c.read_faults + c.write_faults)

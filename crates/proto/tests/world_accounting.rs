@@ -85,25 +85,24 @@ fn lock_and_barrier_tables_grow_on_demand() {
 fn header_bytes_are_charged_per_message() {
     // Per-message accounting is validated end to end: a two-node SC run's
     // control bytes are at least one header per message sent.
-    use dsm_core::{Dsm, DsmThread};
-    use dsm_sim::engine::{run_cluster, NodeCtx};
-    let w = world(Protocol::Sc, 2);
-    type Body = Box<dyn FnOnce(&mut NodeCtx<ProtoWorld>) + Send>;
-    let bodies: Vec<Body> = vec![
-        Box::new(|ctx: &mut NodeCtx<ProtoWorld>| {
-            let mut t = DsmThread::new(ctx, 0);
-            t.write_u64(256, 1); // one remote-ish fault
-            t.barrier(0);
-            t.flush();
-        }),
-        Box::new(|ctx: &mut NodeCtx<ProtoWorld>| {
-            let mut t = DsmThread::new(ctx, 0);
-            t.barrier(0);
-            let _ = t.read_u64(256);
-            t.flush();
-        }),
-    ];
-    let (w, _) = run_cluster(w, bodies);
+    use dsm_core::{node_body, run_bodies};
+    let w = run_bodies(
+        world(Protocol::Sc, 2),
+        vec![
+            node_body(|d| {
+                Box::pin(async move {
+                    d.write_u64(256, 1).await; // one remote-ish fault
+                    d.barrier(0).await;
+                })
+            }),
+            node_body(|d| {
+                Box::pin(async move {
+                    d.barrier(0).await;
+                    let _ = d.read_u64(256).await;
+                })
+            }),
+        ],
+    );
     let msgs: u64 = w.stats.iter().map(|c| c.msgs_sent).sum();
     let ctrl: u64 = w.stats.iter().map(|c| c.ctrl_bytes).sum();
     assert!(msgs > 0);

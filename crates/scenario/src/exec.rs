@@ -161,9 +161,8 @@ fn metrics(r: &RepOutcome) -> Vec<(&'static str, f64)> {
 
 /// Simulator event density: events per *virtual* second of measured
 /// parallel time. Deliberately not a wall-clock rate — both inputs are
-/// deterministic, so the JSONL stays byte-identical across hosts, job
-/// widths, and `DSM_SIM_PAR` settings (the host-side throughput metric
-/// lives in `BENCH_simperf.json` instead).
+/// deterministic, so the JSONL stays byte-identical across hosts and job
+/// widths (the host-side throughput metric is `dsm-perf`'s `events_per_s`).
 fn sim_events_per_sec(s: &RunStats) -> f64 {
     if s.parallel_time_ns == 0 {
         return 0.0;

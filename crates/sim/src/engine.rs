@@ -1,44 +1,42 @@
-//! The discrete-event engine: event queue, node scheduling, and the two
-//! substrates that run node programs on it.
+//! The discrete-event engine: event queue, node scheduling, and the one
+//! loop that runs node programs on it.
 //!
-//! One [`SchedInner`] — virtual clock, event queue, per-node scheduling
-//! slots — is shared by both substrates, so a yield means the same thing on
-//! either:
+//! [`run_tasks`] is the only event loop: it pops events in `(time, seq)`
+//! order on the caller's thread, delivers messages to the [`World`], and
+//! resumes a node in place when its resume event commits. No threads, no
+//! locks, no unwinding: nodes need be neither `Send` nor `'static`, an
+//! abandoned execution is a dropped `Vec`, a deadlock is a value
+//! ([`RunError::Deadlock`]), and a panicking node body simply unwinds
+//! through the loop to the caller. A node program comes in one of two
+//! shapes ([`Node`]), and both express a yield through the same
+//! [`SchedInner`] transitions, so a yield means the same thing in either:
 //!
-//! * **Tasks** ([`run_tasks`]): node programs are poll-shaped
-//!   [`NodeTask`]s resumed in place by one loop on the caller's thread. No
-//!   threads, no locks, no unwinding; the world is a plain `&mut` borrow,
-//!   tasks need be neither `Send` nor `'static`, an abandoned execution is
-//!   a dropped `Vec`, and a deadlock is a value ([`RunError::Deadlock`]).
-//!   This is the only substrate a model-checker hook ([`McHook`]) can
-//!   control. Its first tenant is `dsm-mc`'s straight-line micro-programs.
-//! * **Threads** ([`run_cluster`] and friends): one OS thread per node
-//!   running an ordinary closure against a [`NodeCtx`], for programs
-//!   written as plain blocking code (the paper's applications). Two modes
-//!   share the queue and the node threads:
-//!   * *Serial* ([`SimPar::serial`], the default): exactly one logical
-//!     entity runs at any instant; whichever node thread is active drives
-//!     the event loop and hands control over via condvars.
-//!   * *Windowed / conservative PDES* ([`SimPar::windowed`], `threads > 1`):
-//!     the caller's thread becomes a *committer* that pops and executes every
-//!     event in exact global `(time, seq)` order — so all world mutations
-//!     happen in the same order as serial execution and results are
-//!     bit-identical by construction — while up to `threads - 1` node threads
-//!     run their *leading compute* (thread-local application work between DSM
-//!     operations) speculatively ahead of their committed resume. The
-//!     conservative lookahead window (derived from the fabric's minimum
-//!     inter-node latency) bounds which parked nodes are woken early, and
-//!     cross-node events produced inside a window are staged on a separate
-//!     wheel and merged back at window edges in `(time, seq)` order.
+//! * **Futures** ([`NodeFuture`]): ordinary `async` code against a
+//!   [`NodeHandle`] — the shape for real programs (the paper's
+//!   applications), whose continuation at a yield is a call stack the
+//!   compiler turns into a state machine. The body suspends only inside
+//!   [`NodeHandle::advance`] and [`NodeHandle::block`]; the loop polls it
+//!   with a no-op waker, because the engine — not a waker — decides who
+//!   runs next. [`NodeHandle::world`] is closure-shaped on purpose: the
+//!   borrow of the world ends with the closure, so it can never be held
+//!   across an `.await`.
+//! * **Tasks** ([`NodeTask`]): poll-shaped state machines written by hand,
+//!   lent `&mut` world and scheduler on every resume and returning a
+//!   [`Step`]. A straight-line program's whole continuation is a program
+//!   counter, so this shape needs no future and no allocation per resume;
+//!   `dsm-mc`'s micro-programs, executed tens of thousands of times per
+//!   exploration, run this way.
 //!
-//! Tasks are poll-shaped rather than `async` because the engine needs
-//! nothing a future adds: a node yields for exactly three reasons
-//! ([`Step`]), the engine — not a waker — decides who runs next, and a
-//! straight-line program's whole continuation is a program counter.
+//! A model-checker hook ([`McHook`]) sits on the loop and controls every
+//! commit point, whatever the shape of the nodes.
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::cell::RefCell;
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
-use crate::queue::SplitQueue;
+use crate::queue::BucketQueue;
 use crate::rng::fold64;
 use crate::time::Time;
 use crate::NodeId;
@@ -70,7 +68,7 @@ pub enum McEvent<'a, M> {
     },
 }
 
-/// A controlled scheduler plugged into the task loop by [`run_tasks`]: every
+/// A controlled scheduler plugged into the event loop by [`run_tasks`]: every
 /// commit point where more than zero events are co-enabled at the head
 /// virtual time becomes an explicit choice.
 ///
@@ -78,7 +76,7 @@ pub enum McEvent<'a, M> {
 /// can maintain replay position, sleep sets, and step bounds uniformly.
 /// Returning `None` abandons the execution: [`run_tasks`] drops the tasks
 /// and returns [`RunError::Pruned`].
-pub trait McHook<W: World>: Send {
+pub trait McHook<W: World> {
     /// Pick which of `choices` (all tied at virtual time `at`) commits.
     ///
     /// `engine_hash` folds the scheduler-visible state (head time, node
@@ -97,7 +95,7 @@ pub trait McHook<W: World>: Send {
 /// Content hash of a queued message addressed at a node, used to fingerprint
 /// the pending-event multiset in model-checked runs. Must be a pure function
 /// of the message so replays fingerprint identically.
-pub type McMsgHash<M> = Box<dyn Fn(NodeId, &M) -> u64 + Send>;
+pub type McMsgHash<M> = Box<dyn Fn(NodeId, &M) -> u64>;
 
 /// Everything [`run_tasks`] installs on the engine: the controlling
 /// hook plus a content hash for queued messages (feeding the queue-multiset
@@ -109,61 +107,6 @@ pub struct McInstall<W: World> {
     pub msg_hash: McMsgHash<W::Msg>,
 }
 
-/// Execution mode for [`run_cluster_with`]: worker-thread cap plus the
-/// conservative lookahead bound for windowed execution.
-#[derive(Debug, Clone, Copy)]
-pub struct SimPar {
-    /// Concurrency cap. 1 = fully serialized (the classic engine); n > 1
-    /// lets up to n-1 node threads run speculative leading compute while the
-    /// committer thread executes world phases in global order.
-    pub threads: usize,
-    /// Conservative lookahead L in ns: an event produced for *another* node
-    /// at time t never takes effect before t + L. Derived from the minimum
-    /// one-way network latency (the Table-1 Myrinet floor, ~20 µs one-way);
-    /// ignored in serial mode.
-    pub lookahead_ns: Time,
-}
-
-impl SimPar {
-    /// Fully serialized execution (the default).
-    pub fn serial() -> Self {
-        SimPar {
-            threads: 1,
-            lookahead_ns: 0,
-        }
-    }
-
-    /// Windowed execution with up to `threads` concurrent threads and the
-    /// given lookahead. `threads <= 1` degrades to the serial engine.
-    pub fn windowed(threads: usize, lookahead_ns: Time) -> Self {
-        SimPar {
-            threads: threads.max(1),
-            lookahead_ns,
-        }
-    }
-
-    /// Resolve the `DSM_SIM_PAR` environment knob into a thread count:
-    /// unset or empty → 1 (serial); `auto` or `0` → one thread per available
-    /// core; an integer N → N.
-    pub fn threads_from_env() -> usize {
-        match std::env::var("DSM_SIM_PAR") {
-            Err(_) => 1,
-            Ok(v) => {
-                let v = v.trim();
-                if v.is_empty() {
-                    1
-                } else if v.eq_ignore_ascii_case("auto") || v == "0" {
-                    std::thread::available_parallelism().map_or(1, |p| p.get())
-                } else {
-                    v.parse().unwrap_or_else(|_| {
-                        panic!("DSM_SIM_PAR must be a thread count, `auto`, or unset (got {v:?})")
-                    })
-                }
-            }
-        }
-    }
-}
-
 /// Shared mutable state plugged into the engine: the protocol world.
 ///
 /// The engine is generic over the world so that the protocol layer can define
@@ -171,16 +114,17 @@ impl SimPar {
 /// once per posted message, at the message's scheduled arrival time, with a
 /// [`Sched`] handle for posting follow-up messages, waking blocked nodes, or
 /// charging occupancy delays to busy nodes.
-pub trait World: Send + 'static {
+pub trait World {
     /// Message type routed through the event queue.
-    type Msg: Send + 'static;
+    type Msg;
 
     /// Handle a message arriving at node `to` at the current virtual time.
     fn deliver(&mut self, sched: &mut Sched<Self::Msg>, to: NodeId, msg: Self::Msg);
 
     /// Observe a node advancing its local clock over `[from, to)` (compute
-    /// or local protocol work). Called from [`NodeCtx::advance`] before the
-    /// segment is scheduled; occupancy charged into the segment later via
+    /// or local protocol work). Called when the node yields
+    /// ([`NodeHandle::advance`], [`Step::Advance`]), before the segment is
+    /// scheduled; occupancy charged into the segment later via
     /// [`Sched::delay`] is not included. Default: no-op.
     fn on_advance(&mut self, _node: NodeId, _from: Time, _to: Time) {}
 }
@@ -205,17 +149,18 @@ pub enum NodeStatus {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
     /// Compute for this many virtual nanoseconds, then resume (what
-    /// [`NodeCtx::advance`] is to a threaded body). `Advance(0)` still
+    /// [`NodeHandle::advance`] is to an `async` body). `Advance(0)` still
     /// yields: events tied at the current time may commit first.
     Advance(Time),
     /// Park until a message handler calls [`Sched::wake`] for this node
-    /// ([`NodeCtx::block`]).
+    /// ([`NodeHandle::block`]).
     Block,
     /// The node program has finished; the task is not resumed again.
     Done,
 }
 
-/// A node program in resumable form: the engine calls [`NodeTask::resume`]
+/// A node program as a hand-written state machine: the engine calls
+/// [`NodeTask::resume`]
 /// each time the node's resume event commits, with the world and scheduler
 /// borrowed for the duration of the call, and the task runs until its next
 /// yield. Everything a task must remember across a yield lives in `self`.
@@ -272,24 +217,19 @@ struct NodeSlot {
 }
 
 /// Event queue plus node scheduling state. Exposed to message handlers and
-/// node contexts as [`Sched`].
+/// node programs as [`Sched`].
 pub struct SchedInner<M> {
     now: Time,
-    queue: SplitQueue<EventKind<M>>,
+    queue: BucketQueue<EventKind<M>>,
     nodes: Vec<NodeSlot>,
     done_count: usize,
     /// Events popped and processed (resumes, stale resumes, deliveries) —
     /// the simulator's native unit of work, deterministic per run.
     events: u64,
-    /// Windowed mode only: the node at which the currently executing unit
-    /// (message handler or node segment) runs. Pushes addressed at a
-    /// *different* node are cross-node traffic and get staged until the next
-    /// window edge; `None` (startup, between units) stages everything.
-    /// Model-checked runs reuse it to assert handler footprints (a handler
-    /// may only wake/delay its own delivery target).
+    /// Model-checked runs only: the delivery target of the message handler
+    /// now executing, to assert handler footprints (a handler may only
+    /// wake/delay its own delivery target).
     exec: Option<NodeId>,
-    /// True when running under the windowed (PDES) committer.
-    windowed: bool,
     /// Model-checked runs only: content hash for queued messages. Doubles as
     /// the "mc mode" flag on the scheduler side.
     mc_msg_hash: Option<McMsgHash<M>>,
@@ -299,15 +239,15 @@ pub struct SchedInner<M> {
     queue_hash: u64,
 }
 
-/// Handle given to [`World::deliver`] and [`NodeCtx::world`] closures for
-/// interacting with the event queue.
+/// Handle given to [`World::deliver`], [`NodeTask::resume`] and
+/// [`NodeHandle::world`] closures for interacting with the event queue.
 pub type Sched<M> = SchedInner<M>;
 
 impl<M> SchedInner<M> {
     /// Standalone scheduler for unit-testing message handlers outside the
     /// engine: events accumulate in the heap and can be drained with
-    /// [`SchedInner::take_events`]; nodes start `Ready` so wakes on them
-    /// are recorded as pending.
+    /// [`SchedInner::take_events`]; nodes start `Blocked`, so a wake on one
+    /// queues its resume event.
     pub fn for_testing(n: usize) -> Self {
         let mut s = Self::new(n);
         for node in 0..n {
@@ -320,7 +260,7 @@ impl<M> SchedInner<M> {
     /// messages and `None` payloads for resumes.
     pub fn take_events(&mut self) -> Vec<(Time, NodeId, Option<M>)> {
         let mut out = Vec::new();
-        while let Some((at, _, kind)) = self.queue.pop() {
+        while let Some((at, kind)) = self.queue.pop() {
             match kind {
                 EventKind::Msg { to, msg } => out.push((at, to, Some(msg))),
                 EventKind::Resume { node, .. } => out.push((at, node, None)),
@@ -338,7 +278,7 @@ impl<M> SchedInner<M> {
     fn new(n: usize) -> Self {
         SchedInner {
             now: 0,
-            queue: SplitQueue::new(n),
+            queue: BucketQueue::new(),
             nodes: (0..n)
                 .map(|_| NodeSlot {
                     status: NodeStatus::Blocked, // set properly at start
@@ -349,7 +289,6 @@ impl<M> SchedInner<M> {
             done_count: 0,
             events: 0,
             exec: None,
-            windowed: false,
             mc_msg_hash: None,
             queue_hash: 0,
         }
@@ -388,23 +327,12 @@ impl<M> SchedInner<M> {
             let h = self.mc_event_hash(at, &kind);
             self.queue_hash ^= h;
         }
-        let target = match &kind {
-            EventKind::Msg { to, .. } => *to,
-            EventKind::Resume { node, .. } => *node,
-        };
-        // In windowed mode, events addressed at a node other than the one
-        // currently executing are cross-node traffic: the lookahead bound
-        // guarantees they land at or past the window edge, so they are
-        // staged and merged at the edge. Self-posts (deferred services,
-        // retransmission timers, wakes) can land inside the window and go
-        // straight into the target's wheel.
-        let cross = self.windowed && self.exec != Some(target);
-        self.queue.push(target, at, kind, cross);
+        self.queue.push(at, kind);
     }
 
     /// Pop the next event, counting it as processed simulator work.
     fn next_event(&mut self) -> Popped<M> {
-        let ev = self.queue.pop().map(|(at, _, kind)| (at, kind));
+        let ev = self.queue.pop();
         if ev.is_some() {
             self.events += 1;
         }
@@ -440,7 +368,7 @@ impl<M> SchedInner<M> {
     }
 
     /// The running node yields to compute for `dt` ns
-    /// ([`NodeCtx::advance`], [`Step::Advance`]).
+    /// ([`NodeHandle::advance`], [`Step::Advance`]).
     fn yield_advance<W: World<Msg = M>>(&mut self, world: &mut W, node: NodeId, dt: Time) {
         let at = self.now + dt;
         if dt > 0 {
@@ -450,7 +378,7 @@ impl<M> SchedInner<M> {
         self.schedule_resume(node, at);
     }
 
-    /// The running node yields until woken ([`NodeCtx::block`],
+    /// The running node yields until woken ([`NodeHandle::block`],
     /// [`Step::Block`]); a wake that already arrived releases it at once.
     fn yield_block(&mut self, node: NodeId) {
         debug_assert_eq!(self.nodes[node].status, NodeStatus::Running);
@@ -563,247 +491,6 @@ impl<M> SchedInner<M> {
     }
 }
 
-/// What a node thread is doing, from the committer's point of view
-/// (windowed mode only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TMode {
-    /// Not yet started (waiting for its first resume).
-    Fresh,
-    /// Parked between segments, waiting for a grant.
-    Parked,
-    /// Running leading compute speculatively ahead of its committed resume;
-    /// it will synchronize at its next world interaction.
-    Spec,
-    /// Holds the turn: its segment is the one being committed, and it has
-    /// exclusive access to the world until the segment ends.
-    Turn,
-}
-
-/// Committer-side scheduling state for windowed execution.
-struct ParDriver {
-    tmode: Vec<TMode>,
-    /// Node threads currently running speculatively.
-    spec_active: usize,
-    /// Cap on concurrent speculative threads (`threads - 1`).
-    spec_slots: usize,
-    /// Set by a node when the committed segment ends (advance/block/finish);
-    /// the committer waits on `commit_cv` for it.
-    seg_done: bool,
-}
-
-struct SimState<W: World> {
-    sched: SchedInner<W::Msg>,
-    /// Taken out while a handler runs so `deliver` can borrow world and
-    /// scheduler simultaneously.
-    world: Option<W>,
-    /// Set if a node thread panicked; everyone else bails out.
-    poisoned: bool,
-    /// Windowed-mode driver state (unused in serial mode).
-    par: ParDriver,
-}
-
-struct Shared<W: World> {
-    state: Mutex<SimState<W>>,
-    /// One condvar per node for hand-off, plus one for run completion.
-    node_cvs: Vec<Condvar>,
-    done_cv: Condvar,
-    /// Windowed mode: the committer waits here for segment completion.
-    commit_cv: Condvar,
-}
-
-/// A node's program: one closure per simulated node.
-pub type NodeBody<W> = Box<dyn FnOnce(&mut NodeCtx<W>) + Send>;
-
-/// Per-node handle passed to each node body closure.
-///
-/// All methods lock the engine internally; node bodies hold no lock between
-/// DSM operations.
-pub struct NodeCtx<W: World> {
-    shared: Arc<Shared<W>>,
-    node: NodeId,
-    /// True when running under the windowed committer.
-    par: bool,
-    /// True while this thread runs speculative leading compute: it must
-    /// synchronize with its committed resume before touching the world.
-    /// (A `Cell` because it changes under methods that return borrows of
-    /// `shared`; the context is only ever used by its own thread.)
-    spec: std::cell::Cell<bool>,
-}
-
-impl<W: World> NodeCtx<W> {
-    /// This node's id.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Number of nodes in the cluster.
-    pub fn num_nodes(&self) -> usize {
-        self.shared.node_cvs.len()
-    }
-
-    /// Current virtual time.
-    ///
-    /// Under windowed execution this synchronizes a speculative thread with
-    /// its committed resume first, so the observed time is exactly the one
-    /// serial execution would see.
-    pub fn now(&self) -> Time {
-        self.lock_synced().sched.now
-    }
-
-    fn lock(&self) -> MutexGuard<'_, SimState<W>> {
-        match self.shared.state.lock() {
-            Ok(g) => {
-                if g.poisoned {
-                    panic!("simulation aborted: another node panicked");
-                }
-                g
-            }
-            Err(_) => panic!("simulation poisoned by a panicking node"),
-        }
-    }
-
-    /// Lock the engine, first waiting out any speculation: if this thread
-    /// ran ahead of its committed resume, park until the committer grants
-    /// the turn. On return the node holds the turn (windowed mode) and the
-    /// world is at exactly the state serial execution would present.
-    fn lock_synced(&self) -> MutexGuard<'_, SimState<W>> {
-        let mut g = self.lock();
-        if self.spec.get() {
-            g.par.spec_active -= 1;
-            self.spec.set(false);
-            while g.par.tmode[self.node] != TMode::Turn {
-                g = self.shared.node_cvs[self.node]
-                    .wait(g)
-                    .unwrap_or_else(|_| panic!("simulation poisoned"));
-                if g.poisoned {
-                    panic!("simulation aborted: another node panicked");
-                }
-            }
-        } else if self.par {
-            debug_assert_eq!(g.par.tmode[self.node], TMode::Turn);
-        }
-        g
-    }
-
-    /// End the committed segment (windowed mode): release the turn, signal
-    /// the committer, and either continue speculatively (when allowed and a
-    /// slot is free) or park until the next grant.
-    fn end_segment(&self, mut g: MutexGuard<'_, SimState<W>>, can_spec: bool) {
-        let me = self.node;
-        debug_assert_eq!(g.par.tmode[me], TMode::Turn);
-        g.par.tmode[me] = TMode::Parked;
-        g.par.seg_done = true;
-        g.sched.exec = None;
-        self.shared.commit_cv.notify_all();
-        if can_spec && g.par.spec_active < g.par.spec_slots {
-            // Keep computing past the yield point: leading compute up to
-            // the next world interaction is thread-local, so running it
-            // early cannot change any observable outcome.
-            g.par.spec_active += 1;
-            g.par.tmode[me] = TMode::Spec;
-            self.spec.set(true);
-            return;
-        }
-        loop {
-            g = self.shared.node_cvs[me]
-                .wait(g)
-                .unwrap_or_else(|_| panic!("simulation poisoned"));
-            if g.poisoned {
-                panic!("simulation aborted: another node panicked");
-            }
-            match g.par.tmode[me] {
-                TMode::Turn => return,
-                TMode::Spec => {
-                    self.spec.set(true);
-                    return;
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Advance this node's virtual clock by `dt` nanoseconds of computation.
-    ///
-    /// Events that fall inside the interval are processed; message handlers
-    /// may charge extra occupancy to this node via [`Sched::delay`], pushing
-    /// the effective resume time further out.
-    pub fn advance(&mut self, dt: Time) {
-        let mut g = self.lock_synced();
-        let st = &mut *g;
-        let world = st.world.as_mut().expect("world re-entrancy");
-        st.sched.yield_advance(world, self.node, dt);
-        if self.par {
-            // The compute up to the next world interaction is speculation-
-            // safe: continue if a slot is free, else park for a grant.
-            self.end_segment(g, true);
-        } else {
-            drive_serial(&self.shared, g, Some(self.node));
-        }
-    }
-
-    /// Park this node until a message handler calls [`Sched::wake`] for it.
-    pub fn block(&mut self) {
-        let mut g = self.lock_synced();
-        g.sched.yield_block(self.node);
-        if self.par {
-            // No speculation past a block: until the wake commits there is
-            // nothing useful to run ahead (the continuation immediately
-            // reads the clock), and the committer's pre-dispatch will wake
-            // us early once our resume is in the window.
-            self.end_segment(g, false);
-        } else {
-            drive_serial(&self.shared, g, Some(self.node));
-        }
-    }
-
-    /// Run `f` with exclusive access to the world and the scheduler.
-    ///
-    /// This is how node-side protocol code mutates shared protocol state and
-    /// posts messages. The closure runs at the node's current virtual time.
-    pub fn world<R>(&mut self, f: impl FnOnce(&mut W, &mut Sched<W::Msg>) -> R) -> R {
-        let mut g = self.lock_synced();
-        let mut world = g.world.take().expect("world re-entrancy");
-        let r = f(&mut world, &mut g.sched);
-        g.world = Some(world);
-        r
-    }
-
-    /// Mark this node finished and keep the event loop alive for others
-    /// (serial mode).
-    fn finish(&self) {
-        let mut g = self.lock();
-        g.sched.yield_done(self.node);
-        if g.sched.done_count == g.sched.nodes.len() {
-            // Drain in-flight messages so their effects (stats, traffic) are
-            // accounted for even when every node body has returned.
-            let st = &mut *g;
-            let world = st.world.as_mut().expect("world re-entrancy");
-            while let Some((at, kind)) = st.sched.next_event() {
-                if let EventKind::Msg { to, msg } = kind {
-                    st.sched.deliver(world, at, to, msg);
-                }
-            }
-            self.shared.done_cv.notify_all();
-            return;
-        }
-        // Drive until control is handed to another node (or everything is
-        // drained because the remaining nodes are all done).
-        drive_serial(&self.shared, g, None);
-    }
-
-    /// Mark this node finished (windowed mode): the final segment ends here;
-    /// the committer keeps the event loop alive.
-    fn finish_par(&self) {
-        let mut g = self.lock_synced();
-        g.sched.yield_done(self.node);
-        debug_assert_eq!(g.par.tmode[self.node], TMode::Turn);
-        g.par.tmode[self.node] = TMode::Parked;
-        g.par.seg_done = true;
-        g.sched.exec = None;
-        self.shared.commit_cv.notify_all();
-    }
-}
-
 /// Pop the next event of a model-checked run, routing the choice through
 /// the hook: gather every event tied at the head virtual time, drop stale
 /// resumes (they are not real choices — the plain pop skips them
@@ -816,12 +503,12 @@ fn mc_next_event<W: World>(
     hook: &mut dyn McHook<W>,
 ) -> Result<Popped<W::Msg>, RunError> {
     loop {
-        let Some((head, _)) = sched.queue.next_key() else {
+        let Some((head, _)) = sched.queue.peek_key() else {
             return Ok(None);
         };
-        let mut tied: Vec<(Time, u64, NodeId, EventKind<W::Msg>)> = Vec::new();
-        while sched.queue.next_key().is_some_and(|(t, _)| t == head) {
-            let (at, key, node, kind) = sched.queue.pop_keyed().expect("head implies an event");
+        let mut tied: Vec<(Time, u64, EventKind<W::Msg>)> = Vec::new();
+        while sched.queue.peek_key().is_some_and(|(t, _)| t == head) {
+            let (at, key, kind) = sched.queue.pop_entry().expect("head implies an event");
             if let EventKind::Resume { node: rn, gen } = &kind {
                 if sched.nodes[*rn].gen != *gen {
                     // Superseded by a later delay/wake: skip it, counting it
@@ -832,7 +519,7 @@ fn mc_next_event<W: World>(
                     continue;
                 }
             }
-            tied.push((at, key, node, kind));
+            tied.push((at, key, kind));
         }
         if tied.is_empty() {
             continue; // the whole tie was stale; move to the next head time
@@ -856,7 +543,7 @@ fn mc_next_event<W: World>(
         eh = fold64(eh, sched.queue_hash);
         let choices: Vec<McChoice<'_, W::Msg>> = tied
             .iter()
-            .map(|&(_, key, _, ref kind)| McChoice {
+            .map(|&(_, key, ref kind)| McChoice {
                 key,
                 event: match kind {
                     EventKind::Resume { node, .. } => McEvent::Resume { node: *node },
@@ -871,11 +558,11 @@ fn mc_next_event<W: World>(
         };
         assert!(pick < tied.len(), "mc hook chose {pick} of {}", tied.len());
         let mut chosen = None;
-        for (i, (at, key, node, kind)) in tied.into_iter().enumerate() {
+        for (i, (at, key, kind)) in tied.into_iter().enumerate() {
             if i == pick {
                 chosen = Some((at, kind));
             } else {
-                sched.queue.unpop(node, at, key, kind);
+                sched.queue.unpop(at, key, kind);
             }
         }
         let (at, kind) = chosen.expect("pick is in range");
@@ -886,26 +573,119 @@ fn mc_next_event<W: World>(
     }
 }
 
-/// Run node programs as resumable tasks on one event loop, on the caller's
-/// thread, and return the final world, the final virtual time and the
-/// number of events processed — or why the run stopped short.
+/// A node program as `async` code: one boxed future per node per run,
+/// built around the node's [`NodeHandle`]. It suspends only inside
+/// [`NodeHandle::advance`] and [`NodeHandle::block`] and is finished when
+/// it returns.
+pub type NodeFuture<'a> = Pin<Box<dyn Future<Output = ()> + 'a>>;
+
+/// One node's program, in either of the two shapes [`run_tasks`] resumes
+/// (see the module docs for which to use when).
+pub enum Node<'t, W: World> {
+    /// A hand-written state machine, lent the world on every resume.
+    Task(Box<dyn NodeTask<W> + 't>),
+    /// `async` code holding a [`NodeHandle`].
+    Future(NodeFuture<'t>),
+}
+
+/// The world and the scheduler of one run, shared between the loop and the
+/// node handles. Only ever borrowed for the extent of one event or one
+/// [`NodeHandle::world`] closure, never across a suspension.
+type Engine<W> = RefCell<(W, SchedInner<<W as World>::Msg>)>;
+
+/// An `async` node body's handle onto the engine: the clock, the world, and
+/// the two ways to yield.
+pub struct NodeHandle<W: World> {
+    engine: Rc<Engine<W>>,
+    node: NodeId,
+}
+
+impl<W: World> NodeHandle<W> {
+    /// This node's id.
+    pub fn node(&self) -> NodeId {
+        self.node
+    }
+
+    /// Number of nodes in the cluster.
+    pub fn num_nodes(&self) -> usize {
+        self.engine.borrow().1.num_nodes()
+    }
+
+    /// Current virtual time.
+    pub fn now(&self) -> Time {
+        self.engine.borrow().1.now
+    }
+
+    /// Run `f` with exclusive access to the world and the scheduler.
+    ///
+    /// This is how node-side protocol code mutates shared protocol state and
+    /// posts messages. The closure runs at the node's current virtual time.
+    /// The borrow lasts exactly as long as the closure — which cannot
+    /// `.await` — so the world is never held across a yield.
+    pub fn world<R>(&mut self, f: impl FnOnce(&mut W, &mut Sched<W::Msg>) -> R) -> R {
+        let (world, sched) = &mut *self.engine.borrow_mut();
+        f(world, sched)
+    }
+
+    /// Advance this node's virtual clock by `dt` nanoseconds of computation.
+    ///
+    /// Events that fall inside the interval are processed; message handlers
+    /// may charge extra occupancy to this node via [`Sched::delay`], pushing
+    /// the effective resume time further out.
+    pub async fn advance(&mut self, dt: Time) {
+        let node = self.node;
+        self.world(|w, s| s.yield_advance(w, node, dt));
+        Yielded(false).await
+    }
+
+    /// Park this node until a message handler calls [`Sched::wake`] for it.
+    pub async fn block(&mut self) {
+        let node = self.node;
+        self.world(|_, s| s.yield_block(node));
+        Yielded(false).await
+    }
+}
+
+/// The leaf future under every yield: `Pending` once — control returns to
+/// the loop, which has already been told what the node waits for — and
+/// `Ready` when the loop polls the node again at its resume event.
+struct Yielded(bool);
+
+impl Future for Yielded {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+        if std::mem::replace(&mut self.0, true) {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
+    }
+}
+
+/// Run an `n`-node cluster on the event loop, on the caller's thread, and
+/// return the final world, the final virtual time and the number of events
+/// processed — or why the run stopped short.
 ///
-/// The loop is the serial engine's, minus the threads: events commit in
+/// `program` builds each node's program from its [`NodeHandle`] (a
+/// [`Node::Task`] has no use for one and drops it). Events commit in
 /// `(time, seq)` order; a message is delivered to the world; a valid resume
-/// runs `tasks[node]` to its next yield and the [`Step`] it returns is
-/// applied exactly as [`NodeCtx::advance`], [`NodeCtx::block`] and a
-/// returning node body are; after the last `Done` the queue is drained so
-/// in-flight messages still take effect. The same program therefore
-/// produces the same world, time and event count on either substrate.
+/// runs the node to its next yield — a task is lent the world and its
+/// [`Step`] applied, a future is polled with the world released and has
+/// applied its yield itself by the time it returns `Pending`; after the last
+/// node finishes the queue is drained so in-flight messages still take
+/// effect. The same program therefore produces the same world, time and
+/// event count in either shape.
 ///
 /// With `mc` installed every commit point — the post-`Done` drain
-/// included — is the hook's choice ([`McHook::choose`]).
+/// included — is the hook's choice ([`McHook::choose`]). A panic in a node
+/// program unwinds through this function to the caller.
 pub fn run_tasks<'t, W: World>(
-    mut world: W,
-    mut tasks: Vec<Box<dyn NodeTask<W> + 't>>,
+    world: W,
+    n: usize,
+    program: impl FnMut(NodeHandle<W>) -> Node<'t, W>,
     mc: Option<McInstall<W>>,
 ) -> Result<(W, Time, u64), RunError> {
-    let n = tasks.len();
     assert!(n > 0, "cluster needs at least one node");
     let mut sched = SchedInner::new(n);
     let mut hook = mc.map(|m| {
@@ -913,9 +693,21 @@ pub fn run_tasks<'t, W: World>(
         m.hook
     });
     sched.start();
+    let engine = Rc::new(RefCell::new((world, sched)));
+    let mut nodes: Vec<Node<'t, W>> = (0..n)
+        .map(|node| NodeHandle {
+            engine: Rc::clone(&engine),
+            node,
+        })
+        .map(program)
+        .collect();
+    // The engine decides who runs next; nothing ever wakes a node.
+    let mut cx = Context::from_waker(Waker::noop());
     loop {
+        let mut borrow = engine.borrow_mut();
+        let (world, sched) = &mut *borrow;
         let next = match hook.as_deref_mut() {
-            Some(h) => mc_next_event(&mut sched, &world, h)?,
+            Some(h) => mc_next_event(sched, world, h)?,
             None => sched.next_event(),
         };
         let Some((at, kind)) = next else {
@@ -927,389 +719,47 @@ pub fn run_tasks<'t, W: World>(
                 // Model-checked runs assert handler footprints in
                 // wake/delay: a handler touches only its delivery target.
                 sched.exec = hook.is_some().then_some(to);
-                sched.deliver(&mut world, at, to, msg);
+                sched.deliver(world, at, to, msg);
                 sched.exec = None;
             }
             EventKind::Resume { node, gen } => {
                 if !sched.begin_resume(node, gen, at) {
                     continue; // superseded by a later delay/wake
                 }
-                match tasks[node].resume(&mut world, &mut sched) {
-                    Step::Advance(dt) => sched.yield_advance(&mut world, node, dt),
-                    Step::Block => sched.yield_block(node),
-                    Step::Done => sched.yield_done(node),
+                match &mut nodes[node] {
+                    Node::Task(task) => match task.resume(world, sched) {
+                        Step::Advance(dt) => sched.yield_advance(world, node, dt),
+                        Step::Block => sched.yield_block(node),
+                        Step::Done => sched.yield_done(node),
+                    },
+                    Node::Future(body) => {
+                        drop(borrow);
+                        let done = body.as_mut().poll(&mut cx).is_ready();
+                        let sched = &mut engine.borrow_mut().1;
+                        if done {
+                            sched.yield_done(node);
+                        }
+                        assert_ne!(
+                            sched.nodes[node].status,
+                            NodeStatus::Running,
+                            "node {node} suspended on something other than advance/block"
+                        );
+                    }
                 }
             }
         }
     }
+    // Finished or not, the programs go before the world comes back out:
+    // every `async` body holds a handle on the engine.
+    drop(nodes);
+    let Ok(engine) = Rc::try_unwrap(engine) else {
+        panic!("a node handle outlived its node program");
+    };
+    let (world, sched) = engine.into_inner();
     if sched.done_count < n {
         return Err(sched.deadlock());
     }
     Ok((world, sched.now, sched.events))
-}
-
-/// Serial event loop: pop and execute events in global `(time, seq)` order
-/// until `me`'s own resume commits (`Some`), or until control is handed to
-/// another node's thread (`None` — the startup kick-off and finishing nodes
-/// hand off and return).
-fn drive_serial<W: World>(
-    shared: &Shared<W>,
-    mut g: MutexGuard<'_, SimState<W>>,
-    me: Option<NodeId>,
-) {
-    loop {
-        let Some((at, kind)) = g.sched.next_event() else {
-            // Nothing left to do. A driving node is itself blocked or
-            // ready, so an empty queue is a deadlock; a finishing node
-            // (`me == None`) returns cleanly when every other node is
-            // done too.
-            let any_blocked = g
-                .sched
-                .nodes
-                .iter()
-                .any(|s| s.status == NodeStatus::Blocked);
-            if me.is_none() && !any_blocked {
-                return;
-            }
-            let deadlock = g.sched.deadlock();
-            g.poisoned = true;
-            for cv in &shared.node_cvs {
-                cv.notify_all();
-            }
-            shared.done_cv.notify_all();
-            panic!("{deadlock}");
-        };
-        debug_assert!(at >= g.sched.now);
-        match kind {
-            EventKind::Msg { to, msg } => {
-                let st = &mut *g;
-                let world = st.world.as_mut().expect("world re-entrancy");
-                st.sched.deliver(world, at, to, msg);
-            }
-            EventKind::Resume { node, gen } => {
-                if !g.sched.begin_resume(node, gen, at) {
-                    continue; // superseded by a later delay/wake
-                }
-                if me == Some(node) {
-                    return;
-                }
-                // Hand off to the resumed node's thread.
-                shared.node_cvs[node].notify_one();
-                let Some(me) = me else {
-                    return;
-                };
-                // Park until a future driver resumes us.
-                loop {
-                    g = shared.node_cvs[me]
-                        .wait(g)
-                        .unwrap_or_else(|_| panic!("simulation poisoned"));
-                    if g.poisoned {
-                        panic!("simulation aborted: another node panicked");
-                    }
-                    if g.sched.nodes[me].status == NodeStatus::Running {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The windowed-mode committer loop: runs on the caller's thread, executing
-/// every event in exact global `(time, seq)` order. Message handlers run
-/// inline; node segments are granted to their threads one at a time (the
-/// "turn"), so every world phase happens in exactly the serial order —
-/// results are bit-identical to serial execution by construction. Ahead of
-/// the commit point, parked nodes whose resume falls inside the lookahead
-/// window are woken to run leading compute speculatively.
-fn drive_windowed<W: World>(shared: &Arc<Shared<W>>, n: usize, lookahead: Time) {
-    let lookahead = lookahead.max(1);
-    let mut g = match shared.state.lock() {
-        Ok(g) => g,
-        Err(e) => e.into_inner(),
-    };
-    loop {
-        if g.poisoned {
-            panic!("simulation aborted: a node panicked");
-        }
-        // Window maintenance: once the head reaches the window edge, merge
-        // staged cross-node events back (in (time, seq) order) and open the
-        // next window.
-        let Some((t, _)) = g.sched.queue.next_key() else {
-            if g.sched.done_count == n {
-                return;
-            }
-            let deadlock = g.sched.deadlock();
-            g.poisoned = true;
-            for cv in &shared.node_cvs {
-                cv.notify_all();
-            }
-            shared.done_cv.notify_all();
-            panic!("{deadlock}");
-        };
-        if t >= g.sched.queue.window_end() {
-            g.sched.queue.advance_window(t + lookahead);
-        }
-        predispatch(shared, &mut g);
-        let (at, kind) = g.sched.next_event().expect("head key implies an event");
-        debug_assert!(at >= g.sched.now);
-        match kind {
-            EventKind::Msg { to, msg } => {
-                let st = &mut *g;
-                let world = st.world.as_mut().expect("world re-entrancy");
-                st.sched.exec = Some(to);
-                st.sched.deliver(world, at, to, msg);
-                st.sched.exec = None;
-            }
-            EventKind::Resume { node, gen } => {
-                if !g.sched.begin_resume(node, gen, at) {
-                    continue; // superseded by a later delay/wake
-                }
-                g.sched.exec = Some(node);
-                // Grant the turn. If the thread is parked it wakes here; if
-                // it is running speculatively it picks the turn up at its
-                // next world interaction; if it is fresh it starts its body.
-                g.par.seg_done = false;
-                g.par.tmode[node] = TMode::Turn;
-                shared.node_cvs[node].notify_one();
-                while !g.par.seg_done {
-                    g = shared
-                        .commit_cv
-                        .wait(g)
-                        .unwrap_or_else(|_| panic!("simulation poisoned"));
-                    if g.poisoned {
-                        panic!("simulation aborted: a node panicked");
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Wake parked nodes whose next event is their own (valid) resume inside
-/// the open window: their leading compute is independent of anything still
-/// to commit before it, so they can run speculatively now.
-fn predispatch<W: World>(shared: &Arc<Shared<W>>, g: &mut SimState<W>) {
-    if g.par.spec_active >= g.par.spec_slots {
-        return;
-    }
-    let end = g.sched.queue.window_end();
-    for node in 0..g.sched.nodes.len() {
-        if g.par.spec_active >= g.par.spec_slots {
-            return;
-        }
-        if g.par.tmode[node] != TMode::Parked {
-            continue;
-        }
-        if !matches!(g.sched.nodes[node].status, NodeStatus::Ready { .. }) {
-            continue;
-        }
-        let slot_gen = g.sched.nodes[node].gen;
-        let Some((t, _, kind)) = g.sched.queue.peek_node(node) else {
-            continue;
-        };
-        if t >= end {
-            continue;
-        }
-        let EventKind::Resume { gen, .. } = kind else {
-            continue;
-        };
-        if *gen != slot_gen {
-            continue;
-        }
-        g.par.spec_active += 1;
-        g.par.tmode[node] = TMode::Spec;
-        shared.node_cvs[node].notify_one();
-    }
-}
-
-/// Run a simulated cluster to completion and return the final world.
-///
-/// `bodies` supplies one closure per node; all nodes start at virtual time 0.
-/// Returns the world and the final virtual time (the maximum over all node
-/// completion times and message deliveries).
-pub fn run_cluster<W: World>(world: W, bodies: Vec<NodeBody<W>>) -> (W, Time) {
-    let (w, t, _) = run_cluster_with(world, bodies, SimPar::serial());
-    (w, t)
-}
-
-/// [`run_cluster`] plus the number of simulator events processed — the
-/// denominator of the events/sec throughput metric.
-pub fn run_cluster_counted<W: World>(world: W, bodies: Vec<NodeBody<W>>) -> (W, Time, u64) {
-    run_cluster_with(world, bodies, SimPar::serial())
-}
-
-/// [`run_cluster_counted`] with an explicit execution mode: the shared entry
-/// point behind every counted/uncounted variant. `par.threads <= 1` runs the
-/// classic fully-serialized engine; anything larger runs the windowed
-/// committer, which produces bit-identical results (see [`SimPar`]).
-pub fn run_cluster_with<W: World>(
-    world: W,
-    bodies: Vec<NodeBody<W>>,
-    par: SimPar,
-) -> (W, Time, u64) {
-    let n = bodies.len();
-    assert!(n > 0, "cluster needs at least one node");
-    let threads = par.threads.max(1);
-    let windowed = threads > 1;
-    let mut sched = SchedInner::new(n);
-    sched.windowed = windowed;
-    sched.start();
-    let shared = Arc::new(Shared::<W> {
-        state: Mutex::new(SimState {
-            sched,
-            world: Some(world),
-            poisoned: false,
-            par: ParDriver {
-                tmode: vec![TMode::Fresh; n],
-                spec_active: 0,
-                spec_slots: threads - 1,
-                seg_done: true,
-            },
-        }),
-        node_cvs: (0..n).map(|_| Condvar::new()).collect(),
-        done_cv: Condvar::new(),
-        commit_cv: Condvar::new(),
-    });
-
-    let handles: Vec<_> = bodies
-        .into_iter()
-        .enumerate()
-        .map(|(node, body)| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("dsm-node-{node}"))
-                .spawn(move || {
-                    let mut ctx = NodeCtx {
-                        shared,
-                        node,
-                        par: windowed,
-                        spec: std::cell::Cell::new(false),
-                    };
-                    // Wait for our first Resume.
-                    {
-                        let mut g = ctx.lock();
-                        while g.sched.nodes[node].status != NodeStatus::Running {
-                            if g.poisoned {
-                                panic!("simulation aborted before start");
-                            }
-                            g = ctx.shared.node_cvs[node]
-                                .wait(g)
-                                .unwrap_or_else(|_| panic!("simulation poisoned"));
-                        }
-                    }
-                    let result =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
-                    match result {
-                        Ok(()) => {
-                            if ctx.par {
-                                ctx.finish_par()
-                            } else {
-                                ctx.finish()
-                            }
-                        }
-                        Err(e) => {
-                            // Poison the simulation so every parked thread
-                            // and the main thread bail out promptly. The
-                            // mutex itself may already be poisoned if the
-                            // panic happened under the lock.
-                            match ctx.shared.state.lock() {
-                                Ok(mut g) => g.poisoned = true,
-                                Err(e) => e.into_inner().poisoned = true,
-                            }
-                            for cv in &ctx.shared.node_cvs {
-                                cv.notify_all();
-                            }
-                            ctx.shared.done_cv.notify_all();
-                            ctx.shared.commit_cv.notify_all();
-                            std::panic::resume_unwind(e);
-                        }
-                    }
-                })
-                .expect("spawn node thread")
-        })
-        .collect();
-
-    if windowed {
-        // The caller's thread is the committer: it executes every event in
-        // global order and grants node segments one turn at a time.
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            drive_windowed(&shared, n, par.lookahead_ns)
-        }));
-        if let Err(e) = r {
-            match shared.state.lock() {
-                Ok(mut g) => g.poisoned = true,
-                Err(p) => p.into_inner().poisoned = true,
-            }
-            for cv in &shared.node_cvs {
-                cv.notify_all();
-            }
-            shared.done_cv.notify_all();
-            shared.commit_cv.notify_all();
-            for h in handles {
-                let _ = h.join();
-            }
-            std::panic::resume_unwind(e);
-        }
-    } else {
-        // Kick off node 0: it is Ready at t=0 at the head of the queue, but
-        // no thread is driving yet. Drive until the first hand-off, then
-        // wait for completion.
-        let mut g = match shared.state.lock() {
-            Ok(g) => g,
-            Err(e) => e.into_inner(),
-        };
-        drive_serial(&shared, g, None);
-        g = match shared.state.lock() {
-            Ok(g) => g,
-            Err(e) => e.into_inner(),
-        };
-        loop {
-            if g.sched.done_count == n || g.poisoned {
-                break;
-            }
-            g = match shared.done_cv.wait(g) {
-                Ok(g) => g,
-                Err(e) => e.into_inner(),
-            };
-        }
-        drop(g);
-    }
-
-    // Re-raise the root-cause panic, not one of the cascade panics other
-    // threads raise when they notice the poisoned state.
-    fn is_cascade(e: &(dyn std::any::Any + Send)) -> bool {
-        let msg = e
-            .downcast_ref::<&'static str>()
-            .copied()
-            .or_else(|| e.downcast_ref::<String>().map(|s| s.as_str()));
-        msg.is_some_and(|m| {
-            m.starts_with("simulation aborted") || m.starts_with("simulation poisoned")
-        })
-    }
-    let mut panicked: Option<Box<dyn std::any::Any + Send>> = None;
-    for h in handles {
-        if let Err(e) = h.join() {
-            let keep = match &panicked {
-                None => true,
-                Some(p) => is_cascade(p.as_ref()) && !is_cascade(e.as_ref()),
-            };
-            if keep {
-                panicked = Some(e);
-            }
-        }
-    }
-    if let Some(e) = panicked {
-        std::panic::resume_unwind(e);
-    }
-
-    let mut g = match shared.state.lock() {
-        Ok(g) => g,
-        Err(e) => e.into_inner(),
-    };
-    let t = g.sched.now;
-    let events = g.sched.events;
-    (g.world.take().expect("world"), t, events)
 }
 
 #[cfg(test)]
@@ -1333,23 +783,47 @@ mod tests {
         }
     }
 
+    /// An `async` node body, from its handle.
+    type Body<W> = Box<dyn FnOnce(NodeHandle<W>) -> NodeFuture<'static>>;
+
+    /// Box an `async` node body (the closure's signature is fixed here, so
+    /// call sites need not annotate theirs).
+    fn body<W: World, F: Future<Output = ()> + 'static>(
+        f: impl FnOnce(NodeHandle<W>) -> F + 'static,
+    ) -> Body<W> {
+        Box::new(move |ctx| Box::pin(f(ctx)))
+    }
+
+    /// Run `async` bodies to completion, no hook.
+    fn run_bodies<W: World>(world: W, bodies: Vec<Body<W>>) -> (W, Time, u64) {
+        let n = bodies.len();
+        let mut bodies = bodies.into_iter();
+        run_tasks(
+            world,
+            n,
+            |ctx| Node::Future((bodies.next().expect("one body per node"))(ctx)),
+            None,
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+
     #[test]
     fn advances_virtual_time_per_node() {
         let world = TestWorld {
             log: vec![],
             wake_on: vec![None, None],
         };
-        let (_, t) = run_cluster(
+        let (_, t, _) = run_bodies(
             world,
             vec![
-                Box::new(|ctx: &mut NodeCtx<TestWorld>| {
-                    ctx.advance(100);
+                body(|mut ctx: NodeHandle<TestWorld>| async move {
+                    ctx.advance(100).await;
                     assert_eq!(ctx.now(), 100);
-                    ctx.advance(50);
+                    ctx.advance(50).await;
                     assert_eq!(ctx.now(), 150);
                 }),
-                Box::new(|ctx: &mut NodeCtx<TestWorld>| {
-                    ctx.advance(500);
+                body(|mut ctx: NodeHandle<TestWorld>| async move {
+                    ctx.advance(500).await;
                     assert_eq!(ctx.now(), 500);
                 }),
             ],
@@ -1363,15 +837,15 @@ mod tests {
             log: vec![],
             wake_on: vec![None, Some(7)],
         };
-        let (w, _) = run_cluster(
+        let (w, _, _) = run_bodies(
             world,
             vec![
-                Box::new(|ctx: &mut NodeCtx<TestWorld>| {
+                body(|mut ctx: NodeHandle<TestWorld>| async move {
                     ctx.world(|_, s| s.post(1, 250, 7));
-                    ctx.advance(10);
+                    ctx.advance(10).await;
                 }),
-                Box::new(|ctx: &mut NodeCtx<TestWorld>| {
-                    ctx.block(); // until msg 7 arrives at t=250
+                body(|mut ctx: NodeHandle<TestWorld>| async move {
+                    ctx.block().await; // until msg 7 arrives at t=250
                     assert_eq!(ctx.now(), 250);
                 }),
             ],
@@ -1397,9 +871,9 @@ mod tests {
                 }
             }
         }
-        let (w, t) = run_cluster(
+        let (w, t, _) = run_bodies(
             ChainWorld { log: vec![] },
-            vec![Box::new(|ctx: &mut NodeCtx<ChainWorld>| {
+            vec![body(|mut ctx: NodeHandle<ChainWorld>| async move {
                 // Post the chain's head and return immediately: the whole
                 // chain runs in the post-Done drain.
                 ctx.world(|_, s| s.post(0, 1_000, 0));
@@ -1421,17 +895,17 @@ mod tests {
                 sched.delay(to, until);
             }
         }
-        let (_, t) = run_cluster(
+        let (_, t, _) = run_bodies(
             DelayWorld,
             vec![
-                Box::new(|ctx: &mut NodeCtx<DelayWorld>| {
+                body(|mut ctx: NodeHandle<DelayWorld>| async move {
                     ctx.world(|_, s| s.post(1, 50, ()));
-                    ctx.advance(1);
+                    ctx.advance(1).await;
                 }),
-                Box::new(|ctx: &mut NodeCtx<DelayWorld>| {
+                body(|mut ctx: NodeHandle<DelayWorld>| async move {
                     // Computing until 200; the message at t=50 charges 100ns
                     // beyond our scheduled resume, so we resume at 300.
-                    ctx.advance(200);
+                    ctx.advance(200).await;
                     assert_eq!(ctx.now(), 300);
                 }),
             ],
@@ -1446,22 +920,21 @@ mod tests {
                 log: vec![],
                 wake_on: vec![None; 4],
             };
-            type TestBody = Box<dyn FnOnce(&mut NodeCtx<TestWorld>) + Send>;
-            let bodies: Vec<TestBody> = (0..4)
+            let bodies = (0..4u32)
                 .map(|i| {
-                    Box::new(move |ctx: &mut NodeCtx<TestWorld>| {
+                    body(move |mut ctx: NodeHandle<TestWorld>| async move {
                         for k in 0..10u32 {
                             let target = ((i + 1) % 4) as NodeId;
                             ctx.world(|_, s| {
                                 let at = s.now() + 37;
-                                s.post(target, at, k * 10 + i as u32)
+                                s.post(target, at, k * 10 + i)
                             });
-                            ctx.advance(13 + i as u64);
+                            ctx.advance(13 + u64::from(i)).await;
                         }
-                    }) as TestBody
+                    })
                 })
                 .collect();
-            run_cluster(world, bodies).0.log
+            run_bodies(world, bodies).0.log
         }
         let a = run_once();
         let b = run_once();
@@ -1476,11 +949,37 @@ mod tests {
             log: vec![],
             wake_on: vec![None],
         };
-        run_cluster(
+        run_bodies(
             world,
-            vec![Box::new(|ctx: &mut NodeCtx<TestWorld>| {
-                ctx.block();
+            vec![body(|mut ctx: NodeHandle<TestWorld>| async move {
+                ctx.block().await;
             })],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "the body's own message")]
+    fn a_panicking_body_unwinds_through_the_loop() {
+        run_bodies(
+            tie_world(),
+            vec![
+                body(|mut ctx: NodeHandle<TestWorld>| async move {
+                    ctx.advance(10).await;
+                    panic!("the body's own message");
+                }),
+                body(|mut ctx: NodeHandle<TestWorld>| async move {
+                    ctx.block().await;
+                }),
+            ],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "suspended on something other than advance/block")]
+    fn a_foreign_suspension_is_caught() {
+        run_bodies(
+            tie_world(),
+            vec![body(|_ctx: NodeHandle<TestWorld>| Yielded(false))],
         );
     }
 
@@ -1497,18 +996,18 @@ mod tests {
                 sched.wake(to, now + 5);
             }
         }
-        let (_, t) = run_cluster(
+        let (_, t, _) = run_bodies(
             WakeEarly,
             vec![
-                Box::new(|ctx: &mut NodeCtx<WakeEarly>| {
+                body(|mut ctx: NodeHandle<WakeEarly>| async move {
                     ctx.world(|_, s| s.post(1, 10, ()));
-                    ctx.advance(1);
+                    ctx.advance(1).await;
                 }),
-                Box::new(|ctx: &mut NodeCtx<WakeEarly>| {
+                body(|mut ctx: NodeHandle<WakeEarly>| async move {
                     // Compute past the wake at t=15, then block: the stored
                     // wake releases us instantly instead of deadlocking.
-                    ctx.advance(100);
-                    ctx.block();
+                    ctx.advance(100).await;
+                    ctx.block().await;
                     assert_eq!(ctx.now(), 100);
                 }),
             ],
@@ -1534,15 +1033,15 @@ mod tests {
                 }
             }
         }
-        let (_, t) = run_cluster(
+        let (_, t, _) = run_bodies(
             DelayBlocked,
             vec![
-                Box::new(|ctx: &mut NodeCtx<DelayBlocked>| {
+                body(|mut ctx: NodeHandle<DelayBlocked>| async move {
                     ctx.world(|_, s| s.post(1, 50, 0));
-                    ctx.advance(1);
+                    ctx.advance(1).await;
                 }),
-                Box::new(|ctx: &mut NodeCtx<DelayBlocked>| {
-                    ctx.block();
+                body(|mut ctx: NodeHandle<DelayBlocked>| async move {
+                    ctx.block().await;
                     // Woken at 51, not delayed to 1ms.
                     assert_eq!(ctx.now(), 51);
                 }),
@@ -1568,180 +1067,27 @@ mod tests {
                 }
             }
         }
-        let (w, _) = run_cluster(
+        let (w, _, _) = run_bodies(
             PastPost { got: vec![] },
-            vec![Box::new(|ctx: &mut NodeCtx<PastPost>| {
+            vec![body(|mut ctx: NodeHandle<PastPost>| async move {
                 ctx.world(|_, s| s.post(0, 500, true));
-                ctx.advance(1_000);
+                ctx.advance(1_000).await;
             })],
         );
         assert_eq!(w.got, vec![500]);
     }
 
-    /// Windowed runs of the cross-posting workload must reproduce the
-    /// serial event log, final time, and event count bit-for-bit, for any
-    /// thread count (including more threads than nodes).
-    #[test]
-    fn windowed_matches_serial() {
-        fn run_once(par: SimPar) -> (Vec<(Time, NodeId, u32)>, Time, u64) {
-            let world = TestWorld {
-                log: vec![],
-                wake_on: vec![None; 4],
-            };
-            type TestBody = Box<dyn FnOnce(&mut NodeCtx<TestWorld>) + Send>;
-            let bodies: Vec<TestBody> = (0..4)
-                .map(|i| {
-                    Box::new(move |ctx: &mut NodeCtx<TestWorld>| {
-                        for k in 0..10u32 {
-                            let target = ((i + 1) % 4) as NodeId;
-                            ctx.world(|_, s| {
-                                let at = s.now() + 37;
-                                s.post(target, at, k * 10 + i as u32)
-                            });
-                            ctx.advance(13 + i as u64);
-                        }
-                    }) as TestBody
-                })
-                .collect();
-            let (w, t, ev) = run_cluster_with(world, bodies, par);
-            (w.log, t, ev)
-        }
-        // Cross-node posts land 37ns out: any lookahead <= 37 is valid.
-        let serial = run_once(SimPar::serial());
-        for threads in [2, 3, 8] {
-            assert_eq!(run_once(SimPar::windowed(threads, 37)), serial);
-        }
-    }
-
-    #[test]
-    fn windowed_block_and_wake() {
-        let world = TestWorld {
-            log: vec![],
-            wake_on: vec![None, Some(7)],
-        };
-        let (w, t, _) = run_cluster_with(
-            world,
-            vec![
-                Box::new(|ctx: &mut NodeCtx<TestWorld>| {
-                    ctx.world(|_, s| s.post(1, 250, 7));
-                    ctx.advance(10);
-                }),
-                Box::new(|ctx: &mut NodeCtx<TestWorld>| {
-                    ctx.block(); // until msg 7 arrives at t=250
-                    assert_eq!(ctx.now(), 250);
-                }),
-            ],
-            SimPar::windowed(2, 100),
-        );
-        assert_eq!(w.log, vec![(250, 1, 7)]);
-        assert_eq!(t, 250);
-    }
-
-    #[test]
-    fn windowed_post_done_drain_follows_event_chains() {
-        struct ChainWorld {
-            log: Vec<(Time, u32)>,
-        }
-        impl World for ChainWorld {
-            type Msg = u32;
-            fn deliver(&mut self, sched: &mut Sched<u32>, _to: NodeId, msg: u32) {
-                self.log.push((sched.now(), msg));
-                if msg < 3 {
-                    let at = sched.now() + 100;
-                    sched.post(0, at, msg + 1);
-                }
-            }
-        }
-        let (w, t, _) = run_cluster_with(
-            ChainWorld { log: vec![] },
-            vec![Box::new(|ctx: &mut NodeCtx<ChainWorld>| {
-                ctx.world(|_, s| s.post(0, 1_000, 0));
-            })],
-            SimPar::windowed(4, 50),
-        );
-        assert_eq!(w.log, vec![(1_000, 0), (1_100, 1), (1_200, 2), (1_300, 3)]);
-        assert_eq!(t, 1_300);
-    }
-
-    #[test]
-    fn windowed_pending_wake_is_consumed_by_next_block() {
-        struct WakeEarly;
-        impl World for WakeEarly {
-            type Msg = ();
-            fn deliver(&mut self, sched: &mut Sched<()>, to: NodeId, _msg: ()) {
-                let now = sched.now();
-                sched.wake(to, now + 5);
-            }
-        }
-        let (_, t, _) = run_cluster_with(
-            WakeEarly,
-            vec![
-                Box::new(|ctx: &mut NodeCtx<WakeEarly>| {
-                    ctx.world(|_, s| s.post(1, 10, ()));
-                    ctx.advance(1);
-                }),
-                Box::new(|ctx: &mut NodeCtx<WakeEarly>| {
-                    ctx.advance(100);
-                    ctx.block();
-                    assert_eq!(ctx.now(), 100);
-                }),
-            ],
-            SimPar::windowed(2, 5),
-        );
-        assert_eq!(t, 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "deadlock")]
-    fn windowed_blocked_forever_panics() {
-        let world = TestWorld {
-            log: vec![],
-            wake_on: vec![None, None],
-        };
-        run_cluster_with(
-            world,
-            vec![
-                Box::new(|ctx: &mut NodeCtx<TestWorld>| {
-                    ctx.block();
-                }),
-                Box::new(|ctx: &mut NodeCtx<TestWorld>| {
-                    ctx.advance(10);
-                }),
-            ],
-            SimPar::windowed(2, 20),
-        );
-    }
-
     #[test]
     fn ties_break_by_post_order() {
-        let world = TestWorld {
-            log: vec![],
-            wake_on: vec![None, None],
-        };
-        let (w, _) = run_cluster(
-            world,
-            vec![
-                Box::new(|ctx: &mut NodeCtx<TestWorld>| {
-                    ctx.world(|_, s| {
-                        s.post(1, 100, 1);
-                        s.post(1, 100, 2);
-                        s.post(1, 100, 3);
-                    });
-                    ctx.advance(1);
-                }),
-                Box::new(|ctx: &mut NodeCtx<TestWorld>| {
-                    ctx.advance(200);
-                }),
-            ],
-        );
+        let (w, _, _) = run_bodies(tie_world(), tie_bodies());
         let tags: Vec<u32> = w.log.iter().map(|&(_, _, m)| m).collect();
         assert_eq!(tags, vec![1, 2, 3]);
     }
 
     /// Test hook: delegates every choice to a closure over
     /// `(number of choices, engine hash)`.
-    struct PickHook<F: FnMut(usize, u64) -> Option<usize> + Send>(F);
-    impl<W: World, F: FnMut(usize, u64) -> Option<usize> + Send> McHook<W> for PickHook<F> {
+    struct PickHook<F: FnMut(usize, u64) -> Option<usize>>(F);
+    impl<W: World, F: FnMut(usize, u64) -> Option<usize>> McHook<W> for PickHook<F> {
         fn choose(
             &mut self,
             _world: &W,
@@ -1753,24 +1099,24 @@ mod tests {
         }
     }
 
-    fn tie_bodies() -> Vec<NodeBody<TestWorld>> {
+    fn tie_bodies() -> Vec<Body<TestWorld>> {
         vec![
-            Box::new(|ctx: &mut NodeCtx<TestWorld>| {
+            body(|mut ctx: NodeHandle<TestWorld>| async move {
                 ctx.world(|_, s| {
                     s.post(1, 100, 1);
                     s.post(1, 100, 2);
                     s.post(1, 100, 3);
                 });
-                ctx.advance(1);
+                ctx.advance(1).await;
             }),
-            Box::new(|ctx: &mut NodeCtx<TestWorld>| {
-                ctx.advance(200);
+            body(|mut ctx: NodeHandle<TestWorld>| async move {
+                ctx.advance(200).await;
             }),
         ]
     }
 
     /// A task that replays a fixed list of steps, running `first` against
-    /// the scheduler on its first resume: [`tie_bodies`] in resumable form.
+    /// the scheduler on its first resume: [`tie_bodies`] in poll shape.
     struct Script {
         first: Option<fn(&mut Sched<u32>)>,
         steps: std::vec::IntoIter<Step>,
@@ -1815,12 +1161,50 @@ mod tests {
         }
     }
 
+    /// Run poll-shaped tasks, with or without a hook.
+    fn run_script(
+        world: TestWorld,
+        tasks: Vec<Box<dyn NodeTask<TestWorld>>>,
+        mc: Option<McInstall<TestWorld>>,
+    ) -> Result<(TestWorld, Time, u64), RunError> {
+        let n = tasks.len();
+        let mut tasks = tasks.into_iter();
+        run_tasks(
+            world,
+            n,
+            |_| Node::Task(tasks.next().expect("one task per node")),
+            mc,
+        )
+    }
+
     #[test]
-    fn tasks_match_threads_without_a_hook() {
-        let (tw, tt, te) = run_cluster_counted(tie_world(), tie_bodies());
-        let (kw, kt, ke) = run_tasks(tie_world(), tie_tasks(), None).expect("runs to completion");
-        assert_eq!(kw.log, tw.log);
-        assert_eq!((kt, ke), (tt, te), "same final time and event count");
+    fn tasks_match_futures_without_a_hook() {
+        let (fw, ft, fe) = run_bodies(tie_world(), tie_bodies());
+        let (kw, kt, ke) = run_script(tie_world(), tie_tasks(), None).expect("runs to completion");
+        assert_eq!(kw.log, fw.log);
+        assert_eq!((kt, ke), (ft, fe), "same final time and event count");
+    }
+
+    #[test]
+    fn the_two_shapes_mix_in_one_run() {
+        let mut bodies = tie_bodies().into_iter();
+        let mut tasks = tie_tasks().into_iter();
+        let (w, t, e) = run_tasks(
+            tie_world(),
+            2,
+            |ctx| {
+                let (body, task) = (bodies.next().unwrap(), tasks.next().unwrap());
+                if ctx.node() == 0 {
+                    Node::Future(body(ctx))
+                } else {
+                    Node::Task(task)
+                }
+            },
+            None,
+        )
+        .expect("runs to completion");
+        let (fw, ft, fe) = run_bodies(tie_world(), tie_bodies());
+        assert_eq!((w.log, t, e), (fw.log, ft, fe));
     }
 
     #[test]
@@ -1856,18 +1240,18 @@ mod tests {
             script(Some(|s| s.post(1, 250, 7)), vec![Step::Advance(10)]),
             Box::new(Waiter(0, Vec::new())),
         ];
-        let (w, t, _) = run_tasks(world, tasks, None).expect("runs to completion");
+        let (w, t, _) = run_script(world, tasks, None).expect("runs to completion");
         assert_eq!(w.log, vec![(250, 1, 7)]);
         assert_eq!(t, 350);
     }
 
     #[test]
-    fn tasks_deadlock_is_a_value() {
+    fn deadlock_is_a_value() {
         let tasks = vec![
             script(None, vec![Step::Block]),
             script(None, vec![Step::Advance(10)]),
         ];
-        let err = run_tasks(tie_world(), tasks, None)
+        let err = run_script(tie_world(), tasks, None)
             .err()
             .expect("deadlocks");
         assert_eq!(
@@ -1884,7 +1268,7 @@ mod tests {
 
     #[test]
     fn mc_hook_reverses_tie_order() {
-        let (w, _, _) = run_tasks(
+        let (w, _, _) = run_script(
             tie_world(),
             tie_tasks(),
             Some(McInstall {
@@ -1898,33 +1282,47 @@ mod tests {
     }
 
     #[test]
-    fn mc_first_choice_matches_serial_and_hashes_replay() {
+    fn mc_hook_controls_async_bodies_too() {
+        let mut bodies = tie_bodies().into_iter();
+        let (w, _, _) = run_tasks(
+            tie_world(),
+            2,
+            |ctx| Node::Future((bodies.next().unwrap())(ctx)),
+            Some(McInstall {
+                hook: Box::new(PickHook(|n: usize, _| Some(n - 1))),
+                msg_hash: Box::new(|_, m: &u32| u64::from(*m)),
+            }),
+        )
+        .expect("runs to completion");
+        let tags: Vec<u32> = w.log.iter().map(|&(_, _, m)| m).collect();
+        assert_eq!(tags, vec![3, 2, 1], "one hook, either node shape");
+    }
+
+    #[test]
+    fn mc_first_choice_matches_queue_order_and_hashes_replay() {
         fn mc_run() -> (Vec<(Time, NodeId, u32)>, Vec<u64>, u64) {
-            let hashes = Arc::new(Mutex::new(Vec::new()));
-            let sink = Arc::clone(&hashes);
-            let (w, _, ev) = run_tasks(
+            let hashes = Rc::new(RefCell::new(Vec::new()));
+            let sink = Rc::clone(&hashes);
+            let (w, _, ev) = run_script(
                 tie_world(),
                 tie_tasks(),
                 Some(McInstall {
                     hook: Box::new(PickHook(move |_, eh| {
-                        sink.lock().unwrap().push(eh);
+                        sink.borrow_mut().push(eh);
                         Some(0)
                     })),
                     msg_hash: Box::new(|to, m: &u32| fold64(u64::from(*m), to as u64)),
                 }),
             )
             .expect("runs to completion");
-            let hs = hashes.lock().unwrap().clone();
+            let hs = hashes.borrow().clone();
             (w.log, hs, ev)
         }
-        let (serial, _, serial_ev) = run_cluster_counted(tie_world(), tie_bodies());
+        let (plain, _, plain_ev) = run_script(tie_world(), tie_tasks(), None).expect("runs");
         let (log_a, hashes_a, ev_a) = mc_run();
         let (log_b, hashes_b, ev_b) = mc_run();
-        assert_eq!(
-            log_a, serial.log,
-            "always-first replays the serial schedule"
-        );
-        assert_eq!(ev_a, serial_ev, "and counts the same events");
+        assert_eq!(log_a, plain.log, "always-first replays the queue order");
+        assert_eq!(ev_a, plain_ev, "and counts the same events");
         assert_eq!(log_a, log_b);
         assert_eq!(ev_a, ev_b);
         assert!(!hashes_a.is_empty());
@@ -1934,7 +1332,7 @@ mod tests {
     #[test]
     fn mc_prune_is_an_error_value() {
         let mut steps = 0u32;
-        let r = run_tasks(
+        let r = run_script(
             tie_world(),
             tie_tasks(),
             Some(McInstall {

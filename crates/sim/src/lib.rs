@@ -6,38 +6,32 @@
 //! sequence number is assigned at enqueue time, so a given program produces
 //! exactly the same event order — and therefore the same statistics — on
 //! every run. Messages posted with [`Sched::post`] are delivered by calling
-//! [`World::deliver`] at their arrival time. Node programs run on one of
-//! two substrates over that one queue (see [`engine`]):
+//! [`World::deliver`] at their arrival time.
 //!
-//! * **Tasks** — [`run_tasks`] resumes poll-shaped [`NodeTask`]s in place
-//!   on one loop: no threads, no locks, no unwinding. A task yields a
-//!   [`Step`] (`Advance(dt)`, `Block` or `Done`); an abandoned or
-//!   deadlocked run is a [`RunError`] value. The model checker's hook
-//!   ([`McHook`]) sits on this loop and nowhere else. `dsm-mc`'s
-//!   micro-programs run here.
-//! * **Threads** — [`run_cluster`] runs one OS thread per simulated node,
-//!   each an ordinary closure against a [`NodeCtx`], for programs written
-//!   as plain blocking code: the twelve paper applications, the scenario
-//!   applications and everything else behind `dsm_core::run_parallel`. By
-//!   default execution is fully serialized: exactly one logical entity (a
-//!   node thread or an in-flight message handler) runs at any instant,
-//!   under a single global lock, and handlers run inline on whichever
-//!   thread is currently driving the event loop. With
-//!   [`engine::SimPar::windowed`] (or `DSM_SIM_PAR > 1` at the runner
-//!   level) a committer thread still executes every event in exact global
-//!   order (keeping results bit-identical to serial), while node threads
-//!   overlap their thread-local leading compute within a lookahead window
-//!   derived from the minimum inter-node network latency. See `DESIGN.md`.
+//! There is one event loop, [`run_tasks`], and it runs on the caller's
+//! thread: no threads, no locks, no unwinding. A node program takes one of
+//! two shapes ([`Node`]; see [`engine`] for which to use when):
 //!
-//! Both substrates express a yield through the same scheduler transitions,
-//! so the same program produces the same world, final time and event count
-//! on either. Node threads interact with the engine through [`NodeCtx`]:
+//! * **`async` code** ([`NodeFuture`]) against a [`NodeHandle`]:
+//!   [`NodeHandle::advance`] moves the node's virtual clock forward
+//!   (modeling computation) and [`NodeHandle::block`] parks it until some
+//!   message handler wakes it — the only two places a body suspends —
+//!   while [`NodeHandle::world`] lends the shared protocol state plus a
+//!   [`Sched`] handle to a closure, so the borrow can never span an
+//!   `.await`. The twelve paper applications, the scenario applications
+//!   and everything else behind `dsm_core::run_parallel` run this way.
+//! * **Poll-shaped tasks** ([`NodeTask`]): hand-written state machines
+//!   that are lent the world on every resume and return a [`Step`]
+//!   (`Advance(dt)`, `Block` or `Done`). `dsm-mc`'s micro-programs run
+//!   this way.
 //!
-//! * [`NodeCtx::advance`] moves the node's virtual clock forward (modeling
-//!   computation), processing any intervening events;
-//! * [`NodeCtx::block`] parks the node until some message handler wakes it;
-//! * [`NodeCtx::world`] gives exclusive access to the shared protocol state
-//!   plus a [`Sched`] handle for posting messages and waking nodes.
+//! Both shapes express a yield through the same scheduler transitions, so
+//! the same program produces the same world, final time and event count in
+//! either. An abandoned or deadlocked run is a [`RunError`] value; a panic
+//! in a node program unwinds to the caller of [`run_tasks`]. The model
+//! checker's hook ([`McHook`]) sits on the loop and controls every commit
+//! point. Parallelism lives one level up: independent runs (sweep cells,
+//! scenario repetitions) fan out over worker pools.
 
 pub mod engine;
 pub mod queue;
@@ -45,8 +39,8 @@ pub mod rng;
 pub mod time;
 
 pub use engine::{
-    run_cluster, run_cluster_counted, run_cluster_with, run_tasks, McChoice, McEvent, McHook,
-    McInstall, NodeCtx, NodeStatus, NodeTask, RunError, Sched, SimPar, Step, World,
+    run_tasks, McChoice, McEvent, McHook, McInstall, Node, NodeFuture, NodeHandle, NodeStatus,
+    NodeTask, RunError, Sched, Step, World,
 };
 pub use time::{Time, MICROS, MILLIS, SECS};
 

@@ -1,7 +1,5 @@
-//! Event queues: a calendar of near-future buckets with a binary heap
-//! fallback for far-future events ([`BucketQueue`]), and a per-node split of
-//! such calendars with a staging wheel for cross-node traffic
-//! ([`SplitQueue`]) used by the windowed (PDES) execution mode.
+//! The event queue: a calendar of near-future buckets with a binary heap
+//! fallback for far-future events ([`BucketQueue`]).
 //!
 //! The simulator's event population is dense and near-sighted: at any
 //! instant the queue holds one resume per runnable node plus the messages in
@@ -27,7 +25,6 @@
 use std::collections::BinaryHeap;
 
 use crate::time::Time;
-use crate::NodeId;
 
 /// log2 of the bucket width in ns (8.2 µs per bucket).
 const BUCKET_SHIFT: u32 = 13;
@@ -122,11 +119,13 @@ impl<V> BucketQueue<V> {
         self.place(at, seq, v);
     }
 
-    /// Queue `v` at time `at` with an externally assigned tie-break sequence
-    /// number. Used by [`SplitQueue`], which owns one global counter across
-    /// all wheels so that tie-breaking is identical to a single queue. Do
-    /// not mix with [`BucketQueue::push`] on the same queue.
-    pub fn push_with_seq(&mut self, at: Time, seq: u64, v: V) {
+    /// Re-insert an event removed by [`BucketQueue::pop_entry`] under its
+    /// original key, restoring it to exactly its former position. The model
+    /// checker pops every event tied at the head time to expose the choice,
+    /// then returns the unchosen ones; `at` must equal the just-popped head
+    /// time (the monotonicity guard allows re-insertion *at* the last popped
+    /// time, not before it).
+    pub fn unpop(&mut self, at: Time, seq: u64, v: V) {
         self.len += 1;
         self.place(at, seq, v);
     }
@@ -212,7 +211,8 @@ impl<V> BucketQueue<V> {
         self.pop_entry().map(|(at, _, v)| (at, v))
     }
 
-    /// [`BucketQueue::pop`] including the tie-break sequence number.
+    /// [`BucketQueue::pop`] including the tie-break sequence number: stable
+    /// event identity, which [`BucketQueue::unpop`] preserves.
     pub fn pop_entry(&mut self) -> Option<(Time, u64, V)> {
         if !self.settle() {
             return None;
@@ -229,200 +229,6 @@ impl<V> BucketQueue<V> {
             return None;
         }
         self.active.last().map(|e| (e.0, e.1))
-    }
-
-    /// The earliest event by reference, with its key.
-    pub fn peek_entry(&mut self) -> Option<(Time, u64, &V)> {
-        if !self.settle() {
-            return None;
-        }
-        self.active.last().map(|e| (e.0, e.1, &e.2))
-    }
-
-    /// Rewind an *empty* queue to time 0, keeping its buffers. Draining can
-    /// leave the cursor far in the future (e.g. after popping a far-future
-    /// event); the staging wheel rewinds after every window merge so the
-    /// next window's pushes are never "in the past".
-    fn rewind(&mut self) {
-        debug_assert!(self.len == 0);
-        self.cursor = 1;
-        self.last_pop = 0;
-    }
-}
-
-/// Head-key sentinel for an empty wheel: compares greater than any real key.
-const EMPTY_KEY: (Time, u64) = (Time::MAX, u64::MAX);
-
-/// Per-node event wheels plus a staging wheel for cross-node traffic.
-///
-/// Every event is addressed at one node; each node gets its own
-/// [`BucketQueue`] wheel, and one global monotone sequence counter spans all
-/// wheels so that popping the global minimum `(time, seq)` reproduces the
-/// exact order (including tie-breaks) of a single shared queue.
-///
-/// In windowed (PDES) execution the engine opens a lookahead window
-/// `[start, start + L)`: conservative lookahead guarantees that an event
-/// produced *for another node* while executing inside the window cannot land
-/// before the window's end, so such events are staged on the `cross` wheel
-/// without touching the target node's wheel mid-window. At each window edge
-/// [`SplitQueue::advance_window`] merges the staged events back into the
-/// per-node wheels, preserving their original `(time, seq)` keys — the merge
-/// is therefore deterministic and order-identical to direct insertion.
-///
-/// Robustness: `pop`/`next_key` always consult the staged wheel's head too,
-/// so even an event staged in violation of the lookahead bound (which a
-/// debug assert flags) is still popped in correct global order.
-pub struct SplitQueue<V> {
-    seq: u64,
-    len: usize,
-    wheels: Vec<BucketQueue<V>>,
-    /// Cached head key per wheel ([`EMPTY_KEY`] when empty).
-    heads: Vec<(Time, u64)>,
-    /// Cross-node events staged until the next window edge.
-    cross: BucketQueue<(NodeId, V)>,
-    cross_head: (Time, u64),
-    /// Exclusive end of the currently open window (0 before the first one).
-    window_end: Time,
-}
-
-impl<V> SplitQueue<V> {
-    /// An empty queue for `n` nodes starting at time 0.
-    pub fn new(n: usize) -> Self {
-        SplitQueue {
-            seq: 0,
-            len: 0,
-            wheels: (0..n).map(|_| BucketQueue::new()).collect(),
-            heads: vec![EMPTY_KEY; n],
-            cross: BucketQueue::new(),
-            cross_head: EMPTY_KEY,
-            window_end: 0,
-        }
-    }
-
-    /// Number of queued events (staged ones included).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Exclusive end of the open lookahead window.
-    pub fn window_end(&self) -> Time {
-        self.window_end
-    }
-
-    /// Queue `v` for `node` at time `at`. `cross` marks an event produced
-    /// for a *different* node than the one currently executing (windowed
-    /// mode only; serial execution always passes false): such events are
-    /// staged until the next window edge. Conservative lookahead means they
-    /// land at or past the window's end; a closer one trips a debug assert
-    /// but is still handled correctly (direct insertion).
-    pub fn push(&mut self, node: NodeId, at: Time, v: V, cross: bool) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.len += 1;
-        let key = (at, seq);
-        if cross && at >= self.window_end {
-            self.cross.push_with_seq(at, seq, (node, v));
-            if key < self.cross_head {
-                self.cross_head = key;
-            }
-        } else {
-            debug_assert!(
-                !cross,
-                "cross-node event at t={at} inside the open window (end {}): \
-                 lookahead bound violated",
-                self.window_end
-            );
-            self.wheels[node].push_with_seq(at, seq, v);
-            if key < self.heads[node] {
-                self.heads[node] = key;
-            }
-        }
-    }
-
-    /// Merge all staged cross-node events back into their target wheels
-    /// (preserving their original `(time, seq)` keys) and open a new window
-    /// ending at `end`.
-    pub fn advance_window(&mut self, end: Time) {
-        debug_assert!(end >= self.window_end);
-        while let Some((at, seq, (node, v))) = self.cross.pop_entry() {
-            self.wheels[node].push_with_seq(at, seq, v);
-            if (at, seq) < self.heads[node] {
-                self.heads[node] = (at, seq);
-            }
-        }
-        self.cross.rewind();
-        self.cross_head = EMPTY_KEY;
-        self.window_end = end;
-    }
-
-    /// The `(time, seq)` key of the globally earliest event (staged cross
-    /// events included), or `None` when empty.
-    pub fn next_key(&self) -> Option<(Time, u64)> {
-        let mut best = self.cross_head;
-        for &h in &self.heads {
-            if h < best {
-                best = h;
-            }
-        }
-        (best != EMPTY_KEY).then_some(best)
-    }
-
-    /// The head event of one node's wheel (staged cross events excluded).
-    pub fn peek_node(&mut self, node: NodeId) -> Option<(Time, u64, &V)> {
-        self.wheels[node].peek_entry()
-    }
-
-    /// Remove and return the globally earliest `(time, node, value)` in
-    /// ascending `(time, seq)` order — bit-identical to a single queue.
-    pub fn pop(&mut self) -> Option<(Time, NodeId, V)> {
-        self.pop_keyed().map(|(at, _, node, v)| (at, node, v))
-    }
-
-    /// [`SplitQueue::pop`] including the global tie-break sequence number.
-    /// The key is stable event identity: an event popped and re-inserted
-    /// with [`SplitQueue::unpop`] keeps its `(time, seq)` position.
-    pub fn pop_keyed(&mut self) -> Option<(Time, u64, NodeId, V)> {
-        let mut best = self.cross_head;
-        let mut who = usize::MAX; // MAX = the cross wheel
-        for (i, &h) in self.heads.iter().enumerate() {
-            if h < best {
-                best = h;
-                who = i;
-            }
-        }
-        if best == EMPTY_KEY {
-            return None;
-        }
-        self.len -= 1;
-        if who == usize::MAX {
-            let (at, seq, (node, v)) = self.cross.pop_entry().expect("cached cross head");
-            self.cross_head = self.cross.peek_key().unwrap_or(EMPTY_KEY);
-            Some((at, seq, node, v))
-        } else {
-            let (at, seq, v) = self.wheels[who].pop_entry().expect("cached wheel head");
-            self.heads[who] = self.wheels[who].peek_key().unwrap_or(EMPTY_KEY);
-            Some((at, seq, who, v))
-        }
-    }
-
-    /// Re-insert an event removed by [`SplitQueue::pop_keyed`] under its
-    /// original key, restoring it to exactly its former global position.
-    /// The model checker pops every event tied at the head time to expose
-    /// the choice, then returns the unchosen ones. Serial mode only (the
-    /// event goes to its node wheel, never the cross stage), and `at` must
-    /// equal the just-popped head time (the wheels' monotonicity guard
-    /// allows re-insertion *at* the last popped time, not before it).
-    pub fn unpop(&mut self, node: NodeId, at: Time, seq: u64, v: V) {
-        self.len += 1;
-        self.wheels[node].push_with_seq(at, seq, v);
-        if (at, seq) < self.heads[node] {
-            self.heads[node] = (at, seq);
-        }
     }
 }
 
@@ -455,22 +261,24 @@ mod tests {
     }
 
     #[test]
-    fn pop_keyed_and_unpop_preserve_global_order() {
-        let mut q: SplitQueue<&str> = SplitQueue::new(2);
-        q.push(0, 100, "a0", false);
-        q.push(1, 100, "b0", false);
-        q.push(0, 200, "later", false);
+    fn pop_entry_and_unpop_preserve_order() {
+        let mut q = BucketQueue::new();
+        q.push(100, "a0");
+        q.push(100, "b0");
+        q.push(200, "later");
         // Pop both events tied at t=100, then put the first one back: it
         // must come out again at its original position, before the second.
-        let (at_a, seq_a, node_a, v_a) = q.pop_keyed().unwrap();
-        assert_eq!((at_a, node_a, v_a), (100, 0, "a0"));
-        let (at_b, _, node_b, v_b) = q.pop_keyed().unwrap();
-        assert_eq!((at_b, node_b, v_b), (100, 1, "b0"));
-        q.unpop(node_a, at_a, seq_a, v_a);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.next_key(), Some((100, seq_a)));
-        assert_eq!(q.pop(), Some((100, 0, "a0")));
-        assert_eq!(q.pop(), Some((200, 0, "later")));
+        let (at_a, seq_a, v_a) = q.pop_entry().unwrap();
+        assert_eq!((at_a, v_a), (100, "a0"));
+        let (at_b, seq_b, v_b) = q.pop_entry().unwrap();
+        assert_eq!((at_b, v_b), (100, "b0"));
+        q.unpop(at_b, seq_b, v_b);
+        q.unpop(at_a, seq_a, v_a);
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.peek_key(), Some((100, seq_a)));
+        assert_eq!(q.pop(), Some((100, "a0")));
+        assert_eq!(q.pop(), Some((100, "b0")));
+        assert_eq!(q.pop(), Some((200, "later")));
         assert_eq!(q.pop(), None);
     }
 
@@ -580,141 +388,6 @@ mod tests {
             // Drain both completely.
             while let Some(want) = reference.pop() {
                 assert_eq!(q.pop(), Some((want.at, want.v)), "seed {seed} drain");
-            }
-            assert_eq!(q.pop(), None);
-        }
-    }
-
-    #[test]
-    fn split_empty_window_advance() {
-        // Advancing the window with nothing staged (and on a fully empty
-        // queue) is a no-op apart from moving the edge.
-        let mut q: SplitQueue<&str> = SplitQueue::new(3);
-        assert_eq!(q.next_key(), None);
-        q.advance_window(10_000);
-        q.advance_window(50_000);
-        assert_eq!(q.window_end(), 50_000);
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-        // Still fully usable afterwards.
-        q.push(1, 60_000, "a", false);
-        q.push(2, 55_000, "b", false);
-        assert_eq!(q.pop(), Some((55_000, 2, "b")));
-        assert_eq!(q.pop(), Some((60_000, 1, "a")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn split_far_overflow_crosses_window_edge() {
-        // A staged cross-node event far beyond the ring horizon spills into
-        // the target wheel's far heap at the window edge and still pops in
-        // exact (time, seq) order relative to near events.
-        let mut q: SplitQueue<u32> = SplitQueue::new(2);
-        let far = (NUM_BUCKETS as u64 + 50) << BUCKET_SHIFT; // ~4.6 ms out
-        q.advance_window(40_000);
-        q.push(0, 10_000, 0, false); // direct, in window
-        q.push(1, far, 1, true); // staged, far future
-        q.push(1, 45_000, 2, true); // staged, just past the edge
-        assert_eq!(q.pop(), Some((10_000, 0, 0)));
-        // Window edge: staged events merge into node 1's wheel.
-        q.advance_window(45_000 + 40_000);
-        q.push(1, far + 1, 3, false);
-        assert_eq!(q.pop(), Some((45_000, 1, 2)));
-        assert_eq!(q.pop(), Some((far, 1, 1)));
-        assert_eq!(q.pop(), Some((far + 1, 1, 3)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn split_merge_preserves_time_seq_order() {
-        // Cross-node events staged out of any particular order, plus direct
-        // same-time events, must pop in exactly ascending (time, seq) —
-        // i.e. ties resolve by global push order, as in a single queue.
-        let mut q: SplitQueue<u32> = SplitQueue::new(3);
-        q.advance_window(30_000);
-        q.push(0, 30_000, 0, false); // seq 0 (direct pushes may share times)
-        q.push(1, 30_000, 1, true); // seq 1, staged
-        q.push(0, 30_000, 2, false); // seq 2
-        q.push(2, 30_000, 3, true); // seq 3, staged
-        q.push(1, 35_000, 4, true); // seq 4, staged
-        q.push(0, 35_000, 5, false); // seq 5
-        q.advance_window(70_000);
-        let mut got = Vec::new();
-        while let Some((at, node, v)) = q.pop() {
-            got.push((at, node, v));
-        }
-        assert_eq!(
-            got,
-            vec![
-                (30_000, 0, 0),
-                (30_000, 1, 1),
-                (30_000, 0, 2),
-                (30_000, 2, 3),
-                (35_000, 1, 4),
-                (35_000, 0, 5),
-            ]
-        );
-    }
-
-    #[test]
-    fn split_differential_against_reference_heap() {
-        // Random traffic over random target nodes with random cross-staging
-        // and periodic window advances must pop in exactly the order of a
-        // single reference heap keyed by (time, seq).
-        for seed in [3u64, 11, 0xFEED_F00D] {
-            let mut rng = Rng(seed);
-            let mut q: SplitQueue<u64> = SplitQueue::new(4);
-            let mut reference: BinaryHeap<FarEntry<(NodeId, u64)>> = BinaryHeap::new();
-            let mut seq = 0u64;
-            let mut now = 0u64;
-            for step in 0..20_000u64 {
-                match rng.next() % 10 {
-                    0..=5 => {
-                        let node = (rng.next() % 4) as NodeId;
-                        let delta = match rng.next() % 8 {
-                            0 => 0,
-                            1..=5 => rng.next() % 200_000,
-                            _ => rng.next() % 30_000_000, // beyond horizon
-                        };
-                        let at = now + delta;
-                        // Honor the staging contract: only mark events past
-                        // the window edge as cross (the engine's lookahead
-                        // guarantees this for real cross-node traffic).
-                        let cross = at >= q.window_end() && rng.next().is_multiple_of(2);
-                        q.push(node, at, step, cross);
-                        reference.push(FarEntry {
-                            at,
-                            seq,
-                            v: (node, step),
-                        });
-                        seq += 1;
-                    }
-                    6..=8 => {
-                        let got = q.pop();
-                        let want = reference.pop().map(|e| {
-                            now = e.at;
-                            (e.at, e.v.0, e.v.1)
-                        });
-                        assert_eq!(got, want, "seed {seed} step {step}");
-                    }
-                    _ => {
-                        // Window edge at the current head (as the engine
-                        // does), with a fixed lookahead.
-                        if let Some((t, _)) = q.next_key() {
-                            if t >= q.window_end() {
-                                q.advance_window(t + 40_000);
-                            }
-                        }
-                    }
-                }
-                assert_eq!(q.len(), reference.len());
-            }
-            while let Some(want) = reference.pop() {
-                assert_eq!(
-                    q.pop(),
-                    Some((want.at, want.v.0, want.v.1)),
-                    "seed {seed} drain"
-                );
             }
             assert_eq!(q.pop(), None);
         }

@@ -12,7 +12,7 @@
 //! ```
 //! The argument is the stride in words between a node's slots (default 8).
 
-use dsm::{run_experiment, Dsm, DsmProgram, MemImage, Protocol, RunConfig};
+use dsm::{run_experiment, Dsm, DsmProgram, MemImage, NodeFuture, Protocol, RunConfig};
 use dsm_stats::Table;
 use std::sync::Arc;
 
@@ -37,27 +37,30 @@ impl DsmProgram for Interleaved {
         }
     }
 
-    fn run(&self, d: &mut dyn Dsm) {
-        let (me, p) = (d.node(), d.num_nodes());
-        for round in 0..self.rounds {
-            // Node j owns word indices where (i / stride) % p == j: stripes
-            // of `stride` words, interleaved across nodes.
-            let mut i = 0;
-            while i < self.words {
-                if (i / self.stride) % p == me {
-                    for k in 0..self.stride.min(self.words - i) {
-                        let a = (i + k) * 8;
-                        let v = d.read_u64(a);
-                        d.write_u64(a, v.wrapping_mul(31).wrapping_add(round as u64));
-                        d.compute(120);
+    fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let (me, p) = (d.node(), d.num_nodes());
+            for round in 0..self.rounds {
+                // Node j owns word indices where (i / stride) % p == j: stripes
+                // of `stride` words, interleaved across nodes.
+                let mut i = 0;
+                while i < self.words {
+                    if (i / self.stride) % p == me {
+                        for k in 0..self.stride.min(self.words - i) {
+                            let a = (i + k) * 8;
+                            let v = d.read_u64(a).await;
+                            d.write_u64(a, v.wrapping_mul(31).wrapping_add(round as u64))
+                                .await;
+                            d.compute(120).await;
+                        }
+                        i += self.stride * p;
+                    } else {
+                        i += self.stride;
                     }
-                    i += self.stride * p;
-                } else {
-                    i += self.stride;
                 }
+                d.barrier(0).await;
             }
-            d.barrier(0);
-        }
+        })
     }
 }
 

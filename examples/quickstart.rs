@@ -1,11 +1,24 @@
 //! Quickstart: write a shared-memory program against the `Dsm` API, run it
 //! under two very different protocol/granularity combinations, and compare.
 //!
+//! This is the reference for the shape of a program. The per-node body is
+//! ordinary `async` code: `run` returns one boxed future
+//! (`Box::pin(async move { .. })`), and every operation on the `Dsm` handle
+//! is awaited. Under the parallel run-time an operation suspends the node
+//! exactly where a real one would wait — a fault, a lock, a barrier, or the
+//! flush of its batched compute time — and the simulator's event loop
+//! resumes it when that wait is over in virtual time; a hit completes
+//! without suspending. Under the sequential baseline nothing ever waits and
+//! the same body runs straight through. Two rules: await nothing but `Dsm`
+//! operations (nothing else will ever wake the node), and write helpers
+//! that touch `d` as `async fn helper(&self, d: &mut Dsm, ..)`, awaited at
+//! the call site.
+//!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
-use dsm::{run_experiment, Dsm, DsmProgram, MemImage, Protocol, RunConfig};
+use dsm::{run_experiment, Dsm, DsmProgram, MemImage, NodeFuture, Protocol, RunConfig};
 use std::sync::Arc;
 
 /// A parallel histogram: every node scans its share of a data array and
@@ -46,36 +59,38 @@ impl DsmProgram for Histogram {
         }
     }
 
-    fn run(&self, d: &mut dyn Dsm) {
-        let (me, p) = (d.node(), d.num_nodes());
-        let per = self.items / p;
-        let lo = me * per;
-        let hi = if me == p - 1 { self.items } else { lo + per };
+    fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let (me, p) = (d.node(), d.num_nodes());
+            let per = self.items / p;
+            let lo = me * per;
+            let hi = if me == p - 1 { self.items } else { lo + per };
 
-        // Count privately first (good parallel manners), then merge under
-        // one lock per bucket group.
-        let mut local = vec![0u64; self.buckets];
-        for i in lo..hi {
-            let v = d.read_u64(self.item_addr(i)) as usize;
-            local[v] += 1;
-            // Pretend each item needs real work (2.5 us): communication
-            // only pays off when there is computation to amortize it.
-            d.compute(2_500);
-        }
-        // Merge in four bucket groups, one lock acquisition per group.
-        let group = self.buckets / 4;
-        for g in 0..4 {
-            d.lock(g);
-            for (b, &cnt) in local.iter().enumerate().skip(g * group).take(group) {
-                if cnt == 0 {
-                    continue;
-                }
-                let cur = d.read_u64(self.bucket_addr(b));
-                d.write_u64(self.bucket_addr(b), cur + cnt);
+            // Count privately first (good parallel manners), then merge under
+            // one lock per bucket group.
+            let mut local = vec![0u64; self.buckets];
+            for i in lo..hi {
+                let v = d.read_u64(self.item_addr(i)).await as usize;
+                local[v] += 1;
+                // Pretend each item needs real work (2.5 us): communication
+                // only pays off when there is computation to amortize it.
+                d.compute(2_500).await;
             }
-            d.unlock(g);
-        }
-        d.barrier(0);
+            // Merge in four bucket groups, one lock acquisition per group.
+            let group = self.buckets / 4;
+            for g in 0..4 {
+                d.lock(g).await;
+                for (b, &cnt) in local.iter().enumerate().skip(g * group).take(group) {
+                    if cnt == 0 {
+                        continue;
+                    }
+                    let cur = d.read_u64(self.bucket_addr(b)).await;
+                    d.write_u64(self.bucket_addr(b), cur + cnt).await;
+                }
+                d.unlock(g).await;
+            }
+            d.barrier(0).await;
+        })
     }
 
     fn check(&self, seq: &MemImage, par: &MemImage) -> Result<(), String> {

@@ -49,6 +49,6 @@ pub use dsm_stats as stats;
 
 pub use dsm_core::{
     run_checked, run_experiment, run_parallel, run_sequential, run_tasks_mc, touch_region, Dsm,
-    DsmProgram, ExperimentResult, FabricConfig, MemImage, Notify, Program, Protocol, RegionHint,
-    RegionPolicy, RegionReport, RunConfig,
+    DsmProgram, ExperimentResult, FabricConfig, MemImage, NodeFuture, Notify, Program, Protocol,
+    RegionHint, RegionPolicy, RegionReport, RunConfig,
 };

@@ -324,100 +324,3 @@ fn parallel_sweep_matches_serial() {
         );
     }
 }
-
-#[test]
-fn windowed_engine_matches_serial_across_the_figure1_grid() {
-    // The centerpiece of the conservative-PDES engine: every cell of the
-    // Figure 1 grid (12 apps x 4 protocols x 4 granularities) must produce
-    // bit-identical statistics under DSM_SIM_PAR=4 windowed execution and
-    // under the classic serial engine. The windowed committer executes all
-    // world phases in exact global (time, seq) order, so any divergence at
-    // all is an engine bug, not noise.
-    use dsm_bench::sweep::{run_cells_fresh_sim, CellSpec, GRANULARITIES};
-    let specs: Vec<CellSpec> = dsm_apps::all_app_names()
-        .iter()
-        .flat_map(|&app| {
-            Protocol::ALL
-                .iter()
-                .flat_map(move |&p| GRANULARITIES.iter().map(move |&g| CellSpec::new(app, p, g)))
-        })
-        .collect();
-    assert_eq!(specs.len(), 192);
-    let serial = run_cells_fresh_sim(&specs, 4, AppSize::Small, 1);
-    let windowed = run_cells_fresh_sim(&specs, 4, AppSize::Small, 4);
-    assert_eq!(serial.len(), windowed.len());
-    for (a, b) in serial.iter().zip(&windowed) {
-        assert_eq!(
-            (a.app.as_str(), a.protocol.as_str(), a.block),
-            (b.app.as_str(), b.protocol.as_str(), b.block)
-        );
-        assert!(
-            b.check_err.is_none(),
-            "{} {}@{} windowed: {:?}",
-            b.app,
-            b.protocol,
-            b.block,
-            b.check_err
-        );
-        assert!(a.stats.sim_events > 0, "events metric must be populated");
-        assert_eq!(
-            a.stats.to_json().to_string(),
-            b.stats.to_json().to_string(),
-            "windowed cell {} {}@{} diverged from serial",
-            a.app,
-            a.protocol,
-            a.block
-        );
-    }
-}
-
-#[test]
-fn windowed_engine_with_checker_and_spans_matches_serial() {
-    // The race detector and causal span tracing both observe every event;
-    // under windowed execution they must see the exact same history. Runs
-    // must stay clean (no violations) and bit-identical to serial with both
-    // instruments on.
-    for app in ["fft", "water-spatial"] {
-        for p in Protocol::ALL {
-            let cfg = RunConfig::new(p, 256).with_check().with_spans();
-            let s = run_experiment(&cfg.clone().with_sim_threads(1), small(app));
-            let w = run_experiment(&cfg.clone().with_sim_threads(4), small(app));
-            assert!(s.check.is_ok(), "{app} {p:?} serial: {:?}", s.check);
-            assert!(w.check.is_ok(), "{app} {p:?} windowed: {:?}", w.check);
-            assert!(
-                s.violations.is_empty() && w.violations.is_empty(),
-                "{app} {p:?}: violations serial={} windowed={}",
-                s.violations.len(),
-                w.violations.len()
-            );
-            assert_eq!(
-                s.stats.to_json().to_string(),
-                w.stats.to_json().to_string(),
-                "{app} {p:?}: checker+spans run diverged under windowed execution"
-            );
-        }
-    }
-}
-
-#[test]
-fn windowed_engine_matches_serial_under_a_faulty_fabric() {
-    // The reliability machinery (acks, retransmission timers, dup/reorder
-    // fault injection) posts the densest cross-node event patterns; the
-    // lookahead bound must hold there too. Same seed, same faults, same
-    // bits.
-    use dsm::FabricConfig;
-    for p in [Protocol::Hlrc, Protocol::SwLrc] {
-        let cfg = RunConfig::new(p, 1024)
-            .with_fabric(FabricConfig::faulty(7))
-            .with_check();
-        let s = run_experiment(&cfg.clone().with_sim_threads(1), small("lu"));
-        let w = run_experiment(&cfg.clone().with_sim_threads(4), small("lu"));
-        assert!(s.check.is_ok() && w.check.is_ok());
-        assert!(s.violations.is_empty() && w.violations.is_empty());
-        assert_eq!(
-            s.stats.to_json().to_string(),
-            w.stats.to_json().to_string(),
-            "{p:?}: faulty-fabric run diverged under windowed execution"
-        );
-    }
-}

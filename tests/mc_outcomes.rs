@@ -1,6 +1,6 @@
 //! The outcomes of `explore` other than "clean": a schedule that
 //! deadlocks, a barrier one node never joins, and the commit-point bound.
-//! On the task loop these are values the driver matches on, not panics it
+//! On the event loop these are values the driver matches on, not panics it
 //! catches; the reported counts, rules and detail strings are the ones the
 //! threaded path produced.
 

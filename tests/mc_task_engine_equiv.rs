@@ -1,10 +1,10 @@
-//! Task engine ≡ threaded engine.
+//! Poll-shaped run-time ≡ `async` run-time, on the one event loop.
 //!
-//! The model checker runs micro-programs as resumable tasks
-//! (`MicroTask` over `DsmTask`, on `run_tasks`); the same programs are
-//! ordinary blocking bodies on the threaded engine (`MicroRunner` over
-//! `DsmThread`, on `run_parallel`). The two run-times share what they do
-//! to the world and differ only in control flow, so on the default
+//! The model checker runs micro-programs as hand-written state machines
+//! (`MicroTask` over `DsmTask`, through `run_tasks_mc`); the same programs
+//! are ordinary `async` bodies under `run_parallel` (`MicroRunner` over
+//! `Dsm::Par`), as every application is. The two run-times share what they
+//! do to the world and differ only in control flow, so on the default
 //! schedule — no hook, ties in queue order — they must agree on
 //! everything a run reports: every per-node counter, both modeled times,
 //! the simulator's event count, region counters, the final memory image,
@@ -17,7 +17,7 @@ use dsm::core::RunOutcome;
 use dsm::mc::program::{self, MicroProgram, MicroRunner, MicroTask, Op, TraceEv};
 use dsm::{run_parallel, run_tasks_mc, FabricConfig, Protocol, RunConfig};
 
-fn threaded(rc: &RunConfig, prog: &MicroProgram) -> (RunOutcome, Vec<TraceEv>) {
+fn futures(rc: &RunConfig, prog: &MicroProgram) -> (RunOutcome, Vec<TraceEv>) {
     let runner = Arc::new(MicroRunner::new(prog.clone()));
     let outcome = run_parallel(rc, runner.clone());
     (outcome, runner.take_trace())
@@ -100,10 +100,9 @@ fn every_preset_agrees_on_both_engines() {
                     .with_nodes(prog.nodes())
                     .with_static_homes()
                     .with_fabric(fabric.clone())
-                    .with_sim_threads(1)
                     .with_check();
                 let what = format!("{} / {proto:?} / reliable={}", prog.name, fabric.reliable());
-                let (t_out, t_trace) = threaded(&rc, prog);
+                let (t_out, t_trace) = futures(&rc, prog);
                 let (k_out, k_trace) = tasks(&rc, prog);
                 assert!(k_out.stats.sim_events > 0, "{what}");
                 assert_eq!(

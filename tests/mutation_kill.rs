@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use dsm::core::{Mutation, Violation};
 use dsm::proto::{MutFabric, MUTATIONS};
-use dsm::{run_parallel, Dsm, DsmProgram, FabricConfig, MemImage, Protocol, RunConfig};
+use dsm::{run_parallel, Dsm, DsmProgram, FabricConfig, MemImage, NodeFuture, Protocol, RunConfig};
 
 const NODES: usize = 8;
 const LOCKS: usize = 3;
@@ -47,50 +47,54 @@ impl DsmProgram for KillApp {
 
     fn init(&self, _mem: &mut MemImage) {}
 
-    fn warmup(&self, d: &mut dyn Dsm) {
-        if d.node() == 0 {
-            for l in 0..LOCKS {
-                d.write_u64(l * CTR_STRIDE, 0);
+    fn warmup<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            if d.node() == 0 {
+                for l in 0..LOCKS {
+                    d.write_u64(l * CTR_STRIDE, 0).await;
+                }
+                for r in 0..PING_ROUNDS {
+                    d.write_u64(PING_BASE + r * 8, 0).await;
+                }
             }
-            for r in 0..PING_ROUNDS {
-                d.write_u64(PING_BASE + r * 8, 0);
-            }
-        }
+        })
     }
 
-    fn run(&self, d: &mut dyn Dsm) {
-        let n = d.num_nodes();
-        let me = d.node();
-        // Phase 1: lock-ordered counters. Every increment is a remote
-        // read-modify-write: lock grants carry write notices (LRC), each
-        // release diffs the dirty block (HLRC) or publishes a bumped
-        // version (SW-LRC), and each write fault invalidates sharers (SC).
-        for _ in 0..LOCK_ROUNDS {
-            for l in 0..LOCKS {
-                d.lock(l);
-                let a = l * CTR_STRIDE;
-                let v = d.read_u64(a);
-                // Every byte of the counter changes, so HLRC diffs carry a
-                // full 8-byte run (the diff-truncation site needs one).
-                d.write_u64(a, v + 0x0101_0101_0101_0101);
-                d.unlock(l);
-                d.compute(500);
+    fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
+        Box::pin(async move {
+            let n = d.num_nodes();
+            let me = d.node();
+            // Phase 1: lock-ordered counters. Every increment is a remote
+            // read-modify-write: lock grants carry write notices (LRC), each
+            // release diffs the dirty block (HLRC) or publishes a bumped
+            // version (SW-LRC), and each write fault invalidates sharers (SC).
+            for _ in 0..LOCK_ROUNDS {
+                for l in 0..LOCKS {
+                    d.lock(l).await;
+                    let a = l * CTR_STRIDE;
+                    let v = d.read_u64(a).await;
+                    // Every byte of the counter changes, so HLRC diffs carry a
+                    // full 8-byte run (the diff-truncation site needs one).
+                    d.write_u64(a, v + 0x0101_0101_0101_0101).await;
+                    d.unlock(l).await;
+                    d.compute(500).await;
+                }
             }
-        }
-        d.barrier(0);
-        // Phase 2: one producer per round, everyone reads after the
-        // barrier. The write/read pair is ordered *only* by the barrier,
-        // and node 0 is never the producer, so a skipped happens-before
-        // join on node 0 must surface as a race.
-        for r in 0..PING_ROUNDS {
-            let a = PING_BASE + r * 8;
-            if me == 1 + r % (n - 1) {
-                d.write_u64(a, r as u64 + 1);
+            d.barrier(0).await;
+            // Phase 2: one producer per round, everyone reads after the
+            // barrier. The write/read pair is ordered *only* by the barrier,
+            // and node 0 is never the producer, so a skipped happens-before
+            // join on node 0 must surface as a race.
+            for r in 0..PING_ROUNDS {
+                let a = PING_BASE + r * 8;
+                if me == 1 + r % (n - 1) {
+                    d.write_u64(a, r as u64 + 1).await;
+                }
+                d.barrier(1).await;
+                let _ = d.read_u64(a).await;
+                d.barrier(2).await;
             }
-            d.barrier(1);
-            let _ = d.read_u64(a);
-            d.barrier(2);
-        }
+        })
     }
 }
 

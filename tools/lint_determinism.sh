@@ -3,8 +3,8 @@
 #
 # The whole stack depends on bit-identical replay: the engine's state
 # hashes, the model checker's replay-based exploration, and the golden
-# tests all assume a run is a pure function of its inputs. Two construct
-# families break that silently:
+# tests all assume a run is a pure function of its inputs. Three construct
+# families break that, the first two silently:
 #
 #   1. Wall-clock time (SystemTime::now / Instant::now) — never legal in
 #      these crates; virtual time comes from the engine. No allowlist.
@@ -14,6 +14,12 @@
 #      order-insensitive (XOR-folded digests, keyed lookup, membership
 #      tests) are listed in tools/lint_determinism_allow.txt with a
 #      justification; everything else fails.
+#   3. Threads under a cell (std::thread, Mutex, Condvar, catch_unwind,
+#      unsafe) in sim, core and proto — a run is one event loop on the
+#      caller's thread, and every host-side cost the threaded engine had
+#      (hand-off, poison cascades, scheduler placement) came in through
+#      these. Parallelism is across runs: the sweep and scenario pools in
+#      crates/bench and crates/scenario. No allowlist.
 #
 # Comment lines are ignored. Run from anywhere; CI runs it on every push.
 
@@ -21,13 +27,15 @@ set -u
 cd "$(dirname "$0")/.."
 
 DIRS="crates/sim/src crates/proto/src crates/fabric/src crates/mc/src crates/core/src"
+ONE_THREAD_DIRS="crates/sim/src crates/core/src crates/proto/src"
 ALLOW="tools/lint_determinism_allow.txt"
 status=0
 
-# Print "file:lineno:text" matches for an extended regex, with lines whose
-# code part is a // comment filtered out.
+# Print "file:lineno:text" matches for an extended regex under the given
+# directories (default: $DIRS), with lines whose code part is a // comment
+# filtered out.
 matches() {
-  grep -rn --include='*.rs' -E "$1" $DIRS 2>/dev/null |
+  grep -rn --include='*.rs' -E "$1" ${2:-$DIRS} 2>/dev/null |
     awk -F':' '{
       text = $0
       sub(/^[^:]*:[^:]*:/, "", text)
@@ -54,6 +62,13 @@ if [ -n "$hits" ]; then
       status=1
     fi
   done <<<"$hits"
+fi
+
+hits=$(matches 'std::thread|\bMutex\b|\bCondvar\b|catch_unwind|\bunsafe\b' "$ONE_THREAD_DIRS")
+if [ -n "$hits" ]; then
+  echo "$hits"
+  echo "lint_determinism: threads, locks, unwinding or unsafe under a cell (no allowlist for this rule)"
+  status=1
 fi
 
 if [ "$status" -eq 0 ]; then
