@@ -11,7 +11,8 @@
 //! * the parallel run-time ([`run_parallel`]): every node is a simulated
 //!   cluster node; accesses go through the coherence protocol, and the body
 //!   suspends wherever the node waits (all sixteen bodies of a run are
-//!   resumed by one event loop on the caller's thread);
+//!   resumed by one event loop on the caller's thread; [`run_parallel_mc`]
+//!   is the same run with the model checker's hook on that loop);
 //! * the sequential runner ([`run_sequential`]): the same program on one
 //!   node against plain memory, which defines the speedup baseline exactly
 //!   as the paper does (Table 1's sequential execution times). Nothing
@@ -19,21 +20,18 @@
 
 pub mod api;
 pub mod image;
-mod node_ops;
 pub mod par;
 pub mod runner;
 pub mod seq;
-pub mod task;
 
 pub use api::Dsm;
 pub use image::MemImage;
 pub use par::ParDsm;
 pub use runner::{
-    node_body, run_bodies, run_checked, run_experiment, run_parallel, run_sequential, run_tasks_mc,
-    ExperimentResult, NodeBody, RegionPolicy, RegionReport, RunConfig, RunOutcome,
+    node_body, run_bodies, run_checked, run_experiment, run_parallel, run_parallel_mc,
+    run_sequential, ExperimentResult, NodeBody, RegionPolicy, RegionReport, RunConfig, RunOutcome,
 };
 pub use seq::SeqDsm;
-pub use task::DsmTask;
 
 pub use dsm_check::RunChecker;
 pub use dsm_fabric::{FabricConfig, FaultPlan, NiModel, RetryPolicy};

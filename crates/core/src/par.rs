@@ -1,25 +1,53 @@
 //! The parallel run-time: a node's handle onto the simulated cluster and
-//! the coherence protocols.
+//! the coherence protocols, and the accounting — stall statistics, recorder
+//! events, span waits, the measurement window — it does at each wait.
 
+use dsm_obs::{EventKind, WaitKind};
 use dsm_proto::msg::FaultKind;
 use dsm_proto::ops::{self, Attempt};
 use dsm_proto::ProtoWorld;
 use dsm_sim::{NodeHandle, Time};
 
-use crate::node_ops::{self, LocalTime};
+/// Unflushed local time is batched up to this much before being pushed into
+/// the event loop, trading a little timing precision (bounded by the
+/// quantum) for a large reduction in event-queue traffic.
+const FLUSH_QUANTUM_NS: Time = 2_000;
+
+/// A node's locally executed time not yet pushed into the simulator, and
+/// the statistics that go with it.
+struct LocalTime {
+    /// Batched local time not yet pushed into the simulator.
+    pending_ns: Time,
+    /// Accumulated raw compute time (pre-inflation), flushed to stats.
+    compute_acc: Time,
+    /// Accumulated polling overhead, flushed to stats.
+    poll_acc: Time,
+    /// Polling inflation in percent (0 under interrupts).
+    inflation_pct: u32,
+}
+
+impl LocalTime {
+    /// Charge `t` ns of locally executed work. True when the batch has
+    /// reached the flush quantum.
+    #[inline]
+    fn charge(&mut self, t: Time) -> bool {
+        // Polling instrumentation inflates all locally executed work.
+        let overhead = t * self.inflation_pct as Time / 100;
+        self.pending_ns += t + overhead;
+        self.compute_acc += t;
+        self.poll_acc += overhead;
+        self.pending_ns >= FLUSH_QUANTUM_NS
+    }
+}
 
 /// A node's handle onto the DSM in a parallel run (the [`crate::Dsm::Par`]
 /// arm): checks access on every read/write, runs the protocol on faults,
 /// and charges virtual time for computation, accesses, polling overhead and
 /// stalls.
 ///
-/// This is the `async` form, for node bodies that are ordinary code; an
-/// operation suspends only where it advances the node's clock or blocks it
-/// (a flush of batched local time, a fault, a lock or barrier wait), and a
-/// hit completes without suspending. [`crate::DsmTask`] is its poll-shaped
-/// counterpart for hand-written state machines. What either does to the
-/// world at each step is shared (the `node_ops` module); only the control
-/// flow differs.
+/// An operation suspends only where it advances the node's clock or blocks
+/// it (a flush of batched local time, a fault, a lock or barrier wait), and
+/// a hit completes without suspending.
 pub struct ParDsm {
     ctx: NodeHandle<ProtoWorld>,
     me: usize,
@@ -47,7 +75,12 @@ impl ParDsm {
             n,
             lrc,
             layout,
-            local: LocalTime::new(inflation_pct),
+            local: LocalTime {
+                pending_ns: 0,
+                compute_acc: 0,
+                poll_acc: 0,
+                inflation_pct,
+            },
         }
     }
 
@@ -66,8 +99,11 @@ impl ParDsm {
     /// Push batched time into the simulator and flush stat accumulators.
     async fn flush(&mut self) {
         let (local, me) = (&mut self.local, self.me);
-        self.ctx.world(|w, _| local.fold_stats(w, me));
-        let t = self.local.take_pending();
+        self.ctx.world(|w, _| {
+            w.stats[me].compute_ns += std::mem::take(&mut local.compute_acc);
+            w.stats[me].poll_overhead_ns += std::mem::take(&mut local.poll_acc);
+        });
+        let t = std::mem::take(&mut self.local.pending_ns);
         if t > 0 {
             self.ctx.advance(t).await;
         }
@@ -78,19 +114,35 @@ impl ParDsm {
     pub(crate) async fn finish(&mut self) {
         self.flush().await;
         let me = self.me;
-        self.ctx.world(|w, s| node_ops::note_end(w, s, me));
+        self.ctx.world(|w, s| w.obs.note_end(me, s.now()));
     }
 
     async fn fault(&mut self, b: usize, kind: FaultKind) {
         self.flush().await;
         let t0 = self.ctx.now();
         let me = self.me;
-        self.ctx
-            .world(|w, s| node_ops::fault_begin(w, s, me, b, kind));
+        let write = matches!(kind, FaultKind::Write);
+        self.ctx.world(|w, s| {
+            w.obs
+                .record(me, s.now(), EventKind::FaultBegin { block: b, write });
+            ops::start_fault(w, s, me, b, kind);
+        });
         self.ctx.block().await;
-        let dt = self.ctx.now() - t0;
-        self.ctx
-            .world(|w, s| node_ops::fault_end(w, s, me, b, kind, dt));
+        let dur = self.ctx.now() - t0;
+        self.ctx.world(|w, s| {
+            let st = &mut w.stats[me];
+            match kind {
+                FaultKind::Read => st.read_stall_ns += dur,
+                FaultKind::Write => st.write_stall_ns += dur,
+            }
+            let end = EventKind::FaultEnd {
+                block: b,
+                write,
+                dur,
+            };
+            w.obs.record(me, s.now(), end);
+            w.obs.span_wait(me, s.now(), dur, WaitKind::Fetch);
+        });
     }
 
     #[inline]
@@ -106,8 +158,11 @@ impl ParDsm {
         self.flush().await;
         self.ctx.advance(t).await;
         let me = self.me;
-        self.ctx
-            .world(|w, s| node_ops::local_fault_end(w, s, me, b, t));
+        self.ctx.world(|w, s| {
+            w.stats[me].proto_local_ns += t;
+            w.obs
+                .record(me, s.now(), EventKind::LocalFault { block: b, dur: t });
+        });
     }
 
     /// One access to `[addr, addr+len)`: split at coherence-block boundaries,
@@ -151,10 +206,21 @@ impl ParDsm {
         }
     }
 
+    /// Zero the node's statistics and mark the start of its measured phase.
     pub(crate) async fn begin_measurement(&mut self) {
         self.flush().await;
         let me = self.me;
-        self.ctx.world(|w, s| node_ops::begin_measurement(w, s, me));
+        self.ctx.world(|w, s| {
+            w.stats[me] = Default::default();
+            let now = s.now();
+            w.obs.note_begin(me, now);
+            if let Some(c) = w.check.as_deref_mut() {
+                c.arm(me, now);
+            }
+            if w.measure_start < now {
+                w.measure_start = now;
+            }
+        });
     }
 
     #[inline]
@@ -187,8 +253,13 @@ impl ParDsm {
         self.ctx
             .world(|w, s| dsm_proto::sync::lock_acquire_start(w, s, me, l));
         self.ctx.block().await;
-        let dt = self.ctx.now() - t0;
-        self.ctx.world(|w, s| node_ops::lock_end(w, s, me, l, dt));
+        let dur = self.ctx.now() - t0;
+        self.ctx.world(|w, s| {
+            w.stats[me].lock_wait_ns += dur;
+            w.obs
+                .record(me, s.now(), EventKind::LockWait { lock: l, dur });
+            w.obs.span_wait(me, s.now(), dur, WaitKind::Lock);
+        });
     }
 
     pub(crate) async fn unlock(&mut self, l: usize) {
@@ -219,8 +290,12 @@ impl ParDsm {
         }
         let t0 = self.ctx.now();
         self.ctx.block().await;
-        let dt = self.ctx.now() - t0;
-        self.ctx
-            .world(|w, s| node_ops::barrier_end(w, s, me, b, dt));
+        let dur = self.ctx.now() - t0;
+        self.ctx.world(|w, s| {
+            w.stats[me].barrier_wait_ns += dur;
+            w.obs
+                .record(me, s.now(), EventKind::BarrierWait { barrier: b, dur });
+            w.obs.span_wait(me, s.now(), dur, WaitKind::Barrier);
+        });
     }
 }

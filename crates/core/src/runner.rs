@@ -3,12 +3,12 @@
 
 use std::sync::Arc;
 
-use dsm_fabric::FabricConfig;
+use dsm_fabric::{FabricConfig, FaultOracle};
 use dsm_mem::Layout;
 use dsm_net::{CostModel, LatencyModel, Notify};
 use dsm_obs::{ObsConfig, ObsReport, SharingProfile};
 use dsm_proto::{final_image, ProtoConfig, ProtoWorld, Protocol};
-use dsm_sim::{McHook, McInstall, Node, NodeFuture, NodeTask, RunError, Time};
+use dsm_sim::{McHook, McInstall, NodeFuture, RunError, Time};
 use dsm_stats::{RegionCounters, RunStats};
 
 use crate::api::{complete, Dsm};
@@ -293,7 +293,7 @@ fn build_layout(cfg: &RunConfig, program: &dyn DsmProgram) -> (Layout, Vec<Proto
 
 /// Polling-instrumentation overhead charged on `program`'s local work under
 /// `cfg`, in percent (none when messages interrupt).
-pub(crate) fn poll_inflation(cfg: &RunConfig, program: &dyn DsmProgram) -> u32 {
+fn poll_inflation(cfg: &RunConfig, program: &dyn DsmProgram) -> u32 {
     match cfg.notify {
         Notify::Polling => program.poll_inflation_pct(),
         Notify::Interrupt => 0,
@@ -336,19 +336,31 @@ fn build_world(cfg: &RunConfig, program: &dyn DsmProgram) -> ProtoWorld {
     world
 }
 
-/// Run `program` on the simulated cluster under `cfg`: one `async` body per
-/// node — warm-up, the warm-up barrier, the start of measurement, the
-/// program, the tail flush — against a [`Dsm::Par`], all resumed by the one
-/// event loop on the caller's thread.
-///
-/// A run that deadlocks panics with the [`RunError::Deadlock`] text
-/// (`simulation deadlock: event queue empty, node states [..]`); a panic in
-/// a program body reaches the caller as it was raised.
-pub fn run_parallel(cfg: &RunConfig, program: Program) -> RunOutcome {
-    let program = program.as_ref();
-    let world = build_world(cfg, program);
+/// Build and run one parallel run of `program` under `cfg`: one `async`
+/// body per node — warm-up, the warm-up barrier, the start of measurement,
+/// the program, the tail flush — against a [`Dsm::Par`], all resumed by the
+/// one event loop on the caller's thread. With `mc`, the model checker's
+/// hook decides every commit-point tie and its fault oracle, when there is
+/// one, every transmission's fate.
+fn run_program(
+    cfg: &RunConfig,
+    program: &dyn DsmProgram,
+    mc: Option<(Box<dyn McHook<ProtoWorld>>, Option<FaultOracle>)>,
+) -> Result<RunOutcome, RunError> {
+    let mut world = build_world(cfg, program);
+    let install = mc.map(|(hook, fault_oracle)| {
+        if let Some(o) = fault_oracle {
+            world.fabric.set_fault_oracle(o);
+        }
+        McInstall {
+            hook,
+            msg_hash: Box::new(|to, pkt: &dsm_proto::Packet| {
+                dsm_sim::rng::StableHasher::fingerprint(&(to, pkt))
+            }),
+        }
+    });
     let inflation = poll_inflation(cfg, program);
-    let (world, end, sim_events) = run_futures(world, cfg.nodes, inflation, |mut d| {
+    let (world, end, sim_events) = run_futures(world, cfg.nodes, inflation, install, |mut d| {
         Box::pin(async move {
             program.warmup(&mut d).await;
             d.barrier(WARMUP_BARRIER).await;
@@ -356,27 +368,51 @@ pub fn run_parallel(cfg: &RunConfig, program: Program) -> RunOutcome {
             program.run(&mut d).await;
             d.finish().await;
         })
-    });
-    finish_outcome(cfg, world, end, sim_events)
+    })?;
+    Ok(finish_outcome(cfg, world, end, sim_events))
 }
 
-/// Run one `async` body per node of `world` to completion, each built by
-/// `body` from the node's [`Dsm::Par`].
+/// Run `program` on the simulated cluster under `cfg`.
+///
+/// A run that deadlocks panics with the [`RunError::Deadlock`] text
+/// (`simulation deadlock: event queue empty, node states [..]`): without a
+/// hook that is the only way to stop short, and it is the program's bug,
+/// reported where an uncaught panic in it would be. A panic in a program
+/// body reaches the caller as it was raised.
+pub fn run_parallel(cfg: &RunConfig, program: Program) -> RunOutcome {
+    run_program(cfg, program.as_ref(), None).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`run_parallel`] under the model checker's controlled scheduler: every
+/// commit-point tie is `hook`'s decision, and `fault_oracle` replaces the
+/// fabric's seeded fault dice with explicit per-transmission decisions.
+/// A schedule the hook abandons is `Err(RunError::Pruned)` — the suspended
+/// bodies are dropped — and one on which the program deadlocks is
+/// `Err(RunError::Deadlock { .. })`.
+pub fn run_parallel_mc(
+    cfg: &RunConfig,
+    program: &dyn DsmProgram,
+    hook: Box<dyn McHook<ProtoWorld>>,
+    fault_oracle: Option<FaultOracle>,
+) -> Result<RunOutcome, RunError> {
+    run_program(cfg, program, Some((hook, fault_oracle)))
+}
+
+/// Run one `async` body per node of `world`, each built by `body` from the
+/// node's [`Dsm::Par`]: the crate's one call into the event loop.
 fn run_futures<'a>(
     world: ProtoWorld,
     nodes: usize,
     inflation_pct: u32,
+    mc: Option<McInstall<ProtoWorld>>,
     mut body: impl FnMut(Dsm) -> NodeFuture<'a>,
-) -> (ProtoWorld, Time, u64) {
-    let run = dsm_sim::run_tasks(
+) -> Result<(ProtoWorld, Time, u64), RunError> {
+    dsm_sim::run_nodes(
         world,
         nodes,
-        |ctx| Node::Future(body(Dsm::Par(ParDsm::new(ctx, inflation_pct)))),
-        None,
-    );
-    // Without a hook the only way to stop short is a deadlock. It is the
-    // program's bug, reported where an uncaught panic in it would be.
-    run.unwrap_or_else(|e| panic!("{e}"))
+        |ctx| body(Dsm::Par(ParDsm::new(ctx, inflation_pct))),
+        mc,
+    )
 }
 
 /// One node's part of a scripted run ([`run_bodies`]): `async` code against
@@ -397,56 +433,14 @@ pub fn node_body<'a>(f: impl for<'d> FnOnce(&'d mut Dsm) -> NodeFuture<'d> + 'a)
 pub fn run_bodies(world: ProtoWorld, bodies: Vec<NodeBody<'_>>) -> ProtoWorld {
     let nodes = bodies.len();
     let mut bodies = bodies.into_iter();
-    let (world, _, _) = run_futures(world, nodes, 0, |mut d| {
+    let run = run_futures(world, nodes, 0, None, |mut d| {
         let body = bodies.next().expect("one body per node");
         Box::pin(async move {
             body(&mut d).await;
             d.finish().await;
         })
     });
-    world
-}
-
-/// Run poll-shaped node programs on the event loop, optionally under the
-/// model checker's controlled scheduler.
-///
-/// The world, the statistics and the outcome are [`run_parallel`]'s; the
-/// node programs are `tasks` (one per node, each driving a
-/// [`crate::DsmTask`] through [`crate::DsmTask::prologue`], its operations
-/// and [`crate::DsmTask::epilogue`]), and `meta` supplies what the harness
-/// needs to know about the program besides its body: name, shared size,
-/// initial image, region hints. With `hook` every commit-point tie is its
-/// decision and it may abandon the run (`Err(RunError::Pruned)`); without,
-/// ties commit in queue order as under [`run_parallel`]. `fault_oracle`
-/// replaces the fabric's seeded fault dice with explicit per-transmission
-/// decisions. A schedule on which the program deadlocks is
-/// `Err(RunError::Deadlock { .. })`.
-pub fn run_tasks_mc(
-    cfg: &RunConfig,
-    meta: &dyn DsmProgram,
-    tasks: Vec<Box<dyn NodeTask<ProtoWorld> + '_>>,
-    hook: Option<Box<dyn McHook<ProtoWorld>>>,
-    fault_oracle: Option<dsm_fabric::FaultOracle>,
-) -> Result<RunOutcome, RunError> {
-    assert_eq!(tasks.len(), cfg.nodes, "one task per node");
-    let mut world = build_world(cfg, meta);
-    if let Some(o) = fault_oracle {
-        world.fabric.set_fault_oracle(o);
-    }
-    let install = hook.map(|hook| McInstall {
-        hook,
-        msg_hash: Box::new(|to, pkt: &dsm_proto::Packet| {
-            dsm_sim::rng::StableHasher::fingerprint(&(to, pkt))
-        }),
-    });
-    let mut tasks = tasks.into_iter();
-    let (world, end, sim_events) = dsm_sim::run_tasks(
-        world,
-        cfg.nodes,
-        |_| Node::Task(tasks.next().expect("one task per node")),
-        install,
-    )?;
-    Ok(finish_outcome(cfg, world, end, sim_events))
+    run.unwrap_or_else(|e| panic!("{e}")).0
 }
 
 /// Fold a finished world into the run's outcome.

@@ -38,7 +38,7 @@ pub struct FaultDecision {
 /// attempt)` when installed via [`Fabric::set_fault_oracle`]. The forced
 /// post-budget attempt still bypasses it, so delivery stays guaranteed and
 /// every fault schedule terminates.
-pub type FaultOracle = Box<dyn FnMut(NodeId, NodeId, u64, u32) -> FaultDecision + Send>;
+pub type FaultOracle = Box<dyn FnMut(NodeId, NodeId, u64, u32) -> FaultDecision>;
 
 /// A schedule action produced by a transmission.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -6,11 +6,12 @@
 //! snapshots anything — it re-runs the whole simulation from scratch for
 //! every execution, replaying the decision prefix positionally and
 //! branching at the frontier. An execution is one call of
-//! [`dsm_core::run_tasks_mc`]: the micro-program's nodes are poll-shaped
-//! tasks on the engine's event loop, on this thread, so abandoning a
-//! schedule is `Err(RunError::Pruned)` and the tasks are dropped, and a
-//! schedule that deadlocks is `Err(RunError::Deadlock { .. })` — values,
-//! not unwinds. Reduction is classic sleep-set DPOR
+//! [`dsm_core::run_parallel_mc`]: the micro-program's nodes are `async`
+//! bodies on the engine's event loop, on this thread, as an application's
+//! are, so abandoning a schedule is `Err(RunError::Pruned)` and the
+//! suspended bodies are dropped, and a schedule that deadlocks is
+//! `Err(RunError::Deadlock { .. })` — values, not unwinds. Reduction is
+//! classic sleep-set DPOR
 //! (Godefroid): a sibling already explored from a state is put to sleep in
 //! the subtrees of later siblings and woken only by a dependent transition,
 //! so two independent transitions are never expanded in both orders.
@@ -21,16 +22,16 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
-use dsm_core::{run_tasks_mc, FabricConfig, RunConfig, RunOutcome};
+use dsm_core::{run_parallel_mc, FabricConfig, RunConfig, RunOutcome};
 use dsm_fabric::{FaultDecision, FaultOracle};
 use dsm_proto::{Mutation, Packet, ProtoWorld, Protocol, Violation};
 use dsm_sim::rng::fold64;
 use dsm_sim::{McChoice, McEvent, McHook, RunError, Time};
 
 use crate::oracle;
-use crate::program::{MicroProgram, MicroRunner, MicroTask, TraceEv};
+use crate::program::{MicroProgram, MicroRunner, TraceEv};
 
 /// Rule id reported when an execution exceeds [`McConfig::max_steps`]
 /// commit points (livelock / unbounded execution).
@@ -459,7 +460,7 @@ impl McCore {
 
 /// [`McHook`] adapter sharing the core with the fault oracle.
 struct HookHandle {
-    core: Arc<Mutex<McCore>>,
+    core: Rc<RefCell<McCore>>,
 }
 
 impl McHook<ProtoWorld> for HookHandle {
@@ -471,8 +472,7 @@ impl McHook<ProtoWorld> for HookHandle {
         choices: &[McChoice<'_, Packet>],
     ) -> Option<usize> {
         self.core
-            .lock()
-            .expect("mc core")
+            .borrow_mut()
             .on_choose(world, engine_hash, choices)
     }
 }
@@ -511,21 +511,20 @@ fn record(report: &mut McReport, viols: Vec<Violation>) {
     }
 }
 
-/// Run `prog` once on the event loop: one [`MicroTask`] per node under
-/// `rc`, with `hook` deciding every commit-point tie and `fault_oracle`
-/// every transmission's fate. Returns the outcome together with the
-/// execution's trace.
+/// Run `runner`'s program once on the event loop under `rc`, with `hook`
+/// deciding every commit-point tie and `fault_oracle` every transmission's
+/// fate. Returns the outcome together with the execution's trace.
 fn execute(
     rc: &RunConfig,
     runner: &MicroRunner,
-    prog: &MicroProgram,
     hook: Box<dyn McHook<ProtoWorld>>,
     fault_oracle: Option<FaultOracle>,
 ) -> Result<(RunOutcome, Vec<TraceEv>), RunError> {
-    let trace = RefCell::new(Vec::new());
-    let tasks = MicroTask::for_program(prog, rc, runner, &trace);
-    let outcome = run_tasks_mc(rc, runner, tasks, Some(hook), fault_oracle)?;
-    Ok((outcome, trace.into_inner()))
+    let outcome = run_parallel_mc(rc, runner, hook, fault_oracle);
+    // Taken whatever the outcome: a pruned or deadlocked execution leaves a
+    // partial trace behind, which must not lead the next one's.
+    let trace = runner.take_trace();
+    Ok((outcome?, trace))
 }
 
 /// Exhaustively explore the schedule space of `prog` under `cfg`.
@@ -536,22 +535,21 @@ fn execute(
 /// the configured protocol. The search terminates when the branch stack is
 /// exhausted (`complete = true`) or an early-exit bound fires.
 pub fn explore(cfg: &McConfig, prog: &MicroProgram) -> McReport {
-    let core = Arc::new(Mutex::new(McCore::new(cfg)));
+    let core = Rc::new(RefCell::new(McCore::new(cfg)));
     let mut report = McReport::default();
     let mut runs: u64 = 0;
     let rc = run_config(cfg, prog);
     let runner = MicroRunner::new(prog.clone());
     loop {
         runs += 1;
-        core.lock().expect("mc core").reset_run();
+        core.borrow_mut().reset_run();
         let hook: Box<dyn McHook<ProtoWorld>> = Box::new(HookHandle { core: core.clone() });
         let fault_oracle: Option<FaultOracle> = (cfg.fault_budget > 0).then(|| {
             let c = core.clone();
             let ns = cfg.reorder_ns;
-            Box::new(move |_from, _to, _seq, _attempt| c.lock().expect("mc core").on_fault(ns))
-                as FaultOracle
+            Box::new(move |_from, _to, _seq, _attempt| c.borrow_mut().on_fault(ns)) as FaultOracle
         });
-        match execute(&rc, &runner, prog, hook, fault_oracle) {
+        match execute(&rc, &runner, hook, fault_oracle) {
             Ok((outcome, trace)) => {
                 report.schedules += 1;
                 let mut viols = outcome.violations;
@@ -565,7 +563,7 @@ pub fn explore(cfg: &McConfig, prog: &MicroProgram) -> McReport {
                 }
                 record(&mut report, viols);
             }
-            Err(RunError::Pruned) => match core.lock().expect("mc core").prune.take() {
+            Err(RunError::Pruned) => match core.borrow_mut().prune.take() {
                 Some(Prune::Sleep) => report.pruned_sleep += 1,
                 Some(Prune::Dedup) => report.pruned_dedup += 1,
                 Some(Prune::Steps) => {
@@ -599,10 +597,10 @@ pub fn explore(cfg: &McConfig, prog: &MicroProgram) -> McReport {
         }
         let stop = (cfg.stop_on_violation && !report.violation_counts.is_empty())
             || (cfg.max_schedules > 0 && runs >= cfg.max_schedules);
-        let exhausted = !stop && !core.lock().expect("mc core").backtrack();
+        let exhausted = !stop && !core.borrow_mut().backtrack();
         if stop || exhausted {
             report.complete = exhausted;
-            let c = core.lock().expect("mc core");
+            let c = core.borrow();
             report.states = c.states;
             report.choice_points = c.choice_points;
             report.max_depth = c.max_depth;

@@ -13,17 +13,14 @@
 //! bounded configuration (2–4 nodes, 1–2 coherence blocks, short
 //! data-race-free programs) — for SC, SW-LRC, HLRC and Tardis alike.
 //!
-//! An exploration is thousands of executions, so an execution is built to
-//! be cheap: the micro-program's nodes are poll-shaped tasks
-//! ([`program::MicroTask`], a program counter over [`dsm_core::DsmTask`])
-//! on the engine's event loop ([`dsm_sim::run_tasks`]), where the hook
-//! sits. Nothing is spawned, locked or unwound beneath
+//! An execution is an ordinary parallel run with the hook installed
+//! ([`dsm_core::run_parallel_mc`]): the micro-program's nodes are the
+//! `async` bodies of a [`program::MicroRunner`] — a `DsmProgram` like any
+//! application — on the engine's event loop ([`dsm_sim::run_nodes`]), where
+//! the hook sits. Nothing is spawned, locked or unwound beneath
 //! [`explore`]: a pruned schedule is `Err(RunError::Pruned)` and a
 //! deadlocked one is `Err(RunError::Deadlock { .. })`, both plain values
-//! the driver matches on, and no panic hook is installed. The same
-//! programs also run as ordinary `async` bodies on the same loop, as the
-//! applications do ([`program::MicroRunner`]);
-//! `tests/mc_task_engine_equiv.rs` holds the two equal.
+//! the driver matches on, and no panic hook is installed.
 //!
 //! Each completed schedule is validated three ways:
 //!

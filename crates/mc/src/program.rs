@@ -3,23 +3,14 @@
 //! Model-checked configurations are deliberately tiny — 2–4 nodes, one or
 //! two coherence blocks, a handful of operations per thread — because the
 //! schedule space grows exponentially in the number of co-enabled events.
-//! A [`MicroProgram`] describes such a configuration declaratively. Two
-//! runners execute it and record the value-carrying trace the legality
-//! oracles in [`crate::oracle`] consume: [`MicroTask`], a program counter
-//! over a [`DsmTask`] — the poll-shaped form [`crate::explore`] runs, tens
-//! of thousands of times per exploration — and [`MicroRunner`], the same
-//! program as an ordinary `async` [`DsmProgram`] body under
-//! `dsm_core::run_parallel`, kept as the reference the task runner is
-//! differentially tested against.
+//! A [`MicroProgram`] describes such a configuration declaratively, and
+//! [`MicroRunner`] executes it — an ordinary `async` [`DsmProgram`] body, as
+//! every application is — recording the value-carrying trace the legality
+//! oracles in [`crate::oracle`] consume.
 
-use std::cell::RefCell;
-use std::ops::ControlFlow::{Break, Continue};
 use std::sync::Mutex;
 
-use dsm_core::task::Poll;
-use dsm_core::{Dsm, DsmProgram, DsmTask, MemImage, NodeFuture, RunConfig};
-use dsm_proto::{Packet, ProtoWorld};
-use dsm_sim::{NodeTask, Sched, Step};
+use dsm_core::{Dsm, DsmProgram, MemImage, NodeFuture};
 
 /// One shared-memory or synchronization operation of a micro-program
 /// thread. Addresses are byte offsets into the shared region and must be
@@ -132,122 +123,18 @@ impl TraceEv {
     }
 }
 
-/// One node of a [`MicroProgram`] as a resumable task: a program counter
-/// over the node's operation list, driving a [`DsmTask`]. Completed
-/// operations are appended to the execution's shared trace.
+/// [`DsmProgram`] adapter executing a [`MicroProgram`] as an `async` node
+/// body and recording its trace; [`MicroRunner::take_trace`] yields the
+/// trace after the run.
 ///
 /// A [`TraceEv`] is recorded when its operation completes — for a data
 /// access, after its cost has been charged, which can yield once the batch
-/// reaches the flush quantum — exactly where the `async` [`MicroRunner`]
-/// records it, so the two produce the same trace. Recording at the
-/// access's commit point instead would differ only in where a data event
-/// sits relative to *other* nodes' events, which neither oracle reads:
+/// reaches the flush quantum. Recording at the access's commit point
+/// instead would differ only in where a data event sits relative to *other*
+/// nodes' events, which neither oracle reads:
 /// [`crate::oracle::witness_check`] uses per-node order alone and
 /// [`crate::oracle::hb_check`] takes only lock and barrier order from the
 /// global trace.
-pub struct MicroTask<'a> {
-    dsm: DsmTask,
-    ops: &'a [Op],
-    pc: usize,
-    /// The value an [`Op::Add`] read, between its read and its write.
-    seen: Option<u64>,
-    trace: &'a RefCell<Vec<TraceEv>>,
-}
-
-impl<'a> MicroTask<'a> {
-    /// One task per node of `prog`, for a run of it under `rc` that records
-    /// into `trace`. `meta` is the program's harness-side description (a
-    /// [`MicroRunner`] over the same program).
-    pub fn for_program(
-        prog: &'a MicroProgram,
-        rc: &RunConfig,
-        meta: &dyn DsmProgram,
-        trace: &'a RefCell<Vec<TraceEv>>,
-    ) -> Vec<Box<dyn NodeTask<ProtoWorld> + 'a>> {
-        prog.threads
-            .iter()
-            .enumerate()
-            .map(|(me, ops)| {
-                Box::new(MicroTask {
-                    dsm: DsmTask::new(rc, meta, me),
-                    ops,
-                    pc: 0,
-                    seen: None,
-                    trace,
-                }) as Box<dyn NodeTask<ProtoWorld> + 'a>
-            })
-            .collect()
-    }
-
-    fn record(&self, ev: TraceEv) {
-        self.trace.borrow_mut().push(ev);
-    }
-
-    /// The node body: prologue, the operations, epilogue. Re-entered from
-    /// the top on every resume; `prologue`, `pc` and `seen` skip what has
-    /// completed and the [`DsmTask`] continues the operation that yielded.
-    fn run(&mut self, w: &mut ProtoWorld, s: &mut Sched<Packet>) -> Poll<()> {
-        let node = self.dsm.node();
-        self.dsm.prologue(w, s)?;
-        while let Some(&op) = self.ops.get(self.pc) {
-            match op {
-                Op::Read(addr) => {
-                    let val = self.dsm.read_u64(w, s, addr)?;
-                    self.record(TraceEv::Read { node, addr, val });
-                }
-                Op::Write(addr, val) => {
-                    self.dsm.write_u64(w, s, addr, val)?;
-                    self.record(TraceEv::Write { node, addr, val });
-                }
-                Op::Add(addr, delta) => {
-                    // Two accesses, either of which may fault: the read,
-                    // then a write of the value read plus `delta`.
-                    let seen = match self.seen {
-                        Some(v) => v,
-                        None => {
-                            let val = self.dsm.read_u64(w, s, addr)?;
-                            self.record(TraceEv::Read { node, addr, val });
-                            *self.seen.insert(val)
-                        }
-                    };
-                    let val = seen.wrapping_add(delta);
-                    self.dsm.write_u64(w, s, addr, val)?;
-                    self.seen = None;
-                    self.record(TraceEv::Write { node, addr, val });
-                }
-                Op::Lock(lock) => {
-                    self.dsm.lock(w, s, lock)?;
-                    self.record(TraceEv::Lock { node, lock });
-                }
-                Op::Unlock(lock) => {
-                    self.dsm.unlock(w, s, lock)?;
-                    self.record(TraceEv::Unlock { node, lock });
-                }
-                Op::Barrier(bar) => {
-                    self.dsm.barrier(w, s, bar)?;
-                    self.record(TraceEv::BarPass { node, bar });
-                }
-                Op::Compute(ns) => self.dsm.compute(w, ns)?,
-            }
-            self.pc += 1;
-        }
-        self.dsm.epilogue(w, s)
-    }
-}
-
-impl NodeTask<ProtoWorld> for MicroTask<'_> {
-    fn resume(&mut self, world: &mut ProtoWorld, sched: &mut Sched<Packet>) -> Step {
-        match self.run(world, sched) {
-            Break(step) => step,
-            Continue(()) => Step::Done,
-        }
-    }
-}
-
-/// [`DsmProgram`] adapter executing a [`MicroProgram`] as an `async` node
-/// body and recording its trace; [`MicroRunner::take_trace`] yields the
-/// trace after the run. It also serves as the program description (name,
-/// size, initial image) behind [`MicroTask`] runs.
 pub struct MicroRunner {
     prog: MicroProgram,
     trace: Mutex<Vec<TraceEv>>,
@@ -262,7 +149,9 @@ impl MicroRunner {
         }
     }
 
-    /// Take the recorded trace (global commit order).
+    /// Take the recorded trace (global commit order). A run that stopped
+    /// short — pruned or deadlocked — leaves a partial trace behind, so take
+    /// it after every run, not only the completed ones.
     pub fn take_trace(&self) -> Vec<TraceEv> {
         std::mem::take(&mut *self.trace.lock().unwrap())
     }

@@ -52,7 +52,7 @@ impl std::fmt::Display for Violation {
 /// which is fully serialized and deterministic; in particular every
 /// release-side hook runs before the acquire-side hook it
 /// happens-before.
-pub trait Checker: Send {
+pub trait Checker {
     /// Node `me` entered the measured phase; accesses before this call
     /// (warm-up) are not race-checked.
     fn arm(&mut self, me: NodeId, now: Time) {

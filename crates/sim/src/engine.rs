@@ -1,34 +1,24 @@
 //! The discrete-event engine: event queue, node scheduling, and the one
 //! loop that runs node programs on it.
 //!
-//! [`run_tasks`] is the only event loop: it pops events in `(time, seq)`
+//! [`run_nodes`] is the only event loop: it pops events in `(time, seq)`
 //! order on the caller's thread, delivers messages to the [`World`], and
 //! resumes a node in place when its resume event commits. No threads, no
 //! locks, no unwinding: nodes need be neither `Send` nor `'static`, an
 //! abandoned execution is a dropped `Vec`, a deadlock is a value
 //! ([`RunError::Deadlock`]), and a panicking node body simply unwinds
-//! through the loop to the caller. A node program comes in one of two
-//! shapes ([`Node`]), and both express a yield through the same
-//! [`SchedInner`] transitions, so a yield means the same thing in either:
+//! through the loop to the caller.
 //!
-//! * **Futures** ([`NodeFuture`]): ordinary `async` code against a
-//!   [`NodeHandle`] — the shape for real programs (the paper's
-//!   applications), whose continuation at a yield is a call stack the
-//!   compiler turns into a state machine. The body suspends only inside
-//!   [`NodeHandle::advance`] and [`NodeHandle::block`]; the loop polls it
-//!   with a no-op waker, because the engine — not a waker — decides who
-//!   runs next. [`NodeHandle::world`] is closure-shaped on purpose: the
-//!   borrow of the world ends with the closure, so it can never be held
-//!   across an `.await`.
-//! * **Tasks** ([`NodeTask`]): poll-shaped state machines written by hand,
-//!   lent `&mut` world and scheduler on every resume and returning a
-//!   [`Step`]. A straight-line program's whole continuation is a program
-//!   counter, so this shape needs no future and no allocation per resume;
-//!   `dsm-mc`'s micro-programs, executed tens of thousands of times per
-//!   exploration, run this way.
+//! A node program has one shape, a [`NodeFuture`]: ordinary `async` code
+//! against a [`NodeHandle`], whose continuation at a yield is a call stack
+//! the compiler turns into a state machine. The body suspends only inside
+//! [`NodeHandle::advance`] and [`NodeHandle::block`]; the loop polls it with
+//! a no-op waker, because the engine — not a waker — decides who runs next.
+//! [`NodeHandle::world`] is closure-shaped on purpose: the borrow of the
+//! world ends with the closure, so it can never be held across an `.await`.
 //!
 //! A model-checker hook ([`McHook`]) sits on the loop and controls every
-//! commit point, whatever the shape of the nodes.
+//! commit point.
 
 use std::cell::RefCell;
 use std::future::Future;
@@ -68,14 +58,14 @@ pub enum McEvent<'a, M> {
     },
 }
 
-/// A controlled scheduler plugged into the event loop by [`run_tasks`]: every
+/// A controlled scheduler plugged into the event loop by [`run_nodes`]: every
 /// commit point where more than zero events are co-enabled at the head
 /// virtual time becomes an explicit choice.
 ///
 /// The hook is called at *every* commit point, singletons included, so it
 /// can maintain replay position, sleep sets, and step bounds uniformly.
-/// Returning `None` abandons the execution: [`run_tasks`] drops the tasks
-/// and returns [`RunError::Pruned`].
+/// Returning `None` abandons the execution: [`run_nodes`] drops the
+/// suspended bodies and returns [`RunError::Pruned`].
 pub trait McHook<W: World> {
     /// Pick which of `choices` (all tied at virtual time `at`) commits.
     ///
@@ -97,7 +87,7 @@ pub trait McHook<W: World> {
 /// of the message so replays fingerprint identically.
 pub type McMsgHash<M> = Box<dyn Fn(NodeId, &M) -> u64>;
 
-/// Everything [`run_tasks`] installs on the engine: the controlling
+/// Everything [`run_nodes`] installs on the engine: the controlling
 /// hook plus a content hash for queued messages (feeding the queue-multiset
 /// part of `engine_hash`).
 pub struct McInstall<W: World> {
@@ -123,9 +113,9 @@ pub trait World {
 
     /// Observe a node advancing its local clock over `[from, to)` (compute
     /// or local protocol work). Called when the node yields
-    /// ([`NodeHandle::advance`], [`Step::Advance`]), before the segment is
-    /// scheduled; occupancy charged into the segment later via
-    /// [`Sched::delay`] is not included. Default: no-op.
+    /// ([`NodeHandle::advance`]), before the segment is scheduled; occupancy
+    /// charged into the segment later via [`Sched::delay`] is not included.
+    /// Default: no-op.
     fn on_advance(&mut self, _node: NodeId, _from: Time, _to: Time) {}
 }
 
@@ -145,31 +135,7 @@ pub enum NodeStatus {
     Done,
 }
 
-/// What a [`NodeTask`] asks of the engine when it yields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Step {
-    /// Compute for this many virtual nanoseconds, then resume (what
-    /// [`NodeHandle::advance`] is to an `async` body). `Advance(0)` still
-    /// yields: events tied at the current time may commit first.
-    Advance(Time),
-    /// Park until a message handler calls [`Sched::wake`] for this node
-    /// ([`NodeHandle::block`]).
-    Block,
-    /// The node program has finished; the task is not resumed again.
-    Done,
-}
-
-/// A node program as a hand-written state machine: the engine calls
-/// [`NodeTask::resume`]
-/// each time the node's resume event commits, with the world and scheduler
-/// borrowed for the duration of the call, and the task runs until its next
-/// yield. Everything a task must remember across a yield lives in `self`.
-pub trait NodeTask<W: World> {
-    /// Run from the current virtual time ([`Sched::now`]) to the next yield.
-    fn resume(&mut self, world: &mut W, sched: &mut Sched<W::Msg>) -> Step;
-}
-
-/// Why [`run_tasks`] did not run to completion.
+/// Why [`run_nodes`] did not run to completion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// The model-checker hook abandoned the execution
@@ -239,8 +205,8 @@ pub struct SchedInner<M> {
     queue_hash: u64,
 }
 
-/// Handle given to [`World::deliver`], [`NodeTask::resume`] and
-/// [`NodeHandle::world`] closures for interacting with the event queue.
+/// Handle given to [`World::deliver`] and [`NodeHandle::world`] closures for
+/// interacting with the event queue.
 pub type Sched<M> = SchedInner<M>;
 
 impl<M> SchedInner<M> {
@@ -368,7 +334,8 @@ impl<M> SchedInner<M> {
     }
 
     /// The running node yields to compute for `dt` ns
-    /// ([`NodeHandle::advance`], [`Step::Advance`]).
+    /// ([`NodeHandle::advance`]). `dt == 0` still yields: events tied at the
+    /// current time may commit first.
     fn yield_advance<W: World<Msg = M>>(&mut self, world: &mut W, node: NodeId, dt: Time) {
         let at = self.now + dt;
         if dt > 0 {
@@ -378,8 +345,8 @@ impl<M> SchedInner<M> {
         self.schedule_resume(node, at);
     }
 
-    /// The running node yields until woken ([`NodeHandle::block`],
-    /// [`Step::Block`]); a wake that already arrived releases it at once.
+    /// The running node yields until woken ([`NodeHandle::block`]); a wake
+    /// that already arrived releases it at once.
     fn yield_block(&mut self, node: NodeId) {
         debug_assert_eq!(self.nodes[node].status, NodeStatus::Running);
         match self.nodes[node].pending_wake.take() {
@@ -579,15 +546,6 @@ fn mc_next_event<W: World>(
 /// it returns.
 pub type NodeFuture<'a> = Pin<Box<dyn Future<Output = ()> + 'a>>;
 
-/// One node's program, in either of the two shapes [`run_tasks`] resumes
-/// (see the module docs for which to use when).
-pub enum Node<'t, W: World> {
-    /// A hand-written state machine, lent the world on every resume.
-    Task(Box<dyn NodeTask<W> + 't>),
-    /// `async` code holding a [`NodeHandle`].
-    Future(NodeFuture<'t>),
-}
-
 /// The world and the scheduler of one run, shared between the loop and the
 /// node handles. Only ever borrowed for the extent of one event or one
 /// [`NodeHandle::world`] closure, never across a suspension.
@@ -667,23 +625,20 @@ impl Future for Yielded {
 /// return the final world, the final virtual time and the number of events
 /// processed — or why the run stopped short.
 ///
-/// `program` builds each node's program from its [`NodeHandle`] (a
-/// [`Node::Task`] has no use for one and drops it). Events commit in
-/// `(time, seq)` order; a message is delivered to the world; a valid resume
-/// runs the node to its next yield — a task is lent the world and its
-/// [`Step`] applied, a future is polled with the world released and has
-/// applied its yield itself by the time it returns `Pending`; after the last
-/// node finishes the queue is drained so in-flight messages still take
-/// effect. The same program therefore produces the same world, time and
-/// event count in either shape.
+/// `program` builds each node's body from its [`NodeHandle`]. Events commit
+/// in `(time, seq)` order; a message is delivered to the world; a valid
+/// resume polls the node's body, with the world released, to its next yield
+/// — which the body has applied itself by the time it returns `Pending`;
+/// after the last node finishes the queue is drained so in-flight messages
+/// still take effect.
 ///
 /// With `mc` installed every commit point — the post-`Done` drain
 /// included — is the hook's choice ([`McHook::choose`]). A panic in a node
 /// program unwinds through this function to the caller.
-pub fn run_tasks<'t, W: World>(
+pub fn run_nodes<'t, W: World>(
     world: W,
     n: usize,
-    program: impl FnMut(NodeHandle<W>) -> Node<'t, W>,
+    program: impl FnMut(NodeHandle<W>) -> NodeFuture<'t>,
     mc: Option<McInstall<W>>,
 ) -> Result<(W, Time, u64), RunError> {
     assert!(n > 0, "cluster needs at least one node");
@@ -694,7 +649,7 @@ pub fn run_tasks<'t, W: World>(
     });
     sched.start();
     let engine = Rc::new(RefCell::new((world, sched)));
-    let mut nodes: Vec<Node<'t, W>> = (0..n)
+    let mut nodes: Vec<NodeFuture<'t>> = (0..n)
         .map(|node| NodeHandle {
             engine: Rc::clone(&engine),
             node,
@@ -726,31 +681,22 @@ pub fn run_tasks<'t, W: World>(
                 if !sched.begin_resume(node, gen, at) {
                     continue; // superseded by a later delay/wake
                 }
-                match &mut nodes[node] {
-                    Node::Task(task) => match task.resume(world, sched) {
-                        Step::Advance(dt) => sched.yield_advance(world, node, dt),
-                        Step::Block => sched.yield_block(node),
-                        Step::Done => sched.yield_done(node),
-                    },
-                    Node::Future(body) => {
-                        drop(borrow);
-                        let done = body.as_mut().poll(&mut cx).is_ready();
-                        let sched = &mut engine.borrow_mut().1;
-                        if done {
-                            sched.yield_done(node);
-                        }
-                        assert_ne!(
-                            sched.nodes[node].status,
-                            NodeStatus::Running,
-                            "node {node} suspended on something other than advance/block"
-                        );
-                    }
+                drop(borrow);
+                let done = nodes[node].as_mut().poll(&mut cx).is_ready();
+                let sched = &mut engine.borrow_mut().1;
+                if done {
+                    sched.yield_done(node);
                 }
+                assert_ne!(
+                    sched.nodes[node].status,
+                    NodeStatus::Running,
+                    "node {node} suspended on something other than advance/block"
+                );
             }
         }
     }
-    // Finished or not, the programs go before the world comes back out:
-    // every `async` body holds a handle on the engine.
+    // Finished or not, the bodies go before the world comes back out: each
+    // holds a handle on the engine.
     drop(nodes);
     let Ok(engine) = Rc::try_unwrap(engine) else {
         panic!("a node handle outlived its node program");
@@ -765,6 +711,7 @@ pub fn run_tasks<'t, W: World>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     /// A world that records message deliveries and can wake nodes.
     struct TestWorld {
@@ -794,17 +741,25 @@ mod tests {
         Box::new(move |ctx| Box::pin(f(ctx)))
     }
 
-    /// Run `async` bodies to completion, no hook.
-    fn run_bodies<W: World>(world: W, bodies: Vec<Body<W>>) -> (W, Time, u64) {
+    /// Run one body per node, with or without a hook.
+    fn run_with<W: World>(
+        world: W,
+        bodies: Vec<Body<W>>,
+        mc: Option<McInstall<W>>,
+    ) -> Result<(W, Time, u64), RunError> {
         let n = bodies.len();
         let mut bodies = bodies.into_iter();
-        run_tasks(
+        run_nodes(
             world,
             n,
-            |ctx| Node::Future((bodies.next().expect("one body per node"))(ctx)),
-            None,
+            |ctx| (bodies.next().expect("one body per node"))(ctx),
+            mc,
         )
-        .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Run bodies to completion, no hook.
+    fn run_bodies<W: World>(world: W, bodies: Vec<Body<W>>) -> (W, Time, u64) {
+        run_with(world, bodies, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
     #[test]
@@ -1115,45 +1070,6 @@ mod tests {
         ]
     }
 
-    /// A task that replays a fixed list of steps, running `first` against
-    /// the scheduler on its first resume: [`tie_bodies`] in poll shape.
-    struct Script {
-        first: Option<fn(&mut Sched<u32>)>,
-        steps: std::vec::IntoIter<Step>,
-    }
-    impl NodeTask<TestWorld> for Script {
-        fn resume(&mut self, _world: &mut TestWorld, sched: &mut Sched<u32>) -> Step {
-            if let Some(f) = self.first.take() {
-                f(sched);
-            }
-            self.steps.next().unwrap_or(Step::Done)
-        }
-    }
-
-    fn script(
-        first: Option<fn(&mut Sched<u32>)>,
-        steps: Vec<Step>,
-    ) -> Box<dyn NodeTask<TestWorld>> {
-        Box::new(Script {
-            first,
-            steps: steps.into_iter(),
-        })
-    }
-
-    fn tie_tasks() -> Vec<Box<dyn NodeTask<TestWorld>>> {
-        vec![
-            script(
-                Some(|s| {
-                    s.post(1, 100, 1);
-                    s.post(1, 100, 2);
-                    s.post(1, 100, 3);
-                }),
-                vec![Step::Advance(1)],
-            ),
-            script(None, vec![Step::Advance(200)]),
-        ]
-    }
-
     fn tie_world() -> TestWorld {
         TestWorld {
             log: vec![],
@@ -1161,97 +1077,27 @@ mod tests {
         }
     }
 
-    /// Run poll-shaped tasks, with or without a hook.
-    fn run_script(
-        world: TestWorld,
-        tasks: Vec<Box<dyn NodeTask<TestWorld>>>,
-        mc: Option<McInstall<TestWorld>>,
-    ) -> Result<(TestWorld, Time, u64), RunError> {
-        let n = tasks.len();
-        let mut tasks = tasks.into_iter();
-        run_tasks(
-            world,
-            n,
-            |_| Node::Task(tasks.next().expect("one task per node")),
-            mc,
-        )
-    }
-
-    #[test]
-    fn tasks_match_futures_without_a_hook() {
-        let (fw, ft, fe) = run_bodies(tie_world(), tie_bodies());
-        let (kw, kt, ke) = run_script(tie_world(), tie_tasks(), None).expect("runs to completion");
-        assert_eq!(kw.log, fw.log);
-        assert_eq!((kt, ke), (ft, fe), "same final time and event count");
-    }
-
-    #[test]
-    fn the_two_shapes_mix_in_one_run() {
-        let mut bodies = tie_bodies().into_iter();
-        let mut tasks = tie_tasks().into_iter();
-        let (w, t, e) = run_tasks(
-            tie_world(),
-            2,
-            |ctx| {
-                let (body, task) = (bodies.next().unwrap(), tasks.next().unwrap());
-                if ctx.node() == 0 {
-                    Node::Future(body(ctx))
-                } else {
-                    Node::Task(task)
-                }
-            },
-            None,
-        )
-        .expect("runs to completion");
-        let (fw, ft, fe) = run_bodies(tie_world(), tie_bodies());
-        assert_eq!((w.log, t, e), (fw.log, ft, fe));
-    }
-
-    #[test]
-    fn tasks_block_wake_and_consume_pending_wakes() {
-        // Node 1 blocks until message 7 arrives at t=250, computes past a
-        // second wake (message 7 again at t=300, stored as pending), and
-        // its next block returns at once.
-        let world = TestWorld {
-            log: vec![],
-            wake_on: vec![None, Some(7)],
-        };
-        struct Waiter(u32, Vec<Time>);
-        impl NodeTask<TestWorld> for Waiter {
-            fn resume(&mut self, _w: &mut TestWorld, s: &mut Sched<u32>) -> Step {
-                self.1.push(s.now());
-                self.0 += 1;
-                match self.0 {
-                    1 => Step::Block,
-                    2 => {
-                        assert!(!s.is_blocked(1));
-                        s.wake(1, 300); // arrives while computing: pending
-                        Step::Advance(100)
-                    }
-                    3 => Step::Block,
-                    _ => {
-                        assert_eq!(self.1, [0, 250, 350, 350]);
-                        Step::Done
-                    }
-                }
-            }
-        }
-        let tasks: Vec<Box<dyn NodeTask<TestWorld>>> = vec![
-            script(Some(|s| s.post(1, 250, 7)), vec![Step::Advance(10)]),
-            Box::new(Waiter(0, Vec::new())),
-        ];
-        let (w, t, _) = run_script(world, tasks, None).expect("runs to completion");
-        assert_eq!(w.log, vec![(250, 1, 7)]);
-        assert_eq!(t, 350);
+    /// A hook that delegates to `pick`, hashing messages by their tag.
+    fn install(
+        pick: impl FnMut(usize, u64) -> Option<usize> + 'static,
+    ) -> Option<McInstall<TestWorld>> {
+        Some(McInstall {
+            hook: Box::new(PickHook(pick)),
+            msg_hash: Box::new(|to, m: &u32| fold64(u64::from(*m), to as u64)),
+        })
     }
 
     #[test]
     fn deadlock_is_a_value() {
-        let tasks = vec![
-            script(None, vec![Step::Block]),
-            script(None, vec![Step::Advance(10)]),
+        let bodies = vec![
+            body(|mut ctx: NodeHandle<TestWorld>| async move {
+                ctx.block().await;
+            }),
+            body(|mut ctx: NodeHandle<TestWorld>| async move {
+                ctx.advance(10).await;
+            }),
         ];
-        let err = run_script(tie_world(), tasks, None)
+        let err = run_with(tie_world(), bodies, None)
             .err()
             .expect("deadlocks");
         assert_eq!(
@@ -1268,34 +1114,10 @@ mod tests {
 
     #[test]
     fn mc_hook_reverses_tie_order() {
-        let (w, _, _) = run_script(
-            tie_world(),
-            tie_tasks(),
-            Some(McInstall {
-                hook: Box::new(PickHook(|n: usize, _| Some(n - 1))),
-                msg_hash: Box::new(|_, m: &u32| u64::from(*m)),
-            }),
-        )
-        .expect("runs to completion");
+        let (w, _, _) = run_with(tie_world(), tie_bodies(), install(|n, _| Some(n - 1)))
+            .expect("runs to completion");
         let tags: Vec<u32> = w.log.iter().map(|&(_, _, m)| m).collect();
         assert_eq!(tags, vec![3, 2, 1], "picking last reverses the tie");
-    }
-
-    #[test]
-    fn mc_hook_controls_async_bodies_too() {
-        let mut bodies = tie_bodies().into_iter();
-        let (w, _, _) = run_tasks(
-            tie_world(),
-            2,
-            |ctx| Node::Future((bodies.next().unwrap())(ctx)),
-            Some(McInstall {
-                hook: Box::new(PickHook(|n: usize, _| Some(n - 1))),
-                msg_hash: Box::new(|_, m: &u32| u64::from(*m)),
-            }),
-        )
-        .expect("runs to completion");
-        let tags: Vec<u32> = w.log.iter().map(|&(_, _, m)| m).collect();
-        assert_eq!(tags, vec![3, 2, 1], "one hook, either node shape");
     }
 
     #[test]
@@ -1303,22 +1125,15 @@ mod tests {
         fn mc_run() -> (Vec<(Time, NodeId, u32)>, Vec<u64>, u64) {
             let hashes = Rc::new(RefCell::new(Vec::new()));
             let sink = Rc::clone(&hashes);
-            let (w, _, ev) = run_script(
-                tie_world(),
-                tie_tasks(),
-                Some(McInstall {
-                    hook: Box::new(PickHook(move |_, eh| {
-                        sink.borrow_mut().push(eh);
-                        Some(0)
-                    })),
-                    msg_hash: Box::new(|to, m: &u32| fold64(u64::from(*m), to as u64)),
-                }),
-            )
-            .expect("runs to completion");
+            let hook = install(move |_, eh| {
+                sink.borrow_mut().push(eh);
+                Some(0)
+            });
+            let (w, _, ev) = run_with(tie_world(), tie_bodies(), hook).expect("runs to completion");
             let hs = hashes.borrow().clone();
             (w.log, hs, ev)
         }
-        let (plain, _, plain_ev) = run_script(tie_world(), tie_tasks(), None).expect("runs");
+        let (plain, _, plain_ev) = run_bodies(tie_world(), tie_bodies());
         let (log_a, hashes_a, ev_a) = mc_run();
         let (log_b, hashes_b, ev_b) = mc_run();
         assert_eq!(log_a, plain.log, "always-first replays the queue order");
@@ -1330,19 +1145,47 @@ mod tests {
     }
 
     #[test]
-    fn mc_prune_is_an_error_value() {
+    fn mc_prune_is_an_error_value_and_drops_the_suspended_bodies() {
+        struct CountDrop(Rc<Cell<u32>>);
+        impl Drop for CountDrop {
+            fn drop(&mut self) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+        let drops: [Rc<Cell<u32>>; 2] = Default::default();
+        // `tie_bodies`, each holding a guard across every suspension.
+        let guarded = || -> Vec<Body<TestWorld>> {
+            let with_guard = |(inner, drops): (Body<TestWorld>, &Rc<Cell<u32>>)| {
+                let guard = CountDrop(Rc::clone(drops));
+                body(move |ctx: NodeHandle<TestWorld>| async move {
+                    let _held = guard;
+                    inner(ctx).await;
+                })
+            };
+            tie_bodies()
+                .into_iter()
+                .zip(&drops)
+                .map(with_guard)
+                .collect()
+        };
+        // The third commit point is node 0's resume from `advance(1)`, with
+        // node 1 inside `advance(200)`: both bodies are suspended.
         let mut steps = 0u32;
-        let r = run_script(
+        let pruned = run_with(
             tie_world(),
-            tie_tasks(),
-            Some(McInstall {
-                hook: Box::new(PickHook(move |_, _| {
-                    steps += 1;
-                    (steps <= 2).then_some(0)
-                })),
-                msg_hash: Box::new(|_, m: &u32| u64::from(*m)),
+            guarded(),
+            install(move |_, _| {
+                steps += 1;
+                (steps <= 2).then_some(0)
             }),
         );
-        assert_eq!(r.err(), Some(RunError::Pruned));
+        assert_eq!(pruned.err(), Some(RunError::Pruned));
+        assert_eq!([drops[0].get(), drops[1].get()], [1, 1]);
+        // The run after a prune is unaffected.
+        let (w, t, _) =
+            run_with(tie_world(), guarded(), install(|_, _| Some(0))).expect("runs to completion");
+        let tags: Vec<u32> = w.log.iter().map(|&(_, _, m)| m).collect();
+        assert_eq!((tags, t), (vec![1, 2, 3], 200));
+        assert_eq!([drops[0].get(), drops[1].get()], [2, 2]);
     }
 }

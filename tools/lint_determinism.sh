@@ -15,11 +15,15 @@
 #      tests) are listed in tools/lint_determinism_allow.txt with a
 #      justification; everything else fails.
 #   3. Threads under a cell (std::thread, Mutex, Condvar, catch_unwind,
-#      unsafe) in sim, core and proto — a run is one event loop on the
-#      caller's thread, and every host-side cost the threaded engine had
-#      (hand-off, poison cascades, scheduler placement) came in through
-#      these. Parallelism is across runs: the sweep and scenario pools in
-#      crates/bench and crates/scenario. No allowlist.
+#      unsafe) in sim, core, proto, fabric and check — a run is one event
+#      loop on the caller's thread, and every host-side cost the threaded
+#      engine had (hand-off, poison cascades, scheduler placement) came in
+#      through these. Nothing a world holds is `Send` any more (the fault
+#      oracle and the checker lost the bound with the last thread), so
+#      nothing in these crates knows threads exist. crates/mc/src stays
+#      out: `DsmProgram` is `Send + Sync`, so `MicroRunner`'s trace needs
+#      a `Mutex`. Parallelism is across runs: the sweep and scenario pools
+#      in crates/bench and crates/scenario. No allowlist.
 #
 # Comment lines are ignored. Run from anywhere; CI runs it on every push.
 
@@ -27,7 +31,7 @@ set -u
 cd "$(dirname "$0")/.."
 
 DIRS="crates/sim/src crates/proto/src crates/fabric/src crates/mc/src crates/core/src"
-ONE_THREAD_DIRS="crates/sim/src crates/core/src crates/proto/src"
+ONE_THREAD_DIRS="crates/sim/src crates/core/src crates/proto/src crates/fabric/src crates/check/src"
 ALLOW="tools/lint_determinism_allow.txt"
 status=0
 
