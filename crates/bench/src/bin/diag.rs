@@ -21,7 +21,8 @@
 //! sharing statistics it was based on, and the measured counters).
 //! `--sweep` ignores PROTOCOL/BLOCK and runs the application's full
 //! protocol × granularity grid on the parallel sweep executor. `--jobs N`
-//! sets the executor's worker count (same as `DSM_BENCH_JOBS=N`).
+//! sets the executor's worker count (default: `DSM_BENCH_JOBS`, else all
+//! cores).
 //! `--fabric SPEC` selects the network fabric model (`ideal`, `contended`,
 //! or `faulty[,seed=..,drop=..,...]`; same grammar as the `DSM_FABRIC`
 //! environment variable, which the flag overrides).
@@ -43,28 +44,16 @@
 //! schema-versioned `"mc"` record plus one `"mc-violation"` record per
 //! violation example under `--json`) and exits nonzero when any schedule
 //! produced a violation.
+//!
+//! A malformed argument is a one-line message naming it and what it
+//! accepts, and exit status 2.
 use dsm_adapt::{choose_policies, profile_run, ModelParams, RegionDecision};
-use dsm_apps::registry::app;
-use dsm_core::{run_experiment, ExperimentResult, FabricConfig, Protocol, RegionReport, RunConfig};
-use dsm_json::Value;
+use dsm_bench::cli::{app_arg, bad_arg, block_arg, protocol_arg};
+use dsm_bench::records::{
+    check_record, config_record, mc_record, mc_violation_record, region_record,
+};
+use dsm_core::{run_experiment, ExperimentResult, FabricConfig, Protocol, RunConfig};
 use dsm_obs::{chrome_trace, critical_path, jsonl_metrics, series_jsonl, TimeBreakdown};
-
-/// One JSONL record per region: policy, profiled stats, measured counters.
-fn region_record(r: &RegionReport, decision: Option<&RegionDecision>) -> Value {
-    let mut v = match decision {
-        Some(d) => d.to_json(),
-        None => Value::obj(),
-    };
-    v.set("type", "region");
-    v.set("schema", 1u32);
-    v.set("region", r.name.as_str());
-    v.set("start", r.start);
-    v.set("len", r.len);
-    v.set("protocol", r.protocol.name());
-    v.set("block", r.block);
-    v.set("counters", r.counters.to_json());
-    v
-}
 
 fn print_regions(r: &ExperimentResult, decisions: &[RegionDecision]) {
     println!(
@@ -112,11 +101,10 @@ fn print_regions(r: &ExperimentResult, decisions: &[RegionDecision]) {
 
 /// `--sweep`: the full protocol × granularity grid for one application on
 /// the parallel executor, with host-side throughput per cell.
-fn run_sweep(name: &str) {
-    let jobs = dsm_bench::default_jobs();
+fn run_sweep(name: &str, jobs: usize) {
     eprintln!("sweeping {name} ({jobs} jobs) ...");
     let started = std::time::Instant::now();
-    let grid = dsm_bench::sweep_app(name);
+    let grid = dsm_bench::sweep_app_jobs(name, jobs);
     let wall = started.elapsed();
     println!(
         "  {:<7} {:>6} {:>9} {:>12} {:>10}",
@@ -211,50 +199,9 @@ fn run_mc(spec: &str, json: bool) -> ! {
     let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
     let total_violations: u64 = rep.violation_counts.values().sum();
     if json {
-        let mut v = Value::obj();
-        v.set("type", "mc");
-        v.set("schema", 1u32);
-        v.set("protocol", proto.name());
-        v.set("program", prog.name.as_str());
-        v.set("nodes", prog.nodes());
-        v.set("block", block);
-        v.set("fault_budget", u64::from(faults));
-        v.set("reduce", reduce);
-        v.set("dedup", dedup);
-        v.set("schedules", rep.schedules);
-        v.set("pruned_sleep", rep.pruned_sleep);
-        v.set("pruned_dedup", rep.pruned_dedup);
-        v.set("pruned_steps", rep.pruned_steps);
-        v.set("branches_skipped", rep.branches_skipped);
-        v.set("executions", rep.executions());
-        v.set("states", rep.states);
-        v.set("choice_points", rep.choice_points);
-        v.set("max_depth", rep.max_depth);
-        v.set("deadlocks", rep.deadlocks);
-        v.set("complete", rep.complete);
-        v.set("reduction_ratio", rep.reduction_ratio());
-        v.set("violations", total_violations);
-        let mut counts = Value::obj();
-        for (rule, n) in &rep.violation_counts {
-            counts.set(rule.as_str(), *n);
-        }
-        v.set("violation_counts", counts);
-        v.set("elapsed_ms", elapsed_ms);
-        println!("{v}");
+        println!("{}", mc_record(&cfg, &prog, &rep, elapsed_ms));
         for viol in &rep.violations {
-            let mut r = Value::obj();
-            r.set("type", "mc-violation");
-            r.set("schema", 1u32);
-            r.set("rule", viol.rule);
-            r.set("node", viol.node);
-            match viol.block {
-                Some(b) => r.set("block", b),
-                None => r.set("block", Value::Null),
-            };
-            r.set("time_ns", viol.time);
-            r.set("detail", viol.detail.as_str());
-            r.set("display", viol.to_string());
-            println!("{r}");
+            println!("{}", mc_violation_record(viol));
         }
     } else {
         println!(
@@ -307,6 +254,7 @@ fn main() {
     let mut critpath = false;
     let mut series_us: Option<u64> = None;
     let mut mc_spec: Option<String> = None;
+    let mut jobs: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -345,17 +293,15 @@ fn main() {
                 }))
             }
             "--jobs" => {
-                let n = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--jobs requires a positive integer");
-                        std::process::exit(2);
-                    });
-                // The sweep executor reads this; setting the env var keeps
-                // one source of truth with non-diag entry points.
-                std::env::set_var("DSM_BENCH_JOBS", n.to_string());
+                jobs = Some(
+                    args.next()
+                        .and_then(|v| v.parse::<usize>().ok())
+                        .filter(|&n| n >= 1)
+                        .unwrap_or_else(|| {
+                            eprintln!("--jobs requires a positive integer");
+                            std::process::exit(2);
+                        }),
+                )
             }
             _ => positional.push(a),
         }
@@ -363,25 +309,16 @@ fn main() {
     if let Some(spec) = mc_spec {
         run_mc(&spec, json);
     }
-    let name = positional.first().map(String::as_str).unwrap_or("lu");
+    let arg = |i: usize, default| positional.get(i).map_or(default, String::as_str);
+    let name = arg(0, "lu");
+    let program = app_arg(name).unwrap_or_else(|e| bad_arg("diag", e));
     if sweep {
-        run_sweep(name);
+        run_sweep(name, jobs.unwrap_or_else(dsm_bench::default_jobs));
         return;
     }
-    let proto: Protocol = positional
-        .get(1)
-        .map(String::as_str)
-        .unwrap_or("sc")
-        .parse()
-        .unwrap();
-    let block: usize = positional
-        .get(2)
-        .map(String::as_str)
-        .unwrap_or("64")
-        .parse()
-        .unwrap();
+    let proto = protocol_arg(arg(1, "sc")).unwrap_or_else(|e| bad_arg("diag", e));
+    let block = block_arg(arg(2, "64")).unwrap_or_else(|e| bad_arg("diag", e));
 
-    let program = app(name).unwrap();
     // Flag wins over DSM_FABRIC; both share the same spec grammar.
     let fabric = match (fabric_spec, FabricConfig::from_env()) {
         (Some(spec), _) => FabricConfig::parse(&spec),
@@ -448,43 +385,13 @@ fn main() {
     }
 
     if json {
-        let mut head = Value::obj();
-        head.set("type", "config");
-        head.set("schema", 1u32);
-        head.set("app", name);
-        head.set("adaptive", adaptive);
-        head.set("protocol", cfg.protocol.name());
-        head.set("block", cfg.block_size);
-        head.set("speedup", r.speedup());
-        head.set("check_ok", r.check.is_ok());
-        head.set("checked", cfg.check);
-        head.set("violations", r.violations.len());
-        let mut fab = Value::obj();
-        fab.set("contended", cfg.fabric.ni.is_some());
-        fab.set("reliable", cfg.fabric.reliable());
-        if let Some(f) = &cfg.fabric.faults {
-            fab.set("seed", f.seed);
-            fab.set("drop_ppm", u64::from(f.drop_ppm));
-        }
-        head.set("fabric", fab);
-        println!("{head}");
+        println!("{}", config_record(name, adaptive, &r));
         for reg in &r.regions {
             let d = decisions.iter().find(|d| d.profile.name == reg.name);
             println!("{}", region_record(reg, d));
         }
         for v in &r.violations {
-            let mut rec = Value::obj();
-            rec.set("type", "check");
-            rec.set("schema", 1u32);
-            rec.set("rule", v.rule);
-            rec.set("node", v.node);
-            match v.block {
-                Some(b) => rec.set("block", b),
-                None => rec.set("block", Value::Null),
-            };
-            rec.set("time_ns", v.time);
-            rec.set("detail", v.detail.as_str());
-            println!("{rec}");
+            println!("{}", check_record(v));
         }
         print!("{}", jsonl_metrics(&r.obs, &r.stats));
         if let Some(cp) = &cp {

@@ -9,10 +9,11 @@
 //! JSON-Lines dialect as `diag --json` (every record is self-describing
 //! via `type` and `schema` fields). Cell schema v2 adds the Tardis lease
 //! counters (`lease_renewals`, `lease_expiries`, `wts_bumps`) as typed
-//! fields; they are zero under the other protocols.
-use dsm_apps::registry::app;
+//! fields; they are zero under the other protocols. An unknown option or
+//! application is a one-line message and exit status 2.
+use dsm_bench::cli::{app_arg, bad_arg};
+use dsm_bench::records::cell_record;
 use dsm_core::{run_experiment, Protocol, RunConfig};
-use dsm_json::Value;
 use std::time::Instant;
 
 fn main() {
@@ -21,6 +22,10 @@ fn main() {
     for a in std::env::args().skip(1) {
         match a.as_str() {
             "--json" => json = true,
+            opt if opt.starts_with('-') => bad_arg(
+                "probe",
+                format!("unknown option {opt} (usage: probe [--json] [APP ...])"),
+            ),
             _ => names.push(a),
         }
     }
@@ -31,7 +36,12 @@ fn main() {
             "volrend-original".into(),
         ];
     }
-    for name in names {
+    // Every name is checked before the first cell runs.
+    let programs: Vec<_> = names
+        .iter()
+        .map(|name| app_arg(name).unwrap_or_else(|e| bad_arg("probe", e)))
+        .collect();
+    for (name, program) in names.iter().zip(programs) {
         if !json {
             println!("== {name} ==");
         }
@@ -39,25 +49,10 @@ fn main() {
             let mut row = format!("{:8}", p.name());
             for g in [64usize, 256, 1024, 4096] {
                 let t0 = Instant::now();
-                let r = run_experiment(&RunConfig::new(p, g), app(&name).unwrap());
+                let r = run_experiment(&RunConfig::new(p, g), program.clone());
                 let elapsed = t0.elapsed().as_secs_f64();
                 if json {
-                    let t = r.stats.totals();
-                    let mut v = Value::obj();
-                    v.set("type", "cell");
-                    v.set("schema", 2u32);
-                    v.set("app", name.as_str());
-                    v.set("protocol", p.name());
-                    v.set("block", g);
-                    v.set("speedup", r.speedup());
-                    v.set("check_ok", r.check.is_ok());
-                    v.set("parallel_time_ns", r.stats.parallel_time_ns);
-                    v.set("sequential_time_ns", r.stats.sequential_time_ns);
-                    v.set("lease_renewals", t.lease_renewals);
-                    v.set("lease_expiries", t.lease_expiries);
-                    v.set("wts_bumps", t.wts_bumps);
-                    v.set("host_seconds", elapsed);
-                    println!("{v}");
+                    println!("{}", cell_record(name, &r, elapsed));
                 } else {
                     let ok = if r.check.is_ok() { "" } else { "!ERR" };
                     row += &format!("  {:5.2}{}({:.1}s)", r.speedup(), ok, elapsed);

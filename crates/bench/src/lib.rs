@@ -9,11 +9,13 @@
 //! `target/dsm-results/` so the fault tables reuse the speedup sweep's runs;
 //! set `DSM_BENCH_REFRESH=1` to force re-running.
 
+pub mod cli;
 pub mod paper;
+pub mod records;
 pub mod report;
 pub mod sweep;
 
 pub use sweep::{
     default_jobs, pool_map, run_cell, run_cell_fresh, run_cells, run_cells_fresh, sweep_all,
-    sweep_app, CellResult, CellSpec, GRANULARITIES,
+    sweep_app, sweep_app_jobs, CellResult, CellSpec, GRANULARITIES,
 };

@@ -1,8 +1,9 @@
 //! Experiment sweeps with an on-disk result cache and a parallel executor.
 //!
-//! A full protocol × granularity sweep of all twelve applications takes a
-//! few minutes; several bench targets need the same cells (the fault tables
-//! reuse the speedup sweep's runs). Results are cached as JSON under
+//! A full protocol × granularity sweep of all twelve applications (192
+//! Standard cells) takes about half a minute cold — 28–34 s at one job,
+//! 16–17 s at two on the 2-core development host; several bench targets need
+//! the same cells (the fault tables reuse the speedup sweep's runs). Results are cached as JSON under
 //! `target/dsm-results/`; set `DSM_BENCH_REFRESH=1` to force re-running,
 //! and bump [`CACHE_VERSION`] when a change invalidates old results.
 //!
@@ -282,7 +283,12 @@ fn into_rows(cells: Vec<CellResult>) -> Vec<Vec<CellResult>> {
 
 /// Full protocol × granularity sweep for one application under polling.
 pub fn sweep_app(app: &str) -> Vec<Vec<CellResult>> {
-    into_rows(run_cells(&app_grid(app), default_jobs()))
+    sweep_app_jobs(app, default_jobs())
+}
+
+/// As [`sweep_app`] on a worker pool of the given width.
+pub fn sweep_app_jobs(app: &str, jobs: usize) -> Vec<Vec<CellResult>> {
+    into_rows(run_cells(&app_grid(app), jobs))
 }
 
 /// Sweep every application (the Figure 1 grid). All cells of all

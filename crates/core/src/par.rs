@@ -1,11 +1,13 @@
 //! The parallel run-time: a node's handle onto the simulated cluster and
-//! the coherence protocols, and the accounting — stall statistics, recorder
-//! events, span waits, the measurement window — it does at each wait.
+//! the coherence protocols. What a node can observe of itself — the compute
+//! it batched, how long a fault, lock or barrier held it, release-time work
+//! it ran — it reports as one `ProtoWorld::emit` per fact; the counters,
+//! recorder and span log all derive from those events.
 
-use dsm_obs::{EventKind, WaitKind};
+use dsm_obs::EventKind;
 use dsm_proto::msg::FaultKind;
 use dsm_proto::ops::{self, Attempt};
-use dsm_proto::ProtoWorld;
+use dsm_proto::{sync, ProtoWorld};
 use dsm_sim::{NodeHandle, Time};
 
 /// Unflushed local time is batched up to this much before being pushed into
@@ -18,9 +20,9 @@ const FLUSH_QUANTUM_NS: Time = 2_000;
 struct LocalTime {
     /// Batched local time not yet pushed into the simulator.
     pending_ns: Time,
-    /// Accumulated raw compute time (pre-inflation), flushed to stats.
+    /// Accumulated raw compute time (pre-inflation), reported at a flush.
     compute_acc: Time,
-    /// Accumulated polling overhead, flushed to stats.
+    /// Accumulated polling overhead, reported at a flush.
     poll_acc: Time,
     /// Polling inflation in percent (0 under interrupts).
     inflation_pct: u32,
@@ -96,13 +98,16 @@ impl ParDsm {
         self.lrc
     }
 
-    /// Push batched time into the simulator and flush stat accumulators.
+    /// Report the compute accumulated since the last flush and push the
+    /// batched time into the simulator.
     async fn flush(&mut self) {
-        let (local, me) = (&mut self.local, self.me);
-        self.ctx.world(|w, _| {
-            w.stats[me].compute_ns += std::mem::take(&mut local.compute_acc);
-            w.stats[me].poll_overhead_ns += std::mem::take(&mut local.poll_acc);
-        });
+        let ns = std::mem::take(&mut self.local.compute_acc);
+        let poll_ns = std::mem::take(&mut self.local.poll_acc);
+        if ns > 0 || poll_ns > 0 {
+            let me = self.me;
+            self.ctx
+                .world(|w, s| w.emit(me, s.now(), EventKind::Compute { ns, poll_ns }));
+        }
         let t = std::mem::take(&mut self.local.pending_ns);
         if t > 0 {
             self.ctx.advance(t).await;
@@ -122,27 +127,15 @@ impl ParDsm {
         let t0 = self.ctx.now();
         let me = self.me;
         let write = matches!(kind, FaultKind::Write);
-        self.ctx.world(|w, s| {
-            w.obs
-                .record(me, s.now(), EventKind::FaultBegin { block: b, write });
-            ops::start_fault(w, s, me, b, kind);
-        });
+        self.ctx.world(|w, s| ops::start_fault(w, s, me, b, kind));
         self.ctx.block().await;
         let dur = self.ctx.now() - t0;
-        self.ctx.world(|w, s| {
-            let st = &mut w.stats[me];
-            match kind {
-                FaultKind::Read => st.read_stall_ns += dur,
-                FaultKind::Write => st.write_stall_ns += dur,
-            }
-            let end = EventKind::FaultEnd {
-                block: b,
-                write,
-                dur,
-            };
-            w.obs.record(me, s.now(), end);
-            w.obs.span_wait(me, s.now(), dur, WaitKind::Fetch);
-        });
+        let end = EventKind::FaultEnd {
+            block: b,
+            write,
+            dur,
+        };
+        self.ctx.world(|w, s| w.emit(me, s.now(), end));
     }
 
     #[inline]
@@ -153,16 +146,25 @@ impl ParDsm {
     }
 
     /// A fault resolved locally (HLRC twin, SW-LRC re-enable): advance past
-    /// the local protocol action and charge it to `proto_local_ns`.
+    /// the local protocol action, then report it.
     async fn local_fault(&mut self, b: usize, t: Time) {
         self.flush().await;
         self.ctx.advance(t).await;
         let me = self.me;
-        self.ctx.world(|w, s| {
-            w.stats[me].proto_local_ns += t;
-            w.obs
-                .record(me, s.now(), EventKind::LocalFault { block: b, dur: t });
-        });
+        let done = EventKind::LocalFault { block: b, dur: t };
+        self.ctx.world(|w, s| w.emit(me, s.now(), done));
+    }
+
+    /// Release-time protocol work (diffing under HLRC) runs on the
+    /// application thread: advance past it, then report it as local
+    /// protocol time — it is not part of any wait.
+    async fn release_work(&mut self, t: Time) {
+        if t > 0 {
+            self.ctx.advance(t).await;
+            let me = self.me;
+            self.ctx
+                .world(|w, s| w.emit(me, s.now(), EventKind::ReleaseWork { dur: t }));
+        }
     }
 
     /// One access to `[addr, addr+len)`: split at coherence-block boundaries,
@@ -210,17 +212,7 @@ impl ParDsm {
     pub(crate) async fn begin_measurement(&mut self) {
         self.flush().await;
         let me = self.me;
-        self.ctx.world(|w, s| {
-            w.stats[me] = Default::default();
-            let now = s.now();
-            w.obs.note_begin(me, now);
-            if let Some(c) = w.check.as_deref_mut() {
-                c.arm(me, now);
-            }
-            if w.measure_start < now {
-                w.measure_start = now;
-            }
-        });
+        self.ctx.world(|w, s| w.begin_measurement(me, s.now()));
     }
 
     #[inline]
@@ -250,30 +242,28 @@ impl ParDsm {
         self.flush().await;
         let t0 = self.ctx.now();
         let me = self.me;
-        self.ctx
-            .world(|w, s| dsm_proto::sync::lock_acquire_start(w, s, me, l));
+        self.ctx.world(|w, s| sync::lock_acquire_start(w, s, me, l));
         self.ctx.block().await;
         let dur = self.ctx.now() - t0;
         self.ctx.world(|w, s| {
-            w.stats[me].lock_wait_ns += dur;
-            w.obs
-                .record(me, s.now(), EventKind::LockWait { lock: l, dur });
-            w.obs.span_wait(me, s.now(), dur, WaitKind::Lock);
+            let remote = sync::lock_manager(w, l) != me;
+            w.emit(
+                me,
+                s.now(),
+                EventKind::LockWait {
+                    lock: l,
+                    remote,
+                    dur,
+                },
+            );
         });
     }
 
     pub(crate) async fn unlock(&mut self, l: usize) {
         self.flush().await;
         let me = self.me;
-        let t = self
-            .ctx
-            .world(|w, s| dsm_proto::sync::lock_release_start(w, s, me, l));
-        if t > 0 {
-            // Release-time protocol work (diffing under HLRC) runs on the
-            // application thread; charge it as local protocol time.
-            self.ctx.advance(t).await;
-            self.ctx.world(|w, _| w.stats[me].proto_local_ns += t);
-        }
+        let t = self.ctx.world(|w, s| sync::lock_release_start(w, s, me, l));
+        self.release_work(t).await;
     }
 
     pub(crate) async fn barrier(&mut self, b: usize) {
@@ -281,21 +271,12 @@ impl ParDsm {
         let me = self.me;
         let t = self
             .ctx
-            .world(|w, s| dsm_proto::sync::barrier_arrive_start(w, s, me, b));
-        if t > 0 {
-            // As in `unlock`: release actions are protocol work, not part of
-            // the wait for the other participants.
-            self.ctx.advance(t).await;
-            self.ctx.world(|w, _| w.stats[me].proto_local_ns += t);
-        }
+            .world(|w, s| sync::barrier_arrive_start(w, s, me, b));
+        self.release_work(t).await;
         let t0 = self.ctx.now();
         self.ctx.block().await;
         let dur = self.ctx.now() - t0;
-        self.ctx.world(|w, s| {
-            w.stats[me].barrier_wait_ns += dur;
-            w.obs
-                .record(me, s.now(), EventKind::BarrierWait { barrier: b, dur });
-            w.obs.span_wait(me, s.now(), dur, WaitKind::Barrier);
-        });
+        let waited = EventKind::BarrierWait { barrier: b, dur };
+        self.ctx.world(|w, s| w.emit(me, s.now(), waited));
     }
 }

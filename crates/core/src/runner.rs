@@ -9,7 +9,7 @@ use dsm_net::{CostModel, LatencyModel, Notify};
 use dsm_obs::{ObsConfig, ObsReport, SharingProfile};
 use dsm_proto::{final_image, ProtoConfig, ProtoWorld, Protocol};
 use dsm_sim::{McHook, McInstall, NodeFuture, RunError, Time};
-use dsm_stats::{RegionCounters, RunStats};
+use dsm_stats::{Counters, RunStats};
 
 use crate::api::{complete, Dsm};
 use crate::image::MemImage;
@@ -195,9 +195,11 @@ pub struct RegionReport {
     pub block: usize,
     /// Protocol used.
     pub protocol: Protocol,
-    /// Faults / invalidations / traffic attributed to the region (summed
-    /// over nodes).
-    pub counters: RegionCounters,
+    /// The events that named a block of the region, counted (summed over
+    /// nodes): faults, invalidations, block traffic, twins and diffs, lease
+    /// activity. Sync-only traffic and node-level time carry no block and
+    /// stay zero here.
+    pub counters: Counters,
 }
 
 /// Everything a parallel run produces.

@@ -167,6 +167,12 @@ impl From<Vec<Value>> for Value {
         Value::Arr(items)
     }
 }
+impl<T: Into<Value>> From<Option<T>> for Value {
+    /// `None` is `null`.
+    fn from(v: Option<T>) -> Value {
+        v.map_or(Value::Null, Into::into)
+    }
+}
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

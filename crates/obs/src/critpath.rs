@@ -163,9 +163,7 @@ impl CritPath {
 
     /// The schema-versioned `"critpath"` JSONL record.
     pub fn to_json(&self, top_k: usize) -> Value {
-        let mut v = Value::obj();
-        v.set("type", "critpath");
-        v.set("schema", 1u32);
+        let mut v = crate::schema::record(crate::schema::CRITPATH);
         v.set("parallel_time_ns", self.parallel_time_ns);
         v.set("attributed_ns", self.attributed_ns());
         v.set("exact", self.is_exact());
@@ -539,6 +537,7 @@ pub fn critical_path(report: &ObsReport, parallel_time_ns: u64) -> Option<CritPa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventKind;
     use crate::filter::TraceFilter;
     use crate::recorder::{ObsConfig, Recorder};
     use crate::span::SpanLog;
@@ -556,6 +555,11 @@ mod tests {
         rep
     }
 
+    /// A node-local compute segment over `[ts - dur, ts]`.
+    fn seg(log: &mut SpanLog, node: usize, ts: u64, dur: u64) {
+        log.add(node, ts, &EventKind::Advance { dur });
+    }
+
     #[test]
     fn no_spans_yields_none() {
         let mut r = Recorder::with_trace(1, &ObsConfig::default(), TraceFilter::Off);
@@ -566,7 +570,7 @@ mod tests {
     #[test]
     fn pure_compute_path_is_exact() {
         let mut log = SpanLog::new();
-        log.seg(0, 3000, 2000); // [1000, 3000] compute
+        seg(&mut log, 0, 3000, 2000); // [1000, 3000] compute
         log.end(0, 3000);
         let rep = report_with(log, [3000, 1000]);
         let cp = critical_path(&rep, 2000).unwrap();
@@ -583,7 +587,7 @@ mod tests {
         // whose handler on node 0 takes 50 and wakes the thread at 1710;
         // node 0 then computes [1710,2000].
         let mut log = SpanLog::new();
-        log.seg(0, 1400, 400);
+        seg(&mut log, 0, 1400, 400);
         let req = log.send(0, 1, 1410, 100, SpanClass::Fetch);
         log.recv(1, 1510, req);
         let reply = log.send(1, 0, 1560, 100, SpanClass::Fetch);
@@ -591,8 +595,13 @@ mod tests {
         log.recv(0, 1660, reply);
         log.wake(0, 1710);
         log.dispatch_done();
-        log.wait(0, 1710, 310, WaitKind::Fetch);
-        log.seg(0, 2000, 290);
+        let stall = EventKind::FaultEnd {
+            block: 0,
+            write: false,
+            dur: 310,
+        };
+        log.add(0, 1710, &stall);
+        seg(&mut log, 0, 2000, 290);
         log.end(0, 2000);
         let rep = report_with(log, [2000, 1000]);
         let cp = critical_path(&rep, 1000).unwrap();
@@ -624,7 +633,7 @@ mod tests {
     #[test]
     fn retransmitted_wire_excess_goes_to_retransmit() {
         let mut log = SpanLog::new();
-        log.seg(0, 1100, 100);
+        seg(&mut log, 0, 1100, 100);
         let req = log.send(0, 1, 1100, 100, SpanClass::Fetch);
         log.retx(req, 1300);
         log.end(1, 1100);
@@ -643,7 +652,7 @@ mod tests {
         // Node 1 holds the lock and computes [1000,1200]; its self-sent
         // release is handled for 50ns, the grant (wire 100) reaches node 0
         // at 1350 and wakes it immediately.
-        log.seg(1, 1200, 200);
+        seg(&mut log, 1, 1200, 200);
         let rel = log.send(1, 1, 1200, 0, SpanClass::Lock);
         log.recv(1, 1200, rel);
         let grant = log.send(1, 0, 1250, 100, SpanClass::Lock);
@@ -651,7 +660,12 @@ mod tests {
         log.recv(0, 1350, grant);
         log.wake(0, 1350);
         log.dispatch_done();
-        log.wait(0, 1350, 350, WaitKind::Lock); // waiting since t=1000
+        let wait = EventKind::LockWait {
+            lock: 0,
+            remote: true,
+            dur: 350,
+        };
+        log.add(0, 1350, &wait); // waiting since t=1000
         log.end(0, 1350);
         let rep = report_with(log, [1350, 1200]);
         let cp = critical_path(&rep, 350).unwrap();
@@ -667,7 +681,7 @@ mod tests {
     #[test]
     fn gap_time_is_occupancy() {
         let mut log = SpanLog::new();
-        log.seg(0, 1500, 500); // [1000,1500]
+        seg(&mut log, 0, 1500, 500); // [1000,1500]
         log.end(0, 1800); // 300ns of stolen occupancy before the end
         let rep = report_with(log, [1800, 1000]);
         let cp = critical_path(&rep, 800).unwrap();
@@ -688,7 +702,7 @@ mod tests {
     #[test]
     fn json_record_shape() {
         let mut log = SpanLog::new();
-        log.seg(0, 2000, 1000);
+        seg(&mut log, 0, 2000, 1000);
         log.end(0, 2000);
         let rep = report_with(log, [2000, 1000]);
         let cp = critical_path(&rep, 1000).unwrap();

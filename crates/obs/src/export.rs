@@ -9,6 +9,7 @@ use dsm_stats::RunStats;
 use crate::breakdown::TimeBreakdown;
 use crate::event::EventKind;
 use crate::recorder::{NodeObs, ObsReport};
+use crate::schema;
 use crate::span::SpanEv;
 
 /// Serialize a recorded run as Chrome trace-event JSON.
@@ -161,9 +162,7 @@ pub fn series_jsonl(report: &ObsReport) -> String {
             if b.is_empty() {
                 continue;
             }
-            let mut v = Value::obj();
-            v.set("type", "series");
-            v.set("schema", 1u32);
+            let mut v = schema::record(schema::SERIES);
             v.set("node", node);
             v.set("window", i);
             v.set("window_ns", series.window_ns);
@@ -188,71 +187,20 @@ fn us(ns: u64) -> String {
     }
 }
 
-/// Event payload details as a JSON object (the trace `args` field).
+/// Event payload as a JSON object (the trace `args` field): one key per
+/// field of the kind, under the field's name.
 fn args_json(kind: &EventKind) -> Value {
-    let mut v = Value::obj();
-    match *kind {
-        EventKind::FaultBegin { block, write } | EventKind::FaultEnd { block, write, .. } => {
-            v.set("block", block);
-            v.set("write", write);
-        }
-        EventKind::LocalFault { block, .. }
-        | EventKind::TwinCreate { block }
-        | EventKind::Invalidate { block }
-        | EventKind::LeaseRenew { block }
-        | EventKind::LeaseExpire { block } => {
-            v.set("block", block);
-        }
-        EventKind::MsgSend {
-            to,
-            tag,
-            block,
-            ctrl,
-            data,
-        } => {
-            v.set("to", to);
-            v.set("tag", tag);
-            if let Some(b) = block {
-                v.set("block", b);
-            }
-            v.set("ctrl_bytes", ctrl);
-            v.set("data_bytes", data);
-        }
-        EventKind::MsgRecv { tag, block } => {
-            v.set("tag", tag);
-            if let Some(b) = block {
-                v.set("block", b);
-            }
-        }
-        EventKind::DiffCreate { block, bytes } | EventKind::DiffApply { block, bytes } => {
-            v.set("block", block);
-            v.set("bytes", bytes);
-        }
-        EventKind::WriteNotices { count, acquire } => {
-            v.set("count", count);
-            v.set("acquire", acquire);
-        }
-        EventKind::LockWait { lock, .. } => {
-            v.set("lock", lock);
-        }
-        EventKind::BarrierWait { barrier, .. } => {
-            v.set("barrier", barrier);
-        }
-        EventKind::Retransmit { to, seq, attempt } => {
-            v.set("to", to);
-            v.set("seq", seq);
-            v.set("attempt", u64::from(attempt));
-        }
-        EventKind::Interrupt | EventKind::Advance { .. } | EventKind::NetQueue { .. } => {}
-    }
-    v
+    Value::Obj(
+        kind.fields()
+            .into_iter()
+            .map(|(name, value)| (name.to_string(), value))
+            .collect(),
+    )
 }
 
 /// One node's metrics as a JSON object (one JSONL line).
 fn node_line(node: usize, rec: &NodeObs, stats: &RunStats) -> Value {
-    let mut v = Value::obj();
-    v.set("type", "node");
-    v.set("schema", 1u32);
+    let mut v = schema::record(schema::NODE);
     v.set("node", node);
     v.set("wall_ns", rec.wall_ns());
     if let Some(c) = stats.per_node.get(node) {
@@ -289,9 +237,7 @@ pub fn jsonl_metrics(report: &ObsReport, stats: &RunStats) -> String {
         out.push_str(&node_line(node, rec, stats).to_string());
         out.push('\n');
     }
-    let mut run = Value::obj();
-    run.set("type", "run");
-    run.set("schema", 1u32);
+    let mut run = schema::record(schema::RUN);
     run.set("nodes", report.nodes.len());
     run.set("parallel_time_ns", stats.parallel_time_ns);
     run.set("sequential_time_ns", stats.sequential_time_ns);

@@ -3,28 +3,34 @@
 //! Structured observability for the DSM reproduction.
 //!
 //! The paper's whole argument (§5) is cost attribution: fault counts,
-//! message/traffic tables, and where execution time goes. This crate gives
-//! the simulator a first-class observability layer in that style:
+//! message/traffic tables, and where execution time goes — all of it
+//! counting protocol events. So there is one stream of typed protocol
+//! [`Event`]s, reported once each (`ProtoWorld::emit` in `dsm-proto`), and
+//! everything this crate keeps is a fold of it:
 //!
-//! * a low-overhead [`Recorder`] of typed protocol [`Event`]s — per-node
-//!   ring buffers stamped with virtual time, one branch when disabled;
+//! * the counters: [`EventKind::count`] folds an event into a
+//!   `dsm_stats::Counters` and is the only writer of its 39 fields, so the
+//!   counters agree with the trace by construction;
+//! * a low-overhead [`Recorder`] — per-node ring buffers stamped with
+//!   virtual time, per-kind counts, log2 [`Hist`]ograms for fault service
+//!   latency, message and diff sizes, windowed time-series
+//!   ([`SeriesReport`]) for phase detection, the `DSM_TRACE` stderr view
+//!   ([`TraceFilter`]), and the segments and waits of the causal
+//!   [`SpanLog`] — one branch per event when every sink is off;
 //! * a per-node execution [`TimeBreakdown`] (compute / stalls / sync waits /
 //!   local protocol work / stolen occupancy / poll overhead) that sums to
 //!   the node's virtual wall time;
-//! * log2 [`Hist`]ograms for fault service latency, message and diff sizes;
 //! * exporters: Chrome trace-event JSON ([`chrome_trace`], loadable in
 //!   Perfetto with one track per simulated node on the virtual clock, with
 //!   cross-node flow arrows when spans were recorded) and JSONL metrics
-//!   ([`jsonl_metrics`], [`series_jsonl`]);
-//! * causal [`SpanLog`] tracing of protocol transactions (same zero-cost
-//!   Option-hook pattern as the checker) and [`critical_path`] extraction
-//!   with per-category attribution that sums to parallel time exactly;
-//! * windowed time-series sampling ([`SeriesReport`]) of per-node counters
-//!   for phase detection.
+//!   ([`jsonl_metrics`], [`series_jsonl`]), every record's type and version
+//!   from [`schema`];
+//! * [`critical_path`] extraction from the span log, with per-category
+//!   attribution that sums to parallel time exactly.
 //!
-//! The old `DSM_TRACE` `eprintln!` hack is now a *view* over the event
-//! stream: when the env filter matches, events are also printed as they are
-//! recorded (see [`TraceFilter`]).
+//! The event kinds are declared once (`define_events!` in [`event`]); what
+//! is *not* an event — span ids and causes, and the run-time checker's
+//! borrowed-state hooks — is set out in DESIGN § Observability.
 
 pub mod breakdown;
 pub mod critpath;
@@ -34,6 +40,7 @@ pub mod filter;
 pub mod hist;
 pub mod profile;
 pub mod recorder;
+pub mod schema;
 pub mod series;
 pub mod span;
 

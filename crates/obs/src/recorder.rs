@@ -5,7 +5,7 @@ use crate::event::{Event, EventKind};
 use crate::filter::TraceFilter;
 use crate::hist::Hist;
 use crate::series::{SeriesRec, SeriesReport};
-use crate::span::{SpanClass, SpanLog, WaitKind};
+use crate::span::{SpanClass, SpanLog};
 
 /// Observability configuration, carried in the run configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,7 +19,10 @@ pub struct ObsConfig {
     /// Record causal spans (message ids, causes, waits, wakes) for
     /// critical-path extraction. Off by default: every span hook is a
     /// single `is_some` test when disabled, and spans never charge
-    /// virtual time, so spans-off runs are bit-identical.
+    /// virtual time, so spans-off runs are bit-identical. The log's
+    /// segments and waits are folded from the event stream, so spans
+    /// alone make the recorder active (per-kind counts and histograms
+    /// fill; the rings stay empty).
     pub spans: bool,
     /// Windowed time-series sampling width in virtual ns; 0 disables.
     pub series_window_ns: u64,
@@ -73,8 +76,11 @@ struct NodeRec {
 
 /// Records typed protocol events per node, stamped with virtual time.
 ///
-/// When inactive (no event recording requested and `DSM_TRACE` off),
-/// [`Recorder::record`] is a single branch — no allocation, no work.
+/// Every sink it holds is a fold of the one stream [`Recorder::record`]
+/// receives: the rings, the per-kind counts, the histograms, the windowed
+/// series, the `DSM_TRACE` view, and the span log's segments and waits.
+/// When inactive (no recording, spans or series requested and `DSM_TRACE`
+/// off), `record` is a single branch — no allocation, no work.
 #[derive(Debug)]
 pub struct Recorder {
     active: bool,
@@ -90,8 +96,8 @@ pub struct Recorder {
 
 impl Recorder {
     /// Build a recorder for `nodes` nodes. Reads the `DSM_TRACE` filter
-    /// once; the recorder is active if event recording was requested or
-    /// the trace view is on.
+    /// once; the recorder is active if any sink (rings, spans, series, the
+    /// trace view) is on.
     pub fn new(nodes: usize, cfg: &ObsConfig) -> Recorder {
         Recorder::with_trace(nodes, cfg, TraceFilter::from_env())
     }
@@ -99,7 +105,7 @@ impl Recorder {
     /// As [`Recorder::new`] with an explicit trace filter (for tests).
     pub fn with_trace(nodes: usize, cfg: &ObsConfig, trace: TraceFilter) -> Recorder {
         Recorder {
-            active: cfg.record_events || trace.is_on() || cfg.series_window_ns > 0,
+            active: cfg.record_events || cfg.spans || trace.is_on() || cfg.series_window_ns > 0,
             store_events: cfg.record_events,
             cap: cfg.ring_capacity,
             trace,
@@ -138,6 +144,9 @@ impl Recorder {
         }
         if let Some(series) = self.series.as_deref_mut() {
             series.add(node, ts, &kind);
+        }
+        if let Some(spans) = self.spans.as_deref_mut() {
+            spans.add(node, ts, &kind);
         }
         let rec = &mut self.nodes[node];
         rec.counts[kind.index()] += 1;
@@ -248,22 +257,6 @@ impl Recorder {
         }
     }
 
-    /// Span hook: a node advanced its local clock over `[ts - dur, ts]`.
-    #[inline]
-    pub fn span_seg(&mut self, node: usize, ts: u64, dur: u64) {
-        if let Some(spans) = self.spans.as_deref_mut() {
-            spans.seg(node, ts, dur);
-        }
-    }
-
-    /// Span hook: a blocking wait ended at `ts` after `dur` ns.
-    #[inline]
-    pub fn span_wait(&mut self, node: usize, ts: u64, dur: u64, kind: WaitKind) {
-        if let Some(spans) = self.spans.as_deref_mut() {
-            spans.wait(node, ts, dur, kind);
-        }
-    }
-
     /// Extract the collected observations, leaving the recorder empty.
     pub fn take_report(&mut self) -> ObsReport {
         let recorded = self.store_events;
@@ -363,6 +356,46 @@ mod tests {
     }
 
     #[test]
+    fn spans_alone_activate_the_recorder_and_take_segments_and_waits() {
+        use crate::span::{SpanEv, WaitKind};
+        let cfg = ObsConfig {
+            spans: true,
+            ..ObsConfig::default()
+        };
+        let mut r = Recorder::with_trace(1, &cfg, TraceFilter::Off);
+        assert!(r.is_active());
+        r.record(0, 40, EventKind::Advance { dur: 40 });
+        r.record(
+            0,
+            90,
+            EventKind::BarrierWait {
+                barrier: 0,
+                dur: 50,
+            },
+        );
+        let rep = r.take_report();
+        assert!(!rep.recorded);
+        assert!(rep.nodes[0].events.is_empty(), "rings stay off");
+        assert_eq!(rep.nodes[0].counts.iter().sum::<u64>(), 2);
+        assert_eq!(
+            rep.spans.unwrap().events,
+            vec![
+                SpanEv::Seg {
+                    node: 0,
+                    ts: 40,
+                    dur: 40
+                },
+                SpanEv::Wait {
+                    node: 0,
+                    ts: 90,
+                    dur: 50,
+                    kind: WaitKind::Barrier
+                },
+            ]
+        );
+    }
+
+    #[test]
     fn ring_overflow_keeps_newest_in_order() {
         let mut r = Recorder::with_trace(1, &cfg(4), TraceFilter::Off);
         for i in 0..10u64 {
@@ -371,7 +404,7 @@ mod tests {
         let rep = r.take_report();
         let node = &rep.nodes[0];
         assert_eq!(node.dropped, 6);
-        assert_eq!(node.counts[EventKind::IDX_ADVANCE], 10);
+        assert_eq!(node.counts[EventKind::index_of("advance").unwrap()], 10);
         let ts: Vec<u64> = node.events.iter().map(|e| e.ts).collect();
         assert_eq!(ts, vec![6, 7, 8, 9]);
     }
@@ -423,7 +456,7 @@ mod tests {
         r.note_end(0, 400);
         let rep = r.take_report();
         let node = &rep.nodes[0];
-        assert_eq!(node.counts[EventKind::IDX_INTERRUPT], 1);
+        assert_eq!(node.counts[EventKind::index_of("interrupt").unwrap()], 1);
         assert_eq!(node.events.len(), 1);
         assert_eq!(node.wall_ns(), 300);
     }

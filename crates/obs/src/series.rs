@@ -152,7 +152,14 @@ mod tests {
                 dur: 400,
             },
         );
-        s.add(0, 1_250, &EventKind::LockWait { lock: 0, dur: 30 });
+        s.add(
+            0,
+            1_250,
+            &EventKind::BarrierWait {
+                barrier: 0,
+                dur: 30,
+            },
+        );
         s.add(
             0,
             1_130,
@@ -175,7 +182,7 @@ mod tests {
     #[test]
     fn begin_resets_windows() {
         let mut s = SeriesRec::new(1, 100);
-        s.add(0, 50, &EventKind::LockWait { lock: 0, dur: 5 });
+        s.add(0, 50, &EventKind::BarrierWait { barrier: 0, dur: 5 });
         s.note_begin(0, 500);
         assert!(s.into_report().nodes[0].buckets.is_empty());
     }
@@ -184,7 +191,7 @@ mod tests {
     fn pre_base_events_clamp_to_window_zero() {
         let mut s = SeriesRec::new(1, 100);
         s.note_begin(0, 1_000);
-        s.add(0, 900, &EventKind::LockWait { lock: 0, dur: 5 });
+        s.add(0, 900, &EventKind::BarrierWait { barrier: 0, dur: 5 });
         let rep = s.into_report();
         assert_eq!(rep.nodes[0].buckets[0].stall_ns, 5);
     }

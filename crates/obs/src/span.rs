@@ -6,14 +6,19 @@
 //! (including retransmitted frames and service-time deferrals), and every
 //! send records the id of the message whose handler performed it (its
 //! *cause*). Together with the node-local execution record (compute
-//! segments, wait intervals, wake-ups) this reconstructs the run's complete
+//! segments and wait intervals, folded from the event stream by
+//! [`SpanLog::add`]; wake-ups) this reconstructs the run's complete
 //! happens-before DAG, from which [`crate::critical_path`] extracts the
 //! exact chain that determined parallel execution time.
 //!
-//! Span recording follows the same zero-cost discipline as the run-time
-//! checker: every hook is a single `is_some` test when spans are off, the
-//! log never charges virtual time, and spans-off runs are bit-identical to
-//! builds without the feature.
+//! Ids and causes are not events — an id is allocated by the log and
+//! travels in the envelope, a cause is the log's own state — so sends,
+//! dispatches, wakes and retransmissions keep their own hooks, each a
+//! single `is_some` test when spans are off. The log never charges virtual
+//! time, and spans-off runs are bit-identical to builds without the
+//! feature.
+
+use crate::event::EventKind;
 
 /// Coarse class of a spanned message, used for critical-path category
 /// attribution and for naming Perfetto flow arrows.
@@ -218,18 +223,22 @@ impl SpanLog {
         }
     }
 
-    /// Record a node-local clock advance ending at `ts`.
-    pub fn seg(&mut self, node: usize, ts: u64, dur: u64) {
-        self.events.push(SpanEv::Seg { node, ts, dur });
-    }
-
-    /// Record a completed wait interval ending at `ts`.
-    pub fn wait(&mut self, node: usize, ts: u64, dur: u64, kind: WaitKind) {
-        self.events.push(SpanEv::Wait {
+    /// Fold one protocol event into the log: a clock advance is a node-local
+    /// segment, a completed fault, lock or barrier wait is a wait interval,
+    /// each over `[ts - dur, ts]`. Other kinds leave the log alone.
+    pub fn add(&mut self, node: usize, ts: u64, kind: &EventKind) {
+        let wait = |dur, kind| SpanEv::Wait {
             node,
             ts,
             dur,
             kind,
+        };
+        self.events.push(match *kind {
+            EventKind::Advance { dur } => SpanEv::Seg { node, ts, dur },
+            EventKind::FaultEnd { dur, .. } => wait(dur, WaitKind::Fetch),
+            EventKind::LockWait { dur, .. } => wait(dur, WaitKind::Lock),
+            EventKind::BarrierWait { dur, .. } => wait(dur, WaitKind::Barrier),
+            _ => return,
         });
     }
 
@@ -284,6 +293,35 @@ mod tests {
             log.events[4],
             SpanEv::Send { id, cause: 0, .. } if id == free
         ));
+    }
+
+    #[test]
+    fn advances_and_waits_fold_into_segments_and_wait_intervals() {
+        let mut log = SpanLog::new();
+        log.add(1, 50, &EventKind::Advance { dur: 20 });
+        log.add(1, 90, &EventKind::Interrupt);
+        let lock_wait = EventKind::LockWait {
+            lock: 0,
+            remote: true,
+            dur: 30,
+        };
+        log.add(1, 90, &lock_wait);
+        assert_eq!(
+            log.events,
+            vec![
+                SpanEv::Seg {
+                    node: 1,
+                    ts: 50,
+                    dur: 20
+                },
+                SpanEv::Wait {
+                    node: 1,
+                    ts: 90,
+                    dur: 30,
+                    kind: WaitKind::Lock
+                },
+            ]
+        );
     }
 
     #[test]

@@ -84,7 +84,6 @@ pub fn start_fault(
     b: BlockId,
     kind: FaultKind,
 ) {
-    w.count_fault(me, b, kind);
     w.hl.pending_kind[me] = Some(kind);
     let needs = w.hl.needs[me * w.hl.n_blocks + b].clone();
     let depart = s.now() + w.cfg.cost.fault_exception_ns + w.cfg.cost.handler_ns;
@@ -188,7 +187,7 @@ fn serve_fetch(
     let bs = w.block_size_of(b) as u64;
     let c = w.cfg.cost.copy_cost(bs);
     w.occupy(s, me, c);
-    w.stats[me].fetches_served += 1;
+    w.emit(me, s.now(), EventKind::FetchServe { block: b });
     w.send(
         s,
         me,
@@ -232,8 +231,7 @@ pub fn handle_data(
         }
     }
     w.block_obtained(s, me);
-    w.obs.span_wake(me, at);
-    s.wake(me, at);
+    w.wake(s, me, at);
 }
 
 /// Home-claim confirmation at the first writer.
@@ -248,8 +246,7 @@ pub fn handle_now_home(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b:
     w.nodes[me].mark_dirty(b);
     let at = s.now() + w.cfg.cost.handler_ns;
     w.block_obtained(s, me);
-    w.obs.span_wake(me, at);
-    s.wake(me, at);
+    w.wake(s, me, at);
 }
 
 /// Diff arriving at the home: apply it and serve any now-satisfied fetches.
@@ -264,21 +261,14 @@ pub fn handle_diff(
 ) {
     debug_assert_eq!(w.homes.home(b), Some(me), "diff sent to a non-home");
     let apply_cost = w.cfg.cost.diff_apply_cost(diff.data_bytes().max(8));
-    w.obs.record(
-        me,
-        s.now(),
-        EventKind::DiffApply {
-            block: b,
-            bytes: diff.wire_bytes(),
-        },
-    );
+    let bytes = diff.wire_bytes();
+    w.emit(me, s.now(), EventKind::DiffApply { block: b, bytes });
     let r = w.cfg.layout.block_range(b);
     diff.apply(&mut w.data.node_mut(me)[r]);
     for run in diff.runs {
         w.pool.put(run.bytes);
     }
     w.occupy(s, me, apply_cost);
-    w.stats[me].diffs_applied += 1;
     record_flush(w, b, from, interval, s.now());
     serve_satisfied(w, s, me, b, s.now() + apply_cost + w.cfg.cost.handler_ns);
 }
@@ -322,8 +312,8 @@ fn serve_satisfied(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: Blo
 }
 
 /// Local write fault on a valid read-only copy: twin it (remote blocks) or
-/// write in place (home blocks). Returns the local cost. (Counted by the
-/// caller as a local write fault.)
+/// write in place (home blocks). Returns the local cost; the caller reports
+/// the local fault once it has charged it.
 pub fn local_write_fault(w: &mut ProtoWorld, me: NodeId, b: BlockId, now: Time) -> Time {
     debug_assert_eq!(w.access.get(me, b), Access::Read);
     let mut cost = w.cfg.cost.fault_exception_ns;
@@ -332,20 +322,16 @@ pub fn local_write_fault(w: &mut ProtoWorld, me: NodeId, b: BlockId, now: Time) 
     }
     w.access.set(me, b, Access::ReadWrite);
     w.nodes[me].mark_dirty(b);
-    w.count_local_fault(me, b);
     cost
 }
 
 fn make_twin(w: &mut ProtoWorld, me: NodeId, b: BlockId, now: Time) -> Time {
-    w.obs.record(me, now, EventKind::TwinCreate { block: b });
     let r = w.cfg.layout.block_range(b);
     let mut twin = w.pool.get();
     twin.extend_from_slice(&w.data.node(me)[r]);
     w.nodes[me].twins.set(b, twin);
-    w.stats[me].twins_created += 1;
     let held = w.nodes[me].twins.held_bytes();
-    let st = &mut w.stats[me];
-    st.twin_bytes_peak = st.twin_bytes_peak.max(held);
+    w.emit(me, now, EventKind::TwinCreate { block: b, held });
     w.cfg.cost.twin_cost(w.block_size_of(b) as u64)
 }
 
@@ -391,9 +377,7 @@ pub fn release_dirty(
             }
             w.pool.put(twin);
             let wire = diff.wire_bytes();
-            w.stats[me].diffs_created += 1;
-            w.stats[me].diff_bytes += wire;
-            w.obs.record(
+            w.emit(
                 me,
                 s.now(),
                 EventKind::DiffCreate {
@@ -446,7 +430,6 @@ pub fn release_dirty(
             });
         }
     }
-    w.stats[me].write_notices_sent += notices.len() as u64;
     (notices, elapsed)
 }
 
@@ -464,9 +447,7 @@ pub fn apply_notice(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, n: &N
         let diff = Diff::create_pooled(&twin, &w.data.node(me)[r.clone()], &mut w.pool);
         if !diff.is_empty() {
             let wire = diff.wire_bytes();
-            w.stats[me].diffs_created += 1;
-            w.stats[me].diff_bytes += wire;
-            w.obs.record(
+            w.emit(
                 me,
                 s.now(),
                 EventKind::DiffCreate {
@@ -506,7 +487,7 @@ pub fn apply_notice(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, n: &N
     }
     if w.access.get(me, n.block) != Access::Invalid {
         w.access.set(me, n.block, Access::Invalid);
-        w.count_inval(me, n.block, s.now());
+        w.emit(me, s.now(), EventKind::Invalidate { block: n.block });
     }
     elapsed
 }

@@ -94,6 +94,7 @@ pub fn release_actions(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId) ->
     if let Some(c) = w.check.as_deref_mut() {
         c.lrc_release(me, interval, &w.nodes[me].vt, &notices, s.now());
     }
+    w.emit_notices(me, s.now(), notices.len(), false);
     w.log.push_interval(me, interval, notices);
     elapsed
 }
@@ -113,17 +114,7 @@ pub fn acquire_actions(
         return 0; // SC: no consistency actions at acquires
     };
     w.nodes[me].vt.merge(vt);
-    w.stats[me].write_notices_recv += notices.len() as u64;
-    if !notices.is_empty() {
-        w.obs.record(
-            me,
-            s.now(),
-            dsm_obs::EventKind::WriteNotices {
-                count: notices.len() as u64,
-                acquire: true,
-            },
-        );
-    }
+    w.emit_notices(me, s.now(), notices.len(), true);
     let mut elapsed = notices.len() as Time * NOTICE_PROC_NS;
     for n in notices {
         if n.writer == me {

@@ -2,6 +2,7 @@
 //! used by the run-time thread API in `dsm-core`.
 
 use dsm_mem::{Access, BlockId};
+use dsm_obs::EventKind;
 use dsm_sim::{NodeId, Sched, Time};
 
 use crate::config::Protocol;
@@ -15,7 +16,8 @@ pub enum Attempt {
     /// The access completed; charge this local time.
     Done(Time),
     /// A fault on the given block was resolved locally (HLRC twinning,
-    /// SW-LRC write re-enable); charge this time and retry the access.
+    /// SW-LRC write re-enable); charge this time, report the local fault,
+    /// and retry the access.
     LocalFault(Time, BlockId),
     /// The access faults remotely on this block; start a fault, block, and
     /// retry.
@@ -88,8 +90,9 @@ pub fn try_write(w: &mut ProtoWorld, me: NodeId, addr: usize, data: &[u8], now: 
     Attempt::Done(access_cost(w, data.len()))
 }
 
-/// Start a remote fault on `b`; the caller blocks until the protocol wakes
-/// it with the access installed.
+/// Start a remote fault on `b` — the one place a fault's beginning is
+/// reported — and hand it to the block's protocol; the caller blocks until
+/// the protocol wakes it with the access installed.
 pub fn start_fault(
     w: &mut ProtoWorld,
     s: &mut Sched<Packet>,
@@ -97,6 +100,8 @@ pub fn start_fault(
     b: BlockId,
     kind: FaultKind,
 ) {
+    let write = kind == FaultKind::Write;
+    w.emit(me, s.now(), EventKind::FaultBegin { block: b, write });
     match w.protocol_of(b) {
         Protocol::Sc => sc::start_fault(w, s, me, b, kind),
         Protocol::SwLrc => swlrc::start_fault(w, s, me, b, kind),

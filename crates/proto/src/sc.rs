@@ -11,6 +11,7 @@
 use std::collections::VecDeque;
 
 use dsm_mem::{Access, BlockId};
+use dsm_obs::EventKind;
 use dsm_sim::{NodeId, Sched, Time};
 
 use crate::msg::{FaultKind, Packet, ProtoMsg};
@@ -79,7 +80,6 @@ pub fn start_fault(
     b: BlockId,
     kind: FaultKind,
 ) {
-    w.count_fault(me, b, kind);
     w.nodes[me].pending_fault = Some((b, kind));
     w.nodes[me].fault_poisoned = false;
     w.nodes[me].fault_retries = 0;
@@ -227,7 +227,7 @@ fn send_read_grant(
         let bs = w.block_size_of(b) as u64;
         let c = w.cfg.cost.copy_cost(bs);
         w.occupy(s, home, c);
-        w.stats[home].fetches_served += 1;
+        w.emit(home, s.now(), EventKind::FetchServe { block: b });
         (bs, c)
     } else {
         (0, 0)
@@ -284,7 +284,7 @@ fn begin_write(
         }
         if w.access.get(home, b) != Access::Invalid {
             w.access.set(home, b, Access::Invalid);
-            w.count_inval(home, b, at);
+            w.emit(home, at, EventKind::Invalidate { block: b });
         }
     }
     #[allow(unused_mut)]
@@ -346,7 +346,7 @@ fn complete_write(
         let bs = w.block_size_of(b) as u64;
         let c = w.cfg.cost.copy_cost(bs);
         w.occupy(s, home, c);
-        w.stats[home].fetches_served += 1;
+        w.emit(home, s.now(), EventKind::FetchServe { block: b });
         (bs, c)
     } else {
         (0, 0)
@@ -402,7 +402,7 @@ pub fn handle_inval(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: Bl
     match w.access.get(me, b) {
         Access::ReadWrite => {
             w.access.set(me, b, Access::Invalid);
-            w.count_inval(me, b, at);
+            w.emit(me, at, EventKind::Invalidate { block: b });
             let bs = w.block_size_of(b) as u64;
             let c = w.cfg.cost.copy_cost(bs);
             w.occupy(s, me, c);
@@ -422,7 +422,7 @@ pub fn handle_inval(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: Bl
         }
         Access::Read => {
             w.access.set(me, b, Access::Invalid);
-            w.count_inval(me, b, at);
+            w.emit(me, at, EventKind::Invalidate { block: b });
             w.send(
                 s,
                 me,
@@ -537,7 +537,12 @@ pub fn handle_grant(
             w.nodes[me].fault_retries < 10_000,
             "read fault on block {b} livelocked under invalidation pressure"
         );
-        w.count_fault(me, b, FaultKind::Read);
+        // The retry is a second fault on the same access.
+        let again = EventKind::FaultBegin {
+            block: b,
+            write: false,
+        };
+        w.emit(me, s.now(), again);
         let target = w
             .homes
             .cached(me, b)
@@ -602,8 +607,7 @@ pub fn handle_grant(
         }
     }
     w.block_obtained(s, me);
-    w.obs.span_wake(me, at);
-    s.wake(me, at);
+    w.wake(s, me, at);
 }
 
 /// First-touch claim confirmation at the new home.
@@ -621,8 +625,7 @@ pub fn handle_now_home(
     let at = s.now() + w.cfg.cost.handler_ns;
     complete_transaction(w, s, me, b, at);
     w.block_obtained(s, me);
-    w.obs.span_wake(me, at);
-    s.wake(me, at);
+    w.wake(s, me, at);
 }
 
 /// Grant-ack at the home: transaction complete; serve the next waiter.

@@ -9,6 +9,7 @@
 //! and read faults are serviced in one hop from the noted owner.
 
 use dsm_mem::{Access, BlockId};
+use dsm_obs::EventKind;
 use dsm_sim::{NodeId, Sched, Time};
 
 use crate::msg::{FaultKind, Notice, Packet, ProtoMsg};
@@ -121,7 +122,6 @@ pub fn start_fault(
     b: BlockId,
     kind: FaultKind,
 ) {
-    w.count_fault(me, b, kind);
     let depart = s.now() + w.cfg.cost.fault_exception_ns + w.cfg.cost.handler_ns;
     let target =
         w.sw.hint_of(me, b)
@@ -200,7 +200,7 @@ pub fn handle_request(
                 let bs = w.block_size_of(b) as u64;
                 let c = w.cfg.cost.copy_cost(bs);
                 w.occupy(s, me, c);
-                w.stats[me].fetches_served += 1;
+                w.emit(me, s.now(), EventKind::FetchServe { block: b });
                 w.send(
                     s,
                     me,
@@ -255,7 +255,7 @@ fn serve(
     let bs = w.block_size_of(b) as u64;
     let c = w.cfg.cost.copy_cost(bs);
     w.occupy(s, me, c);
-    w.stats[me].fetches_served += 1;
+    w.emit(me, s.now(), EventKind::FetchServe { block: b });
     match kind {
         FaultKind::Read => {
             let v = w.sw.version[b];
@@ -341,8 +341,7 @@ pub fn handle_reply(
         w.access.set(me, b, Access::Read);
     }
     w.block_obtained(s, me);
-    w.obs.span_wake(me, at);
-    s.wake(me, at);
+    w.wake(s, me, at);
 }
 
 /// Claim confirmation at the first owner.
@@ -361,8 +360,7 @@ pub fn handle_now_owner(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b
     let at = s.now() + w.cfg.cost.handler_ns;
     drain_waiting(w, s, me, b, at);
     w.block_obtained(s, me);
-    w.obs.span_wake(me, at);
-    s.wake(me, at);
+    w.wake(s, me, at);
 }
 
 fn drain_waiting(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId, at: Time) {
@@ -396,13 +394,12 @@ fn drain_waiting(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: Block
 
 /// Local write fault at the settled owner after a release downgraded its
 /// copy: re-enable write access without communication. Returns the local
-/// cost. (Counted by the caller as a local write fault.)
+/// cost; the caller reports the local fault once it has charged it.
 pub fn local_reenable(w: &mut ProtoWorld, me: NodeId, b: BlockId) -> Time {
     debug_assert!(w.sw.is_owner(me, b));
     debug_assert_eq!(w.access.get(me, b), Access::Read);
     w.access.set(me, b, Access::ReadWrite);
     w.nodes[me].mark_dirty(b);
-    w.count_local_fault(me, b);
     w.cfg.cost.fault_exception_ns
 }
 
@@ -456,7 +453,6 @@ pub fn release_dirty(
             version: v,
         });
     }
-    w.stats[me].write_notices_sent += notices.len() as u64;
     notices
 }
 
@@ -474,7 +470,7 @@ pub fn apply_notice(w: &mut ProtoWorld, me: NodeId, n: &Notice, now: Time) -> Ti
     }
     if w.sw.copy_version(me, n.block) < n.version && w.access.get(me, n.block) != Access::Invalid {
         w.access.set(me, n.block, Access::Invalid);
-        w.count_inval(me, n.block, now);
+        w.emit(me, now, EventKind::Invalidate { block: n.block });
     }
     0
 }

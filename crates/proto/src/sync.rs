@@ -13,7 +13,6 @@
 use std::collections::VecDeque;
 
 use dsm_net::{VT_ENTRY_BYTES, WRITE_NOTICE_BYTES};
-use dsm_obs::EventKind;
 use dsm_sim::{NodeId, Sched, Time};
 
 use crate::lrc;
@@ -60,11 +59,7 @@ pub fn barrier_manager(w: &ProtoWorld, b: usize) -> NodeId {
 /// Node-side acquire entry point; the caller blocks until the grant wakes
 /// it.
 pub fn lock_acquire_start(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, l: usize) {
-    w.stats[me].lock_acquires += 1;
     let mgr = lock_manager(w, l);
-    if mgr != me {
-        w.stats[me].remote_lock_acquires += 1;
-    }
     let vt = w.has_lrc.then(|| w.nodes[me].vt.clone());
     let ctrl = vt.as_ref().map_or(0, |v| v.wire_bytes());
     let depart = s.now() + w.cfg.cost.handler_ns;
@@ -120,7 +115,6 @@ pub fn barrier_arrive_start(
     me: NodeId,
     bar: usize,
 ) -> Time {
-    w.stats[me].barriers += 1;
     let elapsed = lrc::release_actions(w, s, me);
     if let Some(c) = w.check.as_deref_mut() {
         c.bar_arrive(me, bar, s.now());
@@ -235,17 +229,7 @@ fn send_grant(
             notices.pop();
         }
     }
-    w.stats[me].write_notices_sent += notices.len() as u64;
-    if !notices.is_empty() {
-        w.obs.record(
-            me,
-            s.now(),
-            EventKind::WriteNotices {
-                count: notices.len() as u64,
-                acquire: false,
-            },
-        );
-    }
+    w.emit_notices(me, s.now(), notices.len(), false);
     let pts = w.has_tardis.then(|| w.locks[l].last_pts);
     let ctrl = vt.as_ref().map_or(0, |v| v.wire_bytes())
         + notices.len() as u64 * WRITE_NOTICE_BYTES
@@ -297,8 +281,7 @@ pub fn handle_lock_grant(
     merge_pts(w, me, pts, s.now());
     let elapsed = lrc::acquire_actions(w, s, me, vt.as_ref(), &notices);
     let at = s.now() + w.cfg.cost.handler_ns + elapsed;
-    w.obs.span_wake(me, at);
-    s.wake(me, at);
+    w.wake(s, me, at);
 }
 
 /// Barrier arrival at the manager.
@@ -351,17 +334,7 @@ pub fn handle_bar_arrive(
             }
             _ => Vec::new(),
         };
-        w.stats[me].write_notices_sent += notices.len() as u64;
-        if !notices.is_empty() {
-            w.obs.record(
-                me,
-                s.now(),
-                EventKind::WriteNotices {
-                    count: notices.len() as u64,
-                    acquire: false,
-                },
-            );
-        }
+        w.emit_notices(me, s.now(), notices.len(), false);
         let ctrl = merged.as_ref().map_or(0, |_| n as u64 * VT_ENTRY_BYTES)
             + notices.len() as u64 * WRITE_NOTICE_BYTES
             + merged_pts.map_or(0, |_| PTS_BYTES);
@@ -419,8 +392,7 @@ pub fn handle_bar_release(
     merge_pts(w, me, pts, s.now());
     let elapsed = lrc::acquire_actions(w, s, me, vt.as_ref(), &notices);
     let at = s.now() + w.cfg.cost.handler_ns + elapsed;
-    w.obs.span_wake(me, at);
-    s.wake(me, at);
+    w.wake(s, me, at);
 }
 
 #[cfg(test)]

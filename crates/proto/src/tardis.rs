@@ -130,8 +130,7 @@ pub fn lease_valid(w: &mut ProtoWorld, me: NodeId, b: BlockId, now: Time) -> boo
             return true;
         }
     }
-    w.stats[me].lease_expiries += 1;
-    w.obs.record(me, now, EventKind::LeaseExpire { block: b });
+    w.emit(me, now, EventKind::LeaseExpire { block: b });
     false
 }
 
@@ -144,7 +143,6 @@ pub fn start_fault(
     b: BlockId,
     kind: FaultKind,
 ) {
-    w.count_fault(me, b, kind);
     w.td.pending_kind[me] = Some(kind);
     let pts = w.td.pts[me];
     let have_wts = w.td.copy_wts[w.td.ni(me, b)];
@@ -208,8 +206,7 @@ fn pump(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId, mut a
                 if renewal {
                     // The requester's copy is current: extend the lease
                     // header-only, no payload moves.
-                    w.stats[me].lease_renewals += 1;
-                    w.obs.record(me, now, EventKind::LeaseRenew { block: b });
+                    w.emit(me, now, EventKind::LeaseRenew { block: b });
                     w.send(
                         s,
                         me,
@@ -223,7 +220,7 @@ fn pump(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId, mut a
                     let bs = w.block_size_of(b) as u64;
                     let c = w.cfg.cost.copy_cost(bs);
                     w.occupy(s, me, c);
-                    w.stats[me].fetches_served += 1;
+                    w.emit(me, now, EventKind::FetchServe { block: b });
                     w.send(
                         s,
                         me,
@@ -259,7 +256,7 @@ fn pump(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId, mut a
                     }
                 }
                 if rts > old {
-                    w.stats[me].wts_bumps += 1;
+                    w.emit(me, now, EventKind::WtsBump { block: b });
                 }
                 if let Some(c) = w.check.as_deref_mut() {
                     c.td_write(wtr.from, b, wts, rts, now);
@@ -273,7 +270,7 @@ fn pump(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId, mut a
                     let bs = w.block_size_of(b) as u64;
                     let c = w.cfg.cost.copy_cost(bs);
                     w.occupy(s, me, c);
-                    w.stats[me].fetches_served += 1;
+                    w.emit(me, now, EventKind::FetchServe { block: b });
                     (bs, c)
                 } else {
                     (0, 0)
@@ -328,8 +325,7 @@ pub fn handle_data(
     w.access.set(me, b, Access::Read);
     let at = s.now() + w.cfg.cost.handler_ns;
     w.block_obtained(s, me);
-    w.obs.span_wake(me, at);
-    s.wake(me, at);
+    w.wake(s, me, at);
 }
 
 /// Header-only lease renewal at the requester: the expired copy (still
@@ -347,8 +343,7 @@ pub fn handle_lease(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: Bl
     debug_assert_eq!(w.access.get(me, b), Access::Read);
     let at = s.now() + w.cfg.cost.handler_ns;
     w.block_obtained(s, me);
-    w.obs.span_wake(me, at);
-    s.wake(me, at);
+    w.wake(s, me, at);
 }
 
 /// Exclusive write grant at the requester.
@@ -388,8 +383,7 @@ pub fn handle_wgrant(
     );
     let at = s.now() + w.cfg.cost.handler_ns;
     w.block_obtained(s, me);
-    w.obs.span_wake(me, at);
-    s.wake(me, at);
+    w.wake(s, me, at);
 }
 
 /// Recall at the exclusive owner: surrender the block, writing the dirty
@@ -398,7 +392,7 @@ pub fn handle_wgrant(
 pub fn handle_recall(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId) {
     debug_assert_eq!(w.access.get(me, b), Access::ReadWrite);
     w.access.set(me, b, Access::Invalid);
-    w.count_inval(me, b, s.now());
+    w.emit(me, s.now(), EventKind::Invalidate { block: b });
     let ni = w.td.ni(me, b);
     w.td.copy_wts[ni] = 0;
     w.td.lease[ni] = 0;

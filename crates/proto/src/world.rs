@@ -1,4 +1,14 @@
 //! The protocol world: all shared protocol state plus message dispatch.
+//!
+//! Telemetry has one entry point, [`ProtoWorld::emit`]: a protocol fact is
+//! reported there once, as a `dsm_obs::EventKind`, and the node counters,
+//! the region counters, the sharing profile and the recorder's sinks are
+//! all folds of that call. Nothing else writes `stats`, `region_stats` or
+//! `profile`, or calls `obs.record` (`tools/lint_determinism.sh` holds the
+//! protocol files and `dsm-core` to it). What is not an event keeps a typed
+//! hook: span ids and causes (`obs.span_*`, all called from this file; a
+//! handler wakes a node through [`ProtoWorld::wake`]), and the checker
+//! (`check`), whose hooks borrow protocol state a `Copy` event cannot carry.
 
 use std::collections::HashMap;
 
@@ -7,7 +17,7 @@ use dsm_mem::{Access, AccessTable, BlockId, DataStore, HomeDirectory};
 use dsm_net::{Notify, MSG_HEADER_BYTES};
 use dsm_obs::{EventKind, Recorder, SharingProfile};
 use dsm_sim::{NodeId, Sched, Time, World};
-use dsm_stats::{Counters, RegionCounters};
+use dsm_stats::Counters;
 
 use crate::check::Checker;
 use crate::config::{ProtoConfig, Protocol};
@@ -81,7 +91,8 @@ pub struct ProtoWorld {
     pub access: AccessTable,
     /// First-touch home directory.
     pub homes: HomeDirectory,
-    /// Per-node statistics.
+    /// Per-node statistics: the fold of each node's events, written only
+    /// by [`ProtoWorld::emit`].
     pub stats: Vec<Counters>,
     /// Per-node protocol runtime.
     pub nodes: Vec<NodeRt>,
@@ -102,7 +113,8 @@ pub struct ProtoWorld {
     pub log: NoticeLog,
     /// Virtual time at which measurement began (see the warm-up phase).
     pub measure_start: Time,
-    /// Structured event recorder (one branch per event when disabled).
+    /// Structured event recorder (one branch per event when disabled),
+    /// fed by [`ProtoWorld::emit`].
     pub obs: Recorder,
     /// Protocol per layout region (resolved from the config at build time).
     pub region_proto: Vec<Protocol>,
@@ -112,9 +124,10 @@ pub struct ProtoWorld {
     /// Whether any region runs Tardis (drives the program-timestamp
     /// piggyback on sync messages and the lazy lease-expiry check).
     pub has_tardis: bool,
-    /// Per-region counters (faults, invalidations, traffic), summed over
-    /// nodes.
-    pub region_stats: Vec<RegionCounters>,
+    /// Per-region counters, summed over nodes: the same fold over the
+    /// events that name a block of the region (sync-only messages and
+    /// node-level facts carry no block and are not attributed).
+    pub region_stats: Vec<Counters>,
     /// Exact fine-grain sharing profile (profiling runs only).
     pub profile: Option<SharingProfile>,
     /// Recycled byte buffers for twins and diff payloads.
@@ -170,7 +183,7 @@ impl ProtoWorld {
             log: NoticeLog::new(n),
             measure_start: 0,
             obs: Recorder::new(n, &cfg.obs),
-            region_stats: vec![RegionCounters::default(); region_proto.len()],
+            region_stats: vec![Counters::default(); region_proto.len()],
             profile: cfg.profile.then(|| SharingProfile::new(cfg.layout.size())),
             region_proto,
             has_lrc,
@@ -211,44 +224,62 @@ impl ProtoWorld {
         self.region_proto[self.region_of(b)]
     }
 
-    /// Count a remote fault on `b` into node stats, region stats, and the
-    /// sharing profile.
-    pub fn count_fault(&mut self, me: NodeId, b: BlockId, kind: FaultKind) {
-        let r = self.region_of(b);
-        match kind {
-            FaultKind::Read => {
-                self.stats[me].read_faults += 1;
-                self.region_stats[r].read_faults += 1;
-            }
-            FaultKind::Write => {
-                self.stats[me].write_faults += 1;
-                self.region_stats[r].write_faults += 1;
+    /// Report one protocol fact, once: every sink derives what it keeps from
+    /// this call. The event is folded into `node`'s counters and, when it
+    /// names a block, into the counters of the block's region; a fault is
+    /// noted in the sharing profile; and the recorder takes the event for
+    /// its rings, per-kind counts, histograms, series, trace view and span
+    /// segments and waits. Call sites pass a literal variant, so — inlined,
+    /// which `inline(always)` here and on the fold guarantees — this is the
+    /// increments the variant names and the recorder's one branch.
+    #[inline(always)]
+    pub fn emit(&mut self, node: NodeId, ts: Time, ev: EventKind) {
+        ev.count(&mut self.stats[node]);
+        if let Some(b) = ev.block() {
+            let r = self.region_of(b);
+            ev.count(&mut self.region_stats[r]);
+            let faulted = match ev {
+                EventKind::FaultBegin { write, .. } => Some(write),
+                EventKind::LocalFault { .. } => Some(true),
+                _ => None,
+            };
+            if let (Some(p), Some(write)) = (self.profile.as_mut(), faulted) {
+                let r = self.cfg.layout.block_range(b);
+                p.note(node, r.start, r.end, write);
             }
         }
-        self.profile_fault(me, b, kind == FaultKind::Write);
+        self.obs.record(node, ts, ev);
     }
 
-    /// Count a locally-resolved write fault on `b` (twinning / re-enable).
-    pub fn count_local_fault(&mut self, me: NodeId, b: BlockId) {
-        self.stats[me].local_write_faults += 1;
-        let r = self.region_of(b);
-        self.region_stats[r].local_faults += 1;
-        self.profile_fault(me, b, true);
-    }
-
-    /// Count an invalidation of `me`'s copy of `b` and record the event.
-    pub fn count_inval(&mut self, me: NodeId, b: BlockId, at: Time) {
-        self.stats[me].invalidations += 1;
-        let r = self.region_of(b);
-        self.region_stats[r].invalidations += 1;
-        self.obs.record(me, at, EventKind::Invalidate { block: b });
-    }
-
-    fn profile_fault(&mut self, me: NodeId, b: BlockId, write: bool) {
-        if let Some(p) = self.profile.as_mut() {
-            let r = self.cfg.layout.block_range(b);
-            p.note(me, r.start, r.end, write);
+    /// Report a batch of `n` write notices published by (`acquire` false)
+    /// or processed at (`acquire` true) `node`. An empty batch is not an
+    /// event.
+    #[inline]
+    pub fn emit_notices(&mut self, node: NodeId, ts: Time, n: usize, acquire: bool) {
+        if n > 0 {
+            let count = n as u64;
+            self.emit(node, ts, EventKind::WriteNotices { count, acquire });
         }
+    }
+
+    /// Wake blocked `node` at `at`, on behalf of the message being handled
+    /// (which the span log records as the wake's cause).
+    #[inline]
+    pub fn wake(&mut self, s: &mut Sched<Packet>, node: NodeId, at: Time) {
+        self.obs.span_wake(node, at);
+        s.wake(node, at);
+    }
+
+    /// Start `me`'s measured phase at `now`: zero its statistics (the one
+    /// reset of the fold), discard what the recorder holds for it, arm the
+    /// checker.
+    pub fn begin_measurement(&mut self, me: NodeId, now: Time) {
+        self.stats[me] = Counters::default();
+        self.obs.note_begin(me, now);
+        if let Some(c) = self.check.as_deref_mut() {
+            c.arm(me, now);
+        }
+        self.measure_start = self.measure_start.max(now);
     }
 
     /// Stable fingerprint of everything that determines future protocol
@@ -329,17 +360,7 @@ impl ProtoWorld {
             );
             return;
         }
-        let st = &mut self.stats[from];
-        st.msgs_sent += 1;
-        st.ctrl_bytes += ctrl + MSG_HEADER_BYTES;
-        st.data_bytes += data;
-        if let Some(b) = msg.concerns_block() {
-            let rs = &mut self.region_stats[self.cfg.layout.region_of_block(b)];
-            rs.msgs += 1;
-            rs.ctrl_bytes += ctrl + MSG_HEADER_BYTES;
-            rs.data_bytes += data;
-        }
-        self.obs.record(
+        self.emit(
             from,
             depart,
             EventKind::MsgSend {
@@ -376,16 +397,18 @@ impl ProtoWorld {
 
     /// Account a transmission's outcome and post its frames and timers.
     fn apply_tx(&mut self, s: &mut Sched<Packet>, from: NodeId, out: TxOutcome<Envelope>) {
-        let st = &mut self.stats[from];
-        st.fabric_frames += 1;
-        st.fabric_queue_ns += out.queue_ns;
-        st.fabric_drops += out.dropped as u64;
-        st.fabric_dups += out.duplicated as u64;
-        st.fabric_exhausted += out.exhausted as u64;
-        if out.queue_ns > 0 && self.obs.is_active() {
-            let now = s.now();
-            self.obs
-                .record(from, now, EventKind::NetQueue { dur: out.queue_ns });
+        let now = s.now();
+        self.emit(
+            from,
+            now,
+            EventKind::FrameTx {
+                dropped: out.dropped,
+                duplicated: out.duplicated,
+                exhausted: out.exhausted,
+            },
+        );
+        if out.queue_ns > 0 {
+            self.emit(from, now, EventKind::NetQueue { dur: out.queue_ns });
         }
         for a in out.actions {
             match a {
@@ -440,15 +463,12 @@ impl ProtoWorld {
             queue_ns,
             duplicate,
         } = self.fabric.on_frame(now, src, to, seq, bytes, env);
-        let st = &mut self.stats[to];
-        st.fabric_queue_ns += queue_ns;
-        st.fabric_dup_drops += duplicate as u64;
-        if queue_ns > 0 && self.obs.is_active() {
-            self.obs
-                .record(to, now, EventKind::NetQueue { dur: queue_ns });
+        let acked = ack_at.is_some();
+        self.emit(to, now, EventKind::FrameRx { duplicate, acked });
+        if queue_ns > 0 {
+            self.emit(to, now, EventKind::NetQueue { dur: queue_ns });
         }
         if let Some(at) = ack_at {
-            self.stats[to].fabric_acks += 1;
             let ack_wire = self.cfg.latency.one_way(self.cfg.fabric.retry.ack_bytes);
             s.post(src, at + ack_wire, Packet::Ack { from: to, seq });
         }
@@ -478,17 +498,25 @@ impl ProtoWorld {
     /// currently computing (no-op for blocked/done nodes, whose spin loop
     /// absorbs the work).
     pub fn occupy(&mut self, s: &mut Sched<Packet>, node: NodeId, cost: Time) {
-        self.stats[node].service_ns += cost;
+        let now = s.now();
+        let mut stolen_ns = 0;
         if let Some(r) = s.resume_at(node) {
-            let now = s.now();
             // The node is mid-compute-segment: the delay extends that
             // segment by exactly `cost` (`r >= now` always holds, because a
             // Ready node with an earlier resume time would already have been
             // resumed before this delivery). Blocked/done nodes absorb the
             // service inside their measured stall windows instead.
-            self.stats[node].occupancy_stolen_ns += cost;
+            stolen_ns = cost;
             s.delay(node, r.max(now) + cost);
         }
+        self.emit(
+            node,
+            now,
+            EventKind::Service {
+                ns: cost,
+                stolen_ns,
+            },
+        );
     }
 
     /// Mark that `node` just obtained a block (fault completed): under the
@@ -526,8 +554,7 @@ impl World for ProtoWorld {
             Packet::Timer { peer, seq, attempt } => {
                 let now = s.now();
                 if let Some(out) = self.fabric.on_timer(now, to, peer, seq, attempt) {
-                    self.stats[to].fabric_retries += 1;
-                    self.obs.record(
+                    self.emit(
                         to,
                         now,
                         EventKind::Retransmit {
@@ -556,9 +583,7 @@ impl World for ProtoWorld {
             );
             if svc > s.now() {
                 if self.cfg.notify == Notify::Interrupt {
-                    self.stats[to].interrupts_taken += 1;
-                    let now = s.now();
-                    self.obs.record(to, now, EventKind::Interrupt);
+                    self.emit(to, s.now(), EventKind::Interrupt);
                 }
                 s.post(
                     to,
@@ -595,11 +620,12 @@ impl World for ProtoWorld {
             );
             return;
         }
+        // Feeds no counter, and `tag()` is not free: only built when some
+        // sink will look at it.
         if self.obs.is_active() {
-            let now = s.now();
-            self.obs.record(
+            self.emit(
                 to,
-                now,
+                s.now(),
                 EventKind::MsgRecv {
                     tag: env.msg.tag(),
                     block: env.msg.concerns_block(),
@@ -797,9 +823,7 @@ impl World for ProtoWorld {
 
     fn on_advance(&mut self, node: NodeId, from: Time, to_t: Time) {
         self.quiesce = self.quiesce.max(to_t);
-        self.obs
-            .record(node, to_t, EventKind::Advance { dur: to_t - from });
-        self.obs.span_seg(node, to_t, to_t - from);
+        self.emit(node, to_t, EventKind::Advance { dur: to_t - from });
     }
 }
 

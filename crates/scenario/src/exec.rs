@@ -12,10 +12,10 @@ use std::sync::Arc;
 use dsm_adapt::{choose_policies, profile_run, ModelParams};
 use dsm_bench::pool_map;
 use dsm_core::RunStats;
-use dsm_core::{run_experiment, FabricConfig, Protocol, RegionPolicy, RunConfig};
+use dsm_core::{run_experiment, schema, FabricConfig, Protocol, RegionPolicy, RunConfig};
 use dsm_json::Value;
 
-use crate::spec::{Mode, ScenarioSpec, SCHEMA};
+use crate::spec::{Mode, ScenarioSpec};
 
 /// Result of one repetition.
 #[derive(Debug)]
@@ -186,9 +186,7 @@ impl ScenarioOutcome {
 
     /// The header record: scenario identity plus the canonical spec.
     pub fn header_json(&self) -> Value {
-        let mut v = Value::obj();
-        v.set("type", "scenario");
-        v.set("schema", SCHEMA);
+        let mut v = schema::record(schema::SCENARIO);
         v.set("name", self.spec.name.as_str());
         v.set("spec", self.spec.to_json());
         v
@@ -196,9 +194,7 @@ impl ScenarioOutcome {
 
     /// One record per repetition.
     pub fn rep_json(&self, r: &RepOutcome) -> Value {
-        let mut v = Value::obj();
-        v.set("type", "scenario-rep");
-        v.set("schema", SCHEMA);
+        let mut v = schema::record(schema::SCENARIO_REP);
         v.set("scenario", self.spec.name.as_str());
         v.set("rep", r.rep);
         v.set("seed", r.seed);
@@ -251,9 +247,7 @@ impl ScenarioOutcome {
     /// The aggregate record: mean/min/max of every metric over the
     /// repetitions, plus run-health totals.
     pub fn aggregate_json(&self) -> Value {
-        let mut v = Value::obj();
-        v.set("type", "scenario-aggregate");
-        v.set("schema", SCHEMA);
+        let mut v = schema::record(schema::SCENARIO_AGGREGATE);
         v.set("scenario", self.spec.name.as_str());
         v.set("reps", self.reps.len());
         v.set(

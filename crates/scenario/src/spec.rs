@@ -28,15 +28,12 @@ use dsm_json::Value;
 
 use dsm_apps::{app_sized, AppSize, KvZipf, PageRank, RandomDrf};
 
-/// Version stamped on every record the engine emits; bump when the JSONL
-/// shapes change incompatibly. v2: repetition and aggregate records carry
-/// the simulator throughput pair `sim_events` / `sim_events_per_sec`
-/// (events per *virtual* second — wall clock never enters the JSONL, so
-/// records stay byte-identical across hosts and job widths). v3: the
-/// metric block gains the Tardis lease counters `lease_renewals`,
-/// `lease_expiries` and `wts_bumps` as typed fields (zero under the other
-/// protocols), and `"tardis"` is a legal mode protocol.
-pub const SCHEMA: u32 = 3;
+/// Version of the plan format and of every record the engine emits: the
+/// `"scenario"` records' version in [`dsm_core::schema`], which keeps the
+/// history. Bump it there when the JSONL shapes change incompatibly. (Wall
+/// clock never enters the JSONL, so records stay byte-identical across
+/// hosts and job widths.)
+pub const SCHEMA: u32 = dsm_core::schema::SCENARIO.1;
 
 /// Legal coherence granularities (the study's four).
 pub const LEGAL_BLOCKS: [usize; 4] = [64, 256, 1024, 4096];

@@ -1,18 +1,23 @@
 //! Invariant tests for the observability layer: the per-node execution-time
 //! breakdown must partition each node's measured virtual wall time, the
-//! event stream must agree with the protocol counters, and both exporters
-//! must produce valid output.
+//! recorded event stream must reproduce the protocol counters, and both
+//! exporters must produce valid output.
 
-use dsm::{run_experiment, Protocol, RunConfig};
+use dsm::{run_experiment, FabricConfig, Protocol, RunConfig};
 use dsm_apps::registry::{app_sized, AppSize};
 use dsm_json::Value;
 use dsm_obs::{chrome_trace, jsonl_metrics, EventKind, TimeBreakdown};
+use dsm_stats::Counters;
 
-/// Run one (app, protocol) cell with recording on and check every
-/// observability invariant.
-fn check_cell(app: &str, p: Protocol, block: usize) {
+/// Run one cell with recording on and check every observability invariant.
+/// Returns the run's counter totals.
+fn check_cell(app: &str, cfg: RunConfig) -> Counters {
     let program = app_sized(app, AppSize::Small).unwrap();
-    let cfg = RunConfig::new(p, block).with_recording();
+    let (p, block) = (cfg.protocol, cfg.block_size);
+    let mut cfg = cfg.with_recording();
+    // Large enough that no node's ring wraps: the fold below needs every
+    // event.
+    cfg.obs.ring_capacity = 1 << 22;
     let nodes = cfg.nodes;
     let r = run_experiment(&cfg, program);
     assert!(r.check.is_ok(), "{app} {p:?}@{block}: {:?}", r.check);
@@ -39,24 +44,23 @@ fn check_cell(app: &str, p: Protocol, block: usize) {
             b.accounted_ns(),
             b.render(),
         );
-        // The event stream agrees with the protocol counters: every sent
-        // message produced exactly one MsgSend event (counts are immune to
-        // ring overflow, so this is exact).
+        // The trace reproduces the counters: folding the node's recorded
+        // events gives its `Counters` exactly, all fields.
+        assert_eq!(obs.dropped, 0, "{app} {p:?}@{block} node {i}: ring wrapped");
+        let mut folded = Counters::default();
+        for e in &obs.events {
+            e.kind.count(&mut folded);
+        }
         assert_eq!(
-            obs.counts[EventKind::IDX_MSG_SEND],
-            c.msgs_sent,
-            "{app} {p:?}@{block} node {i}: MsgSend events != msgs_sent",
+            &folded, c,
+            "{app} {p:?}@{block} node {i}: recorded events do not fold to the counters",
         );
     }
 
     // The run produced events worth exporting (any app at small block sizes
     // communicates), and the fault histogram agrees with the fault counter.
-    let total_sends: u64 = r
-        .obs
-        .nodes
-        .iter()
-        .map(|n| n.counts[EventKind::IDX_MSG_SEND])
-        .sum();
+    let msg_send = EventKind::index_of("msg_send").unwrap();
+    let total_sends: u64 = r.obs.nodes.iter().map(|n| n.counts[msg_send]).sum();
     assert!(total_sends > 0, "{app} {p:?}@{block}: no messages recorded");
 
     // Chrome trace: valid JSON, every record carries ph/pid/name, timed
@@ -102,19 +106,20 @@ fn check_cell(app: &str, p: Protocol, block: usize) {
         run.u64_field("parallel_time_ns"),
         Some(r.stats.parallel_time_ns)
     );
+    r.stats.totals()
 }
 
 #[test]
 fn breakdown_partitions_wall_time_lu() {
     for p in Protocol::ALL {
-        check_cell("lu", p, 1024);
+        check_cell("lu", RunConfig::new(p, 1024));
     }
 }
 
 #[test]
 fn breakdown_partitions_wall_time_fft() {
     for p in Protocol::ALL {
-        check_cell("fft", p, 1024);
+        check_cell("fft", RunConfig::new(p, 1024));
     }
 }
 
@@ -123,8 +128,20 @@ fn breakdown_partitions_wall_time_barnes_original() {
     // 64-byte blocks: Barnes-Original's false sharing makes the larger
     // granularities much slower to simulate (the paper's point).
     for p in Protocol::ALL {
-        check_cell("barnes-original", p, 64);
+        check_cell("barnes-original", RunConfig::new(p, 64));
     }
+}
+
+/// On a faulty fabric the eight `fabric_*` counters are live too, and the
+/// recorded frames, retransmissions and queuing delays must fold to them.
+#[test]
+fn recorded_events_fold_to_the_fabric_counters() {
+    let cfg = RunConfig::new(Protocol::Hlrc, 1024).with_fabric(FabricConfig::faulty(7));
+    let t = check_cell("lu", cfg);
+    assert!(
+        t.fabric_frames > 0 && t.fabric_retries > 0 && t.fabric_drops > 0 && t.fabric_acks > 0,
+        "the faulty cell must exercise the fabric counters: {t:?}"
+    );
 }
 
 /// A disabled recorder stays disabled end to end: no events stored, but the

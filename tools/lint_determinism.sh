@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Determinism lint for the hot-path crates (sim, proto, fabric, mc, core).
+# Determinism lint for the hot-path crates (sim, proto, fabric, mc, core),
+# and the one-stream rule for telemetry (proto, core).
 #
 # The whole stack depends on bit-identical replay: the engine's state
 # hashes, the model checker's replay-based exploration, and the golden
@@ -24,6 +25,18 @@
 #      out: `DsmProgram` is `Send + Sync`, so `MicroRunner`'s trace needs
 #      a `Mutex`. Parallelism is across runs: the sweep and scenario pools
 #      in crates/bench and crates/scenario. No allowlist.
+#
+# A fourth rule keeps "the counters agree with the trace" true by
+# construction:
+#
+#   4. One stream. A protocol fact is reported once, through
+#      `ProtoWorld::emit`, and every sink folds that call. So in non-test
+#      code of crates/proto/src and crates/core/src (each file up to its
+#      `#[cfg(test)]` module) nothing writes or mutably borrows `stats[..]`
+#      or `region_stats[..]`, notes a fault in the sharing profile
+#      (`.note(`) or calls `obs.record(` except inside `ProtoWorld::emit`
+#      (plus the statistics reset in `ProtoWorld::begin_measurement`), and
+#      nothing calls `span_wake(` except `ProtoWorld::wake`. No allowlist.
 #
 # Comment lines are ignored. Run from anywhere; CI runs it on every push.
 
@@ -72,6 +85,26 @@ hits=$(matches 'std::thread|\bMutex\b|\bCondvar\b|catch_unwind|\bunsafe\b' "$ONE
 if [ -n "$hits" ]; then
   echo "$hits"
   echo "lint_determinism: threads, locks, unwinding or unsafe under a cell (no allowlist for this rule)"
+  status=1
+fi
+
+# Rule 4. `fn` tracks the enclosing function by its most recent `fn name`
+# line; the three exempt functions live in crates/proto/src/world.rs.
+hits=$(find crates/proto/src crates/core/src -name '*.rs' | sort | xargs awk '
+  FNR == 1 { in_tests = 0; fn = "" }
+  /^#\[cfg\(test\)\]/ { in_tests = 1 }
+  in_tests || /^[[:space:]]*\/\// { next }
+  match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+  {
+    world = FILENAME ~ /proto\/src\/world\.rs$/
+    counters = /(region_)?stats\[[^]]*\][a-z_.]*[[:space:]]*([-+]?=)([^=]|$)/ || /&mut [a-z_.]*stats\[/
+    if (counters && !(world && (fn == "emit" || fn == "begin_measurement"))) print FILENAME ":" FNR ":" $0
+    else if ((/\.note\(/ || /obs\.record\(/ || /^[[:space:]]*\.record\(/) && !(world && fn == "emit")) print FILENAME ":" FNR ":" $0
+    else if (/span_wake\(/ && !(world && fn == "wake")) print FILENAME ":" FNR ":" $0
+  }')
+if [ -n "$hits" ]; then
+  echo "$hits"
+  echo "lint_determinism: telemetry outside ProtoWorld::emit (counters, profile, recorder) or a span wake outside ProtoWorld::wake (no allowlist for this rule)"
   status=1
 fi
 
