@@ -152,18 +152,18 @@ impl Dsm {
     }
 
     /// Read `out.len()` consecutive `f64`s starting at `addr`.
+    ///
+    /// One bulk access: the run-time charges per touched word and checks
+    /// every covered block, exactly like an unrolled loop of loads. No
+    /// allocation per call: the sequential arm decodes straight out of
+    /// memory, the parallel arm reuses one buffer.
     pub async fn read_f64s(&mut self, addr: usize, out: &mut [f64]) {
-        // One bulk access: the run-time charges per touched word and checks
-        // every covered block, exactly like an unrolled loop of loads.
-        let mut raw = vec![0u8; out.len() * 8];
-        on_arm!(self, d => d.read(addr, &mut raw));
-        decode_f64s(&raw, out);
+        on_arm!(self, d => d.read_f64s(addr, out));
     }
 
     /// Write all of `vals` consecutively starting at `addr`.
     pub async fn write_f64s(&mut self, addr: usize, vals: &[f64]) {
-        let raw = encode_f64s(vals);
-        on_arm!(self, d => d.write(addr, &raw));
+        on_arm!(self, d => d.write_f64s(addr, vals));
     }
 }
 
@@ -172,18 +172,18 @@ impl Dsm {
 // future's state, behind a pointer the optimizer cannot see through, and
 // the loops would not vectorize.
 
-fn decode_f64s(raw: &[u8], out: &mut [f64]) {
+/// `out[i]` from the little-endian word `raw[8*i..]`.
+pub(crate) fn decode_f64s(raw: &[u8], out: &mut [f64]) {
     for (o, bytes) in out.iter_mut().zip(raw.chunks_exact(8)) {
         *o = f64::from_le_bytes(bytes.try_into().unwrap());
     }
 }
 
-fn encode_f64s(vals: &[f64]) -> Vec<u8> {
-    let mut raw = Vec::with_capacity(vals.len() * 8);
-    for v in vals {
-        raw.extend_from_slice(&v.to_le_bytes());
+/// `vals[i]` into the little-endian word `raw[8*i..]`.
+pub(crate) fn encode_f64s(vals: &[f64], raw: &mut [u8]) {
+    for (v, bytes) in vals.iter().zip(raw.chunks_exact_mut(8)) {
+        bytes.copy_from_slice(&v.to_le_bytes());
     }
-    raw
 }
 
 /// Drive a future that never suspends: poll it once and take its result.

@@ -4,11 +4,14 @@
 //! it ran — it reports as one `ProtoWorld::emit` per fact; the counters,
 //! recorder and span log all derive from those events.
 
+use dsm_mem::BlockId;
 use dsm_obs::EventKind;
 use dsm_proto::msg::FaultKind;
 use dsm_proto::ops::{self, Attempt};
 use dsm_proto::{sync, ProtoWorld};
 use dsm_sim::{NodeHandle, Time};
+
+use crate::api::{decode_f64s, encode_f64s};
 
 /// Unflushed local time is batched up to this much before being pushed into
 /// the event loop, trading a little timing precision (bounded by the
@@ -57,6 +60,8 @@ pub struct ParDsm {
     lrc: bool,
     layout: dsm_mem::Layout,
     local: LocalTime,
+    /// The bulk accessors' byte buffer, reused from call to call.
+    scratch: Vec<u8>,
 }
 
 // `#[inline]` on an `async fn` covers the function that *builds* its future
@@ -83,6 +88,7 @@ impl ParDsm {
                 poll_acc: 0,
                 inflation_pct,
             },
+            scratch: Vec::new(),
         }
     }
 
@@ -168,31 +174,45 @@ impl ParDsm {
     }
 
     /// One access to `[addr, addr+len)`: split at coherence-block boundaries,
-    /// each piece attempted — `attempt(world, piece address, piece's range
-    /// of the buffer, now)` — and retried through local and remote faults
-    /// until it hits. Bulk accesses are sequences of loads/stores on real
-    /// hardware: each block's piece completes individually, so a spanning
-    /// access never needs two contended blocks to be held simultaneously
-    /// (which can livelock under false-sharing ping-pong).
+    /// each piece attempted — `attempt(world, piece's block, piece address,
+    /// piece's range of the buffer, now)` — and retried through local and
+    /// remote faults until it hits. Bulk accesses are sequences of
+    /// loads/stores on real hardware: each block's piece completes
+    /// individually, so a spanning access never needs two contended blocks
+    /// to be held simultaneously (which can livelock under false-sharing
+    /// ping-pong). This loop is the only place an access is cut, so a piece
+    /// never spans and `ops` checks one block.
     async fn access(
         &mut self,
         addr: usize,
         len: usize,
         kind: FaultKind,
-        mut attempt: impl FnMut(&mut ProtoWorld, usize, std::ops::Range<usize>, Time) -> Attempt,
+        mut attempt: impl FnMut(
+            &mut ProtoWorld,
+            BlockId,
+            usize,
+            std::ops::Range<usize>,
+            Time,
+        ) -> Attempt,
     ) {
+        assert!(
+            addr + len <= self.layout.size(),
+            "access [{addr:#x}, {:#x}) out of shared space of {} bytes",
+            addr + len,
+            self.layout.size()
+        );
         let mut off = 0;
         while off < len {
             let a = addr + off;
             // Blocks are region-relative: the piece ends at the enclosing
             // block's boundary in the region's own granularity.
-            let in_block = self.layout.block_end(a) - a;
-            let take = in_block.min(len - off);
+            let (b, block_end) = self.layout.locate(a);
+            let take = (block_end - a).min(len - off);
             let mut spins = 0u32;
             loop {
                 let tried = self
                     .ctx
-                    .world(|w, s| attempt(w, a, off..off + take, s.now()));
+                    .world(|w, s| attempt(w, b, a, off..off + take, s.now()));
                 match tried {
                     Attempt::Done(t) => {
                         self.charge_local(t).await;
@@ -223,8 +243,8 @@ impl ParDsm {
     #[inline]
     pub(crate) async fn read(&mut self, addr: usize, buf: &mut [u8]) {
         let me = self.me;
-        self.access(addr, buf.len(), FaultKind::Read, |w, a, piece, now| {
-            ops::try_read(w, me, a, &mut buf[piece], now)
+        self.access(addr, buf.len(), FaultKind::Read, |w, b, a, piece, now| {
+            ops::try_read(w, me, b, a, &mut buf[piece], now)
         })
         .await;
     }
@@ -232,10 +252,29 @@ impl ParDsm {
     #[inline]
     pub(crate) async fn write(&mut self, addr: usize, data: &[u8]) {
         let me = self.me;
-        self.access(addr, data.len(), FaultKind::Write, |w, a, piece, now| {
-            ops::try_write(w, me, a, &data[piece], now)
+        self.access(addr, data.len(), FaultKind::Write, |w, b, a, piece, now| {
+            ops::try_write(w, me, b, a, &data[piece], now)
         })
         .await;
+    }
+
+    /// One bulk read, cut and charged like any other ([`ParDsm::access`]);
+    /// the bytes pass through the node's reused buffer.
+    pub(crate) async fn read_f64s(&mut self, addr: usize, out: &mut [f64]) {
+        let mut raw = std::mem::take(&mut self.scratch);
+        raw.resize(out.len() * 8, 0);
+        self.read(addr, &mut raw).await;
+        decode_f64s(&raw, out);
+        self.scratch = raw;
+    }
+
+    /// One bulk write, through the same buffer.
+    pub(crate) async fn write_f64s(&mut self, addr: usize, vals: &[f64]) {
+        let mut raw = std::mem::take(&mut self.scratch);
+        raw.resize(vals.len() * 8, 0);
+        encode_f64s(vals, &mut raw);
+        self.write(addr, &raw).await;
+        self.scratch = raw;
     }
 
     pub(crate) async fn lock(&mut self, l: usize) {

@@ -303,7 +303,8 @@ fn poll_inflation(cfg: &RunConfig, program: &dyn DsmProgram) -> u32 {
 }
 
 /// The protocol world a run of `program` under `cfg` starts from: layout,
-/// protocol state, checker, and the program's initial image on every node.
+/// protocol state, checker, and the program's initial image (held once; a
+/// node's copy of a block is filled at its first grant).
 fn build_world(cfg: &RunConfig, program: &dyn DsmProgram) -> ProtoWorld {
     let (layout, region_protocols) = build_layout(cfg, program);
     let size = layout.size();
@@ -334,7 +335,7 @@ fn build_world(cfg: &RunConfig, program: &dyn DsmProgram) -> ProtoWorld {
     }
     let mut golden = MemImage::new(size);
     program.init(&mut golden);
-    world.load_golden(golden.bytes());
+    world.load_golden(golden.into_bytes());
     world
 }
 

@@ -3,6 +3,7 @@
 
 use dsm_net::CostModel;
 
+use crate::api::{decode_f64s, encode_f64s};
 use crate::image::MemImage;
 
 /// The sequential run-time (the [`crate::Dsm::Seq`] arm): direct memory,
@@ -68,6 +69,21 @@ impl SeqDsm {
     pub(crate) fn write(&mut self, addr: usize, data: &[u8]) {
         self.time_ns += self.access_cost(data.len());
         self.mem.bytes_mut()[addr..addr + data.len()].copy_from_slice(data);
+    }
+
+    /// A bulk read straight out of memory: one access of `8 * out.len()`
+    /// bytes, no buffer in between.
+    pub(crate) fn read_f64s(&mut self, addr: usize, out: &mut [f64]) {
+        let len = out.len() * 8;
+        self.time_ns += self.access_cost(len);
+        decode_f64s(&self.mem.bytes()[addr..addr + len], out);
+    }
+
+    /// A bulk write straight into memory.
+    pub(crate) fn write_f64s(&mut self, addr: usize, vals: &[f64]) {
+        let len = vals.len() * 8;
+        self.time_ns += self.access_cost(len);
+        encode_f64s(vals, &mut self.mem.bytes_mut()[addr..addr + len]);
     }
 
     pub(crate) fn lock(&mut self, _l: usize) {

@@ -21,8 +21,9 @@ pub struct Region {
     start: usize,
     /// One past the last byte of the region.
     end: usize,
-    /// Coherence block size inside this region.
-    block: usize,
+    /// log2 of the coherence block size inside this region: block
+    /// arithmetic on the access path is shifts, not divisions.
+    shift: u32,
     /// Block id of the region's first block.
     base: BlockId,
 }
@@ -54,8 +55,9 @@ impl Region {
     }
 
     /// Coherence block size inside this region.
+    #[inline]
     pub fn block_size(&self) -> usize {
-        self.block
+        1 << self.shift
     }
 
     /// Block id of the region's first block.
@@ -65,7 +67,7 @@ impl Region {
 
     /// Number of blocks in the region.
     pub fn num_blocks(&self) -> usize {
-        (self.end - self.start) / self.block
+        (self.end - self.start) >> self.shift
     }
 }
 
@@ -94,7 +96,7 @@ impl Layout {
                 name: "shared".into(),
                 start: 0,
                 end: size,
-                block,
+                shift: block.trailing_zeros(),
                 base: 0,
             }],
         }
@@ -128,7 +130,7 @@ impl Layout {
                 name: name.clone(),
                 start: *start,
                 end,
-                block: *block,
+                shift: block.trailing_zeros(),
                 base,
             });
             base += (end - start) / block;
@@ -144,7 +146,7 @@ impl Layout {
     /// Largest block size across regions (the uniform block size for
     /// single-region layouts).
     pub fn block_size(&self) -> usize {
-        self.regions.iter().map(|r| r.block).max().unwrap()
+        1 << self.regions.iter().map(|r| r.shift).max().unwrap()
     }
 
     /// Number of coherence blocks across all regions.
@@ -192,50 +194,34 @@ impl Layout {
     /// Block size of the region containing block `b`.
     #[inline]
     pub fn block_size_of(&self, b: BlockId) -> usize {
-        self.regions[self.region_of_block(b)].block
+        self.regions[self.region_of_block(b)].block_size()
     }
 
     /// Block containing byte address `addr`.
     #[inline]
     pub fn block_of(&self, addr: usize) -> BlockId {
         debug_assert!(addr < self.size, "address {addr:#x} out of shared space");
-        let r = &self.regions[self.region_of_addr(addr)];
-        r.base + (addr - r.start) / r.block
+        self.locate(addr).0
     }
 
     /// Byte range of block `b`.
     #[inline]
     pub fn block_range(&self, b: BlockId) -> std::ops::Range<usize> {
         let r = &self.regions[self.region_of_block(b)];
-        let start = r.start + (b - r.base) * r.block;
-        start..start + r.block
+        let start = r.start + ((b - r.base) << r.shift);
+        start..start + r.block_size()
     }
 
-    /// One past the last byte of the block containing `addr` (the first
-    /// address that falls in the next block).
+    /// The block containing byte address `addr` and one past that block's
+    /// last byte (the first address that falls in the next block): what the
+    /// access path needs to cut an access into per-block pieces, from one
+    /// region lookup.
     #[inline]
-    pub fn block_end(&self, addr: usize) -> usize {
+    pub fn locate(&self, addr: usize) -> (BlockId, usize) {
+        debug_assert!(addr < self.size, "address {addr:#x} out of shared space");
         let r = &self.regions[self.region_of_addr(addr)];
-        r.start + ((addr - r.start) / r.block + 1) * r.block
-    }
-
-    /// Iterator over the blocks overlapping `[addr, addr+len)`. Block ids
-    /// are monotone in address, so the covering set is always contiguous.
-    pub fn blocks_covering(
-        &self,
-        addr: usize,
-        len: usize,
-    ) -> impl Iterator<Item = BlockId> + use<> {
-        assert!(len > 0, "zero-length access");
-        assert!(
-            addr + len <= self.size,
-            "access [{addr:#x}, {:#x}) out of shared space of {} bytes",
-            addr + len,
-            self.size
-        );
-        let first = self.block_of(addr);
-        let last = self.block_of(addr + len - 1);
-        first..=last
+        let i = (addr - r.start) >> r.shift;
+        (r.base + i, r.start + ((i + 1) << r.shift))
     }
 }
 
@@ -260,27 +246,9 @@ mod tests {
     }
 
     #[test]
-    fn blocks_covering_spans() {
-        let l = Layout::new(4096, 256);
-        let v: Vec<_> = l.blocks_covering(250, 10).collect();
-        assert_eq!(v, vec![0, 1]);
-        let v: Vec<_> = l.blocks_covering(256, 256).collect();
-        assert_eq!(v, vec![1]);
-        let v: Vec<_> = l.blocks_covering(0, 1024).collect();
-        assert_eq!(v, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two() {
         Layout::new(1024, 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of shared space")]
-    fn rejects_out_of_range_access() {
-        let l = Layout::new(1024, 64);
-        let _ = l.blocks_covering(1020, 8).count();
     }
 
     fn three_regions() -> Layout {
@@ -326,23 +294,48 @@ mod tests {
     }
 
     #[test]
-    fn covering_crosses_region_boundaries_contiguously() {
+    fn locate_respects_region_grain() {
         let l = three_regions();
-        let v: Vec<_> = l.blocks_covering(4090, 1030).collect();
-        assert_eq!(v, vec![15, 16]);
-        // [8000, 8300) = tail of the 1024-byte block 19 plus the 64-byte
-        // blocks [8192,8256) and [8256,8320).
-        let v: Vec<_> = l.blocks_covering(8000, 300).collect();
-        assert_eq!(v, vec![19, 20, 21]);
+        assert_eq!(l.locate(0), (0, 256));
+        assert_eq!(l.locate(255), (0, 256));
+        assert_eq!(l.locate(4096), (16, 5120));
+        assert_eq!(l.locate(8200), (20, 8256));
     }
 
     #[test]
-    fn block_end_respects_region_grain() {
-        let l = three_regions();
-        assert_eq!(l.block_end(0), 256);
-        assert_eq!(l.block_end(255), 256);
-        assert_eq!(l.block_end(4096), 5120);
-        assert_eq!(l.block_end(8200), 8256);
+    fn locate_agrees_with_block_of_and_block_range_on_random_layouts() {
+        // Fixed-seed differential: random multi-region layouts (4 KB-aligned
+        // spans, each with its own power-of-two block size), random addresses.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        for _ in 0..200 {
+            let mut parts = Vec::new();
+            let mut start = 0;
+            for i in 0..1 + next(5) {
+                parts.push((format!("r{i}"), start, 8usize << next(10)));
+                start += 4096 * (1 + next(4));
+            }
+            let l = Layout::with_regions(start, &parts);
+            for _ in 0..200 {
+                let addr = next(l.size());
+                let (b, end) = l.locate(addr);
+                assert_eq!(b, l.block_of(addr));
+                let range = l.block_range(b);
+                assert!(
+                    range.contains(&addr),
+                    "{addr:#x} not in block {b}'s {range:?}"
+                );
+                assert_eq!(end, range.end);
+                let r = l.region(l.region_of_addr(addr));
+                assert_eq!(b, r.base_block() + (addr - r.start()) / r.block_size());
+                assert_eq!(end, r.start() + (b - r.base_block() + 1) * r.block_size());
+            }
+        }
     }
 
     #[test]
@@ -352,8 +345,7 @@ mod tests {
         let u = Layout::new(8192, 256);
         let m = Layout::with_regions(8192, &[("x".into(), 0, 256), ("y".into(), 4096, 256)]);
         for addr in (0..8192).step_by(97) {
-            assert_eq!(u.block_of(addr), m.block_of(addr));
-            assert_eq!(u.block_end(addr), m.block_end(addr));
+            assert_eq!(u.locate(addr), m.locate(addr));
         }
         for b in 0..u.num_blocks() {
             assert_eq!(u.block_range(b), m.block_range(b));

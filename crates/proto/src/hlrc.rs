@@ -220,13 +220,13 @@ pub fn handle_data(
         .expect("HlData without a pending fault");
     let mut at = s.now() + w.cfg.cost.handler_ns;
     match kind {
-        FaultKind::Read => w.access.set(me, b, Access::Read),
+        FaultKind::Read => w.grant(me, b, Access::Read),
         FaultKind::Write => {
             // The home writes its master copy in place; everyone else twins.
             if w.homes.home(b) != Some(me) {
                 at += make_twin(w, me, b, s.now());
             }
-            w.access.set(me, b, Access::ReadWrite);
+            w.grant(me, b, Access::ReadWrite);
             w.nodes[me].mark_dirty(b);
         }
     }
@@ -242,7 +242,7 @@ pub fn handle_now_home(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b:
         .expect("HlNowHome without a pending fault");
     debug_assert_eq!(kind, FaultKind::Write);
     // The home writes its master copy in place: no twin.
-    w.access.set(me, b, Access::ReadWrite);
+    w.grant(me, b, Access::ReadWrite);
     w.nodes[me].mark_dirty(b);
     let at = s.now() + w.cfg.cost.handler_ns;
     w.block_obtained(s, me);
@@ -263,6 +263,8 @@ pub fn handle_diff(
     let apply_cost = w.cfg.cost.diff_apply_cost(diff.data_bytes().max(8));
     let bytes = diff.wire_bytes();
     w.emit(me, s.now(), EventKind::DiffApply { block: b, bytes });
+    // A statically assigned home may never have touched the block.
+    w.data.ensure(me, b);
     let r = w.cfg.layout.block_range(b);
     diff.apply(&mut w.data.node_mut(me)[r]);
     for run in diff.runs {
@@ -320,7 +322,7 @@ pub fn local_write_fault(w: &mut ProtoWorld, me: NodeId, b: BlockId, now: Time) 
     if w.homes.home(b) != Some(me) {
         cost += make_twin(w, me, b, now);
     }
-    w.access.set(me, b, Access::ReadWrite);
+    w.grant(me, b, Access::ReadWrite);
     w.nodes[me].mark_dirty(b);
     cost
 }
@@ -366,7 +368,7 @@ pub fn release_dirty(
                 }
             }
             if w.access.get(me, b) == Access::ReadWrite {
-                w.access.set(me, b, Access::Read);
+                w.grant(me, b, Access::Read);
             }
             if diff.is_empty() {
                 w.pool.put(twin);
@@ -410,7 +412,7 @@ pub fn release_dirty(
             // Home block: the master copy already has the writes.
             record_flush(w, b, me, interval, s.now());
             if w.access.get(me, b) == Access::ReadWrite {
-                w.access.set(me, b, Access::Read);
+                w.grant(me, b, Access::Read);
             }
             notices.push(Notice {
                 block: b,
@@ -509,7 +511,7 @@ mod tests {
         );
         cfg.nodes = 4;
         let mut w = ProtoWorld::new(cfg);
-        w.load_golden(&vec![3u8; 4096]);
+        w.load_golden(vec![3u8; 4096]);
         (w, SchedInner::for_testing(4))
     }
 
@@ -581,12 +583,12 @@ mod tests {
         let (mut w, _s) = setup();
         w.homes.assign(0, 1);
         w.homes.assign(1, 2);
-        w.access.set(2, 0, Access::Read);
+        w.grant(2, 0, Access::Read);
         let cost = local_write_fault(&mut w, 2, 0, 0);
         assert!(cost > 0);
         assert!(w.nodes[2].twins.has(0), "remote block must twin");
         // A home block is written in place.
-        w.access.set(2, 1, Access::Read);
+        w.grant(2, 1, Access::Read);
         local_write_fault(&mut w, 2, 1, 0);
         assert!(!w.nodes[2].twins.has(1), "home block must not twin");
         assert_eq!(w.nodes[2].dirty, vec![0, 1]);
@@ -597,8 +599,8 @@ mod tests {
         let (mut w, mut s) = setup();
         w.homes.assign(0, 1);
         w.homes.assign(1, 1);
-        w.access.set(2, 0, Access::Read);
-        w.access.set(2, 1, Access::Read);
+        w.grant(2, 0, Access::Read);
+        w.grant(2, 1, Access::Read);
         local_write_fault(&mut w, 2, 0, 0);
         local_write_fault(&mut w, 2, 1, 0);
         // Block 0 really changes; block 1 is rewritten with identical bytes.
@@ -624,7 +626,7 @@ mod tests {
     fn notice_records_needs_and_flushes_dirty_twin_early() {
         let (mut w, mut s) = setup();
         w.homes.assign(0, 1);
-        w.access.set(2, 0, Access::Read);
+        w.grant(2, 0, Access::Read);
         local_write_fault(&mut w, 2, 0, 0);
         w.data.node_mut(2)[7] = 0xCD;
         apply_notice(

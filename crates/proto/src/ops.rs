@@ -30,64 +30,118 @@ pub fn access_cost(w: &ProtoWorld, len: usize) -> Time {
     len.div_ceil(8) as Time * w.cfg.cost.local_access_ns
 }
 
-/// Attempt to read `buf.len()` bytes at `addr` into `buf`. `now` stamps the
-/// access for an installed checker.
-pub fn try_read(w: &mut ProtoWorld, me: NodeId, addr: usize, buf: &mut [u8], now: Time) -> Attempt {
-    for b in w.cfg.layout.blocks_covering(addr, buf.len()) {
-        if !w.access.get(me, b).readable() {
-            return Attempt::Fault(b);
-        }
-        // Tardis read-only copies additionally expire lazily against the
-        // program timestamp (owners hold ReadWrite and are exempt).
-        if w.has_tardis
-            && w.access.get(me, b) == Access::Read
-            && w.protocol_of(b) == Protocol::Tardis
-            && !tardis::lease_valid(w, me, b, now)
-        {
-            return Attempt::Fault(b);
-        }
+/// Move a word as a word: the 8-byte accessors are most of the hit path,
+/// and a slice copy of a length the compiler cannot see is a call.
+#[inline(always)]
+fn copy_bytes(dst: &mut [u8], src: &[u8]) {
+    match (
+        <&mut [u8; 8]>::try_from(&mut *dst),
+        <&[u8; 8]>::try_from(src),
+    ) {
+        (Ok(d), Ok(s)) => *d = *s,
+        _ => dst.copy_from_slice(src),
     }
-    buf.copy_from_slice(&w.data.node(me)[addr..addr + buf.len()]);
+}
+
+/// Whether `[addr, addr + len)` lies inside block `b`.
+fn in_block(w: &ProtoWorld, b: BlockId, addr: usize, len: usize) -> bool {
+    let r = w.cfg.layout.block_range(b);
+    r.start <= addr && addr + len <= r.end
+}
+
+/// Attempt to read `buf.len()` bytes at `addr` into `buf`. The bytes lie
+/// inside block `b`: the caller cuts an access at block boundaries
+/// (`Layout::locate`) and attempts each piece on its own. `now` stamps the
+/// access for an installed checker.
+#[inline]
+pub fn try_read(
+    w: &mut ProtoWorld,
+    me: NodeId,
+    b: BlockId,
+    addr: usize,
+    buf: &mut [u8],
+    now: Time,
+) -> Attempt {
+    debug_assert!(in_block(w, b, addr, buf.len()));
+    let access = w.access.get(me, b);
+    if !access.readable() {
+        return Attempt::Fault(b);
+    }
+    // Tardis read-only copies additionally expire lazily against the
+    // program timestamp (owners hold ReadWrite and are exempt).
+    if w.has_tardis
+        && access == Access::Read
+        && w.protocol_of(b) == Protocol::Tardis
+        && !tardis::lease_valid(w, me, b, now)
+    {
+        return Attempt::Fault(b);
+    }
+    debug_assert!(
+        w.data.is_present(me, b),
+        "node {me} reads block {b} without a grant"
+    );
+    copy_bytes(buf, &w.data.node(me)[addr..addr + buf.len()]);
     if let Some(c) = w.check.as_deref_mut() {
         c.on_access(me, addr, buf.len(), false, now);
     }
     Attempt::Done(access_cost(w, buf.len()))
 }
 
-/// Attempt to write `data` at `addr`. `now` stamps locally-resolved fault
-/// events.
-pub fn try_write(w: &mut ProtoWorld, me: NodeId, addr: usize, data: &[u8], now: Time) -> Attempt {
-    for b in w.cfg.layout.blocks_covering(addr, data.len()) {
-        match w.access.get(me, b) {
-            Access::ReadWrite => {}
-            Access::Read => match w.protocol_of(b) {
-                Protocol::Sc => return Attempt::Fault(b),
-                Protocol::SwLrc => {
-                    if w.sw.is_owner(me, b) {
-                        return Attempt::LocalFault(swlrc::local_reenable(w, me, b), b);
-                    }
-                    return Attempt::Fault(b);
-                }
-                Protocol::Hlrc => {
-                    // A store on an unclaimed block must claim the home
-                    // through the directory (store touch), not twin locally.
-                    if w.homes.home(b).is_none() {
-                        return Attempt::Fault(b);
-                    }
-                    return Attempt::LocalFault(hlrc::local_write_fault(w, me, b, now), b);
-                }
-                // Tardis upgrades go through the home: exclusivity needs a
-                // freshly minted write timestamp.
-                Protocol::Tardis => return Attempt::Fault(b),
-            },
-            Access::Invalid => return Attempt::Fault(b),
-        }
+/// Attempt to write `data` at `addr`, inside block `b` (see [`try_read`]).
+/// `now` stamps locally-resolved fault events.
+#[inline]
+pub fn try_write(
+    w: &mut ProtoWorld,
+    me: NodeId,
+    b: BlockId,
+    addr: usize,
+    data: &[u8],
+    now: Time,
+) -> Attempt {
+    debug_assert!(in_block(w, b, addr, data.len()));
+    if w.access.get(me, b) != Access::ReadWrite {
+        return write_miss(w, me, b, now);
     }
-    w.data.node_mut(me)[addr..addr + data.len()].copy_from_slice(data);
+    debug_assert!(
+        w.data.is_present(me, b),
+        "node {me} writes block {b} without a grant"
+    );
+    copy_bytes(&mut w.data.node_mut(me)[addr..addr + data.len()], data);
     if let Some(c) = w.check.as_deref_mut() {
         c.on_access(me, addr, data.len(), true, now);
     }
     Attempt::Done(access_cost(w, data.len()))
+}
+
+/// A store to a block `me` may not write: a fault, resolved locally where
+/// the block's protocol can (SW-LRC re-enable, HLRC twin). Out of line so
+/// the hit path above stays a check, a copy and a cost.
+#[cold]
+#[inline(never)]
+fn write_miss(w: &mut ProtoWorld, me: NodeId, b: BlockId, now: Time) -> Attempt {
+    if w.access.get(me, b) == Access::Invalid {
+        return Attempt::Fault(b);
+    }
+    match w.protocol_of(b) {
+        Protocol::Sc => Attempt::Fault(b),
+        Protocol::SwLrc => {
+            if w.sw.is_owner(me, b) {
+                return Attempt::LocalFault(swlrc::local_reenable(w, me, b), b);
+            }
+            Attempt::Fault(b)
+        }
+        Protocol::Hlrc => {
+            // A store on an unclaimed block must claim the home through the
+            // directory (store touch), not twin locally.
+            if w.homes.home(b).is_none() {
+                return Attempt::Fault(b);
+            }
+            Attempt::LocalFault(hlrc::local_write_fault(w, me, b, now), b)
+        }
+        // Tardis upgrades go through the home: exclusivity needs a freshly
+        // minted write timestamp.
+        Protocol::Tardis => Attempt::Fault(b),
+    }
 }
 
 /// Start a remote fault on `b` — the one place a fault's beginning is
@@ -127,16 +181,16 @@ mod tests {
     fn read_of_invalid_block_faults() {
         let mut w = world(Protocol::Sc);
         let mut buf = [0u8; 8];
-        assert_eq!(try_read(&mut w, 0, 0, &mut buf, 0), Attempt::Fault(0));
+        assert_eq!(try_read(&mut w, 0, 0, 0, &mut buf, 0), Attempt::Fault(0));
     }
 
     #[test]
     fn read_hits_after_access_granted() {
         let mut w = world(Protocol::Sc);
-        w.access.set(0, 0, Access::Read);
+        w.grant(0, 0, Access::Read);
         w.data.node_mut(0)[0..8].copy_from_slice(&7u64.to_le_bytes());
         let mut buf = [0u8; 8];
-        match try_read(&mut w, 0, 0, &mut buf, 0) {
+        match try_read(&mut w, 0, 0, 0, &mut buf, 0) {
             Attempt::Done(t) => assert_eq!(t, w.cfg.cost.local_access_ns),
             other => panic!("expected Done, got {other:?}"),
         }
@@ -146,9 +200,9 @@ mod tests {
     #[test]
     fn write_on_read_copy_faults_under_sc() {
         let mut w = world(Protocol::Sc);
-        w.access.set(0, 3, Access::Read);
+        w.grant(0, 3, Access::Read);
         assert_eq!(
-            try_write(&mut w, 0, 3 * 64, &[1, 2, 3], 0),
+            try_write(&mut w, 0, 3, 3 * 64, &[1, 2, 3], 0),
             Attempt::Fault(3)
         );
     }
@@ -157,8 +211,8 @@ mod tests {
     fn hlrc_write_on_read_copy_twins_locally() {
         let mut w = world(Protocol::Hlrc);
         w.homes.assign(3, 1); // remote home
-        w.access.set(0, 3, Access::Read);
-        match try_write(&mut w, 0, 3 * 64, &[9], 0) {
+        w.grant(0, 3, Access::Read);
+        match try_write(&mut w, 0, 3, 3 * 64, &[9], 0) {
             Attempt::LocalFault(t, b) => {
                 assert!(t >= w.cfg.cost.fault_exception_ns);
                 assert_eq!(b, 3);
@@ -168,19 +222,10 @@ mod tests {
         assert!(w.nodes[0].twins.has(3));
         assert_eq!(w.access.get(0, 3), Access::ReadWrite);
         // Retry succeeds and the write lands.
-        match try_write(&mut w, 0, 3 * 64, &[9], 0) {
+        match try_write(&mut w, 0, 3, 3 * 64, &[9], 0) {
             Attempt::Done(_) => {}
             other => panic!("expected Done, got {other:?}"),
         }
         assert_eq!(w.data.node(0)[3 * 64], 9);
-    }
-
-    #[test]
-    fn spanning_access_checks_every_block() {
-        let mut w = world(Protocol::Sc);
-        w.access.set(0, 0, Access::Read);
-        // Block 1 still invalid: a read spanning both faults on block 1.
-        let mut buf = [0u8; 16];
-        assert_eq!(try_read(&mut w, 0, 56, &mut buf, 0), Attempt::Fault(1));
     }
 }

@@ -200,7 +200,7 @@ fn begin_read(
             let e = w.sc.entry(b);
             e.owner = None;
             e.sharers |= bit(home);
-            w.access.set(home, b, Access::Read);
+            w.grant(home, b, Access::Read);
             send_read_grant(w, s, home, from, b, at);
         }
         Some(_) /* o == from: requester already owns it exclusively */ => {
@@ -370,7 +370,7 @@ fn complete_write(
 /// Fetch-back at the exclusive owner: downgrade to read-only, ship data home.
 pub fn handle_fetch_back(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId) {
     debug_assert_eq!(w.access.get(me, b), Access::ReadWrite);
-    w.access.set(me, b, Access::Read);
+    w.grant(me, b, Access::Read);
     let bs = w.block_size_of(b) as u64;
     let c = w.cfg.cost.copy_cost(bs);
     w.occupy(s, me, c);
@@ -476,7 +476,7 @@ pub fn handle_write_back(
         }
     }
     if !invalidated && w.access.get(me, b) == Access::Invalid {
-        w.access.set(me, b, Access::Read);
+        w.grant(me, b, Access::Read);
     }
     ack_received(w, s, me, b, s.now() + c + w.cfg.cost.handler_ns);
 }
@@ -561,7 +561,7 @@ pub fn handle_grant(
     if with_data {
         w.data.copy_block(b, home, me);
     }
-    w.access.set(
+    w.grant(
         me,
         b,
         if exclusive {
@@ -621,7 +621,7 @@ pub fn handle_now_home(
     w.homes.learn(me, b, me);
     w.nodes[me].pending_fault = None;
     w.nodes[me].fault_poisoned = false;
-    w.access.set(me, b, grant_access(kind));
+    w.grant(me, b, grant_access(kind));
     let at = s.now() + w.cfg.cost.handler_ns;
     complete_transaction(w, s, me, b, at);
     w.block_obtained(s, me);
@@ -680,7 +680,7 @@ mod tests {
             ProtoConfig::new(Layout::new(4096, 256), crate::Protocol::Sc, Notify::Polling);
         cfg.nodes = 4;
         let mut w = ProtoWorld::new(cfg);
-        w.load_golden(&vec![7u8; 4096]);
+        w.load_golden(vec![7u8; 4096]);
         (w, SchedInner::for_testing(4))
     }
 
@@ -714,9 +714,9 @@ mod tests {
             let e = w.sc.entry(0);
             e.sharers = bit(1) | bit(2) | bit(3);
         }
-        w.access.set(1, 0, Access::Read);
-        w.access.set(2, 0, Access::Read);
-        w.access.set(3, 0, Access::Read);
+        w.grant(1, 0, Access::Read);
+        w.grant(2, 0, Access::Read);
+        w.grant(3, 0, Access::Read);
         handle_request(&mut w, &mut s, 0, 1, 0, FaultKind::Write);
         // Node 1 is the requester: nodes 2 and 3 get invalidations.
         let evs = s.take_events();
@@ -760,7 +760,7 @@ mod tests {
     fn inval_of_exclusive_copy_writes_data_back() {
         let (mut w, mut s) = setup();
         w.homes.assign(0, 0);
-        w.access.set(2, 0, Access::ReadWrite);
+        w.grant(2, 0, Access::ReadWrite);
         w.sc.entry(0).owner = Some(2);
         w.sc.entry(0).pending = Some(Pending {
             requester: 3,

@@ -296,7 +296,7 @@ fn serve(
                 });
             }
             if w.access.get(me, b) == Access::ReadWrite {
-                w.access.set(me, b, Access::Read);
+                w.grant(me, b, Access::Read);
             }
             w.send(
                 s,
@@ -333,12 +333,12 @@ pub fn handle_reply(
         w.sw.owner[b] = Some(me);
         w.sw.in_transfer[b] = None;
         w.sw.set_hint(me, b, me, version);
-        w.access.set(me, b, Access::ReadWrite);
+        w.grant(me, b, Access::ReadWrite);
         w.nodes[me].mark_dirty(b);
         drain_waiting(w, s, me, b, at);
     } else {
         w.sw.set_hint(me, b, owner, version);
-        w.access.set(me, b, Access::Read);
+        w.grant(me, b, Access::Read);
     }
     w.block_obtained(s, me);
     w.wake(s, me, at);
@@ -355,7 +355,7 @@ pub fn handle_now_owner(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b
     w.sw.set_copy_version(me, b, 1);
     w.sw.set_hint(me, b, me, 1);
     w.homes.learn(me, b, me);
-    w.access.set(me, b, Access::ReadWrite);
+    w.grant(me, b, Access::ReadWrite);
     w.nodes[me].mark_dirty(b);
     let at = s.now() + w.cfg.cost.handler_ns;
     drain_waiting(w, s, me, b, at);
@@ -398,7 +398,7 @@ fn drain_waiting(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: Block
 pub fn local_reenable(w: &mut ProtoWorld, me: NodeId, b: BlockId) -> Time {
     debug_assert!(w.sw.is_owner(me, b));
     debug_assert_eq!(w.access.get(me, b), Access::Read);
-    w.access.set(me, b, Access::ReadWrite);
+    w.grant(me, b, Access::ReadWrite);
     w.nodes[me].mark_dirty(b);
     w.cfg.cost.fault_exception_ns
 }
@@ -442,7 +442,7 @@ pub fn release_dirty(
         w.sw.set_copy_version(me, b, v);
         w.sw.set_hint(me, b, me, v);
         if w.access.get(me, b) == Access::ReadWrite {
-            w.access.set(me, b, Access::Read);
+            w.grant(me, b, Access::Read);
         }
         if let Some(c) = w.check.as_deref_mut() {
             c.sw_notice(me, b, v, true, now);
@@ -492,7 +492,7 @@ mod tests {
         );
         cfg.nodes = 4;
         let mut w = ProtoWorld::new(cfg);
-        w.load_golden(&vec![0u8; 4096]);
+        w.load_golden(vec![0u8; 4096]);
         (w, SchedInner::for_testing(4))
     }
 
@@ -539,7 +539,7 @@ mod tests {
         let (mut w, mut s) = setup();
         w.sw.owner[0] = Some(1);
         w.sw.version[0] = 3;
-        w.access.set(1, 0, Access::ReadWrite);
+        w.grant(1, 0, Access::ReadWrite);
         handle_request(&mut w, &mut s, 1, 2, 0, FaultKind::Write, 0);
         assert_eq!(w.sw.version[0], 4);
         assert_eq!(w.sw.owner[0], None);
@@ -563,7 +563,7 @@ mod tests {
     #[test]
     fn notices_invalidate_only_older_copies() {
         let (mut w, _s) = setup();
-        w.access.set(2, 0, Access::Read);
+        w.grant(2, 0, Access::Read);
         w.sw.set_copy_version(2, 0, 5);
         // Older notice: skipped.
         apply_notice(
@@ -599,7 +599,7 @@ mod tests {
         let (mut w, _s) = setup();
         w.sw.owner[0] = Some(1);
         w.sw.version[0] = 2;
-        w.access.set(1, 0, Access::ReadWrite);
+        w.grant(1, 0, Access::ReadWrite);
         w.nodes[1].mark_dirty(0);
         let dirty = std::mem::take(&mut w.nodes[1].dirty);
         let notices = release_dirty(&mut w, 1, dirty, 0);

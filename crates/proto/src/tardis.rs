@@ -322,7 +322,7 @@ pub fn handle_data(
     w.td.copy_wts[ni] = wts;
     w.td.lease[ni] = lease;
     w.td.pts[me] = w.td.pts[me].max(wts);
-    w.access.set(me, b, Access::Read);
+    w.grant(me, b, Access::Read);
     let at = s.now() + w.cfg.cost.handler_ns;
     w.block_obtained(s, me);
     w.wake(s, me, at);
@@ -369,7 +369,7 @@ pub fn handle_wgrant(
     // expiry check only applies to read-only copies.
     w.td.lease[ni] = 0;
     w.td.pts[me] = w.td.pts[me].max(wts);
-    w.access.set(me, b, Access::ReadWrite);
+    w.grant(me, b, Access::ReadWrite);
     // Tardis blocks are never twinned or diffed — the recall writeback
     // carries the whole block — so the dirty list stays LRC-only.
     w.send(
@@ -457,7 +457,7 @@ mod tests {
         );
         cfg.nodes = 4;
         let mut w = ProtoWorld::new(cfg);
-        w.load_golden(&vec![3u8; 4096]);
+        w.load_golden(vec![3u8; 4096]);
         (w, SchedInner::for_testing(4))
     }
 
@@ -621,8 +621,8 @@ mod tests {
         );
         // Owner surrenders: install its (dirty) copy at the home, then the
         // parked read is served.
+        w.grant(3, 0, Access::ReadWrite);
         w.data.node_mut(3)[0] = 0xEE;
-        w.access.set(3, 0, Access::ReadWrite);
         w.td.pending_kind[3] = None;
         handle_recall(&mut w, &mut s, 3, 0);
         assert_eq!(w.access.get(3, 0), Access::Invalid);
@@ -636,7 +636,7 @@ mod tests {
     #[test]
     fn lease_expiring_exactly_at_pts_still_reads() {
         let (mut w, _s) = setup();
-        w.access.set(2, 0, Access::Read);
+        w.grant(2, 0, Access::Read);
         let ni = w.td.ni(2, 0);
         w.td.copy_wts[ni] = 1;
         w.td.lease[ni] = 9;
@@ -644,14 +644,17 @@ mod tests {
         let mut buf = [0u8; 8];
         // pts == lease end: still covered.
         assert!(matches!(
-            ops::try_read(&mut w, 2, 0, &mut buf, 0),
+            ops::try_read(&mut w, 2, 0, 0, &mut buf, 0),
             Attempt::Done(_)
         ));
         assert_eq!(w.stats[2].lease_expiries, 0);
         // One tick past: expired — fault, but the copy survives for a
         // renewal (access stays Read, data intact).
         w.td.pts[2] = 10;
-        assert_eq!(ops::try_read(&mut w, 2, 0, &mut buf, 0), Attempt::Fault(0));
+        assert_eq!(
+            ops::try_read(&mut w, 2, 0, 0, &mut buf, 0),
+            Attempt::Fault(0)
+        );
         assert_eq!(w.stats[2].lease_expiries, 1);
         assert_eq!(w.access.get(2, 0), Access::Read, "expired, not invalid");
     }
@@ -659,12 +662,12 @@ mod tests {
     #[test]
     fn write_on_read_copy_faults_to_the_home() {
         let (mut w, _s) = setup();
-        w.access.set(2, 0, Access::Read);
+        w.grant(2, 0, Access::Read);
         let ni = w.td.ni(2, 0);
         w.td.copy_wts[ni] = 1;
         w.td.lease[ni] = 9;
         assert_eq!(
-            ops::try_write(&mut w, 2, 0, &[1, 2, 3], 0),
+            ops::try_write(&mut w, 2, 0, 0, &[1, 2, 3], 0),
             Attempt::Fault(0),
             "tardis upgrades go through the home"
         );

@@ -197,13 +197,28 @@ impl ProtoWorld {
         }
     }
 
-    /// Distribute the golden initial image to every node's copy.
+    /// Make the golden initial image the contents of every node's copy.
     ///
     /// Access state stays Invalid everywhere: cold faults still happen and
     /// still move (identical) data, so fault and traffic counts are
-    /// faithful while values are trivially correct.
-    pub fn load_golden(&mut self, image: &[u8]) {
-        self.data.broadcast_image(image);
+    /// faithful while values are trivially correct. The image is kept once;
+    /// a node's copy of a block is filled from it when the node is first
+    /// granted access ([`ProtoWorld::grant`]) or receives the block.
+    pub fn load_golden(&mut self, image: Vec<u8>) {
+        self.data.load_image(image);
+    }
+
+    /// Give `node` access `a` — `Read` or `ReadWrite` — to block `b`, whose
+    /// bytes its copy holds from here on. The only way protocol code raises
+    /// or keeps an access (`access.set` is for `Invalid`;
+    /// `tools/lint_determinism.sh` holds the protocol files to it): a first
+    /// toucher that claims a home, or is granted an unclaimed block, gets no
+    /// data message, and its bytes are the golden image's.
+    #[inline]
+    pub fn grant(&mut self, node: NodeId, b: BlockId, a: Access) {
+        debug_assert_ne!(a, Access::Invalid, "grant of no access");
+        self.data.ensure(node, b);
+        self.access.set(node, b, a);
     }
 
     /// Block size of block `b`'s region.
@@ -834,7 +849,6 @@ impl World for ProtoWorld {
 /// exclusive owner's (else the home's).
 pub fn final_image(w: &ProtoWorld) -> Vec<u8> {
     let layout = &w.cfg.layout;
-    let mut img = vec![0u8; layout.size()];
     let authoritative = |b: BlockId| match w.protocol_of(b) {
         Protocol::Sc => {
             w.sc.dir(b)
@@ -850,21 +864,11 @@ pub fn final_image(w: &ProtoWorld) -> Vec<u8> {
         // home's master copy (writebacks land at every recall).
         Protocol::Tardis => w.td.owner_of(b).unwrap_or_else(|| w.route_home(b)),
     };
-    // Consecutive blocks are usually homed at the same node (first-touch on
-    // contiguous per-node partitions); coalesce runs of same-source blocks
-    // into one contiguous copy each instead of a per-block memcpy.
-    let nb = layout.num_blocks();
-    let mut b = 0;
-    while b < nb {
-        let src = authoritative(b);
-        let start = layout.block_range(b).start;
-        let mut end = layout.block_range(b).end;
-        b += 1;
-        while b < nb && authoritative(b) == src && layout.block_range(b).start == end {
-            end = layout.block_range(b).end;
-            b += 1;
-        }
-        img[start..end].copy_from_slice(&w.data.node(src)[start..end]);
+    // Blocks tile the space in id order. A block nobody ever held reads,
+    // at the directory node it falls back to, as the golden image.
+    let mut img = Vec::with_capacity(layout.size());
+    for b in 0..layout.num_blocks() {
+        img.extend_from_slice(w.data.block(authoritative(b), b));
     }
     img
 }

@@ -20,7 +20,7 @@ fn run_script(
     let mut cfg = ProtoConfig::new(Layout::new(64 * 1024, block), protocol, Notify::Polling);
     cfg.nodes = nodes;
     let mut world = ProtoWorld::new(cfg);
-    world.load_golden(&vec![0u8; 64 * 1024]);
+    world.load_golden(vec![0u8; 64 * 1024]);
     run_bodies(world, bodies)
 }
 
@@ -389,7 +389,7 @@ fn interrupt_grace_window_defers_invalidations() {
         let mut cfg = ProtoConfig::new(Layout::new(4096, 64), Protocol::Sc, notify);
         cfg.nodes = 2;
         let mut world = ProtoWorld::new(cfg);
-        world.load_golden(&vec![0u8; 4096]);
+        world.load_golden(vec![0u8; 4096]);
         let mk = |me: usize| {
             node_body(move |d| {
                 Box::pin(async move {
@@ -413,5 +413,43 @@ fn interrupt_grace_window_defers_invalidations() {
     assert!(
         intr_faults < poll_faults,
         "interrupt grace window must reduce ping-pong faults: {intr_faults} vs {poll_faults}"
+    );
+}
+
+#[test]
+fn a_spanning_access_faults_on_every_block_it_covers() {
+    // 16 bytes at 56 under 64-byte blocks: the run-time cuts the access at
+    // the block boundary and each piece is checked against its own block.
+    let w = run_script(
+        Protocol::Sc,
+        64,
+        2,
+        vec![
+            node_body(|d| {
+                Box::pin(async move {
+                    let mut buf = [0u8; 16];
+                    d.read(56, &mut buf).await;
+                })
+            }),
+            node_body(|_| Box::pin(async {})),
+        ],
+    );
+    assert_eq!(w.stats[0].read_faults, 2);
+    assert!(w.access.get(0, 0).readable() && w.access.get(0, 1).readable());
+    assert!(!w.access.get(0, 2).readable());
+}
+
+#[test]
+#[should_panic(expected = "out of shared space")]
+fn an_access_past_the_end_of_the_shared_space_is_refused() {
+    run_script(
+        Protocol::Sc,
+        64,
+        1,
+        vec![node_body(|d| {
+            Box::pin(async move {
+                d.read_u64(64 * 1024 - 4).await;
+            })
+        })],
     );
 }

@@ -9,7 +9,7 @@ fn world(p: Protocol, nodes: usize) -> ProtoWorld {
     let mut cfg = ProtoConfig::new(Layout::new(4096, 256), p, Notify::Polling);
     cfg.nodes = nodes;
     let mut w = ProtoWorld::new(cfg);
-    w.load_golden(&(0..4096).map(|i| i as u8).collect::<Vec<_>>());
+    w.load_golden((0..4096).map(|i| i as u8).collect());
     w
 }
 
@@ -25,11 +25,17 @@ fn route_home_prefers_claimed_over_directory() {
 
 #[test]
 fn golden_image_reaches_every_node_copy() {
-    let w = world(Protocol::Sc, 4);
+    // No byte is copied at load: every node *reads* the image, block by
+    // block, and a node's own bytes arrive with its first grant.
+    let mut w = world(Protocol::Sc, 4);
     for n in 0..4 {
-        assert_eq!(w.data.node(n)[100], 100);
-        assert_eq!(w.data.node(n)[4095], (4095 % 256) as u8);
+        assert_eq!(w.data.block(n, 0)[100], 100);
+        assert_eq!(w.data.block(n, 15)[255], (4095 % 256) as u8);
+        assert!(!w.data.is_present(n, 0));
     }
+    w.grant(2, 0, Access::Read);
+    assert_eq!(w.data.node(2)[100], 100);
+    assert!(w.data.is_present(2, 0) && !w.data.is_present(1, 0));
 }
 
 #[test]
@@ -39,7 +45,7 @@ fn final_image_prefers_authoritative_copies() {
     // Fake a directory state: block 0 claimed by node 1, exclusively owned
     // by node 2 with modified data.
     w.homes.claim_for(0, 1);
-    w.access.set(2, 0, Access::ReadWrite);
+    w.grant(2, 0, Access::ReadWrite);
     w.data.node_mut(2)[0] = 0xEE;
     // Register node 2 as exclusive owner in the directory.
     // (Exercised through the protocol in integration tests; here we check

@@ -162,16 +162,21 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-enum EventKind<M> {
+/// What the queue holds for one event: 16 bytes and `Copy`, because the
+/// queue moves its entries on every push, binary insert, sort and pop, and
+/// most events are resumes. A message's payload waits in the scheduler's
+/// slab ([`SchedInner::msgs`]) until the slot commits.
+#[derive(Clone, Copy)]
+enum Slot {
     /// Hand control back to a node. `gen` guards against stale entries left
     /// in the queue after the node's resume time was pushed back.
-    Resume { node: NodeId, gen: u64 },
-    /// Deliver a message to the world, addressed at a node.
-    Msg { to: NodeId, msg: M },
+    Resume { node: u32, gen: u64 },
+    /// Deliver the message at `msgs[idx]` to the world, addressed at a node.
+    Msg { to: u32, idx: u32 },
 }
 
-/// A popped event and its time; `None` when the queue is empty.
-type Popped<M> = Option<(Time, EventKind<M>)>;
+/// A popped slot and its time; `None` when the queue is empty.
+type Popped = Option<(Time, Slot)>;
 
 struct NodeSlot {
     status: NodeStatus,
@@ -186,7 +191,11 @@ struct NodeSlot {
 /// node programs as [`Sched`].
 pub struct SchedInner<M> {
     now: Time,
-    queue: BucketQueue<EventKind<M>>,
+    queue: BucketQueue<Slot>,
+    /// Payloads of the queued messages, by [`Slot::Msg`] index; `None` is a
+    /// free entry, listed in `free_msgs`.
+    msgs: Vec<Option<M>>,
+    free_msgs: Vec<u32>,
     nodes: Vec<NodeSlot>,
     done_count: usize,
     /// Events popped and processed (resumes, stale resumes, deliveries) —
@@ -211,7 +220,7 @@ pub type Sched<M> = SchedInner<M>;
 
 impl<M> SchedInner<M> {
     /// Standalone scheduler for unit-testing message handlers outside the
-    /// engine: events accumulate in the heap and can be drained with
+    /// engine: events accumulate in the queue and can be drained with
     /// [`SchedInner::take_events`]; nodes start `Blocked`, so a wake on one
     /// queues its resume event.
     pub fn for_testing(n: usize) -> Self {
@@ -226,10 +235,10 @@ impl<M> SchedInner<M> {
     /// messages and `None` payloads for resumes.
     pub fn take_events(&mut self) -> Vec<(Time, NodeId, Option<M>)> {
         let mut out = Vec::new();
-        while let Some((at, kind)) = self.queue.pop() {
-            match kind {
-                EventKind::Msg { to, msg } => out.push((at, to, Some(msg))),
-                EventKind::Resume { node, .. } => out.push((at, node, None)),
+        while let Some((at, slot)) = self.queue.pop() {
+            match slot {
+                Slot::Msg { to, idx } => out.push((at, to as NodeId, Some(self.take_msg(idx)))),
+                Slot::Resume { node, .. } => out.push((at, node as NodeId, None)),
             }
         }
         out
@@ -242,9 +251,12 @@ impl<M> SchedInner<M> {
     }
 
     fn new(n: usize) -> Self {
+        assert!(u32::try_from(n).is_ok(), "node ids are queued as u32");
         SchedInner {
             now: 0,
             queue: BucketQueue::new(),
+            msgs: Vec::new(),
+            free_msgs: Vec::new(),
             nodes: (0..n)
                 .map(|_| NodeSlot {
                     status: NodeStatus::Blocked, // set properly at start
@@ -278,26 +290,41 @@ impl<M> SchedInner<M> {
     /// Seq-independent fingerprint of one queued event (model-checked runs):
     /// replays push the same events in potentially different seq order, so
     /// the multiset hash must not depend on insertion order.
-    fn mc_event_hash(&self, at: Time, kind: &EventKind<M>) -> u64 {
-        match kind {
-            EventKind::Resume { node, gen } => fold64(fold64(fold64(1, *node as u64), *gen), at),
-            EventKind::Msg { to, msg } => {
-                let h = (self.mc_msg_hash.as_ref().expect("mc msg hasher"))(*to, msg);
-                fold64(fold64(fold64(2, *to as u64), h), at)
+    fn mc_event_hash(&self, at: Time, slot: Slot) -> u64 {
+        match slot {
+            Slot::Resume { node, gen } => fold64(fold64(fold64(1, node as u64), gen), at),
+            Slot::Msg { to, idx } => {
+                let hash = self.mc_msg_hash.as_ref().expect("mc msg hasher");
+                let h = hash(to as NodeId, self.msg(idx));
+                fold64(fold64(fold64(2, to as u64), h), at)
             }
         }
     }
 
-    fn push(&mut self, at: Time, kind: EventKind<M>) {
+    /// The payload of a queued message.
+    fn msg(&self, idx: u32) -> &M {
+        self.msgs[idx as usize]
+            .as_ref()
+            .expect("a queued message has a payload")
+    }
+
+    /// Take a committed message's payload out of the slab and free its entry.
+    fn take_msg(&mut self, idx: u32) -> M {
+        let msg = self.msgs[idx as usize].take();
+        self.free_msgs.push(idx);
+        msg.expect("a queued message has a payload")
+    }
+
+    fn push(&mut self, at: Time, slot: Slot) {
         if self.mc_msg_hash.is_some() {
-            let h = self.mc_event_hash(at, &kind);
+            let h = self.mc_event_hash(at, slot);
             self.queue_hash ^= h;
         }
-        self.queue.push(at, kind);
+        self.queue.push(at, slot);
     }
 
     /// Pop the next event, counting it as processed simulator work.
-    fn next_event(&mut self) -> Popped<M> {
+    fn next_event(&mut self) -> Popped {
         let ev = self.queue.pop();
         if ev.is_some() {
             self.events += 1;
@@ -313,7 +340,8 @@ impl<M> SchedInner<M> {
         for node in 0..self.nodes.len() {
             self.nodes[node].status = NodeStatus::Ready { at: 0 };
             self.nodes[node].gen = 1;
-            self.push(0, EventKind::Resume { node, gen: 1 });
+            let node = node as u32;
+            self.push(0, Slot::Resume { node, gen: 1 });
         }
     }
 
@@ -370,7 +398,8 @@ impl<M> SchedInner<M> {
         slot.status = NodeStatus::Ready { at };
         slot.gen += 1;
         let gen = slot.gen;
-        self.push(at, EventKind::Resume { node, gen });
+        let node = node as u32;
+        self.push(at, Slot::Resume { node, gen });
     }
 
     /// Deliver a popped message to the world at its arrival time.
@@ -390,8 +419,24 @@ impl<M> SchedInner<M> {
     /// `at` is clamped to the current time (messages cannot arrive in the
     /// past).
     pub fn post(&mut self, to: NodeId, at: Time, msg: M) {
+        debug_assert!(
+            to < self.nodes.len(),
+            "post to node {to} of {}",
+            self.nodes.len()
+        );
         let at = at.max(self.now);
-        self.push(at, EventKind::Msg { to, msg });
+        let idx = match self.free_msgs.pop() {
+            Some(idx) => {
+                self.msgs[idx as usize] = Some(msg);
+                idx
+            }
+            None => {
+                self.msgs.push(Some(msg));
+                u32::try_from(self.msgs.len() - 1).expect("fewer than 2^32 messages in flight")
+            }
+        };
+        let to = to as u32;
+        self.push(at, Slot::Msg { to, idx });
     }
 
     /// Wake a blocked node so that it resumes at time `at`.
@@ -468,25 +513,25 @@ fn mc_next_event<W: World>(
     sched: &mut SchedInner<W::Msg>,
     world: &W,
     hook: &mut dyn McHook<W>,
-) -> Result<Popped<W::Msg>, RunError> {
+) -> Result<Popped, RunError> {
     loop {
         let Some((head, _)) = sched.queue.peek_key() else {
             return Ok(None);
         };
-        let mut tied: Vec<(Time, u64, EventKind<W::Msg>)> = Vec::new();
+        let mut tied: Vec<(Time, u64, Slot)> = Vec::new();
         while sched.queue.peek_key().is_some_and(|(t, _)| t == head) {
-            let (at, key, kind) = sched.queue.pop_entry().expect("head implies an event");
-            if let EventKind::Resume { node: rn, gen } = &kind {
-                if sched.nodes[*rn].gen != *gen {
+            let (at, key, slot) = sched.queue.pop_entry().expect("head implies an event");
+            if let Slot::Resume { node, gen } = slot {
+                if sched.nodes[node as usize].gen != gen {
                     // Superseded by a later delay/wake: skip it, counting it
                     // exactly as the plain loop would.
                     sched.events += 1;
-                    let h = sched.mc_event_hash(at, &kind);
+                    let h = sched.mc_event_hash(at, slot);
                     sched.queue_hash ^= h;
                     continue;
                 }
             }
-            tied.push((at, key, kind));
+            tied.push((at, key, slot));
         }
         if tied.is_empty() {
             continue; // the whole tie was stale; move to the next head time
@@ -508,13 +553,20 @@ fn mc_next_event<W: World>(
             eh = fold64(eh, s.pending_wake.map_or(u64::MAX, |w| w));
         }
         eh = fold64(eh, sched.queue_hash);
+        // The offered messages are borrowed out of the slab, where they stay
+        // until one commits.
         let choices: Vec<McChoice<'_, W::Msg>> = tied
             .iter()
-            .map(|&(_, key, ref kind)| McChoice {
+            .map(|&(_, key, slot)| McChoice {
                 key,
-                event: match kind {
-                    EventKind::Resume { node, .. } => McEvent::Resume { node: *node },
-                    EventKind::Msg { to, msg } => McEvent::Msg { to: *to, msg },
+                event: match slot {
+                    Slot::Resume { node, .. } => McEvent::Resume {
+                        node: node as NodeId,
+                    },
+                    Slot::Msg { to, idx } => McEvent::Msg {
+                        to: to as NodeId,
+                        msg: sched.msg(idx),
+                    },
                 },
             })
             .collect();
@@ -524,19 +576,16 @@ fn mc_next_event<W: World>(
             return Err(RunError::Pruned);
         };
         assert!(pick < tied.len(), "mc hook chose {pick} of {}", tied.len());
-        let mut chosen = None;
-        for (i, (at, key, kind)) in tied.into_iter().enumerate() {
-            if i == pick {
-                chosen = Some((at, kind));
-            } else {
-                sched.queue.unpop(at, key, kind);
+        for (i, &(at, key, slot)) in tied.iter().enumerate() {
+            if i != pick {
+                sched.queue.unpop(at, key, slot);
             }
         }
-        let (at, kind) = chosen.expect("pick is in range");
-        let h = sched.mc_event_hash(at, &kind);
+        let (at, _, slot) = tied[pick];
+        let h = sched.mc_event_hash(at, slot);
         sched.queue_hash ^= h;
         sched.events += 1;
-        return Ok(Some((at, kind)));
+        return Ok(Some((at, slot)));
     }
 }
 
@@ -665,19 +714,22 @@ pub fn run_nodes<'t, W: World>(
             Some(h) => mc_next_event(sched, world, h)?,
             None => sched.next_event(),
         };
-        let Some((at, kind)) = next else {
+        let Some((at, slot)) = next else {
             break;
         };
         debug_assert!(at >= sched.now);
-        match kind {
-            EventKind::Msg { to, msg } => {
+        match slot {
+            Slot::Msg { to, idx } => {
+                let to = to as NodeId;
+                let msg = sched.take_msg(idx);
                 // Model-checked runs assert handler footprints in
                 // wake/delay: a handler touches only its delivery target.
                 sched.exec = hook.is_some().then_some(to);
                 sched.deliver(world, at, to, msg);
                 sched.exec = None;
             }
-            EventKind::Resume { node, gen } => {
+            Slot::Resume { node, gen } => {
+                let node = node as NodeId;
                 if !sched.begin_resume(node, gen, at) {
                     continue; // superseded by a later delay/wake
                 }
@@ -1030,6 +1082,42 @@ mod tests {
             })],
         );
         assert_eq!(w.got, vec![500]);
+    }
+
+    #[test]
+    fn a_queue_entry_is_a_key_and_a_sixteen_byte_slot() {
+        assert_eq!(size_of::<Slot>(), 16);
+        assert_eq!(size_of::<(Time, u64, Slot)>(), 32);
+    }
+
+    #[test]
+    fn slab_entries_are_reused_under_messages_still_in_flight() {
+        let mut s = SchedInner::<String>::for_testing(2);
+        let deliver_next = |s: &mut SchedInner<String>| {
+            let Some((at, Slot::Msg { to, idx })) = s.next_event() else {
+                panic!("a message is due");
+            };
+            (at, to, s.take_msg(idx))
+        };
+        for (at, tag) in [(10, "a"), (30, "b"), (20, "c")] {
+            s.post(1, at, tag.to_string());
+        }
+        assert_eq!(deliver_next(&mut s), (10, 1, "a".to_string()));
+        // "a"'s entry is free and the next post takes it, with "b" and "c"
+        // still queued around it.
+        s.post(0, 25, "d".to_string());
+        assert_eq!(deliver_next(&mut s), (20, 1, "c".to_string()));
+        s.post(0, 40, "e".to_string());
+        s.post(1, 35, "f".to_string());
+        assert_eq!(s.msgs.len(), 4, "two of the six posts reused an entry");
+        let rest: Vec<_> = s
+            .take_events()
+            .into_iter()
+            .map(|(at, to, msg)| (at, to, msg.expect("only messages are queued")))
+            .collect();
+        let want = [(25, 0, "d"), (30, 1, "b"), (35, 1, "f"), (40, 0, "e")];
+        assert_eq!(rest, want.map(|(at, to, m)| (at, to, m.to_string())));
+        assert!(s.msgs.iter().all(Option::is_none));
     }
 
     #[test]

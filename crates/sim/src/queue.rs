@@ -16,11 +16,14 @@
 //! The bucket currently being drained is kept sorted (descending, so `pop`
 //! takes from the back); same-bucket inserts go into it by binary search.
 //!
-//! Pop order is exactly ascending `(time, sequence)` — identical to the
-//! previous `BinaryHeap` engine, which is what keeps the simulation
-//! deterministic and bit-compatible with cached results. The differential
-//! test at the bottom asserts this against a reference heap on randomized
-//! workloads.
+//! Pop order is exactly ascending `(time, sequence)` — what a `BinaryHeap`
+//! keyed on the pair would give, which is what keeps the simulation
+//! deterministic. The differential test at the bottom asserts this against
+//! a reference heap on randomized workloads.
+//!
+//! Entries are moved by push, binary insert, sort and pop, so the queue
+//! wants them small: the engine queues a 16-byte `Copy` slot (32 bytes with
+//! its key) and keeps message payloads in a slab of its own.
 
 use std::collections::BinaryHeap;
 
@@ -195,7 +198,10 @@ impl<V> BucketQueue<V> {
                     self.drain_far();
                     continue;
                 }
-                self.active = std::mem::take(&mut self.ring[idx]);
+                // `active` is empty here: swapping hands its spent
+                // allocation to the ring slot instead of freeing one `Vec`
+                // and regrowing another at every bucket boundary.
+                std::mem::swap(&mut self.active, &mut self.ring[idx]);
                 self.near_len -= self.active.len();
                 // Unique (time, seq) keys: unstable sort is deterministic.
                 self.active

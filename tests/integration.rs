@@ -277,6 +277,20 @@ fn adaptive_runtime_verifies_on_small_apps() {
 }
 
 #[test]
+fn static_homes_verify_against_the_sequential_image() {
+    // Statically assigned homes are the one configuration where a home
+    // holds, serves and applies diffs to a block it was never granted: its
+    // bytes must still start from the golden image.
+    for app in ["lu", "fft", "barnes-original"] {
+        for p in Protocol::ALL {
+            let cfg = RunConfig::new(p, 1024).with_static_homes();
+            let r = run_experiment(&cfg, small(app));
+            assert!(r.check.is_ok(), "{app} {p:?}: {:?}", r.check);
+        }
+    }
+}
+
+#[test]
 fn two_node_cluster_is_a_valid_degenerate_case() {
     for p in Protocol::ALL {
         let cfg = RunConfig::new(p, 256).with_nodes(2);

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Determinism lint for the hot-path crates (sim, proto, fabric, mc, core),
-# and the one-stream rule for telemetry (proto, core).
+# the one-stream rule for telemetry (proto, core) and the grant rule for
+# access state (proto).
 #
 # The whole stack depends on bit-identical replay: the engine's state
 # hashes, the model checker's replay-based exploration, and the golden
@@ -37,6 +38,15 @@
 #      (`.note(`) or calls `obs.record(` except inside `ProtoWorld::emit`
 #      (plus the statistics reset in `ProtoWorld::begin_measurement`), and
 #      nothing calls `span_wake(` except `ProtoWorld::wake`. No allowlist.
+#
+# A fifth keeps the lazily loaded golden image sound:
+#
+#   5. Grants go through `grant`. A node's copy of a block is filled from
+#      the golden image when the node is first granted access to it, so in
+#      non-test code of crates/proto/src `access.set(` appears with
+#      `Access::Invalid` or inside `ProtoWorld::grant` only: any other
+#      raise of access state could hand a node bytes it never received.
+#      No allowlist.
 #
 # Comment lines are ignored. Run from anywhere; CI runs it on every push.
 
@@ -105,6 +115,22 @@ hits=$(find crates/proto/src crates/core/src -name '*.rs' | sort | xargs awk '
 if [ -n "$hits" ]; then
   echo "$hits"
   echo "lint_determinism: telemetry outside ProtoWorld::emit (counters, profile, recorder) or a span wake outside ProtoWorld::wake (no allowlist for this rule)"
+  status=1
+fi
+
+# Rule 5. A call split over lines counts by its first line, so a grant
+# cannot hide in formatting.
+hits=$(find crates/proto/src -name '*.rs' | sort | xargs awk '
+  FNR == 1 { in_tests = 0; fn = "" }
+  /^#\[cfg\(test\)\]/ { in_tests = 1 }
+  in_tests || /^[[:space:]]*\/\// { next }
+  match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+  /access\.set\(/ && !/Access::Invalid/ && !(FILENAME ~ /proto\/src\/world\.rs$/ && fn == "grant") {
+    print FILENAME ":" FNR ":" $0
+  }')
+if [ -n "$hits" ]; then
+  echo "$hits"
+  echo "lint_determinism: access raised outside ProtoWorld::grant — use w.grant(node, block, access) (no allowlist for this rule)"
   status=1
 fi
 
