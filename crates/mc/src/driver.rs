@@ -14,7 +14,10 @@
 //! classic sleep-set DPOR
 //! (Godefroid): a sibling already explored from a state is put to sleep in
 //! the subtrees of later siblings and woken only by a dependent transition,
-//! so two independent transitions are never expanded in both orders.
+//! so two independent transitions are never expanded in both orders. The
+//! sleep set a fresh commit point inherits is a function of the frame above
+//! it on the stack ([`McCore::inherited_sleep`]), computed where the replay
+//! reaches the frontier — the replayed commit points carry none.
 //! State-hash dedup additionally prunes revisits of states reached with an
 //! empty sleep set (those states' full subtrees are explored at first
 //! visit; the fingerprint folds in the checker's accumulated state so a
@@ -28,7 +31,7 @@ use dsm_core::{run_parallel_mc, FabricConfig, RunConfig, RunOutcome};
 use dsm_fabric::{FaultDecision, FaultOracle};
 use dsm_proto::{Mutation, Packet, ProtoWorld, Protocol, Violation};
 use dsm_sim::rng::fold64;
-use dsm_sim::{McChoice, McEvent, McHook, RunError, Time};
+use dsm_sim::{McChoice, McChoices, McEvent, McHook, RunError, Time};
 
 use crate::oracle;
 use crate::program::{MicroProgram, MicroRunner, TraceEv};
@@ -173,7 +176,11 @@ impl McReport {
 const NODE_LABEL: u64 = 4 << 32;
 
 type Key = u64;
-type Footprint = Vec<u64>;
+/// Shared: a footprint is taken once, at the frontier, and then sits in the
+/// sleep sets of every frame below it.
+type Footprint = Rc<[u64]>;
+/// Events with their footprints: an enabled set, or a sleep set.
+type Tagged = Vec<(Key, Footprint)>;
 
 /// Abstract resource footprint of a schedulable event, used for the DPOR
 /// independence check (disjoint footprints = independent transitions).
@@ -181,13 +188,13 @@ type Footprint = Vec<u64>;
 /// labels produced by [`dsm_proto::ProtoMsg::mc_resources`].
 fn footprint(c: &McChoice<'_, Packet>) -> Footprint {
     match &c.event {
-        McEvent::Resume { node } => vec![NODE_LABEL | *node as u64],
+        McEvent::Resume { node } => Rc::new([NODE_LABEL | *node as u64]),
         McEvent::Msg { to, msg } => {
             let mut f = vec![NODE_LABEL | *to as u64];
             if let Packet::App(env) = msg {
                 env.msg.mc_resources(&mut f);
             }
-            f
+            f.into()
         }
     }
 }
@@ -208,9 +215,9 @@ enum Slot {
     /// A scheduler commit point.
     Sched {
         chosen: Key,
-        enabled: Vec<(Key, Footprint)>,
-        explored: Vec<(Key, Footprint)>,
-        sleep_in: Vec<(Key, Footprint)>,
+        enabled: Tagged,
+        explored: Tagged,
+        sleep_in: Tagged,
     },
     /// A fabric fault consultation: 0 = clean, 1 = drop, 2 = duplicate,
     /// 3 = reorder.
@@ -244,8 +251,6 @@ struct McCore {
     /// Replay cursor: next stack position to consume. `pos == stack.len()`
     /// means the execution is at the frontier.
     pos: usize,
-    /// Sleep set inherited by the next fresh commit point.
-    cur_sleep: Vec<(Key, Footprint)>,
     steps: u64,
     faults_used: u32,
     prune: Option<Prune>,
@@ -265,7 +270,6 @@ impl McCore {
             max_steps: cfg.max_steps,
             stack: Vec::new(),
             pos: 0,
-            cur_sleep: Vec::new(),
             steps: 0,
             faults_used: 0,
             prune: None,
@@ -279,7 +283,6 @@ impl McCore {
 
     fn reset_run(&mut self) {
         self.pos = 0;
-        self.cur_sleep.clear();
         self.steps = 0;
         self.faults_used = 0;
         self.prune = None;
@@ -293,7 +296,7 @@ impl McCore {
         chosen_fp: &[u64],
         sleep_in: &[(Key, Footprint)],
         explored: &[(Key, Footprint)],
-    ) -> Vec<(Key, Footprint)> {
+    ) -> Tagged {
         sleep_in
             .iter()
             .chain(explored.iter())
@@ -303,11 +306,35 @@ impl McCore {
             .collect()
     }
 
+    /// Sleep set a fresh commit point at the frontier inherits: the child
+    /// sleep set of the last scheduler decision on the stack (fault
+    /// decisions in between neither add to it nor wake anything), empty at
+    /// the root.
+    fn inherited_sleep(&self) -> Tagged {
+        let last = self.stack.iter().rev().find_map(|slot| match slot {
+            Slot::Sched {
+                chosen,
+                enabled,
+                explored,
+                sleep_in,
+            } => Some((chosen, enabled, explored, sleep_in)),
+            Slot::Fault { .. } => None,
+        });
+        let Some((chosen, enabled, explored, sleep_in)) = last else {
+            return Vec::new();
+        };
+        let (_, fp) = enabled
+            .iter()
+            .find(|(k, _)| k == chosen)
+            .expect("chosen is enabled");
+        Self::child_sleep(*chosen, fp, sleep_in, explored)
+    }
+
     fn on_choose(
         &mut self,
         world: &ProtoWorld,
-        engine_hash: u64,
-        choices: &[McChoice<'_, Packet>],
+        engine_hash: &dyn Fn() -> u64,
+        choices: &McChoices<'_, Packet>,
     ) -> Option<usize> {
         self.steps += 1;
         if self.steps > self.max_steps {
@@ -317,10 +344,7 @@ impl McCore {
         if self.pos < self.stack.len() {
             // Replay: re-commit the decision recorded at this position.
             let Slot::Sched {
-                chosen,
-                enabled,
-                explored,
-                sleep_in,
+                chosen, enabled, ..
             } = &self.stack[self.pos]
             else {
                 panic!("dsm-mc: replay diverged: scheduler consulted at a fault position");
@@ -331,27 +355,19 @@ impl McCore {
                 "dsm-mc: replay diverged: enabled-set size changed"
             );
             let idx = choices
-                .iter()
-                .position(|c| c.key == *chosen)
+                .position(*chosen)
                 .expect("dsm-mc: replay diverged: recorded choice not offered");
-            let fp = &enabled
-                .iter()
-                .find(|(k, _)| k == chosen)
-                .expect("chosen is enabled")
-                .1;
-            self.cur_sleep = Self::child_sleep(*chosen, fp, sleep_in, explored);
             self.pos += 1;
             return Some(idx);
         }
         // Frontier: record a fresh commit point.
-        let enabled: Vec<(Key, Footprint)> =
-            choices.iter().map(|c| (c.key, footprint(c))).collect();
-        let sleep_in = std::mem::take(&mut self.cur_sleep);
+        let enabled: Tagged = choices.iter().map(|c| (c.key, footprint(&c))).collect();
+        let sleep_in = self.inherited_sleep();
         if self.dedup && sleep_in.is_empty() {
             // Safe to dedup only where the sleep set is empty: the first
             // visit explores this state's full subtree. The fingerprint
             // covers world + checker + fabric + engine scheduler state.
-            let fp = fold64(engine_hash, world.mc_fingerprint());
+            let fp = fold64(engine_hash(), world.mc_fingerprint());
             if !self.seen.insert(fp) {
                 self.prune = Some(Prune::Dedup);
                 return None;
@@ -372,10 +388,8 @@ impl McCore {
             self.prune = Some(Prune::Sleep);
             return None;
         };
-        let (chosen, chosen_fp) = enabled[pick].clone();
-        self.cur_sleep = Self::child_sleep(chosen, &chosen_fp, &sleep_in, &[]);
         self.stack.push(Slot::Sched {
-            chosen,
+            chosen: enabled[pick].0,
             enabled,
             explored: Vec::new(),
             sleep_in,
@@ -467,9 +481,9 @@ impl McHook<ProtoWorld> for HookHandle {
     fn choose(
         &mut self,
         world: &ProtoWorld,
-        engine_hash: u64,
+        engine_hash: &dyn Fn() -> u64,
         _at: Time,
-        choices: &[McChoice<'_, Packet>],
+        choices: &McChoices<'_, Packet>,
     ) -> Option<usize> {
         self.core
             .borrow_mut()
@@ -607,5 +621,54 @@ pub fn explore(cfg: &McConfig, prog: &MicroProgram) -> McReport {
             report.branches_skipped = c.branches_skipped;
             return report;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tagged(events: &[(Key, &[u64])]) -> Tagged {
+        events.iter().map(|&(k, fp)| (k, fp.into())).collect()
+    }
+
+    #[test]
+    fn the_frontier_inherits_the_child_sleep_set_of_the_last_scheduler_frame() {
+        let mut core = McCore::new(&McConfig::new(Protocol::Sc));
+        assert!(
+            core.inherited_sleep().is_empty(),
+            "nothing sleeps at the root"
+        );
+        // A frame on its third branch: 10 and 11 are explored, 12 is chosen,
+        // 20 came in asleep from above. 10 and 20 are independent of 12 and
+        // stay asleep below it; 11 shares a label with 12 and is woken.
+        let enabled = tagged(&[(10, &[1]), (11, &[2, 3]), (12, &[3, 4]), (13, &[5])]);
+        let explored = tagged(&[(10, &[1]), (11, &[2, 3])]);
+        let sleep_in = tagged(&[(20, &[6])]);
+        let want = McCore::child_sleep(12, &[3, 4], &sleep_in, &explored);
+        assert_eq!(want, tagged(&[(20, &[6]), (10, &[1])]));
+        core.stack.push(Slot::Sched {
+            chosen: 12,
+            enabled,
+            explored,
+            sleep_in,
+        });
+        assert_eq!(core.inherited_sleep(), want);
+        // Fault decisions between that frame and the frontier change nothing.
+        for chosen in [0, 2] {
+            core.stack.push(Slot::Fault {
+                chosen,
+                n_options: 4,
+            });
+            assert_eq!(core.inherited_sleep(), want);
+        }
+        // A later scheduler frame takes over, with its own (empty) lists.
+        core.stack.push(Slot::Sched {
+            chosen: 30,
+            enabled: tagged(&[(30, &[1])]),
+            explored: Vec::new(),
+            sleep_in: want,
+        });
+        assert_eq!(core.inherited_sleep(), tagged(&[(20, &[6])]));
     }
 }

@@ -13,12 +13,40 @@
 //! ([`DataStore::copy_block`]), and an absent block *reads as* the image
 //! ([`DataStore::block`]). Nothing is copied, and no page of a copy is
 //! touched, for a block its node never uses.
+//!
+//! The model checker fingerprints the store fifteen to twenty-four times an
+//! execution, and an execution writes one or two blocks. So the store's
+//! [`Hash`] keeps a fingerprint per (node, block) of the block's logical
+//! bytes and re-hashes only the blocks changed since the last call: bytes
+//! change through [`DataStore::node_mut`] and [`DataStore::copy_block`]
+//! alone, and both say which block.
 
+use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
+
+use dsm_sim::rng::{fold64, StableHasher};
 
 use crate::layout::{BlockId, Layout};
 
+/// What [`DataStore`]'s `Hash` remembers between calls.
+#[derive(Debug, Clone)]
+struct FpCache {
+    /// The store's fingerprint as of the last call: the fingerprint of the
+    /// layout and node count XOR every entry of `part`.
+    sum: u64,
+    /// Per (node, block), node-major: what the block's logical bytes
+    /// contributed to `sum` when last hashed.
+    part: Vec<u64>,
+    /// One bit per (node, block), laid out as [`DataStore::present`]: the
+    /// block changed since its `part` was taken.
+    stale: Vec<u64>,
+}
+
 /// All nodes' local copies of the shared address space.
+///
+/// A clone keeps the fingerprint cache — it describes the clone's bytes as
+/// well as the original's. The cache sits behind a `RefCell` (`Hash` takes
+/// `&self`), so a store is not `Sync`; a world belongs to one thread.
 #[derive(Debug, Clone)]
 pub struct DataStore {
     layout: Layout,
@@ -35,6 +63,9 @@ pub struct DataStore {
     present: Vec<u64>,
     /// Words per node in `present`.
     row: usize,
+    /// Born at the first `hash`: a store nobody fingerprints — every cell
+    /// outside the model checker — holds none and marks nothing.
+    fp: RefCell<Option<FpCache>>,
 }
 
 impl DataStore {
@@ -47,6 +78,7 @@ impl DataStore {
             image: Vec::new(),
             present: vec![u64::MAX; n_nodes * row],
             row,
+            fp: RefCell::new(None),
             layout,
         }
     }
@@ -75,6 +107,8 @@ impl DataStore {
             }
         }
         self.image = image;
+        // Every block reads differently now.
+        *self.fp.get_mut() = None;
     }
 
     /// Whether `node`'s copy holds block `b`'s bytes.
@@ -88,6 +122,14 @@ impl DataStore {
         self.present[node * self.row + b / 64] |= 1 << (b % 64);
     }
 
+    /// Note that `node`'s logical bytes of block `b` are about to change.
+    #[inline]
+    fn mark_stale(&mut self, node: usize, b: BlockId) {
+        if let Some(c) = self.fp.get_mut() {
+            c.stale[node * self.row + b / 64] |= 1 << (b % 64);
+        }
+    }
+
     /// Byte range of block `b` inside [`DataStore::bytes`] for `node`.
     #[inline]
     fn span(&self, node: usize, b: BlockId) -> std::ops::Range<usize> {
@@ -97,9 +139,10 @@ impl DataStore {
     }
 
     /// Make block `b` present in `node`'s copy, from the image if it is not
-    /// yet. Called wherever `node` is about to use its own bytes of `b`
-    /// without having received them: when it is granted access, and when it
-    /// applies a diff as a home that never touched the block.
+    /// yet (what the node reads does not change, so nothing goes stale).
+    /// Called wherever `node` is about to use its own bytes of `b` without
+    /// having received them: when it is granted access, and when it applies
+    /// a diff as a home that never touched the block.
     #[inline]
     pub fn ensure(&mut self, node: usize, b: BlockId) {
         if !self.is_present(node, b) {
@@ -133,9 +176,18 @@ impl DataStore {
         &self.bytes[node * s..(node + 1) * s]
     }
 
-    /// Mutable view of one node's copy (of the blocks present in it).
+    /// Mutable view of `node`'s copy, for changing bytes of block `b` —
+    /// which must be present, and whose cached fingerprint goes stale. The
+    /// only mutable view, and it cannot be had without naming the block
+    /// about to change. It is the whole copy, indexed by address like
+    /// [`DataStore::node`]: the store path is a check, a mark and a word
+    /// copy, and looking the block's range up there doubles it. A write
+    /// that strays outside `b` fails the next fingerprint of any debug run
+    /// (`Hash` re-derives the cached value there).
     #[inline]
-    pub fn node_mut(&mut self, node: usize) -> &mut [u8] {
+    pub fn node_mut(&mut self, node: usize, b: BlockId) -> &mut [u8] {
+        debug_assert!(self.is_present(node, b), "node {node} lacks block {b}");
+        self.mark_stale(node, b);
         let s = self.layout.size();
         &mut self.bytes[node * s..(node + 1) * s]
     }
@@ -147,6 +199,7 @@ impl DataStore {
         if src == dst {
             return;
         }
+        self.mark_stale(dst, b);
         if self.is_present(src, b) {
             let (from, to) = (self.span(src, b), self.span(dst, b).start);
             self.bytes.copy_within(from, to);
@@ -157,28 +210,63 @@ impl DataStore {
     }
 }
 
+impl DataStore {
+    /// What `node`'s block `b` contributes to the fingerprint: a hash of its
+    /// logical bytes, salted with the pair's index so that two blocks
+    /// exchanging contents is a different state.
+    fn part(&self, node: usize, b: BlockId) -> u64 {
+        let mut h = StableHasher::new();
+        h.write(self.block(node, b));
+        fold64(h.finish(), (node * self.layout.num_blocks() + b) as u64)
+    }
+
+    /// A cache computed from nothing but the bytes: every block hashed,
+    /// none stale.
+    fn fresh_cache(&self) -> FpCache {
+        let nb = self.layout.num_blocks();
+        let part: Vec<u64> = (0..self.n_nodes * nb)
+            .map(|i| self.part(i / nb, i % nb))
+            .collect();
+        let shape = StableHasher::fingerprint(&(&self.layout, self.n_nodes));
+        FpCache {
+            sum: part.iter().fold(shape, |sum, p| sum ^ p),
+            part,
+            stale: vec![0; self.present.len()],
+        }
+    }
+
+    /// Whether a fingerprint cache exists.
+    #[cfg(test)]
+    fn has_cache(&self) -> bool {
+        self.fp.borrow().is_some()
+    }
+}
+
 /// The model checker's state fingerprint hashes the store. What identifies
 /// a state is what the nodes can read — layout, node count and every copy
 /// with its absent blocks read as the image — not which blocks happen to
-/// have been copied in, so the present bits stay out and each copy is one
-/// write whether or not it is complete.
+/// have been copied in, so the present bits stay out. One word is written:
+/// the XOR over (node, block) of each block's salted fingerprint, kept
+/// between calls and brought up to date by re-hashing the stale blocks.
 impl Hash for DataStore {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.layout.hash(state);
-        self.n_nodes.hash(state);
-        for node in 0..self.n_nodes {
-            let row = &self.present[node * self.row..(node + 1) * self.row];
-            if row.iter().all(|&w| w == u64::MAX) {
-                state.write(self.node(node));
-                continue;
+        let mut fp = self.fp.borrow_mut();
+        let c = fp.get_or_insert_with(|| self.fresh_cache());
+        let nb = self.layout.num_blocks();
+        for w in 0..c.stale.len() {
+            let mut bits = std::mem::take(&mut c.stale[w]);
+            while bits != 0 {
+                let (node, b) = (
+                    w / self.row,
+                    w % self.row * 64 + bits.trailing_zeros() as usize,
+                );
+                bits &= bits - 1;
+                let part = self.part(node, b);
+                c.sum ^= std::mem::replace(&mut c.part[node * nb + b], part) ^ part;
             }
-            let mut copy = self.node(node).to_vec();
-            for b in (0..self.layout.num_blocks()).filter(|&b| !self.is_present(node, b)) {
-                let r = self.layout.block_range(b);
-                copy[r.clone()].copy_from_slice(&self.image[r]);
-            }
-            state.write(&copy);
         }
+        debug_assert_eq!(c.sum, self.fresh_cache().sum);
+        state.write_u64(c.sum);
     }
 }
 
@@ -214,7 +302,7 @@ mod tests {
     #[test]
     fn copies_are_independent() {
         let mut d = store();
-        d.node_mut(0)[10] = 42;
+        d.node_mut(0, 0)[10] = 42;
         assert_eq!(d.node(0)[10], 42);
         assert_eq!(d.node(1)[10], 0);
     }
@@ -222,13 +310,13 @@ mod tests {
     #[test]
     fn copy_block_moves_only_that_block() {
         let mut d = store();
-        d.node_mut(0)[64..128].fill(7);
-        d.node_mut(0)[0..64].fill(9);
+        d.node_mut(0, 1)[64..128].fill(7);
+        d.node_mut(0, 0)[0..64].fill(9);
         d.copy_block(1, 0, 2);
         assert!(d.node(2)[64..128].iter().all(|&x| x == 7));
         assert!(d.node(2)[0..64].iter().all(|&x| x == 0));
         // And in the other direction.
-        d.node_mut(2)[64..128].fill(3);
+        d.node_mut(2, 1)[64..128].fill(3);
         d.copy_block(1, 2, 0);
         assert!(d.node(0)[64..128].iter().all(|&x| x == 3));
     }
@@ -261,7 +349,7 @@ mod tests {
         assert!(d.node(1)[..128].iter().all(|&x| x == 0), "only that block");
         assert!(!d.is_present(0, 2) && !d.is_present(1, 1), "only that node");
         // A second call must not bring the image back over the node's writes.
-        d.node_mut(1)[130] = 0xEE;
+        d.node_mut(1, 2)[130] = 0xEE;
         d.ensure(1, 2);
         assert_eq!(d.node(1)[130], 0xEE);
         assert_eq!(d.block(1, 2)[2], 0xEE);
@@ -275,7 +363,7 @@ mod tests {
         assert!(d.is_present(2, 3), "the destination holds the block now");
         assert!(!d.is_present(0, 3), "the source only served it");
         // From a present source it is the source's bytes that move.
-        d.node_mut(2)[200] = 0xAB;
+        d.node_mut(2, 3)[200] = 0xAB;
         d.copy_block(3, 2, 1);
         assert_eq!(d.block(1, 3)[8], 0xAB);
     }
@@ -289,20 +377,101 @@ mod tests {
         partly.ensure(0, 1);
         partly.copy_block(2, 1, 2);
         let mut eager = store();
-        for n in 0..3 {
-            eager.node_mut(n).copy_from_slice(&image());
+        for (n, b) in (0..3).flat_map(|n| (0..4).map(move |b| (n, b))) {
+            let r = 64 * b..64 * (b + 1);
+            eager.node_mut(n, b)[r.clone()].copy_from_slice(&image()[r]);
         }
         assert_eq!(fingerprint(&lazy), fingerprint(&eager));
         assert_eq!(fingerprint(&partly), fingerprint(&eager));
-        partly.node_mut(0)[64] ^= 1;
+        // The one way to change a byte names its block, so the cached
+        // fingerprints taken above cannot go on standing for it.
+        partly.node_mut(0, 1)[64] ^= 1;
         assert_ne!(fingerprint(&partly), fingerprint(&eager));
+        partly.node_mut(0, 1)[64] ^= 1;
+        assert_eq!(fingerprint(&partly), fingerprint(&eager));
     }
 
     #[test]
     fn copy_to_self_is_noop() {
         let mut d = store();
-        d.node_mut(1)[0] = 1;
+        d.node_mut(1, 0)[0] = 1;
         d.copy_block(0, 1, 1);
         assert_eq!(d.node(1)[0], 1);
+    }
+
+    #[test]
+    fn a_store_that_was_never_hashed_holds_no_cache() {
+        let mut d = loaded();
+        d.ensure(0, 1);
+        d.node_mut(0, 1)[67] = 9;
+        d.copy_block(1, 0, 2);
+        assert!(!d.has_cache(), "writes and copies alone build nothing");
+        fingerprint(&d);
+        assert!(d.has_cache());
+        assert!(d.clone().has_cache(), "and a clone keeps it");
+        // A new image changes what every block reads as.
+        let mut fresh = store();
+        fingerprint(&fresh);
+        fresh.load_image(image());
+        assert!(!fresh.has_cache());
+    }
+
+    #[test]
+    fn the_cached_fingerprint_is_the_from_scratch_fingerprint() {
+        // Fixed-seed differential: random multi-region layouts, random
+        // operations, and after each one the store's hash — kept up to date
+        // block by block — against that of a store built eagerly from the
+        // logical bytes, which hashes every block for the first time.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        let rebuilt = |d: &DataStore| {
+            let mut eager = DataStore::new(d.n_nodes, d.layout.clone());
+            for (n, b) in
+                (0..d.n_nodes).flat_map(|n| (0..d.layout.num_blocks()).map(move |b| (n, b)))
+            {
+                eager.node_mut(n, b)[d.layout.block_range(b)].copy_from_slice(d.block(n, b));
+            }
+            eager
+        };
+        for _ in 0..200 {
+            let mut parts = Vec::new();
+            let mut size = 0;
+            for i in 0..1 + next(3) {
+                parts.push((format!("r{i}"), size, 8usize << next(6)));
+                size += 256 * (1 + next(3));
+            }
+            let layout = Layout::with_regions(size, &parts);
+            let (nodes, nb) = (1 + next(4), layout.num_blocks());
+            let mut d = DataStore::new(nodes, layout);
+            if next(4) > 0 {
+                // Sometimes hashed before the image arrives, sometimes not.
+                if next(2) == 0 {
+                    fingerprint(&d);
+                }
+                d.load_image((0..size).map(|_| next(3) as u8).collect());
+            }
+            for op in 0..10 {
+                let (n, b) = (next(nodes), next(nb));
+                match next(3) {
+                    0 => {
+                        d.ensure(n, b);
+                        let r = d.layout.block_range(b);
+                        d.node_mut(n, b)[r.start + next(r.len())] = next(256) as u8;
+                    }
+                    // From present and absent sources alike, and to itself.
+                    1 => d.copy_block(b, next(nodes), n),
+                    _ => d.ensure(n, b),
+                }
+                // Some operations go unhashed, so marks accumulate.
+                if op == 9 || next(3) > 0 {
+                    assert_eq!(fingerprint(&d), fingerprint(&rebuilt(&d)));
+                }
+            }
+        }
     }
 }

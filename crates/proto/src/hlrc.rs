@@ -46,7 +46,9 @@ pub struct HlState {
 }
 
 impl HlState {
-    /// Fresh state for `nodes` nodes and `n_blocks` blocks.
+    /// Fresh state for `nodes` nodes and `n_blocks` blocks; 0 blocks — no
+    /// per-block table, the per-node `pending_kind` as ever — for a world no
+    /// region of which runs HLRC.
     pub fn new(nodes: usize, n_blocks: usize) -> Self {
         HlState {
             nodes,
@@ -56,6 +58,16 @@ impl HlState {
             waiting: (0..n_blocks).map(|_| Vec::new()).collect(),
             pending_kind: vec![None; nodes],
         }
+    }
+
+    /// Lengths of the longest per-block table and of the per-node vector.
+    #[cfg(test)]
+    pub(crate) fn table_lens(&self) -> (usize, usize) {
+        let per_block = [self.flushed.len(), self.needs.len(), self.waiting.len()];
+        (
+            per_block.into_iter().max().unwrap(),
+            self.pending_kind.len(),
+        )
     }
 
     fn satisfied(&self, b: BlockId, needs: &[(NodeId, u32)]) -> bool {
@@ -266,7 +278,7 @@ pub fn handle_diff(
     // A statically assigned home may never have touched the block.
     w.data.ensure(me, b);
     let r = w.cfg.layout.block_range(b);
-    diff.apply(&mut w.data.node_mut(me)[r]);
+    diff.apply(&mut w.data.node_mut(me, b)[r]);
     for run in diff.runs {
         w.pool.put(run.bytes);
     }
@@ -604,7 +616,7 @@ mod tests {
         local_write_fault(&mut w, 2, 0, 0);
         local_write_fault(&mut w, 2, 1, 0);
         // Block 0 really changes; block 1 is rewritten with identical bytes.
-        w.data.node_mut(2)[5] = 0xAB;
+        w.data.node_mut(2, 0)[5] = 0xAB;
         let dirty = std::mem::take(&mut w.nodes[2].dirty);
         let (notices, elapsed) = release_dirty(&mut w, &mut s, 2, 1, dirty);
         assert_eq!(notices.len(), 1, "identical rewrite publishes nothing");
@@ -628,7 +640,7 @@ mod tests {
         w.homes.assign(0, 1);
         w.grant(2, 0, Access::Read);
         local_write_fault(&mut w, 2, 0, 0);
-        w.data.node_mut(2)[7] = 0xCD;
+        w.data.node_mut(2, 0)[7] = 0xCD;
         apply_notice(
             &mut w,
             &mut s,

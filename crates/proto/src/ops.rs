@@ -106,7 +106,7 @@ pub fn try_write(
         w.data.is_present(me, b),
         "node {me} writes block {b} without a grant"
     );
-    copy_bytes(&mut w.data.node_mut(me)[addr..addr + data.len()], data);
+    copy_bytes(&mut w.data.node_mut(me, b)[addr..addr + data.len()], data);
     if let Some(c) = w.check.as_deref_mut() {
         c.on_access(me, addr, data.len(), true, now);
     }
@@ -188,7 +188,7 @@ mod tests {
     fn read_hits_after_access_granted() {
         let mut w = world(Protocol::Sc);
         w.grant(0, 0, Access::Read);
-        w.data.node_mut(0)[0..8].copy_from_slice(&7u64.to_le_bytes());
+        w.data.node_mut(0, 0)[0..8].copy_from_slice(&7u64.to_le_bytes());
         let mut buf = [0u8; 8];
         match try_read(&mut w, 0, 0, 0, &mut buf, 0) {
             Attempt::Done(t) => assert_eq!(t, w.cfg.cost.local_access_ns),

@@ -49,7 +49,8 @@ pub struct ScState {
 }
 
 impl ScState {
-    /// Empty directory for `n_blocks` blocks.
+    /// Empty directory for `n_blocks` blocks (0 for a world no region of
+    /// which runs SC).
     pub fn new(n_blocks: usize) -> Self {
         ScState {
             dir: vec![DirEntry::default(); n_blocks],
@@ -767,7 +768,7 @@ mod tests {
             kind: FaultKind::Write,
             acks_left: 1,
         });
-        w.data.node_mut(2)[0] = 99;
+        w.data.node_mut(2, 0)[0] = 99;
         handle_inval(&mut w, &mut s, 2, 0);
         assert_eq!(w.access.get(2, 0), Access::Invalid);
         assert_eq!(w.stats[2].invalidations, 1);

@@ -51,7 +51,11 @@ pub struct SwState {
 }
 
 impl SwState {
-    /// Fresh state for `n` nodes and `n_blocks` blocks.
+    /// Fresh state for `n` nodes and `n_blocks` blocks. A world no region
+    /// of which runs SW-LRC passes 0 blocks: the per-block tables are then
+    /// empty, and the per-node `pending_notices` keeps its length because
+    /// the release path shared by the LRC protocols reads it whichever one
+    /// runs.
     pub fn new(n: usize, n_blocks: usize) -> Self {
         SwState {
             n_blocks,
@@ -65,6 +69,25 @@ impl SwState {
             waiting: (0..n * n_blocks).map(|_| Vec::new()).collect(),
             pending_notices: (0..n).map(|_| Vec::new()).collect(),
         }
+    }
+
+    /// Lengths of the longest per-block table and of the per-node vector.
+    #[cfg(test)]
+    pub(crate) fn table_lens(&self) -> (usize, usize) {
+        let per_block = [
+            self.owner.len(),
+            self.first_owner.len(),
+            self.in_transfer.len(),
+            self.version.len(),
+            self.node_version.len(),
+            self.hint.len(),
+            self.hint_version.len(),
+            self.waiting.len(),
+        ];
+        (
+            per_block.into_iter().max().unwrap(),
+            self.pending_notices.len(),
+        )
     }
 
     /// The node holding the authoritative copy (owner, or in-flight target).

@@ -622,7 +622,7 @@ mod tests {
         // Owner surrenders: install its (dirty) copy at the home, then the
         // parked read is served.
         w.grant(3, 0, Access::ReadWrite);
-        w.data.node_mut(3)[0] = 0xEE;
+        w.data.node_mut(3, 0)[0] = 0xEE;
         w.td.pending_kind[3] = None;
         handle_recall(&mut w, &mut s, 3, 0);
         assert_eq!(w.access.get(3, 0), Access::Invalid);

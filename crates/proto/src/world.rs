@@ -96,11 +96,12 @@ pub struct ProtoWorld {
     pub stats: Vec<Counters>,
     /// Per-node protocol runtime.
     pub nodes: Vec<NodeRt>,
-    /// SC directory state.
+    /// SC directory state (no entries unless some region runs SC).
     pub sc: ScState,
-    /// SW-LRC ownership state.
+    /// SW-LRC ownership state (per-node vectors always; per-block tables
+    /// empty unless some region runs SW-LRC).
     pub sw: SwState,
-    /// HLRC home state.
+    /// HLRC home state (likewise).
     pub hl: HlState,
     /// Tardis timestamp-lease state (empty shell for non-Tardis runs).
     pub td: TdState,
@@ -168,15 +169,18 @@ impl ProtoWorld {
             .collect();
         let has_lrc = region_proto.iter().any(|p| p.is_lrc());
         let has_tardis = region_proto.contains(&Protocol::Tardis);
+        // Per-block protocol state exists for the protocols some region
+        // runs; the others carry tables of length 0.
+        let blocks_of = |p: Protocol| if region_proto.contains(&p) { nb } else { 0 };
         ProtoWorld {
             data: DataStore::new(n, cfg.layout.clone()),
             access: AccessTable::new(n, nb),
             homes,
             stats: vec![Counters::default(); n],
             nodes: (0..n).map(|_| NodeRt::new(n)).collect(),
-            sc: ScState::new(nb),
-            sw: SwState::new(n, nb),
-            hl: HlState::new(n, nb),
+            sc: ScState::new(blocks_of(Protocol::Sc)),
+            sw: SwState::new(n, blocks_of(Protocol::SwLrc)),
+            hl: HlState::new(n, blocks_of(Protocol::Hlrc)),
             td: TdState::new(n, nb, has_tardis),
             locks: Vec::new(),
             barriers: HashMap::new(),
@@ -878,5 +882,75 @@ pub fn grant_access(kind: FaultKind) -> Access {
     match kind {
         FaultKind::Read => Access::Read,
         FaultKind::Write => Access::ReadWrite,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsm_mem::Layout;
+
+    const NODES: usize = 3;
+    const BLOCKS: usize = 16;
+
+    fn world(layout: Layout, regions: &[Protocol]) -> ProtoWorld {
+        let mut cfg = ProtoConfig::new(layout, regions[0], Notify::Polling);
+        cfg.nodes = NODES;
+        cfg.region_protocols = regions.to_vec();
+        ProtoWorld::new(cfg)
+    }
+
+    /// Per protocol, in `Protocol::ALL`'s order: (longest per-block table,
+    /// per-node vector).
+    fn table_lens(w: &ProtoWorld) -> [(usize, usize); 4] {
+        let sc = (0..BLOCKS).filter(|&b| w.sc.dir(b).is_some()).count();
+        let td = [w.td.wts.len(), w.td.lease.len(), w.td.copy_wts.len()];
+        [
+            (sc, NODES), // the SC directory is per block only
+            w.sw.table_lens(),
+            w.hl.table_lens(),
+            (td.into_iter().max().unwrap(), w.td.pts.len()),
+        ]
+    }
+
+    #[test]
+    fn a_protocol_no_region_runs_holds_no_per_block_table() {
+        for (i, p) in Protocol::ALL.into_iter().enumerate() {
+            let w = world(Layout::new(4096, 256), &[p]);
+            for (j, (per_block, per_node)) in table_lens(&w).into_iter().enumerate() {
+                let active = i == j;
+                assert_eq!(per_block > 0, active, "{p:?} world, table {j}");
+                // Per-node state stays: the release path the LRC protocols
+                // share reads SW-LRC's under HLRC and the other way round.
+                // Tardis alone is an empty shell throughout when inactive.
+                let tardis_shell = Protocol::ALL[j] == Protocol::Tardis && !active;
+                assert_eq!(per_node, if tardis_shell { 0 } else { NODES });
+            }
+        }
+    }
+
+    #[test]
+    fn a_mixed_layout_holds_the_tables_of_the_protocols_it_names() {
+        let parts = [
+            ("a".to_string(), 0, 256),
+            ("b".to_string(), 1024, 256),
+            ("c".to_string(), 2048, 256),
+        ];
+        let layout = Layout::with_regions(4096, &parts);
+        let w = world(layout, &[Protocol::Sc, Protocol::Hlrc, Protocol::Tardis]);
+        let [sc, sw, hl, td] = table_lens(&w);
+        assert_eq!(sc, (BLOCKS, NODES));
+        assert_eq!(sw, (0, NODES), "no region runs SW-LRC");
+        assert_eq!(hl, (NODES * BLOCKS, NODES));
+        assert_eq!(td, (NODES * BLOCKS, NODES));
+    }
+
+    #[test]
+    fn the_fingerprint_covers_the_active_protocols_tables() {
+        let a = world(Layout::new(4096, 256), &[Protocol::Tardis]);
+        let mut b = world(Layout::new(4096, 256), &[Protocol::Tardis]);
+        assert_eq!(a.mc_fingerprint(), b.mc_fingerprint());
+        b.td.wts[3] += 1;
+        assert_ne!(a.mc_fingerprint(), b.mc_fingerprint());
     }
 }

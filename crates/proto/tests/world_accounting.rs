@@ -46,7 +46,7 @@ fn final_image_prefers_authoritative_copies() {
     // by node 2 with modified data.
     w.homes.claim_for(0, 1);
     w.grant(2, 0, Access::ReadWrite);
-    w.data.node_mut(2)[0] = 0xEE;
+    w.data.node_mut(2, 0)[0] = 0xEE;
     // Register node 2 as exclusive owner in the directory.
     // (Exercised through the protocol in integration tests; here we check
     // the home fallback when the directory has no owner.)

@@ -31,7 +31,8 @@ use crate::rng::fold64;
 use crate::time::Time;
 use crate::NodeId;
 
-/// One co-enabled event offered to a model-checker hook at a commit point.
+/// One co-enabled event offered to a model-checker hook at a commit point:
+/// an item of [`McChoices`], built when the hook asks for it.
 pub struct McChoice<'a, M> {
     /// Stable event identity: the global queue sequence number assigned at
     /// push time. Identical across replays of the same decision prefix
@@ -58,6 +59,50 @@ pub enum McEvent<'a, M> {
     },
 }
 
+/// The events co-enabled at a commit point, in queue order: a view over the
+/// scheduler's tie buffer and message slab, so offering a choice allocates
+/// nothing and a hook that only re-commits a recorded key
+/// ([`McChoices::position`]) never touches a payload.
+pub struct McChoices<'a, M> {
+    tied: &'a [(Time, u64, Slot)],
+    msgs: &'a [Option<M>],
+}
+
+impl<'a, M> McChoices<'a, M> {
+    /// Number of co-enabled events (at least one).
+    #[allow(clippy::len_without_is_empty)] // a commit point is never empty
+    pub fn len(&self) -> usize {
+        self.tied.len()
+    }
+
+    /// The `i`-th event.
+    pub fn get(&self, i: usize) -> McChoice<'a, M> {
+        let (_, key, slot) = self.tied[i];
+        let event = match slot {
+            Slot::Resume { node, .. } => McEvent::Resume {
+                node: node as NodeId,
+            },
+            Slot::Msg { to, idx } => McEvent::Msg {
+                to: to as NodeId,
+                msg: self.msgs[idx as usize]
+                    .as_ref()
+                    .expect("a queued message has a payload"),
+            },
+        };
+        McChoice { key, event }
+    }
+
+    /// Index of the event whose [`McChoice::key`] is `key`.
+    pub fn position(&self, key: u64) -> Option<usize> {
+        self.tied.iter().position(|&(_, k, _)| k == key)
+    }
+
+    /// Every event, in the order [`McChoices::get`] indexes them.
+    pub fn iter(&self) -> impl Iterator<Item = McChoice<'a, M>> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+}
+
 /// A controlled scheduler plugged into the event loop by [`run_nodes`]: every
 /// commit point where more than zero events are co-enabled at the head
 /// virtual time becomes an explicit choice.
@@ -69,22 +114,25 @@ pub enum McEvent<'a, M> {
 pub trait McHook<W: World> {
     /// Pick which of `choices` (all tied at virtual time `at`) commits.
     ///
-    /// `engine_hash` folds the scheduler-visible state (head time, node
+    /// `engine_hash()` folds the scheduler-visible state (head time, node
     /// statuses and generations, and the queue multiset including the
     /// offered choices); combined with a world fingerprint it identifies
-    /// the global state at this commit point.
+    /// the global state at this commit point. It is computed when called:
+    /// a hook replaying a recorded prefix has no use for it and pays
+    /// nothing.
     fn choose(
         &mut self,
         world: &W,
-        engine_hash: u64,
+        engine_hash: &dyn Fn() -> u64,
         at: Time,
-        choices: &[McChoice<'_, W::Msg>],
+        choices: &McChoices<'_, W::Msg>,
     ) -> Option<usize>;
 }
 
 /// Content hash of a queued message addressed at a node, used to fingerprint
 /// the pending-event multiset in model-checked runs. Must be a pure function
-/// of the message so replays fingerprint identically.
+/// of the message so replays fingerprint identically. Called once per
+/// message, when it is posted.
 pub type McMsgHash<M> = Box<dyn Fn(NodeId, &M) -> u64>;
 
 /// Everything [`run_nodes`] installs on the engine: the controlling
@@ -208,10 +256,16 @@ pub struct SchedInner<M> {
     /// Model-checked runs only: content hash for queued messages. Doubles as
     /// the "mc mode" flag on the scheduler side.
     mc_msg_hash: Option<McMsgHash<M>>,
+    /// Model-checked runs only: the content hash of the message at
+    /// `msgs[idx]`, taken when it was posted.
+    mc_hashes: Vec<u64>,
     /// Model-checked runs only: XOR of [`SchedInner::mc_event_hash`] over
     /// every event currently in the queue — an incremental, order-independent
     /// fingerprint of the pending-event multiset.
     queue_hash: u64,
+    /// Model-checked runs only: the events tied at the head time, gathered
+    /// afresh at each commit point into this one buffer.
+    tied: Vec<(Time, u64, Slot)>,
 }
 
 /// Handle given to [`World::deliver`] and [`NodeHandle::world`] closures for
@@ -268,7 +322,9 @@ impl<M> SchedInner<M> {
             events: 0,
             exec: None,
             mc_msg_hash: None,
+            mc_hashes: Vec::new(),
             queue_hash: 0,
+            tied: Vec::new(),
         }
     }
 
@@ -293,19 +349,11 @@ impl<M> SchedInner<M> {
     fn mc_event_hash(&self, at: Time, slot: Slot) -> u64 {
         match slot {
             Slot::Resume { node, gen } => fold64(fold64(fold64(1, node as u64), gen), at),
-            Slot::Msg { to, idx } => {
-                let hash = self.mc_msg_hash.as_ref().expect("mc msg hasher");
-                let h = hash(to as NodeId, self.msg(idx));
-                fold64(fold64(fold64(2, to as u64), h), at)
-            }
+            Slot::Msg { to, idx } => fold64(
+                fold64(fold64(2, to as u64), self.mc_hashes[idx as usize]),
+                at,
+            ),
         }
-    }
-
-    /// The payload of a queued message.
-    fn msg(&self, idx: u32) -> &M {
-        self.msgs[idx as usize]
-            .as_ref()
-            .expect("a queued message has a payload")
     }
 
     /// Take a committed message's payload out of the slab and free its entry.
@@ -425,6 +473,7 @@ impl<M> SchedInner<M> {
             self.nodes.len()
         );
         let at = at.max(self.now);
+        let hash = self.mc_msg_hash.as_ref().map(|hash| hash(to, &msg));
         let idx = match self.free_msgs.pop() {
             Some(idx) => {
                 self.msgs[idx as usize] = Some(msg);
@@ -435,6 +484,12 @@ impl<M> SchedInner<M> {
                 u32::try_from(self.msgs.len() - 1).expect("fewer than 2^32 messages in flight")
             }
         };
+        if let Some(h) = hash {
+            if self.mc_hashes.len() <= idx as usize {
+                self.mc_hashes.resize(idx as usize + 1, 0);
+            }
+            self.mc_hashes[idx as usize] = h;
+        }
         let to = to as u32;
         self.push(at, Slot::Msg { to, idx });
     }
@@ -514,11 +569,13 @@ fn mc_next_event<W: World>(
     world: &W,
     hook: &mut dyn McHook<W>,
 ) -> Result<Popped, RunError> {
-    loop {
+    let mut tied = std::mem::take(&mut sched.tied);
+    let head = loop {
         let Some((head, _)) = sched.queue.peek_key() else {
+            sched.tied = tied;
             return Ok(None);
         };
-        let mut tied: Vec<(Time, u64, Slot)> = Vec::new();
+        tied.clear();
         while sched.queue.peek_key().is_some_and(|(t, _)| t == head) {
             let (at, key, slot) = sched.queue.pop_entry().expect("head implies an event");
             if let Slot::Resume { node, gen } = slot {
@@ -526,19 +583,21 @@ fn mc_next_event<W: World>(
                     // Superseded by a later delay/wake: skip it, counting it
                     // exactly as the plain loop would.
                     sched.events += 1;
-                    let h = sched.mc_event_hash(at, slot);
-                    sched.queue_hash ^= h;
+                    sched.queue_hash ^= sched.mc_event_hash(at, slot);
                     continue;
                 }
             }
             tied.push((at, key, slot));
         }
-        if tied.is_empty() {
-            continue; // the whole tie was stale; move to the next head time
+        if !tied.is_empty() {
+            break head;
         }
-        // Scheduler-visible fingerprint: head time, node slots, and the
-        // pending-event multiset (the tied events above are still counted
-        // in `queue_hash` — they are logically queued until one commits).
+        // The whole tie was stale; move to the next head time.
+    };
+    // Scheduler-visible fingerprint: head time, node slots, and the
+    // pending-event multiset (the tied events above are still counted
+    // in `queue_hash` — they are logically queued until one commits).
+    let engine_hash = || {
         let mut eh = fold64(0, head);
         for s in &sched.nodes {
             let (tag, t) = match s.status {
@@ -552,41 +611,28 @@ fn mc_next_event<W: World>(
             eh = fold64(eh, s.gen);
             eh = fold64(eh, s.pending_wake.map_or(u64::MAX, |w| w));
         }
-        eh = fold64(eh, sched.queue_hash);
-        // The offered messages are borrowed out of the slab, where they stay
-        // until one commits.
-        let choices: Vec<McChoice<'_, W::Msg>> = tied
-            .iter()
-            .map(|&(_, key, slot)| McChoice {
-                key,
-                event: match slot {
-                    Slot::Resume { node, .. } => McEvent::Resume {
-                        node: node as NodeId,
-                    },
-                    Slot::Msg { to, idx } => McEvent::Msg {
-                        to: to as NodeId,
-                        msg: sched.msg(idx),
-                    },
-                },
-            })
-            .collect();
-        let pick = hook.choose(world, eh, head, &choices);
-        drop(choices);
-        let Some(pick) = pick else {
-            return Err(RunError::Pruned);
-        };
-        assert!(pick < tied.len(), "mc hook chose {pick} of {}", tied.len());
-        for (i, &(at, key, slot)) in tied.iter().enumerate() {
-            if i != pick {
-                sched.queue.unpop(at, key, slot);
-            }
+        fold64(eh, sched.queue_hash)
+    };
+    // The offered messages are lent out of the slab, where they stay until
+    // one commits.
+    let choices = McChoices {
+        tied: &tied,
+        msgs: &sched.msgs,
+    };
+    let Some(pick) = hook.choose(world, &engine_hash, head, &choices) else {
+        return Err(RunError::Pruned);
+    };
+    assert!(pick < tied.len(), "mc hook chose {pick} of {}", tied.len());
+    for (i, &(at, key, slot)) in tied.iter().enumerate() {
+        if i != pick {
+            sched.queue.unpop(at, key, slot);
         }
-        let (at, _, slot) = tied[pick];
-        let h = sched.mc_event_hash(at, slot);
-        sched.queue_hash ^= h;
-        sched.events += 1;
-        return Ok(Some((at, slot)));
     }
+    let (at, _, slot) = tied[pick];
+    sched.queue_hash ^= sched.mc_event_hash(at, slot);
+    sched.events += 1;
+    sched.tied = tied;
+    Ok(Some((at, slot)))
 }
 
 /// A node program as `async` code: one boxed future per node per run,
@@ -1134,11 +1180,11 @@ mod tests {
         fn choose(
             &mut self,
             _world: &W,
-            engine_hash: u64,
+            engine_hash: &dyn Fn() -> u64,
             _at: Time,
-            choices: &[McChoice<'_, W::Msg>],
+            choices: &McChoices<'_, W::Msg>,
         ) -> Option<usize> {
-            (self.0)(choices.len(), engine_hash)
+            (self.0)(choices.len(), engine_hash())
         }
     }
 
@@ -1228,8 +1274,126 @@ mod tests {
         assert_eq!(ev_a, plain_ev, "and counts the same events");
         assert_eq!(log_a, log_b);
         assert_eq!(ev_a, ev_b);
-        assert!(!hashes_a.is_empty());
         assert_eq!(hashes_a, hashes_b, "engine hashes are replay-stable");
+        // The values the engine computed at every commit point, asked for or
+        // not, before the hash became a closure: the closure returns them.
+        let eager: [u64; 7] = [
+            0xc5bf_9d46_0a48_8ff6,
+            0xbbc9_1434_8ddc_2d0b,
+            0x8779_f050_aedb_ddcc,
+            0xff27_3c90_8488_8de4,
+            0x6758_f08c_85bf_7e05,
+            0xf466_936f_e610_650f,
+            0x981e_f046_4e08_e998,
+        ];
+        assert_eq!(hashes_a, eager);
+    }
+
+    /// A world whose every delivery pushes its target's resume back — the
+    /// resume already queued goes stale — and, once, posts a message on.
+    struct Busy;
+    impl World for Busy {
+        type Msg = u32;
+        fn deliver(&mut self, sched: &mut Sched<u32>, to: NodeId, msg: u32) {
+            let until = sched.resume_at(to).unwrap_or(sched.now()) + 7;
+            sched.delay(to, until);
+            if msg < 10 {
+                let at = sched.now() + 50;
+                sched.post(1 - to, at, msg + 10);
+            }
+        }
+    }
+
+    /// Two nodes that post `k / 2` tied messages each, then compute past
+    /// every arrival; deliveries post the other `k / 2`.
+    fn busy_bodies() -> Vec<Body<Busy>> {
+        let poster = |first: u32| {
+            body(move |mut ctx: NodeHandle<Busy>| async move {
+                let peer = 1 - ctx.node();
+                ctx.world(|_, s| (first..first + 3).for_each(|m| s.post(peer, 100, m)));
+                ctx.advance(120).await;
+                ctx.advance(200).await;
+            })
+        };
+        vec![poster(0), poster(3)]
+    }
+
+    /// What a hook was offered at one commit point: how many events, and
+    /// their keys.
+    type Offered = (usize, Vec<u64>);
+
+    /// A hook that picks by `pick(len)`, logs what it was offered, and asks
+    /// for the engine hash at every commit point or at none.
+    struct LoggingHook<F: FnMut(usize) -> usize> {
+        pick: F,
+        asks: bool,
+        offered: Rc<RefCell<Vec<Offered>>>,
+    }
+    impl<W: World, F: FnMut(usize) -> usize> McHook<W> for LoggingHook<F> {
+        fn choose(
+            &mut self,
+            _world: &W,
+            engine_hash: &dyn Fn() -> u64,
+            _at: Time,
+            choices: &McChoices<'_, W::Msg>,
+        ) -> Option<usize> {
+            if self.asks {
+                engine_hash();
+            }
+            let keys: Vec<u64> = choices.iter().map(|c| c.key).collect();
+            for (i, &k) in keys.iter().enumerate() {
+                assert_eq!(choices.position(k), Some(i));
+                assert_eq!(choices.get(i).key, k);
+            }
+            self.offered.borrow_mut().push((choices.len(), keys));
+            Some((self.pick)(choices.len()))
+        }
+    }
+
+    /// Run `busy_bodies` under a [`LoggingHook`]; returns what the hook was
+    /// offered, the events processed, and how often `msg_hash` was called.
+    fn busy_run(pick: fn(usize) -> usize, asks: bool) -> (Vec<Offered>, u64, u32) {
+        let offered = Rc::new(RefCell::new(Vec::new()));
+        let calls = Rc::new(Cell::new(0u32));
+        let counted = Rc::clone(&calls);
+        let mc = McInstall {
+            hook: Box::new(LoggingHook {
+                pick,
+                asks,
+                offered: Rc::clone(&offered),
+            }),
+            msg_hash: Box::new(move |to, m: &u32| {
+                counted.set(counted.get() + 1);
+                fold64(u64::from(*m), to as u64)
+            }),
+        };
+        let (_, _, events) = run_with(Busy, busy_bodies(), Some(mc)).expect("runs to completion");
+        let offered = offered.borrow().clone();
+        (offered, events, calls.get())
+    }
+
+    #[test]
+    fn a_message_is_hashed_once_at_post() {
+        // Twelve messages: six posted by the bodies in two three-way ties,
+        // six by their deliveries. Picking last unpops the rest of each tie
+        // again and again; every delivery strands a stale resume.
+        for pick in [|_| 0, |n| n - 1, |n| n / 2] {
+            let (offered, events, calls) = busy_run(pick, true);
+            assert_eq!(calls, 12, "one call per post");
+            assert!(offered.iter().any(|(n, _)| *n >= 3), "ties were offered");
+            let commits = offered.len() as u64;
+            assert!(events > commits, "stale resumes were skipped");
+        }
+    }
+
+    #[test]
+    fn asking_for_the_engine_hash_changes_nothing() {
+        for pick in [|_| 0, |n| n - 1] {
+            let (asked, events_asked, _) = busy_run(pick, true);
+            let (unasked, events_unasked, _) = busy_run(pick, false);
+            assert_eq!(asked, unasked, "the same (len, keys) at every commit");
+            assert_eq!(events_asked, events_unasked);
+        }
     }
 
     #[test]

@@ -32,8 +32,8 @@ pub mod rng;
 pub mod time;
 
 pub use engine::{
-    run_nodes, McChoice, McEvent, McHook, McInstall, NodeFuture, NodeHandle, NodeStatus, RunError,
-    Sched, World,
+    run_nodes, McChoice, McChoices, McEvent, McHook, McInstall, NodeFuture, NodeHandle, NodeStatus,
+    RunError, Sched, World,
 };
 pub use time::{Time, MICROS, MILLIS, SECS};
 

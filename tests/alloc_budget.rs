@@ -1,44 +1,44 @@
-//! An allocation budget for a cell, gated on counts, not time: how often a
-//! run asks the allocator for memory is exact and repeats on any host, so a
-//! shared runner can hold it where it cannot hold a timing. What it guards:
-//! the event queue moves 32-byte entries and keeps payloads in a slab, the
-//! golden image is held once, and the bulk accessors reuse one buffer — an
-//! allocation per event, per access or per node copy coming back shows up
-//! here as a count over budget.
+//! Allocation budgets for a cell and for a model-checker execution, gated on
+//! counts, not time: how often a run asks the allocator for memory is exact
+//! and repeats on any host, so a shared runner can hold it where it cannot
+//! hold a timing. What the cell budget guards: the event queue moves 32-byte
+//! entries and keeps payloads in a slab, the golden image is held once, and
+//! the bulk accessors reuse one buffer — an allocation per event, per access
+//! or per node copy coming back shows up here as a count over budget. What
+//! the execution budget guards: a world holds per-block tables only for the
+//! protocols it runs, a commit point gathers its tie into one reused buffer
+//! and offers it as a view, and a replayed commit point builds no sleep set.
 //!
 //! Its own test binary, so the counting `#[global_allocator]` touches no
-//! other test; one `#[test]`, and counting only on the thread that runs it,
-//! so the harness's own threads stay out of the numbers.
+//! other test; the count is per thread, so each `#[test]` reads its own and
+//! the harness's threads stay out of the numbers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use dsm::apps::registry::{app_sized, AppSize};
+use dsm::mc::program::{lock_counter, lock_pingpong};
+use dsm::mc::{explore, McConfig};
 use dsm::{run_parallel, run_sequential, Protocol, RunConfig};
 
-/// Requests for memory (`alloc`, `alloc_zeroed`, `realloc`) made by a thread
-/// that switched counting on.
-static REQUESTS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Requests for memory (`alloc`, `alloc_zeroed`, `realloc`) this thread
+    /// has made.
+    static REQUESTS: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
 impl Counting {
     fn note() {
-        if COUNTING.with(Cell::get) {
-            REQUESTS.fetch_add(1, Relaxed);
-        }
+        REQUESTS.with(|n| n.set(n.get() + 1));
     }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a relaxed atomic and
-// the flag a `const`-initialized thread-local without a destructor, so
-// neither allocates nor touches allocator state.
+// upholds the `GlobalAlloc` contract; the counter is a `const`-initialized
+// thread-local without a destructor, so it neither allocates nor touches
+// allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         Self::note();
@@ -70,11 +70,9 @@ static ALLOCATOR: Counting = Counting;
 /// Run `f` and return its result with the number of allocator requests it
 /// made on this thread.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = REQUESTS.load(Relaxed);
-    COUNTING.with(|c| c.set(true));
+    let before = REQUESTS.with(Cell::get);
     let out = f();
-    COUNTING.with(|c| c.set(false));
-    (out, REQUESTS.load(Relaxed) - before)
+    (out, REQUESTS.with(Cell::get) - before)
 }
 
 #[test]
@@ -104,6 +102,33 @@ fn a_cell_stays_inside_its_allocation_budget() {
         assert!(
             per_event <= 0.4,
             "{app}/{protocol:?}@{block}: {per_event:.3} allocator requests per committed event (budget 0.4)"
+        );
+    }
+}
+
+#[test]
+fn an_execution_stays_inside_its_allocation_budget() {
+    // Requests per execution, world construction and all. Before the shells,
+    // the reused tie buffer and the frontier sleep set these read 328.9 and
+    // 835.2. The execution counts are pinned so the denominator cannot
+    // drift.
+    let explorations = [
+        (lock_pingpong(2), Protocol::Sc, 2, 1_381, 240.0),
+        (lock_counter(3, 2), Protocol::SwLrc, 1, 1_680, 560.0),
+    ];
+    for (program, protocol, faults, executions, budget) in explorations {
+        let cfg = McConfig::new(protocol).with_faults(faults);
+        let (report, requests) = counted(|| explore(&cfg, &program));
+        assert_eq!(report.executions(), executions, "{}", program.name);
+        let per_execution = requests as f64 / executions as f64;
+        println!(
+            "{}/{protocol:?}/faults {faults}: {requests} requests over {executions} executions = {per_execution:.1} per execution",
+            program.name
+        );
+        assert!(
+            per_execution <= budget,
+            "{}/{protocol:?}: {per_execution:.1} allocator requests per execution (budget {budget})",
+            program.name
         );
     }
 }
