@@ -5,25 +5,16 @@
 //! produced. The mirrors never read protocol state directly — a protocol
 //! bug that corrupts its own bookkeeping is exactly what they must survive.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
+use std::fmt::Display;
 
 use dsm_mem::BlockId;
 use dsm_proto::msg::Notice;
 use dsm_proto::vt::VClock;
-use dsm_sim::rng::{fold64, StableHasher};
+use dsm_sim::rng::{fold64, StableHasher, StableMap, StableSet};
 use dsm_sim::NodeId;
 
-/// XOR-fold a hash map's entries into an order-independent digest, so a
-/// mirror's fingerprint never depends on `HashMap` iteration order.
-fn fold_map<'a, K: std::hash::Hash + 'a, V: std::hash::Hash + 'a>(
-    entries: impl Iterator<Item = (&'a K, &'a V)>,
-) -> u64 {
-    let mut acc = 0u64;
-    for (k, v) in entries {
-        acc ^= StableHasher::fingerprint(&(k, v));
-    }
-    acc
-}
+use crate::xor_fold;
 
 /// A rule failure detected by a mirror: `(rule, detail)`. The caller wraps
 /// it into a full [`dsm_proto::Violation`] with node/block/time context.
@@ -43,14 +34,20 @@ pub struct LrcMirror {
     /// release time.
     log: Vec<Vec<Vec<Notice>>>,
     /// The releaser's vector time at the last release of each lock.
-    lock_vt: HashMap<usize, VClock>,
+    lock_vt: StableMap<usize, VClock>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Grant checks that left the in-order walk for the multiset comparison.
+    static SLOW_GRANT_CHECKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl LrcMirror {
     pub fn new(n: usize) -> Self {
         LrcMirror {
             log: vec![Vec::new(); n],
-            lock_vt: HashMap::new(),
+            lock_vt: StableMap::default(),
         }
     }
 
@@ -63,18 +60,48 @@ impl LrcMirror {
 
     /// Record the releaser's clock at a lock release.
     pub fn on_lock_release(&mut self, l: usize, vt: &VClock) {
-        self.lock_vt.insert(l, vt.clone());
+        self.lock_vt
+            .entry(l)
+            .and_modify(|v| v.clone_from(vt))
+            .or_insert_with(|| vt.clone());
     }
 
     /// Validate a grant's notices against the interval gap `cur → vt`.
-    /// `what` names the grant in the detail ("lock 3" / "barrier 1").
+    /// `what` names the grant in the detail ("lock 3" / "barrier 1"); it is
+    /// rendered only if the check fails.
+    ///
+    /// The protocol builds a grant by walking the gap node by node, interval
+    /// by interval, and concatenating what each interval logged, so a
+    /// correct grant is the mirror's log read in that order. The walk below
+    /// compares exactly that: equal sequences are equal multisets, so a
+    /// match is a pass with nothing collected or sorted. Anything else — a
+    /// notice missing, extra or changed, but also a grant a protocol chose
+    /// to order differently — falls through to the multiset comparison
+    /// (collect what the vector promises, sort both sides, compare), which
+    /// decides and words the failure.
     pub fn check_grant(
         &self,
-        what: &str,
+        what: impl Display,
         vt: &VClock,
         notices: &[Notice],
         cur: &VClock,
     ) -> Option<Fail> {
+        let mut rest = notices;
+        let in_order = (0..vt.len()).all(|j| {
+            // `k` is interval `k + 1`'s index in the log.
+            (cur.get(j)..vt.get(j)).all(|k| match self.log[j].get(k as usize) {
+                Some(ns) if rest.starts_with(ns) => {
+                    rest = &rest[ns.len()..];
+                    true
+                }
+                _ => false,
+            })
+        });
+        if in_order && rest.is_empty() {
+            return None;
+        }
+        #[cfg(test)]
+        SLOW_GRANT_CHECKS.with(|n| n.set(n.get() + 1));
         let mut expected: Vec<(BlockId, NodeId, u32)> = Vec::new();
         for (j, k) in VClock::missing_intervals(cur, vt) {
             match self.log[j].get((k - 1) as usize) {
@@ -110,7 +137,7 @@ impl LrcMirror {
     pub fn mc_hash(&self) -> u64 {
         fold64(
             StableHasher::fingerprint(&self.log),
-            fold_map(self.lock_vt.iter()),
+            xor_fold(self.lock_vt.iter()),
         )
     }
 
@@ -135,9 +162,9 @@ impl LrcMirror {
 /// interval present at the home while an earlier one never arrived).
 #[derive(Debug, Default)]
 pub struct HlMirror {
-    flushed: HashSet<(BlockId, NodeId, u32)>,
+    flushed: StableSet<(BlockId, NodeId, u32)>,
     /// Highest flushed interval per (block, writer).
-    max_flushed: HashMap<(BlockId, NodeId), u32>,
+    max_flushed: StableMap<(BlockId, NodeId), u32>,
     /// HLRC write notices observed in release order.
     notices: Vec<(BlockId, NodeId, u32)>,
 }
@@ -186,11 +213,10 @@ impl HlMirror {
 
     /// Stable digest of the mirror state (model-checker fingerprinting).
     pub fn mc_hash(&self) -> u64 {
-        let mut h = 0u64;
-        for e in &self.flushed {
-            h ^= StableHasher::fingerprint(e);
-        }
-        h = fold64(h, fold_map(self.max_flushed.iter()));
+        let h = fold64(
+            xor_fold(self.flushed.iter()),
+            xor_fold(self.max_flushed.iter()),
+        );
         fold64(h, StableHasher::fingerprint(&self.notices))
     }
 
@@ -223,7 +249,7 @@ impl HlMirror {
 /// skip invalidations they need.
 #[derive(Debug, Default)]
 pub struct SwMirror {
-    version: HashMap<BlockId, u32>,
+    version: StableMap<BlockId, u32>,
 }
 
 impl SwMirror {
@@ -242,7 +268,7 @@ impl SwMirror {
 
     /// Stable digest of the mirror state (model-checker fingerprinting).
     pub fn mc_hash(&self) -> u64 {
-        fold_map(self.version.iter())
+        xor_fold(self.version.iter())
     }
 
     /// A release published a notice at version `v`. Fresh notices (newly
@@ -284,32 +310,42 @@ impl SwMirror {
 /// bake in the protocol's definition — the golden image is the write at
 /// logical time 1 and every node starts at program timestamp 1 — not its
 /// runtime state.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TdMirror {
     /// Per block: timestamp of the last write grant (default 1).
-    wts: HashMap<BlockId, u64>,
+    wts: StableMap<BlockId, u64>,
     /// Per block: furthest lease end ever granted (default 1).
-    rts: HashMap<BlockId, u64>,
+    rts: StableMap<BlockId, u64>,
     /// Per block: current exclusive owner. Set at a write grant, cleared
     /// by the next read grant — which the home can only issue after the
     /// owner's writeback, so the map is exact at every access.
-    owner: HashMap<BlockId, NodeId>,
+    owner: StableMap<BlockId, NodeId>,
     /// Per node: program timestamp re-derived from grants and sync merges
-    /// (default 1).
-    pts: HashMap<NodeId, u64>,
+    /// (starts at 1).
+    pts: Vec<u64>,
     /// Per (node, block): lease end of the node's read copy.
-    lease: HashMap<(NodeId, BlockId), u64>,
+    lease: StableMap<(NodeId, BlockId), u64>,
 }
 
 impl TdMirror {
+    /// Mirror for an `n`-node run.
+    pub fn new(n: usize) -> Self {
+        TdMirror {
+            wts: StableMap::default(),
+            rts: StableMap::default(),
+            owner: StableMap::default(),
+            pts: vec![1; n],
+            lease: StableMap::default(),
+        }
+    }
+
     /// The home granted `reader` a read at `wts` with a lease to `lease`.
     pub fn on_read(&mut self, reader: NodeId, block: BlockId, wts: u64, lease: u64) {
         self.owner.remove(&block);
         let r = self.rts.entry(block).or_insert(1);
         *r = (*r).max(lease);
         self.lease.insert((reader, block), lease);
-        let p = self.pts.entry(reader).or_insert(1);
-        *p = (*p).max(wts);
+        self.pts[reader] = self.pts[reader].max(wts);
     }
 
     /// The home granted `writer` exclusive ownership at `new_wts`.
@@ -337,24 +373,22 @@ impl TdMirror {
         };
         *wts = (*wts).max(new_wts);
         self.owner.insert(block, writer);
-        let p = self.pts.entry(writer).or_insert(1);
-        *p = (*p).max(new_wts);
+        self.pts[writer] = self.pts[writer].max(new_wts);
         fail
     }
 
     /// Stable digest of the mirror state (model-checker fingerprinting).
     pub fn mc_hash(&self) -> u64 {
-        let mut h = fold_map(self.wts.iter());
-        h = fold64(h, fold_map(self.rts.iter()));
-        h = fold64(h, fold_map(self.owner.iter()));
-        h = fold64(h, fold_map(self.pts.iter()));
-        fold64(h, fold_map(self.lease.iter()))
+        let mut h = xor_fold(self.wts.iter());
+        h = fold64(h, xor_fold(self.rts.iter()));
+        h = fold64(h, xor_fold(self.owner.iter()));
+        h = fold64(h, StableHasher::fingerprint(&self.pts));
+        fold64(h, xor_fold(self.lease.iter()))
     }
 
     /// Node `me` merged a program timestamp carried by a sync grant.
     pub fn on_merge(&mut self, me: NodeId, pts: u64) {
-        let p = self.pts.entry(me).or_insert(1);
-        *p = (*p).max(pts);
+        self.pts[me] = self.pts[me].max(pts);
     }
 
     /// A completed read access on a Tardis block: the reader's program
@@ -364,7 +398,7 @@ impl TdMirror {
         if write || self.owner.get(&block) == Some(&me) {
             return None;
         }
-        let pts = *self.pts.get(&me).unwrap_or(&1);
+        let pts = self.pts[me];
         let lease = *self.lease.get(&(me, block)).unwrap_or(&0);
         if pts > lease {
             return Some((
@@ -408,27 +442,37 @@ pub fn check_sc_install(
 /// Per-channel exactly-once in-order mirror for the reliable fabric: the
 /// checker re-derives what each frame event should have delivered to the
 /// application and compares it with what the fabric reported.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FabricMirror {
-    chan: HashMap<(NodeId, NodeId), Chan>,
+    nodes: usize,
+    /// Receive state per channel, `src * nodes + to`.
+    chan: Vec<Chan>,
 }
 
-#[derive(Debug, Default, Hash)]
+#[derive(Debug, Default, Clone, Hash)]
 struct Chan {
     next: u64,
     held: BTreeSet<u64>,
 }
 
 impl FabricMirror {
+    /// Mirror for an `n`-node run.
+    pub fn new(n: usize) -> Self {
+        FabricMirror {
+            nodes: n,
+            chan: vec![Chan::default(); n * n],
+        }
+    }
+
     /// Stable digest of the mirror state (model-checker fingerprinting).
     pub fn mc_hash(&self) -> u64 {
-        fold_map(self.chan.iter())
+        StableHasher::fingerprint(&self.chan)
     }
 
     /// Frame `seq` arrived on `src → to` and the fabric reports delivering
     /// `posted` payloads to the application.
     pub fn on_frame(&mut self, src: NodeId, to: NodeId, seq: u64, posted: usize) -> Option<Fail> {
-        let c = self.chan.entry((src, to)).or_default();
+        let c = &mut self.chan[src * self.nodes + to];
         let duplicate = seq < c.next || c.held.contains(&seq);
         if duplicate {
             if posted != 0 {
@@ -439,11 +483,18 @@ impl FabricMirror {
             }
             return None;
         }
-        c.held.insert(seq);
+        // The frame the channel waits for releases itself and the run of
+        // held frames behind it; any other is held.
         let mut run = 0usize;
-        while c.held.remove(&c.next) {
+        if seq == c.next {
             c.next += 1;
-            run += 1;
+            run = 1;
+            while c.held.remove(&c.next) {
+                c.next += 1;
+                run += 1;
+            }
+        } else {
+            c.held.insert(seq);
         }
         if posted != run {
             return Some((
@@ -492,6 +543,70 @@ mod tests {
             .is_none());
         let f = m.check_grant("lock 0", &vt, &[notice(3, 0, 1)], &cur);
         assert_eq!(f.unwrap().0, "lrc-notice-completeness");
+    }
+
+    /// A three-interval log, the gap `[0, 0] → [2, 1]` and the grant the
+    /// protocol would build for it.
+    fn logged() -> (LrcMirror, VClock, VClock, [Notice; 4]) {
+        let mut m = LrcMirror::new(2);
+        m.on_release(0, 1, &[notice(3, 0, 1), notice(4, 0, 1)]);
+        m.on_release(0, 2, &[notice(5, 0, 2)]);
+        m.on_release(1, 1, &[notice(9, 1, 1)]);
+        let grant = [
+            notice(3, 0, 1),
+            notice(4, 0, 1),
+            notice(5, 0, 2),
+            notice(9, 1, 1),
+        ];
+        (m, vc(&[2, 1]), vc(&[0, 0]), grant)
+    }
+
+    fn slow_grant_checks() -> usize {
+        SLOW_GRANT_CHECKS.with(|n| n.get())
+    }
+
+    #[test]
+    fn a_grant_in_log_order_passes_on_the_walk_and_a_permutation_on_the_fallback() {
+        let (m, vt, cur, g) = logged();
+        let before = slow_grant_checks();
+        assert_eq!(m.check_grant("lock 7", &vt, &g, &cur), None);
+        assert_eq!(m.check_grant("lock 7", &vc(&[1, 0]), &g[..2], &cur), None);
+        assert_eq!(m.check_grant("lock 7", &vt, &g[2..], &vc(&[1, 0])), None);
+        assert_eq!(m.check_grant("lock 7", &vt, &[], &vt), None, "no gap");
+        assert_eq!(slow_grant_checks(), before, "nothing collected or sorted");
+        // In order is a fast path, not the rule: the same notices in
+        // another order are the same multiset.
+        let permuted = [g[3], g[0], g[2], g[1]];
+        assert_eq!(m.check_grant("lock 7", &vt, &permuted, &cur), None);
+        assert_eq!(slow_grant_checks(), before + 1);
+    }
+
+    /// The four ways a grant fails, worded as before the in-order walk
+    /// existed (the literals were captured at that commit).
+    #[test]
+    fn a_wrong_grant_fails_with_the_rule_and_the_words_it_always_had() {
+        let (m, vt, cur, g) = logged();
+        let fail = |detail: &str| Some(("lrc-notice-completeness", detail.to_string()));
+        assert_eq!(
+            m.check_grant("lock 7", &vt, &g[..3], &cur),
+            fail("lock 7: grant carries 3 notices, interval vector promises 4 (1 missing, 0 unexpected)")
+        );
+        let mut extra = g.to_vec();
+        extra.push(notice(6, 1, 1));
+        assert_eq!(
+            m.check_grant(format_args!("barrier {}", 1), &vt, &extra, &cur),
+            fail("barrier 1: grant carries 5 notices, interval vector promises 4 (0 missing, 1 unexpected)")
+        );
+        let mut swapped = g;
+        swapped[1] = notice(8, 0, 1);
+        assert_eq!(
+            m.check_grant("lock 7", &vt, &swapped, &cur),
+            fail("lock 7: grant carries 4 notices, interval vector promises 4 (1 missing, 1 unexpected)")
+        );
+        assert_eq!(
+            m.check_grant("barrier 1", &vc(&[2, 2]), &g, &cur),
+            fail("barrier 1: grant references unlogged interval (1, 2)")
+        );
     }
 
     #[test]
@@ -572,7 +687,7 @@ mod tests {
 
     #[test]
     fn td_write_timestamps_must_strictly_advance() {
-        let mut m = TdMirror::default();
+        let mut m = TdMirror::new(4);
         // The golden image counts as the write at logical time 1: a first
         // grant reusing it is already a violation.
         assert_eq!(m.on_write(2, 0, 1).unwrap().0, "td-wts-monotone");
@@ -583,18 +698,18 @@ mod tests {
 
     #[test]
     fn td_write_inside_a_read_window_is_flagged() {
-        let mut m = TdMirror::default();
+        let mut m = TdMirror::new(4);
         // A lease to 9 promises reads of the old version until then.
         m.on_read(1, 0, 1, 9);
         assert_eq!(m.on_write(2, 0, 4).unwrap().0, "td-write-under-lease");
-        let mut m2 = TdMirror::default();
+        let mut m2 = TdMirror::new(4);
         m2.on_read(1, 0, 1, 9);
         assert!(m2.on_write(2, 0, 10).is_none(), "jumping past rts is legal");
     }
 
     #[test]
     fn td_read_above_the_lease_is_flagged() {
-        let mut m = TdMirror::default();
+        let mut m = TdMirror::new(4);
         m.on_read(1, 0, 1, 9);
         assert!(m.on_access(1, 0, false).is_none());
         // pts == lease end is still covered.
@@ -606,7 +721,7 @@ mod tests {
 
     #[test]
     fn td_owner_accesses_need_no_lease() {
-        let mut m = TdMirror::default();
+        let mut m = TdMirror::new(4);
         assert!(m.on_write(2, 0, 12).is_none());
         m.on_merge(2, 40);
         assert!(m.on_access(2, 0, false).is_none(), "owner is exempt");
@@ -619,7 +734,7 @@ mod tests {
 
     #[test]
     fn fabric_mirror_catches_duplicates_and_phantom_deliveries() {
-        let mut m = FabricMirror::default();
+        let mut m = FabricMirror::new(2);
         assert!(m.on_frame(0, 1, 0, 1).is_none());
         // Out-of-order frame 2 is held: nothing delivered.
         assert!(m.on_frame(0, 1, 2, 0).is_none());

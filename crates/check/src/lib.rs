@@ -35,9 +35,39 @@ use dsm_sim::{NodeId, Time};
 use inv::{FabricMirror, HlMirror, LrcMirror, SwMirror, TdMirror};
 use race::RaceDetector;
 
+/// XOR of the entries' fingerprints: the digest of an unordered collection,
+/// whatever order it iterates in.
+fn xor_fold<T: std::hash::Hash>(entries: impl Iterator<Item = T>) -> u64 {
+    use dsm_sim::rng::StableHasher;
+    entries.fold(0, |acc, e| acc ^ StableHasher::fingerprint(&e))
+}
+
 /// Hard cap on stored violations: a genuinely broken run would otherwise
 /// report every access; the count of suppressed reports is kept.
 const MAX_VIOLATIONS: usize = 200;
+
+/// The last synchronization operation of a node, kept as data and worded
+/// (`Display`) only when a race report quotes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum SyncCtx {
+    Start,
+    Begin(Time),
+    Released(usize, Time),
+    Acquired(usize, Time),
+    Passed(usize, Time),
+}
+
+impl std::fmt::Display for SyncCtx {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            SyncCtx::Start => f.write_str("before any synchronization"),
+            SyncCtx::Begin(t) => write!(f, "measurement begin @ {t}"),
+            SyncCtx::Released(lock, t) => write!(f, "released lock {lock} @ {t}"),
+            SyncCtx::Acquired(lock, t) => write!(f, "acquired lock {lock} @ {t}"),
+            SyncCtx::Passed(bar, t) => write!(f, "passed barrier {bar} @ {t}"),
+        }
+    }
+}
 
 /// The full per-run checker. See the crate docs for the layer breakdown.
 pub struct RunChecker {
@@ -45,6 +75,9 @@ pub struct RunChecker {
     layout: Layout,
     /// Protocol per layout region (same indexing as `layout.regions()`).
     region_protocols: Vec<Protocol>,
+    /// Whether some region runs Tardis: only then does an access have a
+    /// lease to be checked against.
+    has_tardis: bool,
     /// Fabric delivery checks only apply under the reliable fabric; the
     /// ideal fire-and-forget network has no sequencing to validate.
     fabric_reliable: bool,
@@ -55,7 +88,7 @@ pub struct RunChecker {
     td: TdMirror,
     fab: FabricMirror,
     /// Last synchronization operation per node, for race attribution.
-    sync_ctx: Vec<String>,
+    sync_ctx: Vec<SyncCtx>,
     violations: Vec<Violation>,
     suppressed: usize,
 }
@@ -78,16 +111,18 @@ impl RunChecker {
         );
         RunChecker {
             app: app.to_string(),
+            has_tardis: region_protocols.contains(&Protocol::Tardis),
+            det: RaceDetector::new(nodes, layout.size() / race::WORD),
             layout,
             region_protocols,
             fabric_reliable,
-            det: RaceDetector::new(nodes),
             lrc: LrcMirror::new(nodes),
             hl: HlMirror::default(),
             sw: SwMirror::default(),
-            td: TdMirror::default(),
-            fab: FabricMirror::default(),
-            sync_ctx: vec!["before any synchronization".to_string(); nodes],
+            td: TdMirror::new(nodes),
+            // No channel has sequence numbers to mirror on the ideal fabric.
+            fab: FabricMirror::new(if fabric_reliable { nodes } else { 0 }),
+            sync_ctx: vec![SyncCtx::Start; nodes],
             violations: Vec::new(),
             suppressed: 0,
         }
@@ -125,8 +160,7 @@ impl RunChecker {
     }
 
     fn protocol_of(&self, b: BlockId) -> Protocol {
-        let start = self.layout.block_range(b).start;
-        self.region_protocols[self.layout.region_of_addr(start)]
+        self.region_protocols[self.layout.region_of_block(b)]
     }
 
     fn region_name(&self, addr: usize) -> &str {
@@ -137,7 +171,7 @@ impl RunChecker {
 impl Checker for RunChecker {
     fn arm(&mut self, me: NodeId, now: Time) {
         self.det.arm(me);
-        self.sync_ctx[me] = format!("measurement begin @ {now}");
+        self.sync_ctx[me] = SyncCtx::Begin(now);
     }
 
     fn on_access(&mut self, me: NodeId, addr: usize, len: usize, write: bool, now: Time) {
@@ -145,8 +179,10 @@ impl Checker for RunChecker {
         // leases and program timestamps are live from the first fault.
         // Accesses arrive pre-split at block boundaries, so one block per
         // call.
-        let block = self.layout.block_of(addr);
-        if self.protocol_of(block) == Protocol::Tardis {
+        if self.has_tardis
+            && self.region_protocols[self.layout.region_of_addr(addr)] == Protocol::Tardis
+        {
+            let block = self.layout.block_of(addr);
             if let Some(f) = self.td.on_access(me, block, write) {
                 self.push_fail(f, me, Some(block), now);
             }
@@ -174,7 +210,7 @@ impl Checker for RunChecker {
     fn lock_release(&mut self, me: NodeId, lock: usize, vt: &VClock, now: Time) {
         self.lrc.on_lock_release(lock, vt);
         self.det.release_lock(me, lock);
-        self.sync_ctx[me] = format!("released lock {lock} @ {now}");
+        self.sync_ctx[me] = SyncCtx::Released(lock, now);
     }
 
     fn lock_acquire(
@@ -187,8 +223,8 @@ impl Checker for RunChecker {
         now: Time,
     ) {
         if let Some(vt) = vt {
-            let what = format!("lock {lock}");
-            if let Some(f) = self.lrc.check_grant(&what, vt, notices, cur) {
+            let what = format_args!("lock {lock}");
+            if let Some(f) = self.lrc.check_grant(what, vt, notices, cur) {
                 self.push_fail(f, me, None, now);
             }
             if let Some(f) = self.lrc.check_lock_dominates(lock, vt) {
@@ -196,7 +232,7 @@ impl Checker for RunChecker {
             }
         }
         self.det.acquire_lock(me, lock);
-        self.sync_ctx[me] = format!("acquired lock {lock} @ {now}");
+        self.sync_ctx[me] = SyncCtx::Acquired(lock, now);
     }
 
     fn bar_arrive(&mut self, me: NodeId, bar: usize, _now: Time) {
@@ -214,13 +250,13 @@ impl Checker for RunChecker {
         now: Time,
     ) {
         if let Some(vt) = vt {
-            let what = format!("barrier {bar}");
-            if let Some(f) = self.lrc.check_grant(&what, vt, notices, cur) {
+            let what = format_args!("barrier {bar}");
+            if let Some(f) = self.lrc.check_grant(what, vt, notices, cur) {
                 self.push_fail(f, me, None, now);
             }
         }
         self.det.bar_pass(me, bar, skip_join);
-        self.sync_ctx[me] = format!("passed barrier {bar} @ {now}");
+        self.sync_ctx[me] = SyncCtx::Passed(bar, now);
     }
 
     fn lrc_release(
@@ -428,5 +464,59 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "sc-exclusive-with-readers");
         assert_eq!(v[0].block, Some(5));
+    }
+
+    /// A race report quotes the racing node's last synchronization: the five
+    /// contexts, each byte for byte what it read when the context was kept
+    /// as a rendered string (the literals were captured at that commit).
+    #[test]
+    fn race_reports_quote_the_sync_context_in_the_words_they_always_had() {
+        type Setup = fn(&mut RunChecker);
+        let cases: [(Setup, u32, &str); 5] = [
+            // Arming sets a context, so only a test can see the initial one.
+            (
+                |c| c.sync_ctx[1] = SyncCtx::Start,
+                1,
+                "before any synchronization",
+            ),
+            (|_| {}, 1, "measurement begin @ 11"),
+            (
+                |c| c.lock_release(1, 7, &VClock::new(2), 1234),
+                2,
+                "released lock 7 @ 1234",
+            ),
+            (
+                |c| c.lock_acquire(1, 12, None, &[], &VClock::new(2), 99),
+                1,
+                "acquired lock 12 @ 99",
+            ),
+            (
+                |c| {
+                    c.bar_arrive(0, 3, 50);
+                    c.bar_arrive(1, 3, 60);
+                    c.bar_pass(1, 3, None, &[], &VClock::new(2), true, 70);
+                },
+                2,
+                "passed barrier 3 @ 70",
+            ),
+        ];
+        for (setup, clock, ctx) in cases {
+            let mut c = checker(2);
+            c.arm(0, 10);
+            c.arm(1, 11);
+            c.on_access(0, 304, 8, true, 20);
+            setup(&mut c);
+            c.on_access(1, 304, 8, false, 30);
+            let v = c.finalize(40);
+            assert_eq!(v.len(), 1, "{ctx}");
+            assert_eq!(
+                v[0].to_string(),
+                format!(
+                    "[hb-race] node 1 block 1 t=30ns: app=unit region=shared addr=0x130 \
+                     (block 1 offset 48) write-read: node 0 @ clock 1 vs node 1 @ clock {clock}; \
+                     1's sync context: {ctx}"
+                )
+            );
+        }
     }
 }

@@ -4,9 +4,17 @@
 //! types beyond `NodeId`/`Time`: every entry point returns the schedule
 //! actions the caller must post, which keeps the whole transport unit-
 //! testable with integer payloads.
+//!
+//! A payload is moved, not copied, along the send path: the one deep copy
+//! a reliable send makes is the retransmission source kept until the ack,
+//! and an injected duplicate is the only other. The action and delivery
+//! lists an outcome carries are buffers: a caller that hands them back
+//! ([`Fabric::reuse_actions`], [`Fabric::reuse_deliveries`]) spares the
+//! next outcome its allocation.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
+use dsm_sim::rng::StableMap;
 use dsm_sim::{NodeId, Time};
 
 use crate::config::FabricConfig;
@@ -146,9 +154,13 @@ pub struct Fabric<P> {
     /// Per-channel receive reassembly state (reliable mode only).
     rx: Vec<RxChannel<P>>,
     /// Unacked transmissions keyed by `(src, dst, seq)`.
-    inflight: HashMap<(NodeId, NodeId, u64), Inflight<P>>,
+    inflight: StableMap<(NodeId, NodeId, u64), Inflight<P>>,
     /// Model-checking fault oracle; replaces the ppm dice when installed.
     oracle: Option<FaultOracle>,
+    /// Emptied `TxOutcome::actions` / `RxOutcome::deliver` lists handed
+    /// back by the caller, for the next outcome.
+    spare_actions: Vec<TxAction<P>>,
+    spare_deliveries: Vec<(Time, P)>,
 }
 
 impl<P: std::fmt::Debug> std::fmt::Debug for Fabric<P> {
@@ -176,9 +188,25 @@ impl<P: Clone> Fabric<P> {
             recv_free: vec![0; nodes],
             next_seq: vec![0; channels],
             rx: vec![RxChannel::default(); channels],
-            inflight: HashMap::new(),
+            inflight: StableMap::default(),
             oracle: None,
+            spare_actions: Vec::new(),
+            spare_deliveries: Vec::new(),
         }
+    }
+
+    /// Hand back the action list of a [`TxOutcome`] once its actions are
+    /// posted; the next transmission fills it again.
+    pub fn reuse_actions(&mut self, mut actions: Vec<TxAction<P>>) {
+        actions.clear();
+        self.spare_actions = actions;
+    }
+
+    /// Hand back the delivery list of an [`RxOutcome`] once its payloads
+    /// are posted; the next frame arrival fills it again.
+    pub fn reuse_deliveries(&mut self, mut deliver: Vec<(Time, P)>) {
+        deliver.clear();
+        self.spare_deliveries = deliver;
     }
 
     /// The configuration this fabric runs.
@@ -293,10 +321,12 @@ impl<P: Clone> Fabric<P> {
             }
             None => (now, 0),
         };
+        let mut deliver = std::mem::take(&mut self.spare_deliveries);
         if !self.cfg.reliable() {
             // Lossless fabric: every frame is unique; deliver as processed.
+            deliver.push((rx_done, payload));
             return RxOutcome {
-                deliver: vec![(rx_done, payload)],
+                deliver,
                 ack_at: None,
                 queue_ns,
                 duplicate: false,
@@ -306,7 +336,6 @@ impl<P: Clone> Fabric<P> {
         // sender retransmitted), dedup, and release in channel order.
         let ch = self.chan(src, dst);
         let c = &mut self.rx[ch];
-        let mut deliver = Vec::new();
         let duplicate = seq < c.next || c.held.contains_key(&seq);
         if !duplicate {
             if seq == c.next {
@@ -389,7 +418,7 @@ impl<P: Clone> Fabric<P> {
         };
         let exhausted = attempt > self.cfg.retry.max_retries;
         let mut out = TxOutcome {
-            actions: Vec::with_capacity(2),
+            actions: std::mem::take(&mut self.spare_actions),
             queue_ns,
             dropped: false,
             duplicated: false,
@@ -420,23 +449,20 @@ impl<P: Clone> Fabric<P> {
             }
         }
         if !out.dropped {
-            out.actions.push(TxAction::Frame {
+            // The payload moves into its frame; an injected duplicate is
+            // the one copy made here.
+            let copy = out.duplicated.then(|| payload.clone());
+            let frame = |at, payload| TxAction::Frame {
                 to,
-                at: arrival,
+                at,
                 seq,
                 attempt,
                 bytes,
-                payload: payload.clone(),
-            });
-            if out.duplicated {
-                out.actions.push(TxAction::Frame {
-                    to,
-                    at: arrival + DUP_GAP_NS,
-                    seq,
-                    attempt,
-                    bytes,
-                    payload,
-                });
+                payload,
+            };
+            out.actions.push(frame(arrival, payload));
+            if let Some(copy) = copy {
+                out.actions.push(frame(arrival + DUP_GAP_NS, copy));
             }
         }
         if self.cfg.reliable() && !exhausted {
@@ -642,6 +668,75 @@ mod tests {
         let b = f.on_frame(fr[1].0, 0, 1, 0, 64, 5);
         assert_eq!(a.deliver.len(), 1);
         assert!(b.duplicate && b.deliver.is_empty());
+    }
+
+    /// A payload that counts how often it is deep-copied.
+    #[derive(Debug)]
+    struct Counted(std::rc::Rc<std::cell::Cell<usize>>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.0.set(self.0.get() + 1);
+            Counted(self.0.clone())
+        }
+    }
+
+    #[test]
+    fn a_send_copies_its_payload_once_for_retransmission_and_once_per_duplicate() {
+        let clones = std::rc::Rc::new(std::cell::Cell::new(0));
+        let payload = || Counted(clones.clone());
+        // Lossless fabric: nothing to retransmit, nothing copied.
+        let mut f: Fabric<Counted> = Fabric::new(FabricConfig::contended(), 2);
+        let out = f.on_send(0, 0, 1, 64, 1_000, payload());
+        assert_eq!((out.actions.len(), clones.get()), (1, 0));
+        // Reliable fabric: the one copy is the retransmission source.
+        let cfg = FabricConfig {
+            retry: RetryPolicy {
+                max_retries: 1,
+                ..RetryPolicy::default()
+            },
+            ..reliable_quiet()
+        };
+        let mut f: Fabric<Counted> = Fabric::new(cfg, 2);
+        f.set_fault_oracle(Box::new(|_, _, seq, _| FaultDecision {
+            dup: seq == 1,
+            ..FaultDecision::default()
+        }));
+        let out = f.on_send(0, 0, 1, 64, 1_000, payload());
+        assert_eq!((out.actions.len(), clones.get()), (2, 1), "frame + timer");
+        // An injected duplicate is one more.
+        let out = f.on_send(0, 0, 1, 64, 1_000, payload());
+        assert!(out.duplicated);
+        assert_eq!(
+            (out.actions.len(), clones.get()),
+            (3, 3),
+            "2 frames + timer"
+        );
+        // A retransmission inside the budget copies the kept source; the
+        // forced final attempt takes the source itself.
+        f.on_timer(2_000_000, 0, 1, 0, 0).unwrap();
+        assert_eq!(clones.get(), 4);
+        let last = f.on_timer(6_000_000, 0, 1, 0, 1).unwrap();
+        assert!(last.exhausted);
+        assert_eq!(clones.get(), 4);
+    }
+
+    #[test]
+    fn handed_back_buffers_carry_the_next_outcome() {
+        let mut f: Fabric<u32> = Fabric::new(reliable_quiet(), 2);
+        let mut out = f.on_send(0, 0, 1, 64, 1_000, 7);
+        out.actions.reserve(30);
+        let (at, room) = (out.actions.as_ptr(), out.actions.capacity());
+        f.reuse_actions(out.actions);
+        let out = f.on_send(0, 0, 1, 64, 1_000, 8);
+        assert_eq!(frames(&out), vec![(1_000, 1, 0)], "handed back emptied");
+        assert_eq!((out.actions.as_ptr(), out.actions.capacity()), (at, room));
+        let rx = f.on_frame(1_000, 0, 1, 0, 64, 7);
+        let at = rx.deliver.as_ptr();
+        f.reuse_deliveries(rx.deliver);
+        let rx = f.on_frame(1_000, 0, 1, 1, 64, 8);
+        assert_eq!(rx.deliver, vec![(1_000, 8)]);
+        assert_eq!(rx.deliver.as_ptr(), at);
     }
 
     #[test]

@@ -34,8 +34,20 @@ pub fn wts_grant(wts: u64, rts: u64) -> u64 {
 /// happen-before the owner's current logical time. Intervals are delimited
 /// by release operations (lock releases and barrier arrivals), per Keleher's
 /// LRC formulation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct VClock(Vec<u32>);
+
+impl Clone for VClock {
+    fn clone(&self) -> Self {
+        VClock(self.0.clone())
+    }
+
+    /// Overwrites in place: a table of published clocks (the checker keeps
+    /// one per lock) is refreshed without a trip to the allocator.
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
 
 impl VClock {
     /// The zero clock for `n` nodes.

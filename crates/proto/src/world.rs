@@ -415,7 +415,7 @@ impl ProtoWorld {
     }
 
     /// Account a transmission's outcome and post its frames and timers.
-    fn apply_tx(&mut self, s: &mut Sched<Packet>, from: NodeId, out: TxOutcome<Envelope>) {
+    fn apply_tx(&mut self, s: &mut Sched<Packet>, from: NodeId, mut out: TxOutcome<Envelope>) {
         let now = s.now();
         self.emit(
             from,
@@ -429,7 +429,7 @@ impl ProtoWorld {
         if out.queue_ns > 0 {
             self.emit(from, now, EventKind::NetQueue { dur: out.queue_ns });
         }
-        for a in out.actions {
+        for a in out.actions.drain(..) {
             match a {
                 TxAction::Frame {
                     to,
@@ -462,6 +462,7 @@ impl ProtoWorld {
                 } => s.post(from, at, Packet::Timer { peer, seq, attempt }),
             }
         }
+        self.fabric.reuse_actions(out.actions);
     }
 
     /// A fabric frame reached `to`'s receive NI: dedup/reassemble, ack,
@@ -477,7 +478,7 @@ impl ProtoWorld {
     ) {
         let now = s.now();
         let RxOutcome {
-            deliver,
+            mut deliver,
             ack_at,
             queue_ns,
             duplicate,
@@ -508,9 +509,10 @@ impl ProtoWorld {
         if let Some(c) = self.check.as_deref_mut() {
             c.fabric_frame(src, to, seq, duplicate, posted, now);
         }
-        for (at, env) in deliver {
+        for (at, env) in deliver.drain(..) {
             s.post(to, at, Packet::App(env));
         }
+        self.fabric.reuse_deliveries(deliver);
     }
 
     /// Charge `cost` ns of request-service occupancy to a node that is

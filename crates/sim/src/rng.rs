@@ -9,6 +9,7 @@
 //! per-decision lane.
 
 /// SplitMix64 finalizer: a full-avalanche 64-bit mix.
+#[inline]
 pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -31,6 +32,7 @@ pub fn hit(r: u64, ppm: u32) -> bool {
 /// sequences hash by structure. Commutative combination (e.g. hashing a
 /// `HashMap`'s entries independent of iteration order) is done by XORing
 /// per-entry fingerprints instead.
+#[inline]
 pub fn fold64(acc: u64, x: u64) -> u64 {
     mix64(acc ^ mix64(x))
 }
@@ -107,6 +109,7 @@ fn le_word(bytes: &[u8]) -> u64 {
 }
 
 impl std::hash::Hasher for StableHasher {
+    #[inline]
     fn finish(&self) -> u64 {
         mix64(self.0)
     }
@@ -141,22 +144,37 @@ impl std::hash::Hasher for StableHasher {
         self.0 = Self::step(h, bytes.len() as u64, K);
     }
 
+    #[inline]
     fn write_u64(&mut self, i: u64) {
         self.0 = Self::step(self.0, i, K);
     }
 
+    #[inline]
     fn write_usize(&mut self, i: usize) {
         self.write_u64(i as u64);
     }
 
+    #[inline]
     fn write_u8(&mut self, i: u8) {
         self.write_u64(u64::from(i));
     }
 
+    #[inline]
     fn write_u32(&mut self, i: u32) {
         self.write_u64(u64::from(i));
     }
 }
+
+/// Hash map keyed through [`StableHasher`]: the one spelling of a keyed table
+/// in the deterministic crates (`tools/lint_determinism.sh` rule 2). The
+/// hasher has no per-process key, so such a map iterates in one order on
+/// every host and run, and a small-integer or tuple key costs a few
+/// multiplies instead of a SipHash.
+pub type StableMap<K, V> =
+    std::collections::HashMap<K, V, std::hash::BuildHasherDefault<StableHasher>>;
+
+/// Hash set keyed through [`StableHasher`]; see [`StableMap`].
+pub type StableSet<K> = std::collections::HashSet<K, std::hash::BuildHasherDefault<StableHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -8,6 +8,11 @@
 //! the execution budget guards: a world holds per-block tables only for the
 //! protocols it runs, a commit point gathers its tie into one reused buffer
 //! and offers it as a view, and a replayed commit point builds no sleep set.
+//! What the hook budgets guard: the requests the checker and the reliable
+//! fabric *add* to a cell — the same cell with the hook on minus with it
+//! off, so world construction cancels — stay what the hooks need to keep
+//! (an interval's notices, a frame awaiting its ack), not what they format,
+//! collect, sort or clone on the way.
 //!
 //! Its own test binary, so the counting `#[global_allocator]` touches no
 //! other test; the count is per thread, so each `#[test]` reads its own and
@@ -16,10 +21,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use std::sync::Arc;
+
 use dsm::apps::registry::{app_sized, AppSize};
+use dsm::apps::KvZipf;
 use dsm::mc::program::{lock_counter, lock_pingpong};
 use dsm::mc::{explore, McConfig};
-use dsm::{run_parallel, run_sequential, Protocol, RunConfig};
+use dsm::{run_parallel, run_sequential, FabricConfig, Protocol, RunConfig};
 
 thread_local! {
     /// Requests for memory (`alloc`, `alloc_zeroed`, `realloc`) this thread
@@ -131,4 +139,43 @@ fn an_execution_stays_inside_its_allocation_budget() {
             program.name
         );
     }
+}
+
+#[test]
+fn the_hooks_stay_inside_their_added_allocation_budgets() {
+    // The first repetitions of `scenarios/kv-hot-migration.json` and
+    // `scenarios/tardis-lease-churn.json`: kv-zipf Small on 16 nodes.
+    let run = |program: KvZipf, cfg: RunConfig| {
+        let (out, requests) = counted(|| run_parallel(&cfg.with_nodes(16), Arc::new(program)));
+        assert!(out.violations.is_empty(), "{:?}", out.violations);
+        (out.stats.sim_events, requests)
+    };
+    // Checker-added, HLRC@1024. Before the in-order grant check, the sync
+    // context kept as data and the in-place lock clocks: 28 811; now 4 867.
+    let hot = || KvZipf::new(1000, 256, 4_000, 4, 99, 60);
+    let hlrc = || RunConfig::new(Protocol::Hlrc, 1024);
+    let (events, unchecked) = run(hot(), hlrc());
+    let (checked_events, checked) = run(hot(), hlrc().with_check());
+    assert_eq!((events, checked_events), (41_871, 41_871));
+    let added = checked - unchecked;
+    println!("kv-zipf/Hlrc@1024 checked: {checked} requests - {unchecked} unchecked = {added} added over {events} events");
+    assert!(
+        added <= 7_500,
+        "the checker added {added} allocator requests (budget 7 500)"
+    );
+    // Fabric-added, Tardis@1024 under the plan's fault schedule. Before the
+    // outcome lists became handed-back buffers: 44 041, 2.2 per message;
+    // now 347.
+    let churn = || KvZipf::new(11, 256, 3_000, 3, 99, 70);
+    let tardis = || RunConfig::new(Protocol::Tardis, 1024);
+    let faulty = FabricConfig::parse("faulty,seed=42,drop=10000,reorder=20000").unwrap();
+    let (ideal_events, ideal) = run(churn(), tardis());
+    let (faulty_events, lossy) = run(churn(), tardis().with_fabric(faulty));
+    assert_eq!((ideal_events, faulty_events), (41_959, 109_901));
+    let added = lossy - ideal;
+    println!("kv-zipf/Tardis@1024 faulty: {lossy} requests - {ideal} ideal = {added} added over {faulty_events} events");
+    assert!(
+        added <= 1_000,
+        "the reliable fabric added {added} allocator requests (budget 1 000)"
+    );
 }

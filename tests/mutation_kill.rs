@@ -123,6 +123,15 @@ fn reorder_fabric() -> FabricConfig {
     FabricConfig::parse("faulty,seed=7,drop=0,dup=0,reorder=300000,spike=0,jitter=200000").unwrap()
 }
 
+/// The fabric a registry row needs to reach its mutation site.
+fn fabric_of(f: MutFabric) -> FabricConfig {
+    match f {
+        MutFabric::Ideal => FabricConfig::ideal(),
+        MutFabric::Dup => dup_fabric(),
+        MutFabric::Reorder => reorder_fabric(),
+    }
+}
+
 fn assert_killed(proto: Protocol, fabric: FabricConfig, m: Mutation, rule: &str) {
     let v = run_one(proto, fabric, Some(m));
     assert!(
@@ -159,12 +168,45 @@ fn clean_runs_have_no_violations() {
 #[test]
 fn kill_matrix_from_registry() {
     for spec in MUTATIONS.iter() {
-        let fabric = match spec.fabric {
-            MutFabric::Ideal => FabricConfig::ideal(),
-            MutFabric::Dup => dup_fabric(),
-            MutFabric::Reorder => reorder_fabric(),
-        };
-        assert_killed(spec.protocol, fabric, spec.mutation, spec.rule);
+        assert_killed(
+            spec.protocol,
+            fabric_of(spec.fabric),
+            spec.mutation,
+            spec.rule,
+        );
+    }
+}
+
+/// What the checker says first about three armed mutations — rule, node,
+/// block, time and detail — one per layer a report's words come from: the
+/// grant check's fallback, the race detector with its sync context, the
+/// fabric mirror. The literals were captured before the grant check walked
+/// the log in order, the shadow became dense and the context became data;
+/// a checker that checks what it checked still prints them.
+#[test]
+fn first_violations_read_as_they_always_did() {
+    let pinned = [
+        (
+            Mutation::DropWriteNotice,
+            "[lrc-notice-completeness] node 2 t=317260ns: lock 0: grant carries 0 notices, \
+             interval vector promises 1 (1 missing, 0 unexpected)",
+        ),
+        (
+            Mutation::HbSkipBarrier,
+            "[hb-race] node 0 block 64 t=10284518ns: app=mutkill region=shared addr=0x4000 \
+             (block 64 offset 0) write-read: node 1 @ clock 15 vs node 0 @ clock 16; \
+             0's sync context: passed barrier 1 @ 10187953",
+        ),
+        (
+            Mutation::FabricReorder,
+            "[fabric-in-order] node 0 t=1912582ns: channel 6->0: frame seq 4 should deliver \
+             0 consecutive payload(s), fabric delivered 1",
+        ),
+    ];
+    for (m, first) in pinned {
+        let spec = MUTATIONS.iter().find(|s| s.mutation == m).unwrap();
+        let v = run_one(spec.protocol, fabric_of(spec.fabric), Some(m));
+        assert_eq!(v[0].to_string(), first, "{}", m.name());
     }
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Determinism lint for the hot-path crates (sim, proto, fabric, mc, core),
-# the one-stream rule for telemetry (proto, core) and the grant rule for
-# access state (proto).
+# Determinism lint for the hot-path crates (sim, proto, fabric, check, mc,
+# core), the one-stream rule for telemetry (proto, core) and the grant rule
+# for access state (proto).
 #
 # The whole stack depends on bit-identical replay: the engine's state
 # hashes, the model checker's replay-based exploration, and the golden
@@ -10,12 +10,22 @@
 #
 #   1. Wall-clock time (SystemTime::now / Instant::now) — never legal in
 #      these crates; virtual time comes from the engine. No allowlist.
-#   2. HashMap/HashSet — iteration order varies per process (SipHash
-#      keying), so any iteration that feeds results, digests, or message
-#      order is nondeterministic. Files where every use is provably
-#      order-insensitive (XOR-folded digests, keyed lookup, membership
-#      tests) are listed in tools/lint_determinism_allow.txt with a
-#      justification; everything else fails.
+#   2. HashMap/HashSet spelled directly — std's default hasher is SipHash
+#      under a per-process random key, so iteration order varies per
+#      process and any iteration that feeds results, digests, or message
+#      order is nondeterministic. A keyed table is spelled
+#      `dsm_sim::rng::StableMap` / `StableSet` instead: the same containers
+#      keyed through `StableHasher`, which has no key at all. A fixed
+#      hasher is enough because the nondeterminism was only ever the key —
+#      given one hash function, a table's layout, and so its iteration
+#      order, is a function of the sequence of inserts and removes, which
+#      a deterministic run repeats exactly on every host (the digests stay
+#      XOR-folds regardless, so they do not depend on that order either).
+#      It is also cheaper: a few multiplies per integer key. Files whose
+#      every use of a std-keyed container is provably order-insensitive
+#      (keyed lookup, membership tests) are listed in
+#      tools/lint_determinism_allow.txt with a justification; everything
+#      else fails.
 #   3. Threads under a cell (std::thread, Mutex, Condvar, catch_unwind,
 #      unsafe) in sim, core, proto, fabric and check — a run is one event
 #      loop on the caller's thread, and every host-side cost the threaded
@@ -53,7 +63,7 @@
 set -u
 cd "$(dirname "$0")/.."
 
-DIRS="crates/sim/src crates/proto/src crates/fabric/src crates/mc/src crates/core/src"
+DIRS="crates/sim/src crates/proto/src crates/fabric/src crates/check/src crates/mc/src crates/core/src"
 ONE_THREAD_DIRS="crates/sim/src crates/core/src crates/proto/src crates/fabric/src crates/check/src"
 ALLOW="tools/lint_determinism_allow.txt"
 status=0
@@ -85,7 +95,7 @@ if [ -n "$hits" ]; then
     file=${hit%%:*}
     if ! printf '%s\n' "$allowed" | grep -qFx "$file"; then
       echo "$hit"
-      echo "lint_determinism: $file uses HashMap/HashSet but is not in $ALLOW"
+      echo "lint_determinism: $file spells HashMap/HashSet (use dsm_sim::rng::StableMap/StableSet) and is not in $ALLOW"
       status=1
     fi
   done <<<"$hits"
