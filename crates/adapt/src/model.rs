@@ -44,7 +44,7 @@ use dsm_obs::{SharingProfile, PROFILE_UNIT};
 pub const CANDIDATE_BLOCKS: [usize; 4] = [64, 256, 1024, 4096];
 
 /// Tunable weights of the cost model, calibrated once against the uniform
-/// protocol × granularity sweep (see `benches/extension_adaptive.rs`).
+/// protocol × granularity sweep (see `report --table ext-adaptive`).
 #[derive(Debug, Clone)]
 pub struct ModelParams {
     /// Fraction of a block's write rounds that re-fault each reader under

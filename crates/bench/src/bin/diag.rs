@@ -4,7 +4,7 @@
 //! ```text
 //! diag [APP] [PROTOCOL] [BLOCK] [--json] [--check] [--trace FILE]
 //!      [--critpath] [--series WINDOW_US]
-//!      [--adaptive] [--sweep] [--jobs N] [--fabric SPEC]
+//!      [--adaptive] [--fabric SPEC]
 //! ```
 //!
 //! Human-readable tables by default; `--json` switches to JSON Lines
@@ -19,10 +19,6 @@
 //! policy engine pin a protocol × granularity per region, and reports the
 //! mixed-mode run (per-region records carry the decision, the profiled
 //! sharing statistics it was based on, and the measured counters).
-//! `--sweep` ignores PROTOCOL/BLOCK and runs the application's full
-//! protocol × granularity grid on the parallel sweep executor. `--jobs N`
-//! sets the executor's worker count (default: `DSM_BENCH_JOBS`, else all
-//! cores).
 //! `--fabric SPEC` selects the network fabric model (`ideal`, `contended`,
 //! or `faulty[,seed=..,drop=..,...]`; same grammar as the `DSM_FABRIC`
 //! environment variable, which the flag overrides).
@@ -97,44 +93,6 @@ fn print_regions(r: &ExperimentResult, decisions: &[RegionDecision]) {
             println!("       {:<7} {}", p.name(), cells.join("  "));
         }
     }
-}
-
-/// `--sweep`: the full protocol × granularity grid for one application on
-/// the parallel executor, with host-side throughput per cell.
-fn run_sweep(name: &str, jobs: usize) {
-    eprintln!("sweeping {name} ({jobs} jobs) ...");
-    let started = std::time::Instant::now();
-    let grid = dsm_bench::sweep_app_jobs(name, jobs);
-    let wall = started.elapsed();
-    println!(
-        "  {:<7} {:>6} {:>9} {:>12} {:>10}",
-        "proto", "block", "speedup", "sim events", "check"
-    );
-    let mut events = 0u64;
-    for row in &grid {
-        for cell in row {
-            events += cell.stats.sim_events;
-            println!(
-                "  {:<7} {:>6} {:>9.2} {:>12} {:>10}",
-                cell.protocol,
-                cell.block,
-                cell.speedup(),
-                cell.stats.sim_events,
-                if cell.check_err.is_none() {
-                    "ok"
-                } else {
-                    "FAIL"
-                }
-            );
-        }
-    }
-    println!(
-        "{name}: {} cells in {:.2}s wall ({} sim events; {:.0} events/sec incl. cache hits)",
-        grid.iter().map(Vec::len).sum::<usize>(),
-        wall.as_secs_f64(),
-        events,
-        events as f64 / wall.as_secs_f64().max(1e-9)
-    );
 }
 
 /// Parse the `--mc` CONFIG string, run the exploration, print the report,
@@ -248,20 +206,17 @@ fn main() {
     let mut json = false;
     let mut check = false;
     let mut adaptive = false;
-    let mut sweep = false;
     let mut trace_path: Option<String> = None;
     let mut fabric_spec: Option<String> = None;
     let mut critpath = false;
     let mut series_us: Option<u64> = None;
     let mut mc_spec: Option<String> = None;
-    let mut jobs: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--json" => json = true,
             "--check" => check = true,
             "--adaptive" => adaptive = true,
-            "--sweep" => sweep = true,
             "--critpath" => critpath = true,
             "--series" => {
                 series_us = Some(
@@ -292,17 +247,6 @@ fn main() {
                     std::process::exit(2);
                 }))
             }
-            "--jobs" => {
-                jobs = Some(
-                    args.next()
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| {
-                            eprintln!("--jobs requires a positive integer");
-                            std::process::exit(2);
-                        }),
-                )
-            }
             _ => positional.push(a),
         }
     }
@@ -312,10 +256,6 @@ fn main() {
     let arg = |i: usize, default| positional.get(i).map_or(default, String::as_str);
     let name = arg(0, "lu");
     let program = app_arg(name).unwrap_or_else(|e| bad_arg("diag", e));
-    if sweep {
-        run_sweep(name, jobs.unwrap_or_else(dsm_bench::default_jobs));
-        return;
-    }
     let proto = protocol_arg(arg(1, "sc")).unwrap_or_else(|e| bad_arg("diag", e));
     let block = block_arg(arg(2, "64")).unwrap_or_else(|e| bad_arg("diag", e));
 

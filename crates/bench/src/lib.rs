@@ -1,13 +1,13 @@
 #![warn(missing_docs)]
 
-//! Benchmark harness: sweeps, result caching, paper reference data, and
-//! table rendering for regenerating every table and figure of the paper's
-//! evaluation section.
+//! Reproduction harness: the Standard grid, the paper's reference data,
+//! and every table and figure of the paper's evaluation as a section with
+//! named claims.
 //!
-//! Each `[[bench]]` target (custom harness) prints the paper's rows next to
-//! our measured values. Results are cached on disk under
-//! `target/dsm-results/` so the fault tables reuse the speedup sweep's runs;
-//! set `DSM_BENCH_REFRESH=1` to force re-running.
+//! [`Grid::standard`] runs every cell the sections read once, in memory;
+//! [`report::SECTIONS`] renders each table next to the paper's and checks
+//! its claims. `tests/paper_shape.rs` asserts them all and the `report`
+//! binary prints them (`report --table ID`).
 
 pub mod cli;
 pub mod paper;
@@ -16,6 +16,5 @@ pub mod report;
 pub mod sweep;
 
 pub use sweep::{
-    default_jobs, pool_map, run_cell, run_cell_fresh, run_cells, run_cells_fresh, sweep_all,
-    sweep_app, sweep_app_jobs, CellResult, CellSpec, GRANULARITIES,
+    default_jobs, pool_map, run_cell, run_cells, CellResult, CellSpec, Grid, GRANULARITIES,
 };

@@ -1,5 +1,5 @@
 //! Reference values from the paper, for side-by-side comparison in the
-//! bench output. Values come from the published text; entries that are
+//! report. Values come from the published text; entries that are
 //! illegible in the available copy are `None`.
 
 /// Paper §3 microbenchmark: message sizes and round-trip times (µs).
@@ -129,12 +129,79 @@ pub const PAPER_TABLE17_NOTES: &[&str] = &[
     "best fixed combination: HLRC @ 4096 (HM = 0.927)",
 ];
 
-/// Headline qualitative claims checked by the figure benches.
-pub const PAPER_CLAIMS: &[&str] = &[
-    "No single protocol x granularity combination wins everywhere",
-    "SC at fine grain is good for ~7/12 applications",
-    "HLRC at 4096 B is good for ~8/12 applications",
-    "HLRC beats SW-LRC at 4096 B for every application",
-    "Barnes-Original: relaxed protocols never beat fine-grain SC",
-    "Interrupts beat polling for LU (44-66% at 4096 B)",
+/// One row of paper Table 2: application, writers, access grain,
+/// computation ms per synchronization, barriers, synchronization grain.
+pub type Table2Row = (
+    &'static str,
+    &'static str,
+    &'static str,
+    &'static str,
+    &'static str,
+    &'static str,
+);
+
+/// Paper Table 2: classification of sharing patterns and synchronization
+/// granularity, one row per application.
+pub const PAPER_TABLE2: [Table2Row; 12] = [
+    ("lu", "single", "coarse", "71.69", "64", "coarse"),
+    ("ocean-rowwise", "single", "coarse", "9.88", "323", "coarse"),
+    ("ocean-original", "single", "fine", "5.85", "328", "coarse"),
+    ("fft", "single", "fine", "170.36", "10", "coarse"),
+    (
+        "water-nsquared",
+        "multiple",
+        "coarse",
+        "59.93",
+        "12",
+        "fine",
+    ),
+    (
+        "volrend-rowwise",
+        "multiple",
+        "fine",
+        "17.55",
+        "16",
+        "coarse",
+    ),
+    (
+        "volrend-original",
+        "multiple",
+        "fine",
+        "17.55",
+        "16",
+        "coarse",
+    ),
+    (
+        "water-spatial",
+        "multiple",
+        "fine",
+        "1439.83",
+        "18",
+        "coarse",
+    ),
+    ("raytrace", "multiple", "fine", "100.87", "1", "coarse"),
+    (
+        "barnes-spatial",
+        "multiple",
+        "fine",
+        "157.83",
+        "12",
+        "coarse",
+    ),
+    (
+        "barnes-partree",
+        "multiple",
+        "fine",
+        "73.93",
+        "13",
+        "coarse",
+    ),
+    (
+        "barnes-original",
+        "multiple",
+        "fine",
+        "0.12 (LRC)",
+        "8",
+        "fine",
+    ),
 ];

@@ -1,4 +1,4 @@
-//! `diag` and `probe` on malformed arguments: a one-line message naming the
+//! `diag`, `probe` and `report` on malformed arguments: a one-line message naming the
 //! argument and exit status 2 — never a panic.
 
 use std::process::Command;
@@ -29,4 +29,10 @@ fn probe_rejects_unknown_options_and_applications() {
     let probe = env!("CARGO_BIN_EXE_probe");
     rejects(probe, &["--help"], "--help");
     rejects(probe, &["lu", "nosuchapp"], "nosuchapp");
+}
+
+#[test]
+fn report_rejects_unknown_tables() {
+    let report = env!("CARGO_BIN_EXE_report");
+    rejects(report, &["--table", "t18"], "t18");
 }

@@ -3,7 +3,7 @@
 //!
 //! Every repetition is an independent deterministic simulation, so the
 //! output is bit-identical regardless of the pool width — the same property
-//! the sweep cache relies on. Aggregates are computed over the
+//! the cell sweeps rely on. Aggregates are computed over the
 //! repetition-ordered result list with a fixed summation order, so the
 //! whole JSONL document is byte-identical across invocations.
 

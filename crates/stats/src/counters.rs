@@ -4,7 +4,7 @@ use dsm_json::Value;
 
 /// Expands to the `Counters` struct plus its field-generic helpers, so the
 /// field list exists in exactly one place: adding a counter here updates
-/// `add`, JSON encode/decode, and `FIELD_NAMES` together. Merge modes:
+/// `add`, the JSON encoding, and `FIELD_NAMES` together. Merge modes:
 /// `sum` for cumulative counters, `max` for high-water marks.
 macro_rules! define_counters {
     ( $( $(#[$attr:meta])* $field:ident : $merge:tt ),+ $(,)? ) => {
@@ -38,10 +38,11 @@ macro_rules! define_counters {
                 v
             }
 
-            /// Decode from a JSON object; missing fields default to zero.
-            pub fn from_json(v: &Value) -> Counters {
+            /// Every field set to `x`.
+            #[cfg(test)]
+            fn splat(x: u64) -> Counters {
                 Counters {
-                    $( $field: v.u64_field(stringify!($field)).unwrap_or(0), )+
+                    $( $field: x, )+
                 }
             }
         }
@@ -169,7 +170,7 @@ pub struct RunStats {
     pub sequential_time_ns: u64,
     /// Simulator events processed to produce this run (a host-side
     /// throughput metric — not part of the modeled results; deterministic
-    /// for a given configuration, so cached results stay comparable).
+    /// for a given configuration).
     pub sim_events: u64,
 }
 
@@ -202,23 +203,6 @@ impl RunStats {
         v.set("sequential_time_ns", self.sequential_time_ns);
         v.set("sim_events", self.sim_events);
         v
-    }
-
-    /// Decode from a JSON object; `None` if the shape is wrong.
-    pub fn from_json(v: &Value) -> Option<RunStats> {
-        let per_node = v
-            .get("per_node")?
-            .as_arr()?
-            .iter()
-            .map(Counters::from_json)
-            .collect();
-        Some(RunStats {
-            per_node,
-            parallel_time_ns: v.u64_field("parallel_time_ns")?,
-            sequential_time_ns: v.u64_field("sequential_time_ns")?,
-            // Absent in pre-v3 cached results: default to 0.
-            sim_events: v.u64_field("sim_events").unwrap_or(0),
-        })
     }
 }
 
@@ -292,18 +276,11 @@ mod tests {
 
     #[test]
     fn totals_cover_every_field() {
-        // Build nodes whose every field is non-zero via the JSON decoder
-        // (the field list lives in one place, so this stays exhaustive as
-        // counters are added), then check the merge over all of them.
-        let all = |x: u64| {
-            let mut v = Value::obj();
-            for name in Counters::FIELD_NAMES {
-                v.set(name, x);
-            }
-            Counters::from_json(&v)
-        };
+        // Build nodes whose every field is non-zero (the field list lives
+        // in one place, so this stays exhaustive as counters are added),
+        // then check the merge over all of them.
         let s = RunStats {
-            per_node: vec![all(1), all(2), all(4)],
+            per_node: vec![Counters::splat(1), Counters::splat(2), Counters::splat(4)],
             parallel_time_ns: 1,
             sequential_time_ns: 1,
             sim_events: 0,
@@ -328,51 +305,10 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_counters() {
-        let c = Counters {
-            msgs_sent: 42,
-            compute_ns: u64::from(u32::MAX) * 1000,
-            twin_bytes_peak: 7,
-            ..Default::default()
-        };
-        let text = c.to_json().to_string();
-        let back = Counters::from_json(&Value::parse(&text).unwrap());
-        assert_eq!(back, c);
-        // every declared field appears in the encoding
+    fn to_json_has_every_field() {
+        let text = Counters::default().to_json().to_string();
         for name in Counters::FIELD_NAMES {
             assert!(text.contains(&format!("\"{name}\"")), "missing {name}");
         }
-    }
-
-    #[test]
-    fn json_roundtrip_run_stats() {
-        let s = RunStats {
-            per_node: vec![
-                Counters {
-                    read_faults: 3,
-                    ..Default::default()
-                },
-                Counters {
-                    msgs_sent: 9,
-                    ..Default::default()
-                },
-            ],
-            parallel_time_ns: 123,
-            sequential_time_ns: 456,
-            sim_events: 0,
-        };
-        let text = s.to_json().to_string();
-        let back = RunStats::from_json(&Value::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.per_node, s.per_node);
-        assert_eq!(back.parallel_time_ns, 123);
-        assert_eq!(back.sequential_time_ns, 456);
-    }
-
-    #[test]
-    fn from_json_defaults_missing_fields_to_zero() {
-        let v = Value::parse(r#"{"msgs_sent":5}"#).unwrap();
-        let c = Counters::from_json(&v);
-        assert_eq!(c.msgs_sent, 5);
-        assert_eq!(c.read_faults, 0);
     }
 }

@@ -303,21 +303,21 @@ fn two_node_cluster_is_a_valid_degenerate_case() {
 fn parallel_sweep_matches_serial() {
     // The sweep executor fans independent deterministic simulations across
     // worker threads; the results must be bit-identical to a serial sweep,
-    // in the same order. 2 apps x 2 protocols, cache bypassed.
-    use dsm_bench::sweep::{run_cells_fresh, CellSpec};
+    // in the same order. 2 apps x 2 protocols.
+    use dsm_bench::sweep::{run_cells, CellSpec};
     let mut specs = Vec::new();
     for app in ["lu", "water-nsquared"] {
         for p in [Protocol::SwLrc, Protocol::Hlrc] {
             specs.push(CellSpec::new(app, p, 1024));
         }
     }
-    let serial = run_cells_fresh(&specs, 1, AppSize::Small);
-    let parallel = run_cells_fresh(&specs, 4, AppSize::Small);
+    let serial = run_cells(&specs, 1, AppSize::Small);
+    let parallel = run_cells(&specs, 4, AppSize::Small);
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(
-            (a.app.as_str(), a.protocol.as_str(), a.block),
-            (b.app.as_str(), b.protocol.as_str(), b.block)
+            (a.app.as_str(), a.protocol, a.block),
+            (b.app.as_str(), b.protocol, b.block)
         );
         assert!(
             a.check_err.is_none(),
