@@ -186,16 +186,34 @@ impl DsmProgram for Lu {
     }
 }
 
+// The block kernels are host code, but their results are the model's: every
+// parallel cell is checked against the sequential image, and the tests pin
+// that image. So each element sees the same IEEE operations in the same
+// order as the plain triple loops kept under `tests::reference` — a
+// rewrite may change which loop is outermost where elements are
+// independent, never how one element is computed (no `mul_add`, no
+// reassociation, the `x != 0.0` skip kept). Rows are taken as slices so the
+// inner loops carry no bounds checks and the compiler sees that the row
+// being written and the row being read do not alias.
+
+/// `dst[j] -= x * src[j]` for every `j`.
+#[inline]
+fn axpy_sub(dst: &mut [f64], x: f64, src: &[f64]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d -= x * s;
+    }
+}
+
 /// In-place unpivoted LU of one block.
 fn lu0(a: &mut [f64], b: usize) {
     for c in 0..b {
-        let pivot = a[c * b + c];
-        for r in c + 1..b {
-            a[r * b + c] /= pivot;
-            let l = a[r * b + c];
-            for j in c + 1..b {
-                a[r * b + j] -= l * a[c * b + j];
-            }
+        let (upper, lower) = a.split_at_mut((c + 1) * b);
+        let row_c = &upper[c * b..];
+        let pivot = row_c[c];
+        for row in lower.chunks_exact_mut(b) {
+            row[c] /= pivot;
+            let l = row[c];
+            axpy_sub(&mut row[c + 1..], l, &row_c[c + 1..]);
         }
     }
 }
@@ -203,39 +221,61 @@ fn lu0(a: &mut [f64], b: usize) {
 /// Solve L(kk) · X = blk in place (perimeter row blocks).
 fn bdiv(kk: &[f64], blk: &mut [f64], b: usize) {
     for c in 0..b {
-        for r in c + 1..b {
-            let l = kk[r * b + c];
-            for j in 0..b {
-                blk[r * b + j] -= l * blk[c * b + j];
-            }
+        let (upper, lower) = blk.split_at_mut((c + 1) * b);
+        let row_c = &upper[c * b..];
+        for (row, kk_row) in lower
+            .chunks_exact_mut(b)
+            .zip(kk.chunks_exact(b).skip(c + 1))
+        {
+            axpy_sub(row, kk_row[c], row_c);
         }
     }
 }
 
-/// Solve X · U(kk) = blk in place (perimeter column blocks).
+/// Solve X · U(kk) = blk in place (perimeter column blocks). A row of the
+/// result depends on that row and `kk` only, so rows go outermost.
 fn bmodd(kk: &[f64], blk: &mut [f64], b: usize) {
-    for c in 0..b {
-        let pivot = kk[c * b + c];
-        for r in 0..b {
-            blk[r * b + c] /= pivot;
-            let x = blk[r * b + c];
-            for j in c + 1..b {
-                blk[r * b + j] -= x * kk[c * b + j];
-            }
+    for row in blk.chunks_exact_mut(b) {
+        for (c, kk_row) in kk.chunks_exact(b).enumerate() {
+            row[c] /= kk_row[c];
+            let x = row[c];
+            axpy_sub(&mut row[c + 1..], x, &kk_row[c + 1..]);
         }
     }
 }
 
-/// Interior update: blk -= ik · kj.
+/// Columns of an output row `bmod` keeps in registers across a whole row of
+/// `ik`.
+const CHUNK: usize = 8;
+
+/// Interior update: blk -= ik · kj. Each output row is taken `CHUNK`
+/// columns at a time, held in a local array while every row of `kj` is
+/// subtracted from it in order, then stored once; the last `b % CHUNK`
+/// columns one at a time the same way.
 fn bmod(ik: &[f64], kj: &[f64], blk: &mut [f64], b: usize) {
-    for r in 0..b {
-        for c in 0..b {
-            let x = ik[r * b + c];
-            if x != 0.0 {
-                for j in 0..b {
-                    blk[r * b + j] -= x * kj[c * b + j];
+    for (row, ik_row) in blk.chunks_exact_mut(b).zip(ik.chunks_exact(b)) {
+        let mut chunks = row.chunks_exact_mut(CHUNK);
+        for (i, out) in (&mut chunks).enumerate() {
+            let j0 = i * CHUNK;
+            let mut acc = [0.0f64; CHUNK];
+            acc.copy_from_slice(out);
+            for (&x, kj_row) in ik_row.iter().zip(kj.chunks_exact(b)) {
+                if x != 0.0 {
+                    axpy_sub(&mut acc, x, &kj_row[j0..j0 + CHUNK]);
                 }
             }
+            out.copy_from_slice(&acc);
+        }
+        let tail = chunks.into_remainder();
+        let j0 = b - tail.len();
+        for (j, out) in (j0..).zip(tail) {
+            let mut acc = *out;
+            for (&x, kj_row) in ik_row.iter().zip(kj.chunks_exact(b)) {
+                if x != 0.0 {
+                    acc -= x * kj_row[j];
+                }
+            }
+            *out = acc;
         }
     }
 }
@@ -243,6 +283,148 @@ fn bmod(ik: &[f64], kj: &[f64], blk: &mut [f64], b: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{app_sized, AppSize};
+    use dsm_core::run_sequential;
+    use dsm_sim::rng::StableHasher;
+
+    /// The kernels as plain indexed triple loops: the order of operations
+    /// the row-slice kernels above must reproduce bit for bit.
+    mod reference {
+        pub fn lu0(a: &mut [f64], b: usize) {
+            for c in 0..b {
+                let pivot = a[c * b + c];
+                for r in c + 1..b {
+                    a[r * b + c] /= pivot;
+                    let l = a[r * b + c];
+                    for j in c + 1..b {
+                        a[r * b + j] -= l * a[c * b + j];
+                    }
+                }
+            }
+        }
+
+        pub fn bdiv(kk: &[f64], blk: &mut [f64], b: usize) {
+            for c in 0..b {
+                for r in c + 1..b {
+                    let l = kk[r * b + c];
+                    for j in 0..b {
+                        blk[r * b + j] -= l * blk[c * b + j];
+                    }
+                }
+            }
+        }
+
+        pub fn bmodd(kk: &[f64], blk: &mut [f64], b: usize) {
+            for c in 0..b {
+                let pivot = kk[c * b + c];
+                for r in 0..b {
+                    blk[r * b + c] /= pivot;
+                    let x = blk[r * b + c];
+                    for j in c + 1..b {
+                        blk[r * b + j] -= x * kk[c * b + j];
+                    }
+                }
+            }
+        }
+
+        pub fn bmod(ik: &[f64], kj: &[f64], blk: &mut [f64], b: usize) {
+            for r in 0..b {
+                for c in 0..b {
+                    let x = ik[r * b + c];
+                    if x != 0.0 {
+                        for j in 0..b {
+                            blk[r * b + j] -= x * kj[c * b + j];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A `b × b` block of awkward values: zeros of both signs (the skip
+    /// branch), subnormals and magnitudes near 1e300 (overflow to infinities
+    /// and NaNs) among ordinary ones, diagonally dominant when `dominant`.
+    fn awkward_block(rng: &mut XorShift, b: usize, dominant: bool) -> Vec<f64> {
+        let mut blk: Vec<f64> = (0..b * b)
+            .map(|_| match rng.below(16) {
+                0 | 1 => 0.0,
+                2 => -0.0,
+                3 => rng.range_f64(-1.0, 1.0) * 1e-310,
+                4 => rng.range_f64(-1.0, 1.0) * 1e300,
+                _ => rng.range_f64(-1.0, 1.0),
+            })
+            .collect();
+        if dominant {
+            for i in 0..b {
+                blk[i * b + i] += b as f64;
+            }
+        }
+        blk
+    }
+
+    fn assert_same_bits(kernel: &str, b: usize, trial: usize, new: &[f64], old: &[f64]) {
+        let at = new
+            .iter()
+            .zip(old)
+            .position(|(x, y)| x.to_bits() != y.to_bits());
+        if let Some(i) = at {
+            panic!(
+                "{kernel} b={b} trial {trial}: element {i} is {:e}, reference {:e}",
+                new[i], old[i]
+            );
+        }
+    }
+
+    #[test]
+    fn kernels_are_the_reference_kernels_bit_for_bit() {
+        let mut rng = XorShift::new(0x5eed_0026);
+        for b in 1..=20 {
+            for trial in 0..6 {
+                let dominant = trial % 2 == 0;
+                let kk = awkward_block(&mut rng, b, dominant);
+                let other = awkward_block(&mut rng, b, dominant);
+                let blk = awkward_block(&mut rng, b, dominant);
+
+                let (mut new, mut old) = (kk.clone(), kk.clone());
+                lu0(&mut new, b);
+                reference::lu0(&mut old, b);
+                assert_same_bits("lu0", b, trial, &new, &old);
+
+                let (mut new, mut old) = (blk.clone(), blk.clone());
+                bdiv(&kk, &mut new, b);
+                reference::bdiv(&kk, &mut old, b);
+                assert_same_bits("bdiv", b, trial, &new, &old);
+
+                let (mut new, mut old) = (blk.clone(), blk.clone());
+                bmodd(&kk, &mut new, b);
+                reference::bmodd(&kk, &mut old, b);
+                assert_same_bits("bmodd", b, trial, &new, &old);
+
+                let (mut new, mut old) = (blk.clone(), blk.clone());
+                bmod(&kk, &other, &mut new, b);
+                reference::bmod(&kk, &other, &mut old, b);
+                assert_same_bits("bmod", b, trial, &new, &old);
+            }
+        }
+    }
+
+    #[test]
+    fn sequential_images_are_pinned() {
+        // Image fingerprints and modelled times of the sequential baseline,
+        // taken with the reference kernels: every LU cell is verified
+        // against this image, and every speedup divides by this time.
+        for (size, hash, time_ns) in [
+            (AppSize::Small, 0x3b1b_a92b_8b9d_07dd, 28_885_300),
+            (AppSize::Standard, 0x2422_c50a_b05f_dae1, 14_093_671_780),
+        ] {
+            let (img, t) = run_sequential(app_sized("lu", size).unwrap().as_ref());
+            assert_eq!(
+                (StableHasher::fingerprint(img.bytes()), t),
+                (hash, time_ns),
+                "{size:?} lu"
+            );
+        }
+    }
 
     #[test]
     fn proc_grid_is_square_for_16() {

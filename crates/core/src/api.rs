@@ -35,6 +35,10 @@ pub enum Dsm {
 /// a program and its run-time is one more state machine to enter and leave
 /// per access, which the optimizer does not flatten, and three of them
 /// around an 8-byte load cost a sequential run several times the load.
+/// The typed accessors are the one exception, and for the same reason:
+/// their parallel arm is not the sequential arm's function of the same name
+/// but the word path, which skips the state machine of the byte-slice loop
+/// on a hit.
 macro_rules! on_arm {
     ($self:ident, $d:ident => $op:expr) => {
         match $self {
@@ -44,21 +48,33 @@ macro_rules! on_arm {
     };
 }
 
-/// The typed accessors: little-endian `$t` at an address.
+/// The typed accessors: little-endian `$t` at an address. They are most of
+/// the accesses a program makes, so the parallel arm takes the word path
+/// ([`ParDsm::read_word`] / [`ParDsm::write_word`]): a word inside one block
+/// hits in one attempt without entering the byte-slice loop the bulk
+/// accessors use. The sequential arm is the byte-slice access.
 macro_rules! typed_accessors {
     ($($t:ident: $read:ident, $write:ident;)*) => {$(
         #[doc = concat!("Read a little-endian `", stringify!($t), "`.")]
         #[inline]
         pub async fn $read(&mut self, addr: usize) -> $t {
-            let mut b = [0u8; size_of::<$t>()];
-            on_arm!(self, d => d.read(addr, &mut b));
-            $t::from_le_bytes(b)
+            $t::from_le_bytes(match self {
+                Dsm::Seq(d) => {
+                    let mut b = [0u8; size_of::<$t>()];
+                    d.read(addr, &mut b);
+                    b
+                }
+                Dsm::Par(d) => d.read_word(addr).await,
+            })
         }
 
         #[doc = concat!("Write a little-endian `", stringify!($t), "`.")]
         #[inline]
         pub async fn $write(&mut self, addr: usize, v: $t) {
-            on_arm!(self, d => d.write(addr, &v.to_le_bytes()));
+            match self {
+                Dsm::Seq(d) => d.write(addr, &v.to_le_bytes()),
+                Dsm::Par(d) => d.write_word(addr, v.to_le_bytes()).await,
+            }
         }
     )*};
 }

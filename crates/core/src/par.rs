@@ -173,6 +173,30 @@ impl ParDsm {
         }
     }
 
+    /// The word path's handling of an attempt that did not hit: the local
+    /// or remote fault it names, as [`ParDsm::access`]'s loop handles it.
+    /// (`access` spells the match out: awaiting this inside its loop would
+    /// nest one more future in every bulk access's state.)
+    async fn miss(&mut self, tried: Attempt, kind: FaultKind) {
+        match tried {
+            Attempt::Done(_) => unreachable!("a hit is not a miss"),
+            Attempt::LocalFault(t, b) => self.local_fault(b, t).await,
+            Attempt::Fault(b) => self.fault(b, kind).await,
+        }
+    }
+
+    /// Refuse an access outside the shared space, naming it. The end is
+    /// computed with `checked_add`: an absurd address must not wrap past
+    /// this test and fail later on an anonymous index.
+    #[inline]
+    fn check_range(&self, addr: usize, len: usize) {
+        let size = self.layout.size();
+        assert!(
+            addr.checked_add(len).is_some_and(|end| end <= size),
+            "access of {len} bytes at {addr:#x} out of shared space of {size} bytes"
+        );
+    }
+
     /// One access to `[addr, addr+len)`: split at coherence-block boundaries,
     /// each piece attempted — `attempt(world, piece's block, piece address,
     /// piece's range of the buffer, now)` — and retried through local and
@@ -181,13 +205,23 @@ impl ParDsm {
     /// individually, so a spanning access never needs two contended blocks
     /// to be held simultaneously (which can livelock under false-sharing
     /// ping-pong). This loop is the only place an access is cut, so a piece
-    /// never spans and `ops` checks one block.
+    /// never spans and `ops` checks one block. `tried` attempts of the first
+    /// piece were already made and handled by the caller (the word path's
+    /// one attempt); they count toward the livelock bound.
+    ///
+    /// `attempt` is borrowed, not moved: the closure stays in the caller's
+    /// future and this one holds a pointer to it. Moved, it was copied into
+    /// this future's state at every call, stored field by field and
+    /// reloaded as one 16-byte load: a store-to-load forwarding stall worth
+    /// about 5 % of water-nsquared/HLRC@64 on x86-64 (EXPERIMENTS §
+    /// Simulator performance).
     async fn access(
         &mut self,
         addr: usize,
         len: usize,
         kind: FaultKind,
-        mut attempt: impl FnMut(
+        mut tried: u32,
+        attempt: &mut impl FnMut(
             &mut ProtoWorld,
             BlockId,
             usize,
@@ -195,12 +229,7 @@ impl ParDsm {
             Time,
         ) -> Attempt,
     ) {
-        assert!(
-            addr + len <= self.layout.size(),
-            "access [{addr:#x}, {:#x}) out of shared space of {} bytes",
-            addr + len,
-            self.layout.size()
-        );
+        self.check_range(addr, len);
         let mut off = 0;
         while off < len {
             let a = addr + off;
@@ -208,12 +237,12 @@ impl ParDsm {
             // block's boundary in the region's own granularity.
             let (b, block_end) = self.layout.locate(a);
             let take = (block_end - a).min(len - off);
-            let mut spins = 0u32;
+            let mut spins = std::mem::take(&mut tried);
             loop {
-                let tried = self
+                let got = self
                     .ctx
                     .world(|w, s| attempt(w, b, a, off..off + take, s.now()));
-                match tried {
+                match got {
                     Attempt::Done(t) => {
                         self.charge_local(t).await;
                         break;
@@ -226,6 +255,15 @@ impl ParDsm {
             }
             off += take;
         }
+    }
+
+    /// The block holding `[addr, addr + len)`, if one does (a word that
+    /// spans blocks has none), after the range check.
+    #[inline]
+    fn word_block(&self, addr: usize, len: usize) -> Option<BlockId> {
+        self.check_range(addr, len);
+        let (b, block_end) = self.layout.locate(addr);
+        (len <= block_end - addr).then_some(b)
     }
 
     /// Zero the node's statistics and mark the start of its measured phase.
@@ -243,18 +281,90 @@ impl ParDsm {
     #[inline]
     pub(crate) async fn read(&mut self, addr: usize, buf: &mut [u8]) {
         let me = self.me;
-        self.access(addr, buf.len(), FaultKind::Read, |w, b, a, piece, now| {
-            ops::try_read(w, me, b, a, &mut buf[piece], now)
-        })
+        self.access(
+            addr,
+            buf.len(),
+            FaultKind::Read,
+            0,
+            &mut |w, b, a, piece, now| ops::try_read(w, me, b, a, &mut buf[piece], now),
+        )
         .await;
     }
 
     #[inline]
     pub(crate) async fn write(&mut self, addr: usize, data: &[u8]) {
         let me = self.me;
-        self.access(addr, data.len(), FaultKind::Write, |w, b, a, piece, now| {
-            ops::try_write(w, me, b, a, &data[piece], now)
-        })
+        self.access(
+            addr,
+            data.len(),
+            FaultKind::Write,
+            0,
+            &mut |w, b, a, piece, now| ops::try_write(w, me, b, a, &data[piece], now),
+        )
+        .await;
+    }
+
+    /// A typed load of `N` bytes (the typed accessors of [`crate::Dsm`]).
+    /// A word inside one block is attempted once here, without building
+    /// [`ParDsm::access`]'s future: a hit is one charge, and a flush only
+    /// when that tips the quantum. A miss is handled as `access` handles it
+    /// — exactly once, since an attempt can report a fact (a Tardis lease
+    /// expiring) — and the load then continues in `access` with this
+    /// attempt counted. A word that spans blocks goes to `access` directly.
+    #[inline]
+    pub(crate) async fn read_word<const N: usize>(&mut self, addr: usize) -> [u8; N] {
+        let mut buf = [0u8; N];
+        let me = self.me;
+        let mut tried = 0;
+        if let Some(b) = self.word_block(addr, N) {
+            let got = self
+                .ctx
+                .world(|w, s| ops::try_read(w, me, b, addr, &mut buf, s.now()));
+            if let Attempt::Done(t) = got {
+                if self.local.charge(t) {
+                    self.flush().await;
+                }
+                return buf;
+            }
+            self.miss(got, FaultKind::Read).await;
+            tried = 1;
+        }
+        self.access(
+            addr,
+            N,
+            FaultKind::Read,
+            tried,
+            &mut |w, b, a, piece, now| ops::try_read(w, me, b, a, &mut buf[piece], now),
+        )
+        .await;
+        buf
+    }
+
+    /// A typed store of `N` bytes: [`ParDsm::read_word`]'s path, for stores.
+    #[inline]
+    pub(crate) async fn write_word<const N: usize>(&mut self, addr: usize, data: [u8; N]) {
+        let me = self.me;
+        let mut tried = 0;
+        if let Some(b) = self.word_block(addr, N) {
+            let got = self
+                .ctx
+                .world(|w, s| ops::try_write(w, me, b, addr, &data, s.now()));
+            if let Attempt::Done(t) = got {
+                if self.local.charge(t) {
+                    self.flush().await;
+                }
+                return;
+            }
+            self.miss(got, FaultKind::Write).await;
+            tried = 1;
+        }
+        self.access(
+            addr,
+            N,
+            FaultKind::Write,
+            tried,
+            &mut |w, b, a, piece, now| ops::try_write(w, me, b, a, &data[piece], now),
+        )
         .await;
     }
 

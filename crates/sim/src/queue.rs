@@ -133,6 +133,12 @@ impl<V> BucketQueue<V> {
         self.place(at, seq, v);
     }
 
+    // `#[inline]`: out of line, `v` arrives by pointer and is reloaded as
+    // one 16-byte load just after the caller stored it field by field — a
+    // store-to-load forwarding stall on every resume scheduled. Whether
+    // LLVM inlined it unasked depended on what else shared the codegen
+    // unit, so an unrelated change could turn the stall on.
+    #[inline]
     fn place(&mut self, at: Time, seq: u64, v: V) {
         let b = at >> BUCKET_SHIFT;
         debug_assert!(

@@ -58,6 +58,16 @@
 #      raise of access state could hand a node bytes it never received.
 #      No allowlist.
 #
+# A sixth keeps the applications' arithmetic the arithmetic the pinned
+# images were computed with:
+#
+#   6. No fused multiply-add in the applications. In non-test code of
+#      crates/apps/src, `mul_add` does not appear: it rounds once where
+#      `a - x * y` rounds twice, so it would change the sequential image
+#      every parallel cell is verified against, and the images the tests
+#      pin. A host kernel may be rewritten only operation for operation.
+#      No allowlist.
+#
 # Comment lines are ignored. Run from anywhere; CI runs it on every push.
 
 set -u
@@ -141,6 +151,18 @@ hits=$(find crates/proto/src -name '*.rs' | sort | xargs awk '
 if [ -n "$hits" ]; then
   echo "$hits"
   echo "lint_determinism: access raised outside ProtoWorld::grant — use w.grant(node, block, access) (no allowlist for this rule)"
+  status=1
+fi
+
+# Rule 6.
+hits=$(find crates/apps/src -name '*.rs' | sort | xargs awk '
+  FNR == 1 { in_tests = 0 }
+  /^#\[cfg\(test\)\]/ { in_tests = 1 }
+  in_tests || /^[[:space:]]*\/\// { next }
+  /mul_add/ { print FILENAME ":" FNR ":" $0 }')
+if [ -n "$hits" ]; then
+  echo "$hits"
+  echo "lint_determinism: fused multiply-add in application code changes the pinned images — keep each operation as the kernels had it (no allowlist for this rule)"
   status=1
 fi
 
