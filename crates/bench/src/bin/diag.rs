@@ -9,19 +9,19 @@
 //!
 //! Human-readable tables by default; `--json` switches to JSON Lines
 //! (per-node records with the time breakdown, one record per region, then
-//! a run record). `--check` (or `DSM_CHECK=1`) installs the happens-before
-//! race detector and protocol invariant checker on the run, prints every
-//! violation (one `"check"` JSONL record each under `--json`), and exits
-//! nonzero when any were found.
+//! a run record). `--check` installs the happens-before race detector and
+//! protocol invariant checker on the run, prints every violation (one
+//! `"check"` JSONL record each under `--json`), and exits nonzero when any
+//! were found.
 //! `--trace FILE` records the run and writes a Chrome
 //! trace-event file loadable in Perfetto (<https://ui.perfetto.dev>).
 //! `--adaptive` ignores PROTOCOL/BLOCK, profiles the application, lets the
 //! policy engine pin a protocol × granularity per region, and reports the
 //! mixed-mode run (per-region records carry the decision, the profiled
 //! sharing statistics it was based on, and the measured counters).
-//! `--fabric SPEC` selects the network fabric model (`ideal`, `contended`,
-//! or `faulty[,seed=..,drop=..,...]`; same grammar as the `DSM_FABRIC`
-//! environment variable, which the flag overrides).
+//! `--fabric SPEC` selects the network fabric model (`ideal`, the default,
+//! `contended`, or `faulty[,seed=..,drop=..,...]`; the grammar scenario
+//! plans use).
 //! `--critpath` enables causal span tracing, extracts the critical path
 //! that determined the parallel time, and prints the per-category
 //! attribution (one `"critpath"` JSONL record under `--json`). The
@@ -41,10 +41,15 @@
 //! violation example under `--json`) and exits nonzero when any schedule
 //! produced a violation.
 //!
-//! A malformed argument is a one-line message naming it and what it
-//! accepts, and exit status 2.
+//! `DSM_TRACE=<node>:<block>` (or `all`) prints an application run's
+//! protocol events for that node and block (or every event) on stderr as
+//! they happen; `--mc` ignores it. It is the one environment variable
+//! `diag` reads; no other setting of the shell changes a run.
+//!
+//! A malformed argument or `DSM_TRACE` value is a one-line message naming
+//! it and what it accepts, and exit status 2.
 use dsm_adapt::{choose_policies, profile_run, ModelParams, RegionDecision};
-use dsm_bench::cli::{app_arg, bad_arg, block_arg, protocol_arg};
+use dsm_bench::cli::{app_arg, bad_arg, block_arg, protocol_arg, trace_env};
 use dsm_bench::records::{
     check_record, config_record, mc_record, mc_violation_record, region_record,
 };
@@ -129,8 +134,11 @@ fn run_mc(spec: &str, json: bool) -> ! {
             "prog" => prog_name = v.to_string(),
             "nodes" => nodes = num() as usize,
             "rounds" => rounds = num() as usize,
-            "faults" => faults = num() as u32,
-            "block" => block = num() as usize,
+            "faults" => {
+                faults = u32::try_from(num())
+                    .unwrap_or_else(|_| bad(format!("faults must fit in 32 bits, got {v:?}")))
+            }
+            "block" => block = block_arg(v).unwrap_or_else(|e| bad(e)),
             "max" => max_schedules = num(),
             "steps" => max_steps = num(),
             "raw" => reduce = false,
@@ -259,20 +267,17 @@ fn main() {
     let proto = protocol_arg(arg(1, "sc")).unwrap_or_else(|e| bad_arg("diag", e));
     let block = block_arg(arg(2, "64")).unwrap_or_else(|e| bad_arg("diag", e));
 
-    // Flag wins over DSM_FABRIC; both share the same spec grammar.
-    let fabric = match (fabric_spec, FabricConfig::from_env()) {
-        (Some(spec), _) => FabricConfig::parse(&spec),
-        (None, Some(env)) => env,
-        (None, None) => Ok(FabricConfig::ideal()),
-    }
-    .unwrap_or_else(|e| {
-        eprintln!("bad fabric spec: {e}");
-        std::process::exit(2);
-    });
+    let fabric = fabric_spec
+        .map_or(Ok(FabricConfig::ideal()), |spec| FabricConfig::parse(&spec))
+        .unwrap_or_else(|e| {
+            eprintln!("bad fabric spec: {e}");
+            std::process::exit(2);
+        });
     let mut decisions: Vec<RegionDecision> = Vec::new();
     let mut cfg = RunConfig::new(proto, block)
         .with_profile()
         .with_fabric(fabric);
+    cfg.obs.trace = trace_env().unwrap_or_else(|e| bad_arg("diag", e));
     if check {
         cfg = cfg.with_check();
     }

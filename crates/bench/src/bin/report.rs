@@ -8,7 +8,8 @@
 //! cores), prints the chosen sections — all of them by default — and then
 //! the claims they check, one line each. Exits 1 if any claim fails. An
 //! unknown option or table id is a one-line message listing the valid ids,
-//! and exit status 2.
+//! and exit status 2, as is a `DSM_BENCH_JOBS` that is not a positive
+//! integer.
 use dsm_bench::cli::bad_arg;
 use dsm_bench::report::SECTIONS;
 use dsm_bench::{default_jobs, Grid};

@@ -7,9 +7,9 @@
 //!
 //! Cells are independent deterministic simulations, so [`run_cells`] fans
 //! them out over a small hand-rolled worker pool: results are
-//! bit-identical to a serial sweep regardless of the job count. The pool
-//! width comes from `DSM_BENCH_JOBS` (or the machine's available
-//! parallelism).
+//! bit-identical to a serial sweep regardless of the job count. Callers
+//! pass the pool width; [`default_jobs`] is `DSM_BENCH_JOBS`, read by
+//! [`cli::jobs_env`], or the machine's available parallelism.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -17,6 +17,8 @@ use std::sync::Mutex;
 use dsm_apps::AppSize;
 use dsm_core::{run_experiment, Notify, Protocol, RunConfig};
 use dsm_stats::RunStats;
+
+use crate::cli;
 
 /// The four granularities of the study.
 pub const GRANULARITIES: [usize; 4] = [64, 256, 1024, 4096];
@@ -74,20 +76,15 @@ impl CellSpec {
     }
 }
 
-/// Worker-pool width for sweeps: `DSM_BENCH_JOBS` if set to a positive
-/// integer, else the machine's available parallelism.
+/// Worker-pool width for sweeps: `DSM_BENCH_JOBS` if set, else the
+/// machine's available parallelism. A malformed `DSM_BENCH_JOBS` exits
+/// with status 2 ([`cli::jobs_env`]).
 pub fn default_jobs() -> usize {
-    if let Some(n) = std::env::var("DSM_BENCH_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        if n >= 1 {
-            return n;
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    cli::jobs_env().unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Run `f(i)` for every `i in 0..n` on up to `jobs` worker threads, returning

@@ -1,38 +1,92 @@
-//! `diag`, `probe` and `report` on malformed arguments: a one-line message naming the
-//! argument and exit status 2 — never a panic.
+//! `diag`, `probe` and `report` on malformed arguments or environment
+//! values: a one-line message naming the argument and exit status 2 —
+//! never a panic. And no other environment variable changes a run.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-fn rejects(bin: &str, args: &[&str], names: &str) {
-    let out = Command::new(bin).args(args).output().expect("binary runs");
+fn run(bin: &str, args: &[&str], env: &[(&str, &str)]) -> Output {
+    Command::new(bin)
+        .args(args)
+        .envs(env.iter().copied())
+        .output()
+        .expect("binary runs")
+}
+
+fn rejects(bin: &str, args: &[&str], env: &[(&str, &str)], names: &str) {
+    let out = run(bin, args, env);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert_eq!(out.status.code(), Some(2), "{env:?} {args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{env:?} {args:?}: {stderr}");
     assert!(
         stderr.contains(names),
-        "{args:?} must name {names:?}: {stderr}"
+        "{env:?} {args:?} must name {names:?}: {stderr}"
     );
-    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{env:?} {args:?}: {stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{env:?} {args:?}: ran before rejecting"
+    );
 }
 
 #[test]
 fn diag_rejects_malformed_positionals() {
     let diag = env!("CARGO_BIN_EXE_diag");
-    rejects(diag, &["lu", "mesi", "64"], "mesi");
-    rejects(diag, &["nosuchapp", "sc", "64"], "nosuchapp");
-    rejects(diag, &["lu", "sc", "sixty"], "sixty");
-    rejects(diag, &["lu", "sc", "100"], "100");
+    rejects(diag, &["lu", "mesi", "64"], &[], "mesi");
+    rejects(diag, &["nosuchapp", "sc", "64"], &[], "nosuchapp");
+    rejects(diag, &["lu", "sc", "sixty"], &[], "sixty");
+    rejects(diag, &["lu", "sc", "100"], &[], "100");
+    rejects(diag, &["--mc", "block=100"], &[], "100");
+    rejects(diag, &["--mc", "faults=4294967297"], &[], "4294967297");
+    rejects(
+        diag,
+        &["fft", "sc", "4096"],
+        &[("DSM_TRACE", "bogus")],
+        "DSM_TRACE",
+    );
 }
 
 #[test]
 fn probe_rejects_unknown_options_and_applications() {
     let probe = env!("CARGO_BIN_EXE_probe");
-    rejects(probe, &["--help"], "--help");
-    rejects(probe, &["lu", "nosuchapp"], "nosuchapp");
+    rejects(probe, &["--help"], &[], "--help");
+    rejects(probe, &["lu", "nosuchapp"], &[], "nosuchapp");
 }
 
 #[test]
-fn report_rejects_unknown_tables() {
+fn report_rejects_unknown_tables_and_job_counts() {
     let report = env!("CARGO_BIN_EXE_report");
-    rejects(report, &["--table", "t18"], "t18");
+    rejects(report, &["--table", "t18"], &[], "t18");
+    rejects(report, &[], &[("DSM_BENCH_JOBS", "zero")], "DSM_BENCH_JOBS");
+}
+
+/// The variables the library used to read change nothing, and `DSM_TRACE`
+/// is still `diag`'s stderr view.
+#[test]
+fn the_shell_configures_no_run() {
+    let diag = env!("CARGO_BIN_EXE_diag");
+    let args = ["fft", "sc", "4096"];
+    let plain = run(diag, &args, &[]);
+    assert!(plain.status.success());
+    let shell = run(
+        diag,
+        &args,
+        &[
+            ("DSM_CHECK", "1"),
+            ("DSM_SPANS", "1"),
+            ("DSM_FABRIC", "faulty"),
+        ],
+    );
+    assert!(shell.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&plain.stdout),
+        String::from_utf8_lossy(&shell.stdout)
+    );
+    let traced = run(diag, &args, &[("DSM_TRACE", "0:0")]);
+    assert!(traced.status.success());
+    assert_eq!(traced.stdout, plain.stdout);
+    let events = String::from_utf8_lossy(&traced.stderr);
+    assert!(
+        events.lines().any(|l| l.contains("] n0: ")),
+        "no event lines: {events}"
+    );
 }

@@ -3,7 +3,7 @@
 //!
 //! [`RunChecker`] implements the [`dsm_proto::Checker`] hook trait. It is
 //! installed on a [`dsm_proto::ProtoWorld`] by the run harness when checking
-//! is requested (`RunConfig::with_check` / `DSM_CHECK=1`) and is entirely
+//! is requested (`RunConfig::with_check`, or `diag --check`) and is entirely
 //! absent otherwise — the hooks observe the protocol but never charge
 //! virtual time or mutate protocol state, so a checked run produces
 //! bit-identical results to an unchecked one.

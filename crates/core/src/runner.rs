@@ -71,9 +71,9 @@ pub struct RunConfig {
     /// analytic fire-and-forget network bit-for-bit.
     pub fabric: FabricConfig,
     /// Install the happens-before race detector and protocol invariant
-    /// checker (`dsm-check`) on the run. Defaults to the `DSM_CHECK`
-    /// environment variable; off means zero checking cost and bit-identical
-    /// results to a build without the checker.
+    /// checker (`dsm-check`) on the run. Off by default
+    /// ([`RunConfig::with_check`] turns it on); off means zero checking
+    /// cost and bit-identical results to a build without the checker.
     pub check: bool,
     /// Deliberate protocol mutation for checker self-tests: which mutation
     /// and the seed selecting the occurrence. The mutation *sites* are only
@@ -94,12 +94,9 @@ impl RunConfig {
             cost: CostModel::default(),
             latency: LatencyModel::default(),
             first_touch: true,
-            obs: ObsConfig {
-                spans: std::env::var("DSM_SPANS").is_ok_and(|v| !v.is_empty() && v != "0"),
-                ..ObsConfig::default()
-            },
+            obs: ObsConfig::default(),
             fabric: FabricConfig::ideal(),
-            check: std::env::var("DSM_CHECK").is_ok_and(|v| !v.is_empty() && v != "0"),
+            check: false,
             mutation: None,
         }
     }
@@ -136,19 +133,12 @@ impl RunConfig {
 
     /// Same configuration with full event recording enabled.
     pub fn with_recording(mut self) -> Self {
-        let spans = self.obs.spans;
-        let series_window_ns = self.obs.series_window_ns;
-        self.obs = ObsConfig {
-            spans,
-            series_window_ns,
-            ..ObsConfig::recording()
-        };
+        self.obs.record_events = true;
         self
     }
 
-    /// Same configuration with causal span tracing enabled (also settable
-    /// via the `DSM_SPANS` environment variable). Spans never charge
-    /// virtual time: results stay bit-identical to a spans-off run.
+    /// Same configuration with causal span tracing enabled. Spans never
+    /// charge virtual time: results stay bit-identical to a spans-off run.
     pub fn with_spans(mut self) -> Self {
         self.obs.spans = true;
         self

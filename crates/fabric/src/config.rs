@@ -210,13 +210,6 @@ impl FabricConfig {
         }
         Ok(cfg)
     }
-
-    /// The spec from the `DSM_FABRIC` environment variable, if set.
-    /// Malformed values are an error (not silently ideal) so experiment
-    /// scripts fail loudly.
-    pub fn from_env() -> Option<Result<FabricConfig, String>> {
-        std::env::var("DSM_FABRIC").ok().map(|s| Self::parse(&s))
-    }
 }
 
 #[cfg(test)]

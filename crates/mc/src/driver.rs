@@ -506,7 +506,6 @@ fn run_config(cfg: &McConfig, prog: &MicroProgram) -> RunConfig {
         .with_static_homes()
         .with_fabric(fabric);
     rc.check = cfg.check;
-    rc.obs.spans = false;
     if let Some(m) = cfg.mutation {
         rc = rc.with_mutation(m, m.first_occurrence_seed());
     }

@@ -538,14 +538,13 @@ pub fn critical_path(report: &ObsReport, parallel_time_ns: u64) -> Option<CritPa
 mod tests {
     use super::*;
     use crate::event::EventKind;
-    use crate::filter::TraceFilter;
     use crate::recorder::{ObsConfig, Recorder};
     use crate::span::SpanLog;
 
     /// Build a report with a hand-written span log on two nodes, both
     /// measured from t=1000.
     fn report_with(log: SpanLog, ends: [u64; 2]) -> ObsReport {
-        let mut r = Recorder::with_trace(2, &ObsConfig::default(), TraceFilter::Off);
+        let mut r = Recorder::new(2, &ObsConfig::default());
         r.note_begin(0, 1000);
         r.note_begin(1, 1000);
         r.note_end(0, ends[0]);
@@ -562,7 +561,7 @@ mod tests {
 
     #[test]
     fn no_spans_yields_none() {
-        let mut r = Recorder::with_trace(1, &ObsConfig::default(), TraceFilter::Off);
+        let mut r = Recorder::new(1, &ObsConfig::default());
         let rep = r.take_report();
         assert!(critical_path(&rep, 100).is_none());
     }

@@ -71,7 +71,7 @@ macro_rules! define_events {
 
             /// Coherence block this event concerns, when it has one: the
             /// kind's `block` field. Selects the region the event is
-            /// counted under and feeds the `DSM_TRACE` per-block filter.
+            /// counted under and feeds the trace view's per-block filter.
             /// (`inline(always)`: see [`EventKind::count`].)
             #[inline(always)]
             #[allow(unused_variables)]

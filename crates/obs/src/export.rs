@@ -252,7 +252,6 @@ pub fn jsonl_metrics(report: &ObsReport, stats: &RunStats) -> String {
 mod tests {
     use super::*;
     use crate::event::EventKind;
-    use crate::filter::TraceFilter;
     use crate::recorder::{ObsConfig, Recorder};
     use dsm_stats::Counters;
 
@@ -262,7 +261,7 @@ mod tests {
             ring_capacity: 128,
             ..ObsConfig::default()
         };
-        let mut r = Recorder::with_trace(2, &cfg, TraceFilter::Off);
+        let mut r = Recorder::new(2, &cfg);
         r.note_begin(0, 0);
         r.note_begin(1, 0);
         r.record(
@@ -424,7 +423,7 @@ mod tests {
             series_window_ns: 1000,
             ..ObsConfig::default()
         };
-        let mut r = Recorder::with_trace(2, &cfg, TraceFilter::Off);
+        let mut r = Recorder::new(2, &cfg);
         r.note_begin(0, 0);
         r.note_begin(1, 0);
         r.record(

@@ -1,15 +1,12 @@
-//! The `DSM_TRACE` environment filter: a live stderr view over the
-//! structured event stream.
+//! The trace filter: a live stderr view over the structured event stream.
 //!
-//! Set `DSM_TRACE=<node>:<block>` (e.g. `DSM_TRACE=7:158`) to print every
-//! recorded protocol event touching that (node, block) pair, or
-//! `DSM_TRACE=all` to print everything (very verbose). Malformed values
-//! used to degrade silently to "off"; they now produce a one-time stderr
-//! warning naming the accepted forms.
+//! [`ObsConfig::trace`](crate::ObsConfig::trace) selects it, off by
+//! default. `One { node, block }` prints every recorded protocol event
+//! touching that (node, block) pair, and `All` prints everything (very
+//! verbose). The `diag` binary fills it in from `DSM_TRACE=<node>:<block>`
+//! or `DSM_TRACE=all`, parsed by [`TraceFilter::parse`].
 
-use std::sync::OnceLock;
-
-/// Which events the `DSM_TRACE` view prints.
+/// Which events the trace view prints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFilter {
     /// Print nothing (the default).
@@ -47,20 +44,6 @@ impl TraceFilter {
         let node = n.trim().parse::<usize>().map_err(|_| err())?;
         let block = b.trim().parse::<usize>().map_err(|_| err())?;
         Ok(TraceFilter::One { node, block })
-    }
-
-    /// Read the filter from the `DSM_TRACE` environment variable, caching
-    /// the result for the process lifetime. A malformed value is reported
-    /// once on stderr and treated as [`TraceFilter::Off`].
-    pub fn from_env() -> TraceFilter {
-        static F: OnceLock<TraceFilter> = OnceLock::new();
-        *F.get_or_init(|| match std::env::var("DSM_TRACE") {
-            Err(_) => TraceFilter::Off,
-            Ok(v) => TraceFilter::parse(&v).unwrap_or_else(|e| {
-                eprintln!("warning: ignoring {e}");
-                TraceFilter::Off
-            }),
-        })
     }
 
     /// True when an event on `node` concerning `block` should print.

@@ -14,9 +14,10 @@
 //! * a low-overhead [`Recorder`] — per-node ring buffers stamped with
 //!   virtual time, per-kind counts, log2 [`Hist`]ograms for fault service
 //!   latency, message and diff sizes, windowed time-series
-//!   ([`SeriesReport`]) for phase detection, the `DSM_TRACE` stderr view
-//!   ([`TraceFilter`]), and the segments and waits of the causal
-//!   [`SpanLog`] — one branch per event when every sink is off;
+//!   ([`SeriesReport`]) for phase detection, the stderr trace view
+//!   ([`TraceFilter`], selected by `ObsConfig::trace`), and the segments
+//!   and waits of the causal [`SpanLog`] — one branch per event when every
+//!   sink is off;
 //! * a per-node execution [`TimeBreakdown`] (compute / stalls / sync waits /
 //!   local protocol work / stolen occupancy / poll overhead) that sums to
 //!   the node's virtual wall time;

@@ -26,6 +26,9 @@ pub struct ObsConfig {
     pub spans: bool,
     /// Windowed time-series sampling width in virtual ns; 0 disables.
     pub series_window_ns: u64,
+    /// Live stderr view: which events to print as they are recorded. Off
+    /// by default; any other value makes the recorder active.
+    pub trace: TraceFilter,
 }
 
 impl Default for ObsConfig {
@@ -35,16 +38,7 @@ impl Default for ObsConfig {
             ring_capacity: 65_536,
             spans: false,
             series_window_ns: 0,
-        }
-    }
-}
-
-impl ObsConfig {
-    /// Convenience: a config with event recording on.
-    pub fn recording() -> ObsConfig {
-        ObsConfig {
-            record_events: true,
-            ..ObsConfig::default()
+            trace: TraceFilter::Off,
         }
     }
 }
@@ -78,9 +72,9 @@ struct NodeRec {
 ///
 /// Every sink it holds is a fold of the one stream [`Recorder::record`]
 /// receives: the rings, the per-kind counts, the histograms, the windowed
-/// series, the `DSM_TRACE` view, and the span log's segments and waits.
-/// When inactive (no recording, spans or series requested and `DSM_TRACE`
-/// off), `record` is a single branch — no allocation, no work.
+/// series, the trace view, and the span log's segments and waits. When
+/// inactive (no recording, spans, series or trace view requested),
+/// `record` is a single branch — no allocation, no work.
 #[derive(Debug)]
 pub struct Recorder {
     active: bool,
@@ -95,20 +89,14 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// Build a recorder for `nodes` nodes. Reads the `DSM_TRACE` filter
-    /// once; the recorder is active if any sink (rings, spans, series, the
-    /// trace view) is on.
+    /// Build a recorder for `nodes` nodes. The recorder is active if any
+    /// sink (rings, spans, series, the trace view) is on.
     pub fn new(nodes: usize, cfg: &ObsConfig) -> Recorder {
-        Recorder::with_trace(nodes, cfg, TraceFilter::from_env())
-    }
-
-    /// As [`Recorder::new`] with an explicit trace filter (for tests).
-    pub fn with_trace(nodes: usize, cfg: &ObsConfig, trace: TraceFilter) -> Recorder {
         Recorder {
-            active: cfg.record_events || cfg.spans || trace.is_on() || cfg.series_window_ns > 0,
+            active: cfg.record_events || cfg.spans || cfg.trace.is_on() || cfg.series_window_ns > 0,
             store_events: cfg.record_events,
             cap: cfg.ring_capacity,
-            trace,
+            trace: cfg.trace,
             spans: cfg.spans.then(|| Box::new(SpanLog::new())),
             series: (cfg.series_window_ns > 0)
                 .then(|| Box::new(SeriesRec::new(nodes, cfg.series_window_ns))),
@@ -346,7 +334,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_records_nothing() {
-        let mut r = Recorder::with_trace(2, &ObsConfig::default(), TraceFilter::Off);
+        let mut r = Recorder::new(2, &ObsConfig::default());
         assert!(!r.is_active());
         r.record(0, 10, EventKind::Interrupt);
         let rep = r.take_report();
@@ -362,7 +350,7 @@ mod tests {
             spans: true,
             ..ObsConfig::default()
         };
-        let mut r = Recorder::with_trace(1, &cfg, TraceFilter::Off);
+        let mut r = Recorder::new(1, &cfg);
         assert!(r.is_active());
         r.record(0, 40, EventKind::Advance { dur: 40 });
         r.record(
@@ -397,7 +385,7 @@ mod tests {
 
     #[test]
     fn ring_overflow_keeps_newest_in_order() {
-        let mut r = Recorder::with_trace(1, &cfg(4), TraceFilter::Off);
+        let mut r = Recorder::new(1, &cfg(4));
         for i in 0..10u64 {
             r.record(0, i, EventKind::Advance { dur: i });
         }
@@ -411,7 +399,7 @@ mod tests {
 
     #[test]
     fn histograms_fed_by_kinds() {
-        let mut r = Recorder::with_trace(1, &cfg(16), TraceFilter::Off);
+        let mut r = Recorder::new(1, &cfg(16));
         r.record(
             0,
             1,
@@ -449,7 +437,7 @@ mod tests {
 
     #[test]
     fn begin_discards_warmup_and_brackets_wall() {
-        let mut r = Recorder::with_trace(1, &cfg(16), TraceFilter::Off);
+        let mut r = Recorder::new(1, &cfg(16));
         r.record(0, 5, EventKind::Interrupt); // warm-up noise
         r.note_begin(0, 100);
         r.record(0, 150, EventKind::Interrupt);

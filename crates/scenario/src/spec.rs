@@ -183,7 +183,7 @@ pub struct ScenarioSpec {
     pub nodes: usize,
     /// Coherence policy.
     pub mode: Mode,
-    /// Fabric spec in the `DSM_FABRIC` grammar (`ideal`, `contended`,
+    /// Fabric spec in the `diag --fabric` grammar (`ideal`, `contended`,
     /// `faulty[,k=v,...]`). Stored as written; validated at parse time.
     pub fabric: String,
     /// Install the race detector + invariant checker on every repetition.

@@ -17,14 +17,20 @@ use dsm_apps::registry::{all_app_names, app_sized, AppSize};
 use dsm_json::Value;
 use dsm_obs::{chrome_trace, critical_path, series_jsonl, CritPath};
 
-/// Run one (app, protocol) cell with spans on and check every critical-path
-/// invariant: exact attribution, contiguous chronological tiling of the
-/// measured interval, and a sane speedup bound.
-fn check_critpath(app: &str, p: Protocol, block: usize) -> CritPath {
-    let program = app_sized(app, AppSize::Small).unwrap();
-    let cfg = RunConfig::new(p, block).with_spans();
-    let r = run_experiment(&cfg, program);
+/// Run one application under `cfg` with spans on and check that it
+/// verifies with no checker violation (there are none to find when `cfg`
+/// leaves the checker off) and every critical-path invariant: exact
+/// attribution, contiguous chronological tiling of the measured interval,
+/// and a sane speedup bound.
+fn check_critpath(app: &str, cfg: RunConfig, size: AppSize) -> CritPath {
+    let (p, block) = (cfg.protocol, cfg.block_size);
+    let r = run_experiment(&cfg.with_spans(), app_sized(app, size).unwrap());
     assert!(r.check.is_ok(), "{app} {p:?}@{block}: {:?}", r.check);
+    assert!(
+        r.violations.is_empty(),
+        "{app} {p:?}@{block}: {}",
+        r.violations[0]
+    );
     let spans = r.obs.spans.as_ref().expect("spans enabled");
     assert!(!spans.is_empty(), "{app} {p:?}@{block}: no span events");
     let cp = critical_path(&r.obs, r.stats.parallel_time_ns)
@@ -58,28 +64,41 @@ fn check_critpath(app: &str, p: Protocol, block: usize) -> CritPath {
 #[test]
 fn critpath_exact_all_apps_sc() {
     for app in all_app_names() {
-        check_critpath(app, Protocol::Sc, 4096);
+        check_critpath(app, RunConfig::new(Protocol::Sc, 4096), AppSize::Small);
     }
 }
 
 #[test]
 fn critpath_exact_all_apps_swlrc() {
     for app in all_app_names() {
-        check_critpath(app, Protocol::SwLrc, 4096);
+        check_critpath(app, RunConfig::new(Protocol::SwLrc, 4096), AppSize::Small);
     }
 }
 
 #[test]
 fn critpath_exact_all_apps_hlrc() {
     for app in all_app_names() {
-        check_critpath(app, Protocol::Hlrc, 4096);
+        check_critpath(app, RunConfig::new(Protocol::Hlrc, 4096), AppSize::Small);
     }
 }
 
 #[test]
 fn critpath_exact_all_apps_tardis() {
     for app in all_app_names() {
-        check_critpath(app, Protocol::Tardis, 4096);
+        check_critpath(app, RunConfig::new(Protocol::Tardis, 4096), AppSize::Small);
+    }
+}
+
+/// The paper's size, with the checker on, on four applications that cover
+/// its sharing styles (blocked, scatter-gather, lock-heavy irregular,
+/// all-pairs).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "Standard cells; run with --release")]
+fn critpath_exact_and_checker_clean_at_standard_size() {
+    for app in ["lu", "fft", "barnes-spatial", "water-nsquared"] {
+        for p in Protocol::ALL {
+            check_critpath(app, RunConfig::new(p, 4096).with_check(), AppSize::Standard);
+        }
     }
 }
 

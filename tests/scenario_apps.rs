@@ -2,12 +2,16 @@
 //! kernel, random-DRF generator) must behave like the twelve kernels:
 //! verify against their sequential runs and stay clean under the race
 //! detector + invariant checker, on every protocol at multiple
-//! granularities.
+//! granularities. The scenario plans bundled in `scenarios/` run clean and
+//! deterministically.
 
 use std::sync::Arc;
 
+use dsm::json::Value;
+use dsm::obs::schema::{SCENARIO, SCENARIO_AGGREGATE};
 use dsm::{run_checked, run_parallel, Protocol, RunConfig};
 use dsm_apps::{app_sized, modern_app_names, AppSize, KvZipf, PageRank};
+use dsm_scenario::{run_scenario, ScenarioSpec};
 
 /// Granularities exercised per protocol: the coarsest (pages) and a fine
 /// one, which together cover both false-sharing and fragmentation regimes.
@@ -116,4 +120,54 @@ fn modern_apps_region_hints_drive_mixed_mode() {
             .with_region_policies(vec![RegionPolicy::new(region, Protocol::Sc, 256)]);
         run_checked(&cfg, program);
     }
+}
+
+#[test]
+fn bundled_scenarios_run_clean_and_deterministically() {
+    // Every plan in the directory, so a new one is covered as it lands.
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
+    let mut plans: Vec<_> = std::fs::read_dir(dir)
+        .expect("scenarios/ is committed")
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    plans.sort();
+    assert!(!plans.is_empty(), "no plans in {dir}");
+    let mut aggregates = 0;
+    for path in &plans {
+        let text = std::fs::read_to_string(path).unwrap();
+        let spec = ScenarioSpec::parse(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        let name = spec.name.as_str();
+        let out = run_scenario(&spec, 1).unwrap();
+        let jsonl = out.jsonl();
+        assert_eq!(
+            jsonl,
+            run_scenario(&spec, 2).unwrap().jsonl(),
+            "{name}: the JSONL depends on the pool width"
+        );
+        // Verified against the sequential image, with no checker violation.
+        assert!(out.ok(), "{name}: {jsonl}");
+        for line in jsonl.lines() {
+            let rec = Value::parse(line).unwrap_or_else(|e| panic!("{name}: {e}: {line}"));
+            assert_eq!(rec.u64_field("schema"), Some(SCENARIO.1.into()), "{line}");
+            if rec.get("type").and_then(Value::as_str) == Some(SCENARIO_AGGREGATE.0) {
+                aggregates += 1;
+            }
+        }
+        let reps: Vec<_> = out.reps.iter().map(|r| r.stats.totals()).collect();
+        match name {
+            "drf-chaos" => assert!(
+                reps.iter().any(|t| t.fabric_retries > 0),
+                "the chaos plan never retransmitted"
+            ),
+            "tardis-lease-churn" => {
+                for t in &reps {
+                    assert!(t.lease_expiries > 0 && t.wts_bumps > 0, "{t:?}");
+                }
+                assert!(reps.iter().any(|t| t.fabric_retries > 0));
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(aggregates, plans.len(), "one aggregate record per plan");
 }

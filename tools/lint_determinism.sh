@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Determinism lint for the hot-path crates (sim, proto, fabric, check, mc,
-# core), the one-stream rule for telemetry (proto, core) and the grant rule
-# for access state (proto).
+# core), the one-stream rule for telemetry (proto, core), the grant rule
+# for access state (proto), the arithmetic rule for the applications and
+# the no-environment rule for every library crate.
 #
 # The whole stack depends on bit-identical replay: the engine's state
 # hashes, the model checker's replay-based exploration, and the golden
@@ -67,6 +68,18 @@
 #      every parallel cell is verified against, and the images the tests
 #      pin. A host kernel may be rewritten only operation for operation.
 #      No allowlist.
+#
+# A seventh keeps a run a function of the configuration its caller built:
+#
+#   7. The library reads no environment. Under crates/*/src, `env::var`,
+#      `env::var_os`, `env::vars` and `env::vars_os` appear only in a
+#      binary (`src/bin/`) and in crates/bench/src/cli.rs, which parses the
+#      two variables the tools honour (`DSM_TRACE`, `DSM_BENCH_JOBS`) under
+#      the rule for a flag: a malformed value is one line naming it, and
+#      exit status 2. A constructor that reads the shell changes every
+#      configuration built anywhere — the paper's grid, the golden
+#      fixtures, the benchmark — without appearing in any of them; a flag
+#      or a builder method says what it changes. No allowlist.
 #
 # Comment lines are ignored. Run from anywhere; CI runs it on every push.
 
@@ -163,6 +176,15 @@ hits=$(find crates/apps/src -name '*.rs' | sort | xargs awk '
 if [ -n "$hits" ]; then
   echo "$hits"
   echo "lint_determinism: fused multiply-add in application code changes the pinned images — keep each operation as the kernels had it (no allowlist for this rule)"
+  status=1
+fi
+
+# Rule 7.
+hits=$(matches '\benv::vars?(_os)?\b' "$(echo crates/*/src)" |
+  grep -v -e '^crates/[a-z]*/src/bin/' -e '^crates/bench/src/cli\.rs:')
+if [ -n "$hits" ]; then
+  echo "$hits"
+  echo "lint_determinism: a library crate reads the environment — take the value as configuration, and read the variable in a binary or crates/bench/src/cli.rs (no allowlist for this rule)"
   status=1
 fi
 
