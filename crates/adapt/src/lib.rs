@@ -8,15 +8,19 @@
 //! that observation into a runtime: it profiles an application once at the
 //! finest configuration (SC @ 64 bytes, exact per-64-byte-unit sharing
 //! profile), aggregates the paper's Table 2 statistics per program-declared
-//! region, prices every candidate combination with the Myrinet-calibrated
-//! cost model, and pins one policy per region for a mixed-mode run in which
-//! SC, SW-LRC and HLRC regions coexist.
+//! region, prices every candidate combination with the run's Myrinet-
+//! calibrated cost and latency models (the analytic model's own weights are
+//! constants, calibrated once against the uniform sweep), and pins one
+//! policy per region for a mixed-mode run in which SC, SW-LRC, HLRC and
+//! Tardis regions coexist.
 //!
 //! Adaptation is offline — profile run, then pinned policy — which matches
 //! the paper's methodology of choosing per-application configurations from
 //! measured sharing statistics. [`choose_policies`] is a pure function of a
-//! [`ProfileData`], so an online variant can re-invoke it on a fresh
-//! profiling window at any barrier epoch.
+//! [`ProfileData`] and the base configuration, so an online variant can
+//! re-invoke it on a fresh profiling window at any barrier epoch;
+//! [`AdaptPlan::apply`] is the one place a plan becomes a
+//! [`dsm_core::RunConfig`].
 //!
 //! ```no_run
 //! use dsm_adapt::run_adaptive;
@@ -34,9 +38,7 @@
 pub mod model;
 pub mod plan;
 
-pub use model::{
-    predict_region_ns, summarize_region, ModelParams, RegionProfile, CANDIDATE_BLOCKS,
-};
+pub use model::{predict_region_ns, summarize_region, RegionProfile, CANDIDATE_BLOCKS};
 pub use plan::{
     choose_policies, profile_run, run_adaptive, AdaptPlan, ProfileData, RegionDecision, PLAN_ALIGN,
 };

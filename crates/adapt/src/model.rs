@@ -43,52 +43,36 @@ use dsm_obs::{SharingProfile, PROFILE_UNIT};
 /// The candidate coherence granularities (the paper's studied block sizes).
 pub const CANDIDATE_BLOCKS: [usize; 4] = [64, 256, 1024, 4096];
 
-/// Tunable weights of the cost model, calibrated once against the uniform
-/// protocol × granularity sweep (see `report --table ext-adaptive`).
-#[derive(Debug, Clone)]
-pub struct ModelParams {
-    /// Fraction of a block's write rounds that re-fault each reader under
-    /// SC's eager invalidation.
-    pub sc_read_refault: f64,
-    /// Write-write false-sharing amplification under SC: interleaved
-    /// writers steal a merged block from each other mid-interval, so each
-    /// extra writer amplifies the profiled fault count by this factor.
-    pub sc_ww_amp: f64,
-    /// Fraction of a block's dirty intervals that re-fault each reader
-    /// under LRC's acquire-time invalidation.
-    pub lrc_read_refault: f64,
-    /// Per-peer cost of creating, shipping and applying one write notice
-    /// (charged per dirty block interval to both LRC protocols), ns.
-    pub notice_ns: f64,
-    /// SW-LRC per-writer-interval bookkeeping: write re-enable, version
-    /// advance and the serial drain of the flush queue at release, ns.
-    pub swlrc_interval_ns: f64,
-    /// Per-block fixed protocol state overhead, in ns — a small tie-breaker
-    /// that penalizes needlessly fine blocks.
-    pub per_block_ns: f64,
-    /// Tardis: cost of one header-only lease renewal round trip (fault
-    /// exception, control request and control reply — no payload). Charged
-    /// per reader per dirty interval on blocks whose data the reader
-    /// already holds, discounted by `lrc_read_refault` — a lease spanning
-    /// `vt::LEASE_TS` ticks outlives most intervals, so only the same
-    /// fraction of reads that would re-fault under acquire-time
-    /// invalidation actually reach the home for a renewal.
-    pub tardis_renewal_ns: f64,
-}
+// Weights of the cost model, calibrated once against the uniform protocol ×
+// granularity sweep (see `report --table ext-adaptive`).
 
-impl Default for ModelParams {
-    fn default() -> Self {
-        ModelParams {
-            sc_read_refault: 1.0,
-            sc_ww_amp: 0.5,
-            lrc_read_refault: 0.4,
-            notice_ns: 400.0,
-            swlrc_interval_ns: 50_000.0,
-            per_block_ns: 40.0,
-            tardis_renewal_ns: 25_000.0,
-        }
-    }
-}
+/// Fraction of a block's write rounds that re-fault each reader under SC's
+/// eager invalidation.
+const SC_READ_REFAULT: f64 = 1.0;
+/// Write-write false-sharing amplification under SC: interleaved writers
+/// steal a merged block from each other mid-interval, so each extra writer
+/// amplifies the profiled fault count by this factor.
+const SC_WW_AMP: f64 = 0.5;
+/// Fraction of a block's dirty intervals that re-fault each reader under
+/// LRC's acquire-time invalidation.
+const LRC_READ_REFAULT: f64 = 0.4;
+/// Per-peer cost of creating, shipping and applying one write notice
+/// (charged per dirty block interval to both LRC protocols), ns.
+const NOTICE_NS: f64 = 400.0;
+/// SW-LRC per-writer-interval bookkeeping: write re-enable, version advance
+/// and the serial drain of the flush queue at release, ns.
+const SWLRC_INTERVAL_NS: f64 = 50_000.0;
+/// Per-block fixed protocol state overhead, in ns — a small tie-breaker
+/// that penalizes needlessly fine blocks.
+const PER_BLOCK_NS: f64 = 40.0;
+/// Tardis: cost of one header-only lease renewal round trip (fault
+/// exception, control request and control reply — no payload). Charged per
+/// reader per dirty interval on blocks whose data the reader already holds,
+/// discounted by [`LRC_READ_REFAULT`] — a lease spanning `vt::LEASE_TS`
+/// ticks outlives most intervals, so only the same fraction of reads that
+/// would re-fault under acquire-time invalidation actually reach the home
+/// for a renewal.
+const TARDIS_RENEWAL_NS: f64 = 25_000.0;
 
 /// Sharing statistics of one region, aggregated from the unit profile
 /// (diagnostic output of the policy engine).
@@ -177,7 +161,6 @@ pub fn predict_region_ns(
     nodes: usize,
     cost: &CostModel,
     lat: &LatencyModel,
-    params: &ModelParams,
 ) -> f64 {
     let (u0, u1) = unit_range(profile, start, len);
     let upb = block / PROFILE_UNIT;
@@ -234,7 +217,7 @@ pub fn predict_region_ns(
         if wf_sum == 0 && rf_sum == 0 {
             continue;
         }
-        total += params.per_block_ns;
+        total += PER_BLOCK_NS;
         let nw = wmask.count_ones() as f64;
         // Readers that are not also writers (a writer re-reads its own
         // copy for free).
@@ -260,14 +243,14 @@ pub fn predict_region_ns(
                     // Interleaved writers steal the merged block from each
                     // other mid-interval, re-faulting beyond the profiled
                     // per-unit sum.
-                    (wf_sum as f64 * (1.0 + params.sc_ww_amp * (nw - 1.0)), fetch)
+                    (wf_sum as f64 * (1.0 + SC_WW_AMP * (nw - 1.0)), fetch)
                 };
                 // Readers are eagerly invalidated every write round and
                 // re-fetch.
                 let rd = if nw == 0.0 {
                     rd_base
                 } else {
-                    rd_base.max(params.sc_read_refault * nr * wr)
+                    rd_base.max(SC_READ_REFAULT * nr * wr)
                 };
                 wr * (wcost + nr * inval) + rd * fetch
             }
@@ -283,13 +266,13 @@ pub fn predict_region_ns(
                     // in tow.
                     (wf_sum as f64, fetch + forward)
                 };
-                let rd = lrc_read_rounds(params, nw, nr, rd_base, intervals);
+                let rd = lrc_read_rounds(nw, nr, rd_base, intervals);
                 // Readers fetch straight from the owner: the probable-owner
                 // chain collapses after its first traversal, so no forward
                 // hop is charged on the read path.
                 wr * wcost
-                    + nw * intervals * params.swlrc_interval_ns
-                    + intervals * peers * params.notice_ns
+                    + nw * intervals * SWLRC_INTERVAL_NS
+                    + intervals * peers * NOTICE_NS
                     + rd * fetch
             }
             Protocol::Hlrc => {
@@ -302,8 +285,8 @@ pub fn predict_region_ns(
                 let wcost = (cost.fault_exception_ns + cost.twin_cost(g)) as f64
                     + cost.diff_scan_cost(g) as f64
                     + (lat.one_way(MSG_HEADER_BYTES + dirty) + cost.diff_apply_cost(dirty)) as f64;
-                let rd = lrc_read_rounds(params, nw, nr, rd_base, intervals);
-                wr * wcost + intervals * peers * params.notice_ns + rd * fetch
+                let rd = lrc_read_rounds(nw, nr, rd_base, intervals);
+                wr * wcost + intervals * peers * NOTICE_NS + rd * fetch
             }
             Protocol::Tardis => {
                 // Writes: exclusive grants through the static home. A lone
@@ -319,13 +302,13 @@ pub fn predict_region_ns(
                 };
                 // Reads: leases self-expire against the program timestamp,
                 // so re-fetch rounds mirror acquire-time invalidation...
-                let rd = lrc_read_rounds(params, nw, nr, rd_base, intervals);
+                let rd = lrc_read_rounds(nw, nr, rd_base, intervals);
                 // ... and readers additionally renew leases header-only on
                 // blocks whose data outlived the interval.
                 let renewals = if nw == 0.0 {
                     0.0
                 } else {
-                    params.lrc_read_refault * nr * intervals * params.tardis_renewal_ns
+                    LRC_READ_REFAULT * nr * intervals * TARDIS_RENEWAL_NS
                 };
                 wr * wcost + rd * fetch + renewals
             }
@@ -336,11 +319,11 @@ pub fn predict_region_ns(
 
 /// Read rounds under lazy (acquire-time) invalidation: cold/true-sharing
 /// faults, plus re-fetches after intervals that dirtied the block.
-fn lrc_read_rounds(params: &ModelParams, nw: f64, nr: f64, rd_base: f64, intervals: f64) -> f64 {
+fn lrc_read_rounds(nw: f64, nr: f64, rd_base: f64, intervals: f64) -> f64 {
     if nw == 0.0 {
         rd_base
     } else {
-        rd_base.max(params.lrc_read_refault * nr * intervals)
+        rd_base.max(LRC_READ_REFAULT * nr * intervals)
     }
 }
 
@@ -358,7 +341,6 @@ mod tests {
             16,
             &CostModel::default(),
             &LatencyModel::default(),
-            &ModelParams::default(),
         )
     }
 

@@ -11,9 +11,7 @@ use dsm_core::{
 use dsm_json::Value;
 use dsm_obs::SharingProfile;
 
-use crate::model::{
-    predict_region_ns, summarize_region, ModelParams, RegionProfile, CANDIDATE_BLOCKS,
-};
+use crate::model::{predict_region_ns, summarize_region, RegionProfile, CANDIDATE_BLOCKS};
 
 /// Alignment at which the policy engine carves regions — the coarsest
 /// candidate granularity, matching the runner's own mixed-mode carving.
@@ -106,6 +104,14 @@ impl AdaptPlan {
             .map(|d| RegionPolicy::new(&d.profile.name, d.protocol, d.block))
             .collect()
     }
+
+    /// `cfg` running this plan: the uniform winner as the run's default
+    /// policy, and one policy per region.
+    pub fn apply(&self, mut cfg: RunConfig) -> RunConfig {
+        cfg.protocol = self.uniform.0;
+        cfg.block_size = self.uniform.1;
+        cfg.with_region_policies(self.policies())
+    }
 }
 
 /// Keep the per-region plan only when it predicts at least this much
@@ -117,12 +123,7 @@ const MIX_HYSTERESIS: f64 = 0.6;
 
 /// Choose a protocol × granularity combination for every region of
 /// `program` from its sharing profile.
-pub fn choose_policies(
-    program: &Program,
-    data: &ProfileData,
-    cfg: &RunConfig,
-    params: &ModelParams,
-) -> AdaptPlan {
+pub fn choose_policies(program: &Program, data: &ProfileData, cfg: &RunConfig) -> AdaptPlan {
     // Programs whose relaxed-consistency variant needs extra synchronization
     // (the paper's Barnes: per-cell locking on every tree descent) declare
     // it; the engine prices that as prohibitive and stays with SC.
@@ -151,7 +152,6 @@ pub fn choose_policies(
                                 cfg.nodes,
                                 &cfg.cost,
                                 &cfg.latency,
-                                params,
                             )
                         } else {
                             f64::INFINITY
@@ -222,12 +222,8 @@ pub fn choose_policies(
 /// experiment under them.
 pub fn run_adaptive(base: &RunConfig, program: Program) -> (AdaptPlan, ExperimentResult) {
     let data = profile_run(&program);
-    let plan = choose_policies(&program, &data, base, &ModelParams::default());
-    let mut cfg = base.clone();
-    cfg.protocol = plan.uniform.0;
-    cfg.block_size = plan.uniform.1;
-    let cfg = cfg.with_region_policies(plan.policies());
-    let result = run_experiment(&cfg, program);
+    let plan = choose_policies(&program, &data, base);
+    let result = run_experiment(&plan.apply(base.clone()), program);
     (plan, result)
 }
 
@@ -241,7 +237,7 @@ mod tests {
         let program = app_sized("barnes-original", AppSize::Small).unwrap();
         let data = profile_run(&program);
         let cfg = RunConfig::new(Protocol::Sc, 64);
-        let plan = choose_policies(&program, &data, &cfg, &ModelParams::default());
+        let plan = choose_policies(&program, &data, &cfg);
         assert_eq!(plan.decisions.len(), data.spans.len());
         for d in &plan.decisions {
             // Barnes-Original declares extra LRC synchronization: SC only.
@@ -259,7 +255,7 @@ mod tests {
         let program = app_sized("fft", AppSize::Small).unwrap();
         let data = profile_run(&program);
         let cfg = RunConfig::new(Protocol::Sc, 64);
-        let plan = choose_policies(&program, &data, &cfg, &ModelParams::default());
+        let plan = choose_policies(&program, &data, &cfg);
         if !plan.mixed {
             for d in &plan.decisions {
                 assert_eq!((d.protocol, d.block), plan.uniform);

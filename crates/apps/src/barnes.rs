@@ -8,10 +8,10 @@
 //!   to see fresh pointers — the extra synchronization the paper reports
 //!   (2,086 vs 17,167 lock operations) that makes Barnes-Original the one
 //!   application relaxed protocols never rescue.
-//! * [`BarnesPartree`] — processors group their particles by the static
+//! * [`BarnesVariant::Partree`] — processors group their particles by the static
 //!   top-two-level octant and merge whole buckets under one lock per
 //!   bucket: far fewer lock operations.
-//! * [`BarnesSpatial`] — processors own fixed spatial buckets, collect the
+//! * [`BarnesVariant::Spatial`] — processors own fixed spatial buckets, collect the
 //!   particles falling in them (reading every particle), and build their
 //!   subtrees privately: no locks at all, only barriers, at the cost of
 //!   load imbalance.

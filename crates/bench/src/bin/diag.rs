@@ -48,7 +48,7 @@
 //!
 //! A malformed argument or `DSM_TRACE` value is a one-line message naming
 //! it and what it accepts, and exit status 2.
-use dsm_adapt::{choose_policies, profile_run, ModelParams, RegionDecision};
+use dsm_adapt::{choose_policies, profile_run, RegionDecision};
 use dsm_bench::cli::{app_arg, bad_arg, block_arg, protocol_arg, trace_env};
 use dsm_bench::records::{
     check_record, config_record, mc_record, mc_violation_record, region_record,
@@ -217,7 +217,7 @@ fn main() {
     let mut trace_path: Option<String> = None;
     let mut fabric_spec: Option<String> = None;
     let mut critpath = false;
-    let mut series_us: Option<u64> = None;
+    let mut series_ns: Option<u64> = None;
     let mut mc_spec: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -227,12 +227,17 @@ fn main() {
             "--adaptive" => adaptive = true,
             "--critpath" => critpath = true,
             "--series" => {
-                series_us = Some(
+                series_ns = Some(
                     args.next()
                         .and_then(|v| v.parse::<u64>().ok())
                         .filter(|&w| w >= 1)
+                        .and_then(|us| us.checked_mul(1_000))
                         .unwrap_or_else(|| {
-                            eprintln!("--series requires a window width in microseconds");
+                            eprintln!(
+                                "--series requires a window width in microseconds, \
+                                 from 1 to {}",
+                                u64::MAX / 1_000
+                            );
                             std::process::exit(2);
                         }),
                 )
@@ -274,19 +279,15 @@ fn main() {
             std::process::exit(2);
         });
     let mut decisions: Vec<RegionDecision> = Vec::new();
-    let mut cfg = RunConfig::new(proto, block)
-        .with_profile()
-        .with_fabric(fabric);
+    let mut cfg = RunConfig::new(proto, block).with_fabric(fabric);
     cfg.obs.trace = trace_env().unwrap_or_else(|e| bad_arg("diag", e));
     if check {
         cfg = cfg.with_check();
     }
     if adaptive {
         let data = profile_run(&program);
-        let plan = choose_policies(&program, &data, &cfg, &ModelParams::default());
-        cfg.protocol = plan.uniform.0;
-        cfg.block_size = plan.uniform.1;
-        cfg = cfg.with_region_policies(plan.policies());
+        let plan = choose_policies(&program, &data, &cfg);
+        cfg = plan.apply(cfg);
         decisions = plan.decisions;
     }
     if trace_path.is_some() {
@@ -295,8 +296,8 @@ fn main() {
     if critpath {
         cfg = cfg.with_spans();
     }
-    if let Some(us) = series_us {
-        cfg = cfg.with_series(us * 1_000);
+    if let Some(ns) = series_ns {
+        cfg = cfg.with_series(ns);
     }
     let r = run_experiment(&cfg, program);
 
@@ -342,7 +343,7 @@ fn main() {
         if let Some(cp) = &cp {
             println!("{}", cp.to_json(10));
         }
-        if series_us.is_some() {
+        if series_ns.is_some() {
             print!("{}", series_jsonl(&r.obs));
         }
         if !r.violations.is_empty() {

@@ -39,6 +39,18 @@ fn diag_rejects_malformed_positionals() {
     rejects(diag, &["--mc", "faults=4294967297"], &[], "4294967297");
     rejects(
         diag,
+        &["lu", "sc", "64", "--fabric", "faulty,drop=4294967297"],
+        &[],
+        "drop",
+    );
+    rejects(
+        diag,
+        &["lu", "sc", "64", "--series", "18446744073709552"],
+        &[],
+        "--series",
+    );
+    rejects(
+        diag,
         &["fft", "sc", "4096"],
         &[("DSM_TRACE", "bogus")],
         "DSM_TRACE",

@@ -37,7 +37,7 @@ pub use dsm_check::RunChecker;
 pub use dsm_fabric::{FabricConfig, FaultPlan, NiModel, RetryPolicy};
 pub use dsm_net::{CostModel, LatencyModel, Notify};
 pub use dsm_obs::schema;
-pub use dsm_proto::{Checker, Mutation, ProtoConfig, Protocol, Violation};
+pub use dsm_proto::{Checker, Mutation, Protocol, Violation};
 pub use dsm_sim::rng;
 pub use dsm_sim::NodeFuture;
 pub use dsm_stats::{Counters, RunStats};

@@ -75,7 +75,7 @@ impl ParDsm {
     pub fn new(mut ctx: NodeHandle<ProtoWorld>, inflation_pct: u32) -> Self {
         let me = ctx.node();
         let n = ctx.num_nodes();
-        let (lrc, layout) = ctx.world(|w, _| (w.has_lrc || w.has_tardis, w.cfg.layout.clone()));
+        let (lrc, layout) = ctx.world(|w, _| (w.has_lrc || w.has_tardis, w.layout.clone()));
         ParDsm {
             ctx,
             me,

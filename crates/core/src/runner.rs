@@ -3,11 +3,12 @@
 
 use std::sync::Arc;
 
-use dsm_fabric::{FabricConfig, FaultOracle};
+use dsm_fabric::FaultOracle;
 use dsm_mem::Layout;
-use dsm_net::{CostModel, LatencyModel, Notify};
-use dsm_obs::{ObsConfig, ObsReport, SharingProfile};
-use dsm_proto::{final_image, ProtoConfig, ProtoWorld, Protocol};
+use dsm_net::Notify;
+use dsm_obs::{ObsReport, SharingProfile};
+use dsm_proto::{final_image, ProtoWorld, Protocol};
+pub use dsm_proto::{RegionPolicy, RunConfig};
 use dsm_sim::{McHook, McInstall, NodeFuture, RunError, Time};
 use dsm_stats::{Counters, RunStats};
 
@@ -16,160 +17,6 @@ use crate::image::MemImage;
 use crate::par::ParDsm;
 use crate::seq::SeqDsm;
 use crate::{DsmProgram, Program};
-
-/// The coherence policy assigned to one named region in a mixed-mode run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegionPolicy {
-    /// Region name (matched against the program's [`crate::RegionHint`]s).
-    pub name: String,
-    /// Consistency protocol for the region.
-    pub protocol: Protocol,
-    /// Coherence granularity for the region, in bytes.
-    pub block: usize,
-}
-
-impl RegionPolicy {
-    /// Convenience constructor.
-    pub fn new(name: &str, protocol: Protocol, block: usize) -> Self {
-        RegionPolicy {
-            name: name.to_string(),
-            protocol,
-            block,
-        }
-    }
-}
-
-/// Configuration of one parallel run.
-#[derive(Debug, Clone)]
-pub struct RunConfig {
-    /// Cluster size (the paper's testbed: 16).
-    pub nodes: usize,
-    /// Coherence granularity in bytes (64 / 256 / 1024 / 4096).
-    pub block_size: usize,
-    /// Consistency protocol.
-    pub protocol: Protocol,
-    /// Per-region policy overrides. Empty = uniform run: one region under
-    /// (`protocol`, `block_size`). Non-empty = mixed mode: the program's
-    /// region hints become layout regions, each under its matching policy
-    /// (unmatched regions fall back to the run's defaults).
-    pub region_policies: Vec<RegionPolicy>,
-    /// Record a complete per-64-byte-unit sharing profile (used by the
-    /// adaptive runtime's profiling pass).
-    pub profile: bool,
-    /// Message notification mechanism.
-    pub notify: Notify,
-    /// Platform cost constants.
-    pub cost: CostModel,
-    /// Network latency model.
-    pub latency: LatencyModel,
-    /// First-touch home migration (paper policy). False = static homes.
-    pub first_touch: bool,
-    /// Observability: event recording configuration.
-    pub obs: ObsConfig,
-    /// Network fabric model: NI occupancy, contention, fault injection and
-    /// retransmission. The default ([`FabricConfig::ideal`]) reproduces the
-    /// analytic fire-and-forget network bit-for-bit.
-    pub fabric: FabricConfig,
-    /// Install the happens-before race detector and protocol invariant
-    /// checker (`dsm-check`) on the run. Off by default
-    /// ([`RunConfig::with_check`] turns it on); off means zero checking
-    /// cost and bit-identical results to a build without the checker.
-    pub check: bool,
-    /// Deliberate protocol mutation for checker self-tests: which mutation
-    /// and the seed selecting the occurrence. The mutation *sites* are only
-    /// compiled under the `mutate` feature; without it this field is inert.
-    pub mutation: Option<(dsm_proto::Mutation, u64)>,
-}
-
-impl RunConfig {
-    /// 16 nodes, polling, default platform parameters.
-    pub fn new(protocol: Protocol, block_size: usize) -> Self {
-        RunConfig {
-            nodes: 16,
-            block_size,
-            protocol,
-            region_policies: Vec::new(),
-            profile: false,
-            notify: Notify::Polling,
-            cost: CostModel::default(),
-            latency: LatencyModel::default(),
-            first_touch: true,
-            obs: ObsConfig::default(),
-            fabric: FabricConfig::ideal(),
-            check: false,
-            mutation: None,
-        }
-    }
-
-    /// Same configuration with per-region policy overrides (mixed mode).
-    pub fn with_region_policies(mut self, policies: Vec<RegionPolicy>) -> Self {
-        self.region_policies = policies;
-        self
-    }
-
-    /// Same configuration with sharing-profile collection enabled.
-    pub fn with_profile(mut self) -> Self {
-        self.profile = true;
-        self
-    }
-
-    /// Same configuration with static (non-migrating) homes.
-    pub fn with_static_homes(mut self) -> Self {
-        self.first_touch = false;
-        self
-    }
-
-    /// Same configuration with a different cluster size.
-    pub fn with_nodes(mut self, nodes: usize) -> Self {
-        self.nodes = nodes;
-        self
-    }
-
-    /// Same configuration with a different notification mechanism.
-    pub fn with_notify(mut self, notify: Notify) -> Self {
-        self.notify = notify;
-        self
-    }
-
-    /// Same configuration with full event recording enabled.
-    pub fn with_recording(mut self) -> Self {
-        self.obs.record_events = true;
-        self
-    }
-
-    /// Same configuration with causal span tracing enabled. Spans never
-    /// charge virtual time: results stay bit-identical to a spans-off run.
-    pub fn with_spans(mut self) -> Self {
-        self.obs.spans = true;
-        self
-    }
-
-    /// Same configuration with windowed time-series collection enabled at
-    /// the given window width (virtual nanoseconds).
-    pub fn with_series(mut self, window_ns: u64) -> Self {
-        self.obs.series_window_ns = window_ns;
-        self
-    }
-
-    /// Same configuration with a different network fabric model.
-    pub fn with_fabric(mut self, fabric: FabricConfig) -> Self {
-        self.fabric = fabric;
-        self
-    }
-
-    /// Same configuration with the race detector and invariant checker on.
-    pub fn with_check(mut self) -> Self {
-        self.check = true;
-        self
-    }
-
-    /// Same configuration with a deliberate protocol mutation installed
-    /// (checker self-tests; requires the `mutate` feature to have effect).
-    pub fn with_mutation(mut self, m: dsm_proto::Mutation, seed: u64) -> Self {
-        self.mutation = Some((m, seed));
-        self
-    }
-}
 
 /// What one region looked like in a finished run: its layout, its policy,
 /// and the counters attributed to it.
@@ -248,18 +95,16 @@ pub fn planned_regions(program: &dyn DsmProgram, align: usize) -> Vec<(String, u
         .collect()
 }
 
-/// Build the run's memory layout and the per-region protocol list from the
-/// program's region hints and the configured policies.
+/// Build the run's memory layout from the program's region hints and the
+/// configured policies.
 ///
 /// The carving is [`planned_regions`] at the largest block size in play
-/// (at least 4096); each span gets its matching policy's protocol and
-/// granularity, or the run's defaults when no policy names it.
-fn build_layout(cfg: &RunConfig, program: &dyn DsmProgram) -> (Layout, Vec<Protocol>) {
+/// (at least 4096); each span gets the granularity
+/// [`RunConfig::policy_of`] gives its name, as the world gives it that
+/// call's protocol.
+fn build_layout(cfg: &RunConfig, program: &dyn DsmProgram) -> Layout {
     if cfg.region_policies.is_empty() {
-        return (
-            Layout::new(program.shared_bytes(), cfg.block_size),
-            Vec::new(),
-        );
+        return Layout::new(program.shared_bytes(), cfg.block_size);
     }
     let align = cfg
         .region_policies
@@ -270,17 +115,14 @@ fn build_layout(cfg: &RunConfig, program: &dyn DsmProgram) -> (Layout, Vec<Proto
         .unwrap();
     let spans = planned_regions(program, align);
     let size = program.shared_bytes().div_ceil(align) * align;
-    let mut parts: Vec<(String, usize, usize)> = Vec::new();
-    let mut protos: Vec<Protocol> = Vec::new();
-    for (name, start, _len) in &spans {
-        let (protocol, block) = match cfg.region_policies.iter().find(|p| &p.name == name) {
-            Some(p) => (p.protocol, p.block),
-            None => (cfg.protocol, cfg.block_size),
-        };
-        parts.push((name.clone(), *start, block));
-        protos.push(protocol);
-    }
-    (Layout::with_regions(size, &parts), protos)
+    let parts: Vec<(String, usize, usize)> = spans
+        .into_iter()
+        .map(|(name, start, _len)| {
+            let block = cfg.policy_of(&name).1;
+            (name, start, block)
+        })
+        .collect();
+    Layout::with_regions(size, &parts)
 }
 
 /// Polling-instrumentation overhead charged on `program`'s local work under
@@ -296,29 +138,14 @@ fn poll_inflation(cfg: &RunConfig, program: &dyn DsmProgram) -> u32 {
 /// protocol state, checker, and the program's initial image (held once; a
 /// node's copy of a block is filled at its first grant).
 fn build_world(cfg: &RunConfig, program: &dyn DsmProgram) -> ProtoWorld {
-    let (layout, region_protocols) = build_layout(cfg, program);
+    let layout = build_layout(cfg, program);
     let size = layout.size();
-    let pcfg = ProtoConfig {
-        nodes: cfg.nodes,
-        layout,
-        protocol: cfg.protocol,
-        region_protocols,
-        profile: cfg.profile,
-        notify: cfg.notify,
-        cost: cfg.cost.clone(),
-        latency: cfg.latency.clone(),
-        poll_inflation_pct: program.poll_inflation_pct(),
-        first_touch: cfg.first_touch,
-        obs: cfg.obs.clone(),
-        fabric: cfg.fabric.clone(),
-        mutation: cfg.mutation,
-    };
-    let mut world = ProtoWorld::new(pcfg);
+    let mut world = ProtoWorld::new(cfg.clone(), layout);
     if cfg.check {
         world.check = Some(Box::new(dsm_check::RunChecker::new(
             &program.name(),
             cfg.nodes,
-            world.cfg.layout.clone(),
+            world.layout.clone(),
             world.region_proto.clone(),
             cfg.fabric.reliable(),
         )));
@@ -453,7 +280,6 @@ fn finish_outcome(
     };
     let obs = world.obs.take_report();
     let regions = world
-        .cfg
         .layout
         .regions()
         .iter()
@@ -575,4 +401,57 @@ pub fn run_checked(cfg: &RunConfig, program: Program) -> ExperimentResult {
         );
     }
     r
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::RegionHint;
+
+    /// 16 KiB hinted from 4 KiB on, so the carving adds an implicit `head`.
+    struct Hinted;
+
+    impl DsmProgram for Hinted {
+        fn name(&self) -> String {
+            "hinted".into()
+        }
+        fn shared_bytes(&self) -> usize {
+            4 * 4096
+        }
+        fn init(&self, _mem: &mut MemImage) {}
+        fn run<'a>(&'a self, _d: &'a mut Dsm) -> NodeFuture<'a> {
+            Box::pin(std::future::ready(()))
+        }
+        fn regions(&self) -> Vec<RegionHint> {
+            vec![
+                RegionHint::new("a", 4096, 4096),
+                RegionHint::new("b", 8192, 8192),
+            ]
+        }
+    }
+
+    #[test]
+    fn a_region_runs_its_named_policy_or_else_the_runs_own() {
+        let cfg = RunConfig::new(Protocol::Sc, 1024)
+            .with_nodes(2)
+            .with_region_policies(vec![RegionPolicy::new("a", Protocol::Hlrc, 64)]);
+        assert_eq!(cfg.policy_of("a"), (Protocol::Hlrc, 64));
+        assert_eq!(cfg.policy_of("b"), (Protocol::Sc, 1024));
+        let w = build_world(&cfg, &Hinted);
+        let regions: Vec<_> = w
+            .layout
+            .regions()
+            .iter()
+            .zip(&w.region_proto)
+            .map(|(r, &p)| (r.name(), r.start(), r.block_size(), p))
+            .collect();
+        assert_eq!(
+            regions,
+            [
+                ("head", 0, 1024, Protocol::Sc),
+                ("a", 4096, 64, Protocol::Hlrc),
+                ("b", 8192, 1024, Protocol::Sc),
+            ]
+        );
+    }
 }

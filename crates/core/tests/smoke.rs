@@ -207,6 +207,15 @@ fn partitioned_matches_sequential_everywhere() {
 }
 
 #[test]
+fn a_program_that_names_no_inflation_pays_the_default() {
+    // Paper §5.4: polling's backedge instrumentation inflates compute by an
+    // application-dependent share; a program that does not state its own
+    // is charged 15 %.
+    let p = Partitioned { elems: 1 };
+    assert_eq!(p.poll_inflation_pct(), 15, "default backedge inflation");
+}
+
+#[test]
 fn locked_counter_is_atomic_everywhere() {
     for cfg in all_configs() {
         run_checked(&cfg, Arc::new(LockedCounter { rounds: 5 }));

@@ -187,9 +187,10 @@ impl FabricConfig {
                 .split_once('=')
                 .ok_or_else(|| format!("expected key=value, got: {kv}"))?;
             let n: u64 = v.parse().map_err(|_| format!("bad value for {k}: {v}"))?;
+            let n32 = || u32::try_from(n).map_err(|_| format!("{k} must fit in 32 bits, got {v}"));
             match k {
                 "timeout" => cfg.retry.ack_timeout_ns = n,
-                "retries" => cfg.retry.max_retries = n as u32,
+                "retries" => cfg.retry.max_retries = n32()?,
                 _ => {
                     let f = cfg
                         .faults
@@ -197,10 +198,10 @@ impl FabricConfig {
                         .ok_or_else(|| format!("{k} requires the faulty mode"))?;
                     match k {
                         "seed" => f.seed = n,
-                        "drop" => f.drop_ppm = n as u32,
-                        "dup" => f.dup_ppm = n as u32,
-                        "reorder" => f.reorder_ppm = n as u32,
-                        "spike" => f.spike_ppm = n as u32,
+                        "drop" => f.drop_ppm = n32()?,
+                        "dup" => f.dup_ppm = n32()?,
+                        "reorder" => f.reorder_ppm = n32()?,
+                        "spike" => f.spike_ppm = n32()?,
                         "jitter" => f.reorder_jitter_ns = n,
                         "spike_ns" => f.spike_ns = n,
                         other => return Err(format!("unknown fabric key: {other}")),
@@ -265,5 +266,13 @@ mod tests {
         assert!(FabricConfig::parse("contended,drop=1").is_err()); // needs faulty
         assert!(FabricConfig::parse("faulty,drop").is_err());
         assert!(FabricConfig::parse("faulty,drop=x").is_err());
+        // Wider than the 32-bit fields: an error naming the key, never a
+        // silent truncation (2^32 + 1 would otherwise mean 1).
+        for key in ["drop", "dup", "reorder", "spike", "retries"] {
+            let e = FabricConfig::parse(&format!("faulty,{key}=4294967297")).unwrap_err();
+            assert!(e.contains(key), "{e}");
+        }
+        let c = FabricConfig::parse("faulty,drop=4294967295").unwrap();
+        assert_eq!(c.faults.unwrap().drop_ppm, u32::MAX);
     }
 }

@@ -47,8 +47,13 @@ pub const RULE_DEADLOCK: &str = "mc-deadlock";
 /// always exact).
 const MAX_VIOLATION_EXAMPLES: usize = 32;
 
+/// Delay applied to a frame by the reorder branch, in ns.
+const REORDER_NS: u64 = 200_000;
+
 /// One bounded model-checking job: protocol, cluster shape, fault budget
-/// and search options. The cluster size comes from the program.
+/// and search options. The cluster size comes from the program. Every
+/// execution runs with the `dsm-check` mirrors and race detector
+/// installed.
 #[derive(Debug, Clone)]
 pub struct McConfig {
     /// Consistency protocol under test.
@@ -60,8 +65,6 @@ pub struct McConfig {
     /// reliable fabric and turns every transmission into a
     /// clean/drop/duplicate/reorder branch until the budget is spent.
     pub fault_budget: u32,
-    /// Delay applied to a frame by the reorder branch, in ns.
-    pub reorder_ns: u64,
     /// Enable sleep-set partial-order reduction (off = explore every
     /// branch; used to measure the unreduced schedule count).
     pub reduce: bool,
@@ -81,25 +84,21 @@ pub struct McConfig {
     /// the mutation fires at its first eligible site on *every* schedule —
     /// exhaustive kill needs no seed search.
     pub mutation: Option<Mutation>,
-    /// Install the `dsm-check` mirrors + race detector on every execution.
-    pub check: bool,
 }
 
 impl McConfig {
-    /// Defaults: 256-byte blocks, no faults, DPOR + dedup on, checker on.
+    /// Defaults: 256-byte blocks, no faults, DPOR + dedup on.
     pub fn new(protocol: Protocol) -> Self {
         McConfig {
             protocol,
             block_size: 256,
             fault_budget: 0,
-            reorder_ns: 200_000,
             reduce: true,
             dedup: true,
             max_steps: 100_000,
             max_schedules: 0,
             stop_on_violation: false,
             mutation: None,
-            check: true,
         }
     }
 
@@ -224,7 +223,7 @@ enum Slot {
     Fault { chosen: u8, n_options: u8 },
 }
 
-fn fault_decision(choice: u8, reorder_ns: u64) -> FaultDecision {
+fn fault_decision(choice: u8) -> FaultDecision {
     match choice {
         0 => FaultDecision::default(),
         1 => FaultDecision {
@@ -236,7 +235,7 @@ fn fault_decision(choice: u8, reorder_ns: u64) -> FaultDecision {
             ..FaultDecision::default()
         },
         _ => FaultDecision {
-            reorder_ns,
+            reorder_ns: REORDER_NS,
             ..FaultDecision::default()
         },
     }
@@ -399,7 +398,7 @@ impl McCore {
         Some(pick)
     }
 
-    fn on_fault(&mut self, reorder_ns: u64) -> FaultDecision {
+    fn on_fault(&mut self) -> FaultDecision {
         if self.pos < self.stack.len() {
             let Slot::Fault { chosen, .. } = self.stack[self.pos] else {
                 panic!("dsm-mc: replay diverged: fault consulted at a scheduler position");
@@ -408,7 +407,7 @@ impl McCore {
             if chosen != 0 {
                 self.faults_used += 1;
             }
-            return fault_decision(chosen, reorder_ns);
+            return fault_decision(chosen);
         }
         // Fault choices are all mutually dependent (no sleep sets): a
         // fresh slot starts clean and backtracking tries drop/dup/reorder
@@ -420,7 +419,7 @@ impl McCore {
         });
         self.pos += 1;
         self.max_depth = self.max_depth.max(self.stack.len() as u64);
-        fault_decision(0, reorder_ns)
+        fault_decision(0)
     }
 
     /// Advance the stack to the next unexplored branch, popping exhausted
@@ -504,8 +503,8 @@ fn run_config(cfg: &McConfig, prog: &MicroProgram) -> RunConfig {
     let mut rc = RunConfig::new(cfg.protocol, cfg.block_size)
         .with_nodes(prog.nodes())
         .with_static_homes()
-        .with_fabric(fabric);
-    rc.check = cfg.check;
+        .with_fabric(fabric)
+        .with_check();
     if let Some(m) = cfg.mutation {
         rc = rc.with_mutation(m, m.first_occurrence_seed());
     }
@@ -559,8 +558,7 @@ pub fn explore(cfg: &McConfig, prog: &MicroProgram) -> McReport {
         let hook: Box<dyn McHook<ProtoWorld>> = Box::new(HookHandle { core: core.clone() });
         let fault_oracle: Option<FaultOracle> = (cfg.fault_budget > 0).then(|| {
             let c = core.clone();
-            let ns = cfg.reorder_ns;
-            Box::new(move |_from, _to, _seq, _attempt| c.borrow_mut().on_fault(ns)) as FaultOracle
+            Box::new(move |_from, _to, _seq, _attempt| c.borrow_mut().on_fault()) as FaultOracle
         });
         match execute(&rc, &runner, hook, fault_oracle) {
             Ok((outcome, trace)) => {

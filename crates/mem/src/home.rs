@@ -39,7 +39,7 @@ fn get(slot: u32) -> Option<usize> {
 
 /// First-touch home directory.
 ///
-/// An entry is a `u32` node id or [`NONE`] — a quarter of an
+/// An entry is a `u32` node id or `u32::MAX` for none — a quarter of an
 /// `Option<usize>`, in a cell's memory and in the words a state fingerprint
 /// hashes (each table is one slice `write`).
 #[derive(Debug, Clone, Hash)]

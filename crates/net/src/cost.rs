@@ -32,10 +32,6 @@ pub struct CostModel {
     /// Polling: delay from message arrival to the next backedge check plus
     /// the 1.5 µs mechanism round trip.
     pub poll_service_delay_ns: Time,
-    /// Polling: compute-time inflation from backedge instrumentation, in
-    /// percent (paper: up to 55% for LU; most apps lower). Applications
-    /// override this per-app; this is the default.
-    pub poll_inflation_pct: u32,
     /// Interrupt: Solaris signal delivery cost per asynchronous message.
     pub intr_signal_ns: Time,
     /// Interrupt: window after a node obtains a block during which incoming
@@ -63,7 +59,6 @@ impl Default for CostModel {
             twin_copy_ns_x100: 1_000,   // 10 ns/B
             local_access_ns: 60,
             poll_service_delay_ns: 2_000,
-            poll_inflation_pct: 15,
             intr_signal_ns: 70_000,
             intr_grace_ns: 200_000,
             sync_handler_ns: 10_000,

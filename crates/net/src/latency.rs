@@ -32,13 +32,6 @@ impl Default for LatencyModel {
 }
 
 impl LatencyModel {
-    /// A model with custom calibration points (must be non-empty, ascending).
-    pub fn from_points(points: Vec<(u64, Time)>) -> Self {
-        assert!(!points.is_empty());
-        assert!(points.windows(2).all(|w| w[0].0 < w[1].0));
-        LatencyModel { points }
-    }
-
     /// One-way latency in ns for a message of `bytes` bytes.
     pub fn one_way(&self, bytes: u64) -> Time {
         let pts = &self.points;

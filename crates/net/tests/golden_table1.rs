@@ -55,7 +55,6 @@ fn golden_cost_constants() {
     assert_eq!(c.fault_exception_ns, 5_000, "Typhoon-0 access fault: ~5 µs");
     assert_eq!(c.intr_signal_ns, 70_000, "Solaris signal delivery: ~70 µs");
     assert_eq!(c.poll_service_delay_ns, 2_000, "polling mechanism: ~2 µs");
-    assert_eq!(c.poll_inflation_pct, 15, "default backedge inflation");
     // Estimated constants frozen at their calibrated values.
     assert_eq!(c.handler_ns, 2_000);
     assert_eq!(c.per_byte_copy_ns_x100, 500);

@@ -110,11 +110,6 @@ impl Recorder {
         self.active
     }
 
-    /// True when events are stored for export (not just traced).
-    pub fn is_storing(&self) -> bool {
-        self.store_events
-    }
-
     /// Record one event at virtual time `ts` on `node`. The disabled path
     /// is this single branch.
     #[inline]

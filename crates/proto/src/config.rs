@@ -1,9 +1,11 @@
-//! Protocol/run configuration.
+//! Run configuration: the protocol, and everything else one run is built
+//! from.
 
 use dsm_fabric::FabricConfig;
-use dsm_mem::Layout;
 use dsm_net::{CostModel, LatencyModel, Notify};
 use dsm_obs::ObsConfig;
+
+use crate::mutate::Mutation;
 
 /// The three consistency protocols studied in the paper, plus the
 /// timestamp-lease protocol (Tardis 2.0) added as a fourth peer.
@@ -75,73 +77,170 @@ impl std::fmt::Display for Protocol {
     }
 }
 
-/// Full configuration of a protocol world.
-#[derive(Debug, Clone)]
-pub struct ProtoConfig {
-    /// Cluster size (the paper uses 16).
-    pub nodes: usize,
-    /// Shared space layout (size + coherence granularity).
-    pub layout: Layout,
-    /// Which consistency protocol to run.
+/// The coherence policy assigned to one named region in a mixed-mode run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RegionPolicy {
+    /// Region name (matched against the program's region hints).
+    pub name: String,
+    /// Consistency protocol for the region.
     pub protocol: Protocol,
+    /// Coherence granularity for the region, in bytes.
+    pub block: usize,
+}
+
+impl RegionPolicy {
+    /// Convenience constructor.
+    pub fn new(name: &str, protocol: Protocol, block: usize) -> Self {
+        RegionPolicy {
+            name: name.to_string(),
+            protocol,
+            block,
+        }
+    }
+}
+
+/// Configuration of one parallel run: everything a protocol world is built
+/// from besides its [`dsm_mem::Layout`].
+#[derive(Debug, Clone)]
+pub struct RunConfig {
+    /// Cluster size (the paper's testbed: 16).
+    pub nodes: usize,
+    /// Coherence granularity in bytes (64 / 256 / 1024 / 4096).
+    pub block_size: usize,
+    /// Consistency protocol.
+    pub protocol: Protocol,
+    /// Per-region policy overrides. Empty = uniform run: one region under
+    /// (`protocol`, `block_size`). Non-empty = mixed mode: the program's
+    /// region hints become layout regions, each under its matching policy
+    /// (unmatched regions fall back to the run's defaults; see
+    /// [`RunConfig::policy_of`]).
+    pub region_policies: Vec<RegionPolicy>,
+    /// Record a complete per-64-byte-unit sharing profile (used by the
+    /// adaptive runtime's profiling pass). Unlike the event rings this never
+    /// drops.
+    pub profile: bool,
     /// Message notification mechanism.
     pub notify: Notify,
     /// Platform cost constants.
     pub cost: CostModel,
     /// Network latency model.
     pub latency: LatencyModel,
-    /// Polling compute-inflation percentage for this application (paper:
-    /// app-dependent, up to 55% for LU).
-    pub poll_inflation_pct: u32,
-    /// First-touch home migration (the paper's policy). When false, homes
-    /// stay statically round-robin assigned — the ablation baseline.
+    /// First-touch home migration (paper policy). False = static
+    /// round-robin homes, the ablation baseline.
     pub first_touch: bool,
-    /// Observability: structured event recording configuration.
+    /// Observability: event recording configuration.
     pub obs: ObsConfig,
-    /// Per-region protocol overrides, one entry per layout region (mixed-
-    /// mode execution). Empty means every region runs `protocol`.
-    pub region_protocols: Vec<Protocol>,
-    /// Record a complete fine-grain sharing profile (64-byte units) for the
-    /// adaptive policy engine. Unlike the event rings this never drops.
-    pub profile: bool,
-    /// Network fabric model (NI queuing, fault injection, retry). The
-    /// default — [`FabricConfig::ideal`] — reproduces the analytic
-    /// fire-and-forget send bit-for-bit.
+    /// Network fabric model: NI occupancy, contention, fault injection and
+    /// retransmission. The default ([`FabricConfig::ideal`]) reproduces the
+    /// analytic fire-and-forget network bit-for-bit.
     pub fabric: FabricConfig,
-    /// Armed protocol mutation `(which, seed)` for checker self-tests.
-    /// Ineffective unless the `mutate` feature compiles the sites in.
-    pub mutation: Option<(crate::mutate::Mutation, u64)>,
+    /// Install the happens-before race detector and protocol invariant
+    /// checker (`dsm-check`) on the run. Off by default
+    /// ([`RunConfig::with_check`] turns it on); off means zero checking
+    /// cost and bit-identical results to a build without the checker.
+    pub check: bool,
+    /// Deliberate protocol mutation for checker self-tests: which mutation
+    /// and the seed selecting the occurrence. The mutation *sites* are only
+    /// compiled under the `mutate` feature; without it this field is inert.
+    pub mutation: Option<(Mutation, u64)>,
 }
 
-impl ProtoConfig {
-    /// A 16-node configuration with default platform parameters.
-    pub fn new(layout: Layout, protocol: Protocol, notify: Notify) -> Self {
-        let cost = CostModel::default();
-        let poll = cost.poll_inflation_pct;
-        ProtoConfig {
+impl RunConfig {
+    /// 16 nodes, polling, default platform parameters.
+    pub fn new(protocol: Protocol, block_size: usize) -> Self {
+        RunConfig {
             nodes: 16,
-            layout,
+            block_size,
             protocol,
-            notify,
-            cost,
+            region_policies: Vec::new(),
+            profile: false,
+            notify: Notify::Polling,
+            cost: CostModel::default(),
             latency: LatencyModel::default(),
-            poll_inflation_pct: poll,
             first_touch: true,
             obs: ObsConfig::default(),
-            region_protocols: Vec::new(),
-            profile: false,
             fabric: FabricConfig::ideal(),
+            check: false,
             mutation: None,
         }
     }
 
-    /// Protocol of layout region `r` (the global protocol unless a
-    /// per-region override is configured).
-    pub fn region_protocol(&self, r: usize) -> Protocol {
-        self.region_protocols
-            .get(r)
-            .copied()
-            .unwrap_or(self.protocol)
+    /// The (protocol, block size) of the region called `name`: its policy's,
+    /// or the run's own when no policy names it.
+    pub fn policy_of(&self, name: &str) -> (Protocol, usize) {
+        match self.region_policies.iter().find(|p| p.name == name) {
+            Some(p) => (p.protocol, p.block),
+            None => (self.protocol, self.block_size),
+        }
+    }
+
+    /// Same configuration with per-region policy overrides (mixed mode).
+    pub fn with_region_policies(mut self, policies: Vec<RegionPolicy>) -> Self {
+        self.region_policies = policies;
+        self
+    }
+
+    /// Same configuration with sharing-profile collection enabled.
+    pub fn with_profile(mut self) -> Self {
+        self.profile = true;
+        self
+    }
+
+    /// Same configuration with static (non-migrating) homes.
+    pub fn with_static_homes(mut self) -> Self {
+        self.first_touch = false;
+        self
+    }
+
+    /// Same configuration with a different cluster size.
+    pub fn with_nodes(mut self, nodes: usize) -> Self {
+        self.nodes = nodes;
+        self
+    }
+
+    /// Same configuration with a different notification mechanism.
+    pub fn with_notify(mut self, notify: Notify) -> Self {
+        self.notify = notify;
+        self
+    }
+
+    /// Same configuration with full event recording enabled.
+    pub fn with_recording(mut self) -> Self {
+        self.obs.record_events = true;
+        self
+    }
+
+    /// Same configuration with causal span tracing enabled. Spans never
+    /// charge virtual time: results stay bit-identical to a spans-off run.
+    pub fn with_spans(mut self) -> Self {
+        self.obs.spans = true;
+        self
+    }
+
+    /// Same configuration with windowed time-series collection enabled at
+    /// the given window width (virtual nanoseconds).
+    pub fn with_series(mut self, window_ns: u64) -> Self {
+        self.obs.series_window_ns = window_ns;
+        self
+    }
+
+    /// Same configuration with a different network fabric model.
+    pub fn with_fabric(mut self, fabric: FabricConfig) -> Self {
+        self.fabric = fabric;
+        self
+    }
+
+    /// Same configuration with the race detector and invariant checker on.
+    pub fn with_check(mut self) -> Self {
+        self.check = true;
+        self
+    }
+
+    /// Same configuration with a deliberate protocol mutation installed
+    /// (checker self-tests; requires the `mutate` feature to have effect).
+    pub fn with_mutation(mut self, m: Mutation, seed: u64) -> Self {
+        self.mutation = Some((m, seed));
+        self
     }
 }
 

@@ -277,7 +277,7 @@ pub fn handle_diff(
     w.emit(me, s.now(), EventKind::DiffApply { block: b, bytes });
     // A statically assigned home may never have touched the block.
     w.data.ensure(me, b);
-    let r = w.cfg.layout.block_range(b);
+    let r = w.layout.block_range(b);
     diff.apply(&mut w.data.node_mut(me, b)[r]);
     for run in diff.runs {
         w.pool.put(run.bytes);
@@ -340,7 +340,7 @@ pub fn local_write_fault(w: &mut ProtoWorld, me: NodeId, b: BlockId, now: Time) 
 }
 
 fn make_twin(w: &mut ProtoWorld, me: NodeId, b: BlockId, now: Time) -> Time {
-    let r = w.cfg.layout.block_range(b);
+    let r = w.layout.block_range(b);
     let mut twin = w.pool.get();
     twin.extend_from_slice(&w.data.node(me)[r]);
     w.nodes[me].twins.set(b, twin);
@@ -365,7 +365,7 @@ pub fn release_dirty(
     for b in dirty {
         if let Some(twin) = w.nodes[me].twins.take(b) {
             elapsed += w.cfg.cost.diff_scan_cost(w.block_size_of(b) as u64);
-            let r = w.cfg.layout.block_range(b);
+            let r = w.layout.block_range(b);
             #[allow(unused_mut)]
             let mut diff = Diff::create_pooled(&twin, &w.data.node(me)[r.clone()], &mut w.pool);
             #[cfg(feature = "mutate")]
@@ -457,7 +457,7 @@ pub fn apply_notice(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, n: &N
     if let Some(twin) = w.nodes[me].twins.take(n.block) {
         let bs = w.block_size_of(n.block) as u64;
         elapsed += w.cfg.cost.diff_scan_cost(bs);
-        let r = w.cfg.layout.block_range(n.block);
+        let r = w.layout.block_range(n.block);
         let diff = Diff::create_pooled(&twin, &w.data.node(me)[r.clone()], &mut w.pool);
         if !diff.is_empty() {
             let wire = diff.wire_bytes();
@@ -509,20 +509,14 @@ pub fn apply_notice(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, n: &N
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ProtoConfig;
+    use crate::config::RunConfig;
     use crate::msg::Envelope;
     use dsm_mem::Layout;
-    use dsm_net::Notify;
     use dsm_sim::engine::SchedInner;
 
     fn setup() -> (ProtoWorld, SchedInner<Packet>) {
-        let mut cfg = ProtoConfig::new(
-            Layout::new(4096, 256),
-            crate::Protocol::Hlrc,
-            Notify::Polling,
-        );
-        cfg.nodes = 4;
-        let mut w = ProtoWorld::new(cfg);
+        let cfg = RunConfig::new(crate::Protocol::Hlrc, 256).with_nodes(4);
+        let mut w = ProtoWorld::new(cfg, Layout::new(4096, 256));
         w.load_golden(vec![3u8; 4096]);
         (w, SchedInner::for_testing(4))
     }

@@ -12,7 +12,9 @@
 //!   simulation engine as its [`dsm_sim::World`];
 //! * [`ops`] — node-side access-check and fault entry points;
 //! * [`sync`] — protocol-aware locks and barriers;
-//! * [`Protocol`] / [`ProtoConfig`] — run configuration;
+//! * [`RunConfig`] — one run's configuration, from which
+//!   [`ProtoWorld::new`] builds the world over a layout; [`Protocol`] and
+//!   the per-region [`RegionPolicy`];
 //! * [`check`] — the run-time checker interface (hooks + violations);
 //! * [`mutate`] — feature-gated protocol mutations for checker self-tests.
 
@@ -33,7 +35,7 @@ pub mod vt;
 pub mod world;
 
 pub use check::{Checker, Violation};
-pub use config::{ProtoConfig, Protocol};
+pub use config::{Protocol, RegionPolicy, RunConfig};
 pub use diff::Diff;
 pub use msg::{Envelope, FaultKind, Notice, Packet, ProtoMsg};
 pub use mutate::{MutFabric, MutRt, Mutation, MutationSpec, MUTATIONS};

@@ -45,7 +45,7 @@ fn copy_bytes(dst: &mut [u8], src: &[u8]) {
 
 /// Whether `[addr, addr + len)` lies inside block `b`.
 fn in_block(w: &ProtoWorld, b: BlockId, addr: usize, len: usize) -> bool {
-    let r = w.cfg.layout.block_range(b);
+    let r = w.layout.block_range(b);
     r.start <= addr && addr + len <= r.end
 }
 
@@ -167,14 +167,11 @@ pub fn start_fault(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ProtoConfig;
+    use crate::config::RunConfig;
     use dsm_mem::Layout;
-    use dsm_net::Notify;
 
     fn world(p: Protocol) -> ProtoWorld {
-        let mut cfg = ProtoConfig::new(Layout::new(1024, 64), p, Notify::Polling);
-        cfg.nodes = 4;
-        ProtoWorld::new(cfg)
+        ProtoWorld::new(RunConfig::new(p, 64).with_nodes(4), Layout::new(1024, 64))
     }
 
     #[test]

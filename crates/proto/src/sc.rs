@@ -670,17 +670,14 @@ fn complete_transaction(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ProtoConfig;
+    use crate::config::RunConfig;
     use crate::msg::Envelope;
     use dsm_mem::Layout;
-    use dsm_net::Notify;
     use dsm_sim::engine::SchedInner;
 
     fn setup() -> (ProtoWorld, SchedInner<Packet>) {
-        let mut cfg =
-            ProtoConfig::new(Layout::new(4096, 256), crate::Protocol::Sc, Notify::Polling);
-        cfg.nodes = 4;
-        let mut w = ProtoWorld::new(cfg);
+        let cfg = RunConfig::new(crate::Protocol::Sc, 256).with_nodes(4);
+        let mut w = ProtoWorld::new(cfg, Layout::new(4096, 256));
         w.load_golden(vec![7u8; 4096]);
         (w, SchedInner::for_testing(4))
     }

@@ -398,16 +398,17 @@ pub fn handle_bar_release(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ProtoConfig;
+    use crate::config::RunConfig;
     use crate::msg::Envelope;
     use dsm_mem::Layout;
-    use dsm_net::Notify;
     use dsm_sim::engine::SchedInner;
 
     fn setup(protocol: crate::Protocol) -> (ProtoWorld, SchedInner<Packet>) {
-        let mut cfg = ProtoConfig::new(Layout::new(4096, 256), protocol, Notify::Polling);
-        cfg.nodes = 4;
-        (ProtoWorld::new(cfg), SchedInner::for_testing(4))
+        let cfg = RunConfig::new(protocol, 256).with_nodes(4);
+        (
+            ProtoWorld::new(cfg, Layout::new(4096, 256)),
+            SchedInner::for_testing(4),
+        )
     }
 
     #[test]

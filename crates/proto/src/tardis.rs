@@ -441,22 +441,16 @@ pub fn handle_ack(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, from: N
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ProtoConfig;
+    use crate::config::RunConfig;
     use crate::msg::Envelope;
     use crate::ops::{self, Attempt};
     use crate::vt::LEASE_TS;
     use dsm_mem::Layout;
-    use dsm_net::Notify;
     use dsm_sim::engine::SchedInner;
 
     fn setup() -> (ProtoWorld, SchedInner<Packet>) {
-        let mut cfg = ProtoConfig::new(
-            Layout::new(4096, 256),
-            crate::Protocol::Tardis,
-            Notify::Polling,
-        );
-        cfg.nodes = 4;
-        let mut w = ProtoWorld::new(cfg);
+        let cfg = RunConfig::new(crate::Protocol::Tardis, 256).with_nodes(4);
+        let mut w = ProtoWorld::new(cfg, Layout::new(4096, 256));
         w.load_golden(vec![3u8; 4096]);
         (w, SchedInner::for_testing(4))
     }

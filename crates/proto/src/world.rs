@@ -13,14 +13,14 @@
 use std::collections::HashMap;
 
 use dsm_fabric::{Fabric, RxOutcome, TxAction, TxOutcome};
-use dsm_mem::{Access, AccessTable, BlockId, DataStore, HomeDirectory};
+use dsm_mem::{Access, AccessTable, BlockId, DataStore, HomeDirectory, Layout};
 use dsm_net::{Notify, MSG_HEADER_BYTES};
 use dsm_obs::{EventKind, Recorder, SharingProfile};
 use dsm_sim::{NodeId, Sched, Time, World};
 use dsm_stats::Counters;
 
 use crate::check::Checker;
-use crate::config::{ProtoConfig, Protocol};
+use crate::config::{Protocol, RunConfig};
 use crate::hlrc::HlState;
 use crate::lrc::NoticeLog;
 use crate::msg::{Envelope, FaultKind, Packet, ProtoMsg};
@@ -84,7 +84,10 @@ impl NodeRt {
 /// The complete protocol world, plugged into the simulation engine.
 pub struct ProtoWorld {
     /// Run configuration.
-    pub cfg: ProtoConfig,
+    pub cfg: RunConfig,
+    /// Shared space layout: the regions and each one's coherence
+    /// granularity.
+    pub layout: Layout,
     /// Every node's local copy of the shared space.
     pub data: DataStore,
     /// Per-node per-block access-control state.
@@ -151,12 +154,13 @@ pub struct ProtoWorld {
 }
 
 impl ProtoWorld {
-    /// Build a world from a configuration. All access state starts Invalid;
-    /// all node copies start zeroed (use [`ProtoWorld::load_golden`] after
-    /// application setup).
-    pub fn new(cfg: ProtoConfig) -> Self {
+    /// Build a world from a run configuration over `layout`; each region
+    /// runs the protocol [`RunConfig::policy_of`] gives its name. All access
+    /// state starts Invalid; all node copies start zeroed (use
+    /// [`ProtoWorld::load_golden`] after application setup).
+    pub fn new(cfg: RunConfig, layout: Layout) -> Self {
         let n = cfg.nodes;
-        let nb = cfg.layout.num_blocks();
+        let nb = layout.num_blocks();
         let mut homes = HomeDirectory::new(n, nb);
         if !cfg.first_touch {
             // Ablation baseline: static round-robin homes, no migration.
@@ -164,8 +168,10 @@ impl ProtoWorld {
                 homes.assign(b, b % n);
             }
         }
-        let region_proto: Vec<Protocol> = (0..cfg.layout.num_regions())
-            .map(|r| cfg.region_protocol(r))
+        let region_proto: Vec<Protocol> = layout
+            .regions()
+            .iter()
+            .map(|r| cfg.policy_of(r.name()).0)
             .collect();
         let has_lrc = region_proto.iter().any(|p| p.is_lrc());
         let has_tardis = region_proto.contains(&Protocol::Tardis);
@@ -173,7 +179,7 @@ impl ProtoWorld {
         // runs; the others carry tables of length 0.
         let blocks_of = |p: Protocol| if region_proto.contains(&p) { nb } else { 0 };
         ProtoWorld {
-            data: DataStore::new(n, cfg.layout.clone()),
+            data: DataStore::new(n, layout.clone()),
             access: AccessTable::new(n, nb),
             homes,
             stats: vec![Counters::default(); n],
@@ -188,7 +194,7 @@ impl ProtoWorld {
             measure_start: 0,
             obs: Recorder::new(n, &cfg.obs),
             region_stats: vec![Counters::default(); region_proto.len()],
-            profile: cfg.profile.then(|| SharingProfile::new(cfg.layout.size())),
+            profile: cfg.profile.then(|| SharingProfile::new(layout.size())),
             region_proto,
             has_lrc,
             has_tardis,
@@ -198,6 +204,7 @@ impl ProtoWorld {
             mutate: cfg.mutation.map(|(m, seed)| MutRt::new(m, seed)),
             quiesce: 0,
             cfg,
+            layout,
         }
     }
 
@@ -228,13 +235,13 @@ impl ProtoWorld {
     /// Block size of block `b`'s region.
     #[inline]
     pub fn block_size_of(&self, b: BlockId) -> usize {
-        self.cfg.layout.block_size_of(b)
+        self.layout.block_size_of(b)
     }
 
     /// Index of the region containing block `b`.
     #[inline]
     pub fn region_of(&self, b: BlockId) -> usize {
-        self.cfg.layout.region_of_block(b)
+        self.layout.region_of_block(b)
     }
 
     /// The protocol governing block `b` (mixed-mode dispatch point).
@@ -263,7 +270,7 @@ impl ProtoWorld {
                 _ => None,
             };
             if let (Some(p), Some(write)) = (self.profile.as_mut(), faulted) {
-                let r = self.cfg.layout.block_range(b);
+                let r = self.layout.block_range(b);
                 p.note(node, r.start, r.end, write);
             }
         }
@@ -854,7 +861,7 @@ impl World for ProtoWorld {
 /// flushed and home copies are current; under SC the latest copy is the
 /// exclusive owner's (else the home's).
 pub fn final_image(w: &ProtoWorld) -> Vec<u8> {
-    let layout = &w.cfg.layout;
+    let layout = &w.layout;
     let authoritative = |b: BlockId| match w.protocol_of(b) {
         Protocol::Sc => {
             w.sc.dir(b)
@@ -890,16 +897,23 @@ pub fn grant_access(kind: FaultKind) -> Access {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsm_mem::Layout;
+    use crate::config::RegionPolicy;
 
     const NODES: usize = 3;
     const BLOCKS: usize = 16;
 
+    /// A world over `layout` whose `i`-th region runs `regions[i]`.
     fn world(layout: Layout, regions: &[Protocol]) -> ProtoWorld {
-        let mut cfg = ProtoConfig::new(layout, regions[0], Notify::Polling);
-        cfg.nodes = NODES;
-        cfg.region_protocols = regions.to_vec();
-        ProtoWorld::new(cfg)
+        let policies = layout
+            .regions()
+            .iter()
+            .zip(regions)
+            .map(|(r, &p)| RegionPolicy::new(r.name(), p, r.block_size()))
+            .collect();
+        let cfg = RunConfig::new(regions[0], 256)
+            .with_nodes(NODES)
+            .with_region_policies(policies);
+        ProtoWorld::new(cfg, layout)
     }
 
     /// Per protocol, in `Protocol::ALL`'s order: (longest per-block table,

@@ -7,7 +7,7 @@
 use dsm_core::{node_body, run_bodies, NodeBody};
 use dsm_mem::Layout;
 use dsm_net::Notify;
-use dsm_proto::{ProtoConfig, ProtoWorld, Protocol};
+use dsm_proto::{ProtoWorld, Protocol, RunConfig};
 
 /// Run scripted bodies on a small cluster; returns the final world.
 fn run_script(
@@ -17,9 +17,8 @@ fn run_script(
     bodies: Vec<NodeBody<'_>>,
 ) -> ProtoWorld {
     assert_eq!(bodies.len(), nodes);
-    let mut cfg = ProtoConfig::new(Layout::new(64 * 1024, block), protocol, Notify::Polling);
-    cfg.nodes = nodes;
-    let mut world = ProtoWorld::new(cfg);
+    let cfg = RunConfig::new(protocol, block).with_nodes(nodes);
+    let mut world = ProtoWorld::new(cfg, Layout::new(64 * 1024, block));
     world.load_golden(vec![0u8; 64 * 1024]);
     run_bodies(world, bodies)
 }
@@ -386,9 +385,10 @@ fn interrupt_grace_window_defers_invalidations() {
     // engages by comparing total faults against polling for a ping-pong
     // pattern without barriers.
     let run = |notify: Notify| {
-        let mut cfg = ProtoConfig::new(Layout::new(4096, 64), Protocol::Sc, notify);
-        cfg.nodes = 2;
-        let mut world = ProtoWorld::new(cfg);
+        let cfg = RunConfig::new(Protocol::Sc, 64)
+            .with_nodes(2)
+            .with_notify(notify);
+        let mut world = ProtoWorld::new(cfg, Layout::new(4096, 64));
         world.load_golden(vec![0u8; 4096]);
         let mk = |me: usize| {
             node_body(move |d| {

@@ -2,13 +2,14 @@
 //! final-image extraction.
 
 use dsm_mem::{Access, Layout};
-use dsm_net::{Notify, MSG_HEADER_BYTES};
-use dsm_proto::{final_image, ProtoConfig, ProtoWorld, Protocol};
+use dsm_net::MSG_HEADER_BYTES;
+use dsm_proto::{final_image, ProtoWorld, Protocol, RunConfig};
 
 fn world(p: Protocol, nodes: usize) -> ProtoWorld {
-    let mut cfg = ProtoConfig::new(Layout::new(4096, 256), p, Notify::Polling);
-    cfg.nodes = nodes;
-    let mut w = ProtoWorld::new(cfg);
+    let mut w = ProtoWorld::new(
+        RunConfig::new(p, 256).with_nodes(nodes),
+        Layout::new(4096, 256),
+    );
     w.load_golden((0..4096).map(|i| i as u8).collect());
     w
 }
@@ -58,10 +59,10 @@ fn final_image_prefers_authoritative_copies() {
 
 #[test]
 fn static_homes_config_preassigns_every_block() {
-    let mut cfg = ProtoConfig::new(Layout::new(4096, 256), Protocol::Sc, Notify::Polling);
-    cfg.nodes = 4;
-    cfg.first_touch = false;
-    let w = ProtoWorld::new(cfg);
+    let cfg = RunConfig::new(Protocol::Sc, 256)
+        .with_nodes(4)
+        .with_static_homes();
+    let w = ProtoWorld::new(cfg, Layout::new(4096, 256));
     for b in 0..16 {
         assert_eq!(w.homes.home(b), Some(b % 4));
     }

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use dsm_adapt::{choose_policies, profile_run, ModelParams};
+use dsm_adapt::{choose_policies, profile_run};
 use dsm_bench::pool_map;
 use dsm_core::RunStats;
 use dsm_core::{run_experiment, schema, FabricConfig, Protocol, RegionPolicy, RunConfig};
@@ -93,11 +93,7 @@ fn config_for(spec: &ScenarioSpec, program: &dsm_core::Program) -> RunConfig {
         Mode::Adaptive => {
             let data = profile_run(program);
             let base = apply(RunConfig::new(Protocol::Sc, 4096));
-            let plan = choose_policies(program, &data, &base, &ModelParams::default());
-            let mut cfg = base;
-            cfg.protocol = plan.uniform.0;
-            cfg.block_size = plan.uniform.1;
-            cfg.with_region_policies(plan.policies())
+            choose_policies(program, &data, &base).apply(base)
         }
     }
 }

@@ -338,11 +338,6 @@ impl<M> SchedInner<M> {
         self.nodes.len()
     }
 
-    /// Total events processed so far (deterministic for a given program).
-    pub fn events_processed(&self) -> u64 {
-        self.events
-    }
-
     /// Seq-independent fingerprint of one queued event (model-checked runs):
     /// replays push the same events in potentially different seq order, so
     /// the multiset hash must not depend on insertion order.

@@ -10,7 +10,7 @@
 //! case into an append to an unsorted bucket and an occasional small sort.
 //!
 //! Layout: time is divided into fixed-width buckets of `2^BUCKET_SHIFT` ns.
-//! A ring of [`NUM_BUCKETS`] unsorted buckets covers the near horizon
+//! A ring of `NUM_BUCKETS` unsorted buckets covers the near horizon
 //! (`cursor .. cursor + NUM_BUCKETS`); events beyond the horizon overflow
 //! into a min-heap and are pulled back into the ring as the cursor advances.
 //! The bucket currently being drained is kept sorted (descending, so `pop`

@@ -33,12 +33,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience for rows of displayable items.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) {
-        self.rows
-            .push(cells.iter().map(|c| c.to_string()).collect());
-    }
-
     /// Render the table with a header underline; first column is
     /// left-aligned, the rest right-aligned (numbers).
     pub fn render(&self) -> String {

@@ -8,7 +8,7 @@
 //! cargo run --release --example adaptive_lab -- barnes-original
 //! ```
 
-use dsm::adapt::{choose_policies, profile_run, ModelParams, CANDIDATE_BLOCKS};
+use dsm::adapt::{choose_policies, profile_run, CANDIDATE_BLOCKS};
 use dsm::{run_experiment, Protocol, RunConfig};
 use dsm_apps::registry::{all_app_names, app};
 use dsm_stats::Table;
@@ -48,7 +48,7 @@ fn main() {
     let program = app(&name).unwrap();
     let base = RunConfig::new(Protocol::Sc, 64);
     let data = profile_run(&program);
-    let plan = choose_policies(&program, &data, &base, &ModelParams::default());
+    let plan = choose_policies(&program, &data, &base);
 
     println!("per-region decisions:");
     let mut t = Table::new(&[
@@ -87,11 +87,7 @@ fn main() {
     }
 
     // Run the adaptive configuration.
-    let mut cfg = base.clone();
-    cfg.protocol = plan.uniform.0;
-    cfg.block_size = plan.uniform.1;
-    let cfg = cfg.with_region_policies(plan.policies());
-    let r = run_experiment(&cfg, program);
+    let r = run_experiment(&plan.apply(base), program);
     assert!(r.check.is_ok(), "adaptive: {:?}", r.check);
     let t_adapt = r.stats.parallel_time_ns as f64;
 

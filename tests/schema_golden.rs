@@ -11,7 +11,7 @@
 //! and otherwise absent (`scenario-rep`'s `policies`, `check_err`,
 //! `violation_details`). `bless` is the only writer.
 
-use dsm::adapt::{choose_policies, profile_run, ModelParams};
+use dsm::adapt::{choose_policies, profile_run};
 use dsm::core::Violation;
 use dsm::json::Value;
 use dsm::mc::{explore, program, McConfig};
@@ -61,12 +61,7 @@ fn records() -> Vec<Value> {
     // `diag --adaptive --json --critpath --series`, on lu at test size.
     let program = app_sized("lu", AppSize::Small).expect("lu");
     let cfg = RunConfig::new(Protocol::Hlrc, 1024).with_profile();
-    let plan = choose_policies(
-        &program,
-        &profile_run(&program),
-        &cfg,
-        &ModelParams::default(),
-    );
+    let plan = choose_policies(&program, &profile_run(&program), &cfg);
     let cfg = cfg
         .with_region_policies(plan.policies())
         .with_recording()
