@@ -40,15 +40,25 @@ pub struct RandomDrf {
 }
 
 impl RandomDrf {
-    /// A generated program with the given shape.
+    /// A generated program with the given shape. Panics where
+    /// [`RandomDrf::try_new`] errs.
     pub fn new(seed: u64, words: usize, phases: usize, locks: usize) -> Self {
-        assert!(words >= 1 && phases >= 1);
-        RandomDrf {
+        Self::try_new(seed, words, phases, locks).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`RandomDrf::new`], or the first parameter outside its range, named.
+    pub fn try_new(seed: u64, words: usize, phases: usize, locks: usize) -> Result<Self, String> {
+        for (name, value) in [("words", words), ("phases", phases)] {
+            if value == 0 {
+                return Err(format!("{name} = 0: must be at least 1"));
+            }
+        }
+        Ok(RandomDrf {
             seed,
             words,
             phases,
             locks,
-        }
+        })
     }
 
     /// The canonical writer slot of `word` in `phase` (deterministic

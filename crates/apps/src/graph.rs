@@ -40,15 +40,34 @@ pub struct PageRank {
 }
 
 impl PageRank {
-    /// A graph kernel with the given shape.
+    /// A graph kernel with the given shape. Panics where
+    /// [`PageRank::try_new`] errs.
     pub fn new(seed: u64, vertices: usize, max_out: usize, iters: usize) -> Self {
-        assert!(vertices >= 2 && max_out >= 1 && iters >= 1);
-        PageRank {
+        Self::try_new(seed, vertices, max_out, iters).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`PageRank::new`], or the first parameter outside its range, named.
+    pub fn try_new(
+        seed: u64,
+        vertices: usize,
+        max_out: usize,
+        iters: usize,
+    ) -> Result<Self, String> {
+        for (name, value, min) in [
+            ("vertices", vertices, 2),
+            ("max_out", max_out, 1),
+            ("iters", iters, 1),
+        ] {
+            if value < min {
+                return Err(format!("{name} = {value}: must be at least {min}"));
+            }
+        }
+        Ok(PageRank {
             seed,
             vertices,
             max_out,
             iters,
-        }
+        })
     }
 
     /// Deterministic edge list: `(u, targets_of_u)` in vertex order.

@@ -10,7 +10,9 @@
 //! executes exactly the operations whose key it *owns*, so the multiset of
 //! applied updates — and therefore the final image — is independent of the
 //! cluster size, which is what lets the default bit-identical verification
-//! against the sequential run hold.
+//! against the sequential run hold. Being pure, the stream is built once
+//! per program, at its first run, and every node's run and the sequential
+//! baseline index that one copy instead of re-deriving every operation.
 //!
 //! Ownership starts as a static hash partition and then *migrates*: the
 //! stream is split into `epochs` separated by barriers, and at each
@@ -19,6 +21,9 @@
 //! round-robin over the cluster by hot-rank, modeling a store that rebalances
 //! its hottest shards. Migration changes who touches what (the sharing
 //! pattern the protocols see), never what is computed.
+
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use dsm_core::{touch_region, Dsm, DsmProgram, MemImage, NodeFuture, RegionHint};
 
@@ -31,26 +36,50 @@ const STRIPES: usize = 64;
 /// How many keys an epoch boundary re-homes (the "hot set").
 const HOT_KEYS: usize = 16;
 
+/// One operation of the global stream: key, is-read, update delta.
+type Op = (u32, bool, u64);
+
 /// Partitioned Zipfian key-value store program.
-#[derive(Debug, Clone)]
+///
+/// The shape is fixed at construction (the fields are private) because the
+/// op stream is derived from it once, at the first run, and shared by every
+/// node's run, the sequential baseline and every clone made after that.
+#[derive(Clone)]
 pub struct KvZipf {
     /// Seed for the operation stream and initial values.
-    pub seed: u64,
+    seed: u64,
     /// Number of keys.
-    pub keys: usize,
+    keys: usize,
     /// Total operations in the global stream (split over epochs).
-    pub ops: usize,
+    ops: usize,
     /// Epochs (hot-key migration happens at each boundary).
-    pub epochs: usize,
+    epochs: usize,
     /// Zipfian exponent × 100 (kept integral so specs round-trip exactly;
     /// 99 = the YCSB-style 0.99 default).
-    pub theta_x100: u32,
+    theta_x100: u32,
     /// Percentage of operations that are reads.
-    pub read_pct: u32,
+    read_pct: u32,
+    /// `op(i)` for every `i`, built on first use.
+    stream: OnceLock<Arc<[Op]>>,
+}
+
+impl fmt::Debug for KvZipf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("KvZipf")
+            .field("seed", &self.seed)
+            .field("keys", &self.keys)
+            .field("ops", &self.ops)
+            .field("epochs", &self.epochs)
+            .field("theta_x100", &self.theta_x100)
+            .field("read_pct", &self.read_pct)
+            .finish_non_exhaustive()
+    }
 }
 
 impl KvZipf {
-    /// A store with the given shape (see field docs).
+    /// A store with the given shape: `keys` 8-byte values, a stream of `ops`
+    /// operations split over `epochs`, Zipfian exponent `theta_x100` / 100,
+    /// and `read_pct` percent reads. Panics where [`KvZipf::try_new`] errs.
     pub fn new(
         seed: u64,
         keys: usize,
@@ -59,17 +88,51 @@ impl KvZipf {
         theta_x100: u32,
         read_pct: u32,
     ) -> Self {
-        assert!(keys >= HOT_KEYS, "need at least {HOT_KEYS} keys");
-        assert!(epochs >= 1 && ops >= epochs, "need >= 1 op per epoch");
-        assert!(read_pct <= 100);
-        KvZipf {
+        Self::try_new(seed, keys, ops, epochs, theta_x100, read_pct)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`KvZipf::new`], or the first parameter outside its range, named.
+    pub fn try_new(
+        seed: u64,
+        keys: usize,
+        ops: usize,
+        epochs: usize,
+        theta_x100: u32,
+        read_pct: u32,
+    ) -> Result<Self, String> {
+        if keys < HOT_KEYS || u32::try_from(keys).is_err() {
+            return Err(format!(
+                "keys = {keys}: must be at least {HOT_KEYS} (the hot set) and fit in u32"
+            ));
+        }
+        if epochs == 0 {
+            return Err("epochs = 0: must be at least 1".to_string());
+        }
+        if ops < epochs {
+            return Err(format!(
+                "ops = {ops}: must be at least epochs = {epochs} (one op per epoch)"
+            ));
+        }
+        if read_pct > 100 {
+            return Err(format!(
+                "read_pct = {read_pct}: a percentage is at most 100"
+            ));
+        }
+        Ok(KvZipf {
             seed,
             keys,
             ops,
             epochs,
             theta_x100,
             read_pct,
-        }
+            stream: OnceLock::new(),
+        })
+    }
+
+    /// Number of keys.
+    pub fn keys(&self) -> usize {
+        self.keys
     }
 
     fn value_addr(&self, k: usize) -> usize {
@@ -96,6 +159,19 @@ impl KvZipf {
         (key, is_read, rng.next_u64() >> 16)
     }
 
+    /// The whole stream, `op(i)` at index `i`, built by the first caller.
+    fn stream(&self) -> &[Op] {
+        self.stream.get_or_init(|| {
+            let zipf = Zipf::new(self.keys, self.theta_x100 as f64 / 100.0);
+            (0..self.ops)
+                .map(|i| {
+                    let (key, is_read, delta) = self.op(&zipf, i);
+                    (key as u32, is_read, delta)
+                })
+                .collect()
+        })
+    }
+
     /// Static hash partition used for epoch 0 and for every cold key.
     fn base_owner(&self, k: usize, p: usize) -> usize {
         (k * 0x9E37 + 7) % p
@@ -110,9 +186,14 @@ impl KvZipf {
         if epoch == 0 {
             return owner;
         }
+        // Keys are unique, so the order is total and the hot set is exactly
+        // a full sort's first `HOT_KEYS`, in the same order.
+        let hotter = |&k: &usize| (std::cmp::Reverse(counts[k]), k);
         let mut ranked: Vec<usize> = (0..self.keys).collect();
-        ranked.sort_by_key(|&k| (std::cmp::Reverse(counts[k]), k));
-        for (rank, &k) in ranked.iter().take(HOT_KEYS).enumerate() {
+        ranked.select_nth_unstable_by_key(HOT_KEYS - 1, hotter);
+        let hot = &mut ranked[..HOT_KEYS];
+        hot.sort_unstable_by_key(hotter);
+        for (rank, &k) in hot.iter().enumerate() {
             // Offset by the epoch so hot shards keep moving between nodes
             // run to run, not merely away from their hash home once.
             owner[k] = (rank + epoch) % p;
@@ -163,7 +244,7 @@ impl DsmProgram for KvZipf {
     fn run<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
         Box::pin(async move {
             let (me, p) = (d.node(), d.num_nodes());
-            let zipf = Zipf::new(self.keys, self.theta_x100 as f64 / 100.0);
+            let stream = self.stream();
             let per_epoch = self.ops / self.epochs;
             let mut counts_snapshot = vec![0u64; self.keys];
             let mut owner = self.assign(&counts_snapshot, p, 0);
@@ -174,8 +255,8 @@ impl DsmProgram for KvZipf {
                 } else {
                     lo + per_epoch
                 };
-                for i in lo..hi {
-                    let (k, is_read, delta) = self.op(&zipf, i);
+                for &(k, is_read, delta) in &stream[lo..hi] {
+                    let k = k as usize;
                     if owner[k] != me {
                         continue;
                     }
@@ -221,6 +302,60 @@ mod tests {
         let z = Zipf::new(kv.keys, 0.99);
         for i in [0usize, 1, 17, 999] {
             assert_eq!(kv.op(&z, i), kv.op(&z, i), "op {i} must be pure");
+        }
+    }
+
+    #[test]
+    fn the_stream_is_op_of_every_index_and_clones_share_it() {
+        let kv = KvZipf::new(1, 256, 4_000, 4, 99, 70);
+        let z = Zipf::new(kv.keys, 0.99);
+        let stream = kv.stream();
+        assert_eq!(stream.len(), kv.ops);
+        for (i, &(key, is_read, delta)) in stream.iter().enumerate() {
+            assert_eq!((key as usize, is_read, delta), kv.op(&z, i), "op {i}");
+        }
+        let copy = kv.clone();
+        assert!(
+            std::ptr::eq(copy.stream(), stream),
+            "a clone rebuilt the stream"
+        );
+        let shown = format!("{kv:?}");
+        assert!(shown.len() < 120 && !shown.contains("stream"), "{shown}");
+    }
+
+    #[test]
+    fn the_hot_set_is_a_full_sorts_prefix() {
+        // The ranking before the partial select: a full sort of every key.
+        let full_sort = |kv: &KvZipf, counts: &[u64], p: usize, epoch: usize| {
+            let mut owner: Vec<usize> = (0..kv.keys).map(|k| kv.base_owner(k, p)).collect();
+            let mut ranked: Vec<usize> = (0..kv.keys).collect();
+            ranked.sort_by_key(|&k| (std::cmp::Reverse(counts[k]), k));
+            for (rank, &k) in ranked.iter().take(HOT_KEYS).enumerate() {
+                owner[k] = (rank + epoch) % p;
+            }
+            owner
+        };
+        let mut rng = XorShift::new(29);
+        for case in 0..200 {
+            let keys = HOT_KEYS + rng.below(300);
+            let kv = KvZipf::new(3, keys, 640, 2, 99, 50);
+            // Narrow count ranges make ties common; case 0 is all equal.
+            let spread = [1, 2, 5, 1000][case % 4];
+            let counts: Vec<u64> = (0..keys)
+                .map(|_| {
+                    if case == 0 {
+                        7
+                    } else {
+                        rng.below(spread) as u64
+                    }
+                })
+                .collect();
+            let (p, epoch) = (1 + rng.below(16), 1 + rng.below(5));
+            assert_eq!(
+                kv.assign(&counts, p, epoch),
+                full_sort(&kv, &counts, p, epoch),
+                "case {case}"
+            );
         }
     }
 

@@ -2,6 +2,56 @@
 
 use dsm_sim::Time;
 
+use crate::MSG_HEADER_BYTES;
+
+/// The calibration points, (bytes, one-way ns) ascending by size: the
+/// paper's published RTTs halved.
+const POINTS: [(u64, Time); 5] = [
+    (4, 20_000),
+    (64, 30_500),
+    (256, 50_000),
+    (1024, 128_000),
+    (4096, 438_000),
+];
+
+/// Sizes below this are looked up in [`TABLE`]: every message up to 8 KiB
+/// of payload plus its header. Anything larger evaluates [`interpolate`].
+const TABLE_LEN: usize = 8192 + MSG_HEADER_BYTES as usize + 1;
+
+/// `interpolate(b)` for every `b < TABLE_LEN`, computed at compile time by
+/// the same function the runtime fallback calls.
+static TABLE: [Time; TABLE_LEN] = {
+    let mut t = [0; TABLE_LEN];
+    let mut b = 0;
+    while b < TABLE_LEN {
+        t[b] = interpolate(b as u64);
+        b += 1;
+    }
+    t
+};
+
+/// The model's formula: clamp below the first point, interpolate linearly
+/// between points, extrapolate past the last with the final marginal slope.
+const fn interpolate(bytes: u64) -> Time {
+    if bytes <= POINTS[0].0 {
+        return POINTS[0].1;
+    }
+    let mut i = 1;
+    while i < POINTS.len() {
+        let (s0, t0) = POINTS[i - 1];
+        let (s1, t1) = POINTS[i];
+        if bytes <= s1 {
+            let frac = (bytes - s0) as f64 / (s1 - s0) as f64;
+            return t0 + ((t1 - t0) as f64 * frac) as Time;
+        }
+        i += 1;
+    }
+    let (s0, t0) = POINTS[POINTS.len() - 2];
+    let (s1, t1) = POINTS[POINTS.len() - 1];
+    let slope = (t1 - t0) as f64 / (s1 - s0) as f64;
+    t1 + ((bytes - s1) as f64 * slope) as Time
+}
+
 /// One-way network latency as a function of message size.
 ///
 /// Calibrated so that `rtt(s) = 2 * one_way(s)` reproduces the paper's §3
@@ -9,48 +59,22 @@ use dsm_sim::Time;
 /// 4/64/256/1024/4096-byte messages). Between calibration points the model
 /// interpolates linearly; beyond the last point it extrapolates with the
 /// final marginal bandwidth (~9.9 MB/s one-way including copies, consistent
-/// with the paper's ~17 MB/s steady-state pipelined bandwidth).
-#[derive(Debug, Clone)]
-pub struct LatencyModel {
-    /// (bytes, one-way ns) calibration points, ascending by size.
-    points: Vec<(u64, Time)>,
-}
-
-impl Default for LatencyModel {
-    fn default() -> Self {
-        // One-way = published RTT / 2.
-        LatencyModel {
-            points: vec![
-                (4, 20_000),
-                (64, 30_500),
-                (256, 50_000),
-                (1024, 128_000),
-                (4096, 438_000),
-            ],
-        }
-    }
-}
+/// with the paper's ~17 MB/s steady-state pipelined bandwidth). A message
+/// of up to 8 KiB plus header reads its latency from a table built from the
+/// formula at compile time; a larger one evaluates the formula.
+#[derive(Debug, Clone, Default)]
+#[non_exhaustive]
+pub struct LatencyModel;
 
 impl LatencyModel {
     /// One-way latency in ns for a message of `bytes` bytes.
+    #[inline]
     pub fn one_way(&self, bytes: u64) -> Time {
-        let pts = &self.points;
-        if bytes <= pts[0].0 {
-            return pts[0].1;
+        if bytes < TABLE_LEN as u64 {
+            TABLE[bytes as usize]
+        } else {
+            interpolate(bytes)
         }
-        for w in pts.windows(2) {
-            let (s0, t0) = w[0];
-            let (s1, t1) = w[1];
-            if bytes <= s1 {
-                let frac = (bytes - s0) as f64 / (s1 - s0) as f64;
-                return t0 + ((t1 - t0) as f64 * frac) as Time;
-            }
-        }
-        // Extrapolate with the last marginal slope.
-        let (s0, t0) = pts[pts.len() - 2];
-        let (s1, t1) = pts[pts.len() - 1];
-        let slope = (t1 - t0) as f64 / (s1 - s0) as f64;
-        t1 + ((bytes - s1) as f64 * slope) as Time
     }
 
     /// Round-trip latency for a ping-pong of `bytes`-byte messages.
@@ -64,7 +88,7 @@ impl LatencyModel {
     /// linearly between points, so the minimum over the points themselves is
     /// a true lower bound (the paper's Table-1 floor: 40 µs RTT / 2).
     pub fn min_one_way(&self) -> Time {
-        self.points.iter().map(|&(_, ns)| ns).min().expect("points")
+        POINTS.iter().map(|&(_, ns)| ns).min().expect("points")
     }
 
     /// Effective one-way bandwidth at a message size, in MB/s.
@@ -85,6 +109,38 @@ mod tests {
         assert_eq!(m.rtt(256), 100_000);
         assert_eq!(m.rtt(1024), 256_000);
         assert_eq!(m.rtt(4096), 876_000);
+    }
+
+    /// The formula as it stood before the table, evaluated at run time:
+    /// the table must hold exactly what it returns.
+    fn reference(bytes: u64) -> Time {
+        let pts = &POINTS;
+        if bytes <= pts[0].0 {
+            return pts[0].1;
+        }
+        for w in pts.windows(2) {
+            let (s0, t0) = w[0];
+            let (s1, t1) = w[1];
+            if bytes <= s1 {
+                let frac = (bytes - s0) as f64 / (s1 - s0) as f64;
+                return t0 + ((t1 - t0) as f64 * frac) as Time;
+            }
+        }
+        let (s0, t0) = pts[pts.len() - 2];
+        let (s1, t1) = pts[pts.len() - 1];
+        let slope = (t1 - t0) as f64 / (s1 - s0) as f64;
+        t1 + ((bytes - s1) as f64 * slope) as Time
+    }
+
+    #[test]
+    fn the_table_is_the_formula() {
+        let m = LatencyModel::default();
+        for bytes in 0..=2 * TABLE_LEN as u64 {
+            assert_eq!(m.one_way(bytes), reference(bytes), "{bytes} bytes");
+        }
+        for bytes in [65_536, 65_537, 100_000, 1 << 20, 3 << 24, 1 << 40] {
+            assert_eq!(m.one_way(bytes), reference(bytes), "{bytes} bytes");
+        }
     }
 
     #[test]

@@ -53,6 +53,22 @@ impl NoticeLog {
         out
     }
 
+    /// The notices a grant owes an acquirer at `have` from a releaser at
+    /// `upto`: `collect(&VClock::missing_intervals(have, upto))`, gathered
+    /// in the same order into one buffer of exactly their number.
+    pub fn collect_missing(&self, have: &VClock, upto: &VClock) -> Vec<Notice> {
+        let owed = |j: usize| {
+            let (lo, hi) = (have.get(j) as usize, upto.get(j) as usize);
+            &self.per_node[j][lo.min(hi)..hi]
+        };
+        let total = (0..upto.len()).flat_map(owed).map(Vec::len).sum();
+        let mut out = Vec::with_capacity(total);
+        for interval in (0..upto.len()).flat_map(owed) {
+            out.extend_from_slice(interval);
+        }
+        out
+    }
+
     /// Number of intervals logged for a node.
     pub fn intervals(&self, node: NodeId) -> usize {
         self.per_node[node].len()

@@ -212,10 +212,7 @@ fn send_grant(
 ) {
     #[allow(unused_mut)]
     let (vt, mut notices) = match (&w.locks[l].last_vt, req_vt) {
-        (Some(last), Some(req)) => {
-            let missing = VClock::missing_intervals(&req, last);
-            (Some(last.clone()), w.log.collect(&missing))
-        }
+        (Some(last), Some(req)) => (Some(last.clone()), w.log.collect_missing(&req, last)),
         (last, _) => (last.clone(), Vec::new()),
     };
     #[cfg(feature = "mutate")]
@@ -328,10 +325,7 @@ pub fn handle_bar_arrive(
     let per_send = w.cfg.cost.sync_handler_ns;
     for (i, (node, vt_j, _)) in arrived.into_iter().enumerate() {
         let notices = match (&merged, &vt_j) {
-            (Some(m), Some(have)) => {
-                let missing = VClock::missing_intervals(have, m);
-                w.log.collect(&missing)
-            }
+            (Some(m), Some(have)) => w.log.collect_missing(have, m),
             _ => Vec::new(),
         };
         w.emit_notices(me, s.now(), notices.len(), false);

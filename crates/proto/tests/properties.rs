@@ -1,9 +1,12 @@
 //! Property-style tests on the protocol primitives: diffs, vector clocks,
-//! and the latency model. Each test draws many cases from a fixed-seed
-//! generator, preserving the properties previously checked with proptest.
+//! the write-notice log and the latency model. Each test draws many cases
+//! from a fixed-seed generator, preserving the properties previously
+//! checked with proptest.
 
 use dsm_proto::diff::Diff;
+use dsm_proto::lrc::NoticeLog;
 use dsm_proto::vt::VClock;
+use dsm_proto::Notice;
 
 /// Minimal xorshift64* generator so this test crate needs no dependencies.
 struct Rng(u64);
@@ -145,6 +148,47 @@ fn missing_intervals_exactly_fill_the_gap() {
         for (j, k) in missing {
             assert!(k > h.get(j) && k <= u.get(j));
         }
+    }
+}
+
+#[test]
+fn collect_missing_is_collect_of_missing_intervals() {
+    // Random logs (empty intervals included) and random clocks, where the
+    // acquirer may be ahead of the releaser in some components: the one-pass
+    // gather returns the notices of the interval list, in its order, and
+    // allocates exactly their number.
+    let mut rng = Rng::new(0x5EED_0007);
+    for _ in 0..4 * CASES {
+        let n = 1 + rng.below(6);
+        let mut log = NoticeLog::new(n);
+        let mut logged = Vec::new();
+        for node in 0..n {
+            let intervals = rng.below(12) as u32;
+            for k in 1..=intervals {
+                let notices = (0..rng.below(5))
+                    .map(|_| Notice {
+                        block: rng.below(1 << 16),
+                        writer: node,
+                        version: k,
+                    })
+                    .collect();
+                log.push_interval(node, k, notices);
+            }
+            logged.push(intervals);
+        }
+        let upto: Vec<u32> = logged
+            .iter()
+            .map(|&i| rng.below(i as usize + 1) as u32)
+            .collect();
+        let have: Vec<u32> = logged
+            .iter()
+            .map(|&i| rng.below(i as usize + 1) as u32)
+            .collect();
+        let (have, upto) = (mk_clock(&have), mk_clock(&upto));
+        let want = log.collect(&VClock::missing_intervals(&have, &upto));
+        let got = log.collect_missing(&have, &upto);
+        assert_eq!(got, want, "have {have:?} upto {upto:?}");
+        assert_eq!(got.capacity(), got.len());
     }
 }
 

@@ -386,13 +386,15 @@ mod tests {
 
     #[test]
     fn bad_app_errors_before_running() {
-        let s = spec(
+        // The parser rejects this; a spec built in code reaches the runner.
+        let mut s = spec(
             r#"{
             "name": "broken",
-            "app": {"name": "kv-zipf", "params": {"warp": 9}},
+            "app": {"name": "kv-zipf"},
             "mode": {"kind": "fixed", "protocol": "sc", "block": 64}
         }"#,
         );
+        s.app.params.push(("warp".to_string(), 9));
         let e = run_scenario(&s, 1).unwrap_err();
         assert!(e.contains("unknown parameter"), "{e}");
     }

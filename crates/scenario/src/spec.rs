@@ -52,17 +52,25 @@ pub struct AppSpec {
 }
 
 impl AppSpec {
-    fn param(&self, key: &str, default: u64) -> u64 {
-        self.params
-            .iter()
-            .find(|(k, _)| k == key)
-            .map_or(default, |(_, v)| *v)
+    /// Parameter `key` as a `T`, or `default` when the spec leaves it out;
+    /// an error naming it when its value does not fit a `T`.
+    fn param<T: TryFrom<u64>>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.params.iter().find(|(k, _)| k == key) {
+            None => Ok(default),
+            Some((_, v)) => T::try_from(*v).map_err(|_| {
+                format!(
+                    "app {}: parameter {key:?} = {v} does not fit in {}",
+                    self.name,
+                    std::any::type_name::<T>()
+                )
+            }),
+        }
     }
 
-    /// Instantiate the program for one repetition. Modern workloads are
-    /// seeded per repetition; the classic kernels are deterministic fixed
-    /// problems and ignore the seed.
-    pub fn build(&self, seed: u64) -> Result<Program, String> {
+    /// The modern workload this spec names, built for `seed` with its
+    /// parameters checked against their types and the constructor's ranges;
+    /// `None` for a classic kernel (which takes no parameters).
+    fn modern(&self, seed: u64) -> Result<Option<Program>, String> {
         let small = self.size == AppSize::Small;
         let known: &[&str] = match self.name.as_str() {
             "kv-zipf" => &["keys", "ops", "epochs", "theta_x100", "read_pct"],
@@ -85,45 +93,64 @@ impl AppSpec {
                 }
             ));
         }
-        Ok(match self.name.as_str() {
+        let named = |e: String| format!("app {}: {e}", self.name);
+        let program: Program = match self.name.as_str() {
             "kv-zipf" => {
                 let (keys, ops, epochs) = if small {
                     (256, 4_000, 4)
                 } else {
                     (2048, 48_000, 6)
                 };
-                Arc::new(KvZipf::new(
-                    seed,
-                    self.param("keys", keys) as usize,
-                    self.param("ops", ops) as usize,
-                    self.param("epochs", epochs) as usize,
-                    self.param("theta_x100", 99) as u32,
-                    self.param("read_pct", 70) as u32,
-                ))
+                Arc::new(
+                    KvZipf::try_new(
+                        seed,
+                        self.param("keys", keys)?,
+                        self.param("ops", ops)?,
+                        self.param("epochs", epochs)?,
+                        self.param("theta_x100", 99)?,
+                        self.param("read_pct", 70)?,
+                    )
+                    .map_err(named)?,
+                )
             }
             "pagerank" => {
                 let (v, m, it) = if small { (96, 4, 3) } else { (768, 8, 8) };
-                Arc::new(PageRank::new(
-                    seed,
-                    self.param("vertices", v) as usize,
-                    self.param("max_out", m) as usize,
-                    self.param("iters", it) as usize,
-                ))
+                Arc::new(
+                    PageRank::try_new(
+                        seed,
+                        self.param("vertices", v)?,
+                        self.param("max_out", m)?,
+                        self.param("iters", it)?,
+                    )
+                    .map_err(named)?,
+                )
             }
             "random-drf" => {
                 let (w, ph, l) = if small { (64, 3, 2) } else { (256, 6, 4) };
-                Arc::new(RandomDrf::new(
-                    seed,
-                    self.param("words", w) as usize,
-                    self.param("phases", ph) as usize,
-                    self.param("locks", l) as usize,
-                ))
+                Arc::new(
+                    RandomDrf::try_new(
+                        seed,
+                        self.param("words", w)?,
+                        self.param("phases", ph)?,
+                        self.param("locks", l)?,
+                    )
+                    .map_err(named)?,
+                )
             }
-            other => {
-                return app_sized(other, self.size)
-                    .ok_or_else(|| format!("unknown application: {other}"))
-            }
-        })
+            _ => return Ok(None),
+        };
+        Ok(Some(program))
+    }
+
+    /// Instantiate the program for one repetition. Modern workloads are
+    /// seeded per repetition; the classic kernels are deterministic fixed
+    /// problems and ignore the seed.
+    pub fn build(&self, seed: u64) -> Result<Program, String> {
+        match self.modern(seed)? {
+            Some(program) => Ok(program),
+            None => app_sized(&self.name, self.size)
+                .ok_or_else(|| format!("unknown application: {}", self.name)),
+        }
     }
 }
 
@@ -307,6 +334,11 @@ impl ScenarioSpec {
             }
             _ => return Err("scenario: \"app\" must be a string or object".to_string()),
         };
+
+        // A modern workload's parameters are checked here, so a plan that
+        // would panic or truncate fails before anything runs. Construction is
+        // cheap: nothing is generated until the first run.
+        app.modern(0).map_err(|e| format!("scenario {e}"))?;
 
         let nodes = match v.get("nodes") {
             None => 16,
@@ -616,20 +648,11 @@ mod tests {
             ),
             (
                 r#"{"name":"x","app":{"name":"kv-zipf","params":{"noexist":3}},"mode":{"kind":"fixed","protocol":"sc","block":64}}"#,
-                "",
+                "unknown parameter",
             ),
         ] {
-            let r = ScenarioSpec::parse(doc);
-            match r {
-                Err(e) => assert!(e.contains(needle), "{doc}: {e} (wanted {needle:?})"),
-                Ok(s) => {
-                    // Parameter typos surface at build time.
-                    let Err(e) = s.app.build(1) else {
-                        panic!("{doc}: build succeeded with a bogus parameter");
-                    };
-                    assert!(e.contains("unknown parameter"), "{e}");
-                }
-            }
+            let e = ScenarioSpec::parse(doc).unwrap_err();
+            assert!(e.contains(needle), "{doc}: {e} (wanted {needle:?})");
         }
     }
 

@@ -3,7 +3,8 @@
 //! and repeats on any host, so a shared runner can hold it where it cannot
 //! hold a timing. What the cell budget guards: the event queue moves 32-byte
 //! entries and keeps payloads in a slab, the golden image is held once, and
-//! the bulk accessors reuse one buffer — an allocation per event, per access
+//! the bulk accessors reuse one buffer, and a write-notice set is gathered
+//! into one buffer of its exact size — an allocation per event, per access
 //! or per node copy coming back shows up here as a count over budget. What
 //! the execution budget guards: a world holds per-block tables only for the
 //! protocols it runs, a commit point gathers its tie into one reused buffer
@@ -89,12 +90,17 @@ fn a_cell_stays_inside_its_allocation_budget() {
     // the message-heavy one — at Standard size: building a world asks for
     // the same few thousand allocations at any size, and a Small lu run
     // commits too few events (3 708) for a per-event budget to mean much.
+    // The message-heavy one runs twice: under SC, which sends no write
+    // notices, and under HLRC, whose every lock grant and barrier release
+    // gathers them into one exactly sized buffer: 0.534 per event, where
+    // growing an interval list and then a notice list per grant read 0.594.
     let cells = [
-        ("lu", Protocol::Hlrc, 4096),
-        ("ocean-rowwise", Protocol::SwLrc, 4096),
-        ("kv-zipf", Protocol::Sc, 1024),
+        ("lu", Protocol::Hlrc, 4096, 0.4),
+        ("ocean-rowwise", Protocol::SwLrc, 4096, 0.4),
+        ("kv-zipf", Protocol::Sc, 1024, 0.4),
+        ("kv-zipf", Protocol::Hlrc, 1024, 0.54),
     ];
-    for (app, protocol, block) in cells {
+    for (app, protocol, block, budget) in cells {
         let program = app_sized(app, AppSize::Standard).expect("a registered application");
         let (_, seq) = counted(|| run_sequential(program.as_ref()));
         let (out, par) = counted(|| run_parallel(&RunConfig::new(protocol, block), program));
@@ -108,8 +114,8 @@ fn a_cell_stays_inside_its_allocation_budget() {
             "{app}: the sequential baseline asked the allocator {seq} times (budget 64)"
         );
         assert!(
-            per_event <= 0.4,
-            "{app}/{protocol:?}@{block}: {per_event:.3} allocator requests per committed event (budget 0.4)"
+            per_event <= budget,
+            "{app}/{protocol:?}@{block}: {per_event:.3} allocator requests per committed event (budget {budget})"
         );
     }
 }

@@ -77,13 +77,13 @@ fn kv_zipf_skew_shows_up_in_access_counts() {
     // hottest key absorbs far more writes than the median key.
     let kv = KvZipf::new(3, 256, 6_000, 3, 99, 40);
     let out = run_parallel(&RunConfig::new(Protocol::Sc, 1024), Arc::new(kv.clone()));
-    let counts: Vec<u64> = (0..kv.keys)
+    let counts: Vec<u64> = (0..kv.keys())
         .map(|k| out.image.read_u64(kv.counts_base() + k * 8))
         .collect();
     let max = *counts.iter().max().unwrap();
     let mut sorted = counts.clone();
     sorted.sort_unstable();
-    let median = sorted[kv.keys / 2];
+    let median = sorted[kv.keys() / 2];
     assert!(
         max >= 10 * median.max(1),
         "no skew: max {max}, median {median}"
@@ -120,6 +120,51 @@ fn modern_apps_region_hints_drive_mixed_mode() {
             .with_region_policies(vec![RegionPolicy::new(region, Protocol::Sc, 256)]);
         run_checked(&cfg, program);
     }
+}
+
+#[test]
+fn a_bad_modern_app_parameter_fails_the_parse_and_names_itself() {
+    // `scenarios/kv-hot-migration.json` with one parameter changed, and the
+    // other two families' shapes: each used to panic in its constructor or
+    // run truncated (4294967297 read as 1), and is now a parse error.
+    let plan = |app: &str| {
+        format!(
+            r#"{{"name": "bad", "app": {app}, "nodes": 16,
+                "mode": {{"kind": "fixed", "protocol": "hlrc", "block": 1024}},
+                "check": true, "reps": 3, "seed": 1000}}"#
+        )
+    };
+    let kv = |params: &str| {
+        plan(&format!(
+            r#"{{"name": "kv-zipf", "size": "small", "params": {{"theta_x100": 99, {params}}}}}"#
+        ))
+    };
+    for (doc, needle) in [
+        (kv(r#""keys": 8"#), "keys = 8"),
+        (kv(r#""read_pct": 101"#), "read_pct = 101"),
+        (kv(r#""read_pct": 4294967297"#), "\"read_pct\" = 4294967297"),
+        (kv(r#""epochs": 0"#), "epochs = 0"),
+        (kv(r#""ops": 3"#), "ops = 3"),
+        (kv(r#""keys": 4294967296"#), "keys = 4294967296"),
+        (
+            plan(r#"{"name": "pagerank", "params": {"vertices": 1}}"#),
+            "vertices = 1",
+        ),
+        (
+            plan(r#"{"name": "pagerank", "params": {"iters": 0}}"#),
+            "iters = 0",
+        ),
+        (
+            plan(r#"{"name": "random-drf", "params": {"phases": 0}}"#),
+            "phases = 0",
+        ),
+    ] {
+        let e = ScenarioSpec::parse(&doc).expect_err(&doc);
+        assert!(e.contains(needle), "{e} (wanted {needle:?})");
+        assert!(!e.contains('\n'), "one line: {e}");
+    }
+    // The bundled plan itself still parses.
+    assert!(ScenarioSpec::parse(&kv(r#""read_pct": 60"#)).is_ok());
 }
 
 #[test]
