@@ -36,7 +36,10 @@
 //! `proto=sc|swlrc|hlrc|tardis`, `prog=msg|lock|ping|pingpong`,
 //! `nodes=N`, `rounds=N`, `faults=BUDGET`, `block=BYTES`, `max=SCHEDULES`,
 //! `steps=MAX_COMMITS`, and the switches `raw` (disable DPOR) and
-//! `nodedup` (disable state dedup). Prints exploration statistics (a
+//! `nodedup` (disable state dedup). `lock` and `ping` take `nodes` ≥ 2
+//! (default 2) and `rounds` ≥ 1 (default 1), `pingpong` takes `rounds` ≥ 1
+//! only, and `msg` (two nodes, one message) takes neither; any other
+//! `nodes` or `rounds` is rejected. Prints exploration statistics (a
 //! schema-versioned `"mc"` record plus one `"mc-violation"` record per
 //! violation example under `--json`) and exits nonzero when any schedule
 //! produced a violation.
@@ -111,8 +114,8 @@ fn run_mc(spec: &str, json: bool) -> ! {
     };
     let mut proto = Protocol::Sc;
     let mut prog_name = "msg".to_string();
-    let mut nodes = 2usize;
-    let mut rounds = 1usize;
+    let mut nodes: Option<u64> = None;
+    let mut rounds: Option<u64> = None;
     let mut faults = 0u32;
     let mut block = 256usize;
     let mut reduce = true;
@@ -132,8 +135,8 @@ fn run_mc(spec: &str, json: bool) -> ! {
                     .unwrap_or_else(|e| bad(format!("bad protocol {v:?}: {e}")))
             }
             "prog" => prog_name = v.to_string(),
-            "nodes" => nodes = num() as usize,
-            "rounds" => rounds = num() as usize,
+            "nodes" => nodes = Some(num()),
+            "rounds" => rounds = Some(num()),
             "faults" => {
                 faults = u32::try_from(num())
                     .unwrap_or_else(|_| bad(format!("faults must fit in 32 bits, got {v:?}")))
@@ -146,12 +149,30 @@ fn run_mc(spec: &str, json: bool) -> ! {
             _ => bad(format!("unknown key {k:?}")),
         }
     }
+    // The least `nodes` and `rounds` each program takes (`None`: it takes
+    // no such key). A key outside that is an error, never a silent default.
+    let (least_nodes, least_rounds, accepts) = match prog_name.as_str() {
+        "msg" => (None, None, "takes neither nodes nor rounds"),
+        "lock" | "ping" => (Some(2), Some(1), "takes nodes >= 2 and rounds >= 1"),
+        "pingpong" => (None, Some(1), "takes rounds >= 1 and no nodes"),
+        other => bad(format!(
+            "unknown program {other:?} (one of: msg, lock, ping, pingpong)"
+        )),
+    };
+    let shape = |given: Option<u64>, least: Option<u64>, key: &str| match (given, least) {
+        (None, _) => least.unwrap_or(0) as usize,
+        (Some(n), Some(m)) if n >= m => n as usize,
+        (Some(n), _) => bad(format!("{key}={n}: prog={prog_name} {accepts}")),
+    };
+    let (nodes, rounds) = (
+        shape(nodes, least_nodes, "nodes"),
+        shape(rounds, least_rounds, "rounds"),
+    );
     let prog = match prog_name.as_str() {
-        "msg" => program::msg_pass(),
-        "lock" => program::lock_counter(nodes.max(2), rounds.max(1)),
-        "ping" => program::ping_rounds(nodes.max(2), rounds.max(1)),
-        "pingpong" => program::lock_pingpong(rounds.max(1)),
-        other => bad(format!("unknown program {other:?}")),
+        "lock" => program::lock_counter(nodes, rounds),
+        "ping" => program::ping_rounds(nodes, rounds),
+        "pingpong" => program::lock_pingpong(rounds),
+        _ => program::msg_pass(),
     };
     let mut cfg = McConfig::new(proto);
     cfg.block_size = block;

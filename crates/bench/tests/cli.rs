@@ -37,6 +37,20 @@ fn diag_rejects_malformed_positionals() {
     rejects(diag, &["lu", "sc", "100"], &[], "100");
     rejects(diag, &["--mc", "block=100"], &[], "100");
     rejects(diag, &["--mc", "faults=4294967297"], &[], "4294967297");
+    // A program shape the program does not take is not quietly replaced by
+    // one it does.
+    for (spec, key) in [
+        ("prog=lock,nodes=1", "nodes=1"),
+        ("prog=ping,nodes=0", "nodes=0"),
+        ("prog=lock,rounds=0", "rounds=0"),
+        ("prog=pingpong,rounds=0", "rounds=0"),
+        ("rounds=0", "rounds=0"),
+        ("prog=msg,nodes=7", "nodes=7"),
+        ("prog=msg,rounds=9", "rounds=9"),
+        ("prog=pingpong,nodes=5", "nodes=5"),
+    ] {
+        rejects(diag, &["--mc", spec], &[], key);
+    }
     rejects(
         diag,
         &["lu", "sc", "64", "--fabric", "faulty,drop=4294967297"],

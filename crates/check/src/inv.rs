@@ -172,7 +172,7 @@ pub struct HlMirror {
 impl HlMirror {
     /// A diff was created against `twin` for the current contents `cur`.
     pub fn on_diff(
-        &mut self,
+        &self,
         block: BlockId,
         twin: &[u8],
         cur: &[u8],
@@ -394,7 +394,7 @@ impl TdMirror {
     /// A completed read access on a Tardis block: the reader's program
     /// timestamp must sit inside its copy's lease. The exclusive owner is
     /// exempt — it holds the authoritative copy, no lease involved.
-    pub fn on_access(&mut self, me: NodeId, block: BlockId, write: bool) -> Option<Fail> {
+    pub fn on_access(&self, me: NodeId, block: BlockId, write: bool) -> Option<Fail> {
         if write || self.owner.get(&block) == Some(&me) {
             return None;
         }
@@ -621,7 +621,7 @@ mod tests {
 
     #[test]
     fn truncated_diff_fails_coverage() {
-        let mut m = HlMirror::default();
+        let m = HlMirror::default();
         let twin = vec![0u8; 16];
         let mut cur = twin.clone();
         cur[3] = 9;

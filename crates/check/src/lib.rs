@@ -30,6 +30,7 @@ use dsm_proto::diff::Diff;
 use dsm_proto::msg::Notice;
 use dsm_proto::vt::VClock;
 use dsm_proto::{Checker, Protocol, Violation};
+use dsm_sim::rng::{fold64, Fingerprinted, StableHasher};
 use dsm_sim::{NodeId, Time};
 
 use inv::{FabricMirror, HlMirror, LrcMirror, SwMirror, TdMirror};
@@ -38,7 +39,6 @@ use race::RaceDetector;
 /// XOR of the entries' fingerprints: the digest of an unordered collection,
 /// whatever order it iterates in.
 fn xor_fold<T: std::hash::Hash>(entries: impl Iterator<Item = T>) -> u64 {
-    use dsm_sim::rng::StableHasher;
     entries.fold(0, |acc, e| acc ^ StableHasher::fingerprint(&e))
 }
 
@@ -81,15 +81,16 @@ pub struct RunChecker {
     /// Fabric delivery checks only apply under the reliable fabric; the
     /// ideal fire-and-forget network has no sequencing to validate.
     fabric_reliable: bool,
-    det: RaceDetector,
-    lrc: LrcMirror,
-    hl: HlMirror,
-    sw: SwMirror,
-    td: TdMirror,
-    fab: FabricMirror,
+    // The state the model checker fingerprints, one cached word each.
+    det: Fingerprinted<RaceDetector>,
+    lrc: Fingerprinted<LrcMirror>,
+    hl: Fingerprinted<HlMirror>,
+    sw: Fingerprinted<SwMirror>,
+    td: Fingerprinted<TdMirror>,
+    fab: Fingerprinted<FabricMirror>,
     /// Last synchronization operation per node, for race attribution.
-    sync_ctx: Vec<SyncCtx>,
-    violations: Vec<Violation>,
+    sync_ctx: Fingerprinted<Vec<SyncCtx>>,
+    violations: Fingerprinted<Vec<Violation>>,
     suppressed: usize,
 }
 
@@ -112,18 +113,18 @@ impl RunChecker {
         RunChecker {
             app: app.to_string(),
             has_tardis: region_protocols.contains(&Protocol::Tardis),
-            det: RaceDetector::new(nodes, layout.size() / race::WORD),
+            det: Fingerprinted::new(RaceDetector::new(nodes, layout.size() / race::WORD)),
             layout,
             region_protocols,
             fabric_reliable,
-            lrc: LrcMirror::new(nodes),
-            hl: HlMirror::default(),
-            sw: SwMirror::default(),
-            td: TdMirror::new(nodes),
+            lrc: Fingerprinted::new(LrcMirror::new(nodes)),
+            hl: Fingerprinted::default(),
+            sw: Fingerprinted::default(),
+            td: Fingerprinted::new(TdMirror::new(nodes)),
             // No channel has sequence numbers to mirror on the ideal fabric.
-            fab: FabricMirror::new(if fabric_reliable { nodes } else { 0 }),
-            sync_ctx: vec![SyncCtx::Start; nodes],
-            violations: Vec::new(),
+            fab: Fingerprinted::new(FabricMirror::new(if fabric_reliable { nodes } else { 0 })),
+            sync_ctx: Fingerprinted::new(vec![SyncCtx::Start; nodes]),
+            violations: Fingerprinted::default(),
             suppressed: 0,
         }
     }
@@ -362,15 +363,17 @@ impl Checker for RunChecker {
     }
 
     fn mc_fingerprint(&self) -> u64 {
-        use dsm_sim::rng::{fold64, StableHasher};
-        let mut h = self.det.mc_hash();
-        h = fold64(h, self.lrc.mc_hash());
-        h = fold64(h, self.hl.mc_hash());
-        h = fold64(h, self.sw.mc_hash());
-        h = fold64(h, self.td.mc_hash());
-        h = fold64(h, self.fab.mc_hash());
-        h = fold64(h, StableHasher::fingerprint(&self.violations));
-        h = fold64(h, StableHasher::fingerprint(&self.sync_ctx));
+        let mut h = self.det.fingerprint_with(RaceDetector::mc_hash);
+        h = fold64(h, self.lrc.fingerprint_with(LrcMirror::mc_hash));
+        h = fold64(h, self.hl.fingerprint_with(HlMirror::mc_hash));
+        h = fold64(h, self.sw.fingerprint_with(SwMirror::mc_hash));
+        h = fold64(h, self.td.fingerprint_with(TdMirror::mc_hash));
+        h = fold64(h, self.fab.fingerprint_with(FabricMirror::mc_hash));
+        h = fold64(
+            h,
+            self.violations.fingerprint_with(StableHasher::fingerprint),
+        );
+        h = fold64(h, self.sync_ctx.fingerprint_with(StableHasher::fingerprint));
         fold64(h, self.suppressed as u64)
     }
 
@@ -392,7 +395,7 @@ impl Checker for RunChecker {
                 ),
             });
         }
-        std::mem::take(&mut self.violations)
+        std::mem::take(&mut *self.violations)
     }
 }
 

@@ -24,13 +24,13 @@
 //! pruned prefix can never hide a pending violation).
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use dsm_core::{run_parallel_mc, FabricConfig, RunConfig, RunOutcome};
 use dsm_fabric::{FaultDecision, FaultOracle};
 use dsm_proto::{Mutation, Packet, ProtoWorld, Protocol, Violation};
-use dsm_sim::rng::fold64;
+use dsm_sim::rng::{fold64, StableSet};
 use dsm_sim::{McChoice, McChoices, McEvent, McHook, RunError, Time};
 
 use crate::oracle;
@@ -253,7 +253,7 @@ struct McCore {
     steps: u64,
     faults_used: u32,
     prune: Option<Prune>,
-    seen: HashSet<u64>,
+    seen: StableSet<u64>,
     states: u64,
     choice_points: u64,
     max_depth: u64,
@@ -272,7 +272,7 @@ impl McCore {
             steps: 0,
             faults_used: 0,
             prune: None,
-            seen: HashSet::new(),
+            seen: StableSet::default(),
             states: 0,
             choice_points: 0,
             max_depth: 0,

@@ -24,10 +24,10 @@
 //!   reads are skipped — the happens-before race detector already flags
 //!   them on whatever schedule exposes the race.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use dsm_proto::Violation;
-use dsm_sim::rng::StableHasher;
+use dsm_sim::rng::{StableHasher, StableSet};
 
 use crate::program::{MicroProgram, TraceEv};
 
@@ -63,7 +63,7 @@ pub fn witness_check(prog: &MicroProgram, trace: &[TraceEv]) -> Option<Violation
     let mut mem: BTreeMap<usize, u64> = prog.init.iter().map(|&(a, v)| (a, v)).collect();
     let mut st = Search {
         seqs: &seqs,
-        seen: HashSet::new(),
+        seen: StableSet::default(),
     };
     let mut pcs = vec![0usize; prog.nodes()];
     let mut locks: BTreeMap<usize, usize> = BTreeMap::new();
@@ -84,7 +84,7 @@ pub fn witness_check(prog: &MicroProgram, trace: &[TraceEv]) -> Option<Violation
 
 struct Search<'a> {
     seqs: &'a [Vec<TraceEv>],
-    seen: HashSet<u64>,
+    seen: StableSet<u64>,
 }
 
 impl Search<'_> {

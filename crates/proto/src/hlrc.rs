@@ -292,7 +292,8 @@ pub fn record_flush(w: &mut ProtoWorld, b: BlockId, writer: NodeId, interval: u3
     if let Some(c) = w.check.as_deref_mut() {
         c.hl_flush(b, writer, interval, now);
     }
-    let f = &mut w.hl.flushed[b * w.hl.nodes + writer];
+    let i = b * w.hl.nodes + writer;
+    let f = &mut w.hl.flushed[i];
     *f = (*f).max(interval + 1);
 }
 

@@ -10,12 +10,11 @@
 //! handler wakes a node through [`ProtoWorld::wake`]), and the checker
 //! (`check`), whose hooks borrow protocol state a `Copy` event cannot carry.
 
-use std::collections::HashMap;
-
 use dsm_fabric::{Fabric, RxOutcome, TxAction, TxOutcome};
 use dsm_mem::{Access, AccessTable, BlockId, DataStore, HomeDirectory, Layout};
 use dsm_net::{Notify, MSG_HEADER_BYTES};
 use dsm_obs::{EventKind, Recorder, SharingProfile};
+use dsm_sim::rng::{Fingerprinted, StableHasher, StableMap};
 use dsm_sim::{NodeId, Sched, Time, World};
 use dsm_stats::Counters;
 
@@ -91,30 +90,30 @@ pub struct ProtoWorld {
     /// Every node's local copy of the shared space.
     pub data: DataStore,
     /// Per-node per-block access-control state.
-    pub access: AccessTable,
+    pub access: Fingerprinted<AccessTable>,
     /// First-touch home directory.
-    pub homes: HomeDirectory,
+    pub homes: Fingerprinted<HomeDirectory>,
     /// Per-node statistics: the fold of each node's events, written only
     /// by [`ProtoWorld::emit`].
     pub stats: Vec<Counters>,
     /// Per-node protocol runtime.
-    pub nodes: Vec<NodeRt>,
+    pub nodes: Fingerprinted<Vec<NodeRt>>,
     /// SC directory state (no entries unless some region runs SC).
-    pub sc: ScState,
+    pub sc: Fingerprinted<ScState>,
     /// SW-LRC ownership state (per-node vectors always; per-block tables
     /// empty unless some region runs SW-LRC).
-    pub sw: SwState,
+    pub sw: Fingerprinted<SwState>,
     /// HLRC home state (likewise).
-    pub hl: HlState,
+    pub hl: Fingerprinted<HlState>,
     /// Tardis timestamp-lease state (empty shell for non-Tardis runs).
-    pub td: TdState,
+    pub td: Fingerprinted<TdState>,
     /// Lock manager state, grown on demand (lock ids are dense).
-    pub locks: Vec<LockState>,
+    pub locks: Fingerprinted<Vec<LockState>>,
     /// Barrier manager state, keyed by barrier id (ids may be sparse, e.g.
     /// the reserved warm-up barrier).
-    pub barriers: HashMap<usize, BarrierState>,
+    pub barriers: Fingerprinted<StableMap<usize, BarrierState>>,
     /// Global write-notice log indexed by (node, interval).
-    pub log: NoticeLog,
+    pub log: Fingerprinted<NoticeLog>,
     /// Virtual time at which measurement began (see the warm-up phase).
     pub measure_start: Time,
     /// Structured event recorder (one branch per event when disabled),
@@ -137,7 +136,7 @@ pub struct ProtoWorld {
     /// Recycled byte buffers for twins and diff payloads.
     pub pool: BufPool,
     /// The network fabric (NI queues, fault injector, retransmission).
-    pub fabric: Fabric<Envelope>,
+    pub fabric: Fingerprinted<Fabric<Envelope>>,
     /// Installed run-time checker, if any. All hook sites are a single
     /// `is_some` test when absent, and the checker never charges virtual
     /// time, so runs with no checker are bit-identical to builds without
@@ -180,17 +179,17 @@ impl ProtoWorld {
         let blocks_of = |p: Protocol| if region_proto.contains(&p) { nb } else { 0 };
         ProtoWorld {
             data: DataStore::new(n, layout.clone()),
-            access: AccessTable::new(n, nb),
-            homes,
+            access: Fingerprinted::new(AccessTable::new(n, nb)),
+            homes: Fingerprinted::new(homes),
             stats: vec![Counters::default(); n],
-            nodes: (0..n).map(|_| NodeRt::new(n)).collect(),
-            sc: ScState::new(blocks_of(Protocol::Sc)),
-            sw: SwState::new(n, blocks_of(Protocol::SwLrc)),
-            hl: HlState::new(n, blocks_of(Protocol::Hlrc)),
-            td: TdState::new(n, nb, has_tardis),
-            locks: Vec::new(),
-            barriers: HashMap::new(),
-            log: NoticeLog::new(n),
+            nodes: Fingerprinted::new((0..n).map(|_| NodeRt::new(n)).collect()),
+            sc: Fingerprinted::new(ScState::new(blocks_of(Protocol::Sc))),
+            sw: Fingerprinted::new(SwState::new(n, blocks_of(Protocol::SwLrc))),
+            hl: Fingerprinted::new(HlState::new(n, blocks_of(Protocol::Hlrc))),
+            td: Fingerprinted::new(TdState::new(n, nb, has_tardis)),
+            locks: Fingerprinted::default(),
+            barriers: Fingerprinted::default(),
+            log: Fingerprinted::new(NoticeLog::new(n)),
             measure_start: 0,
             obs: Recorder::new(n, &cfg.obs),
             region_stats: vec![Counters::default(); region_proto.len()],
@@ -199,7 +198,7 @@ impl ProtoWorld {
             has_lrc,
             has_tardis,
             pool: BufPool::default(),
-            fabric: Fabric::new(cfg.fabric.clone(), n),
+            fabric: Fingerprinted::new(Fabric::new(cfg.fabric.clone(), n)),
             check: None,
             mutate: cfg.mutation.map(|(m, seed)| MutRt::new(m, seed)),
             quiesce: 0,
@@ -317,8 +316,13 @@ impl ProtoWorld {
     /// sharing profile, the buffer pool, and `measure_start` — none of
     /// them feed back into protocol decisions. The checker digest IS
     /// included so a pruned prefix cannot hide a later violation.
+    ///
+    /// Each component contributes one word, cached by its
+    /// [`Fingerprinted`] wrapper until the component's next mutable borrow
+    /// (the store keeps its own per-block cache), so a call re-hashes only
+    /// what changed since the last one.
     pub fn mc_fingerprint(&self) -> u64 {
-        use dsm_sim::rng::{fold64, StableHasher};
+        use dsm_sim::rng::fold64;
         let mut h = StableHasher::fingerprint(&(
             &self.data,
             &self.access,
@@ -331,14 +335,14 @@ impl ProtoWorld {
             &self.locks,
             &self.log,
         ));
-        // Barriers live in a HashMap; XOR-fold entries so iteration order
+        // Barriers are keyed; XOR-fold the entries so insertion order
         // cannot leak into the fingerprint.
-        let mut bars = 0u64;
-        for (id, st) in &self.barriers {
-            bars ^= StableHasher::fingerprint(&(id, st));
-        }
+        let bars = self.barriers.fingerprint_with(|bars| {
+            bars.iter()
+                .fold(0, |acc, e| acc ^ StableHasher::fingerprint(&e))
+        });
         h = fold64(h, bars);
-        h = fold64(h, self.fabric.mc_hash());
+        h = fold64(h, self.fabric.fingerprint_with(Fabric::mc_hash));
         h = fold64(h, self.quiesce);
         if let Some(m) = &self.mutate {
             h = fold64(h, StableHasher::fingerprint(m));

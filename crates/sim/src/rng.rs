@@ -7,6 +7,10 @@
 //! schedule. So instead of a stateful generator there is a single hash:
 //! every roll is `mix` over `(seed, src, dst, seq, attempt)` plus a
 //! per-decision lane.
+//!
+//! The same mixing keys the deterministic crates' tables ([`StableMap`],
+//! [`StableSet`]) and fingerprints the model checker's states
+//! ([`StableHasher`], cached per component by [`Fingerprinted`]).
 
 /// SplitMix64 finalizer: a full-avalanche 64-bit mix.
 #[inline]
@@ -176,6 +180,77 @@ pub type StableMap<K, V> =
 /// Hash set keyed through [`StableHasher`]; see [`StableMap`].
 pub type StableSet<K> = std::collections::HashSet<K, std::hash::BuildHasherDefault<StableHasher>>;
 
+/// A value that keeps its fingerprint until its next mutable borrow.
+///
+/// The model checker fingerprints a world at every fresh commit point, and
+/// between two calls an event changes one or two of its components. So each
+/// component sits in one of these: [`Deref`] hands out `&T`, [`DerefMut`]
+/// forgets the cached fingerprint before it hands out `&mut T`, and
+/// [`Fingerprinted::fingerprint_with`] recomputes only what was forgotten.
+/// No change can bypass the cache except through interior mutability, which
+/// the state this wraps does not use (`tools/lint_determinism.sh`, rule 8);
+/// every debug-build call recomputes the value from scratch and asserts that
+/// it matches the cached one.
+///
+/// [`Deref`]: std::ops::Deref
+/// [`DerefMut`]: std::ops::DerefMut
+#[derive(Default)]
+pub struct Fingerprinted<T> {
+    value: T,
+    fp: std::cell::Cell<Option<u64>>,
+}
+
+impl<T> Fingerprinted<T> {
+    /// Wrap `value`, with nothing cached.
+    pub fn new(value: T) -> Self {
+        Fingerprinted {
+            value,
+            fp: std::cell::Cell::new(None),
+        }
+    }
+
+    /// The value's fingerprint: the cached one, or `f(value)`, which is
+    /// then cached. A wrapper is fingerprinted by one function throughout.
+    #[inline]
+    pub fn fingerprint_with(&self, f: impl Fn(&T) -> u64) -> u64 {
+        let fp = self.fp.get().unwrap_or_else(|| {
+            let fp = f(&self.value);
+            self.fp.set(Some(fp));
+            fp
+        });
+        debug_assert_eq!(
+            fp,
+            f(&self.value),
+            "a fingerprinted value changed without a mutable borrow"
+        );
+        fp
+    }
+}
+
+impl<T> std::ops::Deref for Fingerprinted<T> {
+    type Target = T;
+
+    #[inline(always)]
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
+
+impl<T> std::ops::DerefMut for Fingerprinted<T> {
+    #[inline(always)]
+    fn deref_mut(&mut self) -> &mut T {
+        self.fp.set(None);
+        &mut self.value
+    }
+}
+
+/// One word: the value's [`StableHasher`] fingerprint, cached.
+impl<T: std::hash::Hash> std::hash::Hash for Fingerprinted<T> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.fingerprint_with(StableHasher::fingerprint));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,6 +413,62 @@ mod tests {
         h.write_usize(9);
         h.write(b"ab");
         assert_eq!(h.finish(), 0xDC6E_AC09_2508_6C92);
+    }
+
+    /// Calls `f` makes beyond the ones that fill the cache: a debug build
+    /// recomputes the value on every `fingerprint_with`, as its cross-check.
+    const CHECKS: u32 = if cfg!(debug_assertions) { 1 } else { 0 };
+
+    #[test]
+    fn a_fingerprint_is_computed_once_across_shared_borrows() {
+        use std::cell::Cell;
+        use std::hash::Hasher;
+        let calls = Cell::new(0);
+        let f = |v: &Vec<u64>| {
+            calls.set(calls.get() + 1);
+            StableHasher::fingerprint(v)
+        };
+        let v = Fingerprinted::new(vec![1u64, 2, 3]);
+        let first = v.fingerprint_with(f);
+        assert_eq!(first, StableHasher::fingerprint(&vec![1u64, 2, 3]));
+        for _ in 0..3 {
+            assert_eq!(v.len(), 3, "a shared borrow");
+            assert_eq!(v.fingerprint_with(f), first);
+        }
+        assert_eq!(calls.get(), 1 + 4 * CHECKS);
+        // As a `Hash`, the wrapper is that one word.
+        let mut h = StableHasher::new();
+        h.write_u64(first);
+        assert_eq!(StableHasher::fingerprint(&v), h.finish());
+    }
+
+    #[test]
+    fn a_mutable_borrow_that_changes_nothing_recomputes_the_same_value() {
+        use std::cell::Cell;
+        let calls = Cell::new(0);
+        let f = |v: &Vec<u64>| {
+            calls.set(calls.get() + 1);
+            StableHasher::fingerprint(v)
+        };
+        let mut v = Fingerprinted::new(vec![7u64; 5]);
+        let first = v.fingerprint_with(f);
+        let unchanged: &mut Vec<u64> = &mut v;
+        assert_eq!(unchanged.len(), 5);
+        assert_eq!(v.fingerprint_with(f), first);
+        assert_eq!(calls.get(), 2 + 2 * CHECKS, "one recomputation");
+        v[2] = 8;
+        assert_ne!(v.fingerprint_with(f), first);
+        assert_eq!(calls.get(), 3 + 3 * CHECKS);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "without a mutable borrow")]
+    fn a_change_behind_a_shared_borrow_trips_the_cross_check() {
+        let v = Fingerprinted::new(std::cell::Cell::new(1u64));
+        v.fingerprint_with(|c| c.get());
+        v.set(2);
+        v.fingerprint_with(|c| c.get());
     }
 
     #[test]

@@ -81,6 +81,20 @@
 #      fixtures, the benchmark — without appearing in any of them; a flag
 #      or a builder method says what it changes. No allowlist.
 #
+# An eighth keeps the model checker's cached fingerprints sound:
+#
+#   8. No interior mutability in fingerprinted state. Each component of a
+#      `ProtoWorld` and of the checker caches its fingerprint in a
+#      `dsm_sim::rng::Fingerprinted` until its next mutable borrow, so a
+#      change that arrives through a shared borrow would leave a stale
+#      fingerprint standing and merge two different states. In non-test code
+#      of crates/proto/src, crates/check/src and crates/fabric/src, `Cell`,
+#      `RefCell`, `OnceCell` and `UnsafeCell` do not appear (the wrapper's
+#      own `Cell` lives in crates/sim). Test code is an item under a
+#      `#[cfg(test)]` — a test module, or a test-only `thread_local!` — up
+#      to the line that closes it at the attribute's indentation. No
+#      allowlist.
+#
 # Comment lines are ignored. Run from anywhere; CI runs it on every push.
 
 set -u
@@ -185,6 +199,23 @@ hits=$(matches '\benv::vars?(_os)?\b' "$(echo crates/*/src)" |
 if [ -n "$hits" ]; then
   echo "$hits"
   echo "lint_determinism: a library crate reads the environment — take the value as configuration, and read the variable in a binary or crates/bench/src/cli.rs (no allowlist for this rule)"
+  status=1
+fi
+
+# Rule 8. `shut` is the line that ends the test item being skipped: the
+# attribute's indentation, then `}`. An item whose first line ends in `;`
+# or `}` is that line.
+hits=$(find crates/proto/src crates/check/src crates/fabric/src -name '*.rs' | sort | xargs awk '
+  FNR == 1 { pending = 0; shut = "" }
+  shut != "" { if ($0 ~ shut) shut = ""; next }
+  /^[[:space:]]*#\[cfg\(test\)\]/ { pending = 1; indent = substr($0, 1, index($0, "#") - 1); next }
+  pending && /^[[:space:]]*#\[/ { next }
+  pending { pending = 0; if ($0 !~ /[;}][[:space:]]*$/) shut = "^" indent "}"; next }
+  /^[[:space:]]*\/\// { next }
+  /(^|[^A-Za-z0-9_])(Ref|Once|Unsafe)?Cell([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ":" $0 }')
+if [ -n "$hits" ]; then
+  echo "$hits"
+  echo "lint_determinism: interior mutability in state the model checker fingerprints — change it through a mutable borrow, which forgets the cached fingerprint (no allowlist for this rule)"
   status=1
 fi
 
