@@ -1,7 +1,8 @@
-//! Command-line arguments of the `diag` and `probe` binaries, and the two
-//! environment variables the tools honour, checked where they enter: each
-//! parser returns the value or a one-line message naming the argument and
-//! what it accepts, which [`bad_arg`] prints before exiting with status 2.
+//! Command-line arguments of the tools (`diag`, `probe`, `report`,
+//! `scenario`), and the two environment variables they honour, checked
+//! where they enter: each parser returns the value or a one-line message
+//! naming the argument and what it accepts, which [`bad_arg`] prints before
+//! exiting with status 2.
 //!
 //! The library reads no environment; this module and the binaries are the
 //! only places that do (`tools/lint_determinism.sh`, rule 7).

@@ -16,13 +16,15 @@ use dsm_core::{
     run_experiment, run_parallel, run_sequential, FabricConfig, Notify, Protocol, RunConfig,
 };
 use dsm_net::LatencyModel;
-use dsm_stats::{harmonic_mean, Counters, EfficiencyMatrix, Table};
+use dsm_obs::Counters;
 
+use crate::agg::{harmonic_mean, EfficiencyMatrix};
 use crate::paper::{
     PaperFaults, PAPER_FAULTS, PAPER_HM_ORIGINAL, PAPER_HM_ORIGINAL_PBEST, PAPER_RTT_US,
     PAPER_TABLE1, PAPER_TABLE17_NOTES, PAPER_TABLE2,
 };
 use crate::sweep::{Grid, GRANULARITIES, INTERRUPT_APPS};
+use crate::table::Table;
 
 /// One named statement of the paper and what the measurement says of it.
 #[derive(Debug, Clone)]
@@ -1215,7 +1217,7 @@ fn ext_adaptive(g: &Grid) -> Section {
 mod tests {
     use super::*;
     use crate::sweep::CellResult;
-    use dsm_stats::RunStats;
+    use dsm_obs::RunStats;
     use Protocol::{Hlrc, Sc, SwLrc, Tardis};
 
     /// The sections that read nothing but the grid (the others make runs of

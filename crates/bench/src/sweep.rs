@@ -6,17 +6,16 @@
 //! reads its cells from there.
 //!
 //! Cells are independent deterministic simulations, so [`run_cells`] fans
-//! them out over a small hand-rolled worker pool: results are
-//! bit-identical to a serial sweep regardless of the job count. Callers
-//! pass the pool width; [`default_jobs`] is `DSM_BENCH_JOBS`, read by
-//! [`cli::jobs_env`], or the machine's available parallelism.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! them out over the scenario engine's worker pool
+//! ([`dsm_scenario::exec::pool_map`]): results are bit-identical to a
+//! serial sweep regardless of the job count. Callers pass the pool width;
+//! [`default_jobs`] is `DSM_BENCH_JOBS`, read by [`cli::jobs_env`], or the
+//! machine's available parallelism.
 
 use dsm_apps::AppSize;
 use dsm_core::{run_experiment, Notify, Protocol, RunConfig};
-use dsm_stats::RunStats;
+use dsm_obs::RunStats;
+use dsm_scenario::exec::pool_map;
 
 use crate::cli;
 
@@ -85,42 +84,6 @@ pub fn default_jobs() -> usize {
             .map(|n| n.get())
             .unwrap_or(1)
     })
-}
-
-/// Run `f(i)` for every `i in 0..n` on up to `jobs` worker threads, returning
-/// results in index order. Work is claimed from a shared atomic counter;
-/// each item's result is independent of scheduling, so the output is
-/// identical to the serial (`jobs == 1`) execution. Public because the
-/// scenario engine fans repetitions out over the same pool.
-pub fn pool_map<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let jobs = jobs.clamp(1, n.max(1));
-    if jobs <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(i);
-                slots.lock().unwrap()[i] = Some(r);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|r| r.expect("worker pool left a slot unfilled"))
-        .collect()
 }
 
 /// Run one cell at the given application size.

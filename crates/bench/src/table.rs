@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 /// A simple column-aligned text table.
 ///
 /// ```
-/// use dsm_stats::Table;
+/// use dsm_bench::table::Table;
 /// let mut t = Table::new(&["Protocol", "64", "256"]);
 /// t.row(&["SC".to_string(), "24654".to_string(), "6297".to_string()]);
 /// let s = t.render();

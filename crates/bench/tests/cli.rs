@@ -1,6 +1,7 @@
-//! `diag`, `probe` and `report` on malformed arguments or environment
-//! values: a one-line message naming the argument and exit status 2 —
-//! never a panic. And no other environment variable changes a run.
+//! `diag`, `probe`, `report` and `scenario` on malformed arguments or
+//! environment values: a one-line message naming the argument and exit
+//! status 2 — never a panic. And no other environment variable changes a
+//! run.
 
 use std::process::{Command, Output};
 
@@ -83,6 +84,63 @@ fn report_rejects_unknown_tables_and_job_counts() {
     let report = env!("CARGO_BIN_EXE_report");
     rejects(report, &["--table", "t18"], &[], "t18");
     rejects(report, &[], &[("DSM_BENCH_JOBS", "zero")], "DSM_BENCH_JOBS");
+}
+
+/// A bundled plan, by file name.
+fn plan(name: &str) -> String {
+    format!("{}/../../scenarios/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+#[test]
+fn scenario_rejects_malformed_options_before_running() {
+    let scenario = env!("CARGO_BIN_EXE_scenario");
+    let chaos = plan("drf-chaos.json");
+    rejects(scenario, &["--jobs", "0", &chaos], &[], "--jobs");
+    rejects(scenario, &["--jobs", "x", &chaos], &[], "--jobs");
+    rejects(scenario, &[&chaos, "--jobs"], &[], "--jobs");
+    rejects(scenario, &[&chaos, "--out"], &[], "--out");
+    rejects(scenario, &["--bogus", &chaos], &[], "--bogus");
+    rejects(
+        scenario,
+        &[&chaos],
+        &[("DSM_BENCH_JOBS", "0")],
+        "DSM_BENCH_JOBS",
+    );
+    // The output file is created before the first repetition, so a path
+    // that cannot be written fails at once: no progress line, no run.
+    rejects(
+        scenario,
+        &["--out", "/nonexistent/dir/x.jsonl", &chaos],
+        &[],
+        "/nonexistent/dir/x.jsonl",
+    );
+}
+
+/// `--print-spec` prints each plan's canonical JSON, which parses back to
+/// itself.
+#[test]
+fn scenario_print_spec_round_trips() {
+    let scenario = env!("CARGO_BIN_EXE_scenario");
+    let first = run(
+        scenario,
+        &["--print-spec", &plan("kv-mixed-regions.json")],
+        &[],
+    );
+    assert!(first.status.success(), "{first:?}");
+    let canonical = std::env::temp_dir().join(format!("scenario-spec-{}.json", std::process::id()));
+    std::fs::write(&canonical, &first.stdout).unwrap();
+    let again = run(
+        scenario,
+        &["--print-spec", canonical.to_str().unwrap()],
+        &[],
+    );
+    std::fs::remove_file(&canonical).unwrap();
+    assert!(again.status.success(), "{again:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&again.stdout),
+        String::from_utf8_lossy(&first.stdout)
+    );
+    assert_eq!(first.stdout.iter().filter(|&&b| b == b'\n').count(), 1);
 }
 
 /// The variables the library used to read change nothing, and `DSM_TRACE`

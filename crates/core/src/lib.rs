@@ -33,14 +33,13 @@ pub use runner::{
 };
 pub use seq::SeqDsm;
 
-pub use dsm_check::RunChecker;
 pub use dsm_fabric::{FabricConfig, FaultPlan, NiModel, RetryPolicy};
 pub use dsm_net::{CostModel, LatencyModel, Notify};
 pub use dsm_obs::schema;
-pub use dsm_proto::{Checker, Mutation, Protocol, Violation};
+pub use dsm_obs::{Counters, RunStats};
+pub use dsm_proto::{Mutation, Protocol, RunChecker, Violation};
 pub use dsm_sim::rng;
 pub use dsm_sim::NodeFuture;
-pub use dsm_stats::{Counters, RunStats};
 
 use std::sync::Arc;
 

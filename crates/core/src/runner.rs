@@ -6,11 +6,10 @@ use std::sync::Arc;
 use dsm_fabric::FaultOracle;
 use dsm_mem::Layout;
 use dsm_net::Notify;
-use dsm_obs::{ObsReport, SharingProfile};
-use dsm_proto::{final_image, ProtoWorld, Protocol};
+use dsm_obs::{Counters, ObsReport, RunStats, SharingProfile};
+use dsm_proto::{final_image, ProtoWorld, Protocol, RunChecker};
 pub use dsm_proto::{RegionPolicy, RunConfig};
 use dsm_sim::{McHook, McInstall, NodeFuture, RunError, Time};
-use dsm_stats::{Counters, RunStats};
 
 use crate::api::{complete, Dsm};
 use crate::image::MemImage;
@@ -142,7 +141,7 @@ fn build_world(cfg: &RunConfig, program: &dyn DsmProgram) -> ProtoWorld {
     let size = layout.size();
     let mut world = ProtoWorld::new(cfg.clone(), layout);
     if cfg.check {
-        world.check = Some(Box::new(dsm_check::RunChecker::new(
+        world.check = Some(Box::new(RunChecker::new(
             &program.name(),
             cfg.nodes,
             world.layout.clone(),

@@ -52,7 +52,7 @@ const REORDER_NS: u64 = 200_000;
 
 /// One bounded model-checking job: protocol, cluster shape, fault budget
 /// and search options. The cluster size comes from the program. Every
-/// execution runs with the `dsm-check` mirrors and race detector
+/// execution runs with the checker's mirrors and race detector
 /// installed.
 #[derive(Debug, Clone)]
 pub struct McConfig {
@@ -542,7 +542,7 @@ fn execute(
 /// Exhaustively explore the schedule space of `prog` under `cfg`.
 ///
 /// Every execution is re-run from scratch under the controlled scheduler;
-/// completed schedules are checked by the installed `dsm-check` mirrors
+/// completed schedules are checked by the installed checker's mirrors
 /// (through the run harness) plus this crate's literal legality oracle for
 /// the configured protocol. The search terminates when the branch stack is
 /// exhausted (`complete = true`) or an early-exit bound fires.

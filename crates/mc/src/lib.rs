@@ -24,8 +24,8 @@
 //!
 //! Each completed schedule is validated three ways:
 //!
-//! 1. the `dsm-check` mirror invariants + happens-before race detector,
-//!    installed through the ordinary run harness;
+//! 1. the checker's mirror invariants + happens-before race detector
+//!    (`dsm_proto::check`), installed through the ordinary run harness;
 //! 2. literal consistency-model oracles re-deriving legal read values from
 //!    the trace alone ([`oracle::witness_check`] for SC/Tardis,
 //!    [`oracle::hb_check`] for the LRC protocols);

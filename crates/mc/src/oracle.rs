@@ -7,7 +7,7 @@
 //! memory. Disagreement between an oracle and the run is reported as a
 //! [`Violation`] and means the protocol returned a value its own
 //! consistency contract forbids — regardless of what the mirror-based
-//! invariant checkers in `dsm-check` think.
+//! invariant checkers in `dsm_proto::check` think.
 //!
 //! Two oracles:
 //!

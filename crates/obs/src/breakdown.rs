@@ -1,8 +1,8 @@
 //! Per-node execution-time breakdown, in the style of the paper's cost
 //! decomposition: where did each node's virtual wall time go?
 
+use crate::Counters;
 use dsm_json::Value;
-use dsm_stats::Counters;
 
 /// Decomposition of one node's measured virtual wall time.
 ///

@@ -1,4 +1,10 @@
 //! Event counters collected during a simulated run.
+//!
+//! Every protocol event of interest is counted in a [`Counters`] struct —
+//! one per node per run, and one per layout region — so the paper's
+//! fault/traffic tables (Tables 3–15) can be regenerated directly. The
+//! counters have one writer, the fold [`crate::EventKind::count`]: each
+//! field is a count or a sum over the run's protocol events.
 
 use dsm_json::Value;
 

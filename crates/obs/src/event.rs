@@ -9,8 +9,8 @@
 //!
 //! [`Recorder`]: crate::recorder::Recorder
 
+use crate::Counters;
 use dsm_json::Value;
-use dsm_stats::Counters;
 
 /// One recorded protocol event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -3,8 +3,8 @@
 
 use std::fmt::Write as _;
 
+use crate::RunStats;
 use dsm_json::Value;
-use dsm_stats::RunStats;
 
 use crate::breakdown::TimeBreakdown;
 use crate::event::EventKind;
@@ -253,7 +253,7 @@ mod tests {
     use super::*;
     use crate::event::EventKind;
     use crate::recorder::{ObsConfig, Recorder};
-    use dsm_stats::Counters;
+    use crate::Counters;
 
     fn sample_report() -> ObsReport {
         let cfg = ObsConfig {

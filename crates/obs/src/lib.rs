@@ -9,7 +9,7 @@
 //! everything this crate keeps is a fold of it:
 //!
 //! * the counters: [`EventKind::count`] folds an event into a
-//!   `dsm_stats::Counters` and is the only writer of its 39 fields, so the
+//!   [`Counters`] and is the only writer of its 39 fields, so the
 //!   counters agree with the trace by construction;
 //! * a low-overhead [`Recorder`] — per-node ring buffers stamped with
 //!   virtual time, per-kind counts, log2 [`Hist`]ograms for fault service
@@ -34,6 +34,7 @@
 //! borrowed-state hooks — is set out in DESIGN § Observability.
 
 pub mod breakdown;
+pub mod counters;
 pub mod critpath;
 pub mod event;
 pub mod export;
@@ -46,6 +47,7 @@ pub mod series;
 pub mod span;
 
 pub use breakdown::TimeBreakdown;
+pub use counters::{Counters, RunStats};
 pub use critpath::{critical_path, Category, CritPath, CritSeg};
 pub use event::{Event, EventKind};
 pub use export::{chrome_trace, jsonl_metrics, series_jsonl};

@@ -13,7 +13,7 @@ pub type Kind = (&'static str, u32);
 /// `diag --json`: the run's configuration and verdicts.
 pub const CONFIG: Kind = ("config", 1);
 /// `diag --json`: one region's policy and counters. v2: `counters` is a
-/// full [`dsm_stats::Counters`] object (`local_faults` became
+/// full [`Counters`](crate::Counters) object (`local_faults` became
 /// `local_write_faults`, `msgs` became `msgs_sent`).
 pub const REGION: Kind = ("region", 2);
 /// `diag --json --check`: one checker violation.

@@ -8,16 +8,16 @@
 use std::collections::BTreeSet;
 use std::fmt::Display;
 
+use crate::msg::Notice;
+use crate::vt::VClock;
 use dsm_mem::BlockId;
-use dsm_proto::msg::Notice;
-use dsm_proto::vt::VClock;
 use dsm_sim::rng::{fold64, StableHasher, StableMap, StableSet};
 use dsm_sim::NodeId;
 
-use crate::xor_fold;
+use super::xor_fold;
 
 /// A rule failure detected by a mirror: `(rule, detail)`. The caller wraps
-/// it into a full [`dsm_proto::Violation`] with node/block/time context.
+/// it into a full [`super::Violation`] with node/block/time context.
 pub type Fail = (&'static str, String);
 
 fn notice_key(n: &Notice) -> (BlockId, NodeId, u32) {
@@ -176,7 +176,7 @@ impl HlMirror {
         block: BlockId,
         twin: &[u8],
         cur: &[u8],
-        diff: &dsm_proto::diff::Diff,
+        diff: &crate::diff::Diff,
     ) -> Option<Fail> {
         let mut image = twin.to_vec();
         diff.apply(&mut image);
@@ -512,7 +512,7 @@ impl FabricMirror {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsm_proto::diff::{Diff, DiffRun};
+    use crate::diff::{Diff, DiffRun};
 
     fn notice(b: usize, w: usize, v: u32) -> Notice {
         Notice {

@@ -1,40 +1,74 @@
-//! dsm-check: happens-before race detection and online protocol invariant
-//! checking for the simulated DSM cluster.
+//! The run-time checker: happens-before race detection and online protocol
+//! invariant checking for the simulated DSM cluster.
 //!
-//! [`RunChecker`] implements the [`dsm_proto::Checker`] hook trait. It is
-//! installed on a [`dsm_proto::ProtoWorld`] by the run harness when checking
-//! is requested (`RunConfig::with_check`, or `diag --check`) and is entirely
-//! absent otherwise — the hooks observe the protocol but never charge
-//! virtual time or mutate protocol state, so a checked run produces
-//! bit-identical results to an unchecked one.
+//! A [`RunChecker`] is installed on [`crate::ProtoWorld`] by the run harness
+//! when checking is requested (`RunConfig::with_check`, or `diag --check`)
+//! and is entirely absent otherwise. It observes the protocol engine through
+//! narrow hooks, its inherent methods: per-word shared accesses,
+//! synchronization edges, write-notice traffic, diff creation/application,
+//! SC access-state installs, Tardis grants and fabric frame delivery. The
+//! hooks carry only borrowed data and the checker never charges virtual
+//! time or mutates protocol state, so a checked run produces bit-identical
+//! results to an unchecked one — and with no checker installed every hook
+//! site is a single `Option::is_some` test. Hook order follows engine
+//! execution order, which is fully serialized and deterministic; in
+//! particular every release-side hook runs before the acquire-side hook it
+//! happens-before.
 //!
 //! Two layers run side by side:
 //!
-//! - a FastTrack-style **race detector** ([`race`]) that rebuilds
+//! - a FastTrack-style **race detector** (`race`) that rebuilds
 //!   happens-before from the synchronization hooks alone and shadows every
 //!   8-byte word of the shared space;
-//! - **protocol invariant mirrors** ([`inv`]) that independently re-derive
+//! - **protocol invariant mirrors** (`inv`) that independently re-derive
 //!   LRC write-notice completeness, HLRC diff coverage and flush
 //!   reconciliation, SW-LRC version monotonicity, SC install legality,
 //!   Tardis timestamp-lease legality (monotone write timestamps, writes
 //!   ordered past outstanding leases, no read above its lease), and the
 //!   reliable fabric's exactly-once in-order delivery.
 //!
-//! Violations accumulate (capped) and are returned by `finalize`.
+//! Violations accumulate (capped) and are returned by
+//! [`RunChecker::finalize`].
 
-pub mod inv;
-pub mod race;
+mod inv;
+mod race;
 
 use dsm_mem::{BlockId, Layout};
-use dsm_proto::diff::Diff;
-use dsm_proto::msg::Notice;
-use dsm_proto::vt::VClock;
-use dsm_proto::{Checker, Protocol, Violation};
 use dsm_sim::rng::{fold64, Fingerprinted, StableHasher};
 use dsm_sim::{NodeId, Time};
 
+use crate::diff::Diff;
+use crate::msg::Notice;
+use crate::vt::VClock;
+use crate::Protocol;
+
 use inv::{FabricMirror, HlMirror, LrcMirror, SwMirror, TdMirror};
 use race::RaceDetector;
+
+/// One invariant violation found by the checker.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Violation {
+    /// Stable rule identifier (e.g. `"hb-race"`, `"lrc-notice-set"`).
+    pub rule: &'static str,
+    /// Node at which the violation was observed.
+    pub node: NodeId,
+    /// Coherence block involved, when the rule concerns one.
+    pub block: Option<BlockId>,
+    /// Virtual time of the observation, in nanoseconds.
+    pub time: Time,
+    /// Human-readable description with rule-specific fields.
+    pub detail: String,
+}
+
+impl std::fmt::Display for Violation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "[{}] node {}", self.rule, self.node)?;
+        if let Some(b) = self.block {
+            write!(f, " block {b}")?;
+        }
+        write!(f, " t={}ns: {}", self.time, self.detail)
+    }
+}
 
 /// XOR of the entries' fingerprints: the digest of an unordered collection,
 /// whatever order it iterates in.
@@ -69,7 +103,7 @@ impl std::fmt::Display for SyncCtx {
     }
 }
 
-/// The full per-run checker. See the crate docs for the layer breakdown.
+/// The full per-run checker. See the module docs for the layer breakdown.
 pub struct RunChecker {
     app: String,
     layout: Layout,
@@ -169,13 +203,19 @@ impl RunChecker {
     }
 }
 
-impl Checker for RunChecker {
-    fn arm(&mut self, me: NodeId, now: Time) {
+/// The hooks the protocol engine drives, in engine execution order.
+impl RunChecker {
+    /// Node `me` entered the measured phase; accesses before this call
+    /// (warm-up) are not race-checked.
+    pub fn arm(&mut self, me: NodeId, now: Time) {
         self.det.arm(me);
         self.sync_ctx[me] = SyncCtx::Begin(now);
     }
 
-    fn on_access(&mut self, me: NodeId, addr: usize, len: usize, write: bool, now: Time) {
+    /// Node `me` completed a shared-memory access of `len` bytes at `addr`.
+    /// Fires after access rights were obtained (never for faulting
+    /// retries).
+    pub fn on_access(&mut self, me: NodeId, addr: usize, len: usize, write: bool, now: Time) {
         // Tardis lease legality is checked on every access, armed or not —
         // leases and program timestamps are live from the first fault.
         // Accesses arrive pre-split at block boundaries, so one block per
@@ -208,13 +248,18 @@ impl Checker for RunChecker {
         }
     }
 
-    fn lock_release(&mut self, me: NodeId, lock: usize, vt: &VClock, now: Time) {
+    /// Node `me` released lock `lock`. `vt` is the node's vector time
+    /// after the release's interval tick (all-zero under SC).
+    pub fn lock_release(&mut self, me: NodeId, lock: usize, vt: &VClock, now: Time) {
         self.lrc.on_lock_release(lock, vt);
         self.det.release_lock(me, lock);
         self.sync_ctx[me] = SyncCtx::Released(lock, now);
     }
 
-    fn lock_acquire(
+    /// Node `me` received the grant for `lock`. `vt`/`notices` are the
+    /// consistency data carried by the grant (`vt` is `None` under SC);
+    /// `cur` is the acquirer's vector time before applying the grant.
+    pub fn lock_acquire(
         &mut self,
         me: NodeId,
         lock: usize,
@@ -236,11 +281,18 @@ impl Checker for RunChecker {
         self.sync_ctx[me] = SyncCtx::Acquired(lock, now);
     }
 
-    fn bar_arrive(&mut self, me: NodeId, bar: usize, _now: Time) {
+    /// Node `me` arrived at barrier `bar` (a release operation).
+    pub fn bar_arrive(&mut self, me: NodeId, bar: usize) {
         self.det.bar_arrive(me, bar);
     }
 
-    fn bar_pass(
+    /// Node `me` passed barrier `bar`. Fields as for
+    /// [`RunChecker::lock_acquire`]. `skip_join` asks the detector to skip
+    /// the happens-before join for this pass while still consuming the
+    /// barrier episode — only ever true under the `hb-skip-barrier`
+    /// self-test mutation.
+    #[allow(clippy::too_many_arguments)]
+    pub fn bar_pass(
         &mut self,
         me: NodeId,
         bar: usize,
@@ -260,14 +312,9 @@ impl Checker for RunChecker {
         self.sync_ctx[me] = SyncCtx::Passed(bar, now);
     }
 
-    fn lrc_release(
-        &mut self,
-        me: NodeId,
-        interval: u32,
-        _vt: &VClock,
-        notices: &[Notice],
-        _now: Time,
-    ) {
+    /// Node `me` closed interval `interval` at a release, logging
+    /// `notices` for its dirty blocks. LRC protocols only.
+    pub fn lrc_release(&mut self, me: NodeId, interval: u32, notices: &[Notice]) {
         self.lrc.on_release(me, interval, notices);
         for n in notices {
             if self.protocol_of(n.block) == Protocol::Hlrc {
@@ -276,14 +323,15 @@ impl Checker for RunChecker {
         }
     }
 
-    fn hl_diff(
+    /// HLRC: node `me` encoded its writes to `block` as `diff`, computed
+    /// from clean copy `twin` and current contents `cur`.
+    pub fn hl_diff(
         &mut self,
         me: NodeId,
         block: BlockId,
         twin: &[u8],
         cur: &[u8],
         diff: &Diff,
-        _interval: u32,
         now: Time,
     ) {
         if let Some(f) = self.hl.on_diff(block, twin, cur, diff) {
@@ -291,25 +339,36 @@ impl Checker for RunChecker {
         }
     }
 
-    fn hl_flush(&mut self, block: BlockId, writer: NodeId, interval: u32, now: Time) {
+    /// HLRC: the home of `block` now incorporates `writer`'s interval
+    /// `interval` (an applied diff, or the writer being home).
+    pub fn hl_flush(&mut self, block: BlockId, writer: NodeId, interval: u32, now: Time) {
         if let Some(f) = self.hl.on_flush(block, writer, interval) {
             self.push_fail(f, writer, Some(block), now);
         }
     }
 
-    fn sw_version(&mut self, block: BlockId, version: u32, now: Time) {
+    /// SW-LRC: the authoritative version of `block` is now `version`
+    /// (ownership migration or first claim).
+    pub fn sw_version(&mut self, block: BlockId, version: u32, now: Time) {
         if let Some(f) = self.sw.on_version(block, version) {
             self.push_fail(f, 0, Some(block), now);
         }
     }
 
-    fn sw_notice(&mut self, me: NodeId, block: BlockId, version: u32, fresh: bool, now: Time) {
+    /// SW-LRC: node `me` published a write notice for `block` at
+    /// `version`. `fresh` distinguishes a new version minted at this
+    /// release from a pending notice re-published after an ownership
+    /// migration.
+    pub fn sw_notice(&mut self, me: NodeId, block: BlockId, version: u32, fresh: bool, now: Time) {
         if let Some(f) = self.sw.on_notice(block, version, fresh) {
             self.push_fail(f, me, Some(block), now);
         }
     }
 
-    fn sc_install(
+    /// SC: node `me` installed a copy of `block` (`exclusive` = write
+    /// access). `readers`/`writers` list the *other* nodes that held
+    /// Read / ReadWrite access at install time.
+    pub fn sc_install(
         &mut self,
         me: NodeId,
         block: BlockId,
@@ -323,37 +382,30 @@ impl Checker for RunChecker {
         }
     }
 
-    fn td_read(
-        &mut self,
-        reader: NodeId,
-        block: BlockId,
-        wts: u64,
-        lease: u64,
-        _renewal: bool,
-        _now: Time,
-    ) {
+    /// Tardis: the home granted `reader` a read of `block` at write
+    /// timestamp `wts` with a lease ending at `lease`.
+    pub fn td_read(&mut self, reader: NodeId, block: BlockId, wts: u64, lease: u64) {
         self.td.on_read(reader, block, wts, lease);
     }
 
-    fn td_write(&mut self, writer: NodeId, block: BlockId, new_wts: u64, _rts: u64, now: Time) {
+    /// Tardis: the home granted `writer` exclusive ownership of `block`
+    /// at the freshly minted `new_wts`.
+    pub fn td_write(&mut self, writer: NodeId, block: BlockId, new_wts: u64, now: Time) {
         if let Some(f) = self.td.on_write(writer, block, new_wts) {
             self.push_fail(f, writer, Some(block), now);
         }
     }
 
-    fn td_merge(&mut self, me: NodeId, pts: u64, _now: Time) {
+    /// Tardis: node `me` merged an incoming program timestamp `pts`
+    /// carried by a lock grant or barrier release.
+    pub fn td_merge(&mut self, me: NodeId, pts: u64) {
         self.td.on_merge(me, pts);
     }
 
-    fn fabric_frame(
-        &mut self,
-        src: NodeId,
-        to: NodeId,
-        seq: u64,
-        _duplicate: bool,
-        posted: usize,
-        now: Time,
-    ) {
+    /// A fabric data frame `(src → to, seq)` arrived at the receive side.
+    /// `posted` is how many reassembled envelopes this arrival released to
+    /// the protocol layer.
+    pub fn fabric_frame(&mut self, src: NodeId, to: NodeId, seq: u64, posted: usize, now: Time) {
         if !self.fabric_reliable {
             return;
         }
@@ -362,7 +414,10 @@ impl Checker for RunChecker {
         }
     }
 
-    fn mc_fingerprint(&self) -> u64 {
+    /// Stable digest of the checker's internal state, folded into the
+    /// model checker's state fingerprint so a pruned prefix can never
+    /// hide a violation the checker would have reported later.
+    pub fn mc_fingerprint(&self) -> u64 {
         let mut h = self.det.fingerprint_with(RaceDetector::mc_hash);
         h = fold64(h, self.lrc.fingerprint_with(LrcMirror::mc_hash));
         h = fold64(h, self.hl.fingerprint_with(HlMirror::mc_hash));
@@ -377,7 +432,9 @@ impl Checker for RunChecker {
         fold64(h, self.suppressed as u64)
     }
 
-    fn finalize(&mut self, now: Time) -> Vec<Violation> {
+    /// End of run: perform whole-run reconciliation (notice ↔ diff
+    /// matching) and return every violation found, in discovery order.
+    pub fn finalize(&mut self, now: Time) -> Vec<Violation> {
         let fails = self.hl.finalize();
         for f in fails {
             self.push_fail(f, 0, None, now);
@@ -438,7 +495,7 @@ mod tests {
             writer: 0,
             version: 1,
         }];
-        c.lrc_release(0, 1, &vt, &notices, 2);
+        c.lrc_release(0, 1, &notices);
         c.lock_release(0, 3, &vt, 2);
         c.lock_acquire(1, 3, Some(&vt), &notices, &VClock::new(2), 3);
         c.on_access(1, 0, 8, true, 4);
@@ -495,8 +552,8 @@ mod tests {
             ),
             (
                 |c| {
-                    c.bar_arrive(0, 3, 50);
-                    c.bar_arrive(1, 3, 60);
+                    c.bar_arrive(0, 3);
+                    c.bar_arrive(1, 3);
                     c.bar_pass(1, 3, None, &[], &VClock::new(2), true, 70);
                 },
                 2,

@@ -22,11 +22,11 @@
 
 use std::collections::VecDeque;
 
-use dsm_proto::vt::VClock;
+use crate::vt::VClock;
 use dsm_sim::rng::{fold64, StableHasher, StableMap, StableSet};
 use dsm_sim::NodeId;
 
-use crate::xor_fold;
+use super::xor_fold;
 
 /// Shadow granularity in bytes.
 pub const WORD: usize = 8;

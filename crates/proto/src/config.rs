@@ -135,7 +135,7 @@ pub struct RunConfig {
     /// analytic fire-and-forget network bit-for-bit.
     pub fabric: FabricConfig,
     /// Install the happens-before race detector and protocol invariant
-    /// checker (`dsm-check`) on the run. Off by default
+    /// checker ([`crate::RunChecker`]) on the run. Off by default
     /// ([`RunConfig::with_check`] turns it on); off means zero checking
     /// cost and bit-identical results to a build without the checker.
     pub check: bool,

@@ -388,7 +388,7 @@ pub fn release_dirty(
                 continue; // silent rewrite of identical bytes: nothing to publish
             }
             if let Some(c) = w.check.as_deref_mut() {
-                c.hl_diff(me, b, &twin, &w.data.node(me)[r], &diff, interval, s.now());
+                c.hl_diff(me, b, &twin, &w.data.node(me)[r], &diff, s.now());
             }
             w.pool.put(twin);
             let wire = diff.wire_bytes();
@@ -473,15 +473,7 @@ pub fn apply_notice(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, n: &N
             let home = w.route_home(n.block);
             let my_interval = w.nodes[me].vt.get(me) + 1;
             if let Some(c) = w.check.as_deref_mut() {
-                c.hl_diff(
-                    me,
-                    n.block,
-                    &twin,
-                    &w.data.node(me)[r],
-                    &diff,
-                    my_interval,
-                    s.now(),
-                );
+                c.hl_diff(me, n.block, &twin, &w.data.node(me)[r], &diff, s.now());
             }
             w.send(
                 s,

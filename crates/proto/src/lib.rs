@@ -15,7 +15,9 @@
 //! * [`RunConfig`] — one run's configuration, from which
 //!   [`ProtoWorld::new`] builds the world over a layout; [`Protocol`] and
 //!   the per-region [`RegionPolicy`];
-//! * [`check`] — the run-time checker interface (hooks + violations);
+//! * [`check`] — the run-time checker ([`RunChecker`]: a happens-before
+//!   race detector and protocol invariant mirrors, driven by typed hooks)
+//!   and its [`Violation`] records;
 //! * [`mutate`] — feature-gated protocol mutations for checker self-tests.
 
 pub mod check;
@@ -34,7 +36,7 @@ pub mod tardis;
 pub mod vt;
 pub mod world;
 
-pub use check::{Checker, Violation};
+pub use check::{RunChecker, Violation};
 pub use config::{Protocol, RegionPolicy, RunConfig};
 pub use diff::Diff;
 pub use msg::{Envelope, FaultKind, Notice, Packet, ProtoMsg};

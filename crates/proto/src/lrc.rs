@@ -108,7 +108,7 @@ pub fn release_actions(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId) ->
     let (hl_notices, elapsed) = hlrc::release_dirty(w, s, me, interval, hl_dirty);
     notices.extend(hl_notices);
     if let Some(c) = w.check.as_deref_mut() {
-        c.lrc_release(me, interval, &w.nodes[me].vt, &notices, s.now());
+        c.lrc_release(me, interval, &notices);
     }
     w.emit_notices(me, s.now(), notices.len(), false);
     w.log.push_interval(me, interval, notices);

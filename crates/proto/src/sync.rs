@@ -117,7 +117,7 @@ pub fn barrier_arrive_start(
 ) -> Time {
     let elapsed = lrc::release_actions(w, s, me);
     if let Some(c) = w.check.as_deref_mut() {
-        c.bar_arrive(me, bar, s.now());
+        c.bar_arrive(me, bar);
     }
     let mgr = barrier_manager(w, bar);
     let vt = w.has_lrc.then(|| w.nodes[me].vt.clone());
@@ -251,11 +251,11 @@ fn send_grant(
 /// Merge a program timestamp carried by a grant or barrier release into
 /// the acquirer's (Tardis): a pts jumped past a lease end is what expires
 /// the corresponding copy at the next read.
-fn merge_pts(w: &mut ProtoWorld, me: NodeId, pts: Option<u64>, now: Time) {
+fn merge_pts(w: &mut ProtoWorld, me: NodeId, pts: Option<u64>) {
     let Some(p) = pts else { return };
     debug_assert!(w.has_tardis, "pts piggyback on a non-Tardis run");
     if let Some(c) = w.check.as_deref_mut() {
-        c.td_merge(me, p, now);
+        c.td_merge(me, p);
     }
     w.td.pts[me] = w.td.pts[me].max(p);
 }
@@ -275,7 +275,7 @@ pub fn handle_lock_grant(
         // has been blocked since it sent the request.
         c.lock_acquire(me, l, vt.as_ref(), &notices, &w.nodes[me].vt, s.now());
     }
-    merge_pts(w, me, pts, s.now());
+    merge_pts(w, me, pts);
     let elapsed = lrc::acquire_actions(w, s, me, vt.as_ref(), &notices);
     let at = s.now() + w.cfg.cost.handler_ns + elapsed;
     w.wake(s, me, at);
@@ -383,7 +383,7 @@ pub fn handle_bar_release(
             s.now(),
         );
     }
-    merge_pts(w, me, pts, s.now());
+    merge_pts(w, me, pts);
     let elapsed = lrc::acquire_actions(w, s, me, vt.as_ref(), &notices);
     let at = s.now() + w.cfg.cost.handler_ns + elapsed;
     w.wake(s, me, at);

@@ -201,7 +201,7 @@ fn pump(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId, mut a
                 w.td.rts[b] = lease;
                 let renewal = wtr.have_wts == wts && wtr.have_wts != 0;
                 if let Some(c) = w.check.as_deref_mut() {
-                    c.td_read(wtr.from, b, wts, lease, renewal, now);
+                    c.td_read(wtr.from, b, wts, lease);
                 }
                 if renewal {
                     // The requester's copy is current: extend the lease
@@ -259,7 +259,7 @@ fn pump(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId, mut a
                     w.emit(me, now, EventKind::WtsBump { block: b });
                 }
                 if let Some(c) = w.check.as_deref_mut() {
-                    c.td_write(wtr.from, b, wts, rts, now);
+                    c.td_write(wtr.from, b, wts, now);
                 }
                 w.td.wts[b] = wts;
                 w.td.owner[b] = Some(wtr.from);

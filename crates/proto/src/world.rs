@@ -13,12 +13,12 @@
 use dsm_fabric::{Fabric, RxOutcome, TxAction, TxOutcome};
 use dsm_mem::{Access, AccessTable, BlockId, DataStore, HomeDirectory, Layout};
 use dsm_net::{Notify, MSG_HEADER_BYTES};
+use dsm_obs::Counters;
 use dsm_obs::{EventKind, Recorder, SharingProfile};
 use dsm_sim::rng::{Fingerprinted, StableHasher, StableMap};
 use dsm_sim::{NodeId, Sched, Time, World};
-use dsm_stats::Counters;
 
-use crate::check::Checker;
+use crate::check::RunChecker;
 use crate::config::{Protocol, RunConfig};
 use crate::hlrc::HlState;
 use crate::lrc::NoticeLog;
@@ -141,7 +141,7 @@ pub struct ProtoWorld {
     /// `is_some` test when absent, and the checker never charges virtual
     /// time, so runs with no checker are bit-identical to builds without
     /// one.
-    pub check: Option<Box<dyn Checker>>,
+    pub check: Option<Box<RunChecker>>,
     /// Armed protocol mutation (checker self-tests). The mutation *sites*
     /// only exist under the `mutate` feature.
     pub mutate: Option<MutRt>,
@@ -518,7 +518,7 @@ impl ProtoWorld {
             }
         }
         if let Some(c) = self.check.as_deref_mut() {
-            c.fabric_frame(src, to, seq, duplicate, posted, now);
+            c.fabric_frame(src, to, seq, posted, now);
         }
         for (at, env) in deliver.drain(..) {
             s.post(to, at, Packet::App(env));

@@ -51,7 +51,7 @@ fn sc_reads_are_always_fresh() {
     let t = w
         .stats
         .iter()
-        .fold(dsm_stats::Counters::default(), |mut a, c| {
+        .fold(dsm_obs::Counters::default(), |mut a, c| {
             a.add(c);
             a
         });

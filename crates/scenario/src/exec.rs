@@ -1,4 +1,4 @@
-//! Scenario execution: fan repetitions over the bench worker pool, collect
+//! Scenario execution: fan repetitions over a worker pool, collect
 //! per-repetition results, and aggregate them into schema-versioned JSONL.
 //!
 //! Every repetition is an independent deterministic simulation, so the
@@ -7,10 +7,10 @@
 //! repetition-ordered result list with a fixed summation order, so the
 //! whole JSONL document is byte-identical across invocations.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use dsm_adapt::{choose_policies, profile_run};
-use dsm_bench::pool_map;
 use dsm_core::RunStats;
 use dsm_core::{run_experiment, schema, FabricConfig, Protocol, RegionPolicy, RunConfig};
 use dsm_json::Value;
@@ -115,6 +115,42 @@ fn run_rep(spec: &ScenarioSpec, rep: usize) -> Result<RepOutcome, String> {
         violations: r.violations.len(),
         violation_details: r.violations.iter().take(8).map(|v| v.to_string()).collect(),
     })
+}
+
+/// Run `f(i)` for every `i in 0..n` on up to `jobs` worker threads, returning
+/// results in index order. Work is claimed from a shared atomic counter;
+/// each item's result is independent of scheduling, so the output is
+/// identical to the serial (`jobs == 1`) execution. Public because the
+/// bench sweeps fan their cells out over the same pool.
+pub fn pool_map<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let jobs = jobs.clamp(1, n.max(1));
+    if jobs <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..jobs {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let r = f(i);
+                slots.lock().unwrap()[i] = Some(r);
+            });
+        }
+    });
+    slots
+        .into_inner()
+        .unwrap()
+        .into_iter()
+        .map(|r| r.expect("worker pool left a slot unfilled"))
+        .collect()
 }
 
 /// Execute every repetition of `spec` across up to `jobs` worker threads.

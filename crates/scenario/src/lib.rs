@@ -13,8 +13,8 @@
 //!
 //! Scenarios are parsed with the in-tree [`dsm_json`] parser (syntax errors
 //! carry line/column), validated strictly (unknown keys are errors), and
-//! executed through the same worker pool as the bench sweeps — repetitions
-//! are independent deterministic simulations, so the emitted JSONL
+//! executed through [`pool_map`], the worker pool the bench sweeps share —
+//! repetitions are independent deterministic simulations, so the emitted JSONL
 //! (header + one record per repetition + mean/min/max aggregate, all
 //! stamped with [`SCHEMA`]) is byte-identical across invocations and pool
 //! widths.
@@ -36,11 +36,11 @@
 //! print!("{}", out.jsonl());
 //! ```
 //!
-//! The `scenario` binary wraps this: `scenario plan.json` runs a plan and
-//! prints the JSONL; bundled plans live in `scenarios/`.
+//! The `scenario` binary in `dsm-bench` wraps this: `scenario plan.json`
+//! runs a plan and prints the JSONL; bundled plans live in `scenarios/`.
 
 pub mod exec;
 pub mod spec;
 
-pub use exec::{run_scenario, RepOutcome, ScenarioOutcome};
+pub use exec::{pool_map, run_scenario, RepOutcome, ScenarioOutcome};
 pub use spec::{AppSpec, Mode, ScenarioSpec, SeedSeq, LEGAL_BLOCKS, SCHEMA};

@@ -11,7 +11,7 @@
 use dsm::adapt::{choose_policies, profile_run, CANDIDATE_BLOCKS};
 use dsm::{run_experiment, Protocol, RunConfig};
 use dsm_apps::registry::{all_app_names, app};
-use dsm_stats::Table;
+use dsm_bench::table::Table;
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "fft".into());

@@ -13,7 +13,7 @@
 //! The argument is the stride in words between a node's slots (default 8).
 
 use dsm::{run_experiment, Dsm, DsmProgram, MemImage, NodeFuture, Protocol, RunConfig};
-use dsm_stats::Table;
+use dsm_bench::table::Table;
 use std::sync::Arc;
 
 struct Interleaved {

@@ -8,7 +8,7 @@
 
 use dsm::{run_experiment, Protocol, RunConfig};
 use dsm_apps::registry::{all_app_names, app};
-use dsm_stats::Table;
+use dsm_bench::table::Table;
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "raytrace".into());

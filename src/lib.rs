@@ -10,18 +10,26 @@
 //!
 //! * [`sim`] — deterministic discrete-event cluster engine;
 //! * [`net`] — Myrinet-calibrated latency model and platform costs;
+//! * [`fabric`] — the contention-aware network fabric: NI queueing, fault
+//!   injection, retransmission and recovery;
 //! * [`mem`] — shared address space, access control, first-touch homes;
-//! * [`proto`] — the SC, SW-LRC and HLRC coherence protocols;
+//! * [`proto`] — the SC, SW-LRC, HLRC and Tardis coherence protocols, and
+//!   the run-time checker ([`proto::check`]: a happens-before race detector
+//!   and protocol invariant mirrors);
 //! * [`core`] — the run harness and the [`Dsm`] programming interface;
 //! * [`apps`] — the twelve SPLASH-2-derived applications;
-//! * [`stats`] — counters and the paper's aggregate statistics;
-//! * [`obs`] — structured event recording, execution-time breakdowns and
-//!   the Perfetto/JSONL exporters;
+//! * [`obs`] — the per-node counters, structured event recording,
+//!   execution-time breakdowns and the Perfetto/JSONL exporters;
 //! * [`adapt`] — sharing profiler, cost model, and the per-region adaptive
 //!   protocol × granularity policy engine;
 //! * [`mc`] — exhaustive schedule-space model checker (sleep-set DPOR)
 //!   for bounded configurations of all four protocols;
 //! * [`json`] — the minimal JSON value model the workspace uses offline.
+//!
+//! Two tool crates sit on top and are not re-exported here: `dsm-bench`
+//! (the Standard grid, the paper's tables and claims, and the `diag`,
+//! `probe`, `report` and `scenario` binaries) and `dsm-scenario` (the
+//! declarative JSON run plans).
 //!
 //! ## Quick start
 //!
@@ -45,7 +53,6 @@ pub use dsm_net as net;
 pub use dsm_obs as obs;
 pub use dsm_proto as proto;
 pub use dsm_sim as sim;
-pub use dsm_stats as stats;
 
 pub use dsm_core::{
     run_checked, run_experiment, run_parallel, run_parallel_mc, run_sequential, touch_region, Dsm,

@@ -14,7 +14,8 @@
 
 use dsm::{run_experiment, FabricConfig, Protocol, RunConfig};
 use dsm_apps::registry::{app_sized, AppSize};
-use dsm_bench::sweep::{default_jobs, pool_map, GRANULARITIES};
+use dsm_bench::sweep::{default_jobs, GRANULARITIES};
+use dsm_scenario::exec::pool_map;
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),

@@ -15,7 +15,8 @@
 use dsm::mc::program::{self, MicroProgram, Op};
 use dsm::mc::{explore, McConfig};
 use dsm::Protocol;
-use dsm_bench::sweep::{default_jobs, pool_map};
+use dsm_bench::default_jobs;
+use dsm_scenario::exec::pool_map;
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/mc_golden.txt");
 

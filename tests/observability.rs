@@ -6,8 +6,7 @@
 use dsm::{run_experiment, FabricConfig, Protocol, RunConfig};
 use dsm_apps::registry::{app_sized, AppSize};
 use dsm_json::Value;
-use dsm_obs::{chrome_trace, jsonl_metrics, EventKind, TimeBreakdown};
-use dsm_stats::Counters;
+use dsm_obs::{chrome_trace, jsonl_metrics, Counters, EventKind, TimeBreakdown};
 
 /// Run one cell with recording on and check every observability invariant.
 /// Returns the run's counter totals.

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Determinism lint for the hot-path crates (sim, proto, fabric, check, mc,
-# core), the one-stream rule for telemetry (proto, core), the grant rule
-# for access state (proto), the arithmetic rule for the applications and
-# the no-environment rule for every library crate.
+# Determinism lint for the hot-path crates (sim, proto, fabric, mc, core),
+# the one-stream rule for telemetry (proto, core), the grant rule for access
+# state (proto), the arithmetic rule for the applications, the
+# no-environment rule for every library crate and the direction of the
+# tool crates' dependency edge.
 #
 # The whole stack depends on bit-identical replay: the engine's state
 # hashes, the model checker's replay-based exploration, and the golden
@@ -28,15 +29,15 @@
 #      tools/lint_determinism_allow.txt with a justification; everything
 #      else fails.
 #   3. Threads under a cell (std::thread, Mutex, Condvar, catch_unwind,
-#      unsafe) in sim, core, proto, fabric and check — a run is one event
+#      unsafe) in sim, core, proto and fabric — a run is one event
 #      loop on the caller's thread, and every host-side cost the threaded
 #      engine had (hand-off, poison cascades, scheduler placement) came in
 #      through these. Nothing a world holds is `Send` any more (the fault
 #      oracle and the checker lost the bound with the last thread), so
 #      nothing in these crates knows threads exist. crates/mc/src stays
 #      out: `DsmProgram` is `Send + Sync`, so `MicroRunner`'s trace needs
-#      a `Mutex`. Parallelism is across runs: the sweep and scenario pools
-#      in crates/bench and crates/scenario. No allowlist.
+#      a `Mutex`. Parallelism is across runs: the worker pool in
+#      crates/scenario, which the bench sweeps share. No allowlist.
 #
 # A fourth rule keeps "the counters agree with the trace" true by
 # construction:
@@ -88,20 +89,28 @@
 #      `dsm_sim::rng::Fingerprinted` until its next mutable borrow, so a
 #      change that arrives through a shared borrow would leave a stale
 #      fingerprint standing and merge two different states. In non-test code
-#      of crates/proto/src, crates/check/src and crates/fabric/src, `Cell`,
-#      `RefCell`, `OnceCell` and `UnsafeCell` do not appear (the wrapper's
-#      own `Cell` lives in crates/sim). Test code is an item under a
+#      of crates/proto/src (the checker included) and crates/fabric/src,
+#      `Cell`, `RefCell`, `OnceCell` and `UnsafeCell` do not appear (the
+#      wrapper's own `Cell` lives in crates/sim). Test code is an item under a
 #      `#[cfg(test)]` — a test module, or a test-only `thread_local!` — up
 #      to the line that closes it at the attribute's indentation. No
 #      allowlist.
+#
+# A ninth keeps the tool crates layered:
+#
+#   9. Nothing depends on dsm-bench. Under crates/, no Cargo.toml but
+#      dsm-bench's own names `dsm-bench`: the bench crate holds the report
+#      code and the binaries, links dsm-mc, and builds on dsm-scenario —
+#      never the other way round. An edge back would link all of that into
+#      the crate below it. No allowlist.
 #
 # Comment lines are ignored. Run from anywhere; CI runs it on every push.
 
 set -u
 cd "$(dirname "$0")/.."
 
-DIRS="crates/sim/src crates/proto/src crates/fabric/src crates/check/src crates/mc/src crates/core/src"
-ONE_THREAD_DIRS="crates/sim/src crates/core/src crates/proto/src crates/fabric/src crates/check/src"
+DIRS="crates/sim/src crates/proto/src crates/fabric/src crates/mc/src crates/core/src"
+ONE_THREAD_DIRS="crates/sim/src crates/core/src crates/proto/src crates/fabric/src"
 ALLOW="tools/lint_determinism_allow.txt"
 status=0
 
@@ -205,7 +214,7 @@ fi
 # Rule 8. `shut` is the line that ends the test item being skipped: the
 # attribute's indentation, then `}`. An item whose first line ends in `;`
 # or `}` is that line.
-hits=$(find crates/proto/src crates/check/src crates/fabric/src -name '*.rs' | sort | xargs awk '
+hits=$(find crates/proto/src crates/fabric/src -name '*.rs' | sort | xargs awk '
   FNR == 1 { pending = 0; shut = "" }
   shut != "" { if ($0 ~ shut) shut = ""; next }
   /^[[:space:]]*#\[cfg\(test\)\]/ { pending = 1; indent = substr($0, 1, index($0, "#") - 1); next }
@@ -216,6 +225,14 @@ hits=$(find crates/proto/src crates/check/src crates/fabric/src -name '*.rs' | s
 if [ -n "$hits" ]; then
   echo "$hits"
   echo "lint_determinism: interior mutability in state the model checker fingerprints — change it through a mutable borrow, which forgets the cached fingerprint (no allowlist for this rule)"
+  status=1
+fi
+
+# Rule 9. Comment lines in a manifest start with `#`.
+hits=$(grep -n 'dsm-bench' crates/*/Cargo.toml | grep -v -e '^crates/bench/Cargo\.toml:' -e '^[^:]*:[0-9]*:[[:space:]]*#')
+if [ -n "$hits" ]; then
+  echo "$hits"
+  echo "lint_determinism: a crate depends on dsm-bench — move what it needs below the tools (no allowlist for this rule)"
   status=1
 fi
 
