@@ -38,7 +38,7 @@
 pub mod model;
 pub mod plan;
 
-pub use model::{predict_region_ns, summarize_region, RegionProfile, CANDIDATE_BLOCKS};
+pub use model::{predict_region_ns, summarize_region, RegionProfile};
 pub use plan::{
     choose_policies, profile_run, run_adaptive, AdaptPlan, ProfileData, RegionDecision, PLAN_ALIGN,
 };

@@ -40,9 +40,6 @@ use dsm_core::Protocol;
 use dsm_net::{CostModel, LatencyModel, MSG_HEADER_BYTES};
 use dsm_obs::{SharingProfile, PROFILE_UNIT};
 
-/// The candidate coherence granularities (the paper's studied block sizes).
-pub const CANDIDATE_BLOCKS: [usize; 4] = [64, 256, 1024, 4096];
-
 // Weights of the cost model, calibrated once against the uniform protocol ×
 // granularity sweep (see `report --table ext-adaptive`).
 
@@ -330,6 +327,7 @@ fn lrc_read_rounds(nw: f64, nr: f64, rd_base: f64, intervals: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsm_core::GRANULARITIES;
 
     fn predict(profile: &SharingProfile, protocol: Protocol, block: usize) -> f64 {
         predict_region_ns(
@@ -364,7 +362,7 @@ mod tests {
     fn untouched_region_costs_nothing() {
         let p = SharingProfile::new(4096);
         for proto in Protocol::ALL {
-            for g in CANDIDATE_BLOCKS {
+            for g in GRANULARITIES {
                 assert_eq!(predict(&p, proto, g), 0.0);
             }
         }
@@ -378,7 +376,7 @@ mod tests {
         for u in 0..64 {
             p.note(u % 8, u * 64, (u + 1) * 64, false);
         }
-        for g in CANDIDATE_BLOCKS {
+        for g in GRANULARITIES {
             let sc = predict(&p, Protocol::Sc, g);
             assert!(sc > 0.0);
             assert_eq!(sc, predict(&p, Protocol::SwLrc, g));

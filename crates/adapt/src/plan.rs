@@ -7,11 +7,12 @@ use std::sync::Arc;
 use dsm_core::runner::planned_regions;
 use dsm_core::{
     run_experiment, run_parallel, ExperimentResult, Program, Protocol, RegionPolicy, RunConfig,
+    GRANULARITIES,
 };
 use dsm_json::Value;
 use dsm_obs::SharingProfile;
 
-use crate::model::{predict_region_ns, summarize_region, RegionProfile, CANDIDATE_BLOCKS};
+use crate::model::{predict_region_ns, summarize_region, RegionProfile};
 
 /// Alignment at which the policy engine carves regions — the coarsest
 /// candidate granularity, matching the runner's own mixed-mode carving.
@@ -53,7 +54,7 @@ pub struct RegionDecision {
     /// Predicted coherence cost of the chosen combination, ns.
     pub predicted_ns: f64,
     /// Predicted cost of every candidate, indexed `[protocol][block]` in
-    /// [`Protocol::ALL`] × [`CANDIDATE_BLOCKS`] order.
+    /// [`Protocol::ALL`] × [`GRANULARITIES`] order.
     pub candidates_ns: Vec<Vec<f64>>,
     /// Aggregated sharing statistics the decision was based on.
     pub profile: RegionProfile,
@@ -139,7 +140,7 @@ pub fn choose_policies(program: &Program, data: &ProfileData, cfg: &RunConfig) -
         let candidates: Vec<Vec<f64>> = Protocol::ALL
             .iter()
             .map(|&p| {
-                CANDIDATE_BLOCKS
+                GRANULARITIES
                     .iter()
                     .map(|&g| {
                         if protocols.contains(&p) {
@@ -160,9 +161,9 @@ pub fn choose_policies(program: &Program, data: &ProfileData, cfg: &RunConfig) -
                     .collect()
             })
             .collect();
-        let (mut best, mut best_ns) = ((Protocol::Sc, CANDIDATE_BLOCKS[0]), f64::INFINITY);
+        let (mut best, mut best_ns) = ((Protocol::Sc, GRANULARITIES[0]), f64::INFINITY);
         for (pi, p) in Protocol::ALL.iter().enumerate() {
-            for (gi, g) in CANDIDATE_BLOCKS.iter().enumerate() {
+            for (gi, g) in GRANULARITIES.iter().enumerate() {
                 if candidates[pi][gi] < best_ns {
                     best_ns = candidates[pi][gi];
                     best = (*p, *g);
@@ -179,9 +180,9 @@ pub fn choose_policies(program: &Program, data: &ProfileData, cfg: &RunConfig) -
     }
 
     // Best uniform combination: the same candidate summed over all regions.
-    let (mut uniform, mut uniform_ns) = ((Protocol::Sc, CANDIDATE_BLOCKS[0]), f64::INFINITY);
+    let (mut uniform, mut uniform_ns) = ((Protocol::Sc, GRANULARITIES[0]), f64::INFINITY);
     for (pi, p) in Protocol::ALL.iter().enumerate() {
-        for (gi, g) in CANDIDATE_BLOCKS.iter().enumerate() {
+        for (gi, g) in GRANULARITIES.iter().enumerate() {
             let total: f64 = decisions.iter().map(|d| d.candidates_ns[pi][gi]).sum();
             if total < uniform_ns {
                 uniform_ns = total;
@@ -198,10 +199,7 @@ pub fn choose_policies(program: &Program, data: &ProfileData, cfg: &RunConfig) -
         // policy entries so reporting stays per-region).
         let (pi, gi) = (
             Protocol::ALL.iter().position(|&p| p == uniform.0).unwrap(),
-            CANDIDATE_BLOCKS
-                .iter()
-                .position(|&g| g == uniform.1)
-                .unwrap(),
+            GRANULARITIES.iter().position(|&g| g == uniform.1).unwrap(),
         );
         for d in &mut decisions {
             d.protocol = uniform.0;
@@ -242,7 +240,7 @@ mod tests {
         for d in &plan.decisions {
             // Barnes-Original declares extra LRC synchronization: SC only.
             assert_eq!(d.protocol, Protocol::Sc);
-            assert!(crate::CANDIDATE_BLOCKS.contains(&d.block));
+            assert!(GRANULARITIES.contains(&d.block));
             assert!(d.predicted_ns.is_finite() && d.predicted_ns > 0.0);
         }
         // The free per-region choice can only improve on any uniform pick.

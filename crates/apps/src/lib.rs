@@ -16,8 +16,9 @@
 //! | Barnes | original, partree, spatial |
 //!
 //! Problem sizes are scaled down from the paper's (documented in
-//! EXPERIMENTS.md); the [`registry`] provides the standard benchmark sizes
-//! and smaller test sizes.
+//! EXPERIMENTS.md); the [`registry`] holds every application's standard
+//! benchmark and smaller test shapes in one table, and [`build_app`] builds
+//! any of them.
 //!
 //! Beyond the paper's twelve kernels, three *modern workload* families are
 //! registered for the scenario engine (and run under the same protocols,
@@ -52,7 +53,7 @@ pub use kvstore::KvZipf;
 pub use lu::Lu;
 pub use ocean::{OceanOriginal, OceanRowwise};
 pub use raytrace::Raytrace;
-pub use registry::{all_app_names, app, app_sized, modern_app_names, AppSize};
+pub use registry::{all_app_names, app, app_sized, build_app, modern_app_names, AppSize};
 pub use volrend::{VolrendOriginal, VolrendRowwise};
 pub use water_nsq::WaterNsq;
 pub use water_spatial::WaterSpatial;

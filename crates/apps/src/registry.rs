@@ -1,5 +1,8 @@
-//! Registry of the twelve applications at standard (benchmark) and small
-//! (test) problem sizes.
+//! The one table of applications: the paper's twelve kernels and the three
+//! modern workloads, each with its shape at the standard (benchmark) and
+//! small (test) problem sizes and its constructor. Every way of naming an
+//! application — [`app_sized`], [`app`], [`build_app`], the name lists, the
+//! tools' arguments and the scenario engine's `AppSpec` — reads `APPS`.
 
 use std::sync::Arc;
 
@@ -28,142 +31,256 @@ pub enum AppSize {
     Small,
 }
 
+/// Where an application comes from.
+#[derive(Clone, Copy)]
+enum Family {
+    /// One of the paper's twelve kernels: a fixed problem at each size,
+    /// which ignores the seed and takes no parameter overrides.
+    Paper,
+    /// A modern workload of the scenario engine: the seed reshapes it, and a
+    /// plan may override any of its parameters.
+    Modern,
+}
+
+/// One build's parameter values, in the table's order.
+struct Args<'a> {
+    params: &'static [(&'static str, u64, u64)],
+    values: &'a [u64],
+}
+
+impl Args<'_> {
+    /// Parameter `i` as the type its constructor takes, or an error naming it.
+    fn get<T: TryFrom<u64>>(&self, i: usize) -> Result<T, String> {
+        let v = self.values[i];
+        T::try_from(v).map_err(|_| {
+            format!(
+                "parameter {:?} = {v} does not fit in {}",
+                self.params[i].0,
+                std::any::type_name::<T>()
+            )
+        })
+    }
+}
+
+/// One registered application.
+struct AppEntry {
+    /// Registry name.
+    name: &'static str,
+    /// Paper kernel or modern workload.
+    family: Family,
+    /// Shape parameters in constructor order: `(name, standard default,
+    /// small default)`.
+    params: &'static [(&'static str, u64, u64)],
+    /// The constructor, from the seed and the parameter values; an error for
+    /// a value outside its range (the modern workloads' `try_new`).
+    make: fn(u64, &Args<'_>) -> Result<Program, String>,
+}
+
+/// A Barnes-Hut variant from its `(n, steps)`.
+fn barnes(a: &Args<'_>, variant: BarnesVariant) -> Result<Program, String> {
+    Ok(Arc::new(Barnes::new(a.get(0)?, a.get(1)?, variant)))
+}
+
+/// Every application: the paper's twelve kernels in its presentation order,
+/// then the modern workloads.
+const APPS: [AppEntry; 15] = [
+    AppEntry {
+        name: "lu",
+        family: Family::Paper,
+        params: &[("n", 512, 64), ("b", 16, 8)],
+        make: |_, a| Ok(Arc::new(Lu::new(a.get(0)?, a.get(1)?))),
+    },
+    AppEntry {
+        name: "ocean-rowwise",
+        family: Family::Paper,
+        params: &[("n", 256, 64), ("iters", 6, 2)],
+        make: |_, a| Ok(Arc::new(OceanRowwise::new(a.get(0)?, a.get(1)?))),
+    },
+    AppEntry {
+        name: "ocean-original",
+        family: Family::Paper,
+        params: &[("n", 256, 64), ("iters", 6, 2)],
+        make: |_, a| Ok(Arc::new(OceanOriginal::new(a.get(0)?, a.get(1)?))),
+    },
+    AppEntry {
+        name: "fft",
+        family: Family::Paper,
+        params: &[("m", 128, 32)],
+        make: |_, a| Ok(Arc::new(Fft::new(a.get(0)?))),
+    },
+    AppEntry {
+        name: "water-nsquared",
+        family: Family::Paper,
+        params: &[("n", 512, 64), ("steps", 2, 1)],
+        make: |_, a| Ok(Arc::new(WaterNsq::new(a.get(0)?, a.get(1)?))),
+    },
+    AppEntry {
+        name: "volrend-rowwise",
+        family: Family::Paper,
+        params: &[("img", 96, 32)],
+        make: |_, a| Ok(Arc::new(VolrendRowwise::new(a.get(0)?))),
+    },
+    AppEntry {
+        name: "volrend-original",
+        family: Family::Paper,
+        params: &[("img", 96, 32)],
+        make: |_, a| Ok(Arc::new(VolrendOriginal::new(a.get(0)?))),
+    },
+    AppEntry {
+        name: "water-spatial",
+        family: Family::Paper,
+        params: &[("c", 4, 3), ("n", 512, 96), ("steps", 2, 1)],
+        make: |_, a| Ok(Arc::new(WaterSpatial::new(a.get(0)?, a.get(1)?, a.get(2)?))),
+    },
+    AppEntry {
+        name: "raytrace",
+        family: Family::Paper,
+        params: &[("img", 96, 32)],
+        make: |_, a| Ok(Arc::new(Raytrace::new(a.get(0)?))),
+    },
+    AppEntry {
+        name: "barnes-spatial",
+        family: Family::Paper,
+        params: &[("n", 1024, 128), ("steps", 2, 1)],
+        make: |_, a| barnes(a, BarnesVariant::Spatial),
+    },
+    AppEntry {
+        name: "barnes-partree",
+        family: Family::Paper,
+        params: &[("n", 1024, 128), ("steps", 2, 1)],
+        make: |_, a| barnes(a, BarnesVariant::Partree),
+    },
+    AppEntry {
+        name: "barnes-original",
+        family: Family::Paper,
+        params: &[("n", 1024, 128), ("steps", 2, 1)],
+        make: |_, a| barnes(a, BarnesVariant::Original),
+    },
+    AppEntry {
+        name: "kv-zipf",
+        family: Family::Modern,
+        params: &[
+            ("keys", 2048, 256),
+            ("ops", 48_000, 4_000),
+            ("epochs", 6, 4),
+            ("theta_x100", 99, 99),
+            ("read_pct", 70, 70),
+        ],
+        make: |seed, a| {
+            let (keys, ops, epochs) = (a.get(0)?, a.get(1)?, a.get(2)?);
+            let kv = KvZipf::try_new(seed, keys, ops, epochs, a.get(3)?, a.get(4)?)?;
+            Ok(Arc::new(kv))
+        },
+    },
+    AppEntry {
+        name: "pagerank",
+        family: Family::Modern,
+        params: &[("vertices", 768, 96), ("max_out", 8, 4), ("iters", 8, 3)],
+        make: |seed, a| {
+            let pr = PageRank::try_new(seed, a.get(0)?, a.get(1)?, a.get(2)?)?;
+            Ok(Arc::new(pr))
+        },
+    },
+    AppEntry {
+        name: "random-drf",
+        family: Family::Modern,
+        params: &[("words", 256, 64), ("phases", 6, 3), ("locks", 4, 2)],
+        make: |seed, a| {
+            let drf = RandomDrf::try_new(seed, a.get(0)?, a.get(1)?, a.get(2)?)?;
+            Ok(Arc::new(drf))
+        },
+    },
+];
+
+/// The names of `family`'s `N` applications, in table order.
+const fn names<const N: usize>(family: Family) -> [&'static str; N] {
+    let mut out = [""; N];
+    let (mut i, mut n) = (0, 0);
+    while i < APPS.len() {
+        if APPS[i].family as u8 == family as u8 {
+            out[n] = APPS[i].name;
+            n += 1;
+        }
+        i += 1;
+    }
+    assert!(n == N, "the family has another number of applications");
+    out
+}
+
 /// Names of all twelve applications, in the paper's presentation order.
 pub fn all_app_names() -> [&'static str; 12] {
-    [
-        "lu",
-        "ocean-rowwise",
-        "ocean-original",
-        "fft",
-        "water-nsquared",
-        "volrend-rowwise",
-        "volrend-original",
-        "water-spatial",
-        "raytrace",
-        "barnes-spatial",
-        "barnes-partree",
-        "barnes-original",
-    ]
+    const NAMES: [&str; 12] = names(Family::Paper);
+    NAMES
 }
 
 /// Names of the modern workload families registered beside the paper's
-/// twelve kernels (the scenario engine's native applications). Default
-/// shapes here use seed 1; the scenario spec can override every parameter.
+/// twelve kernels (the scenario engine's native applications).
 pub fn modern_app_names() -> [&'static str; 3] {
-    ["kv-zipf", "pagerank", "random-drf"]
+    const NAMES: [&str; 3] = names(Family::Modern);
+    NAMES
 }
 
-/// Construct an application at a given size class.
+/// Application `name` at `size` for `seed`, with `overrides` replacing
+/// parameter defaults, first match wins. Only a modern workload takes
+/// overrides, and only it reads the seed. An unknown name or parameter, a
+/// value that does not fit its parameter's type, or one outside the
+/// constructor's range is an error naming it.
+pub fn build_app(
+    name: &str,
+    size: AppSize,
+    seed: u64,
+    overrides: &[(String, u64)],
+) -> Result<Program, String> {
+    let entry = APPS.iter().find(|a| a.name == name).ok_or_else(|| {
+        let known: Vec<&str> = APPS.iter().map(|a| a.name).collect();
+        format!(
+            "unknown application {name:?} (one of: {})",
+            known.join(", ")
+        )
+    })?;
+    let settable = match entry.family {
+        Family::Paper => &[][..],
+        Family::Modern => entry.params,
+    };
+    if let Some((k, _)) = overrides
+        .iter()
+        .find(|(k, _)| !settable.iter().any(|p| p.0 == k))
+    {
+        let known: Vec<&str> = settable.iter().map(|p| p.0).collect();
+        return Err(format!(
+            "app {name}: unknown parameter {k:?} (known: {})",
+            if known.is_empty() {
+                "none — classic kernels take no parameters".to_string()
+            } else {
+                known.join(", ")
+            }
+        ));
+    }
+    let values: Vec<u64> = entry
+        .params
+        .iter()
+        .map(|&(key, standard, small)| {
+            let default = match size {
+                AppSize::Standard => standard,
+                AppSize::Small => small,
+            };
+            overrides
+                .iter()
+                .find(|(k, _)| k == key)
+                .map_or(default, |&(_, v)| v)
+        })
+        .collect();
+    let args = Args {
+        params: entry.params,
+        values: &values,
+    };
+    (entry.make)(seed, &args).map_err(|e| format!("app {name}: {e}"))
+}
+
+/// Construct an application at a given size class (a modern workload with
+/// seed 1).
 pub fn app_sized(name: &str, size: AppSize) -> Option<Program> {
-    let std = size == AppSize::Standard;
-    Some(match name {
-        "kv-zipf" => {
-            if std {
-                Arc::new(KvZipf::new(1, 2048, 48_000, 6, 99, 70))
-            } else {
-                Arc::new(KvZipf::new(1, 256, 4_000, 4, 99, 70))
-            }
-        }
-        "pagerank" => {
-            if std {
-                Arc::new(PageRank::new(1, 768, 8, 8))
-            } else {
-                Arc::new(PageRank::new(1, 96, 4, 3))
-            }
-        }
-        "random-drf" => {
-            if std {
-                Arc::new(RandomDrf::new(1, 256, 6, 4))
-            } else {
-                Arc::new(RandomDrf::new(1, 64, 3, 2))
-            }
-        }
-        "lu" => {
-            if std {
-                Arc::new(Lu::new(512, 16))
-            } else {
-                Arc::new(Lu::new(64, 8))
-            }
-        }
-        "fft" => {
-            if std {
-                Arc::new(Fft::new(128))
-            } else {
-                Arc::new(Fft::new(32))
-            }
-        }
-        "ocean-original" => {
-            if std {
-                Arc::new(OceanOriginal::new(256, 6))
-            } else {
-                Arc::new(OceanOriginal::new(64, 2))
-            }
-        }
-        "ocean-rowwise" => {
-            if std {
-                Arc::new(OceanRowwise::new(256, 6))
-            } else {
-                Arc::new(OceanRowwise::new(64, 2))
-            }
-        }
-        "water-nsquared" => {
-            if std {
-                Arc::new(WaterNsq::new(512, 2))
-            } else {
-                Arc::new(WaterNsq::new(64, 1))
-            }
-        }
-        "water-spatial" => {
-            if std {
-                Arc::new(WaterSpatial::new(4, 512, 2))
-            } else {
-                Arc::new(WaterSpatial::new(3, 96, 1))
-            }
-        }
-        "volrend-original" => {
-            if std {
-                Arc::new(VolrendOriginal::new(96))
-            } else {
-                Arc::new(VolrendOriginal::new(32))
-            }
-        }
-        "volrend-rowwise" => {
-            if std {
-                Arc::new(VolrendRowwise::new(96))
-            } else {
-                Arc::new(VolrendRowwise::new(32))
-            }
-        }
-        "raytrace" => {
-            if std {
-                Arc::new(Raytrace::new(96))
-            } else {
-                Arc::new(Raytrace::new(32))
-            }
-        }
-        "barnes-original" => {
-            if std {
-                Arc::new(Barnes::new(1024, 2, BarnesVariant::Original))
-            } else {
-                Arc::new(Barnes::new(128, 1, BarnesVariant::Original))
-            }
-        }
-        "barnes-partree" => {
-            if std {
-                Arc::new(Barnes::new(1024, 2, BarnesVariant::Partree))
-            } else {
-                Arc::new(Barnes::new(128, 1, BarnesVariant::Partree))
-            }
-        }
-        "barnes-spatial" => {
-            if std {
-                Arc::new(Barnes::new(1024, 2, BarnesVariant::Spatial))
-            } else {
-                Arc::new(Barnes::new(128, 1, BarnesVariant::Spatial))
-            }
-        }
-        _ => return None,
-    })
+    build_app(name, size, 1, &[]).ok()
 }
 
 /// Construct an application at the standard benchmark size.

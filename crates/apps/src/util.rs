@@ -9,9 +9,9 @@ use dsm_core::Dsm;
 /// FP op once loads, index arithmetic and branches are included.
 pub const FLOP_NS: u64 = 150;
 
-/// Small xorshift64* PRNG: deterministic, seedable, dependency-free in hot
-/// paths (used for initial conditions; `rand` is used where distributions
-/// matter).
+/// Small xorshift64* PRNG: deterministic, seedable, dependency-free. Every
+/// random choice in the applications draws from it: initial conditions,
+/// task order, and (through [`crate::Zipf`]) the skewed distributions.
 #[derive(Debug, Clone)]
 pub struct XorShift {
     state: u64,

@@ -93,7 +93,7 @@ fn print_regions(r: &ExperimentResult, decisions: &[RegionDecision]) {
             d.profile.reader_nodes
         );
         for (pi, p) in Protocol::ALL.iter().enumerate() {
-            let cells: Vec<String> = dsm_adapt::CANDIDATE_BLOCKS
+            let cells: Vec<String> = dsm_core::GRANULARITIES
                 .iter()
                 .enumerate()
                 .map(|(gi, g)| format!("{g}:{:9.1}", d.candidates_ns[pi][gi] / 1e6))
@@ -117,7 +117,7 @@ fn run_mc(spec: &str, json: bool) -> ! {
     let mut nodes: Option<u64> = None;
     let mut rounds: Option<u64> = None;
     let mut faults = 0u32;
-    let mut block = 256usize;
+    let mut block = "256";
     let mut reduce = true;
     let mut dedup = true;
     let mut max_schedules = 0u64;
@@ -141,7 +141,7 @@ fn run_mc(spec: &str, json: bool) -> ! {
                 faults = u32::try_from(num())
                     .unwrap_or_else(|_| bad(format!("faults must fit in 32 bits, got {v:?}")))
             }
-            "block" => block = block_arg(v).unwrap_or_else(|e| bad(e)),
+            "block" => block = v,
             "max" => max_schedules = num(),
             "steps" => max_steps = num(),
             "raw" => reduce = false,
@@ -174,6 +174,7 @@ fn run_mc(spec: &str, json: bool) -> ! {
         "pingpong" => program::lock_pingpong(rounds),
         _ => program::msg_pass(),
     };
+    let block = block_arg(block, prog.shared_bytes).unwrap_or_else(|e| bad(e));
     let mut cfg = McConfig::new(proto);
     cfg.block_size = block;
     cfg.fault_budget = faults;
@@ -291,7 +292,8 @@ fn main() {
     let name = arg(0, "lu");
     let program = app_arg(name).unwrap_or_else(|e| bad_arg("diag", e));
     let proto = protocol_arg(arg(1, "sc")).unwrap_or_else(|e| bad_arg("diag", e));
-    let block = block_arg(arg(2, "64")).unwrap_or_else(|e| bad_arg("diag", e));
+    let block =
+        block_arg(arg(2, "64"), program.shared_bytes()).unwrap_or_else(|e| bad_arg("diag", e));
 
     let fabric = fabric_spec
         .map_or(Ok(FabricConfig::ideal()), |spec| FabricConfig::parse(&spec))

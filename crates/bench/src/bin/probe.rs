@@ -13,7 +13,7 @@
 //! application is a one-line message and exit status 2.
 use dsm_bench::cli::{app_arg, bad_arg};
 use dsm_bench::records::cell_record;
-use dsm_core::{run_experiment, Protocol, RunConfig};
+use dsm_core::{run_experiment, Protocol, RunConfig, GRANULARITIES};
 use std::time::Instant;
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
         }
         for p in Protocol::ALL {
             let mut row = format!("{:8}", p.name());
-            for g in [64usize, 256, 1024, 4096] {
+            for g in GRANULARITIES {
                 let t0 = Instant::now();
                 let r = run_experiment(&RunConfig::new(p, g), program.clone());
                 let elapsed = t0.elapsed().as_secs_f64();

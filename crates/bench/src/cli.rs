@@ -7,8 +7,8 @@
 //! The library reads no environment; this module and the binaries are the
 //! only places that do (`tools/lint_determinism.sh`, rule 7).
 
-use dsm_apps::registry::{all_app_names, app, modern_app_names};
-use dsm_core::{Program, Protocol};
+use dsm_apps::registry::{build_app, AppSize};
+use dsm_core::{Program, Protocol, GRANULARITIES};
 use dsm_obs::TraceFilter;
 
 /// Print `tool: msg` on stderr and exit with status 2.
@@ -39,15 +39,9 @@ pub fn jobs_env() -> Option<usize> {
     }))
 }
 
-/// The application called `name`.
+/// The application called `name`, at the standard size.
 pub fn app_arg(name: &str) -> Result<Program, String> {
-    app(name).ok_or_else(|| {
-        let known = [&all_app_names()[..], &modern_app_names()[..]].concat();
-        format!(
-            "unknown application {name:?} (one of: {})",
-            known.join(", ")
-        )
-    })
+    build_app(name, AppSize::Standard, 1, &[])
 }
 
 /// A coherence protocol name.
@@ -56,16 +50,21 @@ pub fn protocol_arg(text: &str) -> Result<Protocol, String> {
         .map_err(|_| format!("unknown protocol {text:?} (one of: sc, sw-lrc, hlrc, tardis)"))
 }
 
-/// A coherence granularity in bytes: what `Layout::new` accepts, checked
-/// before a layout is built.
-pub fn block_arg(text: &str) -> Result<usize, String> {
+/// A coherence granularity in bytes for a program of `shared_bytes`: what
+/// `Layout::new` accepts, checked before a layout is built, and at most twice
+/// the shared space rounded up to a power of two. One block already holds
+/// the whole space there; a larger one would only make every node allocate
+/// a copy of it.
+pub fn block_arg(text: &str, shared_bytes: usize) -> Result<usize, String> {
+    let most = shared_bytes.max(8).next_power_of_two().saturating_mul(2);
     text.parse()
         .ok()
-        .filter(|b: &usize| b.is_power_of_two() && *b >= 8)
+        .filter(|b: &usize| b.is_power_of_two() && (8..=most).contains(b))
         .ok_or_else(|| {
             format!(
-                "bad block size {text:?} (a power of two, at least 8; \
-                 the study uses 64, 256, 1024, 4096)"
+                "bad block size {text:?} (a power of two from 8 to {most}, twice the \
+                 program's shared space rounded up to a power of two; the study uses \
+                 {GRANULARITIES:?})"
             )
         })
 }
@@ -85,9 +84,10 @@ mod tests {
         );
         assert_eq!(protocol_arg("sw-lrc"), Ok(Protocol::SwLrc));
         assert!(protocol_arg("mesi").unwrap_err().contains("tardis"));
-        assert_eq!(block_arg("4096"), Ok(4096));
-        for bad in ["sixty", "100", "4", "0", "-64"] {
-            assert!(block_arg(bad).unwrap_err().contains(bad), "{bad}");
+        assert_eq!(block_arg("4096", 4096), Ok(4096));
+        assert_eq!(block_arg("8192", 4096), Ok(8192));
+        for bad in ["sixty", "100", "4", "0", "-64", "16384"] {
+            assert!(block_arg(bad, 4096).unwrap_err().contains(bad), "{bad}");
         }
     }
 }

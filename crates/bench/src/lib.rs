@@ -23,4 +23,4 @@ pub mod report;
 pub mod sweep;
 pub mod table;
 
-pub use sweep::{default_jobs, run_cell, run_cells, CellResult, CellSpec, Grid, GRANULARITIES};
+pub use sweep::{default_jobs, run_cell, run_cells, CellResult, CellSpec, Grid};

@@ -14,6 +14,7 @@ use dsm_adapt::run_adaptive;
 use dsm_apps::registry::{all_app_names, app};
 use dsm_core::{
     run_experiment, run_parallel, run_sequential, FabricConfig, Notify, Protocol, RunConfig,
+    GRANULARITIES,
 };
 use dsm_net::LatencyModel;
 use dsm_obs::Counters;
@@ -23,7 +24,7 @@ use crate::paper::{
     PaperFaults, PAPER_FAULTS, PAPER_HM_ORIGINAL, PAPER_HM_ORIGINAL_PBEST, PAPER_RTT_US,
     PAPER_TABLE1, PAPER_TABLE17_NOTES, PAPER_TABLE2,
 };
-use crate::sweep::{Grid, GRANULARITIES, INTERRUPT_APPS};
+use crate::sweep::{Grid, INTERRUPT_APPS};
 use crate::table::Table;
 
 /// One named statement of the paper and what the measurement says of it.

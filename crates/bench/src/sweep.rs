@@ -13,14 +13,11 @@
 //! machine's available parallelism.
 
 use dsm_apps::AppSize;
-use dsm_core::{run_experiment, Notify, Protocol, RunConfig};
+use dsm_core::{run_experiment, Notify, Protocol, RunConfig, GRANULARITIES};
 use dsm_obs::RunStats;
 use dsm_scenario::exec::pool_map;
 
 use crate::cli;
-
-/// The four granularities of the study.
-pub const GRANULARITIES: [usize; 4] = [64, 256, 1024, 4096];
 
 /// The applications Figure 2 also runs under interrupts.
 pub const INTERRUPT_APPS: [&str; 2] = ["lu", "water-nsquared"];

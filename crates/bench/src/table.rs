@@ -75,16 +75,6 @@ impl Table {
     }
 }
 
-/// Format a float speedup/ratio with 2 decimals.
-pub fn f2(v: f64) -> String {
-    format!("{v:.2}")
-}
-
-/// Format a float with 3 decimals (used for HM tables).
-pub fn f3(v: f64) -> String {
-    format!("{v:.3}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,11 +98,5 @@ mod tests {
         t.row(&["x".into()]);
         let s = t.render();
         assert!(s.lines().count() == 3);
-    }
-
-    #[test]
-    fn float_helpers() {
-        assert_eq!(f2(1.234), "1.23");
-        assert_eq!(f3(0.125), "0.125");
     }
 }

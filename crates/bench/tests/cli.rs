@@ -37,6 +37,15 @@ fn diag_rejects_malformed_positionals() {
     rejects(diag, &["lu", "sc", "sixty"], &[], "sixty");
     rejects(diag, &["lu", "sc", "100"], &[], "100");
     rejects(diag, &["--mc", "block=100"], &[], "100");
+    // A block far beyond the program's shared space is refused, not
+    // allocated once per node.
+    rejects(diag, &["lu", "sc", "1099511627776"], &[], "1099511627776");
+    rejects(
+        diag,
+        &["--mc", "prog=msg,block=1099511627776"],
+        &[],
+        "1099511627776",
+    );
     rejects(diag, &["--mc", "faults=4294967297"], &[], "4294967297");
     // A program shape the program does not take is not quietly replaced by
     // one it does.

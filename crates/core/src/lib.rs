@@ -34,6 +34,7 @@ pub use runner::{
 pub use seq::SeqDsm;
 
 pub use dsm_fabric::{FabricConfig, FaultPlan, NiModel, RetryPolicy};
+pub use dsm_mem::GRANULARITIES;
 pub use dsm_net::{CostModel, LatencyModel, Notify};
 pub use dsm_obs::schema;
 pub use dsm_obs::{Counters, RunStats};

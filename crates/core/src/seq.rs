@@ -26,15 +26,6 @@ impl SeqDsm {
         }
     }
 
-    /// Start from a golden image with explicit platform costs.
-    pub fn with_cost(mem: MemImage, cost: CostModel) -> Self {
-        SeqDsm {
-            mem,
-            time_ns: 0,
-            cost,
-        }
-    }
-
     /// Modeled sequential execution time so far, in ns.
     pub fn time_ns(&self) -> u64 {
         self.time_ns

@@ -27,9 +27,7 @@
 //! original one-shot send path, bit-for-bit.
 
 mod config;
-mod rng;
 mod state;
 
 pub use config::{FabricConfig, FaultPlan, NiModel, RetryPolicy};
-pub use rng::{hit, mix64, roll};
 pub use state::{Fabric, FaultDecision, FaultOracle, RxOutcome, TxAction, TxOutcome};

@@ -14,11 +14,10 @@
 
 use std::collections::BTreeMap;
 
-use dsm_sim::rng::StableMap;
+use dsm_sim::rng::{hit, roll, StableMap};
 use dsm_sim::{NodeId, Time};
 
 use crate::config::FabricConfig;
-use crate::rng::{hit, roll};
 
 /// Decision lanes for the fault injector (one hash stream per decision).
 const LANE_DROP: u64 = 1;

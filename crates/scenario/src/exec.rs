@@ -15,7 +15,7 @@ use dsm_core::RunStats;
 use dsm_core::{run_experiment, schema, FabricConfig, Protocol, RegionPolicy, RunConfig};
 use dsm_json::Value;
 
-use crate::spec::{Mode, ScenarioSpec};
+use crate::spec::{policy_json, Mode, ScenarioSpec};
 
 /// Result of one repetition.
 #[derive(Debug)]
@@ -79,17 +79,11 @@ fn config_for(spec: &ScenarioSpec, program: &dsm_core::Program) -> RunConfig {
         cfg
     };
     match &spec.mode {
-        Mode::Fixed { protocol, block } => apply(RunConfig::new(*protocol, *block)),
-        Mode::Mixed {
+        Mode::Policy {
             protocol,
             block,
             regions,
-        } => apply(RunConfig::new(*protocol, *block)).with_region_policies(
-            regions
-                .iter()
-                .map(|(n, p, b)| RegionPolicy::new(n, *p, *b))
-                .collect(),
-        ),
+        } => apply(RunConfig::new(*protocol, *block)).with_region_policies(regions.clone()),
         Mode::Adaptive => {
             let data = profile_run(program);
             let base = apply(RunConfig::new(Protocol::Sc, 4096));
@@ -169,25 +163,27 @@ pub fn run_scenario(spec: &ScenarioSpec, jobs: usize) -> Result<ScenarioOutcome,
     })
 }
 
-/// The per-repetition metrics that get aggregated, as `(name, value)`
-/// pairs in a fixed order.
-fn metrics(r: &RepOutcome) -> Vec<(&'static str, f64)> {
+/// The per-repetition metrics, as `(name, value)` pairs in record order.
+/// The `scenario-rep` record writes each value as it is (counters stay
+/// integers); the aggregate takes mean/min/max over their `f64` readings.
+fn metrics(r: &RepOutcome) -> [(&'static str, Value); 14] {
     let t = r.stats.totals();
-    vec![
-        ("speedup", r.stats.speedup()),
-        ("parallel_time_ns", r.stats.parallel_time_ns as f64),
-        ("msgs", t.msgs_sent as f64),
-        ("traffic_bytes", t.total_traffic() as f64),
-        ("read_faults", t.read_faults as f64),
-        ("write_faults", t.write_faults as f64),
-        ("invalidations", t.invalidations as f64),
-        ("diffs_created", t.diffs_created as f64),
-        ("lease_renewals", t.lease_renewals as f64),
-        ("lease_expiries", t.lease_expiries as f64),
-        ("wts_bumps", t.wts_bumps as f64),
-        ("fabric_retries", t.fabric_retries as f64),
-        ("sim_events", r.stats.sim_events as f64),
-        ("sim_events_per_sec", sim_events_per_sec(&r.stats)),
+    [
+        ("speedup", r.stats.speedup().into()),
+        ("parallel_time_ns", r.stats.parallel_time_ns.into()),
+        ("msgs", t.msgs_sent.into()),
+        ("traffic_bytes", t.total_traffic().into()),
+        ("read_faults", t.read_faults.into()),
+        ("write_faults", t.write_faults.into()),
+        ("invalidations", t.invalidations.into()),
+        ("diffs_created", t.diffs_created.into()),
+        // Tardis lease traffic (schema v3): zero under the other protocols.
+        ("lease_renewals", t.lease_renewals.into()),
+        ("lease_expiries", t.lease_expiries.into()),
+        ("wts_bumps", t.wts_bumps.into()),
+        ("fabric_retries", t.fabric_retries.into()),
+        ("sim_events", r.stats.sim_events.into()),
+        ("sim_events_per_sec", sim_events_per_sec(&r.stats).into()),
     ]
 }
 
@@ -200,14 +196,6 @@ fn sim_events_per_sec(s: &RunStats) -> f64 {
         return 0.0;
     }
     s.sim_events as f64 / (s.parallel_time_ns as f64 / 1e9)
-}
-
-fn policy_json(p: &RegionPolicy) -> Value {
-    let mut v = Value::obj();
-    v.set("name", p.name.as_str());
-    v.set("protocol", p.protocol.name().to_lowercase());
-    v.set("block", p.block);
-    v
 }
 
 impl ScenarioOutcome {
@@ -255,24 +243,9 @@ impl ScenarioOutcome {
             );
         }
         v.set("sequential_time_ns", r.stats.sequential_time_ns);
-        // Same metric names as the aggregate record, but counters stay
-        // integers here; only the cross-rep statistics are floats.
-        let t = r.stats.totals();
-        v.set("speedup", r.stats.speedup());
-        v.set("parallel_time_ns", r.stats.parallel_time_ns);
-        v.set("msgs", t.msgs_sent);
-        v.set("traffic_bytes", t.total_traffic());
-        v.set("read_faults", t.read_faults);
-        v.set("write_faults", t.write_faults);
-        v.set("invalidations", t.invalidations);
-        v.set("diffs_created", t.diffs_created);
-        // Tardis lease traffic (schema v3): zero under the other protocols.
-        v.set("lease_renewals", t.lease_renewals);
-        v.set("lease_expiries", t.lease_expiries);
-        v.set("wts_bumps", t.wts_bumps);
-        v.set("fabric_retries", t.fabric_retries);
-        v.set("sim_events", r.stats.sim_events);
-        v.set("sim_events_per_sec", sim_events_per_sec(&r.stats));
+        for (name, value) in metrics(r) {
+            v.set(name, value);
+        }
         v
     }
 
@@ -290,10 +263,13 @@ impl ScenarioOutcome {
             "violations",
             self.reps.iter().map(|r| r.violations).sum::<usize>(),
         );
-        let per_rep: Vec<Vec<(&str, f64)>> = self.reps.iter().map(metrics).collect();
+        let per_rep: Vec<_> = self.reps.iter().map(metrics).collect();
         let mut m = Value::obj();
         for (i, (name, _)) in per_rep[0].iter().enumerate() {
-            let vals: Vec<f64> = per_rep.iter().map(|r| r[i].1).collect();
+            let vals: Vec<f64> = per_rep
+                .iter()
+                .map(|r| r[i].1.as_f64().expect("a metric is a number"))
+                .collect();
             let mut stat = Value::obj();
             stat.set("mean", vals.iter().sum::<f64>() / vals.len() as f64);
             stat.set("min", vals.iter().copied().fold(f64::INFINITY, f64::min));

@@ -11,6 +11,13 @@
 //! (fixed, mixed-region, or adaptive), the fabric and fault plan, checker
 //! and span toggles, and a repetition count with a seed sequence.
 //!
+//! The vocabulary is not restated here. An application and its parameters
+//! are built by [`dsm_apps::build_app`] from the registry's one table; a
+//! block is one of [`dsm_core::GRANULARITIES`]; and a mode is one of two
+//! forms ([`Mode`]): a default protocol × block with a list of
+//! [`dsm_core::RegionPolicy`] overrides (`"fixed"` when the list is empty,
+//! `"mixed"` when it is not), or the adaptive planner.
+//!
 //! Scenarios are parsed with the in-tree [`dsm_json`] parser (syntax errors
 //! carry line/column), validated strictly (unknown keys are errors), and
 //! executed through [`pool_map`], the worker pool the bench sweeps share —
@@ -43,4 +50,4 @@ pub mod exec;
 pub mod spec;
 
 pub use exec::{pool_map, run_scenario, RepOutcome, ScenarioOutcome};
-pub use spec::{AppSpec, Mode, ScenarioSpec, SeedSeq, LEGAL_BLOCKS, SCHEMA};
+pub use spec::{AppSpec, Mode, ScenarioSpec, SeedSeq, SCHEMA};

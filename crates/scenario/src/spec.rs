@@ -2,7 +2,8 @@
 //! coherence policy, over which fabric, how many times.
 //!
 //! A scenario is one JSON object, hand-written and checked strictly:
-//! unknown keys, out-of-range blocks, and malformed sub-objects are errors
+//! unknown keys, keys the mode's kind does not read, out-of-range blocks,
+//! unknown applications or parameters, and malformed sub-objects are errors
 //! with positions (the `dsm-json` parser reports line/column). The parsed
 //! form is canonical — [`ScenarioSpec::to_json`] emits a normalized
 //! document whose re-parse is structurally identical, which the round-trip
@@ -21,12 +22,10 @@
 //! }
 //! ```
 
-use std::sync::Arc;
-
-use dsm_core::{FabricConfig, Notify, Program, Protocol};
+use dsm_core::{FabricConfig, Notify, Program, Protocol, RegionPolicy, GRANULARITIES};
 use dsm_json::Value;
 
-use dsm_apps::{app_sized, AppSize, KvZipf, PageRank, RandomDrf};
+use dsm_apps::{build_app, AppSize};
 
 /// Version of the plan format and of every record the engine emits: the
 /// `"scenario"` records' version in [`dsm_core::schema`], which keeps the
@@ -34,9 +33,6 @@ use dsm_apps::{app_sized, AppSize, KvZipf, PageRank, RandomDrf};
 /// clock never enters the JSONL, so records stay byte-identical across
 /// hosts and job widths.)
 pub const SCHEMA: u32 = dsm_core::schema::SCENARIO.1;
-
-/// Legal coherence granularities (the study's four).
-pub const LEGAL_BLOCKS: [usize; 4] = [64, 256, 1024, 4096];
 
 /// Which application to run and how to shape it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,127 +48,27 @@ pub struct AppSpec {
 }
 
 impl AppSpec {
-    /// Parameter `key` as a `T`, or `default` when the spec leaves it out;
-    /// an error naming it when its value does not fit a `T`.
-    fn param<T: TryFrom<u64>>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.params.iter().find(|(k, _)| k == key) {
-            None => Ok(default),
-            Some((_, v)) => T::try_from(*v).map_err(|_| {
-                format!(
-                    "app {}: parameter {key:?} = {v} does not fit in {}",
-                    self.name,
-                    std::any::type_name::<T>()
-                )
-            }),
-        }
-    }
-
-    /// The modern workload this spec names, built for `seed` with its
-    /// parameters checked against their types and the constructor's ranges;
-    /// `None` for a classic kernel (which takes no parameters).
-    fn modern(&self, seed: u64) -> Result<Option<Program>, String> {
-        let small = self.size == AppSize::Small;
-        let known: &[&str] = match self.name.as_str() {
-            "kv-zipf" => &["keys", "ops", "epochs", "theta_x100", "read_pct"],
-            "pagerank" => &["vertices", "max_out", "iters"],
-            "random-drf" => &["words", "phases", "locks"],
-            _ => &[],
-        };
-        if let Some((k, _)) = self
-            .params
-            .iter()
-            .find(|(k, _)| !known.contains(&k.as_str()))
-        {
-            return Err(format!(
-                "app {}: unknown parameter {k:?} (known: {})",
-                self.name,
-                if known.is_empty() {
-                    "none — classic kernels take no parameters".to_string()
-                } else {
-                    known.join(", ")
-                }
-            ));
-        }
-        let named = |e: String| format!("app {}: {e}", self.name);
-        let program: Program = match self.name.as_str() {
-            "kv-zipf" => {
-                let (keys, ops, epochs) = if small {
-                    (256, 4_000, 4)
-                } else {
-                    (2048, 48_000, 6)
-                };
-                Arc::new(
-                    KvZipf::try_new(
-                        seed,
-                        self.param("keys", keys)?,
-                        self.param("ops", ops)?,
-                        self.param("epochs", epochs)?,
-                        self.param("theta_x100", 99)?,
-                        self.param("read_pct", 70)?,
-                    )
-                    .map_err(named)?,
-                )
-            }
-            "pagerank" => {
-                let (v, m, it) = if small { (96, 4, 3) } else { (768, 8, 8) };
-                Arc::new(
-                    PageRank::try_new(
-                        seed,
-                        self.param("vertices", v)?,
-                        self.param("max_out", m)?,
-                        self.param("iters", it)?,
-                    )
-                    .map_err(named)?,
-                )
-            }
-            "random-drf" => {
-                let (w, ph, l) = if small { (64, 3, 2) } else { (256, 6, 4) };
-                Arc::new(
-                    RandomDrf::try_new(
-                        seed,
-                        self.param("words", w)?,
-                        self.param("phases", ph)?,
-                        self.param("locks", l)?,
-                    )
-                    .map_err(named)?,
-                )
-            }
-            _ => return Ok(None),
-        };
-        Ok(Some(program))
-    }
-
-    /// Instantiate the program for one repetition. Modern workloads are
-    /// seeded per repetition; the classic kernels are deterministic fixed
-    /// problems and ignore the seed.
+    /// Instantiate the program for one repetition ([`build_app`]): modern
+    /// workloads are seeded per repetition and take the parameter
+    /// overrides; the classic kernels are fixed problems and take neither.
     pub fn build(&self, seed: u64) -> Result<Program, String> {
-        match self.modern(seed)? {
-            Some(program) => Ok(program),
-            None => app_sized(&self.name, self.size)
-                .ok_or_else(|| format!("unknown application: {}", self.name)),
-        }
+        build_app(&self.name, self.size, seed, &self.params)
     }
 }
 
 /// Coherence policy selection for the whole run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Mode {
-    /// One (protocol, granularity) everywhere.
-    Fixed {
-        /// The protocol.
+    /// A default (protocol, granularity) with per-region overrides naming
+    /// the program's `RegionHints`. With no overrides the run is uniform,
+    /// written `"kind": "fixed"`; with some it is `"kind": "mixed"`.
+    Policy {
+        /// Protocol of every region no override names.
         protocol: Protocol,
-        /// The granularity in bytes.
+        /// Granularity of every region no override names.
         block: usize,
-    },
-    /// Per-region overrides on top of a default combination — the regions
-    /// name the program's `RegionHints`.
-    Mixed {
-        /// Default protocol for unnamed regions.
-        protocol: Protocol,
-        /// Default granularity for unnamed regions.
-        block: usize,
-        /// `(region, protocol, block)` overrides in spec order.
-        regions: Vec<(String, Protocol, usize)>,
+        /// Overrides in spec order.
+        regions: Vec<RegionPolicy>,
     },
     /// Let the adaptive planner profile the program and pin a combination
     /// per region (fresh plan every repetition, since the seed reshapes
@@ -237,12 +133,62 @@ fn block_of(v: &Value, ctx: &str) -> Result<usize, String> {
     let b = v
         .as_u64()
         .ok_or_else(|| format!("{ctx}: block must be an integer"))? as usize;
-    if !LEGAL_BLOCKS.contains(&b) {
+    if !GRANULARITIES.contains(&b) {
         return Err(format!(
-            "{ctx}: block {b} not in the study's granularities {LEGAL_BLOCKS:?}"
+            "{ctx}: block {b} not in the study's granularities {GRANULARITIES:?}"
         ));
     }
     Ok(b)
+}
+
+/// A mixed mode's `"regions"`: a non-empty array of `{name, protocol,
+/// block}` objects, each checked strictly.
+fn regions_of(v: &Value) -> Result<Vec<RegionPolicy>, String> {
+    let items = v
+        .as_arr()
+        .ok_or("scenario mode: mixed requires a \"regions\" array")?;
+    if items.is_empty() {
+        return Err("scenario mode: mixed requires at least one region".into());
+    }
+    let mut regions = Vec::new();
+    for (i, r) in items.iter().enumerate() {
+        let ctx = format!("scenario mode region {i}");
+        let Value::Obj(rfields) = r else {
+            return Err(format!("{ctx}: must be an object"));
+        };
+        if let Some((k, _)) = rfields
+            .iter()
+            .find(|(k, _)| !["name", "protocol", "block"].contains(&k.as_str()))
+        {
+            return Err(format!("{ctx}: unknown key {k:?}"));
+        }
+        let name = r
+            .get("name")
+            .and_then(Value::as_str)
+            .ok_or_else(|| format!("{ctx}: missing name"))?;
+        let protocol = proto_of(
+            r.get("protocol")
+                .ok_or_else(|| format!("{ctx}: missing protocol"))?,
+            &ctx,
+        )?;
+        let block = block_of(
+            r.get("block")
+                .ok_or_else(|| format!("{ctx}: missing block"))?,
+            &ctx,
+        )?;
+        regions.push(RegionPolicy::new(name, protocol, block));
+    }
+    Ok(regions)
+}
+
+/// One region policy as the canonical spec and the repetition records
+/// write it.
+pub(crate) fn policy_json(p: &RegionPolicy) -> Value {
+    let mut v = Value::obj();
+    v.set("name", p.name.as_str());
+    v.set("protocol", p.protocol.name().to_lowercase());
+    v.set("block", p.block);
+    v
 }
 
 impl ScenarioSpec {
@@ -269,10 +215,9 @@ impl ScenarioSpec {
             }
         }
         if let Some(s) = v.get("schema") {
-            let got = s.as_u64().unwrap_or(0) as u32;
-            if got != SCHEMA {
+            if s.as_u64() != Some(u64::from(SCHEMA)) {
                 return Err(format!(
-                    "scenario: schema {got} unsupported (expected {SCHEMA})"
+                    "scenario: schema {s} unsupported (expected {SCHEMA})"
                 ));
             }
         }
@@ -338,7 +283,7 @@ impl ScenarioSpec {
         // A modern workload's parameters are checked here, so a plan that
         // would panic or truncate fails before anything runs. Construction is
         // cheap: nothing is generated until the first run.
-        app.modern(0).map_err(|e| format!("scenario {e}"))?;
+        app.build(0).map_err(|e| format!("scenario {e}"))?;
 
         let nodes = match v.get("nodes") {
             None => 16,
@@ -353,13 +298,30 @@ impl ScenarioSpec {
 
         let mode = match v.get("mode").ok_or("scenario: missing \"mode\"")? {
             m @ Value::Obj(mfields) => {
-                for (k, _) in mfields {
-                    if !["kind", "protocol", "block", "regions"].contains(&k.as_str()) {
-                        return Err(format!("scenario mode: unknown key {k:?}"));
+                let kind = m
+                    .get("kind")
+                    .and_then(Value::as_str)
+                    .ok_or("scenario mode: missing \"kind\"")?;
+                let reads: &[&str] = match kind {
+                    "fixed" => &["kind", "protocol", "block"],
+                    "mixed" => &["kind", "protocol", "block", "regions"],
+                    "adaptive" => &["kind"],
+                    other => {
+                        return Err(format!(
+                            "scenario mode: kind must be fixed|mixed|adaptive, got {other:?}"
+                        ))
                     }
+                };
+                if let Some((k, _)) = mfields.iter().find(|(k, _)| !reads.contains(&k.as_str())) {
+                    return Err(format!(
+                        "scenario mode: kind {kind:?} reads no key {k:?} (only {})",
+                        reads.join(", ")
+                    ));
                 }
-                match m.get("kind").and_then(Value::as_str) {
-                    Some("fixed") => Mode::Fixed {
+                if kind == "adaptive" {
+                    Mode::Adaptive
+                } else {
+                    Mode::Policy {
                         protocol: proto_of(
                             m.get("protocol").ok_or("scenario mode: missing protocol")?,
                             "scenario mode",
@@ -368,56 +330,12 @@ impl ScenarioSpec {
                             m.get("block").ok_or("scenario mode: missing block")?,
                             "scenario mode",
                         )?,
-                    },
-                    Some("mixed") => {
-                        let mut regions = Vec::new();
-                        for (i, r) in m
-                            .get("regions")
-                            .and_then(Value::as_arr)
-                            .ok_or("scenario mode: mixed requires a \"regions\" array")?
-                            .iter()
-                            .enumerate()
-                        {
-                            let ctx = format!("scenario mode region {i}");
-                            let rname = r
-                                .get("name")
-                                .and_then(Value::as_str)
-                                .ok_or_else(|| format!("{ctx}: missing name"))?
-                                .to_string();
-                            let rp = proto_of(
-                                r.get("protocol")
-                                    .ok_or_else(|| format!("{ctx}: missing protocol"))?,
-                                &ctx,
-                            )?;
-                            let rb = block_of(
-                                r.get("block")
-                                    .ok_or_else(|| format!("{ctx}: missing block"))?,
-                                &ctx,
-                            )?;
-                            regions.push((rname, rp, rb));
-                        }
-                        if regions.is_empty() {
-                            return Err("scenario mode: mixed requires at least one region".into());
-                        }
-                        Mode::Mixed {
-                            protocol: proto_of(
-                                m.get("protocol").ok_or("scenario mode: missing protocol")?,
-                                "scenario mode",
-                            )?,
-                            block: block_of(
-                                m.get("block").ok_or("scenario mode: missing block")?,
-                                "scenario mode",
-                            )?,
-                            regions,
-                        }
+                        regions: if kind == "mixed" {
+                            regions_of(m.get("regions").unwrap_or(&Value::Null))?
+                        } else {
+                            Vec::new()
+                        },
                     }
-                    Some("adaptive") => Mode::Adaptive,
-                    Some(other) => {
-                        return Err(format!(
-                            "scenario mode: kind must be fixed|mixed|adaptive, got {other:?}"
-                        ))
-                    }
-                    None => return Err("scenario mode: missing \"kind\"".to_string()),
                 }
             }
             _ => return Err("scenario: \"mode\" must be an object".to_string()),
@@ -523,30 +441,20 @@ impl ScenarioSpec {
         v.set("nodes", self.nodes);
         let mut mode = Value::obj();
         match &self.mode {
-            Mode::Fixed { protocol, block } => {
-                mode.set("kind", "fixed");
-                mode.set("protocol", protocol.name().to_lowercase());
-                mode.set("block", *block);
-            }
-            Mode::Mixed {
+            Mode::Policy {
                 protocol,
                 block,
                 regions,
             } => {
-                mode.set("kind", "mixed");
+                mode.set("kind", if regions.is_empty() { "fixed" } else { "mixed" });
                 mode.set("protocol", protocol.name().to_lowercase());
                 mode.set("block", *block);
-                let rs: Vec<Value> = regions
-                    .iter()
-                    .map(|(n, p, b)| {
-                        let mut r = Value::obj();
-                        r.set("name", n.as_str());
-                        r.set("protocol", p.name().to_lowercase());
-                        r.set("block", *b);
-                        r
-                    })
-                    .collect();
-                mode.set("regions", Value::Arr(rs));
+                if !regions.is_empty() {
+                    mode.set(
+                        "regions",
+                        Value::Arr(regions.iter().map(policy_json).collect()),
+                    );
+                }
             }
             Mode::Adaptive => {
                 mode.set("kind", "adaptive");
@@ -649,6 +557,32 @@ mod tests {
             (
                 r#"{"name":"x","app":{"name":"kv-zipf","params":{"noexist":3}},"mode":{"kind":"fixed","protocol":"sc","block":64}}"#,
                 "unknown parameter",
+            ),
+            // A schema number past u32 is not read modulo 2^32.
+            (
+                r#"{"schema":4294967299,"name":"x","app":"lu","mode":{"kind":"fixed","protocol":"sc","block":64}}"#,
+                "schema 4294967299 unsupported",
+            ),
+            // A key the mode's kind does not read is an error, never dropped.
+            (
+                r#"{"name":"x","app":"lu","mode":{"kind":"fixed","protocol":"sc","block":64,"regions":[{"name":"a","protocol":"sc","block":64}]}}"#,
+                "reads no key \"regions\"",
+            ),
+            (
+                r#"{"name":"x","app":"lu","mode":{"kind":"adaptive","protocol":"sc"}}"#,
+                "reads no key \"protocol\"",
+            ),
+            (
+                r#"{"name":"x","app":"lu","mode":{"kind":"adaptive","block":64}}"#,
+                "reads no key \"block\"",
+            ),
+            (
+                r#"{"name":"x","app":"lu","mode":{"kind":"mixed","protocol":"sc","block":64,"regions":[{"name":"a","protocol":"sc","block":64,"blok":256}]}}"#,
+                "unknown key \"blok\"",
+            ),
+            (
+                r#"{"name":"x","app":"nosuchapp","mode":{"kind":"fixed","protocol":"sc","block":64}}"#,
+                "unknown application",
             ),
         ] {
             let e = ScenarioSpec::parse(doc).unwrap_err();

@@ -8,8 +8,8 @@
 //! cargo run --release --example adaptive_lab -- barnes-original
 //! ```
 
-use dsm::adapt::{choose_policies, profile_run, CANDIDATE_BLOCKS};
-use dsm::{run_experiment, Protocol, RunConfig};
+use dsm::adapt::{choose_policies, profile_run};
+use dsm::{run_experiment, Protocol, RunConfig, GRANULARITIES};
 use dsm_apps::registry::{all_app_names, app};
 use dsm_bench::table::Table;
 
@@ -29,7 +29,7 @@ fn main() {
     let mut worst = (Protocol::Sc, 0usize, 0.0f64);
     let mut seq_ns = 0u64;
     for p in Protocol::ALL {
-        for g in CANDIDATE_BLOCKS {
+        for g in GRANULARITIES {
             let r = run_experiment(&RunConfig::new(p, g), app(&name).unwrap());
             assert!(r.check.is_ok(), "{p:?}@{g}: {:?}", r.check);
             let t = r.stats.parallel_time_ns as f64;

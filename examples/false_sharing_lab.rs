@@ -12,7 +12,9 @@
 //! ```
 //! The argument is the stride in words between a node's slots (default 8).
 
-use dsm::{run_experiment, Dsm, DsmProgram, MemImage, NodeFuture, Protocol, RunConfig};
+use dsm::{
+    run_experiment, Dsm, DsmProgram, MemImage, NodeFuture, Protocol, RunConfig, GRANULARITIES,
+};
 use dsm_bench::table::Table;
 use std::sync::Arc;
 
@@ -86,7 +88,7 @@ fn main() {
     for p in Protocol::ALL {
         let mut srow = vec![p.name().to_string()];
         let mut frow = vec![p.name().to_string()];
-        for g in [64usize, 256, 1024, 4096] {
+        for g in GRANULARITIES {
             let r = run_experiment(&RunConfig::new(p, g), mk());
             assert!(r.check.is_ok());
             let t = r.stats.totals();

@@ -6,7 +6,7 @@
 //! cargo run --release --example protocol_shootout -- barnes-original
 //! ```
 
-use dsm::{run_experiment, Protocol, RunConfig};
+use dsm::{run_experiment, Protocol, RunConfig, GRANULARITIES};
 use dsm_apps::registry::{all_app_names, app};
 use dsm_bench::table::Table;
 
@@ -25,7 +25,7 @@ fn main() {
     let mut best = (0.0f64, "", 0usize);
     for p in Protocol::ALL {
         let mut row = vec![p.name().to_string()];
-        for g in [64usize, 256, 1024, 4096] {
+        for g in GRANULARITIES {
             let r = run_experiment(&RunConfig::new(p, g), app(&name).unwrap());
             assert!(r.check.is_ok(), "verification failed: {:?}", r.check);
             let s = r.speedup();

@@ -57,5 +57,5 @@ pub use dsm_sim as sim;
 pub use dsm_core::{
     run_checked, run_experiment, run_parallel, run_parallel_mc, run_sequential, touch_region, Dsm,
     DsmProgram, ExperimentResult, FabricConfig, MemImage, NodeFuture, Notify, Program, Protocol,
-    RegionHint, RegionPolicy, RegionReport, RunConfig,
+    RegionHint, RegionPolicy, RegionReport, RunConfig, GRANULARITIES,
 };

@@ -12,9 +12,9 @@
 //! reference the event loop is held to: any modelled drift, in any cell,
 //! fails here. `bless` is the only writer.
 
-use dsm::{run_experiment, FabricConfig, Protocol, RunConfig};
+use dsm::{run_experiment, FabricConfig, Protocol, RunConfig, GRANULARITIES};
 use dsm_apps::registry::{app_sized, AppSize};
-use dsm_bench::sweep::{default_jobs, GRANULARITIES};
+use dsm_bench::sweep::default_jobs;
 use dsm_scenario::exec::pool_map;
 
 const FIXTURE: &str = concat!(

@@ -2,8 +2,8 @@
 # Determinism lint for the hot-path crates (sim, proto, fabric, mc, core),
 # the one-stream rule for telemetry (proto, core), the grant rule for access
 # state (proto), the arithmetic rule for the applications, the
-# no-environment rule for every library crate and the direction of the
-# tool crates' dependency edge.
+# no-environment rule for every library crate, the direction of the tool
+# crates' dependency edge and the one way in to the application registry.
 #
 # The whole stack depends on bit-identical replay: the engine's state
 # hashes, the model checker's replay-based exploration, and the golden
@@ -103,6 +103,17 @@
 #      code and the binaries, links dsm-mc, and builds on dsm-scenario —
 #      never the other way round. An edge back would link all of that into
 #      the crate below it. No allowlist.
+#
+# A tenth keeps the application registry the only way to build one:
+#
+#  10. No application built around the registry. Outside crates/apps/src,
+#      non-test code under crates/*/src does not call the constructor
+#      (`new` or `try_new`) of an application the registry lists — the
+#      constructors crates/apps/src/registry.rs itself calls. It names
+#      each application once, with its shapes at both sizes and its checked
+#      constructor, and `build_app`, `app_sized` and `AppSpec::build` read
+#      it; a direct call is a second copy of a shape or a default that the
+#      table no longer governs. No allowlist.
 #
 # Comment lines are ignored. Run from anywhere; CI runs it on every push.
 
@@ -234,6 +245,27 @@ if [ -n "$hits" ]; then
   echo "$hits"
   echo "lint_determinism: a crate depends on dsm-bench — move what it needs below the tools (no allowlist for this rule)"
   status=1
+fi
+
+# Rule 10. The constructor list is read from the registry, so an
+# application added there is covered at once.
+apps=$(grep -oE '\b[A-Z][A-Za-z0-9]*::(try_)?new\(' crates/apps/src/registry.rs |
+  sed 's/::.*//' | grep -vx Arc | sort -u | paste -sd'|' -)
+if [ -z "$apps" ]; then
+  echo "lint_determinism: found no application constructor in crates/apps/src/registry.rs"
+  status=1
+else
+  hits=$(find crates/*/src -name '*.rs' -not -path 'crates/apps/src/*' | sort |
+    xargs awk -v re="(^|[^A-Za-z0-9_])($apps)::(try_)?new[(]" '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    $0 ~ re { print FILENAME ":" FNR ":" $0 }')
+  if [ -n "$hits" ]; then
+    echo "$hits"
+    echo "lint_determinism: an application built around the registry — use dsm_apps::build_app or app_sized (no allowlist for this rule)"
+    status=1
+  fi
 fi
 
 if [ "$status" -eq 0 ]; then
