@@ -147,8 +147,7 @@ pub fn summarize_region(
 
 /// Predicted coherence cost (ns, summed over the cluster) of running the
 /// span `[start, start+len)` under `protocol` at granularity `block` on a
-/// cluster of `nodes`.
-#[allow(clippy::too_many_arguments)]
+/// cluster of `nodes`, over the paper's network ([`LatencyModel`]).
 pub fn predict_region_ns(
     profile: &SharingProfile,
     start: usize,
@@ -157,8 +156,8 @@ pub fn predict_region_ns(
     block: usize,
     nodes: usize,
     cost: &CostModel,
-    lat: &LatencyModel,
 ) -> f64 {
+    let lat = LatencyModel::default();
     let (u0, u1) = unit_range(profile, start, len);
     let upb = block / PROFILE_UNIT;
     let g = block as u64;
@@ -330,16 +329,7 @@ mod tests {
     use dsm_core::GRANULARITIES;
 
     fn predict(profile: &SharingProfile, protocol: Protocol, block: usize) -> f64 {
-        predict_region_ns(
-            profile,
-            0,
-            4096,
-            protocol,
-            block,
-            16,
-            &CostModel::default(),
-            &LatencyModel::default(),
-        )
+        predict_region_ns(profile, 0, 4096, protocol, block, 16, &CostModel::default())
     }
 
     #[test]

@@ -152,7 +152,6 @@ pub fn choose_policies(program: &Program, data: &ProfileData, cfg: &RunConfig) -
                                 g,
                                 cfg.nodes,
                                 &cfg.cost,
-                                &cfg.latency,
                             )
                         } else {
                             f64::INFINITY

@@ -622,12 +622,7 @@ impl DsmProgram for Barnes {
             Ok(())
         } else {
             // Locate the worst deviation for the error message.
-            let mut worst = 0.0f64;
-            for i in 0..2 * 3 * self.n {
-                let a = seq.read_f64(base + i * 8);
-                let b = par.read_f64(base + i * 8);
-                worst = worst.max((a - b).abs());
-            }
+            let worst = seq.max_f64_diff(par, base, 2 * 3 * self.n);
             Err(format!("particle state differs (worst {worst:.3e})"))
         }
     }

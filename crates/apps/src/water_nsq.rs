@@ -48,12 +48,6 @@ impl WaterNsq {
     fn force(&self, i: usize) -> usize {
         i * Self::REC + 48
     }
-
-    /// Partition owning molecule `i` (used by the per-partition force
-    /// locks and by diagnostics).
-    pub fn partition_of(&self, i: usize, p: usize) -> usize {
-        (i * p / self.n).min(p - 1)
-    }
 }
 
 impl DsmProgram for WaterNsq {
@@ -209,17 +203,6 @@ impl DsmProgram for WaterNsq {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn partition_covers_all_molecules() {
-        let w = WaterNsq::new(128, 1);
-        for i in 0..128 {
-            let q = w.partition_of(i, 16);
-            assert!(q < 16);
-        }
-        assert_eq!(w.partition_of(0, 16), 0);
-        assert_eq!(w.partition_of(127, 16), 15);
-    }
 
     #[test]
     fn layout_is_disjoint() {

@@ -216,9 +216,10 @@ pub(crate) fn complete<T>(f: impl Future<Output = T>) -> T {
 mod tests {
     use super::*;
     use crate::MemImage;
+    use dsm_net::CostModel;
 
     fn seq(bytes: usize) -> Dsm {
-        Dsm::Seq(SeqDsm::new(MemImage::new(bytes)))
+        Dsm::Seq(SeqDsm::new(MemImage::new(bytes), CostModel::default()))
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use dsm_fabric::FaultOracle;
 use dsm_mem::Layout;
-use dsm_net::Notify;
+use dsm_net::{CostModel, Notify};
 use dsm_obs::{Counters, ObsReport, RunStats, SharingProfile};
 use dsm_proto::{final_image, ProtoWorld, Protocol, RunChecker};
 pub use dsm_proto::{RegionPolicy, RunConfig};
@@ -312,13 +312,18 @@ fn finish_outcome(
     }
 }
 
-/// Run `program` sequentially (one node, plain memory). Returns the final
-/// image and the modeled execution time.
+/// Run `program` sequentially (one node, plain memory) on the default
+/// platform. Returns the final image and the modeled execution time.
 pub fn run_sequential(program: &dyn DsmProgram) -> (MemImage, u64) {
+    sequential(program, &CostModel::default())
+}
+
+/// [`run_sequential`] on the platform `cost` describes.
+fn sequential(program: &dyn DsmProgram, cost: &CostModel) -> (MemImage, u64) {
     let layout = Layout::new(program.shared_bytes(), 4096);
     let mut golden = MemImage::new(layout.size());
     program.init(&mut golden);
-    let mut d = Dsm::Seq(SeqDsm::new(golden));
+    let mut d = Dsm::Seq(SeqDsm::new(golden, cost.clone()));
     complete(async {
         program.warmup(&mut d).await;
         d.begin_measurement().await;
@@ -362,9 +367,11 @@ impl ExperimentResult {
     }
 }
 
-/// Run the full experiment for one (program, configuration) pair.
+/// Run the full experiment for one (program, configuration) pair. The
+/// sequential baseline runs on the same platform (`cfg.cost`), so the
+/// speedup divides times from one machine.
 pub fn run_experiment(cfg: &RunConfig, program: Program) -> ExperimentResult {
-    let (seq_img, seq_t) = run_sequential(program.as_ref());
+    let (seq_img, seq_t) = sequential(program.as_ref(), &cfg.cost);
     let mut out = run_parallel(cfg, Arc::clone(&program));
     out.stats.sequential_time_ns = seq_t;
     let check = program.check(&seq_img, &out.image);

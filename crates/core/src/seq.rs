@@ -17,12 +17,12 @@ pub struct SeqDsm {
 }
 
 impl SeqDsm {
-    /// Start from a golden image.
-    pub fn new(mem: MemImage) -> Self {
+    /// Start from a golden image, charging accesses by `cost`.
+    pub fn new(mem: MemImage, cost: CostModel) -> Self {
         SeqDsm {
             mem,
             time_ns: 0,
-            cost: CostModel::default(),
+            cost,
         }
     }
 
@@ -36,11 +36,6 @@ impl SeqDsm {
         self.mem
     }
 
-    #[inline]
-    fn access_cost(&self, len: usize) -> u64 {
-        len.div_ceil(8) as u64 * self.cost.local_access_ns
-    }
-
     pub(crate) fn begin_measurement(&mut self) {
         self.time_ns = 0;
     }
@@ -52,13 +47,13 @@ impl SeqDsm {
 
     #[inline]
     pub(crate) fn read(&mut self, addr: usize, buf: &mut [u8]) {
-        self.time_ns += self.access_cost(buf.len());
+        self.time_ns += self.cost.access_cost(buf.len());
         buf.copy_from_slice(&self.mem.bytes()[addr..addr + buf.len()]);
     }
 
     #[inline]
     pub(crate) fn write(&mut self, addr: usize, data: &[u8]) {
-        self.time_ns += self.access_cost(data.len());
+        self.time_ns += self.cost.access_cost(data.len());
         self.mem.bytes_mut()[addr..addr + data.len()].copy_from_slice(data);
     }
 
@@ -66,14 +61,14 @@ impl SeqDsm {
     /// bytes, no buffer in between.
     pub(crate) fn read_f64s(&mut self, addr: usize, out: &mut [f64]) {
         let len = out.len() * 8;
-        self.time_ns += self.access_cost(len);
+        self.time_ns += self.cost.access_cost(len);
         decode_f64s(&self.mem.bytes()[addr..addr + len], out);
     }
 
     /// A bulk write straight into memory.
     pub(crate) fn write_f64s(&mut self, addr: usize, vals: &[f64]) {
         let len = vals.len() * 8;
-        self.time_ns += self.access_cost(len);
+        self.time_ns += self.cost.access_cost(len);
         encode_f64s(vals, &mut self.mem.bytes_mut()[addr..addr + len]);
     }
 
@@ -98,7 +93,7 @@ mod tests {
 
     #[test]
     fn models_time_for_compute_and_accesses() {
-        let mut d = SeqDsm::new(MemImage::new(64));
+        let mut d = SeqDsm::new(MemImage::new(64), CostModel::default());
         d.compute(1_000);
         d.write(0, &5u64.to_le_bytes());
         let mut word = [0u8; 8];

@@ -800,9 +800,9 @@ mod tests {
     /// time, frame arrival is `tx_done + wire_ns` plus non-negative
     /// reorder-jitter/spike terms, duplicates arrive after the original,
     /// and retransmission timers fire at `tx_done + timeout` — everything
-    /// only adds delay, so the latency model's floor
-    /// (`LatencyModel::min_one_way`) survives any configuration. Exercised
-    /// here with heavy fault rates across seeds and message sizes.
+    /// only adds delay, so no configuration delivers a frame faster than
+    /// the latency model's one-way time for its size. Exercised here with
+    /// heavy fault rates across seeds and message sizes.
     #[test]
     fn fabric_only_adds_delay_over_the_wire_time() {
         for seed in [1u64, 7, 42, 0xBEEF] {

@@ -10,7 +10,6 @@
 //! `f64` (`Value::Float`). Object key order is insertion order, which
 //! keeps output deterministic.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A parsed or constructed JSON value.
@@ -508,14 +507,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Sorted-key view of an object, for order-insensitive comparisons in tests.
-pub fn sorted_fields(v: &Value) -> Option<BTreeMap<&str, &Value>> {
-    match v {
-        Value::Obj(fields) => Some(fields.iter().map(|(k, v)| (k.as_str(), v)).collect()),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,6 +612,5 @@ mod tests {
         v.set("x", 1u64).set("y", "s").set("x", 2u64);
         assert_eq!(v.u64_field("x"), Some(2));
         assert_eq!(v.get("y").unwrap().as_str(), Some("s"));
-        assert_eq!(sorted_fields(&v).unwrap().len(), 2);
     }
 }

@@ -76,13 +76,11 @@ pub struct McConfig {
     /// Overall bound on started executions (0 = unlimited — rely on the
     /// search space being finite).
     pub max_schedules: u64,
-    /// Abandon the search as soon as any violation is recorded (used by
-    /// the mutation kill matrix, where one witness schedule suffices).
-    pub stop_on_violation: bool,
     /// Deliberate protocol mutation to arm (self-test / kill matrix). The
     /// occurrence seed is pinned via [`Mutation::first_occurrence_seed`] so
     /// the mutation fires at its first eligible site on *every* schedule —
-    /// exhaustive kill needs no seed search.
+    /// exhaustive kill needs no seed search. An armed search stops at the
+    /// first violation: one witness schedule suffices.
     pub mutation: Option<Mutation>,
 }
 
@@ -97,7 +95,6 @@ impl McConfig {
             dedup: true,
             max_steps: 100_000,
             max_schedules: 0,
-            stop_on_violation: false,
             mutation: None,
         }
     }
@@ -111,7 +108,6 @@ impl McConfig {
     /// Same job with a mutation armed and early exit on the first kill.
     pub fn with_mutation(mut self, m: Mutation) -> Self {
         self.mutation = Some(m);
-        self.stop_on_violation = true;
         self
     }
 }
@@ -145,7 +141,7 @@ pub struct McReport {
     /// Exact number of violation occurrences per rule id.
     pub violation_counts: BTreeMap<String, u64>,
     /// True when the search space was exhausted (no `max_schedules` /
-    /// `stop_on_violation` early exit).
+    /// armed-mutation early exit).
     pub complete: bool,
 }
 
@@ -606,7 +602,7 @@ pub fn explore(cfg: &McConfig, prog: &MicroProgram) -> McReport {
                 );
             }
         }
-        let stop = (cfg.stop_on_violation && !report.violation_counts.is_empty())
+        let stop = (cfg.mutation.is_some() && !report.violation_counts.is_empty())
             || (cfg.max_schedules > 0 && runs >= cfg.max_schedules);
         let exhausted = !stop && !core.borrow_mut().backtrack();
         if stop || exhausted {

@@ -38,11 +38,6 @@ impl BumpAlloc {
         addr
     }
 
-    /// Allocate an array of `count` elements of `elem_size` bytes each.
-    pub fn alloc_array(&mut self, count: usize, elem_size: usize, align: usize) -> usize {
-        self.alloc(count.checked_mul(elem_size).expect("array overflow"), align)
-    }
-
     /// Bytes allocated so far (high-water mark).
     pub fn used(&self) -> usize {
         self.next
@@ -72,14 +67,6 @@ mod tests {
         let _ = a.alloc(3, 1);
         assert_eq!(a.alloc(8, 8), 8);
         assert_eq!(a.alloc(1, 64), 64);
-    }
-
-    #[test]
-    fn array_allocation() {
-        let mut a = BumpAlloc::new(1024);
-        let p = a.alloc_array(10, 8, 8);
-        assert_eq!(p, 0);
-        assert_eq!(a.used(), 80);
     }
 
     #[test]

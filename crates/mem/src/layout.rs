@@ -155,11 +155,6 @@ impl Layout {
         last.base + last.num_blocks()
     }
 
-    /// Number of regions.
-    pub fn num_regions(&self) -> usize {
-        self.regions.len()
-    }
-
     /// The region table.
     pub fn regions(&self) -> &[Region] {
         &self.regions
@@ -266,7 +261,7 @@ mod tests {
     #[test]
     fn regions_get_monotone_block_ids() {
         let l = three_regions();
-        assert_eq!(l.num_regions(), 3);
+        assert_eq!(l.regions().len(), 3);
         assert_eq!(l.num_blocks(), 16 + 4 + 4);
         assert_eq!(l.region(0).base_block(), 0);
         assert_eq!(l.region(1).base_block(), 16);

@@ -74,14 +74,6 @@ impl AccessTable {
         self.states[i] = a as u8;
     }
 
-    /// Nodes (other than `except`) whose access to `b` is at least `min`.
-    pub fn holders(&self, b: BlockId, min: Access, except: usize) -> Vec<usize> {
-        let n_nodes = self.states.len() / self.n_blocks;
-        (0..n_nodes)
-            .filter(|&n| n != except && self.get(n, b) >= min)
-            .collect()
-    }
-
     /// Number of blocks per node.
     pub fn num_blocks(&self) -> usize {
         self.n_blocks
@@ -112,16 +104,5 @@ mod tests {
         // Neighbours untouched.
         assert_eq!(t.get(2, 4), Access::Invalid);
         assert_eq!(t.get(1, 5), Access::Invalid);
-    }
-
-    #[test]
-    fn holders_filters_by_level_and_exception() {
-        let mut t = AccessTable::new(4, 2);
-        t.set(0, 1, Access::Read);
-        t.set(1, 1, Access::ReadWrite);
-        t.set(3, 1, Access::Read);
-        assert_eq!(t.holders(1, Access::Read, 3), vec![0, 1]);
-        assert_eq!(t.holders(1, Access::ReadWrite, usize::MAX), vec![1]);
-        assert_eq!(t.holders(0, Access::Read, usize::MAX), Vec::<usize>::new());
     }
 }

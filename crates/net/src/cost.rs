@@ -68,6 +68,14 @@ impl Default for CostModel {
 }
 
 impl CostModel {
+    /// Cost of an access touching `len` bytes that hits locally:
+    /// `local_access_ns` per 8-byte word, in the parallel and the
+    /// sequential run alike.
+    #[inline]
+    pub fn access_cost(&self, len: usize) -> Time {
+        len.div_ceil(8) as Time * self.local_access_ns
+    }
+
     /// Cost of copying `bytes` bytes (twin creation, buffer copies).
     pub fn copy_cost(&self, bytes: u64) -> Time {
         bytes * self.per_byte_copy_ns_x100 / 100
@@ -86,18 +94,6 @@ impl CostModel {
     /// Cost of creating a twin for a block of `bytes` bytes.
     pub fn twin_cost(&self, bytes: u64) -> Time {
         bytes * self.twin_copy_ns_x100 / 100
-    }
-
-    /// Inflate a compute interval for polling instrumentation. Returns
-    /// `(charged_time, overhead_part)`.
-    pub fn inflate_compute(&self, ns: Time, notify: Notify, inflation_pct: u32) -> (Time, Time) {
-        match notify {
-            Notify::Polling => {
-                let overhead = ns * inflation_pct as Time / 100;
-                (ns + overhead, overhead)
-            }
-            Notify::Interrupt => (ns, 0),
-        }
     }
 
     /// When an asynchronous request arriving at `arrival` can begin service
@@ -125,17 +121,6 @@ mod tests {
         let c = CostModel::default();
         assert_eq!(c.fault_exception_ns, 5_000);
         assert_eq!(c.intr_signal_ns, 70_000);
-    }
-
-    #[test]
-    fn polling_inflates_compute() {
-        let c = CostModel::default();
-        let (t, ov) = c.inflate_compute(1_000_000, Notify::Polling, 55);
-        assert_eq!(t, 1_550_000);
-        assert_eq!(ov, 550_000);
-        let (t2, ov2) = c.inflate_compute(1_000_000, Notify::Interrupt, 55);
-        assert_eq!(t2, 1_000_000);
-        assert_eq!(ov2, 0);
     }
 
     #[test]

@@ -82,15 +82,6 @@ impl LatencyModel {
         2 * self.one_way(bytes)
     }
 
-    /// The smallest one-way latency any message can have under this model:
-    /// no cross-node message departs and arrives within a shorter interval.
-    /// `one_way` clamps below the first calibration point and interpolates
-    /// linearly between points, so the minimum over the points themselves is
-    /// a true lower bound (the paper's Table-1 floor: 40 µs RTT / 2).
-    pub fn min_one_way(&self) -> Time {
-        POINTS.iter().map(|&(_, ns)| ns).min().expect("points")
-    }
-
     /// Effective one-way bandwidth at a message size, in MB/s.
     pub fn bandwidth_mb_s(&self, bytes: u64) -> f64 {
         bytes as f64 / (self.one_way(bytes) as f64 / 1e9) / 1e6
@@ -158,16 +149,6 @@ mod tests {
     fn tiny_messages_clamp_to_smallest_point() {
         let m = LatencyModel::default();
         assert_eq!(m.one_way(1), m.one_way(4));
-    }
-
-    #[test]
-    fn min_one_way_is_the_table1_floor() {
-        let m = LatencyModel::default();
-        assert_eq!(m.min_one_way(), 20_000); // 40 µs RTT / 2
-                                             // And it truly lower-bounds one_way across sizes.
-        for s in [1u64, 4, 16, 64, 256, 1024, 4096, 65536] {
-            assert!(m.one_way(s) >= m.min_one_way());
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! from.
 
 use dsm_fabric::FabricConfig;
-use dsm_net::{CostModel, LatencyModel, Notify};
+use dsm_net::{CostModel, Notify};
 use dsm_obs::ObsConfig;
 
 use crate::mutate::Mutation;
@@ -48,13 +48,6 @@ impl Protocol {
     /// timestamps instead of vector times and publishes no write notices.
     pub fn is_lrc(self) -> bool {
         matches!(self, Protocol::SwLrc | Protocol::Hlrc)
-    }
-
-    /// True for the protocols that rely on data-race freedom between
-    /// synchronization points (everything but eager SC). Applications use
-    /// this to enable their extra synchronization variants.
-    pub fn is_relaxed(self) -> bool {
-        !matches!(self, Protocol::Sc)
     }
 }
 
@@ -123,8 +116,6 @@ pub struct RunConfig {
     pub notify: Notify,
     /// Platform cost constants.
     pub cost: CostModel,
-    /// Network latency model.
-    pub latency: LatencyModel,
     /// First-touch home migration (paper policy). False = static
     /// round-robin homes, the ablation baseline.
     pub first_touch: bool,
@@ -140,8 +131,8 @@ pub struct RunConfig {
     /// cost and bit-identical results to a build without the checker.
     pub check: bool,
     /// Deliberate protocol mutation for checker self-tests: which mutation
-    /// and the seed selecting the occurrence. The mutation *sites* are only
-    /// compiled under the `mutate` feature; without it this field is inert.
+    /// and the seed selecting the occurrence (see [`crate::mutate`]). `None`
+    /// (the default) runs the protocols as written.
     pub mutation: Option<(Mutation, u64)>,
 }
 
@@ -156,7 +147,6 @@ impl RunConfig {
             profile: false,
             notify: Notify::Polling,
             cost: CostModel::default(),
-            latency: LatencyModel::default(),
             first_touch: true,
             obs: ObsConfig::default(),
             fabric: FabricConfig::ideal(),
@@ -236,8 +226,8 @@ impl RunConfig {
         self
     }
 
-    /// Same configuration with a deliberate protocol mutation installed
-    /// (checker self-tests; requires the `mutate` feature to have effect).
+    /// Same configuration with a deliberate protocol mutation armed
+    /// (checker self-tests).
     pub fn with_mutation(mut self, m: Mutation, seed: u64) -> Self {
         self.mutation = Some((m, seed));
         self
@@ -263,13 +253,5 @@ mod tests {
         assert!(Protocol::SwLrc.is_lrc());
         assert!(Protocol::Hlrc.is_lrc());
         assert!(!Protocol::Tardis.is_lrc(), "tardis carries no vector times");
-    }
-
-    #[test]
-    fn relaxed_classification() {
-        assert!(!Protocol::Sc.is_relaxed());
-        assert!(Protocol::SwLrc.is_relaxed());
-        assert!(Protocol::Hlrc.is_relaxed());
-        assert!(Protocol::Tardis.is_relaxed());
     }
 }

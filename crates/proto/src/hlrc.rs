@@ -367,9 +367,7 @@ pub fn release_dirty(
         if let Some(twin) = w.nodes[me].twins.take(b) {
             elapsed += w.cfg.cost.diff_scan_cost(w.block_size_of(b) as u64);
             let r = w.layout.block_range(b);
-            #[allow(unused_mut)]
             let mut diff = Diff::create_pooled(&twin, &w.data.node(me)[r.clone()], &mut w.pool);
-            #[cfg(feature = "mutate")]
             if let Some(m) = w.mutate.as_mut() {
                 // Lose the tail word of the diff's last run: the home copy
                 // silently misses part of this interval's writes.

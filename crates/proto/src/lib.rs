@@ -18,7 +18,8 @@
 //! * [`check`] — the run-time checker ([`RunChecker`]: a happens-before
 //!   race detector and protocol invariant mirrors, driven by typed hooks)
 //!   and its [`Violation`] records;
-//! * [`mutate`] — feature-gated protocol mutations for checker self-tests.
+//! * [`mutate`] — the planted protocol bugs the checker's self-tests arm
+//!   one at a time through [`RunConfig::mutation`].
 
 pub mod check;
 pub mod config;

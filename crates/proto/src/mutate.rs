@@ -9,10 +9,13 @@
 //! envelopes, so a transport bug is observed as such instead of crashing
 //! the protocol layer above.
 //!
-//! The runtime ([`MutRt`]) is always compiled — it is a few words of state —
-//! but every mutation *site* in the protocol code is behind
-//! `#[cfg(feature = "mutate")]`, so production builds carry no mutation
-//! branches at all.
+//! Every build carries the sites;
+//! [`RunConfig::mutation`](crate::config::RunConfig::mutation) alone arms
+//! one. A site is an `if let Some(m) = w.mutate.as_mut()` test on a
+//! protocol-event path (a grant, a release, a diff, a fault handler, a
+//! frame report), never on the access hit path: the Tardis lease site runs
+//! only after the valid-lease early return. An unarmed run pays one `None`
+//! test per protocol event.
 //!
 //! Which occurrence of a site fires is chosen by seed: occurrence
 //! `roll(seed, mutation, ..) % 3` of the eligible site calls. One-shot
@@ -91,11 +94,6 @@ impl Mutation {
             Mutation::TdWtsStall => "td-wts-stall",
             Mutation::TdWtsUnderLease => "td-wts-under-lease",
         }
-    }
-
-    /// Parse a [`Mutation::name`] string.
-    pub fn parse(s: &str) -> Option<Mutation> {
-        Mutation::ALL.into_iter().find(|m| m.name() == s)
     }
 
     /// Stable lane index for seeding.
@@ -307,14 +305,6 @@ mod tests {
             let rt = MutRt::new(m, m.first_occurrence_seed());
             assert_eq!(rt.target, 0, "{}", m.name());
         }
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for m in Mutation::ALL {
-            assert_eq!(Mutation::parse(m.name()), Some(m));
-        }
-        assert_eq!(Mutation::parse("nope"), None);
     }
 
     #[test]

@@ -24,12 +24,6 @@ pub enum Attempt {
     Fault(BlockId),
 }
 
-/// Cost of an access touching `len` bytes that hits locally.
-#[inline]
-pub fn access_cost(w: &ProtoWorld, len: usize) -> Time {
-    len.div_ceil(8) as Time * w.cfg.cost.local_access_ns
-}
-
 /// Move a word as a word: the 8-byte accessors are most of the hit path,
 /// and a slice copy of a length the compiler cannot see is a call.
 #[inline(always)]
@@ -84,7 +78,7 @@ pub fn try_read(
     if let Some(c) = w.check.as_deref_mut() {
         c.on_access(me, addr, buf.len(), false, now);
     }
-    Attempt::Done(access_cost(w, buf.len()))
+    Attempt::Done(w.cfg.cost.access_cost(buf.len()))
 }
 
 /// Attempt to write `data` at `addr`, inside block `b` (see [`try_read`]).
@@ -110,7 +104,7 @@ pub fn try_write(
     if let Some(c) = w.check.as_deref_mut() {
         c.on_access(me, addr, data.len(), true, now);
     }
-    Attempt::Done(access_cost(w, data.len()))
+    Attempt::Done(w.cfg.cost.access_cost(data.len()))
 }
 
 /// A store to a block `me` may not write: a fault, resolved locally where

@@ -288,9 +288,7 @@ fn begin_write(
             w.emit(home, at, EventKind::Invalidate { block: b });
         }
     }
-    #[allow(unused_mut)]
     let mut skip_mask = 0u64;
-    #[cfg(feature = "mutate")]
     if let Some(m) = w.mutate.as_mut() {
         // Leave the lowest-numbered remote sharer un-invalidated: its stale
         // read-only copy survives into the requester's exclusive grant. The

@@ -447,9 +447,7 @@ pub fn release_dirty(
     notices.reserve(dirty.len());
     for b in dirty {
         debug_assert!(w.sw.is_owner(me, b), "dirty block not owned at release");
-        #[allow(unused_mut)]
         let mut bump = true;
-        #[cfg(feature = "mutate")]
         if let Some(m) = w.mutate.as_mut() {
             // Publish a notice that reuses the block's current version:
             // readers holding that version skip the invalidation and keep

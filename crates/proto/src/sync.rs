@@ -168,23 +168,18 @@ pub fn handle_lock_rel(
     me: NodeId,
     from: NodeId,
     l: usize,
-    vt: Option<VClock>,
+    mut vt: Option<VClock>,
     pts: Option<u64>,
 ) {
-    #[cfg(feature = "mutate")]
-    let vt = {
-        let mut vt = vt;
-        if let Some(m) = w.mutate.as_mut() {
-            // The manager records a stale release time, forgetting the
-            // releaser's final interval (and with it that interval's
-            // notices in later grants).
-            let eligible = vt.as_ref().is_some_and(|v| v.get(from) > 0);
-            if m.fire_if(crate::mutate::Mutation::LockStaleVt, eligible) {
-                vt.as_mut().unwrap().rollback(from);
-            }
+    if let Some(m) = w.mutate.as_mut() {
+        // The manager records a stale release time, forgetting the
+        // releaser's final interval (and with it that interval's notices
+        // in later grants).
+        let eligible = vt.as_ref().is_some_and(|v| v.get(from) > 0);
+        if m.fire_if(crate::mutate::Mutation::LockStaleVt, eligible) {
+            vt.as_mut().unwrap().rollback(from);
         }
-        vt
-    };
+    }
     let lock = w.lock_mut(l);
     debug_assert!(lock.held && lock.holder == from, "release by non-holder");
     lock.last_vt = vt;
@@ -210,12 +205,10 @@ fn send_grant(
     l: usize,
     req_vt: Option<VClock>,
 ) {
-    #[allow(unused_mut)]
     let (vt, mut notices) = match (&w.locks[l].last_vt, req_vt) {
         (Some(last), Some(req)) => (Some(last.clone()), w.log.collect_missing(&req, last)),
         (last, _) => (last.clone(), Vec::new()),
     };
-    #[cfg(feature = "mutate")]
     if let Some(m) = w.mutate.as_mut() {
         // A grant that loses one of the write notices the acquirer is
         // causally owed.
@@ -361,9 +354,7 @@ pub fn handle_bar_release(
     notices: Vec<Notice>,
     pts: Option<u64>,
 ) {
-    #[allow(unused_mut)]
     let mut skip_join = false;
-    #[cfg(feature = "mutate")]
     if me == 0 {
         if let Some(m) = w.mutate.as_mut() {
             // Node 0's detector misses the barrier's happens-before join

@@ -122,7 +122,6 @@ pub fn lease_valid(w: &mut ProtoWorld, me: NodeId, b: BlockId, now: Time) -> boo
     if w.td.pts[me] <= w.td.lease[ni] {
         return true;
     }
-    #[cfg(feature = "mutate")]
     if let Some(m) = w.mutate.as_mut() {
         // Read straight through the expired lease once: the value may be
         // stale past a causally required write (td-lease-overrun).
@@ -240,9 +239,7 @@ fn pump(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId, mut a
             FaultKind::Write => {
                 let old = w.td.wts[b];
                 let rts = w.td.rts[b];
-                #[allow(unused_mut)]
                 let mut wts = wts_grant(old, rts);
-                #[cfg(feature = "mutate")]
                 if let Some(m) = w.mutate.as_mut() {
                     use crate::mutate::Mutation;
                     if m.fire(Mutation::TdWtsStall) {

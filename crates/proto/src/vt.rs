@@ -85,7 +85,6 @@ impl VClock {
     /// Roll component `i` back one interval. Only used by the
     /// `lock-stale-vt` mutation self-test; never part of protocol
     /// operation.
-    #[cfg(feature = "mutate")]
     pub fn rollback(&mut self, i: usize) {
         self.0[i] -= 1;
     }

@@ -12,7 +12,7 @@
 
 use dsm_fabric::{Fabric, RxOutcome, TxAction, TxOutcome};
 use dsm_mem::{Access, AccessTable, BlockId, DataStore, HomeDirectory, Layout};
-use dsm_net::{Notify, MSG_HEADER_BYTES};
+use dsm_net::{LatencyModel, Notify, MSG_HEADER_BYTES};
 use dsm_obs::Counters;
 use dsm_obs::{EventKind, Recorder, SharingProfile};
 use dsm_sim::rng::{Fingerprinted, StableHasher, StableMap};
@@ -142,8 +142,8 @@ pub struct ProtoWorld {
     /// time, so runs with no checker are bit-identical to builds without
     /// one.
     pub check: Option<Box<RunChecker>>,
-    /// Armed protocol mutation (checker self-tests). The mutation *sites*
-    /// only exist under the `mutate` feature.
+    /// Armed protocol mutation (checker self-tests), from
+    /// [`RunConfig::mutation`]. `None` leaves every mutation site inert.
     pub mutate: Option<MutRt>,
     /// Virtual time of the last application-level activity (an envelope
     /// delivered or a node clock advance). With the reliable fabric,
@@ -402,7 +402,7 @@ impl ProtoWorld {
             },
         );
         let bytes = MSG_HEADER_BYTES + ctrl + data;
-        let wire = self.cfg.latency.one_way(bytes);
+        let wire = LatencyModel::default().one_way(bytes);
         let span = self.obs.span_send(from, to, depart, wire, msg.span_class());
         if self.cfg.fabric.is_ideal() {
             // The analytic fast path: one event per message, posted exactly
@@ -500,12 +500,10 @@ impl ProtoWorld {
             self.emit(to, now, EventKind::NetQueue { dur: queue_ns });
         }
         if let Some(at) = ack_at {
-            let ack_wire = self.cfg.latency.one_way(self.cfg.fabric.retry.ack_bytes);
+            let ack_wire = LatencyModel::default().one_way(self.cfg.fabric.retry.ack_bytes);
             s.post(src, at + ack_wire, Packet::Ack { from: to, seq });
         }
-        #[allow(unused_mut)]
         let mut posted = deliver.len();
-        #[cfg(feature = "mutate")]
         if let Some(m) = self.mutate.as_mut() {
             use crate::mutate::Mutation;
             // Model a misbehaving transport: a duplicate slipping past

@@ -17,31 +17,9 @@ pub const MILLIS: Time = 1_000_000;
 /// One second of virtual time.
 pub const SECS: Time = 1_000_000_000;
 
-/// Formats a virtual time compactly for human-readable reports
-/// (e.g. `1.234ms`, `56.7us`, `3.21s`).
-pub fn format_time(t: Time) -> String {
-    if t >= SECS {
-        format!("{:.3}s", t as f64 / SECS as f64)
-    } else if t >= MILLIS {
-        format!("{:.3}ms", t as f64 / MILLIS as f64)
-    } else if t >= MICROS {
-        format!("{:.2}us", t as f64 / MICROS as f64)
-    } else {
-        format!("{t}ns")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn formats_each_scale() {
-        assert_eq!(format_time(5), "5ns");
-        assert_eq!(format_time(1_500), "1.50us");
-        assert_eq!(format_time(2_500_000), "2.500ms");
-        assert_eq!(format_time(3_210_000_000), "3.210s");
-    }
 
     #[test]
     fn unit_ratios() {

@@ -291,6 +291,25 @@ fn static_homes_verify_against_the_sequential_image() {
 }
 
 #[test]
+fn the_sequential_baseline_runs_on_the_runs_platform() {
+    // A speedup divides two times from one machine: a dearer local access
+    // slows the sequential baseline as well as the parallel run.
+    let base = RunConfig::new(Protocol::Hlrc, 4096);
+    let mut dear = base.clone();
+    dear.cost.local_access_ns *= 2;
+    let a = run_experiment(&base, small("lu"));
+    let b = run_experiment(&dear, small("lu"));
+    assert!(a.check.is_ok() && b.check.is_ok());
+    assert!(b.stats.parallel_time_ns > a.stats.parallel_time_ns);
+    assert!(
+        b.stats.sequential_time_ns > a.stats.sequential_time_ns,
+        "sequential {} ns at double the access cost vs {} ns",
+        b.stats.sequential_time_ns,
+        a.stats.sequential_time_ns
+    );
+}
+
+#[test]
 fn two_node_cluster_is_a_valid_degenerate_case() {
     for p in Protocol::ALL {
         let cfg = RunConfig::new(p, 256).with_nodes(2);

@@ -9,8 +9,6 @@
 //! search, no stochastic fault rates. Fabric mutations get their faults
 //! from the exploration's own drop/duplicate/reorder branch points.
 
-#![cfg(feature = "mutate")]
-
 use dsm::mc::{explore, program, McConfig};
 use dsm::proto::{MutFabric, MUTATIONS};
 

@@ -1,13 +1,6 @@
 //! Mutation kill matrix: every deliberate protocol mutation must be caught
 //! by the checker, and the same program must be violation-free without one.
 //!
-//! Requires the `mutate` feature (the mutation sites are compiled out of
-//! production builds):
-//!
-//! ```text
-//! cargo test --features mutate --test mutation_kill
-//! ```
-//!
 //! The driver program is purpose-built to hit every mutation site at least
 //! three times (the seeded target occurrence is `roll(..) % 3`): a
 //! lock-protected shared-counter phase exercises lock grants, write
@@ -15,8 +8,6 @@
 //! producer/consumer phase gives the race detector a cross-node
 //! write-then-read pair ordered only by barriers, with node 0 always on the
 //! reading side (the `hb-skip-barrier` mutation is sticky on node 0).
-
-#![cfg(feature = "mutate")]
 
 use std::sync::Arc;
 

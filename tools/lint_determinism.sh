@@ -3,7 +3,8 @@
 # the one-stream rule for telemetry (proto, core), the grant rule for access
 # state (proto), the arithmetic rule for the applications, the
 # no-environment rule for every library crate, the direction of the tool
-# crates' dependency edge and the one way in to the application registry.
+# crates' dependency edge, the one way in to the application registry and
+# the one build.
 #
 # The whole stack depends on bit-identical replay: the engine's state
 # hashes, the model checker's replay-based exploration, and the golden
@@ -114,6 +115,16 @@
 #      constructor, and `build_app`, `app_sized` and `AppSpec::build` read
 #      it; a direct call is a second copy of a shape or a default that the
 #      table no longer governs. No allowlist.
+#
+# An eleventh keeps the workspace one build:
+#
+#  11. No cargo features. Under crates/*/src no line tests a feature
+#      (`cfg(feature ..)`, `cfg_attr(feature ..)`, `cfg!(feature ..)`, or
+#      one inside `any`/`all`/`not`), and no manifest (the root's, a
+#      crate's, perf's) has a `[features]` table. A gated site is code that
+#      tier-1 never compiles, and a setting it reads silently does nothing
+#      in the default build; a behaviour a test must reach is a run-time
+#      setting, as `RunConfig::mutation` is. No allowlist.
 #
 # Comment lines are ignored. Run from anywhere; CI runs it on every push.
 
@@ -266,6 +277,15 @@ else
     echo "lint_determinism: an application built around the registry — use dsm_apps::build_app or app_sized (no allowlist for this rule)"
     status=1
   fi
+fi
+
+# Rule 11.
+hits=$( (matches 'cfg(_attr)?!?\(.*\bfeature[[:space:]]*=' "$(echo crates/*/src)"
+  grep -n '^[[:space:]]*\[features\]' Cargo.toml crates/*/Cargo.toml perf/Cargo.toml) 2>/dev/null)
+if [ -n "$hits" ]; then
+  echo "$hits"
+  echo "lint_determinism: a cargo feature splits the workspace into builds tier-1 does not test — make it a run-time setting (no allowlist for this rule)"
+  status=1
 fi
 
 if [ "$status" -eq 0 ]; then
