@@ -37,6 +37,9 @@ pub struct Raytrace {
 }
 
 impl Raytrace {
+    /// The edge of a screen tile: the image edge must be a multiple of it.
+    pub const TILE: usize = TILE;
+
     /// Scaled default: the paper renders `balls4`; we render a 24-sphere
     /// scene at `img`×`img`.
     pub fn new(img: usize) -> Self {

@@ -35,7 +35,7 @@ pub enum AppSize {
 #[derive(Clone, Copy)]
 enum Family {
     /// One of the paper's twelve kernels: a fixed problem at each size,
-    /// which ignores the seed and takes no parameter overrides.
+    /// which ignores the seed. A plan may override its shape parameters.
     Paper,
     /// A modern workload of the scenario engine: the seed reshapes it, and a
     /// plan may override any of its parameters.
@@ -76,6 +76,17 @@ struct AppEntry {
     make: fn(u64, &Args<'_>) -> Result<Program, String>,
 }
 
+/// `Ok` when a kernel constructor's precondition `holds`, else `what` it
+/// requires as an error: a shape a constructor would assert on is refused
+/// here instead.
+fn require(holds: bool, what: &str) -> Result<(), String> {
+    if holds {
+        Ok(())
+    } else {
+        Err(format!("the shape requires {what}"))
+    }
+}
+
 /// A Barnes-Hut variant from its `(n, steps)`.
 fn barnes(a: &Args<'_>, variant: BarnesVariant) -> Result<Program, String> {
     Ok(Arc::new(Barnes::new(a.get(0)?, a.get(1)?, variant)))
@@ -88,7 +99,11 @@ const APPS: [AppEntry; 15] = [
         name: "lu",
         family: Family::Paper,
         params: &[("n", 512, 64), ("b", 16, 8)],
-        make: |_, a| Ok(Arc::new(Lu::new(a.get(0)?, a.get(1)?))),
+        make: |_, a| {
+            let (n, b): (usize, usize) = (a.get(0)?, a.get(1)?);
+            require(n.is_multiple_of(b), "b to divide n")?;
+            Ok(Arc::new(Lu::new(n, b)))
+        },
     },
     AppEntry {
         name: "ocean-rowwise",
@@ -106,7 +121,11 @@ const APPS: [AppEntry; 15] = [
         name: "fft",
         family: Family::Paper,
         params: &[("m", 128, 32)],
-        make: |_, a| Ok(Arc::new(Fft::new(a.get(0)?))),
+        make: |_, a| {
+            let m: usize = a.get(0)?;
+            require(m.is_power_of_two(), "m to be a power of two")?;
+            Ok(Arc::new(Fft::new(m)))
+        },
     },
     AppEntry {
         name: "water-nsquared",
@@ -124,19 +143,37 @@ const APPS: [AppEntry; 15] = [
         name: "volrend-original",
         family: Family::Paper,
         params: &[("img", 96, 32)],
-        make: |_, a| Ok(Arc::new(VolrendOriginal::new(a.get(0)?))),
+        make: |_, a| {
+            let img: usize = a.get(0)?;
+            require(img.is_multiple_of(4), "img to be a multiple of 4")?;
+            Ok(Arc::new(VolrendOriginal::new(img)))
+        },
     },
     AppEntry {
         name: "water-spatial",
         family: Family::Paper,
         params: &[("c", 4, 3), ("n", 512, 96), ("steps", 2, 1)],
-        make: |_, a| Ok(Arc::new(WaterSpatial::new(a.get(0)?, a.get(1)?, a.get(2)?))),
+        make: |_, a| {
+            let (c, n, steps): (usize, usize, usize) = (a.get(0)?, a.get(1)?, a.get(2)?);
+            let room = c
+                .checked_pow(3)
+                .and_then(|cells| cells.checked_mul(WaterSpatial::CELL_SLOTS));
+            require(room.is_some_and(|room| n <= room), "n to fit the c^3 cells")?;
+            Ok(Arc::new(WaterSpatial::new(c, n, steps)))
+        },
     },
     AppEntry {
         name: "raytrace",
         family: Family::Paper,
         params: &[("img", 96, 32)],
-        make: |_, a| Ok(Arc::new(Raytrace::new(a.get(0)?))),
+        make: |_, a| {
+            let img: usize = a.get(0)?;
+            require(
+                img.is_multiple_of(Raytrace::TILE),
+                "img to be a multiple of the tile",
+            )?;
+            Ok(Arc::new(Raytrace::new(img)))
+        },
     },
     AppEntry {
         name: "barnes-spatial",
@@ -221,10 +258,11 @@ pub fn modern_app_names() -> [&'static str; 3] {
 }
 
 /// Application `name` at `size` for `seed`, with `overrides` replacing
-/// parameter defaults, first match wins. Only a modern workload takes
-/// overrides, and only it reads the seed. An unknown name or parameter, a
-/// value that does not fit its parameter's type, or one outside the
-/// constructor's range is an error naming it.
+/// parameter defaults, first match wins. Every application takes overrides
+/// of its shape parameters; only a modern workload reads the seed. An
+/// unknown name or parameter, a value that does not fit its parameter's
+/// type, or one outside the constructor's range (for a paper kernel: zero,
+/// or a shape its constructor would assert on) is an error naming it.
 pub fn build_app(
     name: &str,
     size: AppSize,
@@ -238,22 +276,14 @@ pub fn build_app(
             known.join(", ")
         )
     })?;
-    let settable = match entry.family {
-        Family::Paper => &[][..],
-        Family::Modern => entry.params,
-    };
     if let Some((k, _)) = overrides
         .iter()
-        .find(|(k, _)| !settable.iter().any(|p| p.0 == k))
+        .find(|(k, _)| !entry.params.iter().any(|p| p.0 == k))
     {
-        let known: Vec<&str> = settable.iter().map(|p| p.0).collect();
+        let known: Vec<&str> = entry.params.iter().map(|p| p.0).collect();
         return Err(format!(
             "app {name}: unknown parameter {k:?} (known: {})",
-            if known.is_empty() {
-                "none — classic kernels take no parameters".to_string()
-            } else {
-                known.join(", ")
-            }
+            known.join(", ")
         ));
     }
     let values: Vec<u64> = entry
@@ -270,6 +300,12 @@ pub fn build_app(
                 .map_or(default, |&(_, v)| v)
         })
         .collect();
+    if let (Family::Paper, Some(i)) = (entry.family, values.iter().position(|&v| v == 0)) {
+        let key = entry.params[i].0;
+        return Err(format!(
+            "app {name}: parameter {key:?} = 0 must be at least 1"
+        ));
+    }
     let args = Args {
         params: entry.params,
         values: &values,
@@ -291,6 +327,7 @@ pub fn app(name: &str) -> Option<Program> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsm_core::DsmProgram;
 
     #[test]
     fn every_name_constructs() {
@@ -301,6 +338,38 @@ mod tests {
             assert_eq!(b.name(), name);
             assert!(b.shared_bytes() <= a.shared_bytes());
         }
+    }
+
+    #[test]
+    fn a_paper_kernel_takes_shape_overrides_and_refuses_unknown_keys() {
+        let lu = |overrides: &[(&str, u64)]| {
+            let overrides: Vec<(String, u64)> =
+                overrides.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+            build_app("lu", AppSize::Standard, 1, &overrides)
+        };
+        let bytes = |p: Result<Program, String>| p.expect("builds").shared_bytes();
+        // The override reaches the constructor; the defaults are unchanged.
+        assert_eq!(bytes(lu(&[("n", 256)])), Lu::new(256, 16).shared_bytes());
+        assert_eq!(bytes(lu(&[])), Lu::new(512, 16).shared_bytes());
+        let err = |p: Result<Program, String>| p.err().expect("refused");
+        assert_eq!(
+            err(lu(&[("n", 256), ("q", 1)])),
+            "app lu: unknown parameter \"q\" (known: n, b)"
+        );
+        // A shape the constructor would assert on is an error, not a panic.
+        assert_eq!(
+            err(lu(&[("b", 7)])),
+            "app lu: the shape requires b to divide n"
+        );
+        assert_eq!(
+            err(lu(&[("b", 0)])),
+            "app lu: parameter \"b\" = 0 must be at least 1"
+        );
+        let fft = build_app("fft", AppSize::Small, 1, &[("m".to_string(), 48)]);
+        assert_eq!(
+            err(fft),
+            "app fft: the shape requires m to be a power of two"
+        );
     }
 
     #[test]

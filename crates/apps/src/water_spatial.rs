@@ -33,10 +33,14 @@ pub struct WaterSpatial {
 }
 
 impl WaterSpatial {
+    /// Molecules per cell the initial placement may average: `n` is at most
+    /// this times the `c³` cells.
+    pub const CELL_SLOTS: usize = CELL_CAP / 2;
+
     /// Scaled default: paper used 4096 molecules; we default to c=4 cells
     /// per edge.
     pub fn new(c: usize, n: usize, steps: usize) -> Self {
-        assert!(n <= c * c * c * (CELL_CAP / 2), "box too dense");
+        assert!(n <= c * c * c * Self::CELL_SLOTS, "box too dense");
         WaterSpatial { c, n, steps }
     }
 

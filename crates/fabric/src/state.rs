@@ -229,41 +229,34 @@ impl<P: Clone> Fabric<P> {
     where
         P: std::hash::Hash,
     {
-        use dsm_sim::rng::{fold64, StableHasher};
-        let mut h = 0u64;
-        for &t in &self.send_free {
-            h = fold64(h, t);
-        }
-        for &t in &self.recv_free {
-            h = fold64(h, t);
-        }
-        for &s in &self.next_seq {
-            h = fold64(h, s);
-        }
+        use dsm_sim::rng::StableHasher;
+        use std::hash::{Hash, Hasher};
+        // One hasher over the ordered state: the per-node and per-channel
+        // tables go in as whole slices, a held frame as its key and payload.
+        let mut h = StableHasher::new();
+        (&self.send_free, &self.recv_free, &self.next_seq).hash(&mut h);
         for c in &self.rx {
-            h = fold64(h, c.next);
-            for (seq, p) in &c.held {
-                h = fold64(h, *seq);
-                h = fold64(h, StableHasher::fingerprint(p));
-            }
+            h.write_u64(c.next);
+            c.held.hash(&mut h);
         }
-        let mut inflight = 0u64;
-        for ((s, d, q), e) in &self.inflight {
-            let mut eh = fold64(0, *s as u64);
-            eh = fold64(eh, *d as u64);
-            eh = fold64(eh, *q);
-            eh = fold64(eh, e.bytes);
-            eh = fold64(eh, e.wire_ns);
-            eh = fold64(eh, u64::from(e.attempt));
-            eh = fold64(eh, StableHasher::fingerprint(&e.payload));
-            inflight ^= eh;
-        }
-        fold64(h, inflight)
+        let inflight = self.inflight.iter().fold(0, |acc, (key, e)| {
+            acc ^ StableHasher::fingerprint(&(key, e.bytes, e.wire_ns, e.attempt, &e.payload))
+        });
+        h.write_u64(inflight);
+        h.finish()
     }
 
     /// True when no reliable transmission is awaiting an ack.
     pub fn idle(&self) -> bool {
         self.inflight.is_empty()
+    }
+
+    /// The attempt of `(sender → peer, seq)` awaiting an ack, if any: an ack
+    /// or a timer for a frame with none changes nothing ([`Fabric::on_ack`],
+    /// [`Fabric::on_timer`]), and a caller that keeps a fingerprint of the
+    /// fabric can tell so without a mutable borrow.
+    pub fn awaiting_ack(&self, sender: NodeId, peer: NodeId, seq: u64) -> Option<u32> {
+        self.inflight.get(&(sender, peer, seq)).map(|e| e.attempt)
     }
 
     #[inline]

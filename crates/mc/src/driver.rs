@@ -16,15 +16,16 @@
 //! the subtrees of later siblings and woken only by a dependent transition,
 //! so two independent transitions are never expanded in both orders. The
 //! sleep set a fresh commit point inherits is a function of the frame above
-//! it on the stack ([`McCore::inherited_sleep`]), computed where the replay
-//! reaches the frontier — the replayed commit points carry none.
+//! it on the stack ([`McCore::push_inherited_sleep`]), computed where the
+//! replay reaches the frontier — the replayed commit points carry none.
 //! State-hash dedup additionally prunes revisits of states reached with an
 //! empty sleep set (those states' full subtrees are explored at first
 //! visit; the fingerprint folds in the checker's accumulated state so a
 //! pruned prefix can never hide a pending violation).
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::rc::Rc;
 
 use dsm_core::{run_parallel_mc, FabricConfig, RunConfig, RunOutcome};
@@ -140,9 +141,27 @@ pub struct McReport {
     pub violations: Vec<Violation>,
     /// Exact number of violation occurrences per rule id.
     pub violation_counts: BTreeMap<String, u64>,
+    /// What the completed schedules let the program observe: the distinct
+    /// [`Outcome`]s among them.
+    pub outcomes: BTreeSet<Outcome>,
     /// True when the search space was exhausted (no `max_schedules` /
     /// armed-mutation early exit).
     pub complete: bool,
+}
+
+/// What one completed schedule observed: every node's read values, each
+/// node's in program order (indexed by node).
+pub type Outcome = Vec<Vec<u64>>;
+
+/// The outcome of a completed schedule's trace on `nodes` nodes.
+fn outcome_of(nodes: usize, trace: &[TraceEv]) -> Outcome {
+    let mut reads = vec![Vec::new(); nodes];
+    for ev in trace {
+        if let TraceEv::Read { node, val, .. } = *ev {
+            reads[node].push(val);
+        }
+    }
+    reads
 }
 
 impl McReport {
@@ -171,28 +190,71 @@ impl McReport {
 const NODE_LABEL: u64 = 4 << 32;
 
 type Key = u64;
-/// Shared: a footprint is taken once, at the frontier, and then sits in the
-/// sleep sets of every frame below it.
-type Footprint = Rc<[u64]>;
-/// Events with their footprints: an enabled set, or a sleep set.
-type Tagged = Vec<(Key, Footprint)>;
+
+/// Labels a footprint holds without a heap allocation: a delivery's node,
+/// its block or synchronisation object, and two noticed blocks.
+const INLINE_LABELS: usize = 4;
 
 /// Abstract resource footprint of a schedulable event, used for the DPOR
 /// independence check (disjoint footprints = independent transitions).
 /// Node labels live in a namespace disjoint from the block/lock/barrier
 /// labels produced by [`dsm_proto::ProtoMsg::mc_resources`].
-fn footprint(c: &McChoice<'_, Packet>) -> Footprint {
-    match &c.event {
-        McEvent::Resume { node } => Rc::new([NODE_LABEL | *node as u64]),
-        McEvent::Msg { to, msg } => {
-            let mut f = vec![NODE_LABEL | *to as u64];
-            if let Packet::App(env) = msg {
-                env.msg.mc_resources(&mut f);
+///
+/// A footprint is taken once per offered event at the frontier and then
+/// copied into the sleep sets of the frames below, so a short one — nearly
+/// all — is held inline; only a grant or release carrying more notices is
+/// shared on the heap.
+#[derive(Clone, Debug, PartialEq)]
+enum Footprint {
+    Inline(u8, [u64; INLINE_LABELS]),
+    Shared(Rc<[u64]>),
+}
+
+impl Footprint {
+    const EMPTY: Footprint = Footprint::Inline(0, [0; INLINE_LABELS]);
+
+    fn of(c: &McChoice<'_, Packet>) -> Footprint {
+        let mut fp = Footprint::EMPTY;
+        match &c.event {
+            McEvent::Resume { node } => fp.push(NODE_LABEL | *node as u64),
+            McEvent::Msg { to, msg } => {
+                fp.push(NODE_LABEL | *to as u64);
+                if let Packet::App(env) = msg {
+                    env.msg.mc_resources(|label| fp.push(label));
+                }
             }
-            f.into()
+        }
+        fp
+    }
+
+    fn push(&mut self, label: u64) {
+        match self {
+            Footprint::Inline(len, labels) if usize::from(*len) < INLINE_LABELS => {
+                labels[usize::from(*len)] = label;
+                *len += 1;
+            }
+            _ => {
+                let mut spilled = self.to_vec();
+                spilled.push(label);
+                *self = Footprint::Shared(spilled.into());
+            }
         }
     }
 }
+
+impl std::ops::Deref for Footprint {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        match self {
+            Footprint::Inline(len, labels) => &labels[..usize::from(*len)],
+            Footprint::Shared(labels) => labels,
+        }
+    }
+}
+
+/// An event with its footprint: an entry of an enabled set or a sleep set.
+type Tagged = (Key, Footprint);
 
 fn disjoint(a: &[u64], b: &[u64]) -> bool {
     a.iter().all(|x| !b.contains(x))
@@ -205,15 +267,36 @@ enum Prune {
     Steps,
 }
 
+/// A scheduler commit point on the replay stack. Its events sit in
+/// [`McCore::events`] from `at` on: first the `asleep` events of the sleep
+/// set it inherited, then the `enabled` events offered there.
+#[derive(Clone, Copy)]
+struct Frame {
+    at: usize,
+    asleep: usize,
+    enabled: usize,
+    /// Index into the enabled events of the one chosen on this branch.
+    chosen: usize,
+    /// The siblings explored before it, one bit per enabled index: a frame
+    /// explores its events in their order, so these are the chosen one's
+    /// predecessors that were not asleep.
+    explored: u64,
+}
+
+impl Frame {
+    fn sleep_in(self) -> Range<usize> {
+        self.at..self.at + self.asleep
+    }
+
+    fn enabled(self) -> Range<usize> {
+        self.at + self.asleep..self.at + self.asleep + self.enabled
+    }
+}
+
 /// One decision on the replay stack.
 enum Slot {
     /// A scheduler commit point.
-    Sched {
-        chosen: Key,
-        enabled: Tagged,
-        explored: Tagged,
-        sleep_in: Tagged,
-    },
+    Sched(Frame),
     /// A fabric fault consultation: 0 = clean, 1 = drop, 2 = duplicate,
     /// 3 = reorder.
     Fault { chosen: u8, n_options: u8 },
@@ -243,6 +326,10 @@ struct McCore {
     budget: u32,
     max_steps: u64,
     stack: Vec<Slot>,
+    /// The events of every scheduler frame on the stack, frame after frame
+    /// ([`Frame`]): they grow and shrink with the stack, so a fresh commit
+    /// point allocates nothing once the search has been this deep before.
+    events: Vec<Tagged>,
     /// Replay cursor: next stack position to consume. `pos == stack.len()`
     /// means the execution is at the frontier.
     pos: usize,
@@ -264,6 +351,7 @@ impl McCore {
             budget: cfg.fault_budget,
             max_steps: cfg.max_steps,
             stack: Vec::new(),
+            events: Vec::new(),
             pos: 0,
             steps: 0,
             faults_used: 0,
@@ -283,52 +371,41 @@ impl McCore {
         self.prune = None;
     }
 
-    /// Sleep set passed into the subtree of `chosen`: every still-asleep or
-    /// already-explored sibling that is independent of `chosen` stays
-    /// asleep (a dependent transition wakes it).
-    fn child_sleep(
-        chosen: Key,
-        chosen_fp: &[u64],
-        sleep_in: &[(Key, Footprint)],
-        explored: &[(Key, Footprint)],
-    ) -> Tagged {
-        sleep_in
-            .iter()
-            .chain(explored.iter())
-            .filter(|(k, _)| *k != chosen)
-            .filter(|(_, fp)| disjoint(fp, chosen_fp))
-            .cloned()
-            .collect()
+    /// Push the sleep set passed into the subtree of `f`'s chosen event
+    /// onto `events`, which `f`'s events end: every still-asleep or
+    /// already-explored sibling that is independent of it stays asleep (a
+    /// dependent transition wakes it). Returns how many were pushed.
+    fn push_child_sleep(events: &mut Vec<Tagged>, f: Frame) -> usize {
+        let start = events.len();
+        let chosen = f.enabled().start + f.chosen;
+        let explored = f
+            .enabled()
+            .filter(|&i| f.explored >> (i - f.enabled().start) & 1 == 1);
+        for i in f.sleep_in().chain(explored) {
+            let (key, fp) = &events[i];
+            if *key != events[chosen].0 && disjoint(fp, &events[chosen].1) {
+                events.push(events[i].clone());
+            }
+        }
+        events.len() - start
     }
 
-    /// Sleep set a fresh commit point at the frontier inherits: the child
-    /// sleep set of the last scheduler decision on the stack (fault
+    /// Push the sleep set a fresh commit point at the frontier inherits: the
+    /// child sleep set of the last scheduler decision on the stack (fault
     /// decisions in between neither add to it nor wake anything), empty at
-    /// the root.
-    fn inherited_sleep(&self) -> Tagged {
-        let last = self.stack.iter().rev().find_map(|slot| match slot {
-            Slot::Sched {
-                chosen,
-                enabled,
-                explored,
-                sleep_in,
-            } => Some((chosen, enabled, explored, sleep_in)),
+    /// the root. Returns its length.
+    fn push_inherited_sleep(&mut self) -> usize {
+        let last = self.stack.iter().rev().find_map(|slot| match *slot {
+            Slot::Sched(f) => Some(f),
             Slot::Fault { .. } => None,
         });
-        let Some((chosen, enabled, explored, sleep_in)) = last else {
-            return Vec::new();
-        };
-        let (_, fp) = enabled
-            .iter()
-            .find(|(k, _)| k == chosen)
-            .expect("chosen is enabled");
-        Self::child_sleep(*chosen, fp, sleep_in, explored)
+        last.map_or(0, |f| Self::push_child_sleep(&mut self.events, f))
     }
 
     fn on_choose(
         &mut self,
         world: &ProtoWorld,
-        engine_hash: &dyn Fn() -> u64,
+        engine_hash: &mut dyn FnMut() -> u64,
         choices: &McChoices<'_, Packet>,
     ) -> Option<usize> {
         self.steps += 1;
@@ -338,27 +415,25 @@ impl McCore {
         }
         if self.pos < self.stack.len() {
             // Replay: re-commit the decision recorded at this position.
-            let Slot::Sched {
-                chosen, enabled, ..
-            } = &self.stack[self.pos]
-            else {
+            let Slot::Sched(f) = self.stack[self.pos] else {
                 panic!("dsm-mc: replay diverged: scheduler consulted at a fault position");
             };
             assert_eq!(
                 choices.len(),
-                enabled.len(),
+                f.enabled,
                 "dsm-mc: replay diverged: enabled-set size changed"
             );
             let idx = choices
-                .position(*chosen)
+                .position(self.events[f.enabled().start + f.chosen].0)
                 .expect("dsm-mc: replay diverged: recorded choice not offered");
             self.pos += 1;
             return Some(idx);
         }
-        // Frontier: record a fresh commit point.
-        let enabled: Tagged = choices.iter().map(|c| (c.key, footprint(&c))).collect();
-        let sleep_in = self.inherited_sleep();
-        if self.dedup && sleep_in.is_empty() {
+        // Frontier: record a fresh commit point, its events pushed after
+        // the last frame's.
+        let at = self.events.len();
+        let asleep = self.push_inherited_sleep();
+        if self.dedup && asleep == 0 {
             // Safe to dedup only where the sleep set is empty: the first
             // visit explores this state's full subtree. The fingerprint
             // covers world + checker + fabric + engine scheduler state.
@@ -369,26 +444,36 @@ impl McCore {
             }
         }
         self.states += 1;
-        if enabled.len() > 1 {
+        if choices.len() > 1 {
             self.choice_points += 1;
         }
+        assert!(
+            choices.len() <= 64,
+            "dsm-mc: {} co-enabled events; a frame tracks at most 64",
+            choices.len()
+        );
+        let sleep_in = at..at + asleep;
+        self.events
+            .extend(choices.iter().map(|c| (c.key, Footprint::of(&c))));
+        let events = &self.events;
         let pick = if self.reduce {
-            enabled
-                .iter()
-                .position(|(k, _)| !sleep_in.iter().any(|(s, _)| s == k))
+            let asleep = |k: &Key| events[sleep_in.clone()].iter().any(|(s, _)| s == k);
+            events[sleep_in.end..].iter().position(|(k, _)| !asleep(k))
         } else {
             Some(0)
         };
         let Some(pick) = pick else {
+            self.events.truncate(at);
             self.prune = Some(Prune::Sleep);
             return None;
         };
-        self.stack.push(Slot::Sched {
-            chosen: enabled[pick].0,
-            enabled,
-            explored: Vec::new(),
-            sleep_in,
-        });
+        self.stack.push(Slot::Sched(Frame {
+            at,
+            asleep,
+            enabled: choices.len(),
+            chosen: pick,
+            explored: 0,
+        }));
         self.pos += 1;
         self.max_depth = self.max_depth.max(self.stack.len() as u64);
         Some(pick)
@@ -432,34 +517,23 @@ impl McCore {
                         return true;
                     }
                 }
-                Slot::Sched {
-                    chosen,
-                    enabled,
-                    mut explored,
-                    sleep_in,
-                } => {
-                    let cur = enabled
-                        .iter()
-                        .find(|(k, _)| *k == chosen)
-                        .expect("chosen is enabled")
-                        .clone();
-                    explored.push(cur);
-                    let next = enabled.iter().find(|(k, _)| {
-                        let done = explored.iter().any(|(e, _)| e == k);
-                        let asleep = self.reduce && sleep_in.iter().any(|(s, _)| s == k);
-                        !done && !asleep
+                Slot::Sched(f) => {
+                    let explored = f.explored | 1 << f.chosen;
+                    let sleep_in = &self.events[f.sleep_in()];
+                    let next = (f.chosen + 1..f.enabled).find(|&i| {
+                        let k = self.events[f.enabled().start + i].0;
+                        !(self.reduce && sleep_in.iter().any(|(s, _)| *s == k))
                     });
-                    if let Some((k, _)) = next {
-                        let k = *k;
-                        self.stack.push(Slot::Sched {
-                            chosen: k,
-                            enabled,
+                    if let Some(chosen) = next {
+                        self.stack.push(Slot::Sched(Frame {
+                            chosen,
                             explored,
-                            sleep_in,
-                        });
+                            ..f
+                        }));
                         return true;
                     }
-                    self.branches_skipped += (enabled.len() - explored.len()) as u64;
+                    self.branches_skipped += (f.enabled - explored.count_ones() as usize) as u64;
+                    self.events.truncate(f.at);
                 }
             }
         }
@@ -476,7 +550,7 @@ impl McHook<ProtoWorld> for HookHandle {
     fn choose(
         &mut self,
         world: &ProtoWorld,
-        engine_hash: &dyn Fn() -> u64,
+        engine_hash: &mut dyn FnMut() -> u64,
         _at: Time,
         choices: &McChoices<'_, Packet>,
     ) -> Option<usize> {
@@ -559,6 +633,7 @@ pub fn explore(cfg: &McConfig, prog: &MicroProgram) -> McReport {
         match execute(&rc, &runner, hook, fault_oracle) {
             Ok((outcome, trace)) => {
                 report.schedules += 1;
+                report.outcomes.insert(outcome_of(prog.nodes(), &trace));
                 let mut viols = outcome.violations;
                 match cfg.protocol {
                     Protocol::Sc | Protocol::Tardis => {
@@ -621,47 +696,69 @@ pub fn explore(cfg: &McConfig, prog: &MicroProgram) -> McReport {
 mod tests {
     use super::*;
 
-    fn tagged(events: &[(Key, &[u64])]) -> Tagged {
-        events.iter().map(|&(k, fp)| (k, fp.into())).collect()
+    fn tagged(events: &[(Key, &[u64])]) -> Vec<Tagged> {
+        let footprint = |labels: &[u64]| {
+            let mut fp = Footprint::EMPTY;
+            labels.iter().for_each(|&label| fp.push(label));
+            fp
+        };
+        events.iter().map(|&(k, fp)| (k, footprint(fp))).collect()
+    }
+
+    /// What `push_inherited_sleep` pushes, taken back off the arena.
+    fn inherited(core: &mut McCore) -> Vec<Tagged> {
+        let at = core.events.len();
+        let n = core.push_inherited_sleep();
+        assert_eq!(core.events.len(), at + n);
+        core.events.split_off(at)
     }
 
     #[test]
     fn the_frontier_inherits_the_child_sleep_set_of_the_last_scheduler_frame() {
         let mut core = McCore::new(&McConfig::new(Protocol::Sc));
         assert!(
-            core.inherited_sleep().is_empty(),
+            inherited(&mut core).is_empty(),
             "nothing sleeps at the root"
         );
         // A frame on its third branch: 10 and 11 are explored, 12 is chosen,
         // 20 came in asleep from above. 10 and 20 are independent of 12 and
         // stay asleep below it; 11 shares a label with 12 and is woken.
-        let enabled = tagged(&[(10, &[1]), (11, &[2, 3]), (12, &[3, 4]), (13, &[5])]);
-        let explored = tagged(&[(10, &[1]), (11, &[2, 3])]);
-        let sleep_in = tagged(&[(20, &[6])]);
-        let want = McCore::child_sleep(12, &[3, 4], &sleep_in, &explored);
-        assert_eq!(want, tagged(&[(20, &[6]), (10, &[1])]));
-        core.stack.push(Slot::Sched {
-            chosen: 12,
-            enabled,
-            explored,
-            sleep_in,
-        });
-        assert_eq!(core.inherited_sleep(), want);
+        core.events = tagged(&[(20, &[6])]);
+        core.events.extend(tagged(&[
+            (10, &[1]),
+            (11, &[2, 3]),
+            (12, &[3, 4]),
+            (13, &[5]),
+        ]));
+        let frame = Frame {
+            at: 0,
+            asleep: 1,
+            enabled: 4,
+            chosen: 2,
+            explored: 0b11,
+        };
+        core.stack.push(Slot::Sched(frame));
+        let want = tagged(&[(20, &[6]), (10, &[1])]);
+        assert_eq!(inherited(&mut core), want);
         // Fault decisions between that frame and the frontier change nothing.
         for chosen in [0, 2] {
             core.stack.push(Slot::Fault {
                 chosen,
                 n_options: 4,
             });
-            assert_eq!(core.inherited_sleep(), want);
+            assert_eq!(inherited(&mut core), want);
         }
-        // A later scheduler frame takes over, with its own (empty) lists.
-        core.stack.push(Slot::Sched {
-            chosen: 30,
-            enabled: tagged(&[(30, &[1])]),
-            explored: Vec::new(),
-            sleep_in: want,
-        });
-        assert_eq!(core.inherited_sleep(), tagged(&[(20, &[6])]));
+        // A later scheduler frame takes over, with its own sleep set (the
+        // one above) and its own (empty) explored set.
+        core.events.extend(want);
+        core.events.extend(tagged(&[(30, &[1])]));
+        core.stack.push(Slot::Sched(Frame {
+            at: 5,
+            asleep: 2,
+            enabled: 1,
+            chosen: 0,
+            explored: 0,
+        }));
+        assert_eq!(inherited(&mut core), tagged(&[(20, &[6])]));
     }
 }

@@ -44,4 +44,4 @@ pub mod program;
 
 mod driver;
 
-pub use driver::{explore, McConfig, McReport, RULE_DEADLOCK, RULE_LIVELOCK};
+pub use driver::{explore, McConfig, McReport, Outcome, RULE_DEADLOCK, RULE_LIVELOCK};

@@ -96,7 +96,7 @@ impl DataStore {
     /// to patch a copy: the model checker's programs mostly start so).
     pub fn load_image(&mut self, image: Vec<u8>) {
         assert_eq!(image.len(), self.layout.size());
-        if image.iter().all(|&x| x == 0) {
+        if is_zero(&image) {
             return;
         }
         let nb = self.layout.num_blocks();
@@ -210,23 +210,82 @@ impl DataStore {
     }
 }
 
+/// Whether every byte is zero: an OR of 16-byte words over each 256-byte
+/// chunk, with an early exit between chunks. A test byte by byte with an
+/// early exit took 2–4 µs for a 4 KiB image (the compiler cannot vectorise
+/// it); this takes about 0.13 µs.
+fn is_zero(bytes: &[u8]) -> bool {
+    bytes.chunks(256).all(|chunk| {
+        let mut words = chunk.chunks_exact(16);
+        let or = words.by_ref().fold(0, |acc, w| {
+            acc | u128::from_ne_bytes(w.try_into().expect("a 16-byte word"))
+        });
+        or == 0 && words.remainder().iter().all(|&x| x == 0)
+    })
+}
+
+/// The hash of a block's logical bytes, before its salt.
+fn content_hash(bytes: &[u8]) -> u64 {
+    let mut h = StableHasher::new();
+    h.write(bytes);
+    h.finish()
+}
+
 impl DataStore {
-    /// What `node`'s block `b` contributes to the fingerprint: a hash of its
-    /// logical bytes, salted with the pair's index so that two blocks
+    /// The salt of `node`'s block `b`: the pair's index, so that two blocks
     /// exchanging contents is a different state.
-    fn part(&self, node: usize, b: BlockId) -> u64 {
-        let mut h = StableHasher::new();
-        h.write(self.block(node, b));
-        fold64(h.finish(), (node * self.layout.num_blocks() + b) as u64)
+    fn salted(&self, hash: u64, node: usize, b: BlockId) -> u64 {
+        fold64(hash, (node * self.layout.num_blocks() + b) as u64)
     }
 
-    /// A cache computed from nothing but the bytes: every block hashed,
-    /// none stale.
+    /// What `node`'s block `b` contributes to the fingerprint: a hash of its
+    /// logical bytes, salted.
+    fn part(&self, node: usize, b: BlockId) -> u64 {
+        self.salted(content_hash(self.block(node, b)), node, b)
+    }
+
+    /// Whether `node`'s block `b` reads as the run's initial contents: it is
+    /// absent, or it holds the image's bytes (zeros when no image was
+    /// loaded).
+    fn reads_as_image(&self, node: usize, b: BlockId) -> bool {
+        if !self.is_present(node, b) {
+            return true;
+        }
+        let bytes = &self.bytes[self.span(node, b)];
+        if self.image.is_empty() {
+            is_zero(bytes)
+        } else {
+            *bytes == self.image[self.layout.block_range(b)]
+        }
+    }
+
+    /// A cache computed from nothing but the bytes, none stale. A copy that
+    /// still reads as the initial contents — at an execution's first
+    /// fingerprint, most of them — shares one content hash per distinct
+    /// initial block, taken once (a zero image is one block's worth of
+    /// zeros per block size); only the blocks that moved away from it are
+    /// hashed each.
     fn fresh_cache(&self) -> FpCache {
         let nb = self.layout.num_blocks();
-        let part: Vec<u64> = (0..self.n_nodes * nb)
-            .map(|i| self.part(i / nb, i % nb))
-            .collect();
+        let mut part = vec![0; self.n_nodes * nb];
+        // The last initial block hashed: the next block that reads the same
+        // takes its hash.
+        let mut last: Option<(&[u8], u64)> = None;
+        for b in 0..nb {
+            for node in 0..self.n_nodes {
+                let bytes = self.block(node, b);
+                let hash = match last {
+                    _ if !self.reads_as_image(node, b) => content_hash(bytes),
+                    Some((seen, hash)) if seen == bytes => hash,
+                    _ => {
+                        let hash = content_hash(bytes);
+                        last = Some((bytes, hash));
+                        hash
+                    }
+                };
+                part[node * nb + b] = self.salted(hash, node, b);
+            }
+        }
         let shape = StableHasher::fingerprint(&(&self.layout, self.n_nodes));
         FpCache {
             sum: part.iter().fold(shape, |sum, p| sum ^ p),

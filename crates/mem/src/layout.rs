@@ -7,6 +7,8 @@
 //! range always maps onto a contiguous range of block ids regardless of
 //! how many regions (and block sizes) it crosses.
 
+use std::sync::Arc;
+
 /// Index of a coherence block within the shared space.
 pub type BlockId = usize;
 
@@ -72,10 +74,13 @@ impl Region {
 }
 
 /// Shared address space layout: total size plus its region table.
+///
+/// A run's world, its store, its checker and every node's handle each hold
+/// the layout, so the region table is shared: a clone is a reference count.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Layout {
     size: usize,
-    regions: Vec<Region>,
+    regions: Arc<[Region]>,
 }
 
 fn check_block(block: usize) {
@@ -92,13 +97,13 @@ impl Layout {
         assert!(size > 0, "empty shared space");
         Layout {
             size,
-            regions: vec![Region {
+            regions: Arc::new([Region {
                 name: "shared".into(),
                 start: 0,
                 end: size,
                 shift: block.trailing_zeros(),
                 base: 0,
-            }],
+            }]),
         }
     }
 
@@ -135,7 +140,10 @@ impl Layout {
             });
             base += (end - start) / block;
         }
-        Layout { size, regions }
+        Layout {
+            size,
+            regions: regions.into(),
+        }
     }
 
     /// Total bytes of shared space.

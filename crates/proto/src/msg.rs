@@ -389,30 +389,31 @@ impl ProtoMsg {
     /// synchronization object, and grants/releases that carry write notices
     /// additionally touch each noticed block (applying a notice updates
     /// per-block protocol hints at the acquirer).
-    pub fn mc_resources(&self, out: &mut Vec<u64>) {
+    /// Each label is handed to `out`, so the caller decides where they go.
+    pub fn mc_resources(&self, mut out: impl FnMut(u64)) {
         const BLOCK: u64 = 1 << 32;
         const LOCK: u64 = 2 << 32;
         const BARRIER: u64 = 3 << 32;
         if let Some(b) = self.concerns_block() {
-            out.push(BLOCK | b as u64);
+            out(BLOCK | b as u64);
         }
         match self {
             ProtoMsg::LockReq { lock, .. } | ProtoMsg::LockRel { lock, .. } => {
-                out.push(LOCK | *lock as u64)
+                out(LOCK | *lock as u64)
             }
             ProtoMsg::LockGrant { lock, notices, .. } => {
-                out.push(LOCK | *lock as u64);
+                out(LOCK | *lock as u64);
                 for n in notices {
-                    out.push(BLOCK | n.block as u64);
+                    out(BLOCK | n.block as u64);
                 }
             }
-            ProtoMsg::BarArrive { barrier, .. } => out.push(BARRIER | *barrier as u64),
+            ProtoMsg::BarArrive { barrier, .. } => out(BARRIER | *barrier as u64),
             ProtoMsg::BarRelease {
                 barrier, notices, ..
             } => {
-                out.push(BARRIER | *barrier as u64);
+                out(BARRIER | *barrier as u64);
                 for n in notices {
-                    out.push(BLOCK | n.block as u64);
+                    out(BLOCK | n.block as u64);
                 }
             }
             _ => {}

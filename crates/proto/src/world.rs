@@ -580,8 +580,19 @@ impl World for ProtoWorld {
                 bytes,
                 env,
             } => return self.frame_arrived(s, to, src, seq, bytes, env),
-            Packet::Ack { from, seq } => return self.fabric.on_ack(to, from, seq),
+            // Most timers find their frame acked, and a duplicate ack finds
+            // it gone: neither changes the fabric, so neither borrows it
+            // mutably and spends its cached fingerprint.
+            Packet::Ack { from, seq } => {
+                if self.fabric.awaiting_ack(to, from, seq).is_some() {
+                    self.fabric.on_ack(to, from, seq);
+                }
+                return;
+            }
             Packet::Timer { peer, seq, attempt } => {
+                if self.fabric.awaiting_ack(to, peer, seq) != Some(attempt) {
+                    return;
+                }
                 let now = s.now();
                 if let Some(out) = self.fabric.on_timer(now, to, peer, seq, attempt) {
                     self.emit(

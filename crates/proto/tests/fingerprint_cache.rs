@@ -55,7 +55,7 @@ impl McHook<ProtoWorld> for Probe {
     fn choose(
         &mut self,
         world: &ProtoWorld,
-        _engine_hash: &dyn Fn() -> u64,
+        _engine_hash: &mut dyn FnMut() -> u64,
         _at: Time,
         _choices: &McChoices<'_, Packet>,
     ) -> Option<usize> {

@@ -42,15 +42,16 @@ pub struct AppSpec {
     pub name: String,
     /// Base problem-size class the parameters default from.
     pub size: AppSize,
-    /// Parameter overrides for the modern workloads, in spec order.
-    /// Classic kernels accept no parameters (their shapes are the paper's).
+    /// Shape-parameter overrides, in spec order: any application's
+    /// registered parameters (a classic kernel's problem shape, a modern
+    /// workload's knobs).
     pub params: Vec<(String, u64)>,
 }
 
 impl AppSpec {
-    /// Instantiate the program for one repetition ([`build_app`]): modern
-    /// workloads are seeded per repetition and take the parameter
-    /// overrides; the classic kernels are fixed problems and take neither.
+    /// Instantiate the program for one repetition ([`build_app`]): every
+    /// application takes the parameter overrides; modern workloads are also
+    /// seeded per repetition, while the classic kernels ignore the seed.
     pub fn build(&self, seed: u64) -> Result<Program, String> {
         build_app(&self.name, self.size, seed, &self.params)
     }

@@ -117,13 +117,14 @@ pub trait McHook<W: World> {
     /// `engine_hash()` folds the scheduler-visible state (head time, node
     /// statuses and generations, and the queue multiset including the
     /// offered choices); combined with a world fingerprint it identifies
-    /// the global state at this commit point. It is computed when called:
-    /// a hook replaying a recorded prefix has no use for it and pays
-    /// nothing.
+    /// the global state at this commit point. It is computed when called,
+    /// and an execution starts keeping the queue multiset's hash only at its
+    /// first call: a hook replaying a recorded prefix has no use for it and
+    /// pays nothing, not even at the posts and pushes of the prefix.
     fn choose(
         &mut self,
         world: &W,
-        engine_hash: &dyn Fn() -> u64,
+        engine_hash: &mut dyn FnMut() -> u64,
         at: Time,
         choices: &McChoices<'_, W::Msg>,
     ) -> Option<usize>;
@@ -132,7 +133,8 @@ pub trait McHook<W: World> {
 /// Content hash of a queued message addressed at a node, used to fingerprint
 /// the pending-event multiset in model-checked runs. Must be a pure function
 /// of the message so replays fingerprint identically. Called once per
-/// message, when it is posted.
+/// message: for each message queued when the hook first asks for the engine
+/// hash, and from then on when a message is posted.
 pub type McMsgHash<M> = Box<dyn Fn(NodeId, &M) -> u64>;
 
 /// Everything [`run_nodes`] installs on the engine: the controlling
@@ -253,19 +255,123 @@ pub struct SchedInner<M> {
     /// now executing, to assert handler footprints (a handler may only
     /// wake/delay its own delivery target).
     exec: Option<NodeId>,
-    /// Model-checked runs only: content hash for queued messages. Doubles as
-    /// the "mc mode" flag on the scheduler side.
-    mc_msg_hash: Option<McMsgHash<M>>,
-    /// Model-checked runs only: the content hash of the message at
-    /// `msgs[idx]`, taken when it was posted.
-    mc_hashes: Vec<u64>,
-    /// Model-checked runs only: XOR of [`SchedInner::mc_event_hash`] over
-    /// every event currently in the queue — an incremental, order-independent
-    /// fingerprint of the pending-event multiset.
-    queue_hash: u64,
+    /// Model-checked runs only: the pending-event hash. Doubles as the "mc
+    /// mode" flag on the scheduler side.
+    mc: Option<QueueHash<M>>,
     /// Model-checked runs only: the events tied at the head time, gathered
     /// afresh at each commit point into this one buffer.
     tied: Vec<(Time, u64, Slot)>,
+}
+
+/// A model-checked run's fingerprint of the pending-event multiset: the XOR
+/// of [`event_hash`] over every queued event, which is order-independent and
+/// kept incrementally. It is started by the hook's first call for the engine
+/// hash ([`QueueHash::kept`]), so the commit points of a replayed prefix —
+/// most of an execution's — post, push and commit without hashing anything.
+struct QueueHash<M> {
+    /// Content hash of a queued message.
+    msg_hash: McMsgHash<M>,
+    /// Once started: the content hash of the message at `msgs[idx]`.
+    msgs: Vec<u64>,
+    /// Once started: the XOR over the queue, brought up to date by every
+    /// push, commit and stale skip.
+    sum: Option<u64>,
+}
+
+impl<M> QueueHash<M> {
+    /// Fold one event pushed or removed into the sum, if it is kept.
+    #[inline]
+    fn toggle(&mut self, at: Time, slot: Slot) {
+        if let Some(sum) = &mut self.sum {
+            *sum ^= event_hash(&self.msgs, at, slot);
+        }
+    }
+
+    /// The sum for `queue` plus the commit point's tie, which stays
+    /// logically queued until one event commits. The first call hashes each
+    /// queued message and scans the queue once; later calls read what was
+    /// kept. Every debug-build call re-derives the sum from a scan and
+    /// asserts that the kept one matches.
+    fn kept(
+        &mut self,
+        queue: &BucketQueue<Slot>,
+        tied: &[(Time, u64, Slot)],
+        slab: &[Option<M>],
+    ) -> u64 {
+        let sum = match self.sum {
+            Some(sum) => sum,
+            None => {
+                self.msgs.resize(slab.len(), 0);
+                for (_, slot) in queued(queue, tied) {
+                    if let Slot::Msg { to, idx } = slot {
+                        let msg = slab[idx as usize]
+                            .as_ref()
+                            .expect("a queued message has a payload");
+                        self.msgs[idx as usize] = (self.msg_hash)(to as NodeId, msg);
+                    }
+                }
+                *self.sum.insert(self.scan(queue, tied))
+            }
+        };
+        debug_assert_eq!(
+            sum,
+            self.scan(queue, tied),
+            "the kept pending-event hash drifted from the queue"
+        );
+        sum
+    }
+
+    /// The sum from scratch, over the message hashes taken.
+    fn scan(&self, queue: &BucketQueue<Slot>, tied: &[(Time, u64, Slot)]) -> u64 {
+        queued(queue, tied).fold(0, |sum, (at, slot)| sum ^ event_hash(&self.msgs, at, slot))
+    }
+}
+
+/// Every event logically queued at a commit point: the queue's and the tie's.
+fn queued<'a>(
+    queue: &'a BucketQueue<Slot>,
+    tied: &'a [(Time, u64, Slot)],
+) -> impl Iterator<Item = (Time, Slot)> + 'a {
+    let tied = tied.iter().map(|&(at, _, slot)| (at, slot));
+    queue.entries().map(|(at, &slot)| (at, slot)).chain(tied)
+}
+
+/// Seq-independent fingerprint of one queued event (model-checked runs):
+/// replays push the same events in potentially different seq order, so
+/// the multiset hash must not depend on insertion order. A message's content
+/// hash is read from `msgs`, by slab index.
+fn event_hash(msgs: &[u64], at: Time, slot: Slot) -> u64 {
+    match slot {
+        Slot::Resume { node, gen } => fold64(fold64(fold64(1, node as u64), gen), at),
+        Slot::Msg { to, idx } => fold64(fold64(fold64(2, to as u64), msgs[idx as usize]), at),
+    }
+}
+
+/// Scheduler-visible fingerprint at a commit point: head time, node slots,
+/// and the pending-event multiset.
+fn engine_hash<M>(
+    mc: &mut QueueHash<M>,
+    queue: &BucketQueue<Slot>,
+    slab: &[Option<M>],
+    nodes: &[NodeSlot],
+    head: Time,
+    tied: &[(Time, u64, Slot)],
+) -> u64 {
+    let sum = mc.kept(queue, tied, slab);
+    let mut eh = fold64(0, head);
+    for s in nodes {
+        let (tag, t) = match s.status {
+            NodeStatus::Running => (0u64, 0),
+            NodeStatus::Ready { at } => (1, at),
+            NodeStatus::Blocked => (2, 0),
+            NodeStatus::Done => (3, 0),
+        };
+        eh = fold64(eh, tag);
+        eh = fold64(eh, t);
+        eh = fold64(eh, s.gen);
+        eh = fold64(eh, s.pending_wake.map_or(u64::MAX, |w| w));
+    }
+    fold64(eh, sum)
 }
 
 /// Handle given to [`World::deliver`] and [`NodeHandle::world`] closures for
@@ -321,9 +427,7 @@ impl<M> SchedInner<M> {
             done_count: 0,
             events: 0,
             exec: None,
-            mc_msg_hash: None,
-            mc_hashes: Vec::new(),
-            queue_hash: 0,
+            mc: None,
             tied: Vec::new(),
         }
     }
@@ -338,16 +442,12 @@ impl<M> SchedInner<M> {
         self.nodes.len()
     }
 
-    /// Seq-independent fingerprint of one queued event (model-checked runs):
-    /// replays push the same events in potentially different seq order, so
-    /// the multiset hash must not depend on insertion order.
-    fn mc_event_hash(&self, at: Time, slot: Slot) -> u64 {
-        match slot {
-            Slot::Resume { node, gen } => fold64(fold64(fold64(1, node as u64), gen), at),
-            Slot::Msg { to, idx } => fold64(
-                fold64(fold64(2, to as u64), self.mc_hashes[idx as usize]),
-                at,
-            ),
+    /// Fold one event pushed or removed into the pending-event hash, if it
+    /// is kept.
+    #[inline]
+    fn toggle_hash(&mut self, at: Time, slot: Slot) {
+        if let Some(mc) = &mut self.mc {
+            mc.toggle(at, slot);
         }
     }
 
@@ -359,10 +459,7 @@ impl<M> SchedInner<M> {
     }
 
     fn push(&mut self, at: Time, slot: Slot) {
-        if self.mc_msg_hash.is_some() {
-            let h = self.mc_event_hash(at, slot);
-            self.queue_hash ^= h;
-        }
+        self.toggle_hash(at, slot);
         self.queue.push(at, slot);
     }
 
@@ -376,9 +473,7 @@ impl<M> SchedInner<M> {
     }
 
     /// Start-up: every node is Ready at t=0, and node 0's Resume is pushed
-    /// first so it runs first (deterministic start-up order by node id). In
-    /// model-checked runs the message hasher must already be installed, so
-    /// the initial n-way resume tie is fingerprinted too.
+    /// first so it runs first (deterministic start-up order by node id).
     fn start(&mut self) {
         for node in 0..self.nodes.len() {
             self.nodes[node].status = NodeStatus::Ready { at: 0 };
@@ -468,7 +563,11 @@ impl<M> SchedInner<M> {
             self.nodes.len()
         );
         let at = at.max(self.now);
-        let hash = self.mc_msg_hash.as_ref().map(|hash| hash(to, &msg));
+        // A message is hashed at its post only once hashing has started.
+        let hash = match &self.mc {
+            Some(mc) if mc.sum.is_some() => Some((mc.msg_hash)(to, &msg)),
+            _ => None,
+        };
         let idx = match self.free_msgs.pop() {
             Some(idx) => {
                 self.msgs[idx as usize] = Some(msg);
@@ -479,11 +578,11 @@ impl<M> SchedInner<M> {
                 u32::try_from(self.msgs.len() - 1).expect("fewer than 2^32 messages in flight")
             }
         };
-        if let Some(h) = hash {
-            if self.mc_hashes.len() <= idx as usize {
-                self.mc_hashes.resize(idx as usize + 1, 0);
+        if let (Some(h), Some(mc)) = (hash, &mut self.mc) {
+            if mc.msgs.len() <= idx as usize {
+                mc.msgs.resize(idx as usize + 1, 0);
             }
-            self.mc_hashes[idx as usize] = h;
+            mc.msgs[idx as usize] = h;
         }
         let to = to as u32;
         self.push(at, Slot::Msg { to, idx });
@@ -497,7 +596,7 @@ impl<M> SchedInner<M> {
         // Model-checked runs assert the footprint the DPOR layer relies on:
         // a message handler only ever wakes its own delivery target.
         debug_assert!(
-            self.mc_msg_hash.is_none() || self.exec.is_none() || self.exec == Some(node),
+            self.mc.is_none() || self.exec.is_none() || self.exec == Some(node),
             "mc: handler at {:?} woke node {node}",
             self.exec
         );
@@ -521,7 +620,7 @@ impl<M> SchedInner<M> {
     /// resumes later than `until`.
     pub fn delay(&mut self, node: NodeId, until: Time) {
         debug_assert!(
-            self.mc_msg_hash.is_none() || self.exec.is_none() || self.exec == Some(node),
+            self.mc.is_none() || self.exec.is_none() || self.exec == Some(node),
             "mc: handler at {:?} delayed node {node}",
             self.exec
         );
@@ -578,7 +677,7 @@ fn mc_next_event<W: World>(
                     // Superseded by a later delay/wake: skip it, counting it
                     // exactly as the plain loop would.
                     sched.events += 1;
-                    sched.queue_hash ^= sched.mc_event_hash(at, slot);
+                    sched.toggle_hash(at, slot);
                     continue;
                 }
             }
@@ -589,32 +688,19 @@ fn mc_next_event<W: World>(
         }
         // The whole tie was stale; move to the next head time.
     };
-    // Scheduler-visible fingerprint: head time, node slots, and the
-    // pending-event multiset (the tied events above are still counted
-    // in `queue_hash` — they are logically queued until one commits).
-    let engine_hash = || {
-        let mut eh = fold64(0, head);
-        for s in &sched.nodes {
-            let (tag, t) = match s.status {
-                NodeStatus::Running => (0u64, 0),
-                NodeStatus::Ready { at } => (1, at),
-                NodeStatus::Blocked => (2, 0),
-                NodeStatus::Done => (3, 0),
-            };
-            eh = fold64(eh, tag);
-            eh = fold64(eh, t);
-            eh = fold64(eh, s.gen);
-            eh = fold64(eh, s.pending_wake.map_or(u64::MAX, |w| w));
-        }
-        fold64(eh, sched.queue_hash)
-    };
     // The offered messages are lent out of the slab, where they stay until
     // one commits.
     let choices = McChoices {
         tied: &tied,
         msgs: &sched.msgs,
     };
-    let Some(pick) = hook.choose(world, &engine_hash, head, &choices) else {
+    let mc = sched
+        .mc
+        .as_mut()
+        .expect("a model-checked run hashes its queue");
+    let (queue, slab, nodes) = (&sched.queue, &sched.msgs, &sched.nodes);
+    let mut engine_hash = || engine_hash(mc, queue, slab, nodes, head, &tied);
+    let Some(pick) = hook.choose(world, &mut engine_hash, head, &choices) else {
         return Err(RunError::Pruned);
     };
     assert!(pick < tied.len(), "mc hook chose {pick} of {}", tied.len());
@@ -624,7 +710,7 @@ fn mc_next_event<W: World>(
         }
     }
     let (at, _, slot) = tied[pick];
-    sched.queue_hash ^= sched.mc_event_hash(at, slot);
+    sched.toggle_hash(at, slot);
     sched.events += 1;
     sched.tied = tied;
     Ok(Some((at, slot)))
@@ -734,7 +820,11 @@ pub fn run_nodes<'t, W: World>(
     assert!(n > 0, "cluster needs at least one node");
     let mut sched = SchedInner::new(n);
     let mut hook = mc.map(|m| {
-        sched.mc_msg_hash = Some(m.msg_hash);
+        sched.mc = Some(QueueHash {
+            msg_hash: m.msg_hash,
+            msgs: Vec::new(),
+            sum: None,
+        });
         m.hook
     });
     sched.start();
@@ -1169,17 +1259,19 @@ mod tests {
     }
 
     /// Test hook: delegates every choice to a closure over
-    /// `(number of choices, engine hash)`.
-    struct PickHook<F: FnMut(usize, u64) -> Option<usize>>(F);
-    impl<W: World, F: FnMut(usize, u64) -> Option<usize>> McHook<W> for PickHook<F> {
+    /// `(number of choices, engine hash)`, which asks for the hash or not.
+    struct PickHook<F: FnMut(usize, &mut dyn FnMut() -> u64) -> Option<usize>>(F);
+    impl<W: World, F: FnMut(usize, &mut dyn FnMut() -> u64) -> Option<usize>> McHook<W>
+        for PickHook<F>
+    {
         fn choose(
             &mut self,
             _world: &W,
-            engine_hash: &dyn Fn() -> u64,
+            engine_hash: &mut dyn FnMut() -> u64,
             _at: Time,
             choices: &McChoices<'_, W::Msg>,
         ) -> Option<usize> {
-            (self.0)(choices.len(), engine_hash())
+            (self.0)(choices.len(), engine_hash)
         }
     }
 
@@ -1206,12 +1298,15 @@ mod tests {
         }
     }
 
-    /// A hook that delegates to `pick`, hashing messages by their tag.
+    /// A hook that delegates to `pick`, with the engine hash asked for at
+    /// every commit point, hashing messages by their tag.
     fn install(
-        pick: impl FnMut(usize, u64) -> Option<usize> + 'static,
+        mut pick: impl FnMut(usize, u64) -> Option<usize> + 'static,
     ) -> Option<McInstall<TestWorld>> {
         Some(McInstall {
-            hook: Box::new(PickHook(pick)),
+            hook: Box::new(PickHook(move |n: usize, ask: &mut dyn FnMut() -> u64| {
+                pick(n, ask())
+            })),
             msg_hash: Box::new(|to, m: &u32| fold64(u64::from(*m), to as u64)),
         })
     }
@@ -1328,7 +1423,7 @@ mod tests {
         fn choose(
             &mut self,
             _world: &W,
-            engine_hash: &dyn Fn() -> u64,
+            engine_hash: &mut dyn FnMut() -> u64,
             _at: Time,
             choices: &McChoices<'_, W::Msg>,
         ) -> Option<usize> {
@@ -1371,13 +1466,60 @@ mod tests {
     fn a_message_is_hashed_once_at_post() {
         // Twelve messages: six posted by the bodies in two three-way ties,
         // six by their deliveries. Picking last unpops the rest of each tie
-        // again and again; every delivery strands a stale resume.
+        // again and again; every delivery strands a stale resume. A hook
+        // that asks asks at the first commit point, before any post; one
+        // that never asks starts no hashing at all.
         for pick in [|_| 0, |n| n - 1, |n| n / 2] {
             let (offered, events, calls) = busy_run(pick, true);
             assert_eq!(calls, 12, "one call per post");
             assert!(offered.iter().any(|(n, _)| *n >= 3), "ties were offered");
             let commits = offered.len() as u64;
             assert!(events > commits, "stale resumes were skipped");
+            let (_, _, unasked) = busy_run(pick, false);
+            assert_eq!(unasked, 0, "hashing starts at the first ask");
+        }
+    }
+
+    #[test]
+    fn hashing_started_mid_run_hashes_each_message_once_and_agrees() {
+        // A hook that first asks at its `k`-th commit point: the messages
+        // queued then are hashed once at the start, those posted later once
+        // at their post, and the delivered ones never. The engine hashes
+        // it reads from there on are those of a hook that asked throughout.
+        let run = |first_ask: usize| {
+            let hashes = Rc::new(RefCell::new(Vec::new()));
+            let calls = Rc::new(Cell::new(0u32));
+            let (sink, counted) = (Rc::clone(&hashes), Rc::clone(&calls));
+            let mut step = 0;
+            let mc = McInstall {
+                hook: Box::new(PickHook(move |n: usize, ask: &mut dyn FnMut() -> u64| {
+                    step += 1;
+                    if step >= first_ask {
+                        sink.borrow_mut().push(ask());
+                    }
+                    Some(n - 1)
+                })),
+                msg_hash: Box::new(move |to, m: &u32| {
+                    counted.set(counted.get() + 1);
+                    fold64(u64::from(*m), to as u64)
+                }),
+            };
+            run_with(Busy, busy_bodies(), Some(mc)).expect("runs to completion");
+            let hs = hashes.borrow().clone();
+            (hs, calls.get())
+        };
+        let (all, calls) = run(1);
+        assert_eq!(calls, 12);
+        // Asked from the 4th commit on, one message has been delivered
+        // unhashed; from the 10th, six have.
+        for (first_ask, want_calls) in [(2, 12), (4, 11), (7, 8), (10, 6)] {
+            let (late, late_calls) = run(first_ask);
+            assert_eq!(
+                late[..],
+                all[first_ask - 1..],
+                "asked from commit {first_ask}"
+            );
+            assert_eq!(late_calls, want_calls, "asked from commit {first_ask}");
         }
     }
 

@@ -69,8 +69,18 @@ pub struct BucketQueue<V> {
     /// Events currently stored in ring buckets (excludes `active` and far).
     near_len: usize,
     /// Unsorted buckets; absolute bucket `b` lives at `b % NUM_BUCKETS` for
-    /// `b` in `[cursor, cursor + NUM_BUCKETS)`.
+    /// `b` in `[cursor, cursor + NUM_BUCKETS)`. Slots from `ring.len()` on
+    /// are empty and not yet made, so a run that spans a few buckets — a
+    /// model-checker execution — makes and drops only those.
     ring: Vec<Vec<(Time, u64, V)>>,
+    /// One bit per ring slot, set while the slot holds events: opening the
+    /// next bucket finds it in a few words instead of stepping over every
+    /// empty slot before it.
+    occupied: [u64; NUM_BUCKETS / 64],
+    /// Allocations of opened-and-drained buckets, for the next empty ring
+    /// slot that takes an event: a run holds as many bucket allocations as
+    /// it has buckets in use at once, not one per bucket it ever used.
+    spare: Vec<Vec<(Time, u64, V)>>,
     /// Next absolute bucket the cursor will open.
     cursor: u64,
     /// The sorted front segment (descending by `(time, seq)` so the next
@@ -95,7 +105,9 @@ impl<V> BucketQueue<V> {
             seq: 0,
             len: 0,
             near_len: 0,
-            ring: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            ring: Vec::with_capacity(NUM_BUCKETS),
+            occupied: [0; NUM_BUCKETS / 64],
+            spare: Vec::new(),
             cursor: 1,
             active: Vec::new(),
             last_pop: 0,
@@ -155,11 +167,30 @@ impl<V> BucketQueue<V> {
             let pos = self.active.partition_point(|e| (e.0, e.1) > key);
             self.active.insert(pos, (at, seq, v));
         } else if b < self.cursor + NUM_BUCKETS as u64 {
-            self.ring[(b % NUM_BUCKETS as u64) as usize].push((at, seq, v));
+            self.bucket(b).push((at, seq, v));
             self.near_len += 1;
         } else {
             self.far.push(FarEntry { at, seq, v });
         }
+    }
+
+    /// The ring slot of absolute bucket `b`, about to take an event: made if
+    /// it is not yet, marked occupied, and given a spare allocation if it
+    /// has none.
+    #[inline]
+    fn bucket(&mut self, b: u64) -> &mut Vec<(Time, u64, V)> {
+        let i = (b % NUM_BUCKETS as u64) as usize;
+        if i >= self.ring.len() {
+            self.ring.resize_with(i + 1, Vec::new);
+        }
+        self.occupied[i / 64] |= 1 << (i % 64);
+        let slot = &mut self.ring[i];
+        if slot.capacity() == 0 {
+            if let Some(spare) = self.spare.pop() {
+                *slot = spare;
+            }
+        }
+        slot
     }
 
     /// Move far events that the advancing horizon now covers into the ring.
@@ -170,8 +201,7 @@ impl<V> BucketQueue<V> {
                 break;
             }
             let e = self.far.pop().unwrap();
-            self.ring[((e.at >> BUCKET_SHIFT) % NUM_BUCKETS as u64) as usize]
-                .push((e.at, e.seq, e.v));
+            self.bucket(e.at >> BUCKET_SHIFT).push((e.at, e.seq, e.v));
             self.near_len += 1;
         }
     }
@@ -196,18 +226,22 @@ impl<V> BucketQueue<V> {
                 self.cursor = self.cursor.max(minb);
             }
             self.drain_far();
-            // Open the next non-empty bucket.
-            while self.near_len > 0 {
+            if self.near_len > 0 {
+                // Open the next non-empty bucket. The far events are all
+                // beyond the horizon the cursor had here, so past that
+                // bucket: the next settle moves in those the jump brought
+                // within it.
+                self.cursor += self.to_next_occupied();
                 let idx = (self.cursor % NUM_BUCKETS as u64) as usize;
-                if self.ring[idx].is_empty() {
-                    self.cursor += 1;
-                    self.drain_far();
-                    continue;
+                self.occupied[idx / 64] &= !(1 << (idx % 64));
+                // `active` is empty here: its spent allocation goes to the
+                // spares instead of being freed while the next bucket grows
+                // one of its own.
+                let spent =
+                    std::mem::replace(&mut self.active, std::mem::take(&mut self.ring[idx]));
+                if spent.capacity() > 0 {
+                    self.spare.push(spent);
                 }
-                // `active` is empty here: swapping hands its spent
-                // allocation to the ring slot instead of freeing one `Vec`
-                // and regrowing another at every bucket boundary.
-                std::mem::swap(&mut self.active, &mut self.ring[idx]);
                 self.near_len -= self.active.len();
                 // Unique (time, seq) keys: unstable sort is deterministic.
                 self.active
@@ -216,6 +250,28 @@ impl<V> BucketQueue<V> {
                 return true;
             }
         }
+    }
+
+    /// Buckets from the cursor to the next occupied ring slot, wrapping
+    /// around the ring (some slot is occupied).
+    fn to_next_occupied(&self) -> u64 {
+        const WORDS: usize = NUM_BUCKETS / 64;
+        let start = (self.cursor % NUM_BUCKETS as u64) as usize;
+        let (first, bit) = (start / 64, start % 64);
+        for k in 0..=WORDS {
+            let w = (first + k) % WORDS;
+            let mut bits = self.occupied[w];
+            if k == 0 {
+                bits &= u64::MAX << bit;
+            } else if k == WORDS {
+                bits &= (1 << bit) - 1;
+            }
+            if bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                return ((slot + NUM_BUCKETS - start) % NUM_BUCKETS) as u64;
+            }
+        }
+        unreachable!("a queue with near events has an occupied slot")
     }
 
     /// Remove and return the earliest `(time, value)`, or `None` when empty.
@@ -233,6 +289,17 @@ impl<V> BucketQueue<V> {
         self.len -= 1;
         self.last_pop = e.0;
         Some(e)
+    }
+
+    /// Every queued event with its time, in no particular order.
+    pub fn entries(&self) -> impl Iterator<Item = (Time, &V)> {
+        let near = self.ring.iter().flatten();
+        let far = self.far.iter().map(|e| (e.at, &e.v));
+        self.active
+            .iter()
+            .chain(near)
+            .map(|(at, _, v)| (*at, v))
+            .chain(far)
     }
 
     /// The `(time, seq)` key of the earliest event without removing it.

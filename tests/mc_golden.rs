@@ -145,6 +145,79 @@ fn every_report_matches_the_fixture() {
     }
 }
 
+/// Explore `cfg` with dedup on and with it off, and assert that the two
+/// searches saw the same outcomes and the same violations. Dedup merges two
+/// prefixes that reach one engine and world state, and the values the nodes
+/// have read are in neither, so a merge could in principle drop an outcome
+/// or an oracle's verdict that only the pruned prefix leads to.
+fn dedup_hides_nothing(prog: &MicroProgram, cfg: &McConfig) {
+    assert!(cfg.dedup, "a configuration that dedups");
+    let deduped = explore(cfg, prog);
+    let full = explore(
+        &McConfig {
+            dedup: false,
+            ..cfg.clone()
+        },
+        prog,
+    );
+    let name = format!(
+        "{} {} f{}",
+        prog.name,
+        cfg.protocol.name(),
+        cfg.fault_budget
+    );
+    assert!(
+        deduped.complete && full.complete,
+        "{name}: both searches exhaust"
+    );
+    assert!(
+        !deduped.outcomes.is_empty(),
+        "{name}: some schedule completes"
+    );
+    assert_eq!(deduped.outcomes, full.outcomes, "{name}: outcomes");
+    assert_eq!(
+        deduped.violation_counts, full.violation_counts,
+        "{name}: violations"
+    );
+}
+
+/// `lock_counter(3, 1)`, the one configuration pinned with three nodes.
+fn three_node_counter(prog: &MicroProgram) -> bool {
+    prog.name == "mc-lock-counter" && prog.nodes() == 3
+}
+
+/// The configurations that dedup, less the three-node lock counter with a
+/// fault, whose undeduplicated spaces take seconds even in release.
+#[test]
+fn dedup_hides_no_outcome_and_no_violation() {
+    let configs: Vec<_> = configs()
+        .into_iter()
+        .filter(|(prog, cfg)| cfg.dedup && !three_node_counter(prog))
+        .collect();
+    assert_eq!(configs.len(), 20);
+    pool_map(configs.len(), default_jobs().min(4), |i| {
+        let (prog, cfg) = &configs[i];
+        dedup_hides_nothing(prog, cfg)
+    });
+}
+
+/// The three-node lock counter with a fault under each protocol: 9 632,
+/// 5 992, 1 776 and 30 960 schedules without dedup (SC, SW-LRC, HLRC,
+/// Tardis), about 8 s in release.
+#[test]
+#[ignore = "seconds in release; run with --release -- --ignored three_node"]
+fn dedup_hides_nothing_on_the_three_node_lock_counter() {
+    let configs: Vec<_> = configs()
+        .into_iter()
+        .filter(|(prog, cfg)| cfg.dedup && three_node_counter(prog))
+        .collect();
+    assert_eq!(configs.len(), 4);
+    pool_map(configs.len(), default_jobs().min(4), |i| {
+        let (prog, cfg) = &configs[i];
+        dedup_hides_nothing(prog, cfg)
+    });
+}
+
 #[test]
 #[ignore = "rewrites the fixture; run deliberately, and say why in the PR"]
 fn bless() {
