@@ -18,27 +18,25 @@
 //! the paper's methodology of choosing per-application configurations from
 //! measured sharing statistics. [`choose_policies`] is a pure function of a
 //! [`ProfileData`] and the base configuration, so an online variant can
-//! re-invoke it on a fresh profiling window at any barrier epoch;
-//! [`AdaptPlan::apply`] is the one place a plan becomes a
-//! [`dsm_core::RunConfig`].
+//! re-invoke it on a fresh profiling window at any barrier epoch. A plan
+//! is its uniform winner plus [`AdaptPlan::policies`]; `dsm-scenario`'s
+//! `RunSpec::adapt` is the one place one is written into a run.
 //!
 //! ```no_run
-//! use dsm_adapt::run_adaptive;
+//! use dsm_adapt::{choose_policies, profile_run};
 //! use dsm_core::{Protocol, RunConfig};
 //!
 //! # fn app() -> dsm_core::Program { unimplemented!() }
+//! let program = app();
 //! let base = RunConfig::new(Protocol::Sc, 4096);
-//! let (plan, result) = run_adaptive(&base, app());
+//! let plan = choose_policies(&program, &profile_run(&program), &base);
 //! for d in &plan.decisions {
 //!     println!("{}: {}@{}", d.profile.name, d.protocol.name(), d.block);
 //! }
-//! assert!(result.check.is_ok());
 //! ```
 
 pub mod model;
 pub mod plan;
 
 pub use model::{predict_region_ns, summarize_region, RegionProfile};
-pub use plan::{
-    choose_policies, profile_run, run_adaptive, AdaptPlan, ProfileData, RegionDecision, PLAN_ALIGN,
-};
+pub use plan::{choose_policies, profile_run, AdaptPlan, ProfileData, RegionDecision, PLAN_ALIGN};

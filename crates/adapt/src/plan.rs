@@ -5,10 +5,7 @@
 use std::sync::Arc;
 
 use dsm_core::runner::planned_regions;
-use dsm_core::{
-    run_experiment, run_parallel, ExperimentResult, Program, Protocol, RegionPolicy, RunConfig,
-    GRANULARITIES,
-};
+use dsm_core::{run_parallel, Program, Protocol, RegionPolicy, RunConfig, GRANULARITIES};
 use dsm_json::Value;
 use dsm_obs::SharingProfile;
 
@@ -104,14 +101,6 @@ impl AdaptPlan {
             .iter()
             .map(|d| RegionPolicy::new(&d.profile.name, d.protocol, d.block))
             .collect()
-    }
-
-    /// `cfg` running this plan: the uniform winner as the run's default
-    /// policy, and one policy per region.
-    pub fn apply(&self, mut cfg: RunConfig) -> RunConfig {
-        cfg.protocol = self.uniform.0;
-        cfg.block_size = self.uniform.1;
-        cfg.with_region_policies(self.policies())
     }
 }
 
@@ -213,15 +202,6 @@ pub fn choose_policies(program: &Program, data: &ProfileData, cfg: &RunConfig) -
         per_region_ns,
         mixed,
     }
-}
-
-/// Profile `program`, choose per-region policies, and run the mixed-mode
-/// experiment under them.
-pub fn run_adaptive(base: &RunConfig, program: Program) -> (AdaptPlan, ExperimentResult) {
-    let data = profile_run(&program);
-    let plan = choose_policies(&program, &data, base);
-    let result = run_experiment(&plan.apply(base.clone()), program);
-    (plan, result)
 }
 
 #[cfg(test)]

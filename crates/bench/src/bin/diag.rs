@@ -1,32 +1,44 @@
-//! Diagnostic: stat breakdown for one (app, protocol, granularity), or for
-//! the adaptive per-region runtime.
+//! Diagnostic: stat breakdown for one run, or for the adaptive per-region
+//! runtime.
 //!
 //! ```text
-//! diag [APP] [PROTOCOL] [BLOCK] [--json] [--check] [--trace FILE]
-//!      [--critpath] [--series WINDOW_US]
-//!      [--adaptive] [--fabric SPEC]
+//! diag APP PROTOCOL BLOCK [KEY=VALUE ...] [check] [spans]
+//!      [--json] [--check] [--fabric SPEC] [--trace FILE]
+//!      [--critpath] [--series WINDOW_US] [--adaptive]
 //! ```
+//!
+//! The arguments that are not options are one run line
+//! ([`dsm_scenario::RunSpec`]): the application (at the standard size),
+//! protocol and block, then `key=value` words for whatever differs from the
+//! defaults — `size`, `seed`, an application parameter, `nodes`, `notify`,
+//! `homes`, `fabric`, `region=NAME:PROTOCOL@BLOCK`, a `CostModel` field —
+//! and the switches `check` and `spans`. For example
+//! `diag barnes-original hlrc 256 notify=interrupt check`. The line a
+//! scenario repetition records as `"run"`, or a grid cell prints as, is the
+//! argument list that re-runs it; the human-readable output prints the
+//! run's own line first.
 //!
 //! Human-readable tables by default; `--json` switches to JSON Lines
 //! (per-node records with the time breakdown, one record per region, then
-//! a run record). `--check` installs the happens-before race detector and
-//! protocol invariant checker on the run, prints every violation (one
-//! `"check"` JSONL record each under `--json`), and exits nonzero when any
-//! were found.
-//! `--trace FILE` records the run and writes a Chrome
-//! trace-event file loadable in Perfetto (<https://ui.perfetto.dev>).
-//! `--adaptive` ignores PROTOCOL/BLOCK, profiles the application, lets the
-//! policy engine pin a protocol × granularity per region, and reports the
-//! mixed-mode run (per-region records carry the decision, the profiled
-//! sharing statistics it was based on, and the measured counters).
-//! `--fabric SPEC` selects the network fabric model (`ideal`, the default,
+//! a run record). `--check` is the word `check`: it installs the
+//! happens-before race detector and protocol invariant checker on the run,
+//! prints every violation (one `"check"` JSONL record each under `--json`),
+//! and exits nonzero when any were found. `--fabric SPEC` is the word
+//! `fabric=SPEC`: the network fabric model (`ideal`, the default,
 //! `contended`, or `faulty[,seed=..,drop=..,...]`; the grammar scenario
 //! plans use).
-//! `--critpath` enables causal span tracing, extracts the critical path
-//! that determined the parallel time, and prints the per-category
-//! attribution (one `"critpath"` JSONL record under `--json`). The
-//! attribution must sum to the parallel time exactly; the tool exits
-//! nonzero if it does not, or if the run produced no spans.
+//! `--trace FILE` records the run and writes a Chrome
+//! trace-event file loadable in Perfetto (<https://ui.perfetto.dev>).
+//! `--adaptive` profiles the application, lets the policy engine pin a
+//! protocol × granularity per region, writes the plan into the run (its
+//! line replays the planned run) and reports the mixed-mode run
+//! (per-region records carry the decision, the profiled sharing statistics
+//! it was based on, and the measured counters).
+//! `--critpath` is the word `spans`: the run records causal spans, and
+//! `diag` extracts the critical path that determined the parallel time and
+//! prints the per-category attribution (one `"critpath"` JSONL record under
+//! `--json`). The attribution must sum to the parallel time exactly; the
+//! tool exits nonzero if it does not, or if the run produced no spans.
 //! `--series WINDOW_US` collects windowed per-node time-series counters at
 //! the given window width and prints them (schema-versioned `"series"`
 //! JSONL records under `--json`).
@@ -51,13 +63,14 @@
 //!
 //! A malformed argument or `DSM_TRACE` value is a one-line message naming
 //! it and what it accepts, and exit status 2.
-use dsm_adapt::{choose_policies, profile_run, RegionDecision};
-use dsm_bench::cli::{app_arg, bad_arg, block_arg, protocol_arg, trace_env};
+use dsm_adapt::RegionDecision;
+use dsm_bench::cli::{bad_arg, trace_env};
 use dsm_bench::records::{
     check_record, config_record, mc_record, mc_violation_record, region_record,
 };
-use dsm_core::{run_experiment, ExperimentResult, FabricConfig, Protocol, RunConfig};
+use dsm_core::{run_experiment, ExperimentResult, Protocol};
 use dsm_obs::{chrome_trace, critical_path, jsonl_metrics, series_jsonl, TimeBreakdown};
+use dsm_scenario::run::{block_arg, RunSpec};
 
 fn print_regions(r: &ExperimentResult, decisions: &[RegionDecision]) {
     println!(
@@ -232,22 +245,22 @@ fn run_mc(spec: &str, json: bool) -> ! {
 }
 
 fn main() {
-    let mut positional: Vec<String> = Vec::new();
+    // The run line: its words, then those `--check`, `--fabric` and
+    // `--critpath` stand for.
+    let mut words: Vec<String> = Vec::new();
+    let mut option_words: Vec<String> = Vec::new();
     let mut json = false;
-    let mut check = false;
     let mut adaptive = false;
     let mut trace_path: Option<String> = None;
-    let mut fabric_spec: Option<String> = None;
-    let mut critpath = false;
     let mut series_ns: Option<u64> = None;
     let mut mc_spec: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--json" => json = true,
-            "--check" => check = true,
+            "--check" => option_words.push("check".to_string()),
             "--adaptive" => adaptive = true,
-            "--critpath" => critpath = true,
+            "--critpath" => option_words.push("spans".to_string()),
             "--series" => {
                 series_ns = Some(
                     args.next()
@@ -270,11 +283,12 @@ fn main() {
                     std::process::exit(2);
                 }))
             }
-            "--fabric" | "--faults" => {
-                fabric_spec = Some(args.next().unwrap_or_else(|| {
+            "--fabric" => {
+                let spec = args.next().unwrap_or_else(|| {
                     eprintln!("--fabric requires a spec (ideal|contended|faulty[,k=v,...])");
                     std::process::exit(2);
-                }))
+                });
+                option_words.push(format!("fabric={spec}"));
             }
             "--mc" => {
                 mc_spec = Some(args.next().unwrap_or_else(|| {
@@ -282,42 +296,26 @@ fn main() {
                     std::process::exit(2);
                 }))
             }
-            _ => positional.push(a),
+            _ => words.push(a),
         }
     }
     if let Some(spec) = mc_spec {
         run_mc(&spec, json);
     }
-    let arg = |i: usize, default| positional.get(i).map_or(default, String::as_str);
-    let name = arg(0, "lu");
-    let program = app_arg(name).unwrap_or_else(|e| bad_arg("diag", e));
-    let proto = protocol_arg(arg(1, "sc")).unwrap_or_else(|e| bad_arg("diag", e));
-    let block =
-        block_arg(arg(2, "64"), program.shared_bytes()).unwrap_or_else(|e| bad_arg("diag", e));
-
-    let fabric = fabric_spec
-        .map_or(Ok(FabricConfig::ideal()), |spec| FabricConfig::parse(&spec))
-        .unwrap_or_else(|e| {
-            eprintln!("bad fabric spec: {e}");
-            std::process::exit(2);
-        });
-    let mut decisions: Vec<RegionDecision> = Vec::new();
-    let mut cfg = RunConfig::new(proto, block).with_fabric(fabric);
-    cfg.obs.trace = trace_env().unwrap_or_else(|e| bad_arg("diag", e));
-    if check {
-        cfg = cfg.with_check();
-    }
-    if adaptive {
-        let data = profile_run(&program);
-        let plan = choose_policies(&program, &data, &cfg);
-        cfg = plan.apply(cfg);
-        decisions = plan.decisions;
-    }
+    words.extend(option_words);
+    let mut run = RunSpec::parse_words(words.iter().map(String::as_str))
+        .unwrap_or_else(|e| bad_arg("diag", e));
+    let trace = trace_env().unwrap_or_else(|e| bad_arg("diag", e));
+    let program = run.program().unwrap_or_else(|e| bad_arg("diag", e));
+    let decisions: Vec<RegionDecision> = if adaptive {
+        run.adapt(&program).decisions
+    } else {
+        Vec::new()
+    };
+    let mut cfg = run.to_config();
+    cfg.obs.trace = trace;
     if trace_path.is_some() {
         cfg = cfg.with_recording();
-    }
-    if critpath {
-        cfg = cfg.with_spans();
     }
     if let Some(ns) = series_ns {
         cfg = cfg.with_series(ns);
@@ -327,7 +325,7 @@ fn main() {
     // Critical-path extraction happens up front so a broken attribution
     // (non-exact sum, or a spans-on run yielding no spans) fails loudly in
     // both output modes.
-    let cp = if critpath {
+    let cp = if run.spans {
         let cp = critical_path(&r.obs, r.stats.parallel_time_ns).unwrap_or_else(|| {
             eprintln!("--critpath: run produced no span events");
             std::process::exit(1);
@@ -353,6 +351,7 @@ fn main() {
         eprintln!("wrote Perfetto trace to {path}");
     }
 
+    let name = &run.app.name;
     if json {
         println!("{}", config_record(name, adaptive, &r));
         for reg in &r.regions {
@@ -385,13 +384,17 @@ fn main() {
             cfg.block_size
         )
     } else {
-        format!("{proto:?}@{block}")
+        format!("{:?}@{}", run.protocol, run.block)
     };
+    println!("run: {run}");
     println!(
         "{name} {mode}: speedup {:.2} (seq {seq:.1}ms par {par:.1}ms) check={:?}",
         r.speedup(),
         r.check.is_ok()
     );
+    if let Err(e) = &r.check {
+        println!("  verify: {e}");
+    }
     if cfg.check {
         if r.violations.is_empty() {
             println!("  checker: clean (race detector + protocol invariants)");

@@ -11,9 +11,11 @@
 //! counters (`lease_renewals`, `lease_expiries`, `wts_bumps`) as typed
 //! fields; they are zero under the other protocols. An unknown option or
 //! application is a one-line message and exit status 2.
-use dsm_bench::cli::{app_arg, bad_arg};
+use dsm_apps::{build_app, AppSize};
+use dsm_bench::cli::bad_arg;
 use dsm_bench::records::cell_record;
-use dsm_core::{run_experiment, Protocol, RunConfig, GRANULARITIES};
+use dsm_core::{run_experiment, Protocol, GRANULARITIES};
+use dsm_scenario::RunSpec;
 use std::time::Instant;
 
 fn main() {
@@ -39,7 +41,9 @@ fn main() {
     // Every name is checked before the first cell runs.
     let programs: Vec<_> = names
         .iter()
-        .map(|name| app_arg(name).unwrap_or_else(|e| bad_arg("probe", e)))
+        .map(|name| {
+            build_app(name, AppSize::Standard, 1, &[]).unwrap_or_else(|e| bad_arg("probe", e))
+        })
         .collect();
     for (name, program) in names.iter().zip(programs) {
         if !json {
@@ -49,7 +53,8 @@ fn main() {
             let mut row = format!("{:8}", p.name());
             for g in GRANULARITIES {
                 let t0 = Instant::now();
-                let r = run_experiment(&RunConfig::new(p, g), program.clone());
+                let cfg = RunSpec::new(name, p, g).to_config();
+                let r = run_experiment(&cfg, program.clone());
                 let elapsed = t0.elapsed().as_secs_f64();
                 if json {
                     println!("{}", cell_record(name, &r, elapsed));

@@ -107,7 +107,7 @@ fn main() -> ExitCode {
         }
         eprintln!(
             "scenario {}: {} x{} on {} nodes ({} jobs) ...",
-            spec.name, spec.app.name, spec.reps, spec.nodes, jobs
+            spec.name, spec.run.app.name, spec.reps, spec.run.nodes, jobs
         );
         let out = match run_scenario(spec, jobs) {
             Ok(o) => o,
@@ -127,7 +127,7 @@ fn main() -> ExitCode {
         );
         for r in out.reps.iter().filter(|r| !r.violation_details.is_empty()) {
             for d in &r.violation_details {
-                eprintln!("  rep {} seed {:#x}: {d}", r.rep, r.seed);
+                eprintln!("  rep {} seed {:#x}: {d}", r.rep, r.run.seed);
             }
         }
         all_ok &= out.ok();

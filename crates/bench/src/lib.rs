@@ -12,8 +12,9 @@
 //! [`agg`], and every table is rendered by [`table::Table`].
 //!
 //! The crate also holds the command-line tools: `diag`, `probe`, `report`
-//! and `scenario` (the JSON run plans of `dsm-scenario`), with their
-//! arguments parsed in [`cli`].
+//! and `scenario` (the JSON run plans of `dsm-scenario`). A run they make
+//! is a [`dsm_scenario::RunSpec`], whose line is `diag`'s argument list;
+//! the environment variables they read are parsed in [`cli`].
 
 pub mod agg;
 pub mod cli;
@@ -23,4 +24,4 @@ pub mod report;
 pub mod sweep;
 pub mod table;
 
-pub use sweep::{default_jobs, run_cell, run_cells, CellResult, CellSpec, Grid};
+pub use sweep::{default_jobs, run_cell, run_cells, CellResult, Grid};

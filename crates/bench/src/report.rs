@@ -10,14 +10,14 @@
 
 use std::fmt;
 
-use dsm_adapt::run_adaptive;
 use dsm_apps::registry::{all_app_names, app};
 use dsm_core::{
-    run_experiment, run_parallel, run_sequential, FabricConfig, Notify, Protocol, RunConfig,
-    GRANULARITIES,
+    run_experiment, run_parallel, run_sequential, ExperimentResult, Notify, Program, Protocol,
+    RunConfig, GRANULARITIES,
 };
 use dsm_net::LatencyModel;
 use dsm_obs::Counters;
+use dsm_scenario::RunSpec;
 
 use crate::agg::{harmonic_mean, EfficiencyMatrix};
 use crate::paper::{
@@ -154,6 +154,20 @@ fn list(values: impl Iterator<Item = String>) -> String {
     values.collect::<Vec<_>>().join(", ")
 }
 
+/// `run`'s configuration and program. Its line must read back as it, so
+/// every run the report makes is a `diag` argument list.
+fn setup(run: &RunSpec) -> (RunConfig, Program) {
+    assert_eq!(run.to_string().parse::<RunSpec>().as_ref(), Ok(run));
+    let program = run.program().unwrap_or_else(|e| panic!("{run}: {e}"));
+    (run.to_config(), program)
+}
+
+/// `run` and its sequential baseline.
+fn experiment(run: &RunSpec) -> ExperimentResult {
+    let (cfg, program) = setup(run);
+    run_experiment(&cfg, program)
+}
+
 /// A per-application speedup grid (one row per protocol); `!` marks a cell
 /// that failed verification.
 fn speedup_table(g: &Grid, app: &str) -> String {
@@ -218,7 +232,7 @@ fn efficiency(g: &Grid, apps: &[&str], key: fn(&str) -> &str) -> EfficiencyMatri
     for &app in apps {
         for p in Protocol::ALL {
             for cell in g.row(app, p) {
-                m.record(key(app), p.name(), cell.block, cell.speedup());
+                m.record(key(app), p.name(), cell.run.block, cell.speedup());
             }
         }
     }
@@ -399,14 +413,9 @@ fn fig1(g: &Grid) -> Section {
     for app in apps {
         out!(s, "{}", speedup_table(g, app));
     }
-    let polling = g.cells().iter().filter(|c| c.notify == Notify::Polling);
+    let polling = g.cells().iter().filter(|c| c.run.notify == Notify::Polling);
     let runs: Vec<(String, bool)> = polling
-        .map(|c| {
-            (
-                format!("{} {}@{}", c.app, c.protocol, c.block),
-                c.check_err.is_none(),
-            )
-        })
+        .map(|c| (c.run.to_string(), c.check_err.is_none()))
         .collect();
     s.verified("fig1-verified", &runs);
 
@@ -788,7 +797,6 @@ fn ablations(_: &Grid) -> Section {
         "Ablation: first-touch vs static home assignment",
     );
     let mut runs = Vec::new();
-    let volrend = || app("volrend-original").unwrap();
 
     // First-touch homing places each block at the node that uses it; static
     // round-robin scatters homes arbitrarily, forcing remote traffic even
@@ -801,9 +809,10 @@ fn ablations(_: &Grid) -> Section {
         ("ocean-rowwise", Protocol::Hlrc),
         ("water-nsquared", Protocol::Hlrc),
     ] {
-        let cfg = RunConfig::new(proto, 4096);
-        let ft = run_experiment(&cfg, app(name).unwrap());
-        let st = run_experiment(&cfg.with_static_homes(), app(name).unwrap());
+        let mut run = RunSpec::new(name, proto, 4096);
+        let ft = experiment(&run);
+        run.static_homes = true;
+        let st = experiment(&run);
         runs.push((format!("{name}/{proto} first-touch"), ft.check.is_ok()));
         runs.push((format!("{name}/{proto} static"), st.check.is_ok()));
         let ratio = ft.speedup() / st.speedup();
@@ -839,9 +848,10 @@ fn ablations(_: &Grid) -> Section {
     );
     let mut t = Table::new(&["Grace (us)", "Speedup", "Faults"]);
     for grace_us in [0u64, 50, 200, 1000] {
-        let mut cfg = RunConfig::new(Protocol::Sc, 4096).with_notify(Notify::Interrupt);
-        cfg.cost.intr_grace_ns = grace_us * 1000;
-        let r = run_experiment(&cfg, volrend());
+        let mut run = RunSpec::new("volrend-original", Protocol::Sc, 4096);
+        run.notify = Notify::Interrupt;
+        run.cost.intr_grace_ns = grace_us * 1000;
+        let r = experiment(&run);
         runs.push((format!("grace {grace_us} us"), r.check.is_ok()));
         let tot = r.stats.totals();
         let faults = tot.read_faults + tot.write_faults;
@@ -863,13 +873,15 @@ fn ablations(_: &Grid) -> Section {
         s,
         "== Ablation: polling instrumentation overhead (LU SC@4096) ==\n"
     );
-    let intr_cfg = RunConfig::new(Protocol::Sc, 4096).with_notify(Notify::Interrupt);
-    let intr = run_experiment(&intr_cfg, app("lu").unwrap()).speedup();
+    let mut lu = RunSpec::new("lu", Protocol::Sc, 4096);
+    lu.notify = Notify::Interrupt;
+    let intr = experiment(&lu).speedup();
+    lu.notify = Notify::Polling;
     out!(s, "interrupt baseline: {intr:.2}\n");
     let mut t = Table::new(&["Inflation %", "Polling speedup", "vs interrupt"]);
     for pct in [0u32, 15, 35, 55] {
-        let prog = std::sync::Arc::new(InflationOverride(app("lu").unwrap(), pct));
-        let r = run_experiment(&RunConfig::new(Protocol::Sc, 4096), prog);
+        let (cfg, program) = setup(&lu);
+        let r = run_experiment(&cfg, std::sync::Arc::new(InflationOverride(program, pct)));
         runs.push((format!("inflation {pct} %"), r.check.is_ok()));
         t.row(&[
             pct.to_string(),
@@ -891,9 +903,9 @@ fn ablations(_: &Grid) -> Section {
     let mut t = Table::new(&["Delay (us)", "Speedup", "Faults"]);
     let mut best = (0u64, 0.0f64);
     for delay_us in [0u64, 100, 500, 2000] {
-        let mut cfg = RunConfig::new(Protocol::Sc, 4096);
-        cfg.cost.delayed_inval_ns = delay_us * 1000;
-        let r = run_experiment(&cfg, volrend());
+        let mut run = RunSpec::new("volrend-original", Protocol::Sc, 4096);
+        run.cost.delayed_inval_ns = delay_us * 1000;
+        let r = experiment(&run);
         runs.push((format!("delay {delay_us} us"), r.check.is_ok()));
         if r.speedup() > best.1 {
             best = (delay_us, r.speedup());
@@ -1014,12 +1026,13 @@ fn ext_fabric(_: &Grid) -> Section {
     let mut times = Vec::new();
     let mut ideal_frames = 0;
     for (label, fabric) in [
-        ("ideal", FabricConfig::ideal()),
-        ("contended", FabricConfig::contended()),
-        ("faulty (1% drop)", FabricConfig::faulty(1)),
+        ("ideal", "ideal"),
+        ("contended", "contended"),
+        ("faulty (1% drop)", "faulty"),
     ] {
-        let cfg = RunConfig::new(Protocol::Sc, 4096).with_fabric(fabric);
-        let r = run_experiment(&cfg, app("ocean-original").unwrap());
+        let mut run = RunSpec::new("ocean-original", Protocol::Sc, 4096);
+        run.fabric = fabric.to_string();
+        let r = experiment(&run);
         runs.push((label.to_string(), r.check.is_ok()));
         let c = r.stats.totals();
         if label == "ideal" {
@@ -1059,14 +1072,16 @@ fn ext_fabric(_: &Grid) -> Section {
     // run, not the sequential baseline, to isolate the fabric).
     out!(s, "LU, HLRC @ 4096 B, increasing loss (seed 11):");
     let mut t = Table::new(&["Drop ppm", "Par ms", "Retries", "Exhausted"]);
-    let clean = run_parallel(&RunConfig::new(Protocol::Hlrc, 4096), app("lu").unwrap());
+    let mut lu = RunSpec::new("lu", Protocol::Hlrc, 4096);
+    let mut parallel = |fabric: String| {
+        lu.fabric = fabric;
+        let (cfg, program) = setup(&lu);
+        run_parallel(&cfg, program)
+    };
+    let clean = parallel("ideal".to_string());
     let mut diverged = Vec::new();
     for drop_ppm in [0u32, 10_000, 50_000, 200_000] {
-        let fabric = FabricConfig::parse(&format!("faulty,seed=11,drop={drop_ppm}")).unwrap();
-        let r = run_parallel(
-            &RunConfig::new(Protocol::Hlrc, 4096).with_fabric(fabric),
-            app("lu").unwrap(),
-        );
+        let r = parallel(format!("faulty,seed=11,drop={drop_ppm}"));
         if r.image.bytes() != clean.image.bytes() {
             diverged.push(format!("drop={drop_ppm}"));
         }
@@ -1112,7 +1127,9 @@ fn ext_scaling(_: &Grid) -> Section {
         ] {
             let mut row = vec![name.to_string()];
             for nodes in [8usize, 16, 32] {
-                let r = run_experiment(&RunConfig::new(p, g).with_nodes(nodes), app(name).unwrap());
+                let mut run = RunSpec::new(name, p, g);
+                run.nodes = nodes;
+                let r = experiment(&run);
                 runs.push((format!("{name} {p}@{g} {nodes} nodes"), r.check.is_ok()));
                 row.push(format!("{:.2}", r.speedup()));
             }
@@ -1158,10 +1175,13 @@ fn ext_adaptive(g: &Grid) -> Section {
             .flat_map(|p| g.row(name, p))
             .min_by_key(|c| c.stats.parallel_time_ns)
             .expect("sixteen cells");
-        let best_name = format!("{}@{}", best.protocol, best.block);
+        let best_name = format!("{}@{}", best.run.protocol, best.run.block);
         let t_best = best.stats.parallel_time_ns as f64;
 
-        let (plan, r) = run_adaptive(&RunConfig::new(Protocol::Sc, 64), app(name).unwrap());
+        let mut adaptive = RunSpec::new(name, Protocol::Sc, 64);
+        let program = adaptive.program().unwrap();
+        let plan = adaptive.adapt(&program);
+        let r = run_experiment(&adaptive.to_config(), program);
         runs.push((name.to_string(), r.check.is_ok()));
         let picked = if plan.mixed {
             let per = plan.decisions.iter();
@@ -1238,7 +1258,8 @@ mod tests {
     /// A hand-made cell with the paper's shape. Class A applications are
     /// best with fine-grain SC, class B with HLRC@4096, class C with both;
     /// restructured versions run twice as fast as everything else.
-    fn cell(app: &str, protocol: Protocol, block: usize, notify: Notify) -> CellResult {
+    fn cell(run: &RunSpec) -> CellResult {
+        let (app, protocol, block) = (run.app.name.as_str(), run.protocol, run.block);
         let class = match app {
             "barnes-original" | "raytrace" | "volrend-original" => 'A',
             "fft" | "ocean-original" | "water-nsquared" => 'B',
@@ -1254,7 +1275,7 @@ mod tests {
             (SwLrc, 4096, _) => 1.5,
             _ => 3.0,
         } * if restructured { 2.0 } else { 1.0 }
-            * if notify == Notify::Interrupt {
+            * if run.notify == Notify::Interrupt {
                 1.2
             } else {
                 1.0
@@ -1288,10 +1309,7 @@ mod tests {
         };
         let seq = 1_000_000_000u64;
         CellResult {
-            app: app.to_string(),
-            protocol,
-            block,
-            notify,
+            run: run.clone(),
             stats: RunStats {
                 per_node: vec![counters],
                 parallel_time_ns: (seq as f64 / speedup) as u64,
@@ -1303,17 +1321,9 @@ mod tests {
     }
 
     fn synthetic() -> Grid {
-        let polling = all_app_names().map(|app| (app, Notify::Polling));
-        let interrupt = INTERRUPT_APPS.map(|app| (app, Notify::Interrupt));
-        let mut cells = Vec::new();
-        for (app, notify) in polling.into_iter().chain(interrupt) {
-            for p in Protocol::ALL {
-                for block in GRANULARITIES {
-                    cells.push(cell(app, p, block, notify));
-                }
-            }
+        Grid {
+            cells: Grid::standard_runs().iter().map(cell).collect(),
         }
-        Grid { cells }
     }
 
     fn sections(g: &Grid) -> Vec<Section> {
@@ -1343,11 +1353,18 @@ mod tests {
         let i = g
             .cells
             .iter()
-            .position(|c| {
-                c.app == app && c.protocol == p && c.block == block && c.notify == Notify::Polling
-            })
+            .position(|c| c.run == RunSpec::new(app, p, block))
             .unwrap();
         edit(&mut g.cells[i]);
+    }
+
+    /// Every grid cell's line reads back as its run; the report's other
+    /// runs check theirs in `setup`, as they are made.
+    #[test]
+    fn every_grid_run_round_trips_through_its_line() {
+        for r in Grid::standard_runs() {
+            assert_eq!(r.to_string().parse::<RunSpec>(), Ok(r.clone()), "{r}");
+        }
     }
 
     #[test]

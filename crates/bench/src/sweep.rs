@@ -3,7 +3,8 @@
 //! A full protocol × granularity sweep of all twelve applications (192
 //! Standard cells) plus Figure 2's 32 interrupt cells is one [`Grid`],
 //! computed once per process by [`Grid::standard`]; every report section
-//! reads its cells from there.
+//! reads its cells from there. A cell is a [`RunSpec`], so the line it
+//! prints as is the `diag` argument list that re-runs it.
 //!
 //! Cells are independent deterministic simulations, so [`run_cells`] fans
 //! them out over the scenario engine's worker pool
@@ -12,10 +13,10 @@
 //! [`default_jobs`] is `DSM_BENCH_JOBS`, read by [`cli::jobs_env`], or the
 //! machine's available parallelism.
 
-use dsm_apps::AppSize;
-use dsm_core::{run_experiment, Notify, Protocol, RunConfig, GRANULARITIES};
+use dsm_core::{run_experiment, Notify, Protocol, GRANULARITIES};
 use dsm_obs::RunStats;
 use dsm_scenario::exec::pool_map;
+use dsm_scenario::RunSpec;
 
 use crate::cli;
 
@@ -25,14 +26,8 @@ pub const INTERRUPT_APPS: [&str; 2] = ["lu", "water-nsquared"];
 /// The result of one experiment cell.
 #[derive(Debug, Clone)]
 pub struct CellResult {
-    /// Application name.
-    pub app: String,
-    /// Coherence protocol.
-    pub protocol: Protocol,
-    /// Coherence granularity (bytes).
-    pub block: usize,
-    /// Notification mechanism.
-    pub notify: Notify,
+    /// The run.
+    pub run: RunSpec,
     /// Full run statistics (sequential baseline included).
     pub stats: RunStats,
     /// Error text if verification failed (None = verified).
@@ -43,32 +38,6 @@ impl CellResult {
     /// Parallel speedup.
     pub fn speedup(&self) -> f64 {
         self.stats.speedup()
-    }
-}
-
-/// One cell of a sweep: an (application, protocol, granularity, notify)
-/// combination.
-#[derive(Debug, Clone)]
-pub struct CellSpec {
-    /// Application name (see [`dsm_apps::all_app_names`]).
-    pub app: String,
-    /// Coherence protocol.
-    pub protocol: Protocol,
-    /// Coherence granularity (bytes).
-    pub block: usize,
-    /// Notification mechanism.
-    pub notify: Notify,
-}
-
-impl CellSpec {
-    /// A cell under the polling notification default.
-    pub fn new(app: &str, protocol: Protocol, block: usize) -> CellSpec {
-        CellSpec {
-            app: app.to_string(),
-            protocol,
-            block,
-            notify: Notify::Polling,
-        }
     }
 }
 
@@ -83,36 +52,29 @@ pub fn default_jobs() -> usize {
     })
 }
 
-/// Run one cell at the given application size.
-pub fn run_cell(spec: &CellSpec, size: AppSize) -> CellResult {
-    let program = dsm_apps::app_sized(&spec.app, size)
-        .unwrap_or_else(|| panic!("unknown application {}", spec.app));
-    let cfg = RunConfig::new(spec.protocol, spec.block).with_notify(spec.notify);
-    let r = run_experiment(&cfg, program);
+/// Run one cell; panics if its application does not build.
+pub fn run_cell(run: &RunSpec) -> CellResult {
+    let program = run.program().unwrap_or_else(|e| panic!("{run}: {e}"));
+    let r = run_experiment(&run.to_config(), program);
     CellResult {
-        app: spec.app.clone(),
-        protocol: spec.protocol,
-        block: spec.block,
-        notify: spec.notify,
+        run: run.clone(),
         stats: r.stats,
         check_err: r.check.err(),
     }
 }
 
-/// Run every cell at the given size across `jobs` worker threads, returning
-/// results in spec order — bit-identical to running them serially.
-pub fn run_cells(specs: &[CellSpec], jobs: usize, size: AppSize) -> Vec<CellResult> {
-    pool_map(specs.len(), jobs, |i| run_cell(&specs[i], size))
+/// Run every cell across `jobs` worker threads, returning results in input
+/// order — bit-identical to running them serially.
+pub fn run_cells(runs: &[RunSpec], jobs: usize) -> Vec<CellResult> {
+    pool_map(runs.len(), jobs, |i| run_cell(&runs[i]))
 }
 
-/// The protocol × granularity grid of specs for one application.
-fn app_specs(app: &str, notify: Notify) -> impl Iterator<Item = CellSpec> + '_ {
+/// The protocol × granularity grid of runs for one application.
+fn app_runs(app: &str, notify: Notify) -> impl Iterator<Item = RunSpec> + '_ {
     Protocol::ALL.into_iter().flat_map(move |protocol| {
-        GRANULARITIES.into_iter().map(move |block| CellSpec {
-            app: app.to_string(),
-            protocol,
-            block,
+        GRANULARITIES.into_iter().map(move |block| RunSpec {
             notify,
+            ..RunSpec::new(app, protocol, block)
         })
     })
 }
@@ -124,19 +86,22 @@ pub struct Grid {
 }
 
 impl Grid {
-    /// The Standard-size grid: every application × protocol × granularity
-    /// under polling, plus [`INTERRUPT_APPS`] under interrupts, all on one
-    /// worker pool of `jobs` threads.
-    pub fn standard(jobs: usize) -> Grid {
+    /// The Standard-size grid's runs: every application × protocol ×
+    /// granularity under polling, plus [`INTERRUPT_APPS`] under interrupts.
+    pub fn standard_runs() -> Vec<RunSpec> {
         let polling = dsm_apps::all_app_names()
             .into_iter()
-            .flat_map(|app| app_specs(app, Notify::Polling));
+            .flat_map(|app| app_runs(app, Notify::Polling));
         let interrupt = INTERRUPT_APPS
             .into_iter()
-            .flat_map(|app| app_specs(app, Notify::Interrupt));
-        let specs: Vec<CellSpec> = polling.chain(interrupt).collect();
+            .flat_map(|app| app_runs(app, Notify::Interrupt));
+        polling.chain(interrupt).collect()
+    }
+
+    /// The Standard-size grid, run on one worker pool of `jobs` threads.
+    pub fn standard(jobs: usize) -> Grid {
         Grid {
-            cells: run_cells(&specs, jobs, AppSize::Standard),
+            cells: run_cells(&Grid::standard_runs(), jobs),
         }
     }
 
@@ -148,11 +113,11 @@ impl Grid {
     /// The cell for `(app, protocol, block, notify)`; panics if the grid
     /// does not hold it (a report asked for a cell the grid never runs).
     pub fn cell(&self, app: &str, protocol: Protocol, block: usize, notify: Notify) -> &CellResult {
-        self.cells
-            .iter()
-            .find(|c| {
-                c.app == app && c.protocol == protocol && c.block == block && c.notify == notify
-            })
+        let run = RunSpec {
+            notify,
+            ..RunSpec::new(app, protocol, block)
+        };
+        (self.cells.iter().find(|c| c.run == run))
             .unwrap_or_else(|| panic!("the grid holds no cell {app} {protocol}@{block} {notify}"))
     }
 

@@ -37,6 +37,17 @@ fn diag_rejects_malformed_positionals() {
     rejects(diag, &["lu", "sc", "sixty"], &[], "sixty");
     rejects(diag, &["lu", "sc", "100"], &[], "100");
     rejects(diag, &["--mc", "block=100"], &[], "100");
+    // What a malformed word takes is named too.
+    rejects(diag, &["lu", "mesi", "64"], &[], "tardis");
+    rejects(diag, &["nosuchapp", "sc", "64"], &[], "water-spatial");
+    // A run's block and the model checker's follow one rule: a power of two
+    // up to twice the program's shared space (one page for `msg`).
+    rejects(
+        diag,
+        &["--mc", "prog=msg,block=16384"],
+        &[],
+        "from 8 to 8192",
+    );
     // A block far beyond the program's shared space is refused, not
     // allocated once per node.
     rejects(diag, &["lu", "sc", "1099511627776"], &[], "1099511627776");
@@ -79,6 +90,17 @@ fn diag_rejects_malformed_positionals() {
         &[("DSM_TRACE", "bogus")],
         "DSM_TRACE",
     );
+    // The words after APP PROTOCOL BLOCK are the run line's keys.
+    for (word, names) in [
+        ("notify=sometimes", "notify=sometimes"),
+        ("nodes=0", "nodes=0"),
+        ("bogus=3", "bogus"),
+        ("intr_grace_ns=soon", "intr_grace_ns=soon"),
+        ("region=values:sc", "region=values:sc"),
+        ("region=vals:hlrc@4096", "region=vals:hlrc@4096"),
+    ] {
+        rejects(diag, &["lu", "sc", "64", word], &[], names);
+    }
 }
 
 #[test]

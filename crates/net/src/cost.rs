@@ -9,7 +9,7 @@ use dsm_sim::Time;
 /// signal cost, polling mechanism costs) and otherwise estimated for a
 /// 66 MHz HyperSPARC with a 50 MHz Mbus (copy and diff scan rates). All
 /// values are virtual nanoseconds.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CostModel {
     /// Typhoon-0 access fault exception delivered to the run-time (§3: ~5 µs).
     pub fault_exception_ns: Time,

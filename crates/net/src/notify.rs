@@ -36,7 +36,9 @@ impl std::str::FromStr for Notify {
         match s.to_ascii_lowercase().as_str() {
             "polling" | "poll" | "polled" => Ok(Notify::Polling),
             "interrupt" | "intr" | "interrupts" => Ok(Notify::Interrupt),
-            other => Err(format!("unknown notification mechanism: {other}")),
+            _ => Err(format!(
+                "unknown notification mechanism {s:?} (one of: polling, interrupt)"
+            )),
         }
     }
 }

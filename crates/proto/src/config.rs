@@ -59,7 +59,9 @@ impl std::str::FromStr for Protocol {
             "sw-lrc" | "swlrc" | "sw" => Ok(Protocol::SwLrc),
             "hlrc" | "hl" => Ok(Protocol::Hlrc),
             "tardis" | "td" => Ok(Protocol::Tardis),
-            other => Err(format!("unknown protocol: {other}")),
+            _ => Err(format!(
+                "unknown protocol {s:?} (one of: sc, sw-lrc, hlrc, tardis)"
+            )),
         }
     }
 }

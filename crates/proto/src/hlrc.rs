@@ -503,13 +503,13 @@ mod tests {
     use crate::config::RunConfig;
     use crate::msg::Envelope;
     use dsm_mem::Layout;
-    use dsm_sim::engine::SchedInner;
+    use dsm_sim::engine::Sched;
 
-    fn setup() -> (ProtoWorld, SchedInner<Packet>) {
+    fn setup() -> (ProtoWorld, Sched<Packet>) {
         let cfg = RunConfig::new(crate::Protocol::Hlrc, 256).with_nodes(4);
         let mut w = ProtoWorld::new(cfg, Layout::new(4096, 256));
         w.load_golden(vec![3u8; 4096]);
-        (w, SchedInner::for_testing(4))
+        (w, Sched::for_testing(4))
     }
 
     #[test]

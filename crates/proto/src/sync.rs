@@ -386,13 +386,13 @@ mod tests {
     use crate::config::RunConfig;
     use crate::msg::Envelope;
     use dsm_mem::Layout;
-    use dsm_sim::engine::SchedInner;
+    use dsm_sim::engine::Sched;
 
-    fn setup(protocol: crate::Protocol) -> (ProtoWorld, SchedInner<Packet>) {
+    fn setup(protocol: crate::Protocol) -> (ProtoWorld, Sched<Packet>) {
         let cfg = RunConfig::new(protocol, 256).with_nodes(4);
         (
             ProtoWorld::new(cfg, Layout::new(4096, 256)),
-            SchedInner::for_testing(4),
+            Sched::for_testing(4),
         )
     }
 

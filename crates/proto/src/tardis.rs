@@ -443,18 +443,18 @@ mod tests {
     use crate::ops::{self, Attempt};
     use crate::vt::LEASE_TS;
     use dsm_mem::Layout;
-    use dsm_sim::engine::SchedInner;
+    use dsm_sim::engine::Sched;
 
-    fn setup() -> (ProtoWorld, SchedInner<Packet>) {
+    fn setup() -> (ProtoWorld, Sched<Packet>) {
         let cfg = RunConfig::new(crate::Protocol::Tardis, 256).with_nodes(4);
         let mut w = ProtoWorld::new(cfg, Layout::new(4096, 256));
         w.load_golden(vec![3u8; 4096]);
-        (w, SchedInner::for_testing(4))
+        (w, Sched::for_testing(4))
     }
 
     /// Drain the queue and advance test-time past the last drained event,
     /// so a follow-up handler call never posts into the drained past.
-    fn drain(s: &mut SchedInner<Packet>) -> Vec<(dsm_sim::Time, NodeId, Option<Packet>)> {
+    fn drain(s: &mut Sched<Packet>) -> Vec<(dsm_sim::Time, NodeId, Option<Packet>)> {
         let evs = s.take_events();
         if let Some(t) = evs.iter().map(|(t, ..)| *t).max() {
             s.set_now_for_testing(t);
@@ -466,7 +466,7 @@ mod tests {
     #[allow(clippy::too_many_arguments)]
     fn fetch(
         w: &mut ProtoWorld,
-        s: &mut SchedInner<Packet>,
+        s: &mut Sched<Packet>,
         me: NodeId,
         from: NodeId,
         b: BlockId,

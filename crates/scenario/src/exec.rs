@@ -8,29 +8,23 @@
 //! whole JSONL document is byte-identical across invocations.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use dsm_adapt::{choose_policies, profile_run};
 use dsm_core::RunStats;
-use dsm_core::{run_experiment, schema, FabricConfig, Protocol, RegionPolicy, RunConfig};
+use dsm_core::{run_experiment, schema};
 use dsm_json::Value;
 
-use crate::spec::{policy_json, Mode, ScenarioSpec};
+use crate::run::RunSpec;
+use crate::spec::{policy_json, ScenarioSpec};
 
 /// Result of one repetition.
 #[derive(Debug)]
 pub struct RepOutcome {
     /// Repetition index (0-based).
     pub rep: usize,
-    /// Seed the repetition ran under.
-    pub seed: u64,
-    /// Effective default protocol (the adaptive planner's uniform winner
-    /// when the mode is adaptive).
-    pub protocol: Protocol,
-    /// Effective default granularity.
-    pub block: usize,
-    /// Per-region policies actually applied (empty for a uniform run).
-    pub policies: Vec<RegionPolicy>,
+    /// The run the repetition made: the plan's run with this repetition's
+    /// seed and, under the adaptive mode, the planned policies.
+    pub run: RunSpec,
     /// Full run statistics, sequential baseline included.
     pub stats: RunStats,
     /// Error text if the parallel image diverged from the sequential one.
@@ -59,51 +53,20 @@ pub struct ScenarioOutcome {
     pub reps: Vec<RepOutcome>,
 }
 
-/// Build the effective `RunConfig` for one repetition — the mode decides
-/// protocol/granularity/policies, the rest of the spec decides everything
-/// else. Adaptive mode profiles this repetition's program (the seed
-/// reshapes it) and applies the planner's choice.
-fn config_for(spec: &ScenarioSpec, program: &dsm_core::Program) -> RunConfig {
-    let fabric = FabricConfig::parse(&spec.fabric).expect("fabric validated at parse time");
-    let apply = |mut cfg: RunConfig| {
-        cfg = cfg
-            .with_nodes(spec.nodes)
-            .with_notify(spec.notify)
-            .with_fabric(fabric.clone());
-        if spec.check {
-            cfg = cfg.with_check();
-        }
-        if spec.spans {
-            cfg = cfg.with_spans();
-        }
-        cfg
-    };
-    match &spec.mode {
-        Mode::Policy {
-            protocol,
-            block,
-            regions,
-        } => apply(RunConfig::new(*protocol, *block)).with_region_policies(regions.clone()),
-        Mode::Adaptive => {
-            let data = profile_run(program);
-            let base = apply(RunConfig::new(Protocol::Sc, 4096));
-            choose_policies(program, &data, &base).apply(base)
-        }
-    }
-}
-
 /// Run one repetition.
 fn run_rep(spec: &ScenarioSpec, rep: usize) -> Result<RepOutcome, String> {
-    let seed = spec.seeds.seed_for(rep);
-    let program = spec.app.build(seed)?;
-    let cfg = config_for(spec, &program);
-    let r = run_experiment(&cfg, Arc::clone(&program));
+    let mut run = RunSpec {
+        seed: spec.seeds.seed_for(rep),
+        ..spec.run.clone()
+    };
+    let program = run.program()?;
+    if spec.adaptive {
+        run.adapt(&program);
+    }
+    let r = run_experiment(&run.to_config(), program);
     Ok(RepOutcome {
         rep,
-        seed,
-        protocol: cfg.protocol,
-        block: cfg.block_size,
-        policies: cfg.region_policies,
+        run,
         stats: r.stats,
         check_err: r.check.err(),
         violations: r.violations.len(),
@@ -153,7 +116,7 @@ where
 pub fn run_scenario(spec: &ScenarioSpec, jobs: usize) -> Result<ScenarioOutcome, String> {
     // Surface build errors before spinning up the pool: a bad app spec
     // fails identically for every repetition.
-    spec.app.build(spec.seeds.seed_for(0))?;
+    spec.run.program()?;
     let reps: Result<Vec<RepOutcome>, String> = pool_map(spec.reps, jobs, |i| run_rep(spec, i))
         .into_iter()
         .collect();
@@ -217,13 +180,14 @@ impl ScenarioOutcome {
         let mut v = schema::record(schema::SCENARIO_REP);
         v.set("scenario", self.spec.name.as_str());
         v.set("rep", r.rep);
-        v.set("seed", r.seed);
-        v.set("protocol", r.protocol.name().to_lowercase());
-        v.set("block", r.block);
-        if !r.policies.is_empty() {
+        v.set("seed", r.run.seed);
+        v.set("run", r.run.to_string());
+        v.set("protocol", r.run.protocol.name().to_lowercase());
+        v.set("block", r.run.block);
+        if !r.run.regions.is_empty() {
             v.set(
                 "policies",
-                Value::Arr(r.policies.iter().map(policy_json).collect()),
+                Value::Arr(r.run.regions.iter().map(policy_json).collect()),
             );
         }
         v.set("check_ok", r.ok());
@@ -343,8 +307,8 @@ mod tests {
         );
         let out = run_scenario(&s, 2).unwrap();
         assert!(out.ok());
-        assert_eq!(out.reps[0].seed, 7);
-        assert_eq!(out.reps[1].seed, 8);
+        assert_eq!(out.reps[0].run.seed, 7);
+        assert_eq!(out.reps[1].run.seed, 8);
         // Different seeds reshape the op stream, so the traffic differs.
         assert_ne!(
             out.reps[0].stats.totals().msgs_sent,
@@ -366,7 +330,7 @@ mod tests {
         assert!(out.ok());
         let r = &out.reps[0];
         // The planner always pins an explicit policy per region.
-        assert!(!r.policies.is_empty());
+        assert!(!r.run.regions.is_empty());
         let line = out.rep_json(r).to_string();
         assert!(line.contains("\"policies\""), "{line}");
     }
@@ -406,7 +370,7 @@ mod tests {
             "mode": {"kind": "fixed", "protocol": "sc", "block": 64}
         }"#,
         );
-        s.app.params.push(("warp".to_string(), 9));
+        s.run.app.params.push(("warp".to_string(), 9));
         let e = run_scenario(&s, 1).unwrap_err();
         assert!(e.contains("unknown parameter"), "{e}");
     }

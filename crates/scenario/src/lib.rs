@@ -13,10 +13,11 @@
 //!
 //! The vocabulary is not restated here. An application and its parameters
 //! are built by [`dsm_apps::build_app`] from the registry's one table; a
-//! block is one of [`dsm_core::GRANULARITIES`]; and a mode is one of two
-//! forms ([`Mode`]): a default protocol × block with a list of
-//! [`dsm_core::RegionPolicy`] overrides (`"fixed"` when the list is empty,
-//! `"mixed"` when it is not), or the adaptive planner.
+//! block is one of [`dsm_core::GRANULARITIES`]; and a plan's run is one
+//! [`RunSpec`], the value every tool describes a run with: a repetition is
+//! the plan's run with its own seed (and, under the adaptive mode, the
+//! planner's policies written into it), and its `scenario-rep` record
+//! carries it as `"run"`, the line `diag` replays it from.
 //!
 //! Scenarios are parsed with the in-tree [`dsm_json`] parser (syntax errors
 //! carry line/column), validated strictly (unknown keys are errors), and
@@ -47,7 +48,9 @@
 //! runs a plan and prints the JSONL; bundled plans live in `scenarios/`.
 
 pub mod exec;
+pub mod run;
 pub mod spec;
 
 pub use exec::{pool_map, run_scenario, RepOutcome, ScenarioOutcome};
-pub use spec::{AppSpec, Mode, ScenarioSpec, SeedSeq, SCHEMA};
+pub use run::RunSpec;
+pub use spec::{AppSpec, ScenarioSpec, SeedSeq, SCHEMA};

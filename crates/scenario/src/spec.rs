@@ -22,10 +22,12 @@
 //! }
 //! ```
 
-use dsm_core::{FabricConfig, Notify, Program, Protocol, RegionPolicy, GRANULARITIES};
+use dsm_core::{Program, Protocol, RegionPolicy, GRANULARITIES};
 use dsm_json::Value;
 
 use dsm_apps::{build_app, AppSize};
+
+use crate::run::{fabric_arg, RunSpec, MAX_NODES};
 
 /// Version of the plan format and of every record the engine emits: the
 /// `"scenario"` records' version in [`dsm_core::schema`], which keeps the
@@ -57,26 +59,6 @@ impl AppSpec {
     }
 }
 
-/// Coherence policy selection for the whole run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Mode {
-    /// A default (protocol, granularity) with per-region overrides naming
-    /// the program's `RegionHints`. With no overrides the run is uniform,
-    /// written `"kind": "fixed"`; with some it is `"kind": "mixed"`.
-    Policy {
-        /// Protocol of every region no override names.
-        protocol: Protocol,
-        /// Granularity of every region no override names.
-        block: usize,
-        /// Overrides in spec order.
-        regions: Vec<RegionPolicy>,
-    },
-    /// Let the adaptive planner profile the program and pin a combination
-    /// per region (fresh plan every repetition, since the seed reshapes
-    /// the program).
-    Adaptive,
-}
-
 /// How repetition seeds are produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SeedSeq {
@@ -101,22 +83,17 @@ impl SeedSeq {
 pub struct ScenarioSpec {
     /// Scenario name (reported in every output record).
     pub name: String,
-    /// What to run.
-    pub app: AppSpec,
-    /// Cluster size.
-    pub nodes: usize,
-    /// Coherence policy.
-    pub mode: Mode,
-    /// Fabric spec in the `diag --fabric` grammar (`ideal`, `contended`,
-    /// `faulty[,k=v,...]`). Stored as written; validated at parse time.
-    pub fabric: String,
-    /// Install the race detector + invariant checker on every repetition.
-    pub check: bool,
-    /// Record causal spans (zero virtual-time cost; enables critical-path
-    /// extraction downstream).
-    pub spans: bool,
-    /// Notification mechanism.
-    pub notify: Notify,
+    /// The run every repetition makes: repetition `r` is this run with the
+    /// seed `seeds.seed_for(r)` (parsing sets the first repetition's). The
+    /// plan's `"mode"` is its protocol, block and regions (`"fixed"` when
+    /// there are none, `"mixed"` when there are some); its `"app"`,
+    /// `"nodes"`, `"fabric"`, `"check"`, `"spans"` and `"notify"` are the
+    /// run's own.
+    pub run: RunSpec,
+    /// `"mode": {"kind": "adaptive"}`: the adaptive planner profiles each
+    /// repetition's program (the seed reshapes it) and writes its plan into
+    /// the repetition's run ([`RunSpec::adapt`]).
+    pub adaptive: bool,
     /// Repetitions.
     pub reps: usize,
     /// Seed sequence over repetitions.
@@ -142,6 +119,27 @@ fn block_of(v: &Value, ctx: &str) -> Result<usize, String> {
     Ok(b)
 }
 
+/// An object's keys are among `keys`.
+fn known(fields: &[(String, Value)], keys: &[&str], ctx: &str) -> Result<(), String> {
+    match fields.iter().find(|(k, _)| !keys.contains(&k.as_str())) {
+        Some((k, _)) => Err(format!("{ctx}: unknown key {k:?}")),
+        None => Ok(()),
+    }
+}
+
+/// The plan's `key` read by `get`, or `default` when the plan leaves it out.
+fn field<'a, T>(
+    v: &'a Value,
+    key: &str,
+    get: fn(&'a Value) -> Option<T>,
+    what: &str,
+    default: T,
+) -> Result<T, String> {
+    v.get(key).map_or(Ok(default), |x| {
+        get(x).ok_or_else(|| format!("scenario: \"{key}\" must be {what}"))
+    })
+}
+
 /// A mixed mode's `"regions"`: a non-empty array of `{name, protocol,
 /// block}` objects, each checked strictly.
 fn regions_of(v: &Value) -> Result<Vec<RegionPolicy>, String> {
@@ -157,26 +155,13 @@ fn regions_of(v: &Value) -> Result<Vec<RegionPolicy>, String> {
         let Value::Obj(rfields) = r else {
             return Err(format!("{ctx}: must be an object"));
         };
-        if let Some((k, _)) = rfields
-            .iter()
-            .find(|(k, _)| !["name", "protocol", "block"].contains(&k.as_str()))
-        {
-            return Err(format!("{ctx}: unknown key {k:?}"));
-        }
-        let name = r
-            .get("name")
-            .and_then(Value::as_str)
+        known(rfields, &["name", "protocol", "block"], &ctx)?;
+        let get = |key: &str| r.get(key).ok_or_else(|| format!("{ctx}: missing {key}"));
+        let name = get("name")?
+            .as_str()
             .ok_or_else(|| format!("{ctx}: missing name"))?;
-        let protocol = proto_of(
-            r.get("protocol")
-                .ok_or_else(|| format!("{ctx}: missing protocol"))?,
-            &ctx,
-        )?;
-        let block = block_of(
-            r.get("block")
-                .ok_or_else(|| format!("{ctx}: missing block"))?,
-            &ctx,
-        )?;
+        let protocol = proto_of(get("protocol")?, &ctx)?;
+        let block = block_of(get("block")?, &ctx)?;
         regions.push(RegionPolicy::new(name, protocol, block));
     }
     Ok(regions)
@@ -206,15 +191,11 @@ impl ScenarioSpec {
         let Value::Obj(fields) = v else {
             return Err("scenario: document must be an object".to_string());
         };
-        const KNOWN: [&str; 11] = [
+        const KNOWN: [&str; 12] = [
             "schema", "name", "app", "nodes", "mode", "fabric", "check", "spans", "notify", "reps",
-            "seed",
+            "seed", "seeds",
         ];
-        for (k, _) in fields {
-            if !KNOWN.contains(&k.as_str()) && k != "seeds" {
-                return Err(format!("scenario: unknown key {k:?}"));
-            }
-        }
+        known(fields, &KNOWN, "scenario")?;
         if let Some(s) = v.get("schema") {
             if s.as_u64() != Some(u64::from(SCHEMA)) {
                 return Err(format!(
@@ -235,23 +216,9 @@ impl ScenarioSpec {
                 size: AppSize::Small,
                 params: Vec::new(),
             },
-            Value::Obj(afields) => {
-                for (k, _) in afields {
-                    if !["name", "size", "params"].contains(&k.as_str()) {
-                        return Err(format!("scenario app: unknown key {k:?}"));
-                    }
-                }
-                let aname = v
-                    .get("app")
-                    .and_then(|a| a.get("name"))
-                    .and_then(Value::as_str)
-                    .ok_or("scenario app: missing \"name\"")?
-                    .to_string();
-                let size = match v
-                    .get("app")
-                    .and_then(|a| a.get("size"))
-                    .and_then(Value::as_str)
-                {
+            a @ Value::Obj(afields) => {
+                known(afields, &["name", "size", "params"], "scenario app")?;
+                let size = match a.get("size").and_then(Value::as_str) {
                     None | Some("small") => AppSize::Small,
                     Some("standard") => AppSize::Standard,
                     Some(other) => {
@@ -260,20 +227,21 @@ impl ScenarioSpec {
                         ))
                     }
                 };
-                let mut params = Vec::new();
-                if let Some(p) = v.get("app").and_then(|a| a.get("params")) {
-                    let Value::Obj(pf) = p else {
-                        return Err("scenario app: \"params\" must be an object".to_string());
-                    };
-                    for (k, pv) in pf {
-                        let n = pv.as_u64().ok_or_else(|| {
-                            format!("scenario app param {k:?}: must be a non-negative integer")
-                        })?;
-                        params.push((k.clone(), n));
-                    }
-                }
+                let params = match a.get("params") {
+                    None => Vec::new(),
+                    Some(Value::Obj(pf)) => pf
+                        .iter()
+                        .map(|(k, pv)| {
+                            pv.as_u64().map(|n| (k.clone(), n)).ok_or_else(|| {
+                                format!("scenario app param {k:?}: must be a non-negative integer")
+                            })
+                        })
+                        .collect::<Result<_, _>>()?,
+                    Some(_) => return Err("scenario app: \"params\" must be an object".into()),
+                };
+                let aname = a.get("name").and_then(Value::as_str);
                 AppSpec {
-                    name: aname,
+                    name: aname.ok_or("scenario app: missing \"name\"")?.to_string(),
                     size,
                     params,
                 }
@@ -281,111 +249,70 @@ impl ScenarioSpec {
             _ => return Err("scenario: \"app\" must be a string or object".to_string()),
         };
 
-        // A modern workload's parameters are checked here, so a plan that
-        // would panic or truncate fails before anything runs. Construction is
-        // cheap: nothing is generated until the first run.
-        app.build(0).map_err(|e| format!("scenario {e}"))?;
+        let nodes = field(v, "nodes", Value::as_u64, "an integer", 16)? as usize;
+        if !(1..=MAX_NODES).contains(&nodes) {
+            return Err(format!(
+                "scenario: nodes {nodes} out of range 1..={MAX_NODES}"
+            ));
+        }
 
-        let nodes = match v.get("nodes") {
-            None => 16,
-            Some(n) => {
-                let n = n.as_u64().ok_or("scenario: \"nodes\" must be an integer")? as usize;
-                if !(1..=64).contains(&n) {
-                    return Err(format!("scenario: nodes {n} out of range 1..=64"));
-                }
-                n
+        let Some(m @ Value::Obj(mfields)) = v.get("mode") else {
+            return Err(match v.get("mode") {
+                None => "scenario: missing \"mode\"",
+                Some(_) => "scenario: \"mode\" must be an object",
+            }
+            .to_string());
+        };
+        let kind = m
+            .get("kind")
+            .and_then(Value::as_str)
+            .ok_or("scenario mode: missing \"kind\"")?;
+        let reads: &[&str] = match kind {
+            "fixed" => &["kind", "protocol", "block"],
+            "mixed" => &["kind", "protocol", "block", "regions"],
+            "adaptive" => &["kind"],
+            other => {
+                return Err(format!(
+                    "scenario mode: kind must be fixed|mixed|adaptive, got {other:?}"
+                ))
             }
         };
-
-        let mode = match v.get("mode").ok_or("scenario: missing \"mode\"")? {
-            m @ Value::Obj(mfields) => {
-                let kind = m
-                    .get("kind")
-                    .and_then(Value::as_str)
-                    .ok_or("scenario mode: missing \"kind\"")?;
-                let reads: &[&str] = match kind {
-                    "fixed" => &["kind", "protocol", "block"],
-                    "mixed" => &["kind", "protocol", "block", "regions"],
-                    "adaptive" => &["kind"],
-                    other => {
-                        return Err(format!(
-                            "scenario mode: kind must be fixed|mixed|adaptive, got {other:?}"
-                        ))
-                    }
-                };
-                if let Some((k, _)) = mfields.iter().find(|(k, _)| !reads.contains(&k.as_str())) {
-                    return Err(format!(
-                        "scenario mode: kind {kind:?} reads no key {k:?} (only {})",
-                        reads.join(", ")
-                    ));
-                }
-                if kind == "adaptive" {
-                    Mode::Adaptive
-                } else {
-                    Mode::Policy {
-                        protocol: proto_of(
-                            m.get("protocol").ok_or("scenario mode: missing protocol")?,
-                            "scenario mode",
-                        )?,
-                        block: block_of(
-                            m.get("block").ok_or("scenario mode: missing block")?,
-                            "scenario mode",
-                        )?,
-                        regions: if kind == "mixed" {
-                            regions_of(m.get("regions").unwrap_or(&Value::Null))?
-                        } else {
-                            Vec::new()
-                        },
-                    }
-                }
-            }
-            _ => return Err("scenario: \"mode\" must be an object".to_string()),
+        if let Some((k, _)) = mfields.iter().find(|(k, _)| !reads.contains(&k.as_str())) {
+            return Err(format!(
+                "scenario mode: kind {kind:?} reads no key {k:?} (only {})",
+                reads.join(", ")
+            ));
+        }
+        let adaptive = kind == "adaptive";
+        // The planner's base under the adaptive mode: it reads the nodes and
+        // costs only.
+        let (protocol, block, regions) = if adaptive {
+            (Protocol::Sc, 4096, Vec::new())
+        } else {
+            let get =
+                |key: &str| (m.get(key)).ok_or_else(|| format!("scenario mode: missing {key}"));
+            (
+                proto_of(get("protocol")?, "scenario mode")?,
+                block_of(get("block")?, "scenario mode")?,
+                match kind {
+                    "mixed" => regions_of(m.get("regions").unwrap_or(&Value::Null))?,
+                    _ => Vec::new(),
+                },
+            )
         };
 
-        let fabric = v
-            .get("fabric")
-            .map(|f| {
-                f.as_str()
-                    .map(str::to_string)
-                    .ok_or("scenario: \"fabric\" must be a spec string")
-            })
-            .transpose()?
-            .unwrap_or_else(|| "ideal".to_string());
-        FabricConfig::parse(&fabric).map_err(|e| format!("scenario fabric: {e}"))?;
+        let fabric = field(v, "fabric", Value::as_str, "a spec string", "ideal")?;
+        let fabric = fabric_arg(fabric).map_err(|e| format!("scenario fabric: {e}"))?;
+        let notify = field(v, "notify", Value::as_str, "a string", "polling")?;
+        let notify = notify.parse().map_err(|e| format!("scenario: {e}"))?;
 
-        let check = match v.get("check") {
-            None => false,
-            Some(b) => b.as_bool().ok_or("scenario: \"check\" must be a bool")?,
-        };
-        let spans = match v.get("spans") {
-            None => false,
-            Some(b) => b.as_bool().ok_or("scenario: \"spans\" must be a bool")?,
-        };
-        let notify = match v.get("notify") {
-            None => Notify::Polling,
-            Some(n) => n
-                .as_str()
-                .ok_or("scenario: \"notify\" must be a string")?
-                .parse()
-                .map_err(|e| format!("scenario: {e}"))?,
-        };
-
-        let reps = match v.get("reps") {
-            None => 1,
-            Some(n) => {
-                let n = n.as_u64().ok_or("scenario: \"reps\" must be an integer")? as usize;
-                if n < 1 {
-                    return Err("scenario: reps must be >= 1".to_string());
-                }
-                n
-            }
-        };
+        let reps = field(v, "reps", Value::as_u64, "an integer", 1)? as usize;
+        if reps < 1 {
+            return Err("scenario: reps must be >= 1".to_string());
+        }
         let seeds = match (v.get("seed"), v.get("seeds")) {
             (Some(_), Some(_)) => {
                 return Err("scenario: give either \"seed\" or \"seeds\", not both".to_string())
-            }
-            (Some(s), None) => {
-                SeedSeq::Base(s.as_u64().ok_or("scenario: \"seed\" must be an integer")?)
             }
             (None, Some(list)) => {
                 let arr = list
@@ -398,18 +325,29 @@ impl ScenarioSpec {
                 }
                 SeedSeq::List(seeds)
             }
-            (None, None) => SeedSeq::Base(1),
+            _ => SeedSeq::Base(field(v, "seed", Value::as_u64, "an integer", 1)?),
         };
 
+        let run = RunSpec {
+            app,
+            seed: seeds.seed_for(0),
+            regions,
+            notify,
+            nodes,
+            fabric,
+            check: field(v, "check", Value::as_bool, "a bool", false)?,
+            spans: field(v, "spans", Value::as_bool, "a bool", false)?,
+            ..RunSpec::new("", protocol, block)
+        };
+        // The application, its parameters and the region names are checked
+        // here, so a plan that would panic, truncate or name a region its
+        // program lacks fails before anything runs. Construction is cheap:
+        // nothing is generated until the first run.
+        run.program().map_err(|e| format!("scenario {e}"))?;
         Ok(ScenarioSpec {
             name,
-            app,
-            nodes,
-            mode,
-            fabric,
-            check,
-            spans,
-            notify,
+            run,
+            adaptive,
             reps,
             seeds,
         })
@@ -421,51 +359,46 @@ impl ScenarioSpec {
         let mut v = Value::obj();
         v.set("schema", SCHEMA);
         v.set("name", self.name.as_str());
+        let run = &self.run;
         let mut app = Value::obj();
-        app.set("name", self.app.name.as_str());
+        app.set("name", run.app.name.as_str());
         app.set(
             "size",
-            if self.app.size == AppSize::Small {
+            if run.app.size == AppSize::Small {
                 "small"
             } else {
                 "standard"
             },
         );
-        if !self.app.params.is_empty() {
+        if !run.app.params.is_empty() {
             let mut p = Value::obj();
-            for (k, val) in &self.app.params {
+            for (k, val) in &run.app.params {
                 p.set(k, *val);
             }
             app.set("params", p);
         }
         v.set("app", app);
-        v.set("nodes", self.nodes);
+        v.set("nodes", run.nodes);
         let mut mode = Value::obj();
-        match &self.mode {
-            Mode::Policy {
-                protocol,
-                block,
-                regions,
-            } => {
-                mode.set("kind", if regions.is_empty() { "fixed" } else { "mixed" });
-                mode.set("protocol", protocol.name().to_lowercase());
-                mode.set("block", *block);
-                if !regions.is_empty() {
-                    mode.set(
-                        "regions",
-                        Value::Arr(regions.iter().map(policy_json).collect()),
-                    );
-                }
-            }
-            Mode::Adaptive => {
-                mode.set("kind", "adaptive");
+        if self.adaptive {
+            mode.set("kind", "adaptive");
+        } else {
+            let regions = &run.regions;
+            mode.set("kind", if regions.is_empty() { "fixed" } else { "mixed" });
+            mode.set("protocol", run.protocol.name().to_lowercase());
+            mode.set("block", run.block);
+            if !regions.is_empty() {
+                mode.set(
+                    "regions",
+                    Value::Arr(regions.iter().map(policy_json).collect()),
+                );
             }
         }
         v.set("mode", mode);
-        v.set("fabric", self.fabric.as_str());
-        v.set("check", self.check);
-        v.set("spans", self.spans);
-        v.set("notify", self.notify.name());
+        v.set("fabric", run.fabric.as_str());
+        v.set("check", run.check);
+        v.set("spans", run.spans);
+        v.set("notify", run.notify.name());
         v.set("reps", self.reps);
         match &self.seeds {
             SeedSeq::Base(b) => {
@@ -496,11 +429,11 @@ mod tests {
     fn minimal_spec_defaults() {
         let s = ScenarioSpec::parse(MINIMAL).unwrap();
         assert_eq!(s.name, "smoke");
-        assert_eq!(s.app.name, "lu");
-        assert_eq!(s.app.size, AppSize::Small);
-        assert_eq!(s.nodes, 16);
-        assert_eq!(s.fabric, "ideal");
-        assert!(!s.check);
+        assert_eq!(s.run.app.name, "lu");
+        assert_eq!(s.run.app.size, AppSize::Small);
+        assert_eq!(s.run.nodes, 16);
+        assert_eq!(s.run.fabric, "ideal");
+        assert!(!s.run.check);
         assert_eq!(s.reps, 1);
         assert_eq!(s.seeds.seed_for(0), 1);
     }
@@ -584,6 +517,16 @@ mod tests {
             (
                 r#"{"name":"x","app":"nosuchapp","mode":{"kind":"fixed","protocol":"sc","block":64}}"#,
                 "unknown application",
+            ),
+            // A region is one the program is carved into, so a repetition's
+            // run line replays: a mistyped name is not run unapplied.
+            (
+                r#"{"name":"x","app":"kv-zipf","mode":{"kind":"mixed","protocol":"hlrc","block":4096,"regions":[{"name":"vals","protocol":"sc","block":64}]}}"#,
+                "region=vals:sc@64: no such region (one of: ",
+            ),
+            (
+                r#"{"name":"x","app":"kv-zipf","mode":{"kind":"mixed","protocol":"hlrc","block":4096,"regions":[{"name":"a b","protocol":"sc","block":64}]}}"#,
+                "no such region",
             ),
         ] {
             let e = ScenarioSpec::parse(doc).unwrap_err();

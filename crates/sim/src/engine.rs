@@ -215,7 +215,7 @@ impl std::error::Error for RunError {}
 /// What the queue holds for one event: 16 bytes and `Copy`, because the
 /// queue moves its entries on every push, binary insert, sort and pop, and
 /// most events are resumes. A message's payload waits in the scheduler's
-/// slab ([`SchedInner::msgs`]) until the slot commits.
+/// slab ([`Sched::msgs`]) until the slot commits.
 #[derive(Clone, Copy)]
 enum Slot {
     /// Hand control back to a node. `gen` guards against stale entries left
@@ -237,9 +237,10 @@ struct NodeSlot {
     pending_wake: Option<Time>,
 }
 
-/// Event queue plus node scheduling state. Exposed to message handlers and
-/// node programs as [`Sched`].
-pub struct SchedInner<M> {
+/// Event queue plus node scheduling state: the handle given to
+/// [`World::deliver`] and [`NodeHandle::world`] closures for interacting
+/// with the event queue.
+pub struct Sched<M> {
     now: Time,
     queue: BucketQueue<Slot>,
     /// Payloads of the queued messages, by [`Slot::Msg`] index; `None` is a
@@ -374,14 +375,10 @@ fn engine_hash<M>(
     fold64(eh, sum)
 }
 
-/// Handle given to [`World::deliver`] and [`NodeHandle::world`] closures for
-/// interacting with the event queue.
-pub type Sched<M> = SchedInner<M>;
-
-impl<M> SchedInner<M> {
+impl<M> Sched<M> {
     /// Standalone scheduler for unit-testing message handlers outside the
     /// engine: events accumulate in the queue and can be drained with
-    /// [`SchedInner::take_events`]; nodes start `Blocked`, so a wake on one
+    /// [`Sched::take_events`]; nodes start `Blocked`, so a wake on one
     /// queues its resume event.
     pub fn for_testing(n: usize) -> Self {
         let mut s = Self::new(n);
@@ -412,7 +409,7 @@ impl<M> SchedInner<M> {
 
     fn new(n: usize) -> Self {
         assert!(u32::try_from(n).is_ok(), "node ids are queued as u32");
-        SchedInner {
+        Sched {
             now: 0,
             queue: BucketQueue::new(),
             msgs: Vec::new(),
@@ -659,7 +656,7 @@ impl<M> SchedInner<M> {
 /// are restored with their original `(time, seq)` keys, so the order among
 /// them is untouched. `Ok(None)` means the queue is empty.
 fn mc_next_event<W: World>(
-    sched: &mut SchedInner<W::Msg>,
+    sched: &mut Sched<W::Msg>,
     world: &W,
     hook: &mut dyn McHook<W>,
 ) -> Result<Popped, RunError> {
@@ -725,7 +722,7 @@ pub type NodeFuture<'a> = Pin<Box<dyn Future<Output = ()> + 'a>>;
 /// The world and the scheduler of one run, shared between the loop and the
 /// node handles. Only ever borrowed for the extent of one event or one
 /// [`NodeHandle::world`] closure, never across a suspension.
-type Engine<W> = RefCell<(W, SchedInner<<W as World>::Msg>)>;
+type Engine<W> = RefCell<(W, Sched<<W as World>::Msg>)>;
 
 /// An `async` node body's handle onto the engine: the clock, the world, and
 /// the two ways to yield.
@@ -818,7 +815,7 @@ pub fn run_nodes<'t, W: World>(
     mc: Option<McInstall<W>>,
 ) -> Result<(W, Time, u64), RunError> {
     assert!(n > 0, "cluster needs at least one node");
-    let mut sched = SchedInner::new(n);
+    let mut sched = Sched::new(n);
     let mut hook = mc.map(|m| {
         sched.mc = Some(QueueHash {
             msg_hash: m.msg_hash,
@@ -1223,8 +1220,8 @@ mod tests {
 
     #[test]
     fn slab_entries_are_reused_under_messages_still_in_flight() {
-        let mut s = SchedInner::<String>::for_testing(2);
-        let deliver_next = |s: &mut SchedInner<String>| {
+        let mut s = Sched::<String>::for_testing(2);
+        let deliver_next = |s: &mut Sched<String>| {
             let Some((at, Slot::Msg { to, idx })) = s.next_event() else {
                 panic!("a message is due");
             };

@@ -8,20 +8,17 @@
 //! cargo run --release --example adaptive_lab -- barnes-original
 //! ```
 
-use dsm::adapt::{choose_policies, profile_run};
-use dsm::{run_experiment, Protocol, RunConfig, GRANULARITIES};
-use dsm_apps::registry::{all_app_names, app};
+use dsm::{run_experiment, Protocol, GRANULARITIES};
 use dsm_bench::table::Table;
+use dsm_scenario::RunSpec;
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "fft".into());
-    if app(&name).is_none() {
-        eprintln!("unknown application '{name}'. Available:");
-        for n in all_app_names() {
-            eprintln!("  {n}");
-        }
+    let mut adaptive = RunSpec::new(&name, Protocol::Sc, 64);
+    let program = adaptive.program().unwrap_or_else(|e| {
+        eprintln!("{e}");
         std::process::exit(1);
-    }
+    });
 
     // Sweep the fixed grid for the baselines.
     println!("sweeping the fixed protocol x granularity grid for {name} ...");
@@ -30,7 +27,7 @@ fn main() {
     let mut seq_ns = 0u64;
     for p in Protocol::ALL {
         for g in GRANULARITIES {
-            let r = run_experiment(&RunConfig::new(p, g), app(&name).unwrap());
+            let r = run_experiment(&RunSpec::new(&name, p, g).to_config(), program.clone());
             assert!(r.check.is_ok(), "{p:?}@{g}: {:?}", r.check);
             let t = r.stats.parallel_time_ns as f64;
             seq_ns = r.stats.sequential_time_ns;
@@ -45,10 +42,7 @@ fn main() {
 
     // Profile once at SC @ 64 and let the policy engine decide per region.
     println!("profiling {name} at SC @ 64 and planning per-region policies ...\n");
-    let program = app(&name).unwrap();
-    let base = RunConfig::new(Protocol::Sc, 64);
-    let data = profile_run(&program);
-    let plan = choose_policies(&program, &data, &base);
+    let plan = adaptive.adapt(&program);
 
     println!("per-region decisions:");
     let mut t = Table::new(&[
@@ -87,7 +81,7 @@ fn main() {
     }
 
     // Run the adaptive configuration.
-    let r = run_experiment(&plan.apply(base), program);
+    let r = run_experiment(&adaptive.to_config(), program);
     assert!(r.check.is_ok(), "adaptive: {:?}", r.check);
     let t_adapt = r.stats.parallel_time_ns as f64;
 

@@ -4,6 +4,7 @@
 
 use dsm::{run_experiment, Notify, Protocol, RegionPolicy, RunConfig};
 use dsm_apps::registry::{app_sized, AppSize};
+use dsm_scenario::RunSpec;
 
 fn small(name: &str) -> dsm::Program {
     app_sized(name, AppSize::Small).expect("app")
@@ -262,7 +263,11 @@ fn mixed_mode_regions_verify_and_are_deterministic() {
 fn adaptive_runtime_verifies_on_small_apps() {
     // The full profile -> plan -> mixed-mode pipeline through the facade.
     for name in ["fft", "water-spatial", "barnes-original"] {
-        let (plan, r) = dsm::adapt::run_adaptive(&RunConfig::new(Protocol::Sc, 64), small(name));
+        let mut run = RunSpec::new(name, Protocol::Sc, 64);
+        run.app.size = AppSize::Small;
+        let program = run.program().unwrap();
+        let plan = run.adapt(&program);
+        let r = run_experiment(&run.to_config(), program);
         assert!(r.check.is_ok(), "{name} adaptive: {:?}", r.check);
         assert!(!plan.decisions.is_empty(), "{name}: no region decisions");
         assert!(plan.uniform_ns.is_finite() && plan.uniform_ns > 0.0);
@@ -323,37 +328,25 @@ fn parallel_sweep_matches_serial() {
     // The sweep executor fans independent deterministic simulations across
     // worker threads; the results must be bit-identical to a serial sweep,
     // in the same order. 2 apps x 2 protocols.
-    use dsm_bench::sweep::{run_cells, CellSpec};
-    let mut specs = Vec::new();
+    use dsm_bench::sweep::run_cells;
+    let mut runs = Vec::new();
     for app in ["lu", "water-nsquared"] {
-        for p in [Protocol::SwLrc, Protocol::Hlrc] {
-            specs.push(CellSpec::new(app, p, 1024));
+        for p in ["sw-lrc", "hlrc"] {
+            runs.push(format!("{app} {p} 1024 size=small").parse().unwrap());
         }
     }
-    let serial = run_cells(&specs, 1, AppSize::Small);
-    let parallel = run_cells(&specs, 4, AppSize::Small);
+    let serial = run_cells(&runs, 1);
+    let parallel = run_cells(&runs, 4);
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
-        assert_eq!(
-            (a.app.as_str(), a.protocol, a.block),
-            (b.app.as_str(), b.protocol, b.block)
-        );
-        assert!(
-            a.check_err.is_none(),
-            "{} {}@{}: {:?}",
-            a.app,
-            a.protocol,
-            a.block,
-            a.check_err
-        );
+        assert_eq!(a.run, b.run);
+        assert!(a.check_err.is_none(), "{}: {:?}", a.run, a.check_err);
         assert!(a.stats.sim_events > 0, "events metric must be populated");
         assert_eq!(
             a.stats.to_json().to_string(),
             b.stats.to_json().to_string(),
-            "parallel cell {} {}@{} diverged from serial",
-            a.app,
-            a.protocol,
-            a.block
+            "parallel cell {} diverged from serial",
+            a.run
         );
     }
 }

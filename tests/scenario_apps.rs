@@ -11,7 +11,7 @@ use dsm::json::Value;
 use dsm::obs::schema::{SCENARIO, SCENARIO_AGGREGATE};
 use dsm::{run_checked, run_parallel, Protocol, RunConfig};
 use dsm_apps::{app_sized, modern_app_names, AppSize, KvZipf, PageRank};
-use dsm_scenario::{run_scenario, ScenarioSpec};
+use dsm_scenario::{run_scenario, RunSpec, ScenarioSpec};
 
 /// Granularities exercised per protocol: the coarsest (pages) and a fine
 /// one, which together cover both false-sharing and fragmentation regimes.
@@ -198,6 +198,13 @@ fn bundled_scenarios_run_clean_and_deterministically() {
             if rec.get("type").and_then(Value::as_str) == Some(SCENARIO_AGGREGATE.0) {
                 aggregates += 1;
             }
+        }
+        // A repetition is its run line: the line parses back to the run.
+        for r in &out.reps {
+            let line = r.run.to_string();
+            let back: RunSpec = line.parse().unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(back, r.run, "{line}");
+            assert_eq!(back.to_string(), line);
         }
         let reps: Vec<_> = out.reps.iter().map(|r| r.stats.totals()).collect();
         match name {

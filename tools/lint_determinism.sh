@@ -3,8 +3,8 @@
 # the one-stream rule for telemetry (proto, core), the grant rule for access
 # state (proto), the arithmetic rule for the applications, the
 # no-environment rule for every library crate, the direction of the tool
-# crates' dependency edge, the one way in to the application registry and
-# the one build.
+# crates' dependency edge, the one way in to the application registry, the
+# one build and the one run description.
 #
 # The whole stack depends on bit-identical replay: the engine's state
 # hashes, the model checker's replay-based exploration, and the golden
@@ -125,6 +125,14 @@
 #      tier-1 never compiles, and a setting it reads silently does nothing
 #      in the default build; a behaviour a test must reach is a run-time
 #      setting, as `RunConfig::mutation` is. No allowlist.
+#
+# A twelfth keeps a run described once:
+#
+#  12. No run configured by hand in the tools. Under crates/bench/src and
+#      crates/scenario/src, non-test code calls `RunConfig::new(` only in
+#      `RunSpec::to_config` (crates/scenario/src/run.rs). A run the tools
+#      make is a `RunSpec`, whose line `diag` replays; a configuration
+#      built beside it is a run no tool can print or re-run. No allowlist.
 #
 # Comment lines are ignored. Run from anywhere; CI runs it on every push.
 
@@ -285,6 +293,21 @@ hits=$( (matches 'cfg(_attr)?!?\(.*\bfeature[[:space:]]*=' "$(echo crates/*/src)
 if [ -n "$hits" ]; then
   echo "$hits"
   echo "lint_determinism: a cargo feature splits the workspace into builds tier-1 does not test — make it a run-time setting (no allowlist for this rule)"
+  status=1
+fi
+
+# Rule 12.
+hits=$(find crates/bench/src crates/scenario/src -name '*.rs' | sort | xargs awk '
+  FNR == 1 { in_tests = 0; fn = "" }
+  /^#\[cfg\(test\)\]/ { in_tests = 1 }
+  in_tests || /^[[:space:]]*\/\// { next }
+  match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+  /RunConfig::new\(/ && !(FILENAME ~ /scenario\/src\/run\.rs$/ && fn == "to_config") {
+    print FILENAME ":" FNR ":" $0
+  }')
+if [ -n "$hits" ]; then
+  echo "$hits"
+  echo "lint_determinism: a run configured beside RunSpec — describe it as a dsm_scenario::RunSpec and call to_config (no allowlist for this rule)"
   status=1
 fi
 
