@@ -73,6 +73,10 @@ pub struct Barnes {
 }
 
 impl Barnes {
+    /// The largest cluster the shared layout has room for: it holds one
+    /// allocation counter and one cell arena per processor.
+    pub const MAX_NODES: usize = 16;
+
     /// Scaled default: the paper used 16,384 particles.
     pub fn new(n: usize, steps: usize, variant: BarnesVariant) -> Self {
         Barnes {
@@ -84,15 +88,15 @@ impl Barnes {
     }
 
     // ---- shared layout ----
-    // [alloc counters: 16 u64][cell arena][pos][vel][acc][mass]
+    // [alloc counters: MAX_NODES u64][cell arena][pos][vel][acc][mass]
     fn counter_addr(&self, p: usize) -> usize {
         p * 8
     }
     fn arena_cells(&self) -> usize {
-        STATIC_CELLS + 16 * self.chunk
+        STATIC_CELLS + Self::MAX_NODES * self.chunk
     }
     fn cell_addr(&self, c: usize) -> usize {
-        128 + c * CELL_BYTES
+        Self::MAX_NODES * 8 + c * CELL_BYTES
     }
     fn child_addr(&self, c: usize, oct: usize) -> usize {
         self.cell_addr(c) + oct * 8
@@ -285,7 +289,7 @@ impl Barnes {
 
     /// Reset the tree for a new step (proc 0 only).
     async fn reset_tree(&self, d: &mut Dsm) {
-        for p in 0..16 {
+        for p in 0..Self::MAX_NODES {
             d.write_u64(self.counter_addr(p), 0).await;
         }
         for c in 0..STATIC_CELLS {
@@ -378,7 +382,7 @@ impl Barnes {
         for c in 0..STATIC_CELLS {
             consider(d, c, &mut mine).await;
         }
-        for q in 0..16usize {
+        for q in 0..Self::MAX_NODES {
             let count = d.read_u64(self.counter_addr(q)).await as usize;
             for k in 0..count {
                 consider(d, STATIC_CELLS + q * self.chunk + k, &mut mine).await;

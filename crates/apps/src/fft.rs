@@ -34,9 +34,10 @@ impl Fft {
         which * self.n() * 16 + (row * self.m + col) * 16
     }
 
+    /// Rows `me` owns of `p` processors' near-equal bands; every row is
+    /// owned even when `p` does not divide the dimension.
     fn my_rows(&self, me: usize, p: usize) -> std::ops::Range<usize> {
-        let per = self.m / p;
-        me * per..(me + 1) * per
+        self.m * me / p..self.m * (me + 1) / p
     }
 
     /// Blocked transpose src -> dst: each processor writes its own rows of

@@ -244,10 +244,11 @@ impl DsmProgram for OceanOriginal {
         Box::pin(async move {
             let (me, p) = (d.node(), d.num_nodes());
             let (pr, pc) = Self::grid(p);
-            let (bi, bj) = (self.n / pr, self.n / pc);
             let (my_r, my_c) = (me / pc, me % pc);
-            let (ilo, ihi) = (1 + my_r * bi, 1 + (my_r + 1) * bi);
-            let (jlo, jhi) = (1 + my_c * bj, 1 + (my_c + 1) * bj);
+            // Near-equal bands: every row and column is owned even when the
+            // processor grid does not divide the dimension.
+            let (ilo, ihi) = (1 + self.n * my_r / pr, 1 + self.n * (my_r + 1) / pr);
+            let (jlo, jhi) = (1 + self.n * my_c / pc, 1 + self.n * (my_c + 1) / pc);
             d.barrier(0).await;
             for _ in 0..self.iters {
                 for color in 0..2 {

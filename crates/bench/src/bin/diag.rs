@@ -20,13 +20,15 @@
 //!
 //! Human-readable tables by default; `--json` switches to JSON Lines
 //! (per-node records with the time breakdown, one record per region, then
-//! a run record). `--check` is the word `check`: it installs the
-//! happens-before race detector and protocol invariant checker on the run,
-//! prints every violation (one `"check"` JSONL record each under `--json`),
-//! and exits nonzero when any were found. `--fabric SPEC` is the word
-//! `fabric=SPEC`: the network fabric model (`ideal`, the default,
-//! `contended`, or `faulty[,seed=..,drop=..,...]`; the grammar scenario
-//! plans use).
+//! a run record). A run whose final image differs from the sequential
+//! run's prints a `verify:` line (`"check_ok": false` under `--json`) and
+//! exits 1, as a checker finding does. `--check` is the word `check`: it
+//! installs the happens-before race detector and protocol invariant
+//! checker on the run, prints every violation (one `"check"` JSONL record
+//! each under `--json`), and exits nonzero when any were found.
+//! `--fabric SPEC` is the word `fabric=SPEC`: the network fabric model
+//! (`ideal`, the default, `contended`, or `faulty[,seed=..,drop=..,...]`;
+//! the grammar scenario plans use).
 //! `--trace FILE` records the run and writes a Chrome
 //! trace-event file loadable in Perfetto (<https://ui.perfetto.dev>).
 //! `--adaptive` profiles the application, lets the policy engine pin a
@@ -368,7 +370,7 @@ fn main() {
         if series_ns.is_some() {
             print!("{}", series_jsonl(&r.obs));
         }
-        if !r.violations.is_empty() {
+        if !r.violations.is_empty() || r.check.is_err() {
             std::process::exit(1);
         }
         return;
@@ -495,7 +497,7 @@ fn main() {
         ms(b.proto_local_ns),
         ms(b.occupancy_stolen_ns)
     );
-    if !r.violations.is_empty() {
+    if !r.violations.is_empty() || r.check.is_err() {
         std::process::exit(1);
     }
 }

@@ -101,6 +101,33 @@ fn diag_rejects_malformed_positionals() {
     ] {
         rejects(diag, &["lu", "sc", "64", word], &[], names);
     }
+    // Barnes' layout has room for 16 processors: a larger cluster is refused
+    // before it runs, naming the application and its limit.
+    rejects(
+        diag,
+        &["barnes-original", "sc", "64", "size=small", "nodes=32"],
+        &[],
+        "barnes-original runs on at most 16 nodes",
+    );
+}
+
+/// A run whose final image is wrong fails by exit status even when the
+/// checker finds nothing: this cell is the first of ROADMAP item 14's three,
+/// and it turns into a "verifies" pin when the cause is fixed.
+#[test]
+fn diag_exits_1_on_a_wrong_image() {
+    let diag = env!("CARGO_BIN_EXE_diag");
+    let out = run(
+        diag,
+        &["barnes-original", "hlrc", "256", "notify=interrupt"],
+        &[],
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout.contains("  verify: particle state differs"),
+        "{stdout}"
+    );
 }
 
 #[test]

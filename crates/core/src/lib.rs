@@ -93,9 +93,10 @@ pub trait DsmProgram: Send + Sync + 'static {
         15
     }
 
-    /// Number of locks the LRC-adapted version of the program uses beyond
-    /// the SC version (for reporting only; the body itself decides what to
-    /// call).
+    /// Whether the program's relaxed-consistency form takes locks its SC
+    /// form does not (Barnes-Original locks every tree descent step). The
+    /// body itself decides what to call; `dsm_adapt::choose_policies` reads
+    /// this and pins such a program to SC.
     fn uses_lrc_extra_sync(&self) -> bool {
         false
     }

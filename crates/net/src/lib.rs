@@ -29,10 +29,3 @@ pub use notify::Notify;
 /// Size in bytes of a protocol message header (source, dest, op, block id,
 /// timestamps digest). All control messages are at least this large.
 pub const MSG_HEADER_BYTES: u64 = 16;
-
-/// Size in bytes of one write notice entry carried in lock grants and
-/// barrier releases (block id + version/timestamp + owner hint).
-pub const WRITE_NOTICE_BYTES: u64 = 12;
-
-/// Size in bytes of one vector-timestamp entry.
-pub const VT_ENTRY_BYTES: u64 = 4;

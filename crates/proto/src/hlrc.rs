@@ -103,14 +103,11 @@ pub fn start_fault(
         .homes
         .cached(me, b)
         .unwrap_or_else(|| w.homes.directory_node(b));
-    let ctrl = 8 * needs.len() as u64;
     w.send(
         s,
         me,
         target,
         depart,
-        ctrl,
-        0,
         ProtoMsg::HlFetchReq {
             from: me,
             block: b,
@@ -142,14 +139,11 @@ pub fn handle_fetch(
         }
         Some(h) => {
             // Forward to the claimed home.
-            let ctrl = 8 * needs.len() as u64;
             w.send(
                 s,
                 me,
                 h,
                 now + handler,
-                ctrl,
-                0,
                 ProtoMsg::HlFetchReq {
                     from,
                     block: b,
@@ -167,15 +161,7 @@ pub fn handle_fetch(
                     // written the block.
                     w.homes.claim_for(b, from);
                     w.homes.learn(me, b, from);
-                    w.send(
-                        s,
-                        me,
-                        from,
-                        now + handler,
-                        0,
-                        0,
-                        ProtoMsg::HlNowHome { block: b },
-                    );
+                    w.send(s, me, from, now + handler, ProtoMsg::HlNowHome { block: b });
                 }
                 FaultKind::Read => {
                     // Unclaimed read: the directory is the interim home and
@@ -196,19 +182,9 @@ fn serve_fetch(
     b: BlockId,
     at: Time,
 ) {
-    let bs = w.block_size_of(b) as u64;
-    let c = w.cfg.cost.copy_cost(bs);
-    w.occupy(s, me, c);
+    let c = w.charge_block_copy(s, me, b);
     w.emit(me, s.now(), EventKind::FetchServe { block: b });
-    w.send(
-        s,
-        me,
-        from,
-        at + c,
-        0,
-        bs,
-        ProtoMsg::HlData { block: b, home: me },
-    );
+    w.send(s, me, from, at + c, ProtoMsg::HlData { block: b, home: me });
 }
 
 /// Block data at the requester: install access (twinning on write faults).
@@ -389,13 +365,12 @@ pub fn release_dirty(
                 c.hl_diff(me, b, &twin, &w.data.node(me)[r], &diff, s.now());
             }
             w.pool.put(twin);
-            let wire = diff.wire_bytes();
             w.emit(
                 me,
                 s.now(),
                 EventKind::DiffCreate {
                     block: b,
-                    bytes: wire,
+                    bytes: diff.wire_bytes(),
                 },
             );
             let home = w.route_home(b);
@@ -405,8 +380,6 @@ pub fn release_dirty(
                 me,
                 home,
                 s.now() + elapsed,
-                0,
-                wire,
                 ProtoMsg::HlDiff {
                     from: me,
                     block: b,
@@ -459,13 +432,12 @@ pub fn apply_notice(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, n: &N
         let r = w.layout.block_range(n.block);
         let diff = Diff::create_pooled(&twin, &w.data.node(me)[r.clone()], &mut w.pool);
         if !diff.is_empty() {
-            let wire = diff.wire_bytes();
             w.emit(
                 me,
                 s.now(),
                 EventKind::DiffCreate {
                     block: n.block,
-                    bytes: wire,
+                    bytes: diff.wire_bytes(),
                 },
             );
             let home = w.route_home(n.block);
@@ -478,8 +450,6 @@ pub fn apply_notice(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, n: &N
                 me,
                 home,
                 s.now() + elapsed,
-                0,
-                wire,
                 ProtoMsg::HlDiff {
                     from: me,
                     block: n.block,

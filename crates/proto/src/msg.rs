@@ -1,10 +1,31 @@
 //! Protocol messages routed through the simulation event queue.
 
-use dsm_mem::BlockId;
+use dsm_mem::{BlockId, Layout};
 use dsm_sim::NodeId;
 
 use crate::diff::Diff;
 use crate::vt::VClock;
+
+// The wire format: what each field a message carries costs in bytes, besides
+// the `dsm_net::MSG_HEADER_BYTES` header every message pays. Only
+// `ProtoMsg::wire_bytes` and `VClock::wire_bytes` read them.
+
+/// One vector-timestamp entry.
+pub const VT_ENTRY_BYTES: u64 = 4;
+
+/// One write notice carried in lock grants and barrier releases (block id +
+/// version/timestamp + owner hint).
+pub const WRITE_NOTICE_BYTES: u64 = 12;
+
+/// One Tardis logical timestamp: a program timestamp (pts), a write
+/// timestamp (wts) or a lease end.
+pub const TS_BYTES: u64 = 8;
+
+/// An SW-LRC block version.
+pub const VERSION_BYTES: u64 = 4;
+
+/// One HLRC fetch requirement: a (writer, interval) pair.
+pub const NEED_BYTES: u64 = 8;
 
 /// A write notice: "node `writer` modified `block`; its copy is stale unless
 /// at least `version`".
@@ -420,68 +441,169 @@ impl ProtoMsg {
         }
     }
 
-    /// Whether this message is an asynchronous *request* whose service time
-    /// depends on the target's notification mechanism. Replies that wake a
-    /// spinning (blocked) requester are never deferred.
-    pub fn needs_service(&self) -> bool {
-        matches!(
-            self,
+    /// What this message puts on the wire besides the header, as
+    /// `(ctrl, data)` bytes: control fields, and a payload (a block or a
+    /// diff). Only a message between two nodes is sized; a self-send never
+    /// leaves its node.
+    pub fn wire_bytes(&self, layout: &Layout) -> (u64, u64) {
+        let size = |b: BlockId| layout.block_size_of(b) as u64;
+        let payload = |with_data: bool, b: BlockId| if with_data { size(b) } else { 0 };
+        let vt_bytes = |vt: &Option<VClock>| vt.as_ref().map_or(0, VClock::wire_bytes);
+        let ts_bytes = |ts: &Option<u64>| ts.map_or(0, |_| TS_BYTES);
+        match self {
             ProtoMsg::ScReadReq { .. }
-                | ProtoMsg::ScWriteReq { .. }
-                | ProtoMsg::ScFetchBack { .. }
-                | ProtoMsg::ScInval { .. }
-                | ProtoMsg::SwReq { .. }
-                | ProtoMsg::HlFetchReq { .. }
-                | ProtoMsg::HlDiff { .. }
-                | ProtoMsg::TdFetch { .. }
-                | ProtoMsg::TdRecall { .. }
-                | ProtoMsg::LockReq { .. }
-                | ProtoMsg::LockRel { .. }
-                | ProtoMsg::BarArrive { .. }
-        )
+            | ProtoMsg::ScWriteReq { .. }
+            | ProtoMsg::ScFetchBack { .. }
+            | ProtoMsg::ScInval { .. }
+            | ProtoMsg::ScInvalAck { .. }
+            | ProtoMsg::ScNowHome { .. }
+            | ProtoMsg::ScGrantAck { .. }
+            | ProtoMsg::SwReq { .. }
+            | ProtoMsg::SwNowOwner { .. }
+            | ProtoMsg::HlNowHome { .. }
+            | ProtoMsg::TdRecall { .. }
+            | ProtoMsg::TdAck { .. } => (0, 0),
+            ProtoMsg::ScWriteBack { block, .. }
+            | ProtoMsg::HlData { block, .. }
+            | ProtoMsg::TdWriteback { block, .. } => (0, size(*block)),
+            ProtoMsg::ScGrant {
+                block, with_data, ..
+            } => (0, payload(*with_data, *block)),
+            ProtoMsg::SwReply { block, .. } => (VERSION_BYTES, size(*block)),
+            ProtoMsg::HlFetchReq { needs, .. } => (needs.len() as u64 * NEED_BYTES, 0),
+            ProtoMsg::HlDiff { diff, .. } => (0, diff.wire_bytes()),
+            // TdFetch: pts and the copy's wts; TdData: wts and lease end.
+            ProtoMsg::TdFetch { .. } => (2 * TS_BYTES, 0),
+            ProtoMsg::TdData { block, .. } => (2 * TS_BYTES, size(*block)),
+            ProtoMsg::TdLease { .. } => (TS_BYTES, 0),
+            ProtoMsg::TdWGrant {
+                block, with_data, ..
+            } => (TS_BYTES, payload(*with_data, *block)),
+            ProtoMsg::LockReq { vt, .. } => (vt_bytes(vt), 0),
+            ProtoMsg::LockRel { vt, pts, .. } | ProtoMsg::BarArrive { vt, pts, .. } => {
+                (vt_bytes(vt) + ts_bytes(pts), 0)
+            }
+            ProtoMsg::LockGrant {
+                vt, notices, pts, ..
+            }
+            | ProtoMsg::BarRelease {
+                vt, notices, pts, ..
+            } => {
+                let notices = notices.len() as u64 * WRITE_NOTICE_BYTES;
+                (vt_bytes(vt) + notices + ts_bytes(pts), 0)
+            }
+        }
     }
+
+    /// How the target services this message.
+    pub fn service(&self) -> Service {
+        match self {
+            ProtoMsg::ScReadReq { .. }
+            | ProtoMsg::ScWriteReq { .. }
+            | ProtoMsg::ScFetchBack { .. }
+            | ProtoMsg::ScInval { .. }
+            | ProtoMsg::SwReq { .. }
+            | ProtoMsg::HlFetchReq { .. }
+            | ProtoMsg::TdFetch { .. }
+            | ProtoMsg::TdRecall { .. } => Service::Handler,
+            ProtoMsg::LockReq { .. } | ProtoMsg::LockRel { .. } | ProtoMsg::BarArrive { .. } => {
+                Service::SyncHandler
+            }
+            ProtoMsg::HlDiff { .. } => Service::OwnCost,
+            _ => Service::Reply,
+        }
+    }
+}
+
+/// How a message is serviced at its target. A *request* (every case but
+/// [`Service::Reply`]) is asynchronous: its service time depends on the
+/// target's notification mechanism, so it may be deferred while the target
+/// computes, and its dispatch occupies the target for the cost its case
+/// names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Service {
+    /// A reply that wakes a blocked requester: never deferred, and charged
+    /// no occupancy on delivery.
+    Reply,
+    /// A request charged the protocol handler's cost (`handler_ns`).
+    Handler,
+    /// A request charged the synchronization handler's cost
+    /// (`sync_handler_ns`).
+    SyncHandler,
+    /// A request whose handler charges its own cost: an `HlDiff` occupies
+    /// its home for the diff apply.
+    OwnCost,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every variant at least once, with what it costs written out: its
+    /// `(ctrl, data)` wire bytes on a 256-byte block, with three-node
+    /// vector times and a one-word diff, and its service.
     #[test]
-    fn requests_need_service_replies_do_not() {
-        assert!(ProtoMsg::ScReadReq { from: 0, block: 1 }.needs_service());
-        assert!(ProtoMsg::ScInval { block: 1 }.needs_service());
-        assert!(!ProtoMsg::ScGrant {
+    fn every_message_states_its_wire_bytes_and_service() {
+        use Service::{Handler, OwnCost, Reply, SyncHandler};
+        let layout = Layout::new(4096, 256);
+        let vt = Some(VClock::new(3));
+        let notice = Notice {
             block: 1,
-            exclusive: false,
-            with_data: true,
-            home: 0
+            writer: 2,
+            version: 3,
+        };
+        let mut word = [0u8; 256];
+        word[8..16].fill(7);
+        let diff = Diff::create(&[0u8; 256], &word);
+        let (from, block, home, kind) = (0, 1, 2, FaultKind::Read);
+        #[rustfmt::skip]
+        let table: Vec<(ProtoMsg, u64, u64, Service)> = vec![
+            (ProtoMsg::ScReadReq { from, block }, 0, 0, Handler),
+            (ProtoMsg::ScWriteReq { from, block }, 0, 0, Handler),
+            (ProtoMsg::ScFetchBack { block }, 0, 0, Handler),
+            (ProtoMsg::ScInval { block }, 0, 0, Handler),
+            (ProtoMsg::ScWriteBack { from, block, invalidated: true }, 0, 256, Reply),
+            (ProtoMsg::ScInvalAck { from, block }, 0, 0, Reply),
+            (ProtoMsg::ScGrant { block, exclusive: false, with_data: true, home }, 0, 256, Reply),
+            (ProtoMsg::ScGrant { block, exclusive: true, with_data: false, home }, 0, 0, Reply),
+            (ProtoMsg::ScNowHome { block, kind }, 0, 0, Reply),
+            (ProtoMsg::ScGrantAck { from, block }, 0, 0, Reply),
+            (ProtoMsg::SwReq { from, block, kind, hops: 2 }, 0, 0, Handler),
+            (ProtoMsg::SwReply { block, version: 5, ownership: true, owner: home }, 4, 256, Reply),
+            (ProtoMsg::SwNowOwner { block }, 0, 0, Reply),
+            (ProtoMsg::HlFetchReq { from, block, kind, needs: vec![(1, 2), (2, 4)] }, 16, 0, Handler),
+            (ProtoMsg::HlData { block, home }, 0, 256, Reply),
+            (ProtoMsg::HlDiff { from, block, diff, interval: 1 }, 0, 16, OwnCost),
+            (ProtoMsg::HlNowHome { block }, 0, 0, Reply),
+            (ProtoMsg::TdFetch { from, block, kind, pts: 3, have_wts: 2 }, 16, 0, Handler),
+            (ProtoMsg::TdData { block, wts: 2, lease: 10, home }, 16, 256, Reply),
+            (ProtoMsg::TdLease { block, lease: 10 }, 8, 0, Reply),
+            (ProtoMsg::TdWGrant { block, wts: 11, with_data: true, home }, 8, 256, Reply),
+            (ProtoMsg::TdWGrant { block, wts: 11, with_data: false, home }, 8, 0, Reply),
+            (ProtoMsg::TdRecall { block }, 0, 0, Handler),
+            (ProtoMsg::TdWriteback { from, block }, 0, 256, Reply),
+            (ProtoMsg::TdAck { from, block }, 0, 0, Reply),
+            (ProtoMsg::LockReq { from, lock: 4, vt: vt.clone() }, 12, 0, SyncHandler),
+            (ProtoMsg::LockReq { from, lock: 4, vt: None }, 0, 0, SyncHandler),
+            (ProtoMsg::LockGrant { lock: 4, vt: vt.clone(), notices: vec![notice; 2], pts: None }, 36, 0, Reply),
+            (ProtoMsg::LockGrant { lock: 4, vt: None, notices: vec![], pts: Some(9) }, 8, 0, Reply),
+            (ProtoMsg::LockRel { from, lock: 4, vt: vt.clone(), pts: Some(9) }, 20, 0, SyncHandler),
+            (ProtoMsg::BarArrive { from, barrier: 0, vt: vt.clone(), pts: None }, 12, 0, SyncHandler),
+            (ProtoMsg::BarArrive { from, barrier: 0, vt: None, pts: Some(9) }, 8, 0, SyncHandler),
+            (ProtoMsg::BarRelease { barrier: 0, vt, notices: vec![notice], pts: Some(9) }, 32, 0, Reply),
+            (ProtoMsg::BarRelease { barrier: 0, vt: None, notices: vec![], pts: None }, 0, 0, Reply),
+        ];
+        let mut tags: Vec<&str> = table.iter().map(|(m, ..)| m.tag()).collect();
+        tags.dedup();
+        assert_eq!(
+            tags.len(),
+            28,
+            "one row or more for each of the 28 variants"
+        );
+        for (msg, ctrl, data, service) in &table {
+            assert_eq!(msg.wire_bytes(&layout), (*ctrl, *data), "{msg:?}");
+            assert_eq!(msg.service(), *service, "{msg:?}");
         }
-        .needs_service());
-        assert!(!ProtoMsg::ScInvalAck { from: 0, block: 1 }.needs_service());
-        assert!(!ProtoMsg::ScWriteBack {
-            from: 0,
-            block: 1,
-            invalidated: true
-        }
-        .needs_service());
-        assert!(ProtoMsg::TdFetch {
-            from: 0,
-            block: 1,
-            kind: FaultKind::Read,
-            pts: 1,
-            have_wts: 0
-        }
-        .needs_service());
-        assert!(ProtoMsg::TdRecall { block: 1 }.needs_service());
-        assert!(!ProtoMsg::TdData {
-            block: 1,
-            wts: 2,
-            lease: 10,
-            home: 0
-        }
-        .needs_service());
-        assert!(!ProtoMsg::TdWriteback { from: 0, block: 1 }.needs_service());
-        assert!(!ProtoMsg::TdAck { from: 0, block: 1 }.needs_service());
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub fn start_fault(
         FaultKind::Read => ProtoMsg::ScReadReq { from: me, block: b },
         FaultKind::Write => ProtoMsg::ScWriteReq { from: me, block: b },
     };
-    w.send(s, me, target, depart, 0, 0, msg);
+    w.send(s, me, target, depart, msg);
 }
 
 /// A read or write request arriving at `me` (home, directory, or stale
@@ -118,7 +118,7 @@ pub fn handle_request(
                 FaultKind::Read => ProtoMsg::ScReadReq { from, block: b },
                 FaultKind::Write => ProtoMsg::ScWriteReq { from, block: b },
             };
-            w.send(s, me, h, now + handler, 0, 0, msg);
+            w.send(s, me, h, now + handler, msg);
         }
         None => {
             // We are the static directory node and the block is untouched:
@@ -144,8 +144,6 @@ pub fn handle_request(
                 me,
                 from,
                 now + handler,
-                0,
-                0,
                 ProtoMsg::ScNowHome { block: b, kind },
             );
         }
@@ -194,7 +192,7 @@ fn begin_read(
             // Fetch back from the exclusive owner; completion in
             // handle_write_back.
             w.sc.entry(b).pending.as_mut().expect("pending").acks_left = 1;
-            w.send(s, home, o, at, 0, 0, ProtoMsg::ScFetchBack { block: b });
+            w.send(s, home, o, at, ProtoMsg::ScFetchBack { block: b });
         }
         Some(o) if o == home => {
             // Home itself is the exclusive owner: downgrade locally.
@@ -224,22 +222,18 @@ fn send_read_grant(
 ) {
     w.sc.entry(b).sharers |= bit(from);
     let with_data = from != home;
-    let (data, extra) = if with_data {
-        let bs = w.block_size_of(b) as u64;
-        let c = w.cfg.cost.copy_cost(bs);
-        w.occupy(s, home, c);
+    let extra = if with_data {
+        let c = w.charge_block_copy(s, home, b);
         w.emit(home, s.now(), EventKind::FetchServe { block: b });
-        (bs, c)
+        c
     } else {
-        (0, 0)
+        0
     };
     w.send(
         s,
         home,
         from,
         at + extra,
-        0,
-        data,
         ProtoMsg::ScGrant {
             block: b,
             exclusive: false,
@@ -301,7 +295,7 @@ fn begin_write(
     for t in 0..w.cfg.nodes {
         if (targets & !skip_mask) & bit(t) != 0 {
             acks += 1;
-            w.send(s, home, t, at, 0, 0, ProtoMsg::ScInval { block: b });
+            w.send(s, home, t, at, ProtoMsg::ScInval { block: b });
         }
     }
     {
@@ -341,22 +335,18 @@ fn complete_write(
             w.access.set(home, b, Access::Invalid);
         }
     }
-    let (data, extra) = if with_data {
-        let bs = w.block_size_of(b) as u64;
-        let c = w.cfg.cost.copy_cost(bs);
-        w.occupy(s, home, c);
+    let extra = if with_data {
+        let c = w.charge_block_copy(s, home, b);
         w.emit(home, s.now(), EventKind::FetchServe { block: b });
-        (bs, c)
+        c
     } else {
-        (0, 0)
+        0
     };
     w.send(
         s,
         home,
         from,
         at + extra,
-        0,
-        data,
         ProtoMsg::ScGrant {
             block: b,
             exclusive: true,
@@ -370,17 +360,13 @@ fn complete_write(
 pub fn handle_fetch_back(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId) {
     debug_assert_eq!(w.access.get(me, b), Access::ReadWrite);
     w.grant(me, b, Access::Read);
-    let bs = w.block_size_of(b) as u64;
-    let c = w.cfg.cost.copy_cost(bs);
-    w.occupy(s, me, c);
+    let c = w.charge_block_copy(s, me, b);
     let home = w.route_home(b);
     w.send(
         s,
         me,
         home,
         s.now() + w.cfg.cost.handler_ns + c,
-        0,
-        bs,
         ProtoMsg::ScWriteBack {
             from: me,
             block: b,
@@ -402,16 +388,12 @@ pub fn handle_inval(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: Bl
         Access::ReadWrite => {
             w.access.set(me, b, Access::Invalid);
             w.emit(me, at, EventKind::Invalidate { block: b });
-            let bs = w.block_size_of(b) as u64;
-            let c = w.cfg.cost.copy_cost(bs);
-            w.occupy(s, me, c);
+            let c = w.charge_block_copy(s, me, b);
             w.send(
                 s,
                 me,
                 home,
                 at + c,
-                0,
-                bs,
                 ProtoMsg::ScWriteBack {
                     from: me,
                     block: b,
@@ -422,28 +404,12 @@ pub fn handle_inval(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: Bl
         Access::Read => {
             w.access.set(me, b, Access::Invalid);
             w.emit(me, at, EventKind::Invalidate { block: b });
-            w.send(
-                s,
-                me,
-                home,
-                at,
-                0,
-                0,
-                ProtoMsg::ScInvalAck { from: me, block: b },
-            );
+            w.send(s, me, home, at, ProtoMsg::ScInvalAck { from: me, block: b });
         }
         Access::Invalid => {
             // Copy already dropped (e.g. replaced during our own fault);
             // the home still needs the ack.
-            w.send(
-                s,
-                me,
-                home,
-                at,
-                0,
-                0,
-                ProtoMsg::ScInvalAck { from: me, block: b },
-            );
+            w.send(s, me, home, at, ProtoMsg::ScInvalAck { from: me, block: b });
         }
     }
 }
@@ -459,8 +425,7 @@ pub fn handle_write_back(
 ) {
     // Install the latest data in the home copy.
     w.data.copy_block(b, from, me);
-    let c = w.cfg.cost.copy_cost(w.block_size_of(b) as u64);
-    w.occupy(s, me, c);
+    let c = w.charge_block_copy(s, me, b);
     {
         let e = w.sc.entry(b);
         // In the write-invalidation path the directory already cleared the
@@ -551,8 +516,6 @@ pub fn handle_grant(
             me,
             target,
             at,
-            0,
-            0,
             ProtoMsg::ScReadReq { from: me, block: b },
         );
         return;
@@ -594,15 +557,7 @@ pub fn handle_grant(
         if me == home {
             complete_transaction(w, s, home, b, at);
         } else {
-            w.send(
-                s,
-                me,
-                home,
-                at,
-                0,
-                0,
-                ProtoMsg::ScGrantAck { from: me, block: b },
-            );
+            w.send(s, me, home, at, ProtoMsg::ScGrantAck { from: me, block: b });
         }
     }
     w.block_obtained(s, me);
@@ -661,7 +616,7 @@ fn complete_transaction(
             FaultKind::Read => ProtoMsg::ScReadReq { from, block: b },
             FaultKind::Write => ProtoMsg::ScWriteReq { from, block: b },
         };
-        w.send(s, home, home, at + w.cfg.cost.handler_ns, 0, 0, msg);
+        w.send(s, home, home, at + w.cfg.cost.handler_ns, msg);
     }
 }
 

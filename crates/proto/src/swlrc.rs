@@ -155,8 +155,6 @@ pub fn start_fault(
         me,
         target,
         depart,
-        0,
-        0,
         ProtoMsg::SwReq {
             from: me,
             block: b,
@@ -212,25 +210,19 @@ pub fn handle_request(
                     me,
                     from,
                     now + handler,
-                    0,
-                    0,
                     ProtoMsg::SwNowOwner { block: b },
                 );
             }
             FaultKind::Read => {
                 // Unowned read: the directory serves its (golden) copy at
                 // version 0 without claiming.
-                let bs = w.block_size_of(b) as u64;
-                let c = w.cfg.cost.copy_cost(bs);
-                w.occupy(s, me, c);
+                let c = w.charge_block_copy(s, me, b);
                 w.emit(me, s.now(), EventKind::FetchServe { block: b });
                 w.send(
                     s,
                     me,
                     from,
                     now + handler + c,
-                    4,
-                    bs,
                     ProtoMsg::SwReply {
                         block: b,
                         version: 0,
@@ -254,8 +246,6 @@ pub fn handle_request(
         me,
         target,
         now + handler,
-        0,
-        0,
         ProtoMsg::SwReq {
             from,
             block: b,
@@ -275,9 +265,7 @@ fn serve(
     kind: FaultKind,
     at: Time,
 ) {
-    let bs = w.block_size_of(b) as u64;
-    let c = w.cfg.cost.copy_cost(bs);
-    w.occupy(s, me, c);
+    let c = w.charge_block_copy(s, me, b);
     w.emit(me, s.now(), EventKind::FetchServe { block: b });
     match kind {
         FaultKind::Read => {
@@ -287,8 +275,6 @@ fn serve(
                 me,
                 from,
                 at + c,
-                4,
-                bs,
                 ProtoMsg::SwReply {
                     block: b,
                     version: v,
@@ -326,8 +312,6 @@ fn serve(
                 me,
                 from,
                 at + c,
-                4,
-                bs,
                 ProtoMsg::SwReply {
                     block: b,
                     version: v,
@@ -402,8 +386,6 @@ fn drain_waiting(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: Block
                 me,
                 me,
                 when,
-                0,
-                0,
                 ProtoMsg::SwReq {
                     from,
                     block: b,

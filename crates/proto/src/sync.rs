@@ -5,14 +5,13 @@
 //! protocols, lock grants and barrier releases carry vector timestamps and
 //! the write notices the acquirer is causally missing — this is the entire
 //! consistency-information transport of LRC. Under Tardis they carry the
-//! releaser's scalar program timestamp instead (8 bytes; the acquirer's
+//! releaser's scalar program timestamp instead (the acquirer's
 //! merge is what expires stale leases). Under SC the same messages flow
 //! but carry no consistency payload (synchronization is cheap in SC, paper
 //! §5.2.2).
 
 use std::collections::VecDeque;
 
-use dsm_net::{VT_ENTRY_BYTES, WRITE_NOTICE_BYTES};
 use dsm_sim::{NodeId, Sched, Time};
 
 use crate::lrc;
@@ -43,9 +42,6 @@ pub struct BarrierState {
     pub arrived: Vec<(NodeId, Option<VClock>, Option<u64>)>,
 }
 
-/// Wire size of a piggybacked Tardis program timestamp.
-const PTS_BYTES: u64 = 8;
-
 /// Manager node for a lock.
 pub fn lock_manager(w: &ProtoWorld, l: usize) -> NodeId {
     l % w.cfg.nodes
@@ -61,15 +57,12 @@ pub fn barrier_manager(w: &ProtoWorld, b: usize) -> NodeId {
 pub fn lock_acquire_start(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, l: usize) {
     let mgr = lock_manager(w, l);
     let vt = w.has_lrc.then(|| w.nodes[me].vt.clone());
-    let ctrl = vt.as_ref().map_or(0, |v| v.wire_bytes());
     let depart = s.now() + w.cfg.cost.handler_ns;
     w.send(
         s,
         me,
         mgr,
         depart,
-        ctrl,
-        0,
         ProtoMsg::LockReq {
             from: me,
             lock: l,
@@ -88,15 +81,12 @@ pub fn lock_release_start(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId,
     let mgr = lock_manager(w, l);
     let vt = w.has_lrc.then(|| w.nodes[me].vt.clone());
     let pts = w.has_tardis.then(|| w.td.pts[me]);
-    let ctrl = vt.as_ref().map_or(0, |v| v.wire_bytes()) + pts.map_or(0, |_| PTS_BYTES);
     let depart = s.now() + elapsed + w.cfg.cost.handler_ns;
     w.send(
         s,
         me,
         mgr,
         depart,
-        ctrl,
-        0,
         ProtoMsg::LockRel {
             from: me,
             lock: l,
@@ -122,15 +112,12 @@ pub fn barrier_arrive_start(
     let mgr = barrier_manager(w, bar);
     let vt = w.has_lrc.then(|| w.nodes[me].vt.clone());
     let pts = w.has_tardis.then(|| w.td.pts[me]);
-    let ctrl = vt.as_ref().map_or(0, |v| v.wire_bytes()) + pts.map_or(0, |_| PTS_BYTES);
     let depart = s.now() + elapsed + w.cfg.cost.handler_ns;
     w.send(
         s,
         me,
         mgr,
         depart,
-        ctrl,
-        0,
         ProtoMsg::BarArrive {
             from: me,
             barrier: bar,
@@ -221,17 +208,12 @@ fn send_grant(
     }
     w.emit_notices(me, s.now(), notices.len(), false);
     let pts = w.has_tardis.then(|| w.locks[l].last_pts);
-    let ctrl = vt.as_ref().map_or(0, |v| v.wire_bytes())
-        + notices.len() as u64 * WRITE_NOTICE_BYTES
-        + pts.map_or(0, |_| PTS_BYTES);
     let depart = s.now() + w.cfg.cost.sync_handler_ns;
     w.send(
         s,
         me,
         to,
         depart,
-        ctrl,
-        0,
         ProtoMsg::LockGrant {
             lock: l,
             vt,
@@ -322,9 +304,6 @@ pub fn handle_bar_arrive(
             _ => Vec::new(),
         };
         w.emit_notices(me, s.now(), notices.len(), false);
-        let ctrl = merged.as_ref().map_or(0, |_| n as u64 * VT_ENTRY_BYTES)
-            + notices.len() as u64 * WRITE_NOTICE_BYTES
-            + merged_pts.map_or(0, |_| PTS_BYTES);
         let depart = s.now() + per_send * (i as Time + 1);
         w.occupy(s, me, per_send);
         w.send(
@@ -332,8 +311,6 @@ pub fn handle_bar_arrive(
             me,
             node,
             depart,
-            ctrl,
-            0,
             ProtoMsg::BarRelease {
                 barrier: bar,
                 vt: merged.clone(),

@@ -152,8 +152,6 @@ pub fn start_fault(
         me,
         home,
         depart,
-        16,
-        0,
         ProtoMsg::TdFetch {
             from: me,
             block: b,
@@ -188,7 +186,7 @@ fn pump(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId, mut a
         }
         if let Some(owner) = w.td.owner[b] {
             w.td.busy[b] = true;
-            w.send(s, me, owner, at, 0, 0, ProtoMsg::TdRecall { block: b });
+            w.send(s, me, owner, at, ProtoMsg::TdRecall { block: b });
             return;
         }
         let wtr = w.td.waiting[b].pop_front().unwrap();
@@ -206,27 +204,15 @@ fn pump(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId, mut a
                     // The requester's copy is current: extend the lease
                     // header-only, no payload moves.
                     w.emit(me, now, EventKind::LeaseRenew { block: b });
-                    w.send(
-                        s,
-                        me,
-                        wtr.from,
-                        at,
-                        8,
-                        0,
-                        ProtoMsg::TdLease { block: b, lease },
-                    );
+                    w.send(s, me, wtr.from, at, ProtoMsg::TdLease { block: b, lease });
                 } else {
-                    let bs = w.block_size_of(b) as u64;
-                    let c = w.cfg.cost.copy_cost(bs);
-                    w.occupy(s, me, c);
+                    let c = w.charge_block_copy(s, me, b);
                     w.emit(me, now, EventKind::FetchServe { block: b });
                     w.send(
                         s,
                         me,
                         wtr.from,
                         at + c,
-                        16,
-                        bs,
                         ProtoMsg::TdData {
                             block: b,
                             wts,
@@ -263,22 +249,18 @@ fn pump(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId, mut a
                 // A requester whose copy carries the current wts only needs
                 // the upgrade: no payload.
                 let with_data = wtr.have_wts != old;
-                let (data, dly) = if with_data {
-                    let bs = w.block_size_of(b) as u64;
-                    let c = w.cfg.cost.copy_cost(bs);
-                    w.occupy(s, me, c);
+                let dly = if with_data {
+                    let c = w.charge_block_copy(s, me, b);
                     w.emit(me, now, EventKind::FetchServe { block: b });
-                    (bs, c)
+                    c
                 } else {
-                    (0, 0)
+                    0
                 };
                 w.send(
                     s,
                     me,
                     wtr.from,
                     at + dly,
-                    8,
-                    data,
                     ProtoMsg::TdWGrant {
                         block: b,
                         wts,
@@ -374,8 +356,6 @@ pub fn handle_wgrant(
         me,
         home,
         s.now() + w.cfg.cost.handler_ns,
-        0,
-        0,
         ProtoMsg::TdAck { from: me, block: b },
     );
     let at = s.now() + w.cfg.cost.handler_ns;
@@ -394,16 +374,12 @@ pub fn handle_recall(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: B
     w.td.copy_wts[ni] = 0;
     w.td.lease[ni] = 0;
     let home = w.route_home(b);
-    let bs = w.block_size_of(b) as u64;
-    let c = w.cfg.cost.copy_cost(bs);
-    w.occupy(s, me, c);
+    let c = w.charge_block_copy(s, me, b);
     w.send(
         s,
         me,
         home,
         s.now() + w.cfg.cost.handler_ns + c,
-        0,
-        bs,
         ProtoMsg::TdWriteback { from: me, block: b },
     );
 }

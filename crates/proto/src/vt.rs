@@ -1,6 +1,8 @@
 //! Vector timestamps for the lazy release consistency protocols, and the
 //! scalar logical-lease timestamps used by the Tardis protocol.
 
+use crate::msg::VT_ENTRY_BYTES;
+
 /// Length, in logical-timestamp units, of a Tardis read lease.
 ///
 /// A read grant covers the block up to `max(rts, max(pts, wts) + LEASE_TS)`:
@@ -116,9 +118,9 @@ impl VClock {
         v
     }
 
-    /// Wire size in bytes (4 bytes per entry).
+    /// Wire size in bytes, [`VT_ENTRY_BYTES`] per entry.
     pub fn wire_bytes(&self) -> u64 {
-        4 * self.0.len() as u64
+        VT_ENTRY_BYTES * self.0.len() as u64
     }
 }
 

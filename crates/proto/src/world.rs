@@ -22,7 +22,7 @@ use crate::check::RunChecker;
 use crate::config::{Protocol, RunConfig};
 use crate::hlrc::HlState;
 use crate::lrc::NoticeLog;
-use crate::msg::{Envelope, FaultKind, Packet, ProtoMsg};
+use crate::msg::{Envelope, FaultKind, Packet, ProtoMsg, Service};
 use crate::mutate::MutRt;
 use crate::pool::{BufPool, TwinTable};
 use crate::sc::ScState;
@@ -366,19 +366,17 @@ impl ProtoWorld {
         self.barriers.entry(b).or_default()
     }
 
-    /// Send a protocol message. `ctrl`/`data` split the payload for traffic
-    /// accounting (both exclude the implicit header, which is added here).
-    /// Self-sends skip the network and its accounting entirely and are
-    /// delivered at `depart` (the local handler turnaround).
-    #[allow(clippy::too_many_arguments)] // (from, to, depart, sizes, msg) is the natural wire signature
+    /// Send a protocol message. Its size is the header plus what
+    /// [`ProtoMsg::wire_bytes`] states, split into control and data bytes
+    /// for traffic accounting. Self-sends skip the network and its
+    /// accounting entirely and are delivered at `depart` (the local handler
+    /// turnaround).
     pub fn send(
         &mut self,
         s: &mut Sched<Packet>,
         from: NodeId,
         to: NodeId,
         depart: Time,
-        ctrl: u64,
-        data: u64,
         msg: ProtoMsg,
     ) {
         if from == to {
@@ -390,6 +388,7 @@ impl ProtoWorld {
             );
             return;
         }
+        let (ctrl, data) = msg.wire_bytes(&self.layout);
         self.emit(
             from,
             depart,
@@ -524,6 +523,15 @@ impl ProtoWorld {
         self.fabric.reuse_deliveries(deliver);
     }
 
+    /// Charge `node` the occupancy of copying block `b` between its memory
+    /// and the network interface (a block put on, or taken off, the wire),
+    /// and return the copy time.
+    pub fn charge_block_copy(&mut self, s: &mut Sched<Packet>, node: NodeId, b: BlockId) -> Time {
+        let c = self.cfg.cost.copy_cost(self.block_size_of(b) as u64);
+        self.occupy(s, node, c);
+        c
+    }
+
     /// Charge `cost` ns of request-service occupancy to a node that is
     /// currently computing (no-op for blocked/done nodes, whose spin loop
     /// absorbs the work).
@@ -612,8 +620,9 @@ impl World for ProtoWorld {
         self.quiesce = self.quiesce.max(s.now());
         // One-shot service-time deferral for asynchronous requests arriving
         // at a node that is busy computing.
+        let service = env.msg.service();
         if !env.deferred
-            && env.msg.needs_service()
+            && service != Service::Reply
             && !s.is_blocked(to)
             && s.resume_at(to).is_some()
         {
@@ -680,23 +689,23 @@ impl World for ProtoWorld {
             let now = s.now();
             self.obs.span_recv(to, now, env.span);
         }
-        let handler = self.cfg.cost.handler_ns;
+        match service {
+            Service::Handler => self.occupy(s, to, self.cfg.cost.handler_ns),
+            Service::SyncHandler => self.occupy(s, to, self.cfg.cost.sync_handler_ns),
+            Service::Reply | Service::OwnCost => {}
+        }
         match env.msg {
             // SC
             ProtoMsg::ScReadReq { from, block } => {
-                self.occupy(s, to, handler);
                 sc::handle_request(self, s, to, from, block, FaultKind::Read);
             }
             ProtoMsg::ScWriteReq { from, block } => {
-                self.occupy(s, to, handler);
                 sc::handle_request(self, s, to, from, block, FaultKind::Write);
             }
             ProtoMsg::ScFetchBack { block } => {
-                self.occupy(s, to, handler);
                 sc::handle_fetch_back(self, s, to, block);
             }
             ProtoMsg::ScInval { block } => {
-                self.occupy(s, to, handler);
                 sc::handle_inval(self, s, to, block);
             }
             ProtoMsg::ScWriteBack {
@@ -730,7 +739,6 @@ impl World for ProtoWorld {
                 kind,
                 hops,
             } => {
-                self.occupy(s, to, handler);
                 swlrc::handle_request(self, s, to, from, block, kind, hops);
             }
             ProtoMsg::SwReply {
@@ -751,7 +759,6 @@ impl World for ProtoWorld {
                 kind,
                 needs,
             } => {
-                self.occupy(s, to, handler);
                 hlrc::handle_fetch(self, s, to, from, block, kind, needs);
             }
             ProtoMsg::HlData { block, home } => {
@@ -776,7 +783,6 @@ impl World for ProtoWorld {
                 pts,
                 have_wts,
             } => {
-                self.occupy(s, to, handler);
                 tardis::handle_fetch(
                     self,
                     s,
@@ -810,7 +816,6 @@ impl World for ProtoWorld {
                 tardis::handle_wgrant(self, s, to, block, wts, with_data, home);
             }
             ProtoMsg::TdRecall { block } => {
-                self.occupy(s, to, handler);
                 tardis::handle_recall(self, s, to, block);
             }
             ProtoMsg::TdWriteback { from, block } => {
@@ -821,7 +826,6 @@ impl World for ProtoWorld {
             }
             // Synchronization
             ProtoMsg::LockReq { from, lock, vt } => {
-                self.occupy(s, to, self.cfg.cost.sync_handler_ns);
                 sync::handle_lock_req(self, s, to, from, lock, vt);
             }
             ProtoMsg::LockGrant {
@@ -838,7 +842,6 @@ impl World for ProtoWorld {
                 vt,
                 pts,
             } => {
-                self.occupy(s, to, self.cfg.cost.sync_handler_ns);
                 sync::handle_lock_rel(self, s, to, from, lock, vt, pts);
             }
             ProtoMsg::BarArrive {
@@ -847,7 +850,6 @@ impl World for ProtoWorld {
                 vt,
                 pts,
             } => {
-                self.occupy(s, to, self.cfg.cost.sync_handler_ns);
                 sync::handle_bar_arrive(self, s, to, from, barrier, vt, pts);
             }
             ProtoMsg::BarRelease {

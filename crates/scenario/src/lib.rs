@@ -52,5 +52,5 @@ pub mod run;
 pub mod spec;
 
 pub use exec::{pool_map, run_scenario, RepOutcome, ScenarioOutcome};
-pub use run::RunSpec;
+pub use run::{RunSpec, MAX_NODES};
 pub use spec::{AppSpec, ScenarioSpec, SeedSeq, SCHEMA};

@@ -142,10 +142,18 @@ impl RunSpec {
     }
 
     /// The program this run executes, once the run is checked against it:
-    /// every block is one [`block_arg`] takes for it, and every region
-    /// policy names a region the runner carves the program into.
+    /// the cluster fits the application's layout, every block is one
+    /// [`block_arg`] takes for it, and every region policy names a region
+    /// the runner carves the program into.
     pub fn program(&self) -> Result<Program, String> {
         let program = self.app.build(self.seed)?;
+        if let Some(most) = dsm_apps::max_nodes(&self.app.name).filter(|&m| self.nodes > m) {
+            let name = &self.app.name;
+            return Err(format!(
+                "nodes={}: {name} runs on at most {most} nodes",
+                self.nodes
+            ));
+        }
         let fits = |b: usize| block_arg(&b.to_string(), program.shared_bytes());
         fits(self.block)?;
         // The runner's carving, at the largest block in play.

@@ -3,8 +3,8 @@
 //! real applications.
 
 use dsm::{run_experiment, Notify, Protocol, RegionPolicy, RunConfig};
-use dsm_apps::registry::{app_sized, AppSize};
-use dsm_scenario::RunSpec;
+use dsm_apps::registry::{all_app_names, app_sized, max_nodes, modern_app_names, AppSize};
+use dsm_scenario::{RunSpec, MAX_NODES};
 
 fn small(name: &str) -> dsm::Program {
     app_sized(name, AppSize::Small).expect("app")
@@ -162,15 +162,25 @@ fn every_app_is_deterministic_across_repeat_runs() {
 
 #[test]
 fn cluster_size_sweep_works_for_size_generic_apps() {
-    // The engine and protocols are node-count generic; check correctness
-    // across cluster sizes (the test-size problem is too small to expect
-    // monotone scaling).
-    for nodes in [4usize, 8, 16] {
-        let cfg = RunConfig::new(Protocol::Hlrc, 4096).with_nodes(nodes);
-        let r = run_experiment(&cfg, small("water-nsquared"));
-        assert!(r.check.is_ok(), "{nodes} nodes: {:?}", r.check);
-        assert!(r.speedup() > 0.0);
-        assert_eq!(r.stats.per_node.len(), nodes);
+    // The engine and protocols are node-count generic, and so is every
+    // application up to the cluster its layout has room for: check
+    // correctness at powers of two, at cluster sizes that divide no
+    // dimension, and at the largest cluster a run may ask for (the
+    // test-size problem is too small to expect monotone scaling).
+    let names = all_app_names().into_iter().chain(modern_app_names());
+    for name in names {
+        let most = max_nodes(name).unwrap_or(MAX_NODES);
+        let sizes = [3usize, 4, 7, 8, 12, 16, MAX_NODES];
+        for nodes in sizes.into_iter().filter(|&n| n <= most) {
+            for (p, block) in [(Protocol::Sc, 256), (Protocol::Hlrc, 4096)] {
+                let cfg = RunConfig::new(p, block).with_nodes(nodes);
+                let r = run_experiment(&cfg, small(name));
+                let at = format!("{name} {p:?}@{block} at {nodes} nodes");
+                assert!(r.check.is_ok(), "{at}: {:?}", r.check);
+                assert!(r.speedup() > 0.0);
+                assert_eq!(r.stats.per_node.len(), nodes);
+            }
+        }
     }
 }
 

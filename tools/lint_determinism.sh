@@ -4,7 +4,7 @@
 # state (proto), the arithmetic rule for the applications, the
 # no-environment rule for every library crate, the direction of the tool
 # crates' dependency edge, the one way in to the application registry, the
-# one build and the one run description.
+# one build, the one run description and the one wire format.
 #
 # The whole stack depends on bit-identical replay: the engine's state
 # hashes, the model checker's replay-based exploration, and the golden
@@ -133,6 +133,14 @@
 #      `RunSpec::to_config` (crates/scenario/src/run.rs). A run the tools
 #      make is a `RunSpec`, whose line `diag` replays; a configuration
 #      built beside it is a run no tool can print or re-run. No allowlist.
+#
+# A thirteenth keeps the wire format in one place:
+#
+#  13. A message states its own size. Under crates/proto/src no
+#      `const [A-Z_]*_BYTES` item appears outside msg.rs, where
+#      `ProtoMsg::wire_bytes` reads the wire format's byte constants: a
+#      size constant beside a handler is a second copy of what a message
+#      costs, which the one table no longer governs. No allowlist.
 #
 # Comment lines are ignored. Run from anywhere; CI runs it on every push.
 
@@ -308,6 +316,14 @@ hits=$(find crates/bench/src crates/scenario/src -name '*.rs' | sort | xargs awk
 if [ -n "$hits" ]; then
   echo "$hits"
   echo "lint_determinism: a run configured beside RunSpec — describe it as a dsm_scenario::RunSpec and call to_config (no allowlist for this rule)"
+  status=1
+fi
+
+# Rule 13.
+hits=$(matches '\bconst [A-Z_0-9]*_BYTES\b' crates/proto/src | grep -v '^crates/proto/src/msg\.rs:')
+if [ -n "$hits" ]; then
+  echo "$hits"
+  echo "lint_determinism: a wire size outside crates/proto/src/msg.rs — state it there and read it through ProtoMsg::wire_bytes (no allowlist for this rule)"
   status=1
 fi
 
