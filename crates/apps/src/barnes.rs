@@ -557,6 +557,10 @@ impl DsmProgram for Barnes {
         25
     }
 
+    fn max_nodes(&self) -> Option<usize> {
+        Some(Self::MAX_NODES)
+    }
+
     fn uses_lrc_extra_sync(&self) -> bool {
         matches!(self.variant, BarnesVariant::Original)
     }

@@ -53,9 +53,7 @@ pub use kvstore::KvZipf;
 pub use lu::Lu;
 pub use ocean::{OceanOriginal, OceanRowwise};
 pub use raytrace::Raytrace;
-pub use registry::{
-    all_app_names, app, app_sized, build_app, max_nodes, modern_app_names, AppSize,
-};
+pub use registry::{all_app_names, app, app_sized, build_app, modern_app_names, AppSize};
 pub use volrend::{VolrendOriginal, VolrendRowwise};
 pub use water_nsq::WaterNsq;
 pub use water_spatial::WaterSpatial;

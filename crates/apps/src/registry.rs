@@ -74,8 +74,6 @@ struct AppEntry {
     /// The constructor, from the seed and the parameter values; an error for
     /// a value outside its range (the modern workloads' `try_new`).
     make: fn(u64, &Args<'_>) -> Result<Program, String>,
-    /// The largest cluster the application's layout has room for, if any.
-    max_nodes: Option<usize>,
 }
 
 /// `Ok` when a kernel constructor's precondition `holds`, else `what` it
@@ -106,21 +104,18 @@ const APPS: [AppEntry; 15] = [
             require(n.is_multiple_of(b), "b to divide n")?;
             Ok(Arc::new(Lu::new(n, b)))
         },
-        max_nodes: None,
     },
     AppEntry {
         name: "ocean-rowwise",
         family: Family::Paper,
         params: &[("n", 256, 64), ("iters", 6, 2)],
         make: |_, a| Ok(Arc::new(OceanRowwise::new(a.get(0)?, a.get(1)?))),
-        max_nodes: None,
     },
     AppEntry {
         name: "ocean-original",
         family: Family::Paper,
         params: &[("n", 256, 64), ("iters", 6, 2)],
         make: |_, a| Ok(Arc::new(OceanOriginal::new(a.get(0)?, a.get(1)?))),
-        max_nodes: None,
     },
     AppEntry {
         name: "fft",
@@ -131,21 +126,18 @@ const APPS: [AppEntry; 15] = [
             require(m.is_power_of_two(), "m to be a power of two")?;
             Ok(Arc::new(Fft::new(m)))
         },
-        max_nodes: None,
     },
     AppEntry {
         name: "water-nsquared",
         family: Family::Paper,
         params: &[("n", 512, 64), ("steps", 2, 1)],
         make: |_, a| Ok(Arc::new(WaterNsq::new(a.get(0)?, a.get(1)?))),
-        max_nodes: None,
     },
     AppEntry {
         name: "volrend-rowwise",
         family: Family::Paper,
         params: &[("img", 96, 32)],
         make: |_, a| Ok(Arc::new(VolrendRowwise::new(a.get(0)?))),
-        max_nodes: None,
     },
     AppEntry {
         name: "volrend-original",
@@ -156,7 +148,6 @@ const APPS: [AppEntry; 15] = [
             require(img.is_multiple_of(4), "img to be a multiple of 4")?;
             Ok(Arc::new(VolrendOriginal::new(img)))
         },
-        max_nodes: None,
     },
     AppEntry {
         name: "water-spatial",
@@ -170,7 +161,6 @@ const APPS: [AppEntry; 15] = [
             require(room.is_some_and(|room| n <= room), "n to fit the c^3 cells")?;
             Ok(Arc::new(WaterSpatial::new(c, n, steps)))
         },
-        max_nodes: None,
     },
     AppEntry {
         name: "raytrace",
@@ -184,28 +174,24 @@ const APPS: [AppEntry; 15] = [
             )?;
             Ok(Arc::new(Raytrace::new(img)))
         },
-        max_nodes: None,
     },
     AppEntry {
         name: "barnes-spatial",
         family: Family::Paper,
         params: &[("n", 1024, 128), ("steps", 2, 1)],
         make: |_, a| barnes(a, BarnesVariant::Spatial),
-        max_nodes: Some(Barnes::MAX_NODES),
     },
     AppEntry {
         name: "barnes-partree",
         family: Family::Paper,
         params: &[("n", 1024, 128), ("steps", 2, 1)],
         make: |_, a| barnes(a, BarnesVariant::Partree),
-        max_nodes: Some(Barnes::MAX_NODES),
     },
     AppEntry {
         name: "barnes-original",
         family: Family::Paper,
         params: &[("n", 1024, 128), ("steps", 2, 1)],
         make: |_, a| barnes(a, BarnesVariant::Original),
-        max_nodes: Some(Barnes::MAX_NODES),
     },
     AppEntry {
         name: "kv-zipf",
@@ -222,7 +208,6 @@ const APPS: [AppEntry; 15] = [
             let kv = KvZipf::try_new(seed, keys, ops, epochs, a.get(3)?, a.get(4)?)?;
             Ok(Arc::new(kv))
         },
-        max_nodes: None,
     },
     AppEntry {
         name: "pagerank",
@@ -232,7 +217,6 @@ const APPS: [AppEntry; 15] = [
             let pr = PageRank::try_new(seed, a.get(0)?, a.get(1)?, a.get(2)?)?;
             Ok(Arc::new(pr))
         },
-        max_nodes: None,
     },
     AppEntry {
         name: "random-drf",
@@ -242,7 +226,6 @@ const APPS: [AppEntry; 15] = [
             let drf = RandomDrf::try_new(seed, a.get(0)?, a.get(1)?, a.get(2)?)?;
             Ok(Arc::new(drf))
         },
-        max_nodes: None,
     },
 ];
 
@@ -272,12 +255,6 @@ pub fn all_app_names() -> [&'static str; 12] {
 pub fn modern_app_names() -> [&'static str; 3] {
     const NAMES: [&str; 3] = names(Family::Modern);
     NAMES
-}
-
-/// The largest cluster application `name` runs on, when its layout sets
-/// one (None for an unknown name).
-pub fn max_nodes(name: &str) -> Option<usize> {
-    APPS.iter().find(|a| a.name == name)?.max_nodes
 }
 
 /// Application `name` at `size` for `seed`, with `overrides` replacing

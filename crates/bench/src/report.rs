@@ -958,6 +958,9 @@ impl dsm_core::DsmProgram for InflationOverride {
     fn poll_inflation_pct(&self) -> u32 {
         self.1
     }
+    fn max_nodes(&self) -> Option<usize> {
+        self.0.max_nodes()
+    }
     fn check(&self, seq: &dsm_core::MemImage, par: &dsm_core::MemImage) -> Result<(), String> {
         self.0.check(seq, par)
     }

@@ -93,6 +93,13 @@ pub trait DsmProgram: Send + Sync + 'static {
         15
     }
 
+    /// The largest cluster the program's layout has room for, if it sets
+    /// one (Barnes sizes its per-node allocation counters for 16 nodes).
+    /// A run on more nodes is refused before it starts.
+    fn max_nodes(&self) -> Option<usize> {
+        None
+    }
+
     /// Whether the program's relaxed-consistency form takes locks its SC
     /// form does not (Barnes-Original locks every tree descent step). The
     /// body itself decides what to call; `dsm_adapt::choose_policies` reads

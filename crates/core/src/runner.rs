@@ -7,7 +7,7 @@ use dsm_fabric::FaultOracle;
 use dsm_mem::Layout;
 use dsm_net::{CostModel, Notify};
 use dsm_obs::{Counters, ObsReport, RunStats, SharingProfile};
-use dsm_proto::{final_image, ProtoWorld, Protocol, RunChecker};
+use dsm_proto::{final_image, ProtoWorld, Protocol};
 pub use dsm_proto::{RegionPolicy, RunConfig};
 use dsm_sim::{McHook, McInstall, NodeFuture, RunError, Time};
 
@@ -137,17 +137,19 @@ fn poll_inflation(cfg: &RunConfig, program: &dyn DsmProgram) -> u32 {
 /// protocol state, checker, and the program's initial image (held once; a
 /// node's copy of a block is filled at its first grant).
 fn build_world(cfg: &RunConfig, program: &dyn DsmProgram) -> ProtoWorld {
+    if let Some(most) = program.max_nodes() {
+        let name = program.name();
+        assert!(
+            cfg.nodes <= most,
+            "{name} runs on at most {most} nodes; the run asks for {}",
+            cfg.nodes
+        );
+    }
     let layout = build_layout(cfg, program);
     let size = layout.size();
     let mut world = ProtoWorld::new(cfg.clone(), layout);
     if cfg.check {
-        world.check = Some(Box::new(RunChecker::new(
-            &program.name(),
-            cfg.nodes,
-            world.layout.clone(),
-            world.region_proto.clone(),
-            cfg.fabric.reliable(),
-        )));
+        world = world.with_check(&program.name());
     }
     let mut golden = MemImage::new(size);
     program.init(&mut golden);

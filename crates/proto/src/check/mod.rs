@@ -6,14 +6,18 @@
 //! and is entirely absent otherwise. It observes the protocol engine through
 //! narrow hooks, its inherent methods: per-word shared accesses,
 //! synchronization edges, write-notice traffic, diff creation/application,
-//! SC access-state installs, Tardis grants and fabric frame delivery. The
-//! hooks carry only borrowed data and the checker never charges virtual
-//! time or mutates protocol state, so a checked run produces bit-identical
-//! results to an unchecked one — and with no checker installed every hook
-//! site is a single `Option::is_some` test. Hook order follows engine
-//! execution order, which is fully serialized and deterministic; in
-//! particular every release-side hook runs before the acquire-side hook it
-//! happens-before.
+//! SC access-state installs, Tardis grants and fabric frame delivery. Every
+//! hook runs through one door, [`crate::ProtoWorld::audit`], which hands it
+//! the world read-only: a hook reads the layout, the region protocols, a
+//! node's vector time, its copy of a block or the other nodes' access
+//! rights there, and takes as arguments only what the world does not hold
+//! (ids, the time, a message's payload, a twin and its diff). The checker
+//! never charges virtual time or mutates protocol state, so a checked run
+//! produces bit-identical results to an unchecked one — and with no checker
+//! installed every hook site is a single `Option::is_some` test. Hook order
+//! follows engine execution order, which is fully serialized and
+//! deterministic; in particular every release-side hook runs before the
+//! acquire-side hook it happens-before.
 //!
 //! Two layers run side by side:
 //!
@@ -33,13 +37,14 @@
 mod inv;
 mod race;
 
-use dsm_mem::{BlockId, Layout};
+use dsm_mem::{Access, BlockId};
 use dsm_sim::rng::{fold64, Fingerprinted, StableHasher};
 use dsm_sim::{NodeId, Time};
 
 use crate::diff::Diff;
 use crate::msg::Notice;
 use crate::vt::VClock;
+use crate::world::ProtoWorld;
 use crate::Protocol;
 
 use inv::{FabricMirror, HlMirror, LrcMirror, SwMirror, TdMirror};
@@ -106,15 +111,6 @@ impl std::fmt::Display for SyncCtx {
 /// The full per-run checker. See the module docs for the layer breakdown.
 pub struct RunChecker {
     app: String,
-    layout: Layout,
-    /// Protocol per layout region (same indexing as `layout.regions()`).
-    region_protocols: Vec<Protocol>,
-    /// Whether some region runs Tardis: only then does an access have a
-    /// lease to be checked against.
-    has_tardis: bool,
-    /// Fabric delivery checks only apply under the reliable fabric; the
-    /// ideal fire-and-forget network has no sequencing to validate.
-    fabric_reliable: bool,
     // The state the model checker fingerprints, one cached word each.
     det: Fingerprinted<RaceDetector>,
     lrc: Fingerprinted<LrcMirror>,
@@ -129,34 +125,20 @@ pub struct RunChecker {
 }
 
 impl RunChecker {
-    /// Checker for an `nodes`-node run of `app` over `layout`, with one
-    /// protocol per layout region (uniform runs pass the same protocol for
-    /// every region).
-    pub fn new(
-        app: &str,
-        nodes: usize,
-        layout: Layout,
-        region_protocols: Vec<Protocol>,
-        fabric_reliable: bool,
-    ) -> Self {
-        assert_eq!(
-            region_protocols.len(),
-            layout.regions().len(),
-            "one protocol per layout region"
-        );
+    /// Checker for a run of `app` over `w`'s cluster and layout; see
+    /// [`ProtoWorld::with_check`].
+    pub(crate) fn new(app: &str, w: &ProtoWorld) -> Self {
+        let nodes = w.cfg.nodes;
+        // No channel has sequence numbers to mirror on the ideal fabric.
+        let channels = if w.cfg.fabric.reliable() { nodes } else { 0 };
         RunChecker {
             app: app.to_string(),
-            has_tardis: region_protocols.contains(&Protocol::Tardis),
-            det: Fingerprinted::new(RaceDetector::new(nodes, layout.size() / race::WORD)),
-            layout,
-            region_protocols,
-            fabric_reliable,
+            det: Fingerprinted::new(RaceDetector::new(nodes, w.layout.size() / race::WORD)),
             lrc: Fingerprinted::new(LrcMirror::new(nodes)),
             hl: Fingerprinted::default(),
             sw: Fingerprinted::default(),
             td: Fingerprinted::new(TdMirror::new(nodes)),
-            // No channel has sequence numbers to mirror on the ideal fabric.
-            fab: Fingerprinted::new(FabricMirror::new(if fabric_reliable { nodes } else { 0 })),
+            fab: Fingerprinted::new(FabricMirror::new(channels)),
             sync_ctx: Fingerprinted::new(vec![SyncCtx::Start; nodes]),
             violations: Fingerprinted::default(),
             suppressed: 0,
@@ -193,17 +175,10 @@ impl RunChecker {
     fn push_fail(&mut self, f: inv::Fail, node: NodeId, block: Option<BlockId>, time: Time) {
         self.push(f.0, node, block, time, f.1);
     }
-
-    fn protocol_of(&self, b: BlockId) -> Protocol {
-        self.region_protocols[self.layout.region_of_block(b)]
-    }
-
-    fn region_name(&self, addr: usize) -> &str {
-        self.layout.regions()[self.layout.region_of_addr(addr)].name()
-    }
 }
 
-/// The hooks the protocol engine drives, in engine execution order.
+/// The hooks the protocol engine drives through [`ProtoWorld::audit`], in
+/// engine execution order. `w` is the world as the hook site sees it.
 impl RunChecker {
     /// Node `me` entered the measured phase; accesses before this call
     /// (warm-up) are not race-checked.
@@ -215,15 +190,21 @@ impl RunChecker {
     /// Node `me` completed a shared-memory access of `len` bytes at `addr`.
     /// Fires after access rights were obtained (never for faulting
     /// retries).
-    pub fn on_access(&mut self, me: NodeId, addr: usize, len: usize, write: bool, now: Time) {
+    pub fn on_access(
+        &mut self,
+        w: &ProtoWorld,
+        me: NodeId,
+        addr: usize,
+        len: usize,
+        write: bool,
+        now: Time,
+    ) {
         // Tardis lease legality is checked on every access, armed or not —
         // leases and program timestamps are live from the first fault.
         // Accesses arrive pre-split at block boundaries, so one block per
         // call.
-        if self.has_tardis
-            && self.region_protocols[self.layout.region_of_addr(addr)] == Protocol::Tardis
-        {
-            let block = self.layout.block_of(addr);
+        if w.has_tardis && w.region_proto[w.layout.region_of_addr(addr)] == Protocol::Tardis {
+            let block = w.layout.block_of(addr);
             if let Some(f) = self.td.on_access(me, block, write) {
                 self.push_fail(f, me, Some(block), now);
             }
@@ -231,13 +212,13 @@ impl RunChecker {
         let races = self.det.access(me, addr, len, write);
         for r in races {
             let waddr = r.word * race::WORD;
-            let block = self.layout.block_of(waddr);
-            let off = waddr - self.layout.block_range(block).start;
+            let block = w.layout.block_of(waddr);
+            let off = waddr - w.layout.block_range(block).start;
             let detail = format!(
                 "app={} region={} addr={waddr:#x} (block {block} offset {off}) {}: \
                  node {} @ clock {} vs node {me} @ clock {}; {me}'s sync context: {}",
                 self.app,
-                self.region_name(waddr),
+                w.layout.regions()[w.layout.region_of_addr(waddr)].name(),
                 r.kind,
                 r.prior.node(),
                 r.prior.clock(),
@@ -248,29 +229,30 @@ impl RunChecker {
         }
     }
 
-    /// Node `me` released lock `lock`. `vt` is the node's vector time
-    /// after the release's interval tick (all-zero under SC).
-    pub fn lock_release(&mut self, me: NodeId, lock: usize, vt: &VClock, now: Time) {
-        self.lrc.on_lock_release(lock, vt);
+    /// Node `me` released lock `lock`, at its vector time after the
+    /// release's interval tick (all-zero under SC).
+    pub fn lock_release(&mut self, w: &ProtoWorld, me: NodeId, lock: usize, now: Time) {
+        self.lrc.on_lock_release(lock, &w.nodes[me].vt);
         self.det.release_lock(me, lock);
         self.sync_ctx[me] = SyncCtx::Released(lock, now);
     }
 
     /// Node `me` received the grant for `lock`. `vt`/`notices` are the
-    /// consistency data carried by the grant (`vt` is `None` under SC);
-    /// `cur` is the acquirer's vector time before applying the grant.
+    /// consistency data carried by the grant (`vt` is `None` under SC); the
+    /// acquirer's own vector time is still the request-time one, since it
+    /// has been blocked since it sent the request.
     pub fn lock_acquire(
         &mut self,
+        w: &ProtoWorld,
         me: NodeId,
         lock: usize,
         vt: Option<&VClock>,
         notices: &[Notice],
-        cur: &VClock,
         now: Time,
     ) {
         if let Some(vt) = vt {
             let what = format_args!("lock {lock}");
-            if let Some(f) = self.lrc.check_grant(what, vt, notices, cur) {
+            if let Some(f) = self.lrc.check_grant(what, vt, notices, &w.nodes[me].vt) {
                 self.push_fail(f, me, None, now);
             }
             if let Some(f) = self.lrc.check_lock_dominates(lock, vt) {
@@ -294,17 +276,17 @@ impl RunChecker {
     #[allow(clippy::too_many_arguments)]
     pub fn bar_pass(
         &mut self,
+        w: &ProtoWorld,
         me: NodeId,
         bar: usize,
         vt: Option<&VClock>,
         notices: &[Notice],
-        cur: &VClock,
         skip_join: bool,
         now: Time,
     ) {
         if let Some(vt) = vt {
             let what = format_args!("barrier {bar}");
-            if let Some(f) = self.lrc.check_grant(what, vt, notices, cur) {
+            if let Some(f) = self.lrc.check_grant(what, vt, notices, &w.nodes[me].vt) {
                 self.push_fail(f, me, None, now);
             }
         }
@@ -314,27 +296,27 @@ impl RunChecker {
 
     /// Node `me` closed interval `interval` at a release, logging
     /// `notices` for its dirty blocks. LRC protocols only.
-    pub fn lrc_release(&mut self, me: NodeId, interval: u32, notices: &[Notice]) {
+    pub fn lrc_release(&mut self, w: &ProtoWorld, me: NodeId, interval: u32, notices: &[Notice]) {
         self.lrc.on_release(me, interval, notices);
         for n in notices {
-            if self.protocol_of(n.block) == Protocol::Hlrc {
+            if w.protocol_of(n.block) == Protocol::Hlrc {
                 self.hl.on_notice(n.block, n.writer, n.version);
             }
         }
     }
 
     /// HLRC: node `me` encoded its writes to `block` as `diff`, computed
-    /// from clean copy `twin` and current contents `cur`.
+    /// from clean copy `twin` and the node's current copy.
     pub fn hl_diff(
         &mut self,
+        w: &ProtoWorld,
         me: NodeId,
         block: BlockId,
         twin: &[u8],
-        cur: &[u8],
         diff: &Diff,
         now: Time,
     ) {
-        if let Some(f) = self.hl.on_diff(block, twin, cur, diff) {
+        if let Some(f) = self.hl.on_diff(block, twin, w.data.block(me, block), diff) {
             self.push_fail(f, me, Some(block), now);
         }
     }
@@ -366,26 +348,33 @@ impl RunChecker {
     }
 
     /// SC: node `me` installed a copy of `block` (`exclusive` = write
-    /// access). `readers`/`writers` list the *other* nodes that held
-    /// Read / ReadWrite access at install time.
+    /// access). The *other* nodes' access to it at install time must be
+    /// MSI-legal: a single writer, and no writer under readers.
     pub fn sc_install(
         &mut self,
+        w: &ProtoWorld,
         me: NodeId,
         block: BlockId,
         exclusive: bool,
-        readers: &[NodeId],
-        writers: &[NodeId],
         now: Time,
     ) {
-        if let Some(f) = inv::check_sc_install(block, exclusive, readers, writers) {
+        let holding = |a| {
+            let others = (0..w.cfg.nodes).filter(|&n| n != me);
+            others
+                .filter(|&n| w.access.get(n, block) == a)
+                .collect::<Vec<_>>()
+        };
+        let (readers, writers) = (holding(Access::Read), holding(Access::ReadWrite));
+        if let Some(f) = inv::check_sc_install(block, exclusive, &readers, &writers) {
             self.push_fail(f, me, Some(block), now);
         }
     }
 
-    /// Tardis: the home granted `reader` a read of `block` at write
-    /// timestamp `wts` with a lease ending at `lease`.
-    pub fn td_read(&mut self, reader: NodeId, block: BlockId, wts: u64, lease: u64) {
-        self.td.on_read(reader, block, wts, lease);
+    /// Tardis: the home granted `reader` a read of `block` at its current
+    /// write timestamp, with the lease its read timestamp now ends at.
+    pub fn td_read(&mut self, w: &ProtoWorld, reader: NodeId, block: BlockId) {
+        self.td
+            .on_read(reader, block, w.td.wts[block], w.td.rts[block]);
     }
 
     /// Tardis: the home granted `writer` exclusive ownership of `block`
@@ -404,9 +393,18 @@ impl RunChecker {
 
     /// A fabric data frame `(src → to, seq)` arrived at the receive side.
     /// `posted` is how many reassembled envelopes this arrival released to
-    /// the protocol layer.
-    pub fn fabric_frame(&mut self, src: NodeId, to: NodeId, seq: u64, posted: usize, now: Time) {
-        if !self.fabric_reliable {
+    /// the protocol layer. Only the reliable fabric is checked: the ideal
+    /// fire-and-forget network has no sequencing to validate.
+    pub fn fabric_frame(
+        &mut self,
+        w: &ProtoWorld,
+        src: NodeId,
+        to: NodeId,
+        seq: u64,
+        posted: usize,
+        now: Time,
+    ) {
+        if !w.cfg.fabric.reliable() {
             return;
         }
         if let Some(f) = self.fab.on_frame(src, to, seq, posted) {
@@ -459,21 +457,29 @@ impl RunChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunConfig;
+    use dsm_mem::Layout;
 
-    fn checker(nodes: usize) -> RunChecker {
-        let layout = Layout::new(4096, 256);
-        let protos = vec![Protocol::Hlrc; layout.regions().len()];
-        RunChecker::new("unit", nodes, layout, protos, true)
+    /// An all-HLRC world of `nodes` nodes with the checker installed.
+    fn world(nodes: usize) -> ProtoWorld {
+        let cfg = RunConfig::new(Protocol::Hlrc, 256).with_nodes(nodes);
+        ProtoWorld::new(cfg, Layout::new(4096, 256)).with_check("unit")
+    }
+
+    fn finalize(w: &mut ProtoWorld, now: Time) -> Vec<Violation> {
+        w.check.take().expect("a checker").finalize(now)
     }
 
     #[test]
     fn race_reports_carry_app_region_and_block_attribution() {
-        let mut c = checker(2);
-        c.arm(0, 10);
-        c.arm(1, 10);
-        c.on_access(0, 304, 8, true, 20);
-        c.on_access(1, 304, 8, true, 30);
-        let v = c.finalize(40);
+        let mut w = world(2);
+        w.audit(|c, w| {
+            c.arm(0, 10);
+            c.arm(1, 10);
+            c.on_access(w, 0, 304, 8, true, 20);
+            c.on_access(w, 1, 304, 8, true, 30);
+        });
+        let v = finalize(&mut w, 40);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "hb-race");
         assert_eq!(v[0].node, 1);
@@ -484,43 +490,50 @@ mod tests {
 
     #[test]
     fn lock_ordered_accesses_are_clean() {
-        let mut c = checker(2);
-        c.arm(0, 0);
-        c.arm(1, 0);
-        let mut vt = VClock::new(2);
-        c.on_access(0, 0, 8, true, 1);
-        vt.tick(0);
+        let mut w = world(2);
+        w.audit(|c, w| {
+            c.arm(0, 0);
+            c.arm(1, 0);
+            c.on_access(w, 0, 0, 8, true, 1);
+        });
+        w.nodes[0].vt.tick(0);
+        let vt = w.nodes[0].vt.clone();
         let notices = [Notice {
             block: 0,
             writer: 0,
             version: 1,
         }];
-        c.lrc_release(0, 1, &notices);
-        c.lock_release(0, 3, &vt, 2);
-        c.lock_acquire(1, 3, Some(&vt), &notices, &VClock::new(2), 3);
-        c.on_access(1, 0, 8, true, 4);
-        assert!(c.finalize(5).is_empty());
+        w.audit(|c, w| {
+            c.lrc_release(w, 0, 1, &notices);
+            c.lock_release(w, 0, 3, 2);
+            c.lock_acquire(w, 1, 3, Some(&vt), &notices, 3);
+            c.on_access(w, 1, 0, 8, true, 4);
+        });
+        assert!(finalize(&mut w, 5).is_empty());
     }
 
     #[test]
     fn violations_are_capped_with_a_summary_record() {
-        let mut c = checker(2);
-        c.arm(0, 0);
-        c.arm(1, 0);
-        for w in 0..(MAX_VIOLATIONS + 10) {
-            c.on_access(0, w * 8, 8, true, 1);
-            c.on_access(1, w * 8, 8, true, 2);
-        }
-        let v = c.finalize(3);
+        let mut w = world(2);
+        w.audit(|c, w| {
+            c.arm(0, 0);
+            c.arm(1, 0);
+            for word in 0..(MAX_VIOLATIONS + 10) {
+                c.on_access(w, 0, word * 8, 8, true, 1);
+                c.on_access(w, 1, word * 8, 8, true, 2);
+            }
+        });
+        let v = finalize(&mut w, 3);
         assert_eq!(v.len(), MAX_VIOLATIONS + 1);
         assert_eq!(v.last().unwrap().rule, "suppressed");
     }
 
     #[test]
     fn sc_install_violation_names_the_stale_holder() {
-        let mut c = checker(4);
-        c.sc_install(2, 5, true, &[1], &[], 100);
-        let v = c.finalize(101);
+        let mut w = world(4);
+        w.grant(1, 5, Access::Read);
+        w.audit(|c, w| c.sc_install(w, 2, 5, true, 100));
+        let v = finalize(&mut w, 101);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "sc-exclusive-with-readers");
         assert_eq!(v[0].block, Some(5));
@@ -531,43 +544,45 @@ mod tests {
     /// as a rendered string (the literals were captured at that commit).
     #[test]
     fn race_reports_quote_the_sync_context_in_the_words_they_always_had() {
-        type Setup = fn(&mut RunChecker);
+        type Setup = fn(&mut RunChecker, &ProtoWorld);
         let cases: [(Setup, u32, &str); 5] = [
             // Arming sets a context, so only a test can see the initial one.
             (
-                |c| c.sync_ctx[1] = SyncCtx::Start,
+                |c, _| c.sync_ctx[1] = SyncCtx::Start,
                 1,
                 "before any synchronization",
             ),
-            (|_| {}, 1, "measurement begin @ 11"),
+            (|_, _| {}, 1, "measurement begin @ 11"),
             (
-                |c| c.lock_release(1, 7, &VClock::new(2), 1234),
+                |c, w| c.lock_release(w, 1, 7, 1234),
                 2,
                 "released lock 7 @ 1234",
             ),
             (
-                |c| c.lock_acquire(1, 12, None, &[], &VClock::new(2), 99),
+                |c, w| c.lock_acquire(w, 1, 12, None, &[], 99),
                 1,
                 "acquired lock 12 @ 99",
             ),
             (
-                |c| {
+                |c, w| {
                     c.bar_arrive(0, 3);
                     c.bar_arrive(1, 3);
-                    c.bar_pass(1, 3, None, &[], &VClock::new(2), true, 70);
+                    c.bar_pass(w, 1, 3, None, &[], true, 70);
                 },
                 2,
                 "passed barrier 3 @ 70",
             ),
         ];
         for (setup, clock, ctx) in cases {
-            let mut c = checker(2);
-            c.arm(0, 10);
-            c.arm(1, 11);
-            c.on_access(0, 304, 8, true, 20);
-            setup(&mut c);
-            c.on_access(1, 304, 8, false, 30);
-            let v = c.finalize(40);
+            let mut w = world(2);
+            w.audit(|c, w| {
+                c.arm(0, 10);
+                c.arm(1, 11);
+                c.on_access(w, 0, 304, 8, true, 20);
+            });
+            w.audit(setup);
+            w.audit(|c, w| c.on_access(w, 1, 304, 8, false, 30));
+            let v = finalize(&mut w, 40);
             assert_eq!(v.len(), 1, "{ctx}");
             assert_eq!(
                 v[0].to_string(),

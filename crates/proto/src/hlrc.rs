@@ -265,9 +265,7 @@ pub fn handle_diff(
 
 /// Record that `writer`'s diffs through `interval` are present at the home.
 pub fn record_flush(w: &mut ProtoWorld, b: BlockId, writer: NodeId, interval: u32, now: Time) {
-    if let Some(c) = w.check.as_deref_mut() {
-        c.hl_flush(b, writer, interval, now);
-    }
+    w.audit(|c, _| c.hl_flush(b, writer, interval, now));
     let i = b * w.hl.nodes + writer;
     let f = &mut w.hl.flushed[i];
     *f = (*f).max(interval + 1);
@@ -343,7 +341,7 @@ pub fn release_dirty(
         if let Some(twin) = w.nodes[me].twins.take(b) {
             elapsed += w.cfg.cost.diff_scan_cost(w.block_size_of(b) as u64);
             let r = w.layout.block_range(b);
-            let mut diff = Diff::create_pooled(&twin, &w.data.node(me)[r.clone()], &mut w.pool);
+            let mut diff = Diff::create_pooled(&twin, &w.data.node(me)[r], &mut w.pool);
             if let Some(m) = w.mutate.as_mut() {
                 // Lose the tail word of the diff's last run: the home copy
                 // silently misses part of this interval's writes.
@@ -361,9 +359,7 @@ pub fn release_dirty(
                 w.pool.put(twin);
                 continue; // silent rewrite of identical bytes: nothing to publish
             }
-            if let Some(c) = w.check.as_deref_mut() {
-                c.hl_diff(me, b, &twin, &w.data.node(me)[r], &diff, s.now());
-            }
+            w.audit(|c, w| c.hl_diff(w, me, b, &twin, &diff, s.now()));
             w.pool.put(twin);
             w.emit(
                 me,
@@ -430,7 +426,7 @@ pub fn apply_notice(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, n: &N
         let bs = w.block_size_of(n.block) as u64;
         elapsed += w.cfg.cost.diff_scan_cost(bs);
         let r = w.layout.block_range(n.block);
-        let diff = Diff::create_pooled(&twin, &w.data.node(me)[r.clone()], &mut w.pool);
+        let diff = Diff::create_pooled(&twin, &w.data.node(me)[r], &mut w.pool);
         if !diff.is_empty() {
             w.emit(
                 me,
@@ -442,9 +438,7 @@ pub fn apply_notice(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, n: &N
             );
             let home = w.route_home(n.block);
             let my_interval = w.nodes[me].vt.get(me) + 1;
-            if let Some(c) = w.check.as_deref_mut() {
-                c.hl_diff(me, n.block, &twin, &w.data.node(me)[r], &diff, s.now());
-            }
+            w.audit(|c, w| c.hl_diff(w, me, n.block, &twin, &diff, s.now()));
             w.send(
                 s,
                 me,

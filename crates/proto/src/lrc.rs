@@ -107,9 +107,7 @@ pub fn release_actions(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId) ->
     let mut notices = swlrc::release_dirty(w, me, sw_dirty, s.now());
     let (hl_notices, elapsed) = hlrc::release_dirty(w, s, me, interval, hl_dirty);
     notices.extend(hl_notices);
-    if let Some(c) = w.check.as_deref_mut() {
-        c.lrc_release(me, interval, &notices);
-    }
+    w.audit(|c, w| c.lrc_release(w, me, interval, &notices));
     w.emit_notices(me, s.now(), notices.len(), false);
     w.log.push_interval(me, interval, notices);
     elapsed

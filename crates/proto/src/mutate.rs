@@ -200,7 +200,7 @@ pub const MUTATIONS: [MutationSpec; 11] = [
         rule: "hb-race",
         protocol: Protocol::Sc,
         fabric: MutFabric::Ideal,
-        site: "sync.rs: handle_bar_release (sticky, node 0)",
+        site: "sync.rs: handle_acquired, barrier release (sticky, node 0)",
     },
     MutationSpec {
         mutation: Mutation::TdLeaseOverrun,

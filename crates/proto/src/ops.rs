@@ -75,9 +75,7 @@ pub fn try_read(
         "node {me} reads block {b} without a grant"
     );
     copy_bytes(buf, &w.data.node(me)[addr..addr + buf.len()]);
-    if let Some(c) = w.check.as_deref_mut() {
-        c.on_access(me, addr, buf.len(), false, now);
-    }
+    w.audit(|c, w| c.on_access(w, me, addr, buf.len(), false, now));
     Attempt::Done(w.cfg.cost.access_cost(buf.len()))
 }
 
@@ -101,9 +99,7 @@ pub fn try_write(
         "node {me} writes block {b} without a grant"
     );
     copy_bytes(&mut w.data.node_mut(me, b)[addr..addr + data.len()], data);
-    if let Some(c) = w.check.as_deref_mut() {
-        c.on_access(me, addr, data.len(), true, now);
-    }
+    w.audit(|c, w| c.on_access(w, me, addr, data.len(), true, now));
     Attempt::Done(w.cfg.cost.access_cost(data.len()))
 }
 

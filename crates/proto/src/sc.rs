@@ -532,26 +532,7 @@ pub fn handle_grant(
             Access::Read
         },
     );
-    if w.check.is_some() {
-        // Snapshot the other nodes' copies at install time so the checker
-        // can validate MSI legality (single writer, no writer under readers).
-        let mut readers = Vec::new();
-        let mut writers = Vec::new();
-        for n in 0..w.cfg.nodes {
-            if n == me {
-                continue;
-            }
-            match w.access.get(n, b) {
-                Access::Read => readers.push(n),
-                Access::ReadWrite => writers.push(n),
-                Access::Invalid => {}
-            }
-        }
-        let now = s.now();
-        if let Some(c) = w.check.as_deref_mut() {
-            c.sc_install(me, b, exclusive, &readers, &writers, now);
-        }
-    }
+    w.audit(|c, w| c.sc_install(w, me, b, exclusive, s.now()));
     w.nodes[me].pending_fault = None;
     if exclusive {
         if me == home {

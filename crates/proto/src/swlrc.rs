@@ -287,9 +287,7 @@ fn serve(
             // Migrate ownership: bump the version, keep a read-only copy.
             w.sw.version[b] += 1;
             let v = w.sw.version[b];
-            if let Some(c) = w.check.as_deref_mut() {
-                c.sw_version(b, v, at);
-            }
+            w.audit(|c, _| c.sw_version(b, v, at));
             w.sw.owner[b] = None;
             w.sw.in_transfer[b] = Some(from);
             w.sw.set_hint(me, b, from, v);
@@ -356,9 +354,7 @@ pub fn handle_now_owner(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b
     w.sw.owner[b] = Some(me);
     w.sw.in_transfer[b] = None;
     w.sw.version[b] = 1;
-    if let Some(c) = w.check.as_deref_mut() {
-        c.sw_version(b, 1, s.now());
-    }
+    w.audit(|c, _| c.sw_version(b, 1, s.now()));
     w.sw.set_copy_version(me, b, 1);
     w.sw.set_hint(me, b, me, 1);
     w.homes.learn(me, b, me);
@@ -419,13 +415,13 @@ pub fn release_dirty(
     now: Time,
 ) -> Vec<Notice> {
     let mut notices = std::mem::take(&mut w.sw.pending_notices[me]);
-    if let Some(c) = w.check.as_deref_mut() {
-        // Notices deferred across a mid-interval migration: already
-        // versioned at migration time, re-announced here.
+    // Notices deferred across a mid-interval migration: already versioned
+    // at migration time, re-announced here.
+    w.audit(|c, _| {
         for n in &notices {
             c.sw_notice(me, n.block, n.version, false, now);
         }
-    }
+    });
     notices.reserve(dirty.len());
     for b in dirty {
         debug_assert!(w.sw.is_owner(me, b), "dirty block not owned at release");
@@ -447,9 +443,7 @@ pub fn release_dirty(
         if w.access.get(me, b) == Access::ReadWrite {
             w.grant(me, b, Access::Read);
         }
-        if let Some(c) = w.check.as_deref_mut() {
-            c.sw_notice(me, b, v, true, now);
-        }
+        w.audit(|c, _| c.sw_notice(me, b, v, true, now));
         notices.push(Notice {
             block: b,
             writer: me,

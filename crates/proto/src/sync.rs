@@ -75,9 +75,7 @@ pub fn lock_acquire_start(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId,
 /// actions: diffing, versioning); the release message is already in flight.
 pub fn lock_release_start(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, l: usize) -> Time {
     let elapsed = lrc::release_actions(w, s, me);
-    if let Some(c) = w.check.as_deref_mut() {
-        c.lock_release(me, l, &w.nodes[me].vt, s.now());
-    }
+    w.audit(|c, w| c.lock_release(w, me, l, s.now()));
     let mgr = lock_manager(w, l);
     let vt = w.has_lrc.then(|| w.nodes[me].vt.clone());
     let pts = w.has_tardis.then(|| w.td.pts[me]);
@@ -106,9 +104,7 @@ pub fn barrier_arrive_start(
     bar: usize,
 ) -> Time {
     let elapsed = lrc::release_actions(w, s, me);
-    if let Some(c) = w.check.as_deref_mut() {
-        c.bar_arrive(me, bar);
-    }
+    w.audit(|c, _| c.bar_arrive(me, bar));
     let mgr = barrier_manager(w, bar);
     let vt = w.has_lrc.then(|| w.nodes[me].vt.clone());
     let pts = w.has_tardis.then(|| w.td.pts[me]);
@@ -229,31 +225,8 @@ fn send_grant(
 fn merge_pts(w: &mut ProtoWorld, me: NodeId, pts: Option<u64>) {
     let Some(p) = pts else { return };
     debug_assert!(w.has_tardis, "pts piggyback on a non-Tardis run");
-    if let Some(c) = w.check.as_deref_mut() {
-        c.td_merge(me, p);
-    }
+    w.audit(|c, _| c.td_merge(me, p));
     w.td.pts[me] = w.td.pts[me].max(p);
-}
-
-/// Lock grant at the acquirer: apply consistency information and resume.
-pub fn handle_lock_grant(
-    w: &mut ProtoWorld,
-    s: &mut Sched<Packet>,
-    me: NodeId,
-    l: usize,
-    vt: Option<VClock>,
-    notices: Vec<Notice>,
-    pts: Option<u64>,
-) {
-    if let Some(c) = w.check.as_deref_mut() {
-        // `w.nodes[me].vt` is still the request-time clock: the acquirer
-        // has been blocked since it sent the request.
-        c.lock_acquire(me, l, vt.as_ref(), &notices, &w.nodes[me].vt, s.now());
-    }
-    merge_pts(w, me, pts);
-    let elapsed = lrc::acquire_actions(w, s, me, vt.as_ref(), &notices);
-    let at = s.now() + w.cfg.cost.handler_ns + elapsed;
-    w.wake(s, me, at);
 }
 
 /// Barrier arrival at the manager.
@@ -321,35 +294,39 @@ pub fn handle_bar_arrive(
     }
 }
 
-/// Barrier release at a participant: apply consistency information, resume.
-pub fn handle_bar_release(
+/// What an acquirer waited for: a lock's grant or a barrier's release.
+#[derive(Debug, Clone, Copy)]
+pub enum SyncObj {
+    /// Lock `id`.
+    Lock(usize),
+    /// Barrier `id`.
+    Barrier(usize),
+}
+
+/// Lock grant or barrier release at the acquirer: apply the consistency
+/// information it carries and resume.
+pub fn handle_acquired(
     w: &mut ProtoWorld,
     s: &mut Sched<Packet>,
     me: NodeId,
-    bar: usize,
+    what: SyncObj,
     vt: Option<VClock>,
     notices: Vec<Notice>,
     pts: Option<u64>,
 ) {
-    let mut skip_join = false;
-    if me == 0 {
-        if let Some(m) = w.mutate.as_mut() {
+    let now = s.now();
+    match what {
+        SyncObj::Lock(l) => w.audit(|c, w| c.lock_acquire(w, me, l, vt.as_ref(), &notices, now)),
+        SyncObj::Barrier(bar) => {
             // Node 0's detector misses the barrier's happens-before join
             // (sticky): a cross-node access pair ordered only by this
             // barrier must then surface as a race.
-            skip_join = m.fire_sticky(crate::mutate::Mutation::HbSkipBarrier);
+            let skip_join = me == 0
+                && w.mutate
+                    .as_mut()
+                    .is_some_and(|m| m.fire_sticky(crate::mutate::Mutation::HbSkipBarrier));
+            w.audit(|c, w| c.bar_pass(w, me, bar, vt.as_ref(), &notices, skip_join, now));
         }
-    }
-    if let Some(c) = w.check.as_deref_mut() {
-        c.bar_pass(
-            me,
-            bar,
-            vt.as_ref(),
-            &notices,
-            &w.nodes[me].vt,
-            skip_join,
-            s.now(),
-        );
     }
     merge_pts(w, me, pts);
     let elapsed = lrc::acquire_actions(w, s, me, vt.as_ref(), &notices);

@@ -197,9 +197,7 @@ fn pump(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId, mut a
                 let lease = lease_grant(w.td.rts[b], wts, wtr.pts);
                 w.td.rts[b] = lease;
                 let renewal = wtr.have_wts == wts && wtr.have_wts != 0;
-                if let Some(c) = w.check.as_deref_mut() {
-                    c.td_read(wtr.from, b, wts, lease);
-                }
+                w.audit(|c, w| c.td_read(w, wtr.from, b));
                 if renewal {
                     // The requester's copy is current: extend the lease
                     // header-only, no payload moves.
@@ -241,9 +239,7 @@ fn pump(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId, mut a
                 if rts > old {
                     w.emit(me, now, EventKind::WtsBump { block: b });
                 }
-                if let Some(c) = w.check.as_deref_mut() {
-                    c.td_write(wtr.from, b, wts, now);
-                }
+                w.audit(|c, _| c.td_write(wtr.from, b, wts, now));
                 w.td.wts[b] = wts;
                 w.td.owner[b] = Some(wtr.from);
                 // A requester whose copy carries the current wts only needs

@@ -7,8 +7,9 @@
 //! `profile`, or calls `obs.record` (`tools/lint_determinism.sh` holds the
 //! protocol files and `dsm-core` to it). What is not an event keeps a typed
 //! hook: span ids and causes (`obs.span_*`, all called from this file; a
-//! handler wakes a node through [`ProtoWorld::wake`]), and the checker
-//! (`check`), whose hooks borrow protocol state a `Copy` event cannot carry.
+//! handler wakes a node through [`ProtoWorld::wake`]), and the checker,
+//! whose hooks all run through [`ProtoWorld::audit`] and read the world
+//! they check.
 
 use dsm_fabric::{Fabric, RxOutcome, TxAction, TxOutcome};
 use dsm_mem::{Access, AccessTable, BlockId, DataStore, HomeDirectory, Layout};
@@ -27,7 +28,7 @@ use crate::mutate::MutRt;
 use crate::pool::{BufPool, TwinTable};
 use crate::sc::ScState;
 use crate::swlrc::SwState;
-use crate::sync::{BarrierState, LockState};
+use crate::sync::{BarrierState, LockState, SyncObj};
 use crate::tardis::TdState;
 use crate::vt::VClock;
 use crate::{hlrc, sc, swlrc, sync, tardis};
@@ -137,10 +138,11 @@ pub struct ProtoWorld {
     pub pool: BufPool,
     /// The network fabric (NI queues, fault injector, retransmission).
     pub fabric: Fingerprinted<Fabric<Envelope>>,
-    /// Installed run-time checker, if any. All hook sites are a single
-    /// `is_some` test when absent, and the checker never charges virtual
-    /// time, so runs with no checker are bit-identical to builds without
-    /// one.
+    /// Installed run-time checker, if any ([`ProtoWorld::with_check`]).
+    /// Protocol code reaches it only through [`ProtoWorld::audit`], a
+    /// single `is_some` test when it is absent; the checker never charges
+    /// virtual time, so runs with no checker are bit-identical to checked
+    /// ones.
     pub check: Option<Box<RunChecker>>,
     /// Armed protocol mutation (checker self-tests), from
     /// [`RunConfig::mutation`]. `None` leaves every mutation site inert.
@@ -204,6 +206,26 @@ impl ProtoWorld {
             quiesce: 0,
             cfg,
             layout,
+        }
+    }
+
+    /// This world with the run-time checker installed, for a run of `app`
+    /// (its name is quoted in race reports); the checker is sized from the
+    /// world's cluster, layout and fabric.
+    pub fn with_check(mut self, app: &str) -> Self {
+        self.check = Some(Box::new(RunChecker::new(app, &self)));
+        self
+    }
+
+    /// Run checker hook `f`, if a checker is installed, with a read-only
+    /// view of this world: the one way protocol code reaches the checker.
+    /// Without one this is a single `is_some` test; with one, the checker
+    /// is taken out for the call and put back.
+    #[inline(always)]
+    pub fn audit(&mut self, f: impl FnOnce(&mut RunChecker, &ProtoWorld)) {
+        if let Some(mut c) = self.check.take() {
+            f(&mut c, self);
+            self.check = Some(c);
         }
     }
 
@@ -301,9 +323,7 @@ impl ProtoWorld {
     pub fn begin_measurement(&mut self, me: NodeId, now: Time) {
         self.stats[me] = Counters::default();
         self.obs.note_begin(me, now);
-        if let Some(c) = self.check.as_deref_mut() {
-            c.arm(me, now);
-        }
+        self.audit(|c, _| c.arm(me, now));
         self.measure_start = self.measure_start.max(now);
     }
 
@@ -514,9 +534,7 @@ impl ProtoWorld {
                 posted += 1;
             }
         }
-        if let Some(c) = self.check.as_deref_mut() {
-            c.fabric_frame(src, to, seq, posted, now);
-        }
+        self.audit(|c, w| c.fabric_frame(w, src, to, seq, posted, now));
         for (at, env) in deliver.drain(..) {
             s.post(to, at, Packet::App(env));
         }
@@ -834,7 +852,7 @@ impl World for ProtoWorld {
                 notices,
                 pts,
             } => {
-                sync::handle_lock_grant(self, s, to, lock, vt, notices, pts);
+                sync::handle_acquired(self, s, to, SyncObj::Lock(lock), vt, notices, pts);
             }
             ProtoMsg::LockRel {
                 from,
@@ -858,7 +876,8 @@ impl World for ProtoWorld {
                 notices,
                 pts,
             } => {
-                sync::handle_bar_release(self, s, to, barrier, vt, notices, pts);
+                let bar = SyncObj::Barrier(barrier);
+                sync::handle_acquired(self, s, to, bar, vt, notices, pts);
             }
         }
         self.obs.span_dispatch_done();

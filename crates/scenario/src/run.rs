@@ -147,7 +147,7 @@ impl RunSpec {
     /// the runner carves the program into.
     pub fn program(&self) -> Result<Program, String> {
         let program = self.app.build(self.seed)?;
-        if let Some(most) = dsm_apps::max_nodes(&self.app.name).filter(|&m| self.nodes > m) {
+        if let Some(most) = program.max_nodes().filter(|&m| self.nodes > m) {
             let name = &self.app.name;
             return Err(format!(
                 "nodes={}: {name} runs on at most {most} nodes",

@@ -7,6 +7,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
+use dsm::apps::registry::AppSize;
 use dsm::{run_checked, run_parallel, Dsm, DsmProgram, MemImage, NodeFuture, Protocol, RunConfig};
 
 /// What a node body does besides counting: nothing, stop short of a
@@ -109,4 +110,19 @@ fn every_node_body_runs_on_the_callers_thread() {
     assert_eq!(ids.len(), 5);
     let me = std::thread::current().id();
     assert!(ids.iter().all(|&id| id == me), "{ids:?} vs caller {me:?}");
+}
+
+#[test]
+fn a_cluster_larger_than_the_layout_holds_is_refused_by_name() {
+    // Barnes keeps one allocation counter and one cell arena per processor
+    // for 16 processors; a hand-built configuration that bypasses the run
+    // line's check still stops before the run starts, naming both.
+    let barnes = dsm::apps::registry::app_sized("barnes-original", AppSize::Small).unwrap();
+    let msg = panic_message(|| {
+        run_parallel(&cfg().with_nodes(32), barnes);
+    });
+    assert!(
+        msg.contains("barnes-original") && msg.contains("16"),
+        "unexpected panic message: {msg}"
+    );
 }

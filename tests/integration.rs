@@ -3,7 +3,7 @@
 //! real applications.
 
 use dsm::{run_experiment, Notify, Protocol, RegionPolicy, RunConfig};
-use dsm_apps::registry::{all_app_names, app_sized, max_nodes, modern_app_names, AppSize};
+use dsm_apps::registry::{all_app_names, app_sized, modern_app_names, AppSize};
 use dsm_scenario::{RunSpec, MAX_NODES};
 
 fn small(name: &str) -> dsm::Program {
@@ -169,7 +169,7 @@ fn cluster_size_sweep_works_for_size_generic_apps() {
     // test-size problem is too small to expect monotone scaling).
     let names = all_app_names().into_iter().chain(modern_app_names());
     for name in names {
-        let most = max_nodes(name).unwrap_or(MAX_NODES);
+        let most = small(name).max_nodes().unwrap_or(MAX_NODES);
         let sizes = [3usize, 4, 7, 8, 12, 16, MAX_NODES];
         for nodes in sizes.into_iter().filter(|&n| n <= most) {
             for (p, block) in [(Protocol::Sc, 256), (Protocol::Hlrc, 4096)] {

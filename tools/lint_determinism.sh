@@ -4,7 +4,8 @@
 # state (proto), the arithmetic rule for the applications, the
 # no-environment rule for every library crate, the direction of the tool
 # crates' dependency edge, the one way in to the application registry, the
-# one build, the one run description and the one wire format.
+# one build, the one run description, the one wire format and the one door
+# to the checker.
 #
 # The whole stack depends on bit-identical replay: the engine's state
 # hashes, the model checker's replay-based exploration, and the golden
@@ -141,6 +142,20 @@
 #      `ProtoMsg::wire_bytes` reads the wire format's byte constants: a
 #      size constant beside a handler is a second copy of what a message
 #      costs, which the one table no longer governs. No allowlist.
+#
+# A fourteenth keeps the checker reading the world it checks:
+#
+#  14. One door to the checker. In non-test code of crates/proto/src,
+#      `.check` (the world's `Option<Box<RunChecker>>`) appears only in
+#      world.rs, which installs the checker (`with_check`), opens the door
+#      (`ProtoWorld::audit`) and folds its digest into the fingerprint, and
+#      under check/. A hook site is `w.audit(|c, w| c.hook(w, ..))`: the
+#      hook reads vector times, node copies, access rights and the layout
+#      from the world it is handed, so a borrow of the field elsewhere is a
+#      second way in, with the world's state copied into arguments again.
+#      config.rs is exempt, and so is `cfg.check` anywhere: that is
+#      `RunConfig`'s flag asking for a checker, not the checker. No
+#      allowlist.
 #
 # Comment lines are ignored. Run from anywhere; CI runs it on every push.
 
@@ -324,6 +339,20 @@ hits=$(matches '\bconst [A-Z_0-9]*_BYTES\b' crates/proto/src | grep -v '^crates/
 if [ -n "$hits" ]; then
   echo "$hits"
   echo "lint_determinism: a wire size outside crates/proto/src/msg.rs — state it there and read it through ProtoMsg::wire_bytes (no allowlist for this rule)"
+  status=1
+fi
+
+# Rule 14.
+hits=$(find crates/proto/src -name '*.rs' -not -path 'crates/proto/src/check/*' \
+  -not -name world.rs -not -name config.rs | sort | xargs awk '
+  FNR == 1 { in_tests = 0 }
+  /^#\[cfg\(test\)\]/ { in_tests = 1 }
+  in_tests || /^[[:space:]]*\/\// { next }
+  { line = $0; gsub(/cfg\.check/, "", line) }
+  line ~ /\.check([^A-Za-z0-9_(]|$)/ { print FILENAME ":" FNR ":" $0 }')
+if [ -n "$hits" ]; then
+  echo "$hits"
+  echo "lint_determinism: the checker reached around ProtoWorld::audit — call w.audit(|c, w| c.hook(w, ..)) and let the hook read the world (no allowlist for this rule)"
   status=1
 fi
 
