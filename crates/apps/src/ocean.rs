@@ -98,10 +98,6 @@ impl DsmProgram for OceanRowwise {
         vec![RegionHint::new("grid", 0, self.shared_bytes())]
     }
 
-    fn poll_inflation_pct(&self) -> u32 {
-        15
-    }
-
     fn init(&self, mem: &mut MemImage) {
         init_interior(mem, |i, j| self.at(i, j), self.n);
     }
@@ -211,10 +207,6 @@ impl DsmProgram for OceanOriginal {
             RegionHint::new("interior", 0, self.n * self.n * 8),
             RegionHint::new("boundary", self.n * self.n * 8, 4 * (self.n + 2) * 8),
         ]
-    }
-
-    fn poll_inflation_pct(&self) -> u32 {
-        15
     }
 
     fn init(&self, mem: &mut MemImage) {

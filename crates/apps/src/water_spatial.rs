@@ -131,10 +131,6 @@ impl DsmProgram for WaterSpatial {
         vec![RegionHint::new("cells", 0, self.shared_bytes())]
     }
 
-    fn poll_inflation_pct(&self) -> u32 {
-        15
-    }
-
     fn warmup<'a>(&'a self, d: &'a mut Dsm) -> NodeFuture<'a> {
         Box::pin(async move {
             let (me, p) = (d.node(), d.num_nodes());

@@ -219,7 +219,7 @@ impl Footprint {
             McEvent::Resume { node } => fp.push(NODE_LABEL | *node as u64),
             McEvent::Msg { to, msg } => {
                 fp.push(NODE_LABEL | *to as u64);
-                if let Packet::App(env) = msg {
+                if let Packet::App(env) | Packet::Serve(env) = msg {
                     env.msg.mc_resources(|label| fp.push(label));
                 }
             }

@@ -1,6 +1,5 @@
 //! Node-side platform cost constants.
 
-use crate::Notify;
 use dsm_sim::Time;
 
 /// Platform cost model for the simulated testbed.
@@ -95,21 +94,6 @@ impl CostModel {
     pub fn twin_cost(&self, bytes: u64) -> Time {
         bytes * self.twin_copy_ns_x100 / 100
     }
-
-    /// When an asynchronous request arriving at `arrival` can begin service
-    /// at a node that is busy computing, given the notification mechanism and
-    /// the node's interrupt-grace deadline (`intr_disabled_until`).
-    pub fn async_service_time(
-        &self,
-        arrival: Time,
-        notify: Notify,
-        intr_disabled_until: Time,
-    ) -> Time {
-        match notify {
-            Notify::Polling => arrival + self.poll_service_delay_ns,
-            Notify::Interrupt => (arrival + self.intr_signal_ns).max(intr_disabled_until),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -121,17 +105,6 @@ mod tests {
         let c = CostModel::default();
         assert_eq!(c.fault_exception_ns, 5_000);
         assert_eq!(c.intr_signal_ns, 70_000);
-    }
-
-    #[test]
-    fn interrupt_defers_to_grace_window() {
-        let c = CostModel::default();
-        let t = c.async_service_time(100_000, Notify::Interrupt, 500_000);
-        assert_eq!(t, 500_000);
-        let t2 = c.async_service_time(600_000, Notify::Interrupt, 500_000);
-        assert_eq!(t2, 670_000);
-        let t3 = c.async_service_time(100_000, Notify::Polling, 500_000);
-        assert_eq!(t3, 102_000);
     }
 
     #[test]

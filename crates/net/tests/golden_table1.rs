@@ -6,7 +6,7 @@
 //! pins the constants themselves to the published values so an accidental
 //! recalibration fails loudly.
 
-use dsm_net::{CostModel, LatencyModel, Notify};
+use dsm_net::{CostModel, LatencyModel};
 
 /// Paper §3: round-trip microbenchmark times for 4/64/256/1024/4096-byte
 /// messages, in nanoseconds.
@@ -75,11 +75,4 @@ fn golden_derived_costs() {
     assert_eq!(c.diff_scan_cost(4096), 61_440);
     assert_eq!(c.diff_apply_cost(4096), 40_960);
     assert_eq!(c.copy_cost(4096), 20_480);
-    // Polling service happens at arrival + mechanism delay regardless of
-    // the grace window; interrupts pay the signal and honour the window.
-    assert_eq!(c.async_service_time(0, Notify::Polling, 1_000_000), 2_000);
-    assert_eq!(
-        c.async_service_time(0, Notify::Interrupt, 1_000_000),
-        1_000_000
-    );
 }

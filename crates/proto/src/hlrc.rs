@@ -14,6 +14,7 @@ use dsm_sim::{NodeId, Sched, Time};
 
 use crate::diff::Diff;
 use crate::msg::{FaultKind, Notice, Packet, ProtoMsg};
+use crate::mutate::Mutation;
 use crate::world::ProtoWorld;
 
 /// A fetch queued at the home until the required diffs arrive.
@@ -218,8 +219,7 @@ pub fn handle_data(
             w.nodes[me].mark_dirty(b);
         }
     }
-    w.block_obtained(s, me);
-    w.wake(s, me, at);
+    w.fault_done(s, me, at);
 }
 
 /// Home-claim confirmation at the first writer.
@@ -233,8 +233,7 @@ pub fn handle_now_home(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b:
     w.grant(me, b, Access::ReadWrite);
     w.nodes[me].mark_dirty(b);
     let at = s.now() + w.cfg.cost.handler_ns;
-    w.block_obtained(s, me);
-    w.wake(s, me, at);
+    w.fault_done(s, me, at);
 }
 
 /// Diff arriving at the home: apply it and serve any now-satisfied fetches.
@@ -342,15 +341,13 @@ pub fn release_dirty(
             elapsed += w.cfg.cost.diff_scan_cost(w.block_size_of(b) as u64);
             let r = w.layout.block_range(b);
             let mut diff = Diff::create_pooled(&twin, &w.data.node(me)[r], &mut w.pool);
-            if let Some(m) = w.mutate.as_mut() {
-                // Lose the tail word of the diff's last run: the home copy
-                // silently misses part of this interval's writes.
-                let eligible = diff.runs.last().is_some_and(|run| run.bytes.len() > 1);
-                if m.fire_if(crate::mutate::Mutation::SkipDiffWord, eligible) {
-                    let run = diff.runs.last_mut().unwrap();
-                    let keep = run.bytes.len().saturating_sub(8).max(1);
-                    run.bytes.truncate(keep);
-                }
+            // Lose the tail word of the diff's last run: the home copy
+            // silently misses part of this interval's writes.
+            let eligible = diff.runs.last().is_some_and(|run| run.bytes.len() > 1);
+            if w.fires(Mutation::SkipDiffWord, eligible) {
+                let run = diff.runs.last_mut().unwrap();
+                let keep = run.bytes.len().saturating_sub(8).max(1);
+                run.bytes.truncate(keep);
             }
             if w.access.get(me, b) == Access::ReadWrite {
                 w.grant(me, b, Access::Read);

@@ -229,37 +229,21 @@ pub enum ProtoMsg {
     },
 }
 
-/// Envelope adding one-shot service-time deferral (polling/interrupt model).
+/// A protocol message with the causal span id that rides with it.
 #[derive(Debug, Clone, Hash)]
 pub struct Envelope {
     /// The payload.
     pub msg: ProtoMsg,
-    /// True once the service time has been computed (prevents re-deferral).
-    pub deferred: bool,
     /// Causal span id (0 when span tracing is off). Rides with the message
-    /// through fabric frames, retransmissions and deferral re-posts, so the
+    /// through fabric frames, retransmissions and service re-posts, so the
     /// dispatch can be tied back to the send that caused it.
     pub span: u64,
 }
 
 impl Envelope {
-    /// Fresh envelope, subject to notification-model deferral.
+    /// Envelope with no span.
     pub fn new(msg: ProtoMsg) -> Self {
-        Envelope {
-            msg,
-            deferred: false,
-            span: 0,
-        }
-    }
-
-    /// Envelope that is processed at its arrival time (replies to spinning
-    /// nodes, self-posts, already-deferred requests).
-    pub fn immediate(msg: ProtoMsg) -> Self {
-        Envelope {
-            msg,
-            deferred: true,
-            span: 0,
-        }
+        Envelope { msg, span: 0 }
     }
 
     /// Attach a causal span id.
@@ -269,14 +253,19 @@ impl Envelope {
     }
 }
 
-/// What actually travels through the simulation event queue: either an
-/// application-level envelope (the ideal fabric's only traffic, and what
-/// the fabric's receive path releases after reassembly) or a fabric
-/// transport packet.
+/// What actually travels through the simulation event queue: an
+/// application-level envelope, arriving (the ideal fabric's only traffic,
+/// and what the fabric's receive path releases after reassembly) or timed
+/// for service, or a fabric transport packet.
 #[derive(Debug, Clone, Hash)]
 pub enum Packet {
-    /// Protocol payload, dispatched to the protocol handlers.
+    /// Protocol payload arriving at its target, which decides when to serve
+    /// it (`ProtoWorld::deliver`).
     App(Envelope),
+    /// Protocol payload served at its delivery time: an arrival the target
+    /// re-posted for its service time, or a self-send. It is never timed
+    /// again.
+    Serve(Envelope),
     /// A data frame in flight on the simulated fabric.
     Frame {
         /// Sending node.
@@ -306,16 +295,6 @@ pub enum Packet {
         /// Attempt the timer belongs to (stale timers no-op).
         attempt: u32,
     },
-}
-
-impl Packet {
-    /// The application envelope, when this is an [`Packet::App`] packet.
-    pub fn app(&self) -> Option<&Envelope> {
-        match self {
-            Packet::App(env) => Some(env),
-            _ => None,
-        }
-    }
 }
 
 impl ProtoMsg {
@@ -604,13 +583,5 @@ mod tests {
             assert_eq!(msg.wire_bytes(&layout), (*ctrl, *data), "{msg:?}");
             assert_eq!(msg.service(), *service, "{msg:?}");
         }
-    }
-
-    #[test]
-    fn envelope_deferral_flags() {
-        let e = Envelope::new(ProtoMsg::ScInval { block: 0 });
-        assert!(!e.deferred);
-        let e2 = Envelope::immediate(ProtoMsg::ScInval { block: 0 });
-        assert!(e2.deferred);
     }
 }

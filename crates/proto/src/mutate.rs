@@ -11,11 +11,11 @@
 //!
 //! Every build carries the sites;
 //! [`RunConfig::mutation`](crate::config::RunConfig::mutation) alone arms
-//! one. A site is an `if let Some(m) = w.mutate.as_mut()` test on a
-//! protocol-event path (a grant, a release, a diff, a fault handler, a
-//! frame report), never on the access hit path: the Tardis lease site runs
-//! only after the valid-lease early return. An unarmed run pays one `None`
-//! test per protocol event.
+//! one. A site is a [`ProtoWorld::fires`](crate::world::ProtoWorld::fires)
+//! test (or its sticky form) on a protocol-event path (a grant, a release,
+//! a diff, a fault handler, a frame report), never on the access hit path:
+//! the Tardis lease site runs only after the valid-lease early return. An
+//! unarmed run pays one `None` test per protocol event.
 //!
 //! Which occurrence of a site fires is chosen by seed: occurrence
 //! `roll(seed, mutation, ..) % 3` of the eligible site calls. One-shot
@@ -127,7 +127,7 @@ pub enum MutFabric {
 
 /// One row of the mutation kill matrix: the mutation, the checker rule
 /// expected to catch it, the protocol under which its injection site is
-/// exercised, the fabric environment it needs, and where the site lives.
+/// exercised, and the fabric environment it needs.
 #[derive(Debug, Clone, Copy)]
 pub struct MutationSpec {
     /// The planted mutation.
@@ -138,8 +138,6 @@ pub struct MutationSpec {
     pub protocol: Protocol,
     /// Fabric environment required for the mutation to be observable.
     pub fabric: MutFabric,
-    /// Injection site, `file: function`.
-    pub site: &'static str,
 }
 
 /// The full kill matrix, one row per [`Mutation::ALL`] entry (asserted by
@@ -151,77 +149,66 @@ pub const MUTATIONS: [MutationSpec; 11] = [
         rule: "lrc-notice-completeness",
         protocol: Protocol::Hlrc,
         fabric: MutFabric::Ideal,
-        site: "sync.rs: send_grant",
     },
     MutationSpec {
         mutation: Mutation::SkipDiffWord,
         rule: "hlrc-diff-coverage",
         protocol: Protocol::Hlrc,
         fabric: MutFabric::Ideal,
-        site: "hlrc.rs: encode_diff",
     },
     MutationSpec {
         mutation: Mutation::LockStaleVt,
         rule: "lrc-lock-stale-vt",
         protocol: Protocol::Hlrc,
         fabric: MutFabric::Ideal,
-        site: "sync.rs: handle_lock_rel",
     },
     MutationSpec {
         mutation: Mutation::SwStaleVersion,
         rule: "sw-stale-version",
         protocol: Protocol::SwLrc,
         fabric: MutFabric::Ideal,
-        site: "swlrc.rs: release_dirty",
     },
     MutationSpec {
         mutation: Mutation::ScKeepReader,
         rule: "sc-exclusive-with-readers",
         protocol: Protocol::Sc,
         fabric: MutFabric::Ideal,
-        site: "sc.rs: write-miss invalidation fan-out",
     },
     MutationSpec {
         mutation: Mutation::FabricDupDeliver,
         rule: "fabric-exactly-once",
         protocol: Protocol::Sc,
         fabric: MutFabric::Dup,
-        site: "world.rs: fabric frame receive report",
     },
     MutationSpec {
         mutation: Mutation::FabricReorder,
         rule: "fabric-in-order",
         protocol: Protocol::Sc,
         fabric: MutFabric::Reorder,
-        site: "world.rs: fabric frame receive report",
     },
     MutationSpec {
         mutation: Mutation::HbSkipBarrier,
         rule: "hb-race",
         protocol: Protocol::Sc,
         fabric: MutFabric::Ideal,
-        site: "sync.rs: handle_acquired, barrier release (sticky, node 0)",
     },
     MutationSpec {
         mutation: Mutation::TdLeaseOverrun,
         rule: "td-lease-overrun",
         protocol: Protocol::Tardis,
         fabric: MutFabric::Ideal,
-        site: "tardis.rs: lease-expiry check",
     },
     MutationSpec {
         mutation: Mutation::TdWtsStall,
         rule: "td-wts-monotone",
         protocol: Protocol::Tardis,
         fabric: MutFabric::Ideal,
-        site: "tardis.rs: exclusive grant wts mint",
     },
     MutationSpec {
         mutation: Mutation::TdWtsUnderLease,
         rule: "td-write-under-lease",
         protocol: Protocol::Tardis,
         fabric: MutFabric::Ideal,
-        site: "tardis.rs: exclusive grant wts mint",
     },
 ];
 
@@ -269,11 +256,6 @@ impl MutRt {
         hit
     }
 
-    /// One-shot site with no eligibility condition.
-    pub fn fire(&mut self, m: Mutation) -> bool {
-        self.fire_if(m, true)
-    }
-
     /// Sticky site: fires at the target occurrence and every one after.
     pub fn fire_sticky(&mut self, m: Mutation) -> bool {
         if m != self.which {
@@ -311,12 +293,12 @@ mod tests {
     fn one_shot_fires_exactly_once() {
         let mut rt = MutRt::new(Mutation::DropWriteNotice, 42);
         let fired: Vec<bool> = (0..10)
-            .map(|_| rt.fire(Mutation::DropWriteNotice))
+            .map(|_| rt.fire_if(Mutation::DropWriteNotice, true))
             .collect();
         assert_eq!(fired.iter().filter(|&&f| f).count(), 1);
         assert!(rt.fired);
         // Other mutations never fire and never advance the count.
-        assert!(!rt.fire(Mutation::SkipDiffWord));
+        assert!(!rt.fire_if(Mutation::SkipDiffWord, true));
     }
 
     #[test]

@@ -15,6 +15,7 @@ use dsm_obs::EventKind;
 use dsm_sim::{NodeId, Sched, Time};
 
 use crate::msg::{FaultKind, Packet, ProtoMsg};
+use crate::mutate::Mutation;
 use crate::world::{grant_access, ProtoWorld};
 
 /// One directory entry, conceptually located at the block's home.
@@ -283,13 +284,11 @@ fn begin_write(
         }
     }
     let mut skip_mask = 0u64;
-    if let Some(m) = w.mutate.as_mut() {
-        // Leave the lowest-numbered remote sharer un-invalidated: its stale
-        // read-only copy survives into the requester's exclusive grant. The
-        // skipped ack is not counted, so the transaction still completes.
-        if m.fire_if(crate::mutate::Mutation::ScKeepReader, targets != 0) {
-            skip_mask = 1u64 << targets.trailing_zeros();
-        }
+    // Leave the lowest-numbered remote sharer un-invalidated: its stale
+    // read-only copy survives into the requester's exclusive grant. The
+    // skipped ack is not counted, so the transaction still completes.
+    if w.fires(Mutation::ScKeepReader, targets != 0) {
+        skip_mask = 1u64 << targets.trailing_zeros();
     }
     let mut acks = 0u32;
     for t in 0..w.cfg.nodes {
@@ -541,8 +540,7 @@ pub fn handle_grant(
             w.send(s, me, home, at, ProtoMsg::ScGrantAck { from: me, block: b });
         }
     }
-    w.block_obtained(s, me);
-    w.wake(s, me, at);
+    w.fault_done(s, me, at);
 }
 
 /// First-touch claim confirmation at the new home.
@@ -559,8 +557,7 @@ pub fn handle_now_home(
     w.grant(me, b, grant_access(kind));
     let at = s.now() + w.cfg.cost.handler_ns;
     complete_transaction(w, s, me, b, at);
-    w.block_obtained(s, me);
-    w.wake(s, me, at);
+    w.fault_done(s, me, at);
 }
 
 /// Grant-ack at the home: transaction complete; serve the next waiter.

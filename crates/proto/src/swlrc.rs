@@ -13,6 +13,7 @@ use dsm_obs::EventKind;
 use dsm_sim::{NodeId, Sched, Time};
 
 use crate::msg::{FaultKind, Notice, Packet, ProtoMsg};
+use crate::mutate::Mutation;
 use crate::world::ProtoWorld;
 
 /// Maximum forwarding chain length before we declare a protocol bug.
@@ -345,8 +346,7 @@ pub fn handle_reply(
         w.sw.set_hint(me, b, owner, version);
         w.grant(me, b, Access::Read);
     }
-    w.block_obtained(s, me);
-    w.wake(s, me, at);
+    w.fault_done(s, me, at);
 }
 
 /// Claim confirmation at the first owner.
@@ -362,8 +362,7 @@ pub fn handle_now_owner(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b
     w.nodes[me].mark_dirty(b);
     let at = s.now() + w.cfg.cost.handler_ns;
     drain_waiting(w, s, me, b, at);
-    w.block_obtained(s, me);
-    w.wake(s, me, at);
+    w.fault_done(s, me, at);
 }
 
 fn drain_waiting(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId, at: Time) {
@@ -425,16 +424,10 @@ pub fn release_dirty(
     notices.reserve(dirty.len());
     for b in dirty {
         debug_assert!(w.sw.is_owner(me, b), "dirty block not owned at release");
-        let mut bump = true;
-        if let Some(m) = w.mutate.as_mut() {
-            // Publish a notice that reuses the block's current version:
-            // readers holding that version skip the invalidation and keep
-            // reading stale data.
-            if m.fire_if(crate::mutate::Mutation::SwStaleVersion, true) {
-                bump = false;
-            }
-        }
-        if bump {
+        // Publish a notice that reuses the block's current version: readers
+        // holding that version skip the invalidation and keep reading stale
+        // data.
+        if !w.fires(Mutation::SwStaleVersion, true) {
             w.sw.version[b] += 1;
         }
         let v = w.sw.version[b];

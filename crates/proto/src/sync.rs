@@ -16,6 +16,7 @@ use dsm_sim::{NodeId, Sched, Time};
 
 use crate::lrc;
 use crate::msg::{Notice, Packet, ProtoMsg};
+use crate::mutate::Mutation;
 use crate::vt::VClock;
 use crate::world::ProtoWorld;
 
@@ -154,14 +155,11 @@ pub fn handle_lock_rel(
     mut vt: Option<VClock>,
     pts: Option<u64>,
 ) {
-    if let Some(m) = w.mutate.as_mut() {
-        // The manager records a stale release time, forgetting the
-        // releaser's final interval (and with it that interval's notices
-        // in later grants).
-        let eligible = vt.as_ref().is_some_and(|v| v.get(from) > 0);
-        if m.fire_if(crate::mutate::Mutation::LockStaleVt, eligible) {
-            vt.as_mut().unwrap().rollback(from);
-        }
+    // The manager records a stale release time, forgetting the releaser's
+    // final interval (and with it that interval's notices in later grants).
+    let eligible = vt.as_ref().is_some_and(|v| v.get(from) > 0);
+    if w.fires(Mutation::LockStaleVt, eligible) {
+        vt.as_mut().unwrap().rollback(from);
     }
     let lock = w.lock_mut(l);
     debug_assert!(lock.held && lock.holder == from, "release by non-holder");
@@ -192,15 +190,10 @@ fn send_grant(
         (Some(last), Some(req)) => (Some(last.clone()), w.log.collect_missing(&req, last)),
         (last, _) => (last.clone(), Vec::new()),
     };
-    if let Some(m) = w.mutate.as_mut() {
-        // A grant that loses one of the write notices the acquirer is
-        // causally owed.
-        if m.fire_if(
-            crate::mutate::Mutation::DropWriteNotice,
-            !notices.is_empty(),
-        ) {
-            notices.pop();
-        }
+    // A grant that loses one of the write notices the acquirer is causally
+    // owed.
+    if w.fires(Mutation::DropWriteNotice, !notices.is_empty()) {
+        notices.pop();
     }
     w.emit_notices(me, s.now(), notices.len(), false);
     let pts = w.has_tardis.then(|| w.locks[l].last_pts);
@@ -321,10 +314,7 @@ pub fn handle_acquired(
             // Node 0's detector misses the barrier's happens-before join
             // (sticky): a cross-node access pair ordered only by this
             // barrier must then surface as a race.
-            let skip_join = me == 0
-                && w.mutate
-                    .as_mut()
-                    .is_some_and(|m| m.fire_sticky(crate::mutate::Mutation::HbSkipBarrier));
+            let skip_join = me == 0 && w.fires_sticky(Mutation::HbSkipBarrier);
             w.audit(|c, w| c.bar_pass(w, me, bar, vt.as_ref(), &notices, skip_join, now));
         }
     }
@@ -440,14 +430,12 @@ mod tests {
         let evs = s.take_events();
         let released: Vec<_> = evs
             .iter()
-            .filter(|(_, _, m)| {
-                matches!(
-                    m,
-                    Some(Packet::App(Envelope {
-                        msg: ProtoMsg::BarRelease { .. },
-                        ..
-                    }))
-                )
+            .filter(|(_, _, m)| match m {
+                // The manager's own release is a self-send, served at once.
+                Some(Packet::App(env) | Packet::Serve(env)) => {
+                    matches!(env.msg, ProtoMsg::BarRelease { .. })
+                }
+                _ => false,
             })
             .map(|(_, to, _)| *to)
             .collect();

@@ -33,6 +33,7 @@ use dsm_obs::EventKind;
 use dsm_sim::{NodeId, Sched, Time};
 
 use crate::msg::{FaultKind, Packet, ProtoMsg};
+use crate::mutate::Mutation;
 use crate::vt::{lease_grant, wts_grant};
 use crate::world::ProtoWorld;
 
@@ -122,12 +123,10 @@ pub fn lease_valid(w: &mut ProtoWorld, me: NodeId, b: BlockId, now: Time) -> boo
     if w.td.pts[me] <= w.td.lease[ni] {
         return true;
     }
-    if let Some(m) = w.mutate.as_mut() {
-        // Read straight through the expired lease once: the value may be
-        // stale past a causally required write (td-lease-overrun).
-        if m.fire(crate::mutate::Mutation::TdLeaseOverrun) {
-            return true;
-        }
+    // Read straight through the expired lease once: the value may be stale
+    // past a causally required write (td-lease-overrun).
+    if w.fires(Mutation::TdLeaseOverrun, true) {
+        return true;
     }
     w.emit(me, now, EventKind::LeaseExpire { block: b });
     false
@@ -224,17 +223,14 @@ fn pump(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId, mut a
                 let old = w.td.wts[b];
                 let rts = w.td.rts[b];
                 let mut wts = wts_grant(old, rts);
-                if let Some(m) = w.mutate.as_mut() {
-                    use crate::mutate::Mutation;
-                    if m.fire(Mutation::TdWtsStall) {
-                        // Forget to mint a timestamp: the write reuses the
-                        // previous one (td-wts-monotone).
-                        wts = old;
-                    } else if m.fire_if(Mutation::TdWtsUnderLease, rts > old) {
-                        // Ignore outstanding leases: the write lands inside
-                        // a promised read window (td-write-under-lease).
-                        wts = old + 1;
-                    }
+                if w.fires(Mutation::TdWtsStall, true) {
+                    // Forget to mint a timestamp: the write reuses the
+                    // previous one (td-wts-monotone).
+                    wts = old;
+                } else if w.fires(Mutation::TdWtsUnderLease, rts > old) {
+                    // Ignore outstanding leases: the write lands inside a
+                    // promised read window (td-write-under-lease).
+                    wts = old + 1;
                 }
                 if rts > old {
                     w.emit(me, now, EventKind::WtsBump { block: b });
@@ -299,8 +295,7 @@ pub fn handle_data(
     w.td.pts[me] = w.td.pts[me].max(wts);
     w.grant(me, b, Access::Read);
     let at = s.now() + w.cfg.cost.handler_ns;
-    w.block_obtained(s, me);
-    w.wake(s, me, at);
+    w.fault_done(s, me, at);
 }
 
 /// Header-only lease renewal at the requester: the expired copy (still
@@ -317,8 +312,7 @@ pub fn handle_lease(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: Bl
     w.td.pts[me] = w.td.pts[me].max(cw);
     debug_assert_eq!(w.access.get(me, b), Access::Read);
     let at = s.now() + w.cfg.cost.handler_ns;
-    w.block_obtained(s, me);
-    w.wake(s, me, at);
+    w.fault_done(s, me, at);
 }
 
 /// Exclusive write grant at the requester.
@@ -355,8 +349,7 @@ pub fn handle_wgrant(
         ProtoMsg::TdAck { from: me, block: b },
     );
     let at = s.now() + w.cfg.cost.handler_ns;
-    w.block_obtained(s, me);
-    w.wake(s, me, at);
+    w.fault_done(s, me, at);
 }
 
 /// Recall at the exclusive owner: surrender the block, writing the dirty
@@ -465,7 +458,11 @@ mod tests {
         to: NodeId,
     ) -> impl Iterator<Item = &ProtoMsg> {
         evs.iter().filter_map(move |(_, t, m)| match m {
-            Some(Packet::App(Envelope { msg, .. })) if *t == to => Some(msg),
+            Some(Packet::App(Envelope { msg, .. }) | Packet::Serve(Envelope { msg, .. }))
+                if *t == to =>
+            {
+                Some(msg)
+            }
             _ => None,
         })
     }

@@ -24,7 +24,7 @@ use crate::config::{Protocol, RunConfig};
 use crate::hlrc::HlState;
 use crate::lrc::NoticeLog;
 use crate::msg::{Envelope, FaultKind, Packet, ProtoMsg, Service};
-use crate::mutate::MutRt;
+use crate::mutate::{MutRt, Mutation};
 use crate::pool::{BufPool, TwinTable};
 use crate::sc::ScState;
 use crate::swlrc::SwState;
@@ -38,8 +38,9 @@ use crate::{hlrc, sc, swlrc, sync, tardis};
 pub struct NodeRt {
     /// Vector timestamp (LRC protocols).
     pub vt: VClock,
-    /// Interrupts-deferred deadline after the node obtained a block
-    /// (delayed-consistency effect of interrupts, §5.4).
+    /// End of the interrupt grace window the node's last completed fault
+    /// opened ([`ProtoWorld::fault_done`]; delayed-consistency effect of
+    /// interrupts, §5.4).
     pub intr_disabled_until: Time,
     /// Blocks dirtied in the current interval (LRC), deduplicated.
     pub dirty: Vec<BlockId>,
@@ -145,8 +146,9 @@ pub struct ProtoWorld {
     /// ones.
     pub check: Option<Box<RunChecker>>,
     /// Armed protocol mutation (checker self-tests), from
-    /// [`RunConfig::mutation`]. `None` leaves every mutation site inert.
-    pub mutate: Option<MutRt>,
+    /// [`RunConfig::mutation`]. `None` leaves every mutation site inert;
+    /// a site asks [`ProtoWorld::fires`] or [`ProtoWorld::fires_sticky`].
+    mutate: Option<MutRt>,
     /// Virtual time of the last application-level activity (an envelope
     /// delivered or a node clock advance). With the reliable fabric,
     /// pending retransmission timers drain past the application's real
@@ -227,6 +229,24 @@ impl ProtoWorld {
             f(&mut c, self);
             self.check = Some(c);
         }
+    }
+
+    /// Whether the armed mutation is `m` and strikes at this occurrence of
+    /// its site (one-shot; see [`crate::mutate`]). An occurrence that is
+    /// not `eligible`, where the mutation would change nothing, is not
+    /// counted. The one way protocol code reaches the armed mutation.
+    #[inline]
+    pub fn fires(&mut self, m: Mutation, eligible: bool) -> bool {
+        self.mutate
+            .as_mut()
+            .is_some_and(|rt| rt.fire_if(m, eligible))
+    }
+
+    /// [`ProtoWorld::fires`] for a sticky mutation: it strikes at its target
+    /// occurrence and at every one after.
+    #[inline]
+    pub fn fires_sticky(&mut self, m: Mutation) -> bool {
+        self.mutate.as_mut().is_some_and(|rt| rt.fire_sticky(m))
     }
 
     /// Make the golden initial image the contents of every node's copy.
@@ -317,6 +337,16 @@ impl ProtoWorld {
         s.wake(node, at);
     }
 
+    /// `node`'s fault completed: under interrupts, open its grace window
+    /// (requests reaching it while it computes wait until `intr_grace_ns`
+    /// from now), then wake it at `at`.
+    pub fn fault_done(&mut self, s: &mut Sched<Packet>, node: NodeId, at: Time) {
+        if self.cfg.notify == Notify::Interrupt {
+            self.nodes[node].intr_disabled_until = s.now() + self.cfg.cost.intr_grace_ns;
+        }
+        self.wake(s, node, at);
+    }
+
     /// Start `me`'s measured phase at `now`: zero its statistics (the one
     /// reset of the fold), discard what the recorder holds for it, arm the
     /// checker.
@@ -404,7 +434,7 @@ impl ProtoWorld {
             s.post(
                 to,
                 depart,
-                Packet::App(Envelope::immediate(msg).with_span(span)),
+                Packet::Serve(Envelope::new(msg).with_span(span)),
             );
             return;
         }
@@ -523,16 +553,13 @@ impl ProtoWorld {
             s.post(src, at + ack_wire, Packet::Ack { from: to, seq });
         }
         let mut posted = deliver.len();
-        if let Some(m) = self.mutate.as_mut() {
-            use crate::mutate::Mutation;
-            // Model a misbehaving transport: a duplicate slipping past
-            // suppression, or a held out-of-order frame released early.
-            // Only the delivery report is corrupted; see `crate::mutate`.
-            if m.fire_if(Mutation::FabricDupDeliver, duplicate)
-                || m.fire_if(Mutation::FabricReorder, !duplicate && deliver.is_empty())
-            {
-                posted += 1;
-            }
+        // Model a misbehaving transport: a duplicate slipping past
+        // suppression, or a held out-of-order frame released early. Only the
+        // delivery report is corrupted; see `crate::mutate`.
+        if self.fires(Mutation::FabricDupDeliver, duplicate)
+            || self.fires(Mutation::FabricReorder, !duplicate && deliver.is_empty())
+        {
+            posted += 1;
         }
         self.audit(|c, w| c.fabric_frame(w, src, to, seq, posted, now));
         for (at, env) in deliver.drain(..) {
@@ -575,15 +602,6 @@ impl ProtoWorld {
         );
     }
 
-    /// Mark that `node` just obtained a block (fault completed): under the
-    /// interrupt mechanism further asynchronous requests to it are deferred
-    /// for the grace window.
-    pub fn block_obtained(&mut self, s: &Sched<Packet>, node: NodeId) {
-        if self.cfg.notify == Notify::Interrupt {
-            self.nodes[node].intr_disabled_until = s.now() + self.cfg.cost.intr_grace_ns;
-        }
-    }
-
     /// The home a requester should target for a block: the claimed home if
     /// known, otherwise the static directory node (interim home).
     pub fn route_home(&self, b: BlockId) -> NodeId {
@@ -591,14 +609,61 @@ impl ProtoWorld {
             .home(b)
             .unwrap_or_else(|| self.homes.directory_node(b))
     }
+
+    /// When `to` serves `msg`, which arrives now and is served as `service`
+    /// says: `None` at once, or the later time its envelope is re-posted for
+    /// (as a [`Packet::Serve`], which is served when it comes). The
+    /// notification model (§5.4) is these rules, in this order:
+    /// - a reply, or a request to a node that is not computing (one blocked
+    ///   in its spin loop, or done), needs no notification;
+    /// - a request to a computing node waits until the node notices it:
+    ///   `poll_service_delay_ns` under polling (its next backedge); under
+    ///   interrupts the `intr_signal_ns` signal or the end of the grace
+    ///   window its last fault opened, whichever is later, and the signal is
+    ///   an `Interrupt` event. The wait applies only if it ends after now;
+    /// - otherwise an `ScInval` or `ScFetchBack` waits out the
+    ///   delayed-consistency window, `delayed_inval_ns`, when there is one.
+    ///
+    /// A request served later is not ordered behind earlier ones: one that
+    /// arrives after it may be served first. That is the model's open
+    /// defect (DESIGN.md, § Protocols).
+    #[inline]
+    fn service_time(
+        &mut self,
+        s: &Sched<Packet>,
+        to: NodeId,
+        msg: &ProtoMsg,
+        service: Service,
+    ) -> Option<Time> {
+        let now = s.now();
+        if service != Service::Reply && s.resume_at(to).is_some() {
+            let cost = &self.cfg.cost;
+            let at = match self.cfg.notify {
+                Notify::Polling => now + cost.poll_service_delay_ns,
+                Notify::Interrupt => {
+                    (now + cost.intr_signal_ns).max(self.nodes[to].intr_disabled_until)
+                }
+            };
+            if at > now {
+                if self.cfg.notify == Notify::Interrupt {
+                    self.emit(to, now, EventKind::Interrupt);
+                }
+                return Some(at);
+            }
+        }
+        let window = self.cfg.cost.delayed_inval_ns;
+        let revokes = matches!(msg, ProtoMsg::ScInval { .. } | ProtoMsg::ScFetchBack { .. });
+        (window > 0 && revokes).then(|| now + window)
+    }
 }
 
 impl World for ProtoWorld {
     type Msg = Packet;
 
     fn deliver(&mut self, s: &mut Sched<Packet>, to: NodeId, pkt: Packet) {
-        let env = match pkt {
-            Packet::App(env) => env,
+        let (env, arrived) = match pkt {
+            Packet::App(env) => (env, true),
+            Packet::Serve(env) => (env, false),
             Packet::Frame {
                 src,
                 seq,
@@ -636,57 +701,12 @@ impl World for ProtoWorld {
             }
         };
         self.quiesce = self.quiesce.max(s.now());
-        // One-shot service-time deferral for asynchronous requests arriving
-        // at a node that is busy computing.
         let service = env.msg.service();
-        if !env.deferred
-            && service != Service::Reply
-            && !s.is_blocked(to)
-            && s.resume_at(to).is_some()
-        {
-            let svc = self.cfg.cost.async_service_time(
-                s.now(),
-                self.cfg.notify,
-                self.nodes[to].intr_disabled_until,
-            );
-            if svc > s.now() {
-                if self.cfg.notify == Notify::Interrupt {
-                    self.emit(to, s.now(), EventKind::Interrupt);
-                }
-                s.post(
-                    to,
-                    svc,
-                    Packet::App(Envelope {
-                        msg: env.msg,
-                        deferred: true,
-                        span: env.span,
-                    }),
-                );
+        if arrived {
+            if let Some(at) = self.service_time(s, to, &env.msg, service) {
+                s.post(to, at, Packet::Serve(env));
                 return;
             }
-        }
-        // Delayed-consistency extension: coherence-destroying requests
-        // (invalidations, fetch-backs) are additionally deferred by a fixed
-        // window, batching the holder's accesses (Dubois et al.; the
-        // paper's §7 future work). One-shot like the service deferral.
-        if !env.deferred
-            && self.cfg.cost.delayed_inval_ns > 0
-            && matches!(
-                env.msg,
-                ProtoMsg::ScInval { .. } | ProtoMsg::ScFetchBack { .. }
-            )
-        {
-            let at = s.now() + self.cfg.cost.delayed_inval_ns;
-            s.post(
-                to,
-                at,
-                Packet::App(Envelope {
-                    msg: env.msg,
-                    deferred: true,
-                    span: env.span,
-                }),
-            );
-            return;
         }
         // Feeds no counter, and `tag()` is not free: only built when some
         // sink will look at it.
@@ -700,7 +720,7 @@ impl World for ProtoWorld {
                 },
             );
         }
-        // Final dispatch: record the span arrival (deferrals already
+        // Final dispatch: record the span arrival (service time already
         // applied) and make this message the causal parent of everything
         // its handler sends or wakes.
         if self.obs.spans_on() {
@@ -993,6 +1013,96 @@ mod tests {
         assert_eq!(sw, (0, NODES), "no region runs SW-LRC");
         assert_eq!(hl, (NODES * BLOCKS, NODES));
         assert_eq!(td, (NODES * BLOCKS, NODES));
+    }
+
+    /// Node 1 serves `pkt`, handed to it now: when it re-posts the
+    /// envelope for service (`None`: served at once), and how many
+    /// interrupts that took. A re-posted envelope is handed over again at
+    /// its time, and must then be served at once.
+    fn served(w: &mut ProtoWorld, s: &mut Sched<Packet>, pkt: Packet) -> (Option<Time>, u64) {
+        let hand_over = |w: &mut ProtoWorld, s: &mut Sched<Packet>, pkt| {
+            let before = w.stats[1].interrupts_taken;
+            w.deliver(s, 1, pkt);
+            let mut timed = s.take_events().into_iter().filter_map(|ev| match ev {
+                (at, 1, Some(Packet::Serve(env))) => Some((at, env)),
+                _ => None,
+            });
+            let first = timed.next();
+            assert!(timed.next().is_none(), "one re-post at most");
+            (first, w.stats[1].interrupts_taken - before)
+        };
+        let (timed, taken) = hand_over(w, s, pkt);
+        let Some((at, env)) = timed else {
+            return (None, taken);
+        };
+        s.set_now_for_testing(at);
+        let (again, _) = hand_over(w, s, Packet::Serve(env));
+        assert!(again.is_none(), "timed twice");
+        (Some(at), taken)
+    }
+
+    /// The notification model, row by row: what reaches node 1, in what
+    /// state, and when node 1 serves it. Node 1's last fault completed at
+    /// 1 ms and it computes until 10 ms; the interrupt grace window (200 µs)
+    /// that fault opened ends at 1.2 ms.
+    #[test]
+    fn when_a_node_serves_a_message() {
+        use Notify::{Interrupt, Polling};
+        const MS: Time = 1_000_000;
+        let inval = ProtoMsg::ScInval { block: 0 };
+        let reply = ProtoMsg::LockGrant {
+            lock: 0,
+            vt: None,
+            notices: vec![],
+            pts: None,
+        };
+        enum Via {
+            Arrival,
+            Timed,
+            SelfSend,
+        }
+        #[rustfmt::skip]
+        let rows = [
+            // (row, notify, delayed_inval_ns, computing, arrival, via, message, re-posted for, interrupts)
+            ("a reply", Interrupt, 0, true, MS + 50_000, Via::Arrival, &reply, None, 0),
+            ("a blocked target", Interrupt, 0, false, MS + 50_000, Via::Arrival, &inval, None, 0),
+            ("computing, polling", Polling, 0, true, MS + 50_000, Via::Arrival, &inval, Some(MS + 52_000), 0),
+            ("computing, inside the grace window", Interrupt, 0, true, MS + 50_000, Via::Arrival, &inval, Some(MS + 200_000), 1),
+            ("computing, after the grace window", Interrupt, 0, true, MS + 300_000, Via::Arrival, &inval, Some(MS + 370_000), 1),
+            ("a timed envelope", Interrupt, 0, true, MS + 50_000, Via::Timed, &inval, None, 0),
+            ("a self-send", Interrupt, 0, true, MS + 50_000, Via::SelfSend, &inval, None, 0),
+            ("delayed window", Polling, 100_000, false, MS + 50_000, Via::Arrival, &inval, Some(MS + 150_000), 0),
+            ("delayed window, replies exempt", Polling, 100_000, false, MS + 50_000, Via::Arrival, &reply, None, 0),
+            ("service deferral, then no window", Polling, 100_000, true, MS + 50_000, Via::Arrival, &inval, Some(MS + 52_000), 0),
+        ];
+        for (row, notify, window, computing, arrival, via, msg, want, interrupts) in rows {
+            let mut cfg = RunConfig::new(Protocol::Sc, 256)
+                .with_nodes(4)
+                .with_notify(notify);
+            cfg.cost.delayed_inval_ns = window;
+            let mut w = ProtoWorld::new(cfg, Layout::new(4096, 256));
+            let mut s = Sched::for_testing(4);
+            s.set_now_for_testing(MS);
+            if computing {
+                w.fault_done(&mut s, 1, 10 * MS);
+            }
+            s.set_now_for_testing(arrival);
+            s.take_events();
+            let env = Envelope::new(msg.clone());
+            let pkt = match via {
+                Via::Arrival => Packet::App(env),
+                Via::Timed => Packet::Serve(env),
+                Via::SelfSend => {
+                    w.send(&mut s, 1, 1, arrival, env.msg);
+                    let mut posted = s.take_events();
+                    assert_eq!(posted.len(), 1, "{row}");
+                    let (at, to, pkt) = posted.pop().unwrap();
+                    assert_eq!((at, to), (arrival, 1), "{row}");
+                    pkt.unwrap()
+                }
+            };
+            assert_eq!(served(&mut w, &mut s, pkt), (want, interrupts), "{row}");
+        }
     }
 
     #[test]

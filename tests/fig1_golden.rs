@@ -6,13 +6,16 @@
 //! fnv1a64(RunStats::to_json())` — for all 192 cells (12 applications × 4
 //! protocols × 4 granularities) at `AppSize::Small`, plus the hooks-on
 //! configurations: fft and water-spatial under every protocol @256 with the
-//! checker and span tracing, and lu under HLRC and SW-LRC @1024 on a faulty
-//! fabric with the checker. It was captured from the threaded engine (one OS
+//! checker and span tracing, lu under HLRC and SW-LRC @1024 on a faulty
+//! fabric with the checker, and the notification model's timed paths: lu and
+//! water-nsquared under every protocol @64 and @4096 with interrupts, and
+//! volrend-original SC@4096 with interrupts and no grace window, and with
+//! polling and a 100 µs delayed-invalidation window. It was captured from the threaded engine (one OS
 //! thread per node) immediately before that engine was deleted, and is the
 //! reference the event loop is held to: any modelled drift, in any cell,
 //! fails here. `bless` is the only writer.
 
-use dsm::{run_experiment, FabricConfig, Protocol, RunConfig, GRANULARITIES};
+use dsm::{run_experiment, FabricConfig, Notify, Protocol, RunConfig, GRANULARITIES};
 use dsm_apps::registry::{app_sized, AppSize};
 use dsm_bench::sweep::default_jobs;
 use dsm_scenario::exec::pool_map;
@@ -48,6 +51,15 @@ fn cells() -> Vec<(&'static str, Protocol, usize, &'static str)> {
     for p in [Protocol::Hlrc, Protocol::SwLrc] {
         cells.push(("lu", p, 1024, "faulty7+check"));
     }
+    for app in ["lu", "water-nsquared"] {
+        for p in Protocol::ALL {
+            for g in [64, 4096] {
+                cells.push((app, p, g, "interrupt"));
+            }
+        }
+    }
+    cells.push(("volrend-original", Protocol::Sc, 4096, "interrupt+grace0"));
+    cells.push(("volrend-original", Protocol::Sc, 4096, "delayed-inval100us"));
     cells
 }
 
@@ -59,6 +71,17 @@ fn line(app: &str, p: Protocol, block: usize, config: &str) -> String {
         "plain" => cfg,
         "check+spans" => cfg.with_check().with_spans(),
         "faulty7+check" => cfg.with_fabric(FabricConfig::faulty(7)).with_check(),
+        "interrupt" => cfg.with_notify(Notify::Interrupt),
+        "interrupt+grace0" => {
+            let mut cfg = cfg.with_notify(Notify::Interrupt);
+            cfg.cost.intr_grace_ns = 0;
+            cfg
+        }
+        "delayed-inval100us" => {
+            let mut cfg = cfg;
+            cfg.cost.delayed_inval_ns = 100_000;
+            cfg
+        }
         other => unreachable!("unknown configuration {other}"),
     };
     let r = run_experiment(&cfg, app_sized(app, AppSize::Small).expect("app"));
@@ -95,7 +118,7 @@ fn every_cell_matches_the_fixture() {
     let text = std::fs::read_to_string(FIXTURE).expect("fixture is committed");
     let want: Vec<&str> = text.lines().collect();
     let got = render();
-    assert_eq!(got.len(), 192 + 8 + 2);
+    assert_eq!(got.len(), 192 + 8 + 2 + 18);
     assert_eq!(got.len(), want.len(), "fixture has a line per cell");
     for (g, w) in got.iter().zip(&want) {
         assert_eq!(g, w, "modelled drift (left: this build, right: fixture)");

@@ -4,8 +4,8 @@
 # state (proto), the arithmetic rule for the applications, the
 # no-environment rule for every library crate, the direction of the tool
 # crates' dependency edge, the one way in to the application registry, the
-# one build, the one run description, the one wire format and the one door
-# to the checker.
+# one build, the one run description, the one wire format, the one door
+# to the checker and the one place a message is timed.
 #
 # The whole stack depends on bit-identical replay: the engine's state
 # hashes, the model checker's replay-based exploration, and the golden
@@ -156,6 +156,16 @@
 #      config.rs is exempt, and so is `cfg.check` anywhere: that is
 #      `RunConfig`'s flag asking for a checker, not the checker. No
 #      allowlist.
+#
+# A fifteenth keeps the notification model stated once:
+#
+#  15. One place posts. In non-test code of crates/proto/src, `.post(`
+#      appears only in world.rs: `ProtoWorld::send` puts a message on the
+#      wire, the fabric path posts its frames, acks and timers, and
+#      `deliver` re-posts an arrival for the time `service_time` gives it.
+#      A handler that posted an envelope itself would time a message around
+#      that decision, so the order the model serves messages in would no
+#      longer be written in one place. No allowlist.
 #
 # Comment lines are ignored. Run from anywhere; CI runs it on every push.
 
@@ -353,6 +363,18 @@ hits=$(find crates/proto/src -name '*.rs' -not -path 'crates/proto/src/check/*' 
 if [ -n "$hits" ]; then
   echo "$hits"
   echo "lint_determinism: the checker reached around ProtoWorld::audit — call w.audit(|c, w| c.hook(w, ..)) and let the hook read the world (no allowlist for this rule)"
+  status=1
+fi
+
+# Rule 15.
+hits=$(find crates/proto/src -name '*.rs' -not -name world.rs | sort | xargs awk '
+  FNR == 1 { in_tests = 0 }
+  /^#\[cfg\(test\)\]/ { in_tests = 1 }
+  in_tests || /^[[:space:]]*\/\// { next }
+  /\.post\(/ { print FILENAME ":" FNR ":" $0 }')
+if [ -n "$hits" ]; then
+  echo "$hits"
+  echo "lint_determinism: a message posted outside crates/proto/src/world.rs — send it with ProtoWorld::send, and let deliver decide when it is served (no allowlist for this rule)"
   status=1
 fi
 
